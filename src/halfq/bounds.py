@@ -29,10 +29,11 @@ from .algebra import (
 )
 from .classicality import ClassicalData
 from .hilbert import (
+    CompiledOperator,
     OperatorMatrix,
     SpectralDecomp,
     State,
-    evaluate_symbolic,
+    compile_expression,
     interval_mask,
     spectral_decompose,
     tensor,
@@ -58,18 +59,17 @@ class HybridObservable:
         object.__setattr__(self, "quantum_grids", dict(self.quantum_grids))
         object.__setattr__(self, "constants", dict(self.constants))
 
-    def classical_centers(self) -> dict:
-        return {
-            sym: self.data.center(sym) for sym in self.expr.classical_symbols()
-        }
-
-    def matrix(self, expr: HybridExpression | None = None) -> OperatorMatrix:
-        """Quantum-sector matrix with classical symbols at their centers."""
+    def compiled(self, expr: HybridExpression | None = None) -> CompiledOperator:
+        """Quantum-sector operator with classical symbols at their centers."""
         e = self.expr if expr is None else expr
         centers = {sym: self.data.center(sym) for sym in e.classical_symbols()}
-        return evaluate_symbolic(
+        return compile_expression(
             e, centers, self.quantum_grids, self.hbar, self.constants
         )
+
+    def matrix(self, expr: HybridExpression | None = None) -> OperatorMatrix:
+        """Dense quantum-sector matrix of :meth:`compiled`."""
+        return self.compiled(expr).dense()
 
 
 @dataclass(frozen=True)
@@ -120,43 +120,33 @@ def delta_L_margin(
     """
     if L < 1:
         raise ValueError("order L must be a positive integer")
-    expr = observable.expr
     data = observable.data
-    xi = xi_quantum.amplitudes
     symbols = sorted(
         [Symbol.q(i) for i in range(1, data.dofs + 1)]
         + [Symbol.p(i) for i in range(1, data.dofs + 1)]
     )
-    per_symbol = {}
-    first_derivs = {}
-    for sym in symbols:
-        deriv = partial_derivative(expr, sym)
-        first_derivs[sym] = deriv
-        if deriv.is_zero:
-            continue
-        mat = observable.matrix(deriv).matrix
-        vec = xi
+
+    def weight(deriv: HybridExpression) -> float:
+        """|<xi|(D^dag)^L D^L|xi>|^(1/2L) of one derivative operator D."""
+        op = observable.compiled(deriv)
+        vec = xi_quantum.amplitudes
         for _ in range(L):
-            vec = mat @ vec
-        weight = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-        contribution = weight * data.margin(sym)
-        if contribution:
-            per_symbol[sym] = contribution
+            vec = op.apply(vec)
+        return float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+
+    per_symbol = {}
     second = 0.0
     for sym_i in symbols:
-        base = first_derivs[sym_i]
-        if base.is_zero:
+        deriv = partial_derivative(observable.expr, sym_i)
+        if deriv.is_zero:
             continue
+        contribution = weight(deriv) * data.margin(sym_i)
+        if contribution:
+            per_symbol[sym_i] = contribution
         for sym_k in symbols:
-            deriv2 = partial_derivative(base, sym_k)
-            if deriv2.is_zero:
-                continue
-            mat = observable.matrix(deriv2).matrix
-            vec = xi
-            for _ in range(L):
-                vec = mat @ vec
-            weight = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-            second += 0.5 * weight * data.margin(sym_i) * data.margin(sym_k)
+            deriv2 = partial_derivative(deriv, sym_k)
+            if not deriv2.is_zero:
+                second += 0.5 * weight(deriv2) * data.margin(sym_i) * data.margin(sym_k)
     return DeltaMargin(
         total=float(sum(per_symbol.values())),
         per_symbol=per_symbol,
@@ -451,57 +441,34 @@ def leakage_sum(
 
 
 def tail_leakage(
-    observable: HybridObservable,
-    phi_classical: State,
-    phi_quantum: State,
-    cfg: BoundConfig,
+    eigenvalues: np.ndarray,
+    xi_amps: np.ndarray,
+    xi_set: Sequence[XiState],
     I0: tuple,
-    A_full: OperatorMatrix | SpectralDecomp,
-    which: str = "X1",
-    xi_set: Sequence[XiState] | None = None,
-    margin: DeltaMargin | None = None,
-) -> tuple:
-    """Measured spectral leakage against its bound (verification mode).
+    big_delta: float,
+) -> dict:
+    """Measured X1 and X2 leakage of one sandwich row (verification mode).
 
-    ``A_full`` is the full-quantum observable (or its decomposition) on the
-    tensor space classical x quantum.  ``xi_set`` may carry externally
-    prepared xi states (e.g. evolved into the Schroedinger picture); by
-    default they are built from the observable at the initial time.
-    Returns ``(measured, bound)``; for certified classical factors
-    measured <= bound is the testable content of the sandwich derivation.
+    ``xi_amps[i, u] = <a_i|xi_u>`` over the eigenbasis (``eigenvalues``) of
+    the full-quantum observable; the xi states may be evolved into the
+    Schroedinger picture.  X1 takes the window Imax, X2 the window Imin.
+    For certified classical factors X1 <= leakage_constant is the testable
+    content of the sandwich derivation.
     """
-    if margin is None:
-        margin = delta_L_margin(observable, phi_quantum, cfg.L)
-    delta = margin.total
-    i_b = delta if cfg.I_B is None else cfg.I_B
-    bound = leakage_constant(delta, cfg)
-    big_delta = spread_Delta_L(delta, cfg)
-    if xi_set is None:
-        if i_b == 0:
-            return 0.0, bound
-        xi_set = xi_states(
-            spectral_decompose(observable.matrix()), phi_quantum, phi_classical, i_b
-        )
-    decomp = A_full if isinstance(A_full, SpectralDecomp) else spectral_decompose(A_full)
-    xi_matrix = np.column_stack([xi.state.amplitudes for xi in xi_set])
-    xi_amps = decomp.eigenvectors.conj().T @ xi_matrix
     weights = np.array([xi.weight for xi in xi_set])
     centers = np.array([xi.center for xi in xi_set])
     lo, hi = I0
     a0, D = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    window = (
-        (a0 - (D + big_delta), a0 + (D + big_delta))
-        if which == "X1"
-        else (a0 - (D - big_delta), a0 + (D - big_delta))
-    )
-    measured = leakage_sum(
-        decomp.eigenvalues, xi_amps, weights, centers, I0, window, which
-    )
-    return measured, bound
+    return {
+        which: leakage_sum(
+            eigenvalues, xi_amps, weights, centers, I0, (a0 - w, a0 + w), which
+        )
+        for which, w in (("X1", D + big_delta), ("X2", D - big_delta))
+    }
 
 
 def operator_discrepancy(
-    A_full: OperatorMatrix,
+    A_full: CompiledOperator,
     observable: HybridObservable,
     psi_classical: State,
     psi_quantum: State,
@@ -510,18 +477,18 @@ def operator_discrepancy(
 ) -> tuple:
     """|<psi|(A-B)^2L|psi>|^(1/2L) against the margin bound.
 
-    ``A_full`` acts on the tensor space; the half-quantum operator acts as
-    the identity on the classical sector with classical symbols at their
-    central values.  For a certified classical factor, lhs <= rhs.
+    ``A_full`` acts on the tensor space, classical DOFs first; the
+    half-quantum operator acts as the identity on the classical sector with
+    classical symbols at their central values.  For a certified classical
+    factor, lhs <= rhs.
     """
     psi = tensor(psi_classical, psi_quantum)
     b_small = observable.matrix().matrix
     n_c = psi_classical.dim
-    b_full = np.kron(np.eye(n_c, dtype=complex), b_small)
-    diff = A_full.matrix - b_full
     vec = psi.amplitudes
     for _ in range(L):
-        vec = diff @ vec
+        # I (x) B acts on the trailing quantum axis of the flattened tensor
+        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ b_small.T).reshape(-1)
     lhs = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
     if margin is None:
         margin = delta_L_margin(observable, psi_quantum, L)

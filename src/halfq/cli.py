@@ -21,7 +21,6 @@ from fractions import Fraction
 from .algebra import (
     System,
     half_quantize,
-    heisenberg_series,
     jacobiator,
 )
 from .bounds import (
@@ -35,7 +34,6 @@ from .classicality import certify, classicality_sequences
 from .experiment import (
     SystemConfig,
     build_example,
-    closed_form_check,
     constants_check,
     hybrid_solutions,
     run_verification,
@@ -239,7 +237,7 @@ def cmd_verify(args) -> int:
         print(report.to_json())
     else:
         print(f"status: {report.status}")
-        print(f"hamiltonian consistency: {report.hamiltonian_consistency:.3e}")
+        print(f"ehrenfest gap: {report.ehrenfest:.3e}")
         for level, cert in sorted(report.certificates.items()):
             print(f"certificate L={level}: {cert['verdict']}")
         n_bad = sum(1 for r in report.rows if r["verdict"] != "pass")

@@ -11,14 +11,18 @@ and that the leakage and operator-discrepancy contracts hold.
 
 Fundamental-observable probabilities are measured in the Schroedinger
 picture (spectra of the t=0 operators against the evolved state), which
-is unitarily identical to the Heisenberg-picture statement and keeps the
-dense eigenproblem to the Hamiltonian alone.
+is unitarily identical to the Heisenberg-picture statement.  The oracle
+is matrix-free: the Hamiltonian and the Heisenberg-picture observables
+are compiled into per-DOF factors, states evolve by a Chebyshev
+expansion on their action, and the only dense eigenproblems are those of
+single-sector operators.  The Ehrenfest gap between the exact Heisenberg
+observables and the propagated states checks the oracle in every run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    AlgebraError,
     HybridExpression,
     Symbol,
     System,
@@ -38,9 +43,10 @@ from .bounds import (
     delta_L_margin,
     closed_form_margin,
     leakage_constant,
-    leakage_sum,
+    operator_discrepancy,
     prediction_bounds,
     spread_Delta_L,
+    tail_leakage,
     worst_case_errors,
     xi_states,
 )
@@ -50,15 +56,14 @@ from .classicality import (
     certify,
     classicality_sequences,
 )
-from .grammar import format_expression, parse_expression
+from .grammar import format_expression, parse_expression, parse_symbol
 from .hilbert import (
     Grid,
     GridError,
-    OperatorMatrix,
     SpectralDecomp,
     State,
-    evaluate_symbolic,
-    evolve_with,
+    compile_expression,
+    evolve_full_quantum,
     gaussian_state,
     interval_mask,
     momentum_operator,
@@ -78,7 +83,8 @@ DEFAULT_TOLERANCES = {
     "degenerate_slack": 5e-3,
     "leak_slack": 1e-10,
     "discrepancy_slack": 1e-6,
-    "hamiltonian_consistency": 1e-10,
+    # max |<psi0|A(t)|psi0> - <psi_t|A|psi_t>| over observables and times
+    "ehrenfest": 1e-6,
 }
 
 
@@ -202,7 +208,10 @@ class SystemConfig:
         return weyl_quantize(self.parse_hamiltonian())
 
     def observable_symbol(self, name: str) -> Symbol:
-        sym = _parse_symbol(name)
+        try:
+            sym = parse_symbol(name)
+        except AlgebraError as exc:
+            raise ConfigError(f"not an observable name: {name!r}") from exc
         if not self.system.contains(sym):
             raise ConfigError(f"observable {name} outside the declared system")
         return sym
@@ -346,17 +355,6 @@ def _grid_from(d: Mapping) -> Grid:
     return Grid(int(d["npoints"]), float(d["xmin"]), float(d["xmax"]))
 
 
-def _parse_symbol(name: str) -> Symbol:
-    import re
-
-    match = re.match(r"^([qpQP])([0-9]+)$", name)
-    if match is None:
-        raise ConfigError(f"not an observable name: {name!r}")
-    return {"q": Symbol.q, "p": Symbol.p, "Q": Symbol.Q, "P": Symbol.P}[
-        match.group(1)
-    ](int(match.group(2)))
-
-
 # --------------------------------------------------------------------------
 # the worked example
 
@@ -447,7 +445,7 @@ def closed_form_check(cfg: SystemConfig) -> dict:
         margins = closed_form_margin(sol)
         margin_sys = next(iter(margins.values())).system if margins else system
         want_m = {
-            _parse_symbol(k): parse_expression(v, margin_sys, time_consts)
+            parse_symbol(k): parse_expression(v, margin_sys, time_consts)
             for k, v in expected_margins[name].items()
         }
         margins_ok = margins == want_m
@@ -518,25 +516,17 @@ class _SectorDecomp:
         return np.repeat(self.small.eigenvalues, rest)
 
     def flat_amplitudes(self, amplitudes: np.ndarray) -> np.ndarray:
-        """<a_i (x) e_rest | psi> flattened to match flat_eigenvalues."""
-        tensor_form = amplitudes.reshape(self.shape)
-        moved = np.moveaxis(tensor_form, self.axis, 0)
+        """<a_i (x) e_rest | psi> flattened to match flat_eigenvalues; the
+        columns of a (dim, k) batch stay columns."""
+        moved = np.moveaxis(amplitudes.reshape(self.shape + (-1,)), self.axis, 0)
         n = self.shape[self.axis]
         contracted = self.small.eigenvectors.conj().T @ moved.reshape(n, -1)
-        return contracted.reshape(-1)
+        return contracted.reshape(amplitudes.shape)
 
     def interval_probability(self, psi: State, interval: tuple) -> float:
         amps = self.flat_amplitudes(psi.amplitudes)
         mask = interval_mask(self.flat_eigenvalues(), interval)
         return float(np.sum(np.abs(amps[mask]) ** 2))
-
-
-def _evolve_columns(
-    decomp: SpectralDecomp, columns: np.ndarray, t: float, hbar: float
-) -> np.ndarray:
-    coeffs = decomp.eigenvectors.conj().T @ columns
-    phases = np.exp(-1j * decomp.eigenvalues * t / hbar)
-    return decomp.eigenvectors @ (phases[:, None] * coeffs)
 
 
 @dataclass
@@ -548,7 +538,7 @@ class VerificationReport:
     discrepancy_rows: list
     constants: list
     closed_form: dict
-    hamiltonian_consistency: float
+    ehrenfest: float
     environment: dict
     config: dict
     notes: list
@@ -558,19 +548,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "certificates": self.certificates,
-            "rows": self.rows,
-            "leakage_rows": self.leakage_rows,
-            "discrepancy_rows": self.discrepancy_rows,
-            "constants": self.constants,
-            "closed_form": self.closed_form,
-            "hamiltonian_consistency": self.hamiltonian_consistency,
-            "environment": self.environment,
-            "config": self.config,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -662,28 +640,17 @@ def run_verification(
             discrepancy_rows=[],
             constants=constants_rows,
             closed_form=closed,
-            hamiltonian_consistency=float("nan"),
+            ehrenfest=float("nan"),
             environment=environment,
             config=cfg.to_json_dict(),
             notes=notes,
         )
 
-    # full-quantum oracle
-    note("building full-quantum Hamiltonian")
-    h_full = evaluate_symbolic(
-        cfg.full_hamiltonian_expr(),
-        {},
-        {a + 1: g for a, g in enumerate(grids)},
-        hbar,
-        cfg.constants,
-    )
-    h_consistency = _hamiltonian_consistency(cfg, h_full)
-    if h_consistency > tol["hamiltonian_consistency"]:
-        raise GridError(
-            f"oracle Hamiltonian deviates from direct assembly by {h_consistency:.3e}"
-        )
-    note(f"diagonalizing {h_full.dim}-dimensional Hamiltonian")
-    h_decomp = spectral_decompose(h_full)
+    # full-quantum oracle, matrix-free
+    note("compiling full-quantum Hamiltonian")
+    full_grids = {a + 1: g for a, g in enumerate(grids)}
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, full_grids, hbar, cfg.constants)
     phi_q = cfg.quantum_factor()
     psi0 = tensor(phi_c, phi_q)
     _edge_guard(psi0, tol["edge_mass"], "initial state")
@@ -696,9 +663,11 @@ def run_verification(
     evolved = {}
     for t_exact in time_values:
         t = float(t_exact)
-        evolved[t_exact] = evolve_with(h_decomp, psi0, t, hbar)
+        note(f"propagating the initial state to t={t}")
+        evolved[t_exact] = evolve_full_quantum(h_op, psi0, t, hbar)
         _edge_guard(evolved[t_exact], tol["edge_mass"], f"state at t={t}")
 
+    ehrenfest = 0.0
     for obs_name in cfg.sweep.observables:
         axis = cfg.observable_axis(obs_name)
         sector_grid = grids[axis]
@@ -711,21 +680,23 @@ def run_verification(
         a_decomp = _SectorDecomp(spectral_decompose(base_op), axis, shape)
         flat_eigs = a_decomp.flat_eigenvalues()
         sol = sols[obs_name]
-        full_symbol = Symbol.P(axis + 1) if sym.is_momentum else Symbol.Q(axis + 1)
-        full_sol = (
-            heisenberg_series(
-                cfg.full_system().symbol(full_symbol),
-                cfg.full_hamiltonian_expr(),
-                bracket="commutator",
-            )
-            if deep
-            else None
-        )
+        # the exact Heisenberg-picture observable A(t) of the oracle
+        a_expr = cfg.full_system().symbol((Symbol.P if sym.is_momentum else Symbol.Q)(axis + 1))
+        a_op = compile_expression(a_expr, {}, full_grids, hbar)
+        series = heisenberg_series(a_expr, h_expr, bracket="commutator")
         for t_exact in time_values:
             t = float(t_exact)
             note(f"observable {obs_name}, t={t}")
             subs = {name: _exact(v) for name, v in cfg.constants.items()}
             subs["t"] = t_exact
+            a_t = compile_expression(
+                series.substitute_constants(subs), {}, full_grids, hbar, cfg.constants
+            )
+            psi_t = evolved[t_exact]
+            gap = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes)) - np.vdot(
+                psi_t.amplitudes, a_op.apply(psi_t.amplitudes)
+            )
+            ehrenfest = max(ehrenfest, abs(gap))
             sol_t = sol.substitute_constants(subs)
             observable = HybridObservable(
                 sol_t, cfg.classical_data, quantum_grid_map, hbar, {}
@@ -733,22 +704,12 @@ def run_verification(
             b_matrix = observable.matrix()
             b_decomp = spectral_decompose(b_matrix)
             a0 = float(b_matrix.expectation(phi_q).real)
-            psi_t = evolved[t_exact]
-            a_full_t = None
-            if deep:
-                a_full_t = evaluate_symbolic(
-                    full_sol.substitute_constants(subs),
-                    {},
-                    {a + 1: g for a, g in enumerate(grids)},
-                    hbar,
-                    cfg.constants,
-                )
             xi_cache = {}
             for L in active_levels:
                 margin = delta_L_margin(observable, phi_q, L)
                 if deep:
-                    lhs, rhs = _discrepancy(
-                        a_full_t, observable, phi_c, phi_q, L, margin
+                    lhs, rhs = operator_discrepancy(
+                        a_t, observable, phi_c, phi_q, L, margin
                     )
                     ok = lhs <= rhs * (1 + tol["discrepancy_slack"]) + 1e-12
                     disc_rows.append(
@@ -770,12 +731,14 @@ def run_verification(
                     if deep and i_b > 0:
                         key = (round(i_b, 15), t)
                         if key not in xi_cache:
+                            # xi states in the Schroedinger picture, against
+                            # the eigenbasis of the t=0 observable
                             xis = xi_states(b_decomp, phi_q, phi_c, i_b)
                             cols = np.column_stack(
                                 [x.state.amplitudes for x in xis]
                             )
-                            evolved_cols = _evolve_columns(h_decomp, cols, t, hbar)
-                            xi_cache[key] = (xis, evolved_cols)
+                            evolved_cols = evolve_full_quantum(h_op, cols, t, hbar)
+                            xi_cache[key] = (xis, a_decomp.flat_amplitudes(evolved_cols))
                         xi_evolved = xi_cache[key]
                     for mult in cfg.sweep.width_multipliers:
                         D = mult * big_delta if big_delta > 0 else mult
@@ -804,15 +767,32 @@ def run_verification(
                             }
                         )
                         rows.append(row)
-                        if deep and xi_evolved is not None:
-                            leak_rows.extend(
-                                _leakage_rows(
-                                    obs_name, t, bc, interval, big_delta, delta, i_b,
-                                    xi_evolved, a_decomp, flat_eigs, mult,
-                                    tol["leak_slack"],
-                                )
+                        if xi_evolved is not None:
+                            xis, xi_amps = xi_evolved
+                            measured = tail_leakage(
+                                flat_eigs, xi_amps, xis, interval, big_delta
                             )
+                            bound = leakage_constant(delta, bc)
+                            for which in ("X1", "X2"):
+                                ok = measured[which] <= bound + tol["leak_slack"]
+                                leak_rows.append(
+                                    {
+                                        "observable": obs_name,
+                                        "t": t,
+                                        "L": L,
+                                        "p": p,
+                                        "width_multiplier": mult,
+                                        "which": which,
+                                        "measured": measured[which],
+                                        "bound": bound,
+                                        "verdict": "pass" if ok else "fail",
+                                    }
+                                )
 
+    if ehrenfest > tol["ehrenfest"]:
+        raise GridError(
+            f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {tol['ehrenfest']:.1e}"
+        )
     bound_ok = all(r["verdict"] == "pass" for r in rows)
     disc_ok = all(r["verdict"] == "pass" for r in disc_rows)
     x1_ok = all(
@@ -837,55 +817,11 @@ def run_verification(
         discrepancy_rows=disc_rows,
         constants=constants_rows,
         closed_form=closed,
-        hamiltonian_consistency=h_consistency,
+        ehrenfest=ehrenfest,
         environment=environment,
         config=cfg.to_json_dict(),
         notes=notes,
     )
-
-
-def _leakage_rows(
-    obs_name, t, bc, interval, big_delta, delta, i_b,
-    xi_evolved, a_decomp, flat_eigs, mult, slack,
-):
-    xis, evolved_cols = xi_evolved
-    weights = np.array([x.weight for x in xis])
-    centers = np.array([x.center for x in xis])
-    amp_cols = np.column_stack(
-        [a_decomp.flat_amplitudes(evolved_cols[:, j]) for j in range(evolved_cols.shape[1])]
-    )
-    lo, hi = interval
-    a0, D = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    bound = leakage_constant(delta, bc)
-    out = []
-    for which, window in (
-        ("X1", (a0 - (D + big_delta), a0 + (D + big_delta))),
-        ("X2", (a0 - (D - big_delta), a0 + (D - big_delta))),
-    ):
-        measured = leakage_sum(
-            flat_eigs, amp_cols, weights, centers, interval, window, which
-        )
-        ok = measured <= bound + slack
-        out.append(
-            {
-                "observable": obs_name,
-                "t": t,
-                "L": bc.L,
-                "p": bc.p,
-                "width_multiplier": mult,
-                "which": which,
-                "measured": measured,
-                "bound": bound,
-                "verdict": "pass" if ok else "fail",
-            }
-        )
-    return out
-
-
-def _discrepancy(a_full, observable, phi_c, phi_q, L, margin):
-    from .bounds import operator_discrepancy
-
-    return operator_discrepancy(a_full, observable, phi_c, phi_q, L, margin)
 
 
 def _is_example_structure(cfg: SystemConfig) -> bool:
@@ -913,32 +849,6 @@ def _edge_guard(state: State, tolerance: float, label: str):
             f"{label} carries boundary mass {mass:.3e} > {tolerance:.1e}; "
             "enlarge the grids or shorten the sweep"
         )
-
-
-def _hamiltonian_consistency(cfg: SystemConfig, h_full: OperatorMatrix) -> float:
-    """Max-norm gap between the quantized-expression Hamiltonian and a
-    direct kron assembly of the same classical form."""
-    grids = cfg.all_grids()
-    h_expr = cfg.full_hamiltonian_expr()
-    direct = np.zeros((h_full.dim, h_full.dim), dtype=complex)
-    smalls = {}
-    for a, g in enumerate(grids, start=1):
-        smalls[Symbol.Q(a)] = position_operator(g).matrix
-        smalls[Symbol.P(a)] = momentum_operator(g, cfg.hbar).matrix
-    for (hpow, consts, classical, word), coeff in h_expr.terms():
-        scalar = coeff.to_complex() * cfg.hbar**hpow
-        for name, e in consts:
-            scalar *= cfg.constants[name] ** e
-        per_dof = {}
-        for sym in word:
-            mat = smalls[Symbol.Q(sym.index) if not sym.is_momentum else Symbol.P(sym.index)]
-            per_dof[sym.index] = mat if sym.index not in per_dof else per_dof[sym.index] @ mat
-        block = None
-        for a, g in enumerate(grids, start=1):
-            piece = per_dof.get(a, np.eye(g.npoints, dtype=complex))
-            block = piece if block is None else np.kron(block, piece)
-        direct += scalar * block
-    return float(np.max(np.abs(direct - h_full.matrix)))
 
 
 def _exact(value: float) -> Fraction:

@@ -175,17 +175,9 @@ class _Parser:
             return self.system.hbar()
         if name == "i":
             return self.system.scalar(CNum(0, 1))
-        match = _SYMBOL_RE.match(name)
-        if match is not None:
-            letter, index = match.group(1), int(match.group(2))
-            builder = {
-                "q": Symbol.q,
-                "p": Symbol.p,
-                "Q": Symbol.Q,
-                "P": Symbol.P,
-            }[letter]
+        if _SYMBOL_RE.match(name):
             try:
-                sym = builder(index)
+                sym = parse_symbol(name)
             except AlgebraError:
                 sym = None
             if sym is None or not self.system.contains(sym):
@@ -231,6 +223,16 @@ def validate_constant_names(constants: Iterable[str]) -> frozenset:
                 f"constant {name!r} collides with a reserved word or symbol pattern"
             )
     return names
+
+
+def parse_symbol(name: str) -> Symbol:
+    """The symbol a name like ``q1`` or ``P2`` denotes; raises AlgebraError
+    for any other name or a zero index."""
+    match = _SYMBOL_RE.match(name)
+    if match is None:
+        raise AlgebraError(f"not a symbol name: {name!r}")
+    constructor = {"q": Symbol.q, "p": Symbol.p, "Q": Symbol.Q, "P": Symbol.P}[match.group(1)]
+    return constructor(int(match.group(2)))
 
 
 def parse_expression(

@@ -6,19 +6,22 @@ stay away from the grid edges see continuum behaviour.  Multi-DOF objects
 are Kronecker compositions with the grids listed in DOF order.
 
 These matrices realize the quantum words of :mod:`halfq.algebra`
-numerically; they also power the brute-force full-quantum oracle.
+numerically.  Hybrid expressions compile into sums of per-DOF factors
+that act on states without a full-dimension matrix; a Chebyshev
+propagator on that action powers the brute-force full-quantum oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .algebra import AlgebraError, HybridExpression, Symbol
+from .grammar import parse_symbol
 
 HERMITIAN_RTOL = 1e-10
 
@@ -50,10 +53,7 @@ class Grid:
 
 
 def _total_dim(grids: Sequence[Grid]) -> int:
-    dim = 1
-    for g in grids:
-        dim *= g.npoints
-    return dim
+    return math.prod(g.npoints for g in grids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +135,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, psi: State) -> State:
-        return State(self.matrix @ psi.amplitudes, psi.grids)
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.conj().T, self.grids)
 
     def expectation(self, psi: State) -> complex:
         return complex(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes))
@@ -236,32 +230,100 @@ def tensor(a, b):
 
 def sector_embed(op: OperatorMatrix, dof: int, grids: Sequence[Grid]) -> OperatorMatrix:
     """Operator acting on one DOF of a tensor space (identity elsewhere)."""
-    mats = []
-    for idx, g in enumerate(grids):
-        if idx == dof - 1:
-            if op.grids != (g,):
-                raise GridError(f"operator grid does not match DOF {dof}")
-            mats.append(op.matrix)
-        else:
-            mats.append(np.eye(g.npoints, dtype=complex))
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return OperatorMatrix(out, tuple(grids), hermitian=op.hermitian or None)
+    if op.grids != (grids[dof - 1],):
+        raise GridError(f"operator grid does not match DOF {dof}")
+    mats = [op.matrix if i == dof - 1 else np.eye(g.npoints) for i, g in enumerate(grids)]
+    return OperatorMatrix(reduce(np.kron, mats), tuple(grids), hermitian=op.hermitian or None)
 
 
 # --------------------------------------------------------------------------
 # symbolic -> numeric
 
 
-def evaluate_symbolic(
+@dataclass(frozen=True, eq=False)
+class CompiledOperator:
+    """A hybrid expression as a sum of per-DOF tensor products.
+
+    Each term is ``(scalar, factors, hermitian)``: ``factors`` maps a tensor
+    axis to a small matrix on that DOF's grid, a 1-D array when diagonal
+    (position powers), the identity on absent axes.  ``hermitian`` marks
+    terms Hermitian by construction: a real scalar and every factor a power
+    of Q or of P.  Nothing of the full dimension is stored.
+    """
+
+    terms: tuple
+    grids: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(g.npoints for g in self.grids)
+
+    @property
+    def dim(self) -> int:
+        return _total_dim(self.grids)
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """The operator on a (dim,) vector or on each column of a (dim, k)
+        batch: diagonal factors broadcast, dense ones are batched matmuls."""
+        x = np.asarray(columns).reshape(self.shape + (-1,))
+        out = np.zeros(x.shape, dtype=complex)
+        for scalar, factors, _ in self.terms:
+            part = x
+            for axis, f in factors.items():
+                if f.ndim == 1:
+                    part = part * f.reshape((-1,) + (1,) * (x.ndim - axis - 1))
+                else:
+                    rows = part.reshape(math.prod(x.shape[:axis]), f.shape[0], -1)
+                    part = np.matmul(f, rows).reshape(x.shape)
+            out += scalar * part
+        return out.reshape(np.shape(columns))
+
+    def dense(self) -> OperatorMatrix:
+        """The full matrix; for sector-size operators only."""
+        dim = self.dim
+        total = np.zeros((dim, dim), dtype=complex)
+        for scalar, factors, _ in self.terms:
+            blocks = [factors.get(a, np.ones(g.npoints)) for a, g in enumerate(self.grids)]
+            if all(b.ndim == 1 for b in blocks):
+                total.flat[:: dim + 1] += scalar * reduce(np.kron, blocks)
+            else:
+                blocks = [np.diag(b) if b.ndim == 1 else b for b in blocks]
+                total += scalar * reduce(np.kron, blocks)
+        return OperatorMatrix(total, self.grids)
+
+    @cached_property
+    def spectral_interval(self) -> tuple:
+        """(lo, hi) enclosing the spectrum, the operator taken Hermitian.
+
+        Per-term enclosures add up (Weyl's inequality).  A Hermitian term
+        gives the exact range of its eigenvalues, spanned by products of
+        per-factor extremes; any other term gives +-|s| prod ||factor||_2.
+        """
+        lo = hi = 0.0
+        for scalar, factors, hermitian in self.terms:
+            if hermitian:
+                ends = [scalar.real]
+                for f in factors.values():
+                    eig = f if f.ndim == 1 else np.linalg.eigvalsh(f)
+                    ends = [e * x for e in ends for x in (eig.min(), eig.max())]
+                lo, hi = lo + min(ends), hi + max(ends)
+            else:
+                radius = abs(scalar) * math.prod(
+                    np.abs(f).max() if f.ndim == 1 else np.linalg.norm(f, 2)
+                    for f in factors.values()
+                )
+                lo, hi = lo - radius, hi + radius
+        return float(lo), float(hi)
+
+
+def compile_expression(
     expr: HybridExpression,
     classical_values: Mapping[Union[Symbol, str], float],
     quantum_grids: Mapping[int, Grid],
     hbar: float,
     constants: Mapping[str, float] | None = None,
-) -> OperatorMatrix:
-    """Realize a hybrid expression as a dense matrix on the quantum grids.
+) -> CompiledOperator:
+    """Realize a hybrid expression as per-DOF factors on the quantum grids.
 
     Every classical symbol must be bound in ``classical_values`` (keys may
     be Symbols or names like ``"q1"``), every declared constant in
@@ -270,16 +332,12 @@ def evaluate_symbolic(
     system = expr.system
     values: dict = {}
     for key, val in classical_values.items():
-        sym = key if isinstance(key, Symbol) else _symbol_from_name(str(key))
-        values[sym] = float(val)
+        values[key if isinstance(key, Symbol) else parse_symbol(str(key))] = float(val)
     constants = dict(constants or {})
     grids = tuple(quantum_grids[a] for a in range(1, system.quantum + 1))
     if not grids:
-        raise AlgebraError("evaluate_symbolic needs at least one quantum DOF")
-    dim = _total_dim(grids)
-    small_q = [position_operator(g).matrix for g in grids]
-    small_p = [_momentum_matrix(g, float(hbar)) for g in grids]
-    total = np.zeros((dim, dim), dtype=complex)
+        raise AlgebraError("a numeric realization needs at least one quantum DOF")
+    terms = []
     for (h, consts, classical, word), coeff in expr.terms():
         scalar = coeff.to_complex() * float(hbar) ** h
         for name, e in consts:
@@ -290,32 +348,33 @@ def evaluate_symbolic(
             if sym not in values:
                 raise AlgebraError(f"unbound classical symbol {sym.name}")
             scalar *= values[sym] ** e
-        # canonical words group factors per DOF: multiply small matrices
-        # within each DOF, then Kronecker across DOFs
-        factor = None
-        per_dof: dict = {}
+        # canonical words group factors per DOF, positions before momenta
+        factors: dict = {}
+        kinds: dict = {}
         for sym in word:
-            small = small_p[sym.index - 1] if sym.is_momentum else small_q[sym.index - 1]
-            cur = per_dof.get(sym.index)
-            per_dof[sym.index] = small if cur is None else cur @ small
-        for a in range(1, system.quantum + 1):
-            block = per_dof.get(a)
-            if block is None:
-                block = np.eye(grids[a - 1].npoints, dtype=complex)
-            factor = block if factor is None else np.kron(factor, block)
-        total += scalar * factor
-    return OperatorMatrix(total, grids)
+            axis = sym.index - 1
+            cur = factors.get(axis)
+            if sym.is_momentum:
+                p = _momentum_matrix(grids[axis], float(hbar))
+                factors[axis] = p if cur is None else (cur[:, None] * p if cur.ndim == 1 else cur @ p)
+            else:
+                x = grids[axis].points()
+                factors[axis] = x if cur is None else cur * x
+            kinds.setdefault(axis, set()).add(sym.is_momentum)
+        hermitian = scalar.imag == 0 and all(len(k) == 1 for k in kinds.values())
+        terms.append((scalar, factors, hermitian))
+    return CompiledOperator(tuple(terms), grids)
 
 
-def _symbol_from_name(name: str) -> Symbol:
-    import re
-
-    match = re.match(r"^([qpQP])([0-9]+)$", name)
-    if match is None:
-        raise AlgebraError(f"not a symbol name: {name!r}")
-    return {"q": Symbol.q, "p": Symbol.p, "Q": Symbol.Q, "P": Symbol.P}[
-        match.group(1)
-    ](int(match.group(2)))
+def evaluate_symbolic(
+    expr: HybridExpression,
+    classical_values: Mapping[Union[Symbol, str], float],
+    quantum_grids: Mapping[int, Grid],
+    hbar: float,
+    constants: Mapping[str, float] | None = None,
+) -> OperatorMatrix:
+    """Dense matrix of :func:`compile_expression`; for sector-size operators."""
+    return compile_expression(expr, classical_values, quantum_grids, hbar, constants).dense()
 
 
 # --------------------------------------------------------------------------
@@ -353,20 +412,75 @@ def interval_probability(decomp: SpectralDecomp, psi: State, interval: tuple) ->
     return float(np.sum(np.abs(amps[mask]) ** 2))
 
 
-def evolve_with(decomp: SpectralDecomp, psi0: State, t: float, hbar: float) -> State:
-    """exp(-iHt/hbar) psi0 given the Hamiltonian decomposition."""
-    coeffs = decomp.amplitudes(psi0)
-    phases = np.exp(-1j * decomp.eigenvalues * t / hbar)
-    return State(decomp.eigenvectors @ (phases * coeffs), psi0.grids)
+CHEBYSHEV_TAIL = 1e-15
+MAX_CHEBYSHEV_TERMS = 1 << 16
+
+
+def _chebyshev_order(alpha: float) -> int:
+    """Smallest K with 2 * sum_{n>=K} (alpha/2)^n / n! below CHEBYSHEV_TAIL.
+
+    |J_n(alpha)| <= (alpha/2)^n / n!, so this bounds the coefficient tail
+    sum_{n>=K} |a_n|.  Past n = alpha/2 the terms fall faster than a
+    geometric series of ratio alpha / (2(n+1)), which closes the sum.
+    """
+    if alpha == 0:
+        return 1
+    log_half = math.log(alpha / 2)
+    for n in range(int(alpha / 2) + 1, MAX_CHEBYSHEV_TERMS):
+        ratio = alpha / (2 * (n + 1))
+        tail = 2 * math.exp(n * log_half - math.lgamma(n + 1)) / (1 - ratio)
+        if tail < CHEBYSHEV_TAIL:
+            return n
+    raise GridError(
+        f"Chebyshev coefficient tail not below {CHEBYSHEV_TAIL:g} within "
+        f"{MAX_CHEBYSHEV_TERMS} terms (alpha = {alpha:.3g}); shorten the times"
+    )
+
+
+def chebyshev_coefficients(alpha: float) -> np.ndarray:
+    """a_n with exp(-i alpha x) = sum_n a_n T_n(x) on [-1, 1], truncated
+    where the coefficient tail falls below CHEBYSHEV_TAIL.
+
+    Jacobi-Anger: exp(-i alpha cos theta) = sum_n (-i)^n J_n(alpha) e^{in theta},
+    so a_0 = J_0(alpha) and a_n = 2 (-i)^n J_n(alpha), read off one FFT of
+    samples on a circle.  The FFT length exceeds twice the order, so every
+    aliased coefficient lies inside the discarded tail.
+    """
+    if not math.isfinite(alpha):
+        raise GridError(f"Chebyshev argument {alpha!r} is not finite")
+    order = _chebyshev_order(abs(alpha))
+    m = 1 << (2 * order).bit_length()
+    theta = 2.0 * math.pi * np.arange(m) / m
+    c = np.fft.fft(np.exp(-1j * alpha * np.cos(theta))) / m
+    coeffs = c[:order].copy()
+    coeffs[1:] += c[m - 1 : m - order : -1]
+    return coeffs
 
 
 def evolve_full_quantum(
-    H: OperatorMatrix, psi0: State, t: float, hbar: float = 1.0
-) -> State:
-    """Unitary evolution by spectral decomposition; exactly norm-preserving."""
-    if not H.hermitian:
-        raise AlgebraError("Hamiltonian must be Hermitian")
-    psi = evolve_with(spectral_decompose(H), psi0, t, hbar)
-    if abs(psi.norm() - psi0.norm()) > 1e-9:
+    H: CompiledOperator, psi0: State | np.ndarray, t: float, hbar: float = 1.0
+):
+    """exp(-iHt/hbar) applied to a State, a (dim,) vector or each column of
+    a (dim, k) batch.
+
+    Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+    1984) on ``H.apply`` over the operator's spectral interval, truncated
+    at a coefficient tail below CHEBYSHEV_TAIL.  Raises GridError when a
+    column's norm drifts by more than 1e-9.
+    """
+    vectors = psi0.amplitudes if isinstance(psi0, State) else np.asarray(psi0, dtype=complex)
+    lo, hi = H.spectral_interval
+    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coeffs = chebyshev_coefficients(radius * t / hbar)
+    out = coeffs[0] * vectors
+    if coeffs.size > 1:
+        prev, cur = vectors, (H.apply(vectors) - center * vectors) / radius
+        out = out + coeffs[1] * cur
+        for a in coeffs[2:]:
+            prev, cur = cur, (2.0 / radius) * (H.apply(cur) - center * cur) - prev
+            out += a * cur
+    out *= np.exp(-1j * center * t / hbar)
+    drift = np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(vectors, axis=0))
+    if np.max(drift) > 1e-9:
         raise GridError("evolution lost unitarity beyond 1e-9")
-    return psi
+    return State(out, psi0.grids) if isinstance(psi0, State) else out

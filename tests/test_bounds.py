@@ -25,6 +25,7 @@ from halfq.classicality import ClassicalData, ClassicalDatum, certify, classical
 from halfq.hilbert import (
     Grid,
     State,
+    compile_expression,
     gaussian_state,
     momentum_operator,
     position_operator,
@@ -287,17 +288,28 @@ def certified_classical_packet():
     return phi_c
 
 
+def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
+    """Measured X1/X2 of a static observable and the leakage constant."""
+    delta = delta_L_margin(obs, phi_q, cfg.L).total
+    xis = xi_states(obs.matrix(), phi_q, phi_c, delta)
+    cols = np.column_stack([x.state.amplitudes for x in xis])
+    amps = a_decomp.eigenvectors.conj().T @ cols
+    big = spread_Delta_L(delta, cfg)
+    measured = tail_leakage(a_decomp.eigenvalues, amps, xis, interval, big)
+    return measured, leakage_constant(delta, cfg)
+
+
 def test_tail_leakage_no_weight_outside_window():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     obs = observable_at("q1", 0.5)
     a_full = sector_embed(position_operator(GC), 1, (GC, GQ))
     # I0 spanning far beyond the spectrum: nothing outside Imax
-    measured, bound = tail_leakage(
-        obs, phi_c, phi_q, BoundConfig(1, 0.99), (-500.0, 500.0),
-        spectral_decompose(a_full), "X1",
+    measured, bound = leakage_against(
+        spectral_decompose(a_full), obs, phi_c, phi_q, BoundConfig(1, 0.99),
+        (-500.0, 500.0),
     )
-    assert measured == 0.0
+    assert measured["X1"] == 0.0
     assert bound > 0
 
 
@@ -324,12 +336,10 @@ def test_tail_leakage_static_mixed_observable():
             big = spread_Delta_L(margin.total, cfg)
             for mult in (1.5, 3.0):
                 interval = (a0 - mult * big, a0 + mult * big)
-                for which in ("X1", "X2"):
-                    measured, bound = tail_leakage(
-                        obs, phi_c, phi_q, cfg, interval, a_decomp, which
-                    )
-                    if which == "X1":
-                        assert measured <= bound + 1e-10, (L, p, mult, which)
+                measured, bound = leakage_against(
+                    a_decomp, obs, phi_c, phi_q, cfg, interval
+                )
+                assert measured["X1"] <= bound + 1e-10, (L, p, mult)
 
 
 def test_leakage_sum_by_hand():
@@ -356,7 +366,7 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
-    a_full = sector_embed(momentum_operator(GQ, HBAR), 2, (GC, GQ))
+    a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
     lhs, rhs = operator_discrepancy(a_full, obs, phi_c, phi_q, 1)
     assert lhs < 1e-10
     assert rhs == 0.0
@@ -367,12 +377,9 @@ def test_operator_discrepancy_static_bound():
     phi_q = quantum_packet()
     expr = parse_expression("q1*P1", S11)
     obs = HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
-    a_full = sector_embed(position_operator(GC), 1, (GC, GQ)).matrix @ sector_embed(
-        momentum_operator(GQ, HBAR), 2, (GC, GQ)
-    ).matrix
-    from halfq.hilbert import OperatorMatrix
-
-    a_op = OperatorMatrix(a_full, (GC, GQ))
+    a_op = compile_expression(
+        parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
+    )
     for L in (1, 2):
         lhs, rhs = operator_discrepancy(a_op, obs, phi_c, phi_q, L)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)

@@ -161,10 +161,50 @@ def test_verification_passes_on_small_example():
         for r in report.leakage_rows
         if r["which"] == "X1"
     )
-    assert report.hamiltonian_consistency <= cfg.tolerances["hamiltonian_consistency"]
+    # independent in-run oracle check: exact Heisenberg observables against
+    # the propagated states (measured 1.3e-8 here)
+    assert report.ehrenfest <= cfg.tolerances["ehrenfest"]
     # enough coverage: distinct (t, I0) pairs beyond the spec's floor
     pairs = {(r["t"], tuple(r["I0"])) for r in report.rows}
     assert len(pairs) >= 20
+
+
+def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
+    import tracemalloc
+
+    import halfq.bounds
+    import halfq.experiment
+    import halfq.hilbert
+
+    cfg = small_example()
+    sector = max(g.npoints for g in cfg.all_grids())
+    full = sector**2
+    decomposed, built = [], []
+    original_decompose = halfq.hilbert.spectral_decompose
+    original_init = halfq.hilbert.OperatorMatrix.__post_init__
+
+    def decompose(op):
+        decomposed.append(op.dim)
+        return original_decompose(op)
+
+    def init(self):
+        original_init(self)
+        built.append(self.dim)
+
+    for module in (halfq.experiment, halfq.bounds):
+        monkeypatch.setattr(module, "spectral_decompose", decompose)
+    monkeypatch.setattr(halfq.hilbert.OperatorMatrix, "__post_init__", init)
+    tracemalloc.start()
+    try:
+        report = run_verification(cfg, deep=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass" and report.discrepancy_rows
+    assert decomposed and max(decomposed) <= sector
+    assert built and max(built) <= sector
+    # one complex full-dimension matrix would take full^2 * 16 bytes
+    assert peak < full * full * 16
 
 
 def test_degenerate_observable_rows_are_exact():

@@ -12,9 +12,10 @@ from halfq.hilbert import (
     GridError,
     OperatorMatrix,
     State,
+    chebyshev_coefficients,
+    compile_expression,
     evaluate_symbolic,
     evolve_full_quantum,
-    evolve_with,
     gaussian_state,
     identity_operator,
     interval_probability,
@@ -253,7 +254,7 @@ def test_interval_probability_additive_and_monotone():
 
 def test_evolution_identity_and_phases():
     g = Grid(16, -4.0, 4.0)
-    h = position_operator(g)
+    h = compile_expression(System(0, 1).Q(1), {}, {1: g}, HBAR)
     psi = gaussian_state(g, 0.0, 0.0, 0.5, HBAR)
     same = evolve_full_quantum(h, psi, 0.0, HBAR)
     np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
@@ -266,8 +267,9 @@ def test_free_packet_dispersion():
     g = Grid(128, -24.0, 24.0)
     dq, m, t = 1.0, 1.0, 1.0
     psi = gaussian_state(g, 0.0, 0.0, dq, HBAR)
-    p = momentum_operator(g, HBAR)
-    h = OperatorMatrix(p.matrix @ p.matrix / (2 * m), (g,), hermitian=True)
+    h = compile_expression(
+        parse_expression("P1^2/(2*m)", System(0, 1), ("m",)), {}, {1: g}, HBAR, {"m": m}
+    )
     psi_t = evolve_full_quantum(h, psi, t, HBAR)
     q = position_operator(g).matrix
     var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
@@ -286,8 +288,7 @@ def test_heisenberg_schroedinger_consistency():
     gc = Grid(32, -8.0, 8.0)
     gq = Grid(32, -8.0, 8.0)
     grids = {1: gc, 2: gq}
-    h_mat = evaluate_symbolic(h_expr, {}, grids, HBAR, consts)
-    hd = spectral_decompose(h_mat)
+    h_op = compile_expression(h_expr, {}, grids, HBAR, consts)
     psi0 = tensor(
         gaussian_state(gc, 0.0, 1.0, 2**-0.5, HBAR),
         gaussian_state(gq, 0.0, 1.0, 1.0, HBAR),
@@ -301,11 +302,80 @@ def test_heisenberg_schroedinger_consistency():
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
     heis = interval_probability(spectral_decompose(a_t), psi0, interval)
-    psi_t = evolve_with(hd, psi0, t, HBAR)
+    psi_t = evolve_full_quantum(h_op, psi0, t, HBAR)
     a_0 = sector_embed(position_operator(gc), 1, (gc, gq))
     schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
     assert abs(heis - schr) < 1e-3
+
+
+def test_chebyshev_coefficients_match_scipy_bessel():
+    jv = pytest.importorskip("scipy.special").jv
+    for alpha in (0.0, 0.3, 5.0, 27.1, 56.4, -3.0):
+        coeffs = chebyshev_coefficients(alpha)
+        n = np.arange(coeffs.size)
+        want = np.where(n == 0, 1.0, 2.0) * (-1j) ** n * jv(n, alpha)
+        assert np.max(np.abs(coeffs - want)) <= 1e-14, alpha
+        # the first dropped coefficient is already below the tail bound
+        assert 2 * abs(jv(coeffs.size, alpha)) < 1e-15
+    # no truncation within the term cap, or no number at all: refuse
+    for alpha in (1e6, float("nan")):
+        with pytest.raises(GridError):
+            chebyshev_coefficients(alpha)
+
+
+def test_compiled_apply_matches_dense_on_column_batches():
+    # mixed Q/P words on several axes, complex and hbar-graded scalars
+    s = System(0, 3)
+    expr = parse_expression(
+        "Q1^2*P1*Q2*P3^2 + (2+i)*Q1*P2 - 3*P1^2*Q3 + hbar*Q2^3 + 5", s
+    )
+    grids = {1: Grid(8, -2.0, 2.0), 2: Grid(10, -3.0, 3.0), 3: Grid(12, -1.0, 2.0)}
+    op = compile_expression(expr, {}, grids, 0.7)
+    dense = op.dense().matrix
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(960, 5)) + 1j * rng.normal(size=(960, 5))
+    scale = np.max(np.abs(dense)) * np.max(np.abs(batch)) * 960
+    assert np.max(np.abs(op.apply(batch) - dense @ batch)) <= 1e-14 * scale
+    assert np.max(np.abs(op.apply(batch[:, 2]) - dense @ batch[:, 2])) <= 1e-14 * scale
+
+
+def test_chebyshev_matches_eigh_reference_on_example():
+    """Independent oracle check: Chebyshev propagation of the example's
+    initial state and xi columns against dense eigh propagation of a
+    Hamiltonian assembled here by Kronecker products, at the sweep times."""
+    from halfq.bounds import HybridObservable, xi_states
+    from halfq.experiment import build_example, hybrid_solutions
+
+    cfg = build_example(npoints=32, extent=8.0)
+    gc, gq = cfg.classical_grids[0], cfg.quantum_grids[0]
+    consts = cfg.constants
+    h_op = compile_expression(
+        cfg.full_hamiltonian_expr(), {}, {1: gc, 2: gq}, HBAR, consts
+    )
+    p_c = momentum_operator(gc, HBAR).matrix
+    p_q = momentum_operator(gq, HBAR).matrix
+    h_dense = (
+        np.kron(p_c @ p_c, np.eye(32)) / (2 * consts["m"])
+        + np.kron(np.eye(32), p_q @ p_q) / (2 * consts["M"])
+        + consts["k"] * np.kron(np.diag(gc.points()), p_q)
+    )
+    w, v = np.linalg.eigh(h_dense)
+    phi_c, phi_q = cfg.classical_factor(), cfg.quantum_factor()
+    psi0 = tensor(phi_c, phi_q).amplitudes
+    sol = hybrid_solutions(cfg)["Q1"]
+    for t in cfg.sweep.times:
+        subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(t)}
+        obs = HybridObservable(
+            sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR, {}
+        )
+        # fixed window width: Q1 carries no margin at t = 0
+        xis = xi_states(obs.matrix(), phi_q, phi_c, 0.25)
+        cols = np.column_stack([psi0] + [x.state.amplitudes for x in xis])
+        assert cols.shape[1] > 10
+        want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
+        got = evolve_full_quantum(h_op, cols, t, HBAR)
+        assert np.max(np.abs(got - want)) <= 1e-12, t
 
 
 def test_boundary_mass_detects_edge_weight():
