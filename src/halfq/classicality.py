@@ -17,15 +17,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, HybridExpression, Symbol, partial_derivative
+from .algebra import AlgebraError, HybridExpression, Symbol, System, partial_derivative
 from .hilbert import (
+    CompiledOperator,
     Grid,
     OperatorMatrix,
     SpectralDecomp,
     State,
-    momentum_operator,
-    position_operator,
-    sector_embed,
+    compile_expression,
 )
 
 
@@ -106,7 +105,7 @@ class SequenceSpec:
 
 
 def error_ket(
-    ops: Sequence[OperatorMatrix], centers: Sequence[float], psi: State
+    ops: Sequence[OperatorMatrix | CompiledOperator], centers: Sequence[float], psi: State
 ) -> State:
     """(X_1 - x_1)...(X_n - x_n)|psi>, applied right to left; unnormalized."""
     if len(ops) != len(centers):
@@ -115,18 +114,18 @@ def error_ket(
     for op, center in zip(reversed(ops), reversed(centers)):
         if op.dim != vec.size:
             raise ValueError("operator dimension does not match state")
-        vec = op.matrix @ vec - center * vec
+        vec = op.apply(vec) - center * vec
     return State(vec, psi.grids)
 
 
 def error_ket_norm_sq(
-    ops: Sequence[OperatorMatrix], centers: Sequence[float], psi: State
+    ops: Sequence[OperatorMatrix | CompiledOperator], centers: Sequence[float], psi: State
 ) -> float:
     return error_ket(ops, centers, psi).norm() ** 2
 
 
 def spread_n(
-    ops: Sequence[OperatorMatrix],
+    ops: Sequence[OperatorMatrix | CompiledOperator],
     centers: Sequence[float],
     psi: State,
     n: int | None = None,
@@ -262,11 +261,14 @@ class ClassicalityCertificate:
 
 
 def classical_operators(grids: Sequence[Grid], hbar: float) -> dict:
-    """q/p operators for every classical DOF, embedded on the sector grids."""
+    """q/p operators for every classical DOF, compiled on the sector grids
+    (each DOF quantized on its own axis; no sector-dimension matrix)."""
+    sector = System(0, len(grids))
+    grid_map = dict(enumerate(grids, start=1))
     ops = {}
-    for i, grid in enumerate(grids, start=1):
-        ops[Symbol.q(i)] = sector_embed(position_operator(grid), i, grids)
-        ops[Symbol.p(i)] = sector_embed(momentum_operator(grid, hbar), i, grids)
+    for i in grid_map:
+        ops[Symbol.q(i)] = compile_expression(sector.Q(i), {}, grid_map, hbar)
+        ops[Symbol.p(i)] = compile_expression(sector.P(i), {}, grid_map, hbar)
     return ops
 
 

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import (
     System,
@@ -33,12 +32,14 @@ from .bounds import (
 from .classicality import certify, classicality_sequences
 from .experiment import (
     SystemConfig,
+    _exact,
     build_example,
     constants_check,
     hybrid_solutions,
     run_verification,
 )
 from .grammar import format_expression, parse_expression
+from .hilbert import spectral_decompose
 
 # the first mixed monomial triple (by total degree, then enumeration order)
 # whose jacobiator does not vanish; found by find_jacobiator_witness over
@@ -147,13 +148,14 @@ def cmd_bounds(args) -> int:
     for name in cfg.sweep.observables:
         sol = sols[name]
         for t in cfg.sweep.times:
-            subs = {c: Fraction(v).limit_denominator(10**12) for c, v in cfg.constants.items()}
-            subs["t"] = Fraction(t).limit_denominator(10**12)
+            subs = {c: _exact(v) for c, v in cfg.constants.items()}
+            subs["t"] = _exact(t)
             observable = HybridObservable(
                 sol.substitute_constants(subs), cfg.classical_data,
                 quantum_grid_map, cfg.hbar, {},
             )
             b = observable.matrix()
+            b_decomp = spectral_decompose(b)
             a0 = float(b.expectation(phi_q).real)
             for L in cfg.levels:
                 margin = delta_L_margin(observable, phi_q, L)
@@ -163,7 +165,8 @@ def cmd_bounds(args) -> int:
                     for mult in cfg.sweep.width_multipliers:
                         D = mult * big if big > 0 else mult
                         pb = prediction_bounds(
-                            observable, phi_q, bc, (a0 - D, a0 + D), margin=margin
+                            observable, phi_q, bc, (a0 - D, a0 + D),
+                            decomp=b_decomp, margin=margin,
                         )
                         row = pb.to_json_dict()
                         row.update(

@@ -2,19 +2,20 @@
 
 Each degree of freedom lives on a periodic grid; the momentum operator is
 the spectral (discrete Fourier) derivative, so smooth wave packets that
-stay away from the grid edges see continuum behaviour.  Multi-DOF objects
-are Kronecker compositions with the grids listed in DOF order.
+stay away from the grid edges see continuum behaviour.  Multi-DOF states
+are Kronecker products with the grids listed in DOF order.
 
-These matrices realize the quantum words of :mod:`halfq.algebra`
-numerically.  Hybrid expressions compile into sums of per-DOF factors
-that act on states without a full-dimension matrix; a Chebyshev
-propagator on that action powers the brute-force full-quantum oracle.
+Dense matrices exist for single-sector operators only.  Every multi-DOF
+operator is a hybrid expression of :mod:`halfq.algebra` compiled into a
+sum of per-DOF factors that acts on states without a full-dimension
+matrix; a Chebyshev propagator on that action powers the brute-force
+full-quantum oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Mapping, Sequence, Union
 
@@ -116,7 +117,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
     grids: tuple
-    hermitian: bool = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -127,14 +127,13 @@ class OperatorMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "grids", tuple(self.grids))
-        if self.hermitian is None:
-            scale = float(np.max(np.abs(mat))) or 1.0
-            herm = float(np.max(np.abs(mat - mat.conj().T))) <= HERMITIAN_RTOL * scale
-            object.__setattr__(self, "hermitian", herm)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        return self.matrix @ columns
 
     def expectation(self, psi: State) -> complex:
         return complex(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes))
@@ -172,7 +171,7 @@ class SpectralDecomp:
 
 
 def position_operator(grid: Grid) -> OperatorMatrix:
-    return OperatorMatrix(np.diag(grid.points().astype(complex)), (grid,), hermitian=True)
+    return OperatorMatrix(np.diag(grid.points().astype(complex)), (grid,))
 
 
 @lru_cache(maxsize=32)
@@ -193,11 +192,7 @@ def momentum_operator(grid: Grid, hbar: float) -> OperatorMatrix:
     [q, p] = i*hbar*I holds on states negligible at the grid edges (the
     commutator picks up aliasing corrections in the outermost cells).
     """
-    return OperatorMatrix(_momentum_matrix(grid, float(hbar)), (grid,), hermitian=True)
-
-
-def identity_operator(grids: Sequence[Grid]) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(_total_dim(grids), dtype=complex), tuple(grids), hermitian=True)
+    return OperatorMatrix(_momentum_matrix(grid, float(hbar)), (grid,))
 
 
 def gaussian_state(grid: Grid, q0: float, p0: float, dq: float, hbar: float) -> State:
@@ -215,25 +210,11 @@ def gaussian_state(grid: Grid, q0: float, p0: float, dq: float, hbar: float) -> 
     return State(amps, (grid,))
 
 
-def tensor(a, b):
-    """Kronecker composition of states or operators; grids concatenate."""
-    if isinstance(a, State) and isinstance(b, State):
-        return State(np.kron(a.amplitudes, b.amplitudes), a.grids + b.grids)
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        return OperatorMatrix(
-            np.kron(a.matrix, b.matrix),
-            a.grids + b.grids,
-            hermitian=(a.hermitian and b.hermitian) or None,
-        )
-    raise TypeError("tensor arguments must be two States or two OperatorMatrix")
-
-
-def sector_embed(op: OperatorMatrix, dof: int, grids: Sequence[Grid]) -> OperatorMatrix:
-    """Operator acting on one DOF of a tensor space (identity elsewhere)."""
-    if op.grids != (grids[dof - 1],):
-        raise GridError(f"operator grid does not match DOF {dof}")
-    mats = [op.matrix if i == dof - 1 else np.eye(g.npoints) for i, g in enumerate(grids)]
-    return OperatorMatrix(reduce(np.kron, mats), tuple(grids), hermitian=op.hermitian or None)
+def tensor(a: State, b: State) -> State:
+    """Kronecker composition of two states; grids concatenate."""
+    if not (isinstance(a, State) and isinstance(b, State)):
+        raise TypeError("tensor arguments must be two States")
+    return State(np.kron(a.amplitudes, b.amplitudes), a.grids + b.grids)
 
 
 # --------------------------------------------------------------------------
@@ -366,25 +347,18 @@ def compile_expression(
     return CompiledOperator(tuple(terms), grids)
 
 
-def evaluate_symbolic(
-    expr: HybridExpression,
-    classical_values: Mapping[Union[Symbol, str], float],
-    quantum_grids: Mapping[int, Grid],
-    hbar: float,
-    constants: Mapping[str, float] | None = None,
-) -> OperatorMatrix:
-    """Dense matrix of :func:`compile_expression`; for sector-size operators."""
-    return compile_expression(expr, classical_values, quantum_grids, hbar, constants).dense()
-
-
 # --------------------------------------------------------------------------
 # spectra, probabilities, evolution
 
 
 def spectral_decompose(op: OperatorMatrix) -> SpectralDecomp:
-    if not op.hermitian:
+    """Eigendecomposition; AlgebraError unless the matrix equals its adjoint
+    to HERMITIAN_RTOL of its largest entry."""
+    mat = op.matrix
+    scale = float(np.max(np.abs(mat))) or 1.0
+    if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_RTOL * scale:
         raise AlgebraError("spectral decomposition requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(mat)
     return SpectralDecomp(w, v)
 
 

@@ -184,7 +184,7 @@ def test_weyl_matches_matrix_ordering_average():
     # so the comparison acts on a bulk state rather than matrix entries
     from halfq.hilbert import (
         Grid,
-        evaluate_symbolic,
+        compile_expression,
         gaussian_state,
         momentum_operator,
         position_operator,
@@ -196,7 +196,7 @@ def test_weyl_matches_matrix_ordering_average():
     oracle = (qm @ qm @ pm + qm @ pm @ qm + pm @ qm @ qm) / 3.0
     sc = System(1, 0)
     sym = weyl_quantize(sc.q(1) ** 2 * sc.p(1))
-    mat = evaluate_symbolic(sym, {}, {1: g}, 1.0).matrix
+    mat = compile_expression(sym, {}, {1: g}, 1.0).dense().matrix
     psi = gaussian_state(g, 0.5, 0.8, 1.0, 1.0).amplitudes
     np.testing.assert_allclose(mat @ psi, oracle @ psi, atol=1e-8)
 

@@ -24,12 +24,12 @@ from halfq.bounds import (
 from halfq.classicality import ClassicalData, ClassicalDatum, certify, classicality_sequences
 from halfq.hilbert import (
     Grid,
+    OperatorMatrix,
     State,
     compile_expression,
     gaussian_state,
     momentum_operator,
     position_operator,
-    sector_embed,
     spectral_decompose,
     tensor,
 )
@@ -176,8 +176,6 @@ def test_xi_orthonormal_and_reconstructs_random_case():
     g = Grid(n, -8.0, 8.0)
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = h + h.conj().T
-    from halfq.hilbert import OperatorMatrix
-
     b = spectral_decompose(OperatorMatrix(h, (g,)))
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     phi = State(vec / np.linalg.norm(vec), (g,))
@@ -303,7 +301,7 @@ def test_tail_leakage_no_weight_outside_window():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     obs = observable_at("q1", 0.5)
-    a_full = sector_embed(position_operator(GC), 1, (GC, GQ))
+    a_full = OperatorMatrix(np.kron(position_operator(GC).matrix, np.eye(32)), (GC, GQ))
     # I0 spanning far beyond the spectrum: nothing outside Imax
     measured, bound = leakage_against(
         spectral_decompose(a_full), obs, phi_c, phi_q, BoundConfig(1, 0.99),
@@ -319,14 +317,9 @@ def test_tail_leakage_static_mixed_observable():
     phi_q = quantum_packet()
     expr = parse_expression("q1*P1", S11)
     obs = HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
-    a_full = sector_embed(position_operator(GC), 1, (GC, GQ)).matrix @ sector_embed(
-        momentum_operator(GQ, HBAR), 2, (GC, GQ)
-    ).matrix
-    from halfq.hilbert import OperatorMatrix
-
-    a_op = OperatorMatrix(a_full, (GC, GQ))
-    assert a_op.hermitian
-    a_decomp = spectral_decompose(a_op)
+    a_full = np.kron(position_operator(GC).matrix, momentum_operator(GQ, HBAR).matrix)
+    # raises unless A = q (x) P is Hermitian to HERMITIAN_RTOL
+    a_decomp = spectral_decompose(OperatorMatrix(a_full, (GC, GQ)))
     b_mat = obs.matrix()
     a0 = float(b_mat.expectation(phi_q).real)
     for L in (1, 2):

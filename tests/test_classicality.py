@@ -27,11 +27,13 @@ from halfq.classicality import (
 )
 from halfq.hilbert import (
     Grid,
+    OperatorMatrix,
     State,
     gaussian_state,
     momentum_operator,
     position_operator,
     spectral_decompose,
+    tensor,
 )
 
 HBAR = 1.0
@@ -231,6 +233,57 @@ def test_certificate_rows_use_two_sided_error_kets():
     assert abs(row.lhs - direct) < 1e-12
     # analytic value for the minimum packet: 3 hbar^2 / 4
     assert abs(direct - 0.75) < 1e-6
+
+
+def test_multi_dof_certify_matches_kron_error_kets(monkeypatch):
+    """Two classical DOFs at L=2: every row against an error ket built here
+    from Kronecker products, with no sector-dimension OperatorMatrix."""
+    import tracemalloc
+
+    from halfq.algebra import Symbol
+
+    g1, g2 = Grid(24, -6.0, 6.0), Grid(24, -5.0, 7.0)
+    psi = tensor(packet(0.0, 1.0, 0.7, g1), packet(1.0, -0.5, 0.6, g2))
+    data = ClassicalData(
+        (ClassicalDatum(0.0, 1.0, 1.0, 1.0), ClassicalDatum(1.0, -0.5, 0.9, 1.1))
+    )
+    q1, p1, q2, p2 = Symbol.q(1), Symbol.p(1), Symbol.q(2), Symbol.p(2)
+    seqs = [SequenceSpec((s,)) for s in (q1, p1, q2, p2)] + [SequenceSpec((q1, p2))]
+    built = []
+    original_init = OperatorMatrix.__post_init__
+
+    def init(self):
+        original_init(self)
+        built.append(self.dim)
+
+    monkeypatch.setattr(OperatorMatrix, "__post_init__", init)
+    tracemalloc.start()
+    try:
+        cert = certify(psi, data, 2, seqs, HBAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert all(dim <= 24 for dim in built)
+    # one complex sector-dimension matrix would take 576^2 * 16 bytes
+    assert peak < 576**2 * 16
+
+    eye = np.eye(24)
+    dense = {
+        q1: np.kron(position_operator(g1).matrix, eye),
+        p1: np.kron(momentum_operator(g1, HBAR).matrix, eye),
+        q2: np.kron(eye, position_operator(g2).matrix),
+        p2: np.kron(eye, momentum_operator(g2, HBAR).matrix),
+    }
+    names = {s.name: s for s in dense}
+    assert len(cert.rows) == len(compose_sequences(seqs, 2))
+    for row in cert.rows:
+        vec = psi.amplitudes
+        for name in reversed(row.sequence):
+            sym = names[name]
+            vec = dense[sym] @ vec - data.center(sym) * vec
+        want = float(np.vdot(vec, vec).real)
+        assert abs(row.lhs - want) <= 1e-12 * want, row.sequence
 
 
 def test_certify_monotone_in_order_on_gaussian_family():

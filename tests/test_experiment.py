@@ -264,10 +264,10 @@ def test_sector_decomp_matches_dense_spectral_path():
     # decomposition on both axes
     from halfq.experiment import _SectorDecomp
     from halfq.hilbert import (
+        OperatorMatrix,
         interval_probability,
         momentum_operator,
         position_operator,
-        sector_embed,
         spectral_decompose,
         tensor,
     )
@@ -278,7 +278,8 @@ def test_sector_decomp_matches_dense_spectral_path():
     )
     for axis, op in ((0, position_operator(g1)), (1, momentum_operator(g2, 1.0))):
         structured = _SectorDecomp(spectral_decompose(op), axis, (12, 8))
-        dense = spectral_decompose(sector_embed(op, axis + 1, (g1, g2)))
+        factors = (op.matrix, np.eye(8)) if axis == 0 else (np.eye(12), op.matrix)
+        dense = spectral_decompose(OperatorMatrix(np.kron(*factors), (g1, g2)))
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
             got = structured.interval_probability(psi, interval)
             want = interval_probability(dense, psi, interval)

@@ -14,14 +14,11 @@ from halfq.hilbert import (
     State,
     chebyshev_coefficients,
     compile_expression,
-    evaluate_symbolic,
     evolve_full_quantum,
     gaussian_state,
-    identity_operator,
     interval_probability,
     momentum_operator,
     position_operator,
-    sector_embed,
     spectral_decompose,
     tensor,
 )
@@ -97,31 +94,20 @@ def test_ccr_on_bulk_states():
 
 
 def test_tensor_properties():
+    # multi-DOF operators are compiled, never tensored; see
+    # test_compiled_apply_matches_dense_on_column_batches
     g1, g2 = Grid(8, -2.0, 2.0), Grid(16, -4.0, 4.0)
-    i1, i2 = identity_operator([g1]), identity_operator([g2])
-    assert np.allclose(tensor(i1, i2).matrix, np.eye(128))
-    q1 = position_operator(g1)
-    p2 = momentum_operator(g2, HBAR)
-    lhs = tensor(q1, i2).matrix @ tensor(i1, p2).matrix
-    np.testing.assert_allclose(lhs, np.kron(q1.matrix, p2.matrix), atol=1e-12)
     a = gaussian_state(g2, 0.0, 0.0, 0.5, HBAR)
     b = gaussian_state(g2, 1.0, 0.3, 0.5, HBAR)
     assert abs(tensor(a, b).norm() - 1.0) < 1e-12
-
-
-def test_sector_embed_matches_kron():
-    g1, g2 = Grid(8, -2.0, 2.0), Grid(8, -2.0, 2.0)
-    q2 = position_operator(g2)
-    embedded = sector_embed(q2, 2, (g1, g2))
-    np.testing.assert_allclose(embedded.matrix, np.kron(np.eye(8), q2.matrix))
-    with pytest.raises(GridError):
-        sector_embed(position_operator(Grid(16, -2.0, 2.0)), 1, (g1, g2))
+    with pytest.raises(TypeError):
+        tensor(position_operator(g1), momentum_operator(g2, HBAR))
 
 
 def test_evaluate_symbolic_scalar_binding():
     s = System(1, 1)
     g = Grid(16, -4.0, 4.0)
-    mat = evaluate_symbolic(s.q(1), {"q1": 2.0}, {1: g}, HBAR)
+    mat = compile_expression(s.q(1), {"q1": 2.0}, {1: g}, HBAR).dense()
     np.testing.assert_allclose(mat.matrix, 2.0 * np.eye(16), atol=1e-14)
 
 
@@ -129,7 +115,7 @@ def test_evaluate_symbolic_ccr_on_smooth_states():
     s = System(0, 1)
     g = Grid(64, -16.0, 16.0)
     expr = s.Q(1) * s.P(1) - s.P(1) * s.Q(1)
-    mat = evaluate_symbolic(expr, {}, {1: g}, HBAR)
+    mat = compile_expression(expr, {}, {1: g}, HBAR).dense()
     psi = gaussian_state(g, 0.0, 0.5, 1.0, HBAR).amplitudes
     assert np.linalg.norm(mat.matrix @ psi - 1j * HBAR * psi) < 1e-6
 
@@ -142,7 +128,7 @@ def test_evaluate_symbolic_closed_form_solution():
         {"m": 1, "M": 1, "k": Fraction(1, 10), "t": 1}
     )
     g = Grid(32, -8.0, 8.0)
-    mat = evaluate_symbolic(sol, {"q1": 0.0, "p1": 1.0}, {1: g}, HBAR)
+    mat = compile_expression(sol, {"q1": 0.0, "p1": 1.0}, {1: g}, HBAR).dense()
     want = np.eye(32) - 0.05 * momentum_operator(g, HBAR).matrix
     np.testing.assert_allclose(mat.matrix, want, atol=1e-12)
 
@@ -150,7 +136,7 @@ def test_evaluate_symbolic_closed_form_solution():
 def test_evaluate_symbolic_unbound_symbol():
     s = System(1, 1)
     with pytest.raises(Exception, match="unbound"):
-        evaluate_symbolic(s.q(1), {}, {1: Grid(16, -4.0, 4.0)}, HBAR)
+        compile_expression(s.q(1), {}, {1: Grid(16, -4.0, 4.0)}, HBAR)
 
 
 def test_quantized_real_polynomial_is_hermitian():
@@ -168,7 +154,7 @@ def test_quantized_real_polynomial_is_hermitian():
         expr = expr + term
     quantized = weyl_quantize(expr)
     assert quantized.adjoint() == quantized
-    mat = evaluate_symbolic(quantized, {}, {1: g}, HBAR).matrix
+    mat = compile_expression(quantized, {}, {1: g}, HBAR).dense().matrix
     phi = gaussian_state(g, 0.3, 0.5, 1.0, HBAR).amplitudes
     chi = gaussian_state(g, -0.8, -0.2, 1.3, HBAR).amplitudes
     lhs = np.vdot(phi, mat @ chi)
@@ -180,10 +166,10 @@ def test_quantized_real_polynomial_is_hermitian():
         "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2", s2, ("m", "M", "k")
     )
     g8 = Grid(16, -4.0, 4.0)
-    h_mat = evaluate_symbolic(
+    h_mat = compile_expression(
         weyl_quantize(h_cl), {}, {1: g8, 2: g8}, HBAR, {"m": 1.0, "M": 1.0, "k": 0.1}
-    )
-    assert h_mat.hermitian
+    ).dense()
+    spectral_decompose(h_mat)  # raises unless Hermitian to HERMITIAN_RTOL
 
 
 def test_spectral_decompose_diagonal_and_pauli():
@@ -297,13 +283,15 @@ def test_heisenberg_schroedinger_consistency():
     subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(1, 2)}
     full_sys = System(0, 2)
     a_t_expr = heisenberg_series(full_sys.Q(1), h_expr, bracket="commutator")
-    a_t = evaluate_symbolic(a_t_expr.substitute_constants(subs), {}, grids, HBAR, consts)
+    a_t = compile_expression(
+        a_t_expr.substitute_constants(subs), {}, grids, HBAR, consts
+    ).dense()
     # endpoints midway between position nodes, away from the density peak
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
     heis = interval_probability(spectral_decompose(a_t), psi0, interval)
     psi_t = evolve_full_quantum(h_op, psi0, t, HBAR)
-    a_0 = sector_embed(position_operator(gc), 1, (gc, gq))
+    a_0 = OperatorMatrix(np.kron(position_operator(gc).matrix, np.eye(32)), (gc, gq))
     schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
     assert abs(heis - schr) < 1e-3
