@@ -362,9 +362,6 @@ class HybridExpression:
     def classical_symbols(self) -> set:
         return {sym for key in self._terms for sym, _ in key[2]}
 
-    def quantum_symbols(self) -> set:
-        return {sym for key in self._terms for sym in key[3]}
-
     @property
     def has_quantum(self) -> bool:
         return any(key[3] for key in self._terms)
@@ -374,11 +371,6 @@ class HybridExpression:
 
     def hbar_grades(self) -> set:
         return {key[0] for key in self._terms}
-
-    def grade(self, hbar_power: int) -> "HybridExpression":
-        """Sub-expression at a single hbar grading."""
-        terms = {k: c for k, c in self._terms.items() if k[0] == hbar_power}
-        return HybridExpression(self.system, terms)
 
     def coefficient_scale(self, hbar_power: int | None = None) -> float:
         """Largest coefficient magnitude, optionally within one grade."""
@@ -487,14 +479,6 @@ class HybridExpression:
         return f"<HybridExpression {self}>"
 
     # -- structure transforms -------------------------------------------------
-
-    def map_coefficients(self, fn) -> "HybridExpression":
-        out = {}
-        for k, c in self._terms.items():
-            new = fn(c)
-            if new:
-                out[k] = new
-        return HybridExpression(self.system, out)
 
     def adjoint(self) -> "HybridExpression":
         """Hermitian conjugate: conjugate coefficients, reverse quantum words."""

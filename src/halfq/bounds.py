@@ -35,6 +35,7 @@ from .hilbert import (
     State,
     compile_expression,
     interval_mask,
+    interval_probability,
     spectral_decompose,
     tensor,
 )
@@ -67,9 +68,9 @@ class HybridObservable:
             e, centers, self.quantum_grids, self.hbar, self.constants
         )
 
-    def matrix(self, expr: HybridExpression | None = None) -> OperatorMatrix:
+    def matrix(self) -> OperatorMatrix:
         """Dense quantum-sector matrix of :meth:`compiled`."""
-        return self.compiled(expr).dense()
+        return self.compiled().dense()
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,6 @@ class PredictionBound:
     def upper_clamped(self) -> float:
         return min(max(self.upper, 0.0), 1.0)
 
-    def contains(self, probability: float) -> bool:
-        return self.lower <= probability <= self.upper
-
     def to_json_dict(self) -> dict:
         return {
             "I0": list(self.I0),
@@ -364,9 +362,8 @@ def prediction_bounds(
         decomp = spectral_decompose(observable.matrix())
     imin = (a0 - (D - big_delta), a0 + (D - big_delta))
     imax = (a0 - (D + big_delta), a0 + (D + big_delta))
-    amps2 = np.abs(decomp.amplitudes(phi_quantum)) ** 2
-    pmin = float(amps2[interval_mask(decomp.eigenvalues, imin)].sum())
-    pmax = float(amps2[interval_mask(decomp.eigenvalues, imax)].sum())
+    pmin = interval_probability(decomp, phi_quantum, imin)
+    pmax = interval_probability(decomp, phi_quantum, imax)
     leak = leakage_constant(delta, cfg)
     # probabilities inside the error terms clamped against grid blur
     emin = 2.0 * math.sqrt(_clamp01(1.0 - pmin)) * math.sqrt(leak) + leak
@@ -469,27 +466,25 @@ def tail_leakage(
 
 def operator_discrepancy(
     A_full: CompiledOperator,
-    observable: HybridObservable,
+    B: OperatorMatrix,
     psi_classical: State,
     psi_quantum: State,
     L: int,
-    margin: DeltaMargin | None = None,
+    margin: DeltaMargin,
 ) -> tuple:
     """|<psi|(A-B)^2L|psi>|^(1/2L) against the margin bound.
 
-    ``A_full`` acts on the tensor space, classical DOFs first; the
-    half-quantum operator acts as the identity on the classical sector with
-    classical symbols at their central values.  For a certified classical
-    factor, lhs <= rhs.
+    ``A_full`` acts on the tensor space, classical DOFs first; ``B`` is the
+    half-quantum operator's quantum-sector matrix (classical symbols at
+    their central values), acting as the identity on the classical sector.
+    ``margin`` is its order-L margin at ``psi_quantum``.  For a certified
+    classical factor, lhs <= rhs.
     """
     psi = tensor(psi_classical, psi_quantum)
-    b_small = observable.matrix().matrix
     n_c = psi_classical.dim
     vec = psi.amplitudes
     for _ in range(L):
         # I (x) B acts on the trailing quantum axis of the flattened tensor
-        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ b_small.T).reshape(-1)
+        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ B.matrix.T).reshape(-1)
     lhs = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-    if margin is None:
-        margin = delta_L_margin(observable, psi_quantum, L)
     return lhs, margin.with_second_order

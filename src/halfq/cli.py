@@ -22,24 +22,16 @@ from .algebra import (
     half_quantize,
     jacobiator,
 )
-from .bounds import (
-    BoundConfig,
-    HybridObservable,
-    delta_L_margin,
-    prediction_bounds,
-    spread_Delta_L,
-)
-from .classicality import certify, classicality_sequences
 from .experiment import (
     SystemConfig,
-    _exact,
     build_example,
+    certificates,
     constants_check,
     hybrid_solutions,
     run_verification,
+    sandwich_sweep,
 )
 from .grammar import format_expression, parse_expression
-from .hilbert import spectral_decompose
 
 # the first mixed monomial triple (by total degree, then enumeration order)
 # whose jacobiator does not vanish; found by find_jacobiator_witness over
@@ -119,61 +111,31 @@ def cmd_evolve(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args)
-    sols = hybrid_solutions(cfg)
-    sequences = classicality_sequences(sols.values(), cfg.system.classical)
-    phi_c = cfg.classical_factor()
-    results = {}
-    all_pass = True
+    certs = certificates(cfg, hybrid_solutions(cfg))
     lines = []
-    for L in cfg.levels:
-        cert = certify(phi_c, cfg.classical_data, L, sequences, cfg.hbar)
-        results[str(L)] = cert.to_json_dict()
-        all_pass = all_pass and cert.passed
+    for L, cert in certs.items():
         lines.append(f"order L={L}: {'pass' if cert.passed else 'FAIL'}")
         for row in cert.rows:
             lines.append(
                 f"  ({','.join(row.sequence)}): <E|E>={row.lhs:.6g} "
                 f"bound={row.rhs:.6g} slack={row.slack:.6g}"
             )
+    results = {str(L): cert.to_json_dict() for L, cert in certs.items()}
     _emit(args, {"certificates": results}, "\n".join(lines))
-    return 0 if all_pass else 1
+    return 0 if all(cert.passed for cert in certs.values()) else 1
 
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    sols = hybrid_solutions(cfg)
-    phi_q = cfg.quantum_factor()
-    quantum_grid_map = {a: g for a, g in enumerate(cfg.quantum_grids, start=1)}
     rows = []
-    for name in cfg.sweep.observables:
-        sol = sols[name]
-        for t in cfg.sweep.times:
-            subs = {c: _exact(v) for c, v in cfg.constants.items()}
-            subs["t"] = _exact(t)
-            observable = HybridObservable(
-                sol.substitute_constants(subs), cfg.classical_data,
-                quantum_grid_map, cfg.hbar, {},
+    for point in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels):
+        for _, _, mult, _, pb in point.rows:
+            row = pb.to_json_dict()
+            row.update(
+                {"observable": point.name, "t": float(point.t), "a0": point.a0,
+                 "width_multiplier": mult}
             )
-            b = observable.matrix()
-            b_decomp = spectral_decompose(b)
-            a0 = float(b.expectation(phi_q).real)
-            for L in cfg.levels:
-                margin = delta_L_margin(observable, phi_q, L)
-                for p in cfg.probabilities:
-                    bc = BoundConfig(L, p, cfg.I_B)
-                    big = spread_Delta_L(margin.total, bc)
-                    for mult in cfg.sweep.width_multipliers:
-                        D = mult * big if big > 0 else mult
-                        pb = prediction_bounds(
-                            observable, phi_q, bc, (a0 - D, a0 + D),
-                            decomp=b_decomp, margin=margin,
-                        )
-                        row = pb.to_json_dict()
-                        row.update(
-                            {"observable": name, "t": t, "a0": a0,
-                             "width_multiplier": mult}
-                        )
-                        rows.append(row)
+            rows.append(row)
     header = ["observable", "t", "L", "p", "width_multiplier", "lower", "upper"]
     table = [header] + [[r[k] for k in header] for r in rows]
     if args.out:

@@ -250,23 +250,19 @@ def parse_expression(
 # printing
 
 
-def _format_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def _format_coefficient(c: CNum) -> tuple:
     """Return (sign, factor_string or None); None means magnitude one."""
     if c.im == 0:
         sign = "-" if c.re < 0 else "+"
         mag = abs(c.re)
-        return sign, None if mag == 1 else _format_fraction(mag)
+        return sign, None if mag == 1 else str(mag)
     if c.re == 0:
         sign = "-" if c.im < 0 else "+"
         mag = abs(c.im)
-        return sign, "i" if mag == 1 else f"{_format_fraction(mag)}*i"
-    re_str = _format_fraction(c.re)
+        return sign, "i" if mag == 1 else f"{mag}*i"
+    re_str = str(c.re)
     im_mag = abs(c.im)
-    im_str = "i" if im_mag == 1 else f"{_format_fraction(im_mag)}*i"
+    im_str = "i" if im_mag == 1 else f"{im_mag}*i"
     joiner = "-" if c.im < 0 else "+"
     return "+", f"({re_str} {joiner} {im_str})"
 

@@ -87,16 +87,6 @@ class State:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "State":
-        n = self.norm()
-        if n == 0:
-            raise GridError("cannot normalize the zero vector")
-        return State(self.amplitudes / n, self.grids)
-
-    def overlap(self, other: "State") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def boundary_mass(self) -> float:
         """Probability weight sitting on the outermost cell of any axis."""
         shape = tuple(g.npoints for g in self.grids)
@@ -160,7 +150,8 @@ class SpectralDecomp:
 
     def amplitudes(self, psi: State) -> np.ndarray:
         """Projections <a_i|psi> in the eigenbasis."""
-        return self.eigenvectors.conj().T @ psi.amplitudes
+        # conj(V^T conj(psi)) = V^dagger psi without a conjugated copy of V
+        return (self.eigenvectors.T @ psi.amplitudes.conj()).conj()
 
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])

@@ -360,7 +360,8 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
-    lhs, rhs = operator_discrepancy(a_full, obs, phi_c, phi_q, 1)
+    margin = delta_L_margin(obs, phi_q, 1)
+    lhs, rhs = operator_discrepancy(a_full, obs.matrix(), phi_c, phi_q, 1, margin)
     assert lhs < 1e-10
     assert rhs == 0.0
 
@@ -374,7 +375,8 @@ def test_operator_discrepancy_static_bound():
         parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
     )
     for L in (1, 2):
-        lhs, rhs = operator_discrepancy(a_op, obs, phi_c, phi_q, L)
+        margin = delta_L_margin(obs, phi_q, L)
+        lhs, rhs = operator_discrepancy(a_op, obs.matrix(), phi_c, phi_q, L, margin)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
 

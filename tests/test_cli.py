@@ -99,6 +99,23 @@ def test_bounds_with_csv_output(tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_bounds_rows_equal_verify_rows(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    code, out, _ = run_cli(capsys, "bounds", "--config", str(path), "--json")
+    assert code == 0
+    bounds_rows = json.loads(out)["rows"]
+    code, out, _ = run_cli(
+        capsys, "verify", "--config", str(path), "--shallow", "--quiet", "--json"
+    )
+    assert code == 0
+    verify_rows = json.loads(out)["rows"]
+    key = ("observable", "t", "L", "p", "width_multiplier", "lower", "upper")
+    assert len(bounds_rows) == 96
+    assert [[r[k] for k in key] for r in bounds_rows] == [
+        [r[k] for k in key] for r in verify_rows
+    ]
+
+
 def test_verify_shallow_small_config(tmp_path, capsys):
     path = write_small_config(tmp_path)
     out_csv = tmp_path / "sweep.csv"

@@ -60,6 +60,32 @@ def test_config_rejects_narrow_multipliers():
         SystemConfig.from_json_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("hbar",), -1.0, "hbar must be positive"),
+        (("hbar",), 0.0, "hbar must be positive"),
+        (("constants", "k"), float("nan"), "constant k must be a finite number"),
+    ],
+    ids=["hbar-negative", "hbar-zero", "k-nan"],
+)
+def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
+    import halfq.experiment
+
+    raw = build_example().to_json_dict()
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the numbers were checked")
+
+    monkeypatch.setattr(halfq.experiment, "Grid", no_grid)
+    with pytest.raises(ConfigError, match=match):
+        SystemConfig.from_json(json.dumps(raw))
+
+
 def test_example_defaults_are_feasible():
     cfg = build_example()
     assert cfg.classical_data.uncertainty_feasible(cfg.hbar)
@@ -207,6 +233,24 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     assert peak < full * full * 16
 
 
+def test_deep_verification_realizes_each_operator_once(monkeypatch):
+    from halfq.bounds import HybridObservable
+
+    original = HybridObservable.matrix
+    realized = []
+
+    def matrix(self):
+        realized.append(self.expr)
+        return original(self)
+
+    monkeypatch.setattr(HybridObservable, "matrix", matrix)
+    report = run_verification(small_example(), deep=True)
+    assert report.discrepancy_rows
+    # one B per (observable, t): 4 observables x 4 times, shared by the
+    # sandwich rows and the discrepancy rows of every order
+    assert len(realized) == 16
+
+
 def test_degenerate_observable_rows_are_exact():
     cfg = small_example(times=(0.0, 0.5))
     report = run_verification(cfg, deep=False)
@@ -281,7 +325,7 @@ def test_sector_decomp_matches_dense_spectral_path():
         factors = (op.matrix, np.eye(8)) if axis == 0 else (np.eye(12), op.matrix)
         dense = spectral_decompose(OperatorMatrix(np.kron(*factors), (g1, g2)))
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
-            got = structured.interval_probability(psi, interval)
+            got = interval_probability(structured, psi, interval)
             want = interval_probability(dense, psi, interval)
             assert abs(got - want) < 1e-10, (axis, interval)
 

@@ -1,4 +1,4 @@
-"""Packaging guards: the library runs on numpy alone."""
+"""Packaging guards: the library runs on numpy alone, and the CLI only formats."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,22 @@ def test_scipy_is_a_test_only_dependency():
     extras = project["optional-dependencies"]
     holders = [name for name, deps in extras.items() if any(d.startswith("scipy") for d in deps)]
     assert holders == ["test"]
+
+
+def test_cli_reaches_the_numerics_through_experiment_only():
+    tree = ast.parse((ROOT / "src" / "halfq" / "cli.py").read_text(encoding="utf-8"))
+    layers = {"bounds", "hilbert", "classicality"}
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "", alias.name) for alias in node.names]
+        else:
+            continue
+        offenders += [
+            (module, name)
+            for module, name in names
+            if layers & set(module.split(".")) or name in layers or name.startswith("_")
+        ]
+    assert offenders == []
