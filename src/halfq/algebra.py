@@ -14,6 +14,11 @@ distinct degrees of freedom commute.
 
 Floating point never enters here: all identities (round trips, bracket
 antisymmetry, series solutions) hold exactly.
+
+Two module-level tables memoize the exact kernel: ``_NORMAL_CACHE`` maps a
+quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` maps a
+pair of unit monomials to their hybrid bracket.  Both are keyed by symbols
+alone and grow with the distinct words and monomial pairs a process meets.
 """
 
 from __future__ import annotations
@@ -80,19 +85,19 @@ class CNum:
         raise TypeError(f"cannot build an exact scalar from {value!r}")
 
     def __add__(self, other: "CNum") -> "CNum":
-        return CNum(self.re + other.re, self.im + other.im)
+        return _cnum(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "CNum") -> "CNum":
-        return CNum(self.re - other.re, self.im - other.im)
+        return _cnum(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "CNum":
-        return CNum(-self.re, -self.im)
+        return _cnum(-self.re, -self.im)
 
     def __mul__(self, other: "CNum") -> "CNum":
-        return CNum(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _cnum(a * c, _FRACTION_ZERO)
+        return _cnum(a * c - b * d, a * d + b * c)
 
     def inverse(self) -> "CNum":
         d = self.re * self.re + self.im * self.im
@@ -123,6 +128,19 @@ class CNum:
 
 
 ScalarLike = Union[int, Fraction, float, complex, CNum]
+
+_FRACTION_ZERO = Fraction(0)
+_set_re = CNum.re.__set__
+_set_im = CNum.im.__set__
+
+
+def _cnum(re: Fraction, im: Fraction) -> CNum:
+    """CNum from parts that are already Fractions, without re-coercing them."""
+    z = object.__new__(CNum)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
 
 _ZERO = CNum(0)
 _ONE = CNum(1)
@@ -600,9 +618,49 @@ def div_ihbar(expr: HybridExpression) -> HybridExpression:
     return HybridExpression(expr.system, out)
 
 
+# (classical1, word1, classical2, word2) -> ((hbar, classical, word, coeff), ...):
+# the hybrid bracket of two unit monomials.  The hbar grading, the declared
+# constants and the coefficients are central, so they factor out of every
+# bracket and the table needs no system or constant part in its key.
+_BRACKET_CACHE: dict = {}
+
+
+def _monomial_bracket(system: System, cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
+    key = (cl1, w1, cl2, w2)
+    cached = _BRACKET_CACHE.get(key)
+    if cached is None:
+        a = HybridExpression(system, {(0, (), cl1, w1): _ONE})
+        b = HybridExpression(system, {(0, (), cl2, w2): _ONE})
+        full = commutator(a, b) + mul_ihbar(double_bracket(a, b))
+        cached = tuple((h, cl, w, c) for (h, _, cl, w), c in full._terms.items())
+        _BRACKET_CACHE[key] = cached
+    return cached
+
+
 def hybrid_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
-    """(a, b) = [a, b] + i*hbar*{{a, b}} - the generator of half-quantum dynamics."""
-    return commutator(a, b) + mul_ihbar(double_bracket(a, b))
+    """(a, b) = [a, b] + i*hbar*{{a, b}} - the generator of half-quantum dynamics.
+
+    Computed as the bilinear sum over term pairs of memoized unit-monomial
+    brackets.
+    """
+    a._require_same(b)
+    out: dict = {}
+    for (h1, pr1, cl1, w1), c1 in a._terms.items():
+        for (h2, pr2, cl2, w2), c2 in b._terms.items():
+            unit = _monomial_bracket(a.system, cl1, w1, cl2, w2)
+            if not unit:
+                continue
+            base = c1 * c2
+            h12 = h1 + h2
+            consts = _merge_pows(pr1, pr2)
+            for h, cl, word, c in unit:
+                key = (h12 + h, consts, cl, word)
+                total = out.get(key, _ZERO) + base * c
+                if total:
+                    out[key] = total
+                elif key in out:
+                    del out[key]
+    return HybridExpression(a.system, out)
 
 
 def jacobiator(
@@ -808,6 +866,11 @@ def half_quantize(expr: HybridExpression, split: tuple) -> HybridExpression:
 
     The input is a classical polynomial over M+N DOFs; DOFs 1..M stay
     classical, DOFs M+1..M+N become quantum operators 1..N.
+
+    The map sends the Poisson bracket to the hybrid bracket only below
+    hbar^2: half_quantize({x, y}) - (half_quantize(x), half_quantize(y))/(i*hbar)
+    has no hbar^0 or hbar^1 terms but can have hbar^2 ones (for x = q2*p2^2,
+    y = q2^2*p2^2 over a 1+1 split it is hbar^2*P1).
     """
     m, n = split
     if m < 0 or n < 0 or m + n != expr.system.classical or expr.system.quantum != 0:
@@ -910,6 +973,14 @@ def find_jacobiator_witness(max_degree: int = 3):
 
     Returns (A, B, C, jacobiator) or None.  Pure-classical and pure-quantum
     triples satisfy the Jacobi identity, so any witness mixes the sectors.
+
+    Only sorted index triples are searched.  The hybrid bracket is bilinear
+    and antisymmetric, so the jacobiator is totally antisymmetric: swapping
+    two arguments flips its sign, and it vanishes when two arguments are
+    equal.  Whether a triple is a witness therefore depends only on its set
+    of three distinct monomials, and the sorted order of that set is the
+    lexicographically first of its orderings, so the first witness over all
+    ordered triples is the first sorted one.
     """
     system = System(1, 1)
     monos = hybrid_monomials(system, max_degree)
@@ -919,35 +990,23 @@ def find_jacobiator_witness(max_degree: int = 3):
         return sum(e for _, e in key[2]) + len(key[3])
 
     degrees = [degree(m) for m in monos]
-    pair_cache: dict = {}
-
-    def pair(i, j):
-        got = pair_cache.get((i, j))
-        if got is None:
-            got = hybrid_bracket(monos[i], monos[j])
-            pair_cache[(i, j)] = got
-        return got
-
-    indices = range(len(monos))
+    count = len(monos)
     for total in range(3, 3 * max_degree + 1):
-        for ia in indices:
-            if degrees[ia] > total - 2:
-                continue
-            for ib in indices:
+        for ia in range(count):
+            a = monos[ia]
+            for ib in range(ia + 1, count):
                 rest = total - degrees[ia] - degrees[ib]
                 if rest < 1:
                     continue
-                for ic in indices:
+                b = monos[ib]
+                for ic in range(ib + 1, count):
                     if degrees[ic] != rest:
                         continue
-                    bc, ca, ab = pair(ib, ic), pair(ic, ia), pair(ia, ib)
+                    c = monos[ic]
+                    bc, ca, ab = hybrid_bracket(b, c), hybrid_bracket(c, a), hybrid_bracket(a, b)
                     if bc.is_zero and ca.is_zero and ab.is_zero:
                         continue
-                    j = (
-                        hybrid_bracket(monos[ia], bc)
-                        + hybrid_bracket(monos[ib], ca)
-                        + hybrid_bracket(monos[ic], ab)
-                    )
+                    j = hybrid_bracket(a, bc) + hybrid_bracket(b, ca) + hybrid_bracket(c, ab)
                     if not j.is_zero:
-                        return monos[ia], monos[ib], monos[ic], j
+                        return a, b, c, j
     return None

@@ -127,8 +127,10 @@ def cmd_certify(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
+    sols = hybrid_solutions(cfg)
+    failed = [L for L, cert in certificates(cfg, sols).items() if not cert.passed]
     rows = []
-    for point in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels):
+    for point in sandwich_sweep(cfg, sols, cfg.levels):
         for _, _, mult, _, pb in point.rows:
             row = pb.to_json_dict()
             row.update(
@@ -153,6 +155,14 @@ def cmd_bounds(args) -> int:
                 f"delta={r['delta_L']:.4g} Delta={r['Delta_L']:.4g} "
                 f"[{r['lower']:+.4f}, {r['upper']:+.4f}]"
             )
+    if failed:
+        orders = ", ".join(f"L={L}" for L in failed)
+        print(
+            f"classicality certificate fails at {orders}: the bounds at "
+            "those orders do not apply",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -298,6 +298,12 @@ class SystemConfig:
         if hbar <= 0:
             raise ConfigError(f"hbar must be positive, got {hbar!r}")
         bound = raw.get("bound", {})
+        unknown = sorted(set(raw.get("tolerances", {})) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance keys {', '.join(unknown)}; "
+                f"allowed: {', '.join(sorted(DEFAULT_TOLERANCES))}"
+            )
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(
             {k: _finite(v, f"tolerance {k}") for k, v in raw.get("tolerances", {}).items()}

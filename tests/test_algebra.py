@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfq import (
     AlgebraError,
@@ -27,9 +29,10 @@ from halfq import (
     unquantize,
     weyl_quantize,
 )
-from halfq.algebra import find_jacobiator_witness, hybrid_monomials
+from halfq.algebra import double_bracket, find_jacobiator_witness, hybrid_monomials
 
 S11 = System(1, 1)
+S21 = System(2, 1)
 CONSTS = ("m", "M", "k")
 
 
@@ -123,6 +126,32 @@ def random_hybrid(rng, system, degree):
                 term = term * system.P(a)
         expr = expr + term
     return expr
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def hybrid_sums(draw):
+    """Sums of System(2, 1) monomials with complex rational coefficients,
+    hbar grades 0..2 and constants carrying negative powers."""
+    letters = (S21.q(1), S21.p(1), S21.q(2), S21.p(2), S21.Q(1), S21.P(1))
+    expr = S21.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = S21.scalar(CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)))
+        term = term * S21.hbar(draw(st.integers(0, 2)))
+        for name in ("m", "k"):
+            term = term * S21.const(name, draw(st.integers(-2, 2)))
+        for factor in draw(st.lists(st.sampled_from(letters), max_size=4)):
+            term = term * factor
+        expr = expr + term
+    return expr
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_sums(), hybrid_sums())
+def test_hybrid_bracket_matches_its_definition(a, b):
+    assert hybrid_bracket(a, b) == commutator(a, b) + mul_ihbar(double_bracket(a, b))
 
 
 def test_system_mismatch_rejected():
@@ -314,6 +343,16 @@ def test_half_quantize_intertwines_poisson_and_hybrid_bracket():
         assert lhs == rhs, (a, b)
 
 
+def test_half_quantize_functoriality_fails_at_hbar_squared():
+    # half quantization maps the Poisson bracket to the hybrid bracket only
+    # below hbar^2; this degree-3/degree-4 pair leaves an exact hbar^2 residue
+    sc = System(2, 0)
+    x, y = parse_expression("q2*p2^2", sc), parse_expression("q2^2*p2^2", sc)
+    bracket = hybrid_bracket(half_quantize(x, (1, 1)), half_quantize(y, (1, 1)))
+    residue = half_quantize(poisson_bracket(x, y), (1, 1)) - div_ihbar(bracket)
+    assert residue == S11.hbar(2) * S11.P(1)
+
+
 def test_unquantization_magnitude_guard_warns():
     # an operator whose unquantization is pure hbar correction: the hbar^0
     # grade cannot dominate the hbar^2 residual
@@ -466,6 +505,22 @@ def test_exhaustive_witness_search_reproduces_recorded_triple():
     assert j == S11.hbar(4) / 2
 
 
+MONOMIALS = hybrid_monomials(S11, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(MONOMIALS), min_size=3, max_size=3))
+def test_jacobiator_is_totally_antisymmetric(triple):
+    # the witness search visits sorted triples only, which relies on this
+    a, b, c = triple
+    j = jacobiator(a, b, c)
+    assert jacobiator(b, a, c) == -j
+    assert jacobiator(a, c, b) == -j
+    assert jacobiator(c, b, a) == -j
+    assert jacobiator(b, c, a) == j
+    assert jacobiator(a, a, c).is_zero
+
+
 def test_monomial_enumeration_count():
     # 4 + 10 + 20 monomials of degree 1..3 over q, p, Q, P
     assert len(hybrid_monomials(S11, 3)) == 34
@@ -487,6 +542,22 @@ def test_cnum_arithmetic():
     assert a * b == CNum(-3, Fraction(1, 2))
     assert (a * a.inverse()) == CNum(1)
     assert a.conjugate().im == -3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(), st.fractions(), st.fractions(), st.fractions())
+def test_cnum_arithmetic_is_componentwise_fraction_arithmetic(a, b, c, d):
+    x, y = CNum(a, b), CNum(c, d)
+    cases = [
+        (x + y, a + c, b + d),
+        (x - y, a - c, b - d),
+        (-x, -a, -b),
+        (x * y, a * c - b * d, a * d + b * c),
+        (CNum(a) * CNum(c), a * c, 0),
+    ]
+    for got, re, im in cases:
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 def test_substitute_constants():

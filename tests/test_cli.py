@@ -116,6 +116,18 @@ def test_bounds_rows_equal_verify_rows(tmp_path, capsys):
     ]
 
 
+def test_bounds_exits_one_when_a_certificate_fails(tmp_path, capsys):
+    cfg = build_example(npoints=32, extent=8.0, times=(0.0,), packet_width=1.2)
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "certify", "--config", str(path))
+    assert code == 1
+    code, out, err = run_cli(capsys, "bounds", "--config", str(path), "--json")
+    assert code == 1
+    assert "certificate fails at L=1, L=2" in err
+    assert json.loads(out)["rows"]
+
+
 def test_verify_shallow_small_config(tmp_path, capsys):
     path = write_small_config(tmp_path)
     out_csv = tmp_path / "sweep.csv"

@@ -66,8 +66,9 @@ def test_config_rejects_narrow_multipliers():
         (("hbar",), -1.0, "hbar must be positive"),
         (("hbar",), 0.0, "hbar must be positive"),
         (("constants", "k"), float("nan"), "constant k must be a finite number"),
+        (("tolerances", "ehrenfst"), 1.0, "unknown tolerance keys ehrenfst; allowed: .*ehrenfest"),
     ],
-    ids=["hbar-negative", "hbar-zero", "k-nan"],
+    ids=["hbar-negative", "hbar-zero", "k-nan", "tolerance-unknown-key"],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
     import halfq.experiment

@@ -25,6 +25,12 @@ def test_library_does_not_import_scipy():
     assert offenders == []
 
 
+@pytest.mark.parametrize("module", ["algebra.py", "grammar.py"])
+def test_exact_layer_imports_no_float_libraries(module):
+    roots = _imported_roots(ROOT / "src" / "halfq" / module)
+    assert roots.isdisjoint({"numpy", "scipy"})
+
+
 def test_scipy_is_a_test_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
