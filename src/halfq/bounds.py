@@ -30,7 +30,6 @@ from .algebra import (
 from .classicality import ClassicalData
 from .hilbert import (
     CompiledOperator,
-    OperatorMatrix,
     SpectralDecomp,
     State,
     compile_expression,
@@ -43,33 +42,32 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class HybridObservable:
-    """A hybrid expression bound to classical data and quantum grids."""
+    """A hybrid expression bound to classical data and quantum grids.
+
+    Declared constants must be substituted before binding.
+    """
 
     expr: HybridExpression
     data: ClassicalData
     quantum_grids: dict
     hbar: float
-    constants: dict
 
     def __post_init__(self):
         for sym in self.expr.classical_symbols():
             self.data.center(sym)  # raises if unbound
-        unbound = self.expr.constants() - set(self.constants)
+        unbound = self.expr.constants()
         if unbound:
             raise AlgebraError(f"unbound constants in observable: {sorted(unbound)}")
         object.__setattr__(self, "quantum_grids", dict(self.quantum_grids))
-        object.__setattr__(self, "constants", dict(self.constants))
 
     def compiled(self, expr: HybridExpression | None = None) -> CompiledOperator:
         """Quantum-sector operator with classical symbols at their centers."""
         e = self.expr if expr is None else expr
         centers = {sym: self.data.center(sym) for sym in e.classical_symbols()}
-        return compile_expression(
-            e, centers, self.quantum_grids, self.hbar, self.constants
-        )
+        return compile_expression(e, centers, self.quantum_grids, self.hbar)
 
-    def matrix(self) -> OperatorMatrix:
-        """Dense quantum-sector matrix of :meth:`compiled`."""
+    def matrix(self) -> np.ndarray:
+        """Dense read-only quantum-sector matrix of :meth:`compiled`."""
         return self.compiled().dense()
 
 
@@ -224,12 +222,13 @@ class XiState:
 
 
 def xi_states(
-    B: OperatorMatrix | SpectralDecomp,
+    decomp: SpectralDecomp,
     phi_quantum: State,
     phi_classical: State | None,
     I_B: float,
 ) -> list:
-    """Bin the eigencomponents of phi^Q into disjoint windows of width 2 I_B.
+    """Bin the eigencomponents of phi^Q over the spectrum ``decomp`` of the
+    sector operator B into disjoint windows of width 2 I_B.
 
     Windows step by 2*I_B from the spectral minimum; the central eigenvalue
     is the window midpoint.  Bins with no amplitude are dropped.  The
@@ -237,7 +236,6 @@ def xi_states(
     """
     if I_B <= 0:
         raise ValueError("I_B must be positive")
-    decomp = B if isinstance(B, SpectralDecomp) else spectral_decompose(B)
     amps = decomp.amplitudes(phi_quantum)
     lo = float(decomp.eigenvalues[0])
     bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B)).astype(int)
@@ -466,7 +464,7 @@ def tail_leakage(
 
 def operator_discrepancy(
     A_full: CompiledOperator,
-    B: OperatorMatrix,
+    B: np.ndarray,
     psi_classical: State,
     psi_quantum: State,
     L: int,
@@ -485,6 +483,6 @@ def operator_discrepancy(
     vec = psi.amplitudes
     for _ in range(L):
         # I (x) B acts on the trailing quantum axis of the flattened tensor
-        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ B.matrix.T).reshape(-1)
+        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ B.T).reshape(-1)
     lhs = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
     return lhs, margin.with_second_order

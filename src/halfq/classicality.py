@@ -21,7 +21,6 @@ from .algebra import AlgebraError, HybridExpression, Symbol, System, partial_der
 from .hilbert import (
     CompiledOperator,
     Grid,
-    OperatorMatrix,
     SpectralDecomp,
     State,
     compile_expression,
@@ -105,7 +104,7 @@ class SequenceSpec:
 
 
 def error_ket(
-    ops: Sequence[OperatorMatrix | CompiledOperator], centers: Sequence[float], psi: State
+    ops: Sequence[CompiledOperator], centers: Sequence[float], psi: State
 ) -> State:
     """(X_1 - x_1)...(X_n - x_n)|psi>, applied right to left; unnormalized."""
     if len(ops) != len(centers):
@@ -119,13 +118,13 @@ def error_ket(
 
 
 def error_ket_norm_sq(
-    ops: Sequence[OperatorMatrix | CompiledOperator], centers: Sequence[float], psi: State
+    ops: Sequence[CompiledOperator], centers: Sequence[float], psi: State
 ) -> float:
     return error_ket(ops, centers, psi).norm() ** 2
 
 
 def spread_n(
-    ops: Sequence[OperatorMatrix | CompiledOperator],
+    ops: Sequence[CompiledOperator],
     centers: Sequence[float],
     psi: State,
     n: int | None = None,

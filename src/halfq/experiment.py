@@ -29,6 +29,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,15 +66,12 @@ from .grammar import format_expression, parse_expression, parse_symbol
 from .hilbert import (
     Grid,
     GridError,
-    OperatorMatrix,
     SpectralDecomp,
     State,
     compile_expression,
     evolve_full_quantum,
     gaussian_state,
     interval_probability,
-    momentum_operator,
-    position_operator,
     spectral_decompose,
     tensor,
 )
@@ -151,6 +149,9 @@ class SweepSpec:
     observables: tuple
 
     def __post_init__(self):
+        for field in ("times", "width_multipliers", "observables"):
+            if not getattr(self, field):
+                raise ConfigError(f"sweep {field} must not be empty")
         if any(m <= 1.0 for m in self.width_multipliers):
             raise ConfigError("width multipliers must exceed 1 (D > Delta_L)")
 
@@ -297,7 +298,6 @@ class SystemConfig:
         hbar = _finite(raw.get("hbar", 1.0), "hbar")
         if hbar <= 0:
             raise ConfigError(f"hbar must be positive, got {hbar!r}")
-        bound = raw.get("bound", {})
         unknown = sorted(set(raw.get("tolerances", {})) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(
@@ -307,6 +307,14 @@ class SystemConfig:
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(
             {k: _finite(v, f"tolerance {k}") for k, v in raw.get("tolerances", {}).items()}
+        )
+        levels, probabilities, i_b = _bound_from(raw.get("bound", {}))
+        sweep = SweepSpec(
+            times=tuple(_finite(t, "time") for t in raw["sweep"]["times"]),
+            width_multipliers=tuple(
+                _finite(x, "width multiplier") for x in raw["sweep"]["width_multipliers"]
+            ),
+            observables=tuple(raw["sweep"]["observables"]),
         )
         return SystemConfig(
             system=system,
@@ -334,18 +342,10 @@ class SystemConfig:
             quantum_state=tuple(
                 StateSpec.from_json_dict(d) for d in raw["quantum_state"]
             ),
-            levels=tuple(_finite(x, "level", int) for x in bound.get("levels", [1])),
-            probabilities=tuple(
-                _finite(x, "probability") for x in bound.get("probabilities", [0.99])
-            ),
-            I_B=None if bound.get("I_B") is None else _finite(bound["I_B"], "I_B"),
-            sweep=SweepSpec(
-                times=tuple(_finite(t, "time") for t in raw["sweep"]["times"]),
-                width_multipliers=tuple(
-                    _finite(x, "width multiplier") for x in raw["sweep"]["width_multipliers"]
-                ),
-                observables=tuple(raw["sweep"]["observables"]),
-            ),
+            levels=levels,
+            probabilities=probabilities,
+            I_B=i_b,
+            sweep=sweep,
             tolerances=tolerances,
             seed=_finite(raw.get("seed", 0), "seed", int),
         )
@@ -372,15 +372,38 @@ def _grid_from(d: Mapping) -> Grid:
     )
 
 
+def _bound_from(bound: Mapping) -> tuple:
+    """(levels, probabilities, I_B) of a config's bound section; every
+    (L, p) pair must make a valid :class:`BoundConfig`."""
+    levels = tuple(_finite(x, "level", int) for x in bound.get("levels", [1]))
+    probabilities = tuple(
+        _finite(x, "probability") for x in bound.get("probabilities", [0.99])
+    )
+    i_b = None if bound.get("I_B") is None else _finite(bound["I_B"], "I_B")
+    if not levels or not probabilities:
+        raise ConfigError("bound levels and probabilities must not be empty")
+    for L, p in product(levels, probabilities):
+        try:
+            BoundConfig(L, p, i_b)
+        except ValueError as exc:
+            raise ConfigError(f"bad bound: {exc}") from exc
+    return levels, probabilities, i_b
+
+
 def _finite(value, what: str, kind=float):
-    """``kind(value)``; ConfigError unless it is a finite number."""
+    """``kind(value)``; ConfigError unless it is a finite number (booleans
+    are not) and, for ``int``, an integral one."""
     try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (OverflowError, ValueError):  # int() of inf or nan
-        pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+        number = float(value)
+    except (OverflowError, TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        return value if isinstance(value, int) else int(number)
+    return number
 
 
 # --------------------------------------------------------------------------
@@ -545,8 +568,9 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
 class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
-    ``matrix`` is the sector operator B of ``observable`` and ``decomp`` its
-    spectrum; ``a0 = <phi^Q|B|phi^Q>`` centers every interval; ``margins``
+    ``matrix`` is the read-only dense sector operator B of ``observable``
+    (from its compiled form) and ``decomp`` its spectrum;
+    ``a0 = <phi^Q|B|phi^Q>`` centers every interval; ``margins``
     maps each order L to its margin; ``rows`` holds one
     ``(L, p, width_multiplier, D, PredictionBound)`` per sandwich, with
     the interval ``I0 = [a0 - D, a0 + D]``.
@@ -555,7 +579,7 @@ class SandwichPoint:
     name: str
     t: Fraction
     observable: HybridObservable
-    matrix: OperatorMatrix
+    matrix: np.ndarray
     decomp: SpectralDecomp
     a0: float
     margins: dict
@@ -576,11 +600,11 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
             t_exact = _exact(t)
             observable = HybridObservable(
                 sols[name].substitute_constants(_substitutions(cfg, t_exact)),
-                cfg.classical_data, quantum_grid_map, cfg.hbar, {},
+                cfg.classical_data, quantum_grid_map, cfg.hbar,
             )
             b = observable.matrix()
             decomp = spectral_decompose(b)
-            a0 = float(b.expectation(phi_q).real)
+            a0 = float(np.vdot(phi_q.amplitudes, b @ phi_q.amplitudes).real)
             margins = {L: delta_L_margin(observable, phi_q, L) for L in levels}
             rows = []
             for L, margin in margins.items():
@@ -638,8 +662,6 @@ class VerificationReport:
     rows: list
     leakage_rows: list
     discrepancy_rows: list
-    constants: list
-    closed_form: dict
     ehrenfest: float
     environment: dict
     config: dict
@@ -716,9 +738,6 @@ def run_verification(
         "seed": cfg.seed,
         "picture": "schroedinger-equivalent",
     }
-    constants_rows = constants_check()
-    closed = closed_form_check(cfg) if _is_example_structure(cfg) else {}
-
     if active_levels:
         rows, leak_rows, disc_rows, ehrenfest = _oracle_columns(
             cfg, sols, active_levels, deep, progress
@@ -728,11 +747,7 @@ def run_verification(
     gating = rows + disc_rows + [r for r in leak_rows if r["which"] == "X1"]
     if not active_levels:
         status = "not_applicable"
-    elif (
-        all(r["verdict"] == "pass" for r in gating)
-        and all(r["ok"] for r in constants_rows)
-        and all(v["ok"] for v in closed.values())
-    ):
+    elif all(r["verdict"] == "pass" for r in gating):
         status = "pass"
     else:
         status = "fail"
@@ -748,8 +763,6 @@ def run_verification(
         rows=rows,
         leakage_rows=leak_rows,
         discrepancy_rows=disc_rows,
-        constants=constants_rows,
-        closed_form=closed,
         ehrenfest=ehrenfest,
         environment=environment,
         config=cfg.to_json_dict(),
@@ -792,16 +805,13 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     oracle = {}
     for name in cfg.sweep.observables:
         axis = cfg.observable_axis(name)
-        sector_grid = grids[axis]
-        sym = cfg.observable_symbol(name)
-        base_op = (
-            position_operator(sector_grid)
-            if not sym.is_momentum
-            else momentum_operator(sector_grid, hbar)
+        quantized = Symbol.P if cfg.observable_symbol(name).is_momentum else Symbol.Q
+        base_op = compile_expression(
+            System(0, 1).symbol(quantized(1)), {}, {1: grids[axis]}, hbar
         )
-        a_expr = cfg.full_system().symbol((Symbol.P if sym.is_momentum else Symbol.Q)(axis + 1))
+        a_expr = cfg.full_system().symbol(quantized(axis + 1))
         oracle[name] = (
-            _SectorDecomp(spectral_decompose(base_op), axis, shape),
+            _SectorDecomp(spectral_decompose(base_op.dense()), axis, shape),
             compile_expression(a_expr, {}, full_grids, hbar),
             heisenberg_series(a_expr, h_expr, bracket="commutator"),
         )
@@ -889,24 +899,6 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {tol['ehrenfest']:.1e}"
         )
     return rows, leak_rows, disc_rows, ehrenfest
-
-
-def _is_example_structure(cfg: SystemConfig) -> bool:
-    """True when the config carries the worked coupled-particle Hamiltonian
-    (the closed-form golden check only applies there)."""
-    if (cfg.system.classical, cfg.system.quantum) != (1, 1):
-        return False
-    if not {"m", "M", "k"} <= set(cfg.constants):
-        return False
-    try:
-        want = parse_expression(
-            "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2",
-            cfg.classical_system(),
-            tuple(cfg.constants),
-        )
-        return cfg.parse_hamiltonian() == want
-    except ValueError:
-        return False
 
 
 def _edge_guard(state: State, tolerance: float, label: str):

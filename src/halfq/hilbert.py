@@ -5,11 +5,14 @@ the spectral (discrete Fourier) derivative, so smooth wave packets that
 stay away from the grid edges see continuum behaviour.  Multi-DOF states
 are Kronecker products with the grids listed in DOF order.
 
-Dense matrices exist for single-sector operators only.  Every multi-DOF
-operator is a hybrid expression of :mod:`halfq.algebra` compiled into a
-sum of per-DOF factors that acts on states without a full-dimension
-matrix; a Chebyshev propagator on that action powers the brute-force
-full-quantum oracle.
+Every numeric operator, a single Q or P included, is a hybrid expression
+of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
+of per-DOF factors that acts on states without a full-dimension matrix; a
+Chebyshev propagator on that action powers the brute-force full-quantum
+oracle.  A dense matrix is a read-only array taken from
+:meth:`CompiledOperator.dense` of a single-sector operator, and exists
+only to be diagonalized by :func:`spectral_decompose` or applied as a
+sector operator.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraError, HybridExpression, Symbol
+from .algebra import AlgebraError, HybridExpression, Symbol, System
 from .grammar import parse_symbol
 
 HERMITIAN_RTOL = 1e-10
@@ -102,34 +105,6 @@ class State:
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense operator on the tensor-product grid."""
-
-    matrix: np.ndarray
-    grids: tuple
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = _total_dim(self.grids)
-        if mat.shape != (dim, dim):
-            raise GridError(f"matrix shape {mat.shape} does not match grids (dim {dim})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "grids", tuple(self.grids))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, columns: np.ndarray) -> np.ndarray:
-        return self.matrix @ columns
-
-    def expectation(self, psi: State) -> complex:
-        return complex(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralDecomp:
     """Eigenvalues ascending, eigenvectors column-orthonormal."""
 
@@ -161,8 +136,8 @@ class SpectralDecomp:
 # operators and states on a single grid
 
 
-def position_operator(grid: Grid) -> OperatorMatrix:
-    return OperatorMatrix(np.diag(grid.points().astype(complex)), (grid,))
+def position_operator(grid: Grid) -> CompiledOperator:
+    return compile_expression(System(0, 1).Q(1), {}, {1: grid}, 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -177,13 +152,13 @@ def _momentum_matrix(grid: Grid, hbar: float) -> np.ndarray:
     return mat
 
 
-def momentum_operator(grid: Grid, hbar: float) -> OperatorMatrix:
+def momentum_operator(grid: Grid, hbar: float) -> CompiledOperator:
     """Spectral-derivative momentum; periodic convention.
 
     [q, p] = i*hbar*I holds on states negligible at the grid edges (the
     commutator picks up aliasing corrections in the outermost cells).
     """
-    return OperatorMatrix(_momentum_matrix(grid, float(hbar)), (grid,))
+    return compile_expression(System(0, 1).P(1), {}, {1: grid}, hbar)
 
 
 def gaussian_state(grid: Grid, q0: float, p0: float, dq: float, hbar: float) -> State:
@@ -250,8 +225,8 @@ class CompiledOperator:
             out += scalar * part
         return out.reshape(np.shape(columns))
 
-    def dense(self) -> OperatorMatrix:
-        """The full matrix; for sector-size operators only."""
+    def dense(self) -> np.ndarray:
+        """The full matrix, read-only; for sector-size operators only."""
         dim = self.dim
         total = np.zeros((dim, dim), dtype=complex)
         for scalar, factors, _ in self.terms:
@@ -261,7 +236,8 @@ class CompiledOperator:
             else:
                 blocks = [np.diag(b) if b.ndim == 1 else b for b in blocks]
                 total += scalar * reduce(np.kron, blocks)
-        return OperatorMatrix(total, self.grids)
+        total.flags.writeable = False
+        return total
 
     @cached_property
     def spectral_interval(self) -> tuple:
@@ -342,10 +318,9 @@ def compile_expression(
 # spectra, probabilities, evolution
 
 
-def spectral_decompose(op: OperatorMatrix) -> SpectralDecomp:
+def spectral_decompose(mat: np.ndarray) -> SpectralDecomp:
     """Eigendecomposition; AlgebraError unless the matrix equals its adjoint
     to HERMITIAN_RTOL of its largest entry."""
-    mat = op.matrix
     scale = float(np.max(np.abs(mat))) or 1.0
     if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_RTOL * scale:
         raise AlgebraError("spectral decomposition requires a Hermitian operator")

@@ -182,11 +182,8 @@ def test_criterion_7_error_ket_invariants():
     start = time.time()
     rng = np.random.default_rng(2024)
     grid = Grid(48, -12.0, 12.0)
-    decomps = [
-        spectral_decompose(position_operator(grid)),
-        spectral_decompose(momentum_operator(grid, 1.0)),
-    ]
     operators = [position_operator(grid), momentum_operator(grid, 1.0)]
+    decomps = [spectral_decompose(op.dense()) for op in operators]
     tail_ok = True
     confinement_ok = True
     for trial in range(1000):
@@ -215,20 +212,21 @@ def test_criterion_7_error_ket_invariants():
 
 def test_criterion_8_algebraic_suite():
     """Round trips, bracket laws, quantization functoriality, Jacobi witness;
-    all identities exact."""
+    exact algebra throughout (functoriality is exact on its exact class and
+    asserted below hbar^2 elsewhere)."""
     start = time.time()
     rng = random.Random(99)
     s11 = System(1, 1)
     sc1 = System(1, 0)
     sc2 = System(2, 0)
 
-    def random_poly(system, degree, dofs):
+    def random_poly(system, degree, dofs, draw=rng):
         expr = system.zero()
-        for _ in range(rng.randint(2, 4)):
-            term = system.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-            for _ in range(rng.randint(0, degree)):
-                i = rng.randint(1, dofs)
-                term = term * (system.q(i) if rng.random() < 0.5 else system.p(i))
+        for _ in range(draw.randint(2, 4)):
+            term = system.scalar(Fraction(draw.randint(-9, 9), draw.randint(1, 5)))
+            for _ in range(draw.randint(0, degree)):
+                i = draw.randint(1, dofs)
+                term = term * (system.q(i) if draw.random() < 0.5 else system.p(i))
             expr = expr + term
         return expr
 
@@ -256,22 +254,26 @@ def test_criterion_8_algebraic_suite():
             hx * lam, hy
         ) == hybrid_bracket(hx, hy) * lam
 
-    # (c) Definition-III functoriality to degree 4:
-    #     half({A,B}) = (1/i hbar)(half A, half B)
+    # (c) Definition-III functoriality to degree 4: the residue
+    #     half({A,B}) - (1/i hbar)(half A, half B) vanishes when A or B has
+    #     degree <= 2 and has no term below hbar^2 otherwise; five seeds
+    def residue(x, y):
+        bracket = hybrid_bracket(half_quantize(x, (1, 1)), half_quantize(y, (1, 1)))
+        return half_quantize(poisson_bracket(x, y), (1, 1)) - div_ihbar(bracket)
+
     functorial = True
-    for _ in range(10):
-        x = random_poly(sc2, 4, 2)
-        y = random_poly(sc2, 4, 2)
-        lhs_poly = poisson_bracket(x, y)
-        lhs = (
-            half_quantize(lhs_poly, (1, 1))
-            if not lhs_poly.is_zero
-            else System(1, 1).zero()
-        )
-        rhs = div_ihbar(
-            hybrid_bracket(half_quantize(x, (1, 1)), half_quantize(y, (1, 1)))
-        )
-        functorial = functorial and lhs == rhs
+    for seed in range(1, 6):
+        draw = random.Random(seed)
+        for _ in range(4):
+            x = random_poly(sc2, 4, 2, draw)
+            low = random_poly(sc2, 2, 2, draw)
+            y = random_poly(sc2, 4, 2, draw)
+            functorial = (
+                functorial
+                and residue(x, low).is_zero
+                and residue(low, x).is_zero
+                and all(h >= 2 for h in residue(x, y).hbar_grades())
+            )
 
     # (d) unquantized commutator matches i hbar {A,B} below hbar^2
     semiclassical = True
@@ -339,7 +341,7 @@ def test_criterion_9_gaussian_moment_law():
     # and the grid moments used by certify agree with the law
     grid = Grid(128, -16.0, 16.0)
     psi = gaussian_state(grid, 0.0, 0.0, 0.9, 1.0)
-    qm = position_operator(grid).matrix
+    qm = position_operator(grid).dense()
     m4 = float(
         np.vdot(psi.amplitudes, np.linalg.matrix_power(qm, 4) @ psi.amplitudes).real
     )

@@ -24,7 +24,6 @@ from halfq.bounds import (
 from halfq.classicality import ClassicalData, ClassicalDatum, certify, classicality_sequences
 from halfq.hilbert import (
     Grid,
-    OperatorMatrix,
     State,
     compile_expression,
     gaussian_state,
@@ -58,7 +57,7 @@ def example_solutions():
 def observable_at(name, t, k=Fraction(1, 10)):
     sol = example_solutions()[name]
     subs = {"m": 1, "M": 1, "k": k, "t": Fraction(t).limit_denominator(10**6)}
-    return HybridObservable(sol.substitute_constants(subs), DATA, {1: GQ}, HBAR, {})
+    return HybridObservable(sol.substitute_constants(subs), DATA, {1: GQ}, HBAR)
 
 
 def quantum_packet():
@@ -95,10 +94,10 @@ def test_margin_is_state_independent_for_constant_derivatives():
 def test_margin_second_order_term():
     # B = q^2 P: d2B/dq2 = 2P, so the n=2 term is (1/2)|<xi|(2P)^2L|xi>|^(1/2L) dq^2
     expr = parse_expression("q1^2*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
+    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
     phi = quantum_packet()
     margin = delta_L_margin(obs, phi, 1)
-    p_mat = momentum_operator(GQ, HBAR).matrix
+    p_mat = momentum_operator(GQ, HBAR).dense()
     p2 = float(np.vdot(phi.amplitudes, p_mat @ p_mat @ phi.amplitudes).real)
     # first order: |<phi|(2 q P)^dag (2 q P)|phi>|^(1/2) at q=q0=0 -> 0
     assert margin.per_symbol == {} or margin.total == 0.0
@@ -149,7 +148,7 @@ def test_leakage_constant_degenerate_and_invalid():
 def test_xi_single_window_covers_spectrum():
     phi_q = quantum_packet()
     phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
-    b = spectral_decompose(position_operator(GQ))
+    b = spectral_decompose(position_operator(GQ).dense())
     wide = b.spectral_range() + 1.0
     xis = xi_states(b, phi_q, phi_c, wide)
     assert len(xis) == 1
@@ -161,7 +160,7 @@ def test_xi_single_window_covers_spectrum():
 
 def test_xi_small_windows_are_eigenprojections():
     phi_q = quantum_packet()
-    b = spectral_decompose(position_operator(GQ))
+    b = spectral_decompose(position_operator(GQ).dense())
     gap = float(np.min(np.diff(b.eigenvalues)))
     xis = xi_states(b, phi_q, None, gap / 4)
     assert len(xis) == GQ.npoints
@@ -176,7 +175,7 @@ def test_xi_orthonormal_and_reconstructs_random_case():
     g = Grid(n, -8.0, 8.0)
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = h + h.conj().T
-    b = spectral_decompose(OperatorMatrix(h, (g,)))
+    b = spectral_decompose(h)
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     phi = State(vec / np.linalg.norm(vec), (g,))
     xis = xi_states(b, phi, None, 2.5)
@@ -194,7 +193,7 @@ def test_xi_orthonormal_and_reconstructs_random_case():
 
 def test_xi_requires_positive_window():
     with pytest.raises(ValueError):
-        xi_states(spectral_decompose(position_operator(GQ)), quantum_packet(), None, 0.0)
+        xi_states(spectral_decompose(position_operator(GQ).dense()), quantum_packet(), None, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def test_bound_width_monotone_in_margins():
     for scale in (1.0, 2.0, 4.0):
         data = DATA.scaled(scale)
         obs = HybridObservable(
-            observable_at("q1", 0.4).expr, data, {1: GQ}, HBAR, {}
+            observable_at("q1", 0.4).expr, data, {1: GQ}, HBAR
         )
         margin = delta_L_margin(obs, phi, 1)
         big = spread_Delta_L(margin.total, cfg)
@@ -289,7 +288,7 @@ def certified_classical_packet():
 def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
     delta = delta_L_margin(obs, phi_q, cfg.L).total
-    xis = xi_states(obs.matrix(), phi_q, phi_c, delta)
+    xis = xi_states(spectral_decompose(obs.matrix()), phi_q, phi_c, delta)
     cols = np.column_stack([x.state.amplitudes for x in xis])
     amps = a_decomp.eigenvectors.conj().T @ cols
     big = spread_Delta_L(delta, cfg)
@@ -301,7 +300,7 @@ def test_tail_leakage_no_weight_outside_window():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     obs = observable_at("q1", 0.5)
-    a_full = OperatorMatrix(np.kron(position_operator(GC).matrix, np.eye(32)), (GC, GQ))
+    a_full = np.kron(position_operator(GC).dense(), np.eye(32))
     # I0 spanning far beyond the spectrum: nothing outside Imax
     measured, bound = leakage_against(
         spectral_decompose(a_full), obs, phi_c, phi_q, BoundConfig(1, 0.99),
@@ -316,12 +315,12 @@ def test_tail_leakage_static_mixed_observable():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     expr = parse_expression("q1*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
-    a_full = np.kron(position_operator(GC).matrix, momentum_operator(GQ, HBAR).matrix)
+    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
+    a_full = np.kron(position_operator(GC).dense(), momentum_operator(GQ, HBAR).dense())
     # raises unless A = q (x) P is Hermitian to HERMITIAN_RTOL
-    a_decomp = spectral_decompose(OperatorMatrix(a_full, (GC, GQ)))
+    a_decomp = spectral_decompose(a_full)
     b_mat = obs.matrix()
-    a0 = float(b_mat.expectation(phi_q).real)
+    a0 = float(np.vdot(phi_q.amplitudes, b_mat @ phi_q.amplitudes).real)
     for L in (1, 2):
         for p in (0.9, 0.99):
             cfg = BoundConfig(L, p)
@@ -370,7 +369,7 @@ def test_operator_discrepancy_static_bound():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     expr = parse_expression("q1*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
+    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
     a_op = compile_expression(
         parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
     )
@@ -384,10 +383,10 @@ def test_operator_discrepancy_static_bound():
 def test_hybrid_observable_validates_bindings():
     expr = parse_expression("q2*P1", System(2, 1))
     with pytest.raises(Exception):
-        HybridObservable(expr, DATA, {1: GQ}, HBAR, {})
+        HybridObservable(expr, DATA, {1: GQ}, HBAR)
     expr2 = parse_expression("k*P1", S11, ("k",))
     with pytest.raises(Exception, match="unbound"):
-        HybridObservable(expr2, DATA, {1: GQ}, HBAR, {})
+        HybridObservable(expr2, DATA, {1: GQ}, HBAR)
 
 
 def test_bound_config_validation():

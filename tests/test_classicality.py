@@ -26,8 +26,8 @@ from halfq.classicality import (
     tail_probability,
 )
 from halfq.hilbert import (
+    CompiledOperator,
     Grid,
-    OperatorMatrix,
     State,
     gaussian_state,
     momentum_operator,
@@ -49,7 +49,7 @@ def packet(q0=0.0, p0=1.0, dq=2**-0.5, grid=GRID):
 
 
 def test_error_ket_annihilates_eigenvector():
-    d = spectral_decompose(position_operator(GRID))
+    d = spectral_decompose(position_operator(GRID).dense())
     psi = State(d.eigenvectors[:, 10], (GRID,))
     e = error_ket([position_operator(GRID)], [d.eigenvalues[10]], psi)
     assert e.norm() < 1e-12
@@ -84,7 +84,7 @@ def test_error_ket_length_mismatch():
 
 def test_spread_trivial_values():
     psi = packet()
-    d = spectral_decompose(position_operator(GRID))
+    d = spectral_decompose(position_operator(GRID).dense())
     eig = State(d.eigenvectors[:, 3], (GRID,))
     assert spread_n([position_operator(GRID)], [d.eigenvalues[3]], eig, p=0.99) < 1e-6
     # <E|E> = 1, p = 0.99, n = 1 -> (1/0.01)^(1/2) = 10: center an
@@ -110,7 +110,7 @@ def test_spread_probability_domain():
 
 
 def test_tail_probability_eigenvector():
-    d = spectral_decompose(position_operator(GRID))
+    d = spectral_decompose(position_operator(GRID).dense())
     eig = State(d.eigenvectors[:, 7], (GRID,))
     measured, bound = tail_probability(d, eig, d.eigenvalues[7], 0.5, 1)
     assert measured == 0.0
@@ -124,7 +124,7 @@ def test_tail_probability_gaussian_three_sigma():
     dq = 1.0
     x0 = fine.spacing / 2
     psi = gaussian_state(fine, x0, 0.0, dq, HBAR)
-    d = spectral_decompose(position_operator(fine))
+    d = spectral_decompose(position_operator(fine).dense())
     measured, bound = tail_probability(d, psi, x0, 3 * dq, 1)
     # continuum: 2 Phi(-3) = 0.0027; Chebyshev bound 1/9
     assert abs(measured - 0.0026998) < 2e-4
@@ -135,7 +135,7 @@ def test_tail_probability_gaussian_three_sigma():
 def test_tail_probability_random_states_never_exceed_bound():
     rng = np.random.default_rng(42)
     g = Grid(64, -8.0, 8.0)
-    d = spectral_decompose(momentum_operator(g, HBAR))
+    d = spectral_decompose(momentum_operator(g, HBAR).dense())
     for _ in range(300):
         vec = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi = State(vec / np.linalg.norm(vec), (g,))
@@ -237,7 +237,7 @@ def test_certificate_rows_use_two_sided_error_kets():
 
 def test_multi_dof_certify_matches_kron_error_kets(monkeypatch):
     """Two classical DOFs at L=2: every row against an error ket built here
-    from Kronecker products, with no sector-dimension OperatorMatrix."""
+    from Kronecker products, with no sector-dimension dense matrix."""
     import tracemalloc
 
     from halfq.algebra import Symbol
@@ -250,13 +250,13 @@ def test_multi_dof_certify_matches_kron_error_kets(monkeypatch):
     q1, p1, q2, p2 = Symbol.q(1), Symbol.p(1), Symbol.q(2), Symbol.p(2)
     seqs = [SequenceSpec((s,)) for s in (q1, p1, q2, p2)] + [SequenceSpec((q1, p2))]
     built = []
-    original_init = OperatorMatrix.__post_init__
+    original_dense = CompiledOperator.dense
 
-    def init(self):
-        original_init(self)
+    def dense(self):
         built.append(self.dim)
+        return original_dense(self)
 
-    monkeypatch.setattr(OperatorMatrix, "__post_init__", init)
+    monkeypatch.setattr(CompiledOperator, "dense", dense)
     tracemalloc.start()
     try:
         cert = certify(psi, data, 2, seqs, HBAR)
@@ -270,10 +270,10 @@ def test_multi_dof_certify_matches_kron_error_kets(monkeypatch):
 
     eye = np.eye(24)
     dense = {
-        q1: np.kron(position_operator(g1).matrix, eye),
-        p1: np.kron(momentum_operator(g1, HBAR).matrix, eye),
-        q2: np.kron(eye, position_operator(g2).matrix),
-        p2: np.kron(eye, momentum_operator(g2, HBAR).matrix),
+        q1: np.kron(position_operator(g1).dense(), eye),
+        p1: np.kron(momentum_operator(g1, HBAR).dense(), eye),
+        q2: np.kron(eye, position_operator(g2).dense()),
+        p2: np.kron(eye, momentum_operator(g2, HBAR).dense()),
     }
     names = {s.name: s for s in dense}
     assert len(cert.rows) == len(compose_sequences(seqs, 2))
@@ -326,8 +326,8 @@ def test_confinement_of_certified_states():
     """Certified L-order states put probability >= p in the widened margin
     interval around every classical value."""
     seqs = classicality_sequences(example_solutions(), 1)
-    qd = spectral_decompose(position_operator(GRID))
-    pd = spectral_decompose(momentum_operator(GRID, HBAR))
+    qd = spectral_decompose(position_operator(GRID).dense())
+    pd = spectral_decompose(momentum_operator(GRID, HBAR).dense())
     for L in (1, 2):
         for dq in (0.5, 2**-0.5, 1.0):
             data = ClassicalData(
@@ -367,7 +367,7 @@ def test_gaussian_moment_law_by_quadrature():
     dq = 0.8
     dp = HBAR / (2 * dq)
     psi = gaussian_state(Grid(256, -16.0, 16.0), 0.0, 0.0, dq, HBAR)
-    p2 = momentum_operator(Grid(256, -16.0, 16.0), HBAR).matrix
+    p2 = momentum_operator(Grid(256, -16.0, 16.0), HBAR).dense()
     m2 = float(np.vdot(psi.amplitudes, p2 @ p2 @ psi.amplitudes).real)
     assert abs(m2 - dp * dp) < 1e-6
     assert abs(m2 - gaussian_moment(1, dp)) < 1e-6

@@ -67,8 +67,26 @@ def test_config_rejects_narrow_multipliers():
         (("hbar",), 0.0, "hbar must be positive"),
         (("constants", "k"), float("nan"), "constant k must be a finite number"),
         (("tolerances", "ehrenfst"), 1.0, "unknown tolerance keys ehrenfst; allowed: .*ehrenfest"),
+        (("sweep", "times"), [], "sweep times must not be empty"),
+        (("sweep", "observables"), [], "sweep observables must not be empty"),
+        (("sweep", "width_multipliers"), [], "sweep width_multipliers must not be empty"),
+        (("bound", "probabilities"), [], "levels and probabilities must not be empty"),
+        (("bound", "levels"), [], "levels and probabilities must not be empty"),
+        (("bound", "levels"), [1.5, 2.9], "level must be an integer, got 1.5"),
+        (("classical_grids", 0, "npoints"), 32.7, "grid npoints must be an integer"),
+        (("system", "classical"), 1.9, "classical DOF count must be an integer"),
+        (("system", "quantum"), True, "quantum DOF count must be a finite number, got True"),
+        (("bound", "probabilities"), [0.9, 1.0], r"probability p must lie in \(0,1\)"),
+        (("bound", "levels"), [0, 1], "order L must be a positive integer"),
+        (("bound", "I_B"), -0.5, "I_B must be nonnegative"),
     ],
-    ids=["hbar-negative", "hbar-zero", "k-nan", "tolerance-unknown-key"],
+    ids=[
+        "hbar-negative", "hbar-zero", "k-nan", "tolerance-unknown-key",
+        "times-empty", "observables-empty", "multipliers-empty",
+        "probabilities-empty", "levels-empty", "level-fractional",
+        "npoints-fractional", "dof-count-fractional", "dof-count-bool",
+        "probability-one", "level-zero", "I_B-negative",
+    ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
     import halfq.experiment
@@ -168,7 +186,6 @@ def test_heavy_classical_mass_shrinks_momentum_margin():
             cfg.classical_data,
             {1: cfg.quantum_grids[0]},
             cfg.hbar,
-            {},
         )
         phi_q = cfg.quantum_factor()
         margins[cfg.constants["m"]] = delta_L_margin(obs, phi_q, 1).total
@@ -208,19 +225,19 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     full = sector**2
     decomposed, built = [], []
     original_decompose = halfq.hilbert.spectral_decompose
-    original_init = halfq.hilbert.OperatorMatrix.__post_init__
+    original_dense = halfq.hilbert.CompiledOperator.dense
 
-    def decompose(op):
-        decomposed.append(op.dim)
-        return original_decompose(op)
+    def decompose(mat):
+        decomposed.append(mat.shape[0])
+        return original_decompose(mat)
 
-    def init(self):
-        original_init(self)
+    def dense(self):
         built.append(self.dim)
+        return original_dense(self)
 
     for module in (halfq.experiment, halfq.bounds):
         monkeypatch.setattr(module, "spectral_decompose", decompose)
-    monkeypatch.setattr(halfq.hilbert.OperatorMatrix, "__post_init__", init)
+    monkeypatch.setattr(halfq.hilbert.CompiledOperator, "dense", dense)
     tracemalloc.start()
     try:
         report = run_verification(cfg, deep=True)
@@ -309,7 +326,6 @@ def test_sector_decomp_matches_dense_spectral_path():
     # decomposition on both axes
     from halfq.experiment import _SectorDecomp
     from halfq.hilbert import (
-        OperatorMatrix,
         interval_probability,
         momentum_operator,
         position_operator,
@@ -322,9 +338,9 @@ def test_sector_decomp_matches_dense_spectral_path():
         gaussian_state(g1, 0.0, 0.5, 0.4, 1.0), gaussian_state(g2, 0.0, 0.0, 0.3, 1.0)
     )
     for axis, op in ((0, position_operator(g1)), (1, momentum_operator(g2, 1.0))):
-        structured = _SectorDecomp(spectral_decompose(op), axis, (12, 8))
-        factors = (op.matrix, np.eye(8)) if axis == 0 else (np.eye(12), op.matrix)
-        dense = spectral_decompose(OperatorMatrix(np.kron(*factors), (g1, g2)))
+        structured = _SectorDecomp(spectral_decompose(op.dense()), axis, (12, 8))
+        factors = (op.dense(), np.eye(8)) if axis == 0 else (np.eye(12), op.dense())
+        dense = spectral_decompose(np.kron(*factors))
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
             got = interval_probability(structured, psi, interval)
             want = interval_probability(dense, psi, interval)
@@ -347,8 +363,6 @@ def test_report_json_structure():
         "status",
         "certificates",
         "rows",
-        "constants",
-        "closed_form",
         "environment",
         "config",
     ):

@@ -10,7 +10,6 @@ from halfq import System, heisenberg_series, parse_expression, weyl_quantize
 from halfq.hilbert import (
     Grid,
     GridError,
-    OperatorMatrix,
     State,
     chebyshev_coefficients,
     compile_expression,
@@ -50,9 +49,9 @@ def test_gaussian_norm_and_moments():
     dq = 1.2
     psi = gaussian_state(g, 1.0, 0.5, dq, HBAR)
     assert abs(psi.norm() - 1.0) < 1e-12
-    qop = position_operator(g)
-    assert abs(qop.expectation(psi).real - 1.0) < 1e-8
-    dev = qop.matrix - np.eye(64)
+    qop = position_operator(g).dense()
+    assert abs(np.vdot(psi.amplitudes, qop @ psi.amplitudes).real - 1.0) < 1e-8
+    dev = qop - np.eye(64)
     m2 = np.vdot(psi.amplitudes, dev @ dev @ psi.amplitudes).real
     m4 = np.vdot(psi.amplitudes, np.linalg.matrix_power(dev, 4) @ psi.amplitudes).real
     assert abs(m2 - gaussian_quadrature_moment(1.0, dq, 2)) < 1e-6
@@ -73,21 +72,21 @@ def test_momentum_expectation_matches_packet_phase():
     psi = gaussian_state(g, 0.0, 0.7, 1.0, HBAR)
     pop = momentum_operator(g, HBAR)
     # analytic: <p> = p0 exactly for the phase-carrying packet
-    assert abs(pop.expectation(psi).real - 0.7) < 1e-6
+    assert abs(np.vdot(psi.amplitudes, pop.apply(psi.amplitudes)).real - 0.7) < 1e-6
 
 
 def test_momentum_spectrum_is_fourier_ladder():
     g = Grid(64, -8.0, 8.0)
     pop = momentum_operator(g, HBAR)
-    got = np.sort(np.linalg.eigvalsh(pop.matrix))
+    got = np.sort(np.linalg.eigvalsh(pop.dense()))
     want = np.sort(2 * np.pi * HBAR * np.fft.fftfreq(64, d=g.spacing))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_ccr_on_bulk_states():
     g = Grid(64, -16.0, 16.0)
-    q = position_operator(g).matrix
-    p = momentum_operator(g, HBAR).matrix
+    q = position_operator(g).dense()
+    p = momentum_operator(g, HBAR).dense()
     psi = gaussian_state(g, 0.5, 1.0, 1.0, HBAR).amplitudes
     residual = (q @ p - p @ q) @ psi - 1j * HBAR * psi
     assert np.linalg.norm(residual) < 1e-6
@@ -108,7 +107,7 @@ def test_evaluate_symbolic_scalar_binding():
     s = System(1, 1)
     g = Grid(16, -4.0, 4.0)
     mat = compile_expression(s.q(1), {"q1": 2.0}, {1: g}, HBAR).dense()
-    np.testing.assert_allclose(mat.matrix, 2.0 * np.eye(16), atol=1e-14)
+    np.testing.assert_allclose(mat, 2.0 * np.eye(16), atol=1e-14)
 
 
 def test_evaluate_symbolic_ccr_on_smooth_states():
@@ -117,7 +116,7 @@ def test_evaluate_symbolic_ccr_on_smooth_states():
     expr = s.Q(1) * s.P(1) - s.P(1) * s.Q(1)
     mat = compile_expression(expr, {}, {1: g}, HBAR).dense()
     psi = gaussian_state(g, 0.0, 0.5, 1.0, HBAR).amplitudes
-    assert np.linalg.norm(mat.matrix @ psi - 1j * HBAR * psi) < 1e-6
+    assert np.linalg.norm(mat @ psi - 1j * HBAR * psi) < 1e-6
 
 
 def test_evaluate_symbolic_closed_form_solution():
@@ -129,8 +128,8 @@ def test_evaluate_symbolic_closed_form_solution():
     )
     g = Grid(32, -8.0, 8.0)
     mat = compile_expression(sol, {"q1": 0.0, "p1": 1.0}, {1: g}, HBAR).dense()
-    want = np.eye(32) - 0.05 * momentum_operator(g, HBAR).matrix
-    np.testing.assert_allclose(mat.matrix, want, atol=1e-12)
+    want = np.eye(32) - 0.05 * momentum_operator(g, HBAR).dense()
+    np.testing.assert_allclose(mat, want, atol=1e-12)
 
 
 def test_evaluate_symbolic_unbound_symbol():
@@ -154,7 +153,7 @@ def test_quantized_real_polynomial_is_hermitian():
         expr = expr + term
     quantized = weyl_quantize(expr)
     assert quantized.adjoint() == quantized
-    mat = compile_expression(quantized, {}, {1: g}, HBAR).dense().matrix
+    mat = compile_expression(quantized, {}, {1: g}, HBAR).dense()
     phi = gaussian_state(g, 0.3, 0.5, 1.0, HBAR).amplitudes
     chi = gaussian_state(g, -0.8, -0.2, 1.3, HBAR).amplitudes
     lhs = np.vdot(phi, mat @ chi)
@@ -174,11 +173,11 @@ def test_quantized_real_polynomial_is_hermitian():
 
 def test_spectral_decompose_diagonal_and_pauli():
     g = Grid(8, -2.0, 2.0)
-    d = spectral_decompose(position_operator(g))
+    d = spectral_decompose(position_operator(g).dense())
     np.testing.assert_allclose(d.eigenvalues, np.sort(g.points()))
     # 8x8 block-Pauli: eigenvalues +-1, each fourfold
     pauli = np.kron(np.eye(4), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    d2 = spectral_decompose(OperatorMatrix(pauli, (g,)))
+    d2 = spectral_decompose(pauli)
     np.testing.assert_allclose(d2.eigenvalues, [-1.0] * 4 + [1.0] * 4, atol=1e-12)
 
 
@@ -187,9 +186,7 @@ def test_spectral_decompose_reconstruction():
     n = 50
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = a + a.conj().T
-    g = Grid(n, -1.0, 1.0)
-    op = OperatorMatrix(a, (g,))
-    d = spectral_decompose(op)
+    d = spectral_decompose(a)
     recon = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.conj().T
     scale = np.max(np.abs(a))
     assert np.max(np.abs(recon - a)) <= 1e-8 * scale
@@ -198,15 +195,14 @@ def test_spectral_decompose_reconstruction():
 
 
 def test_spectral_decompose_rejects_non_hermitian():
-    g = Grid(8, -2.0, 2.0)
     mat = np.diag(np.arange(8.0)) + 0.1j * np.eye(8)[::-1]
     with pytest.raises(Exception, match="Hermitian"):
-        spectral_decompose(OperatorMatrix(mat, (g,)))
+        spectral_decompose(mat)
 
 
 def test_interval_probability_completeness_and_eigenvector():
     g = Grid(32, -8.0, 8.0)
-    d = spectral_decompose(momentum_operator(g, HBAR))
+    d = spectral_decompose(momentum_operator(g, HBAR).dense())
     psi = gaussian_state(g, 0.0, 0.3, 1.0, HBAR)
     full = interval_probability(d, psi, (d.eigenvalues[0], d.eigenvalues[-1]))
     assert abs(full - 1.0) < 1e-10
@@ -221,14 +217,14 @@ def test_interval_probability_gaussian_erf():
     g = Grid(256, -16.0, 16.0)
     q0 = g.spacing / 2
     psi = gaussian_state(g, q0, 0.0, 1.0, HBAR)
-    d = spectral_decompose(position_operator(g))
+    d = spectral_decompose(position_operator(g).dense())
     got = interval_probability(d, psi, (q0 - 1.0, q0 + 1.0))
     assert abs(got - math.erf(1 / math.sqrt(2))) < 1e-3
 
 
 def test_interval_probability_additive_and_monotone():
     g = Grid(64, -16.0, 16.0)
-    d = spectral_decompose(position_operator(g))
+    d = spectral_decompose(position_operator(g).dense())
     psi = gaussian_state(g, 0.0, 0.4, 1.5, HBAR)
     left = interval_probability(d, psi, (-8.0, 0.1))
     right = interval_probability(d, psi, (0.35, 8.0))
@@ -257,7 +253,7 @@ def test_free_packet_dispersion():
         parse_expression("P1^2/(2*m)", System(0, 1), ("m",)), {}, {1: g}, HBAR, {"m": m}
     )
     psi_t = evolve_full_quantum(h, psi, t, HBAR)
-    q = position_operator(g).matrix
+    q = position_operator(g).dense()
     var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
     analytic = dq**2 * (1 + (HBAR * t / (2 * m * dq**2)) ** 2)
     assert abs(var - analytic) < 1e-4
@@ -291,7 +287,7 @@ def test_heisenberg_schroedinger_consistency():
     interval = (-1.25, 2.25)
     heis = interval_probability(spectral_decompose(a_t), psi0, interval)
     psi_t = evolve_full_quantum(h_op, psi0, t, HBAR)
-    a_0 = OperatorMatrix(np.kron(position_operator(gc).matrix, np.eye(32)), (gc, gq))
+    a_0 = np.kron(position_operator(gc).dense(), np.eye(32))
     schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
     assert abs(heis - schr) < 1e-3
@@ -320,7 +316,7 @@ def test_compiled_apply_matches_dense_on_column_batches():
     )
     grids = {1: Grid(8, -2.0, 2.0), 2: Grid(10, -3.0, 3.0), 3: Grid(12, -1.0, 2.0)}
     op = compile_expression(expr, {}, grids, 0.7)
-    dense = op.dense().matrix
+    dense = op.dense()
     rng = np.random.default_rng(7)
     batch = rng.normal(size=(960, 5)) + 1j * rng.normal(size=(960, 5))
     scale = np.max(np.abs(dense)) * np.max(np.abs(batch)) * 960
@@ -341,8 +337,8 @@ def test_chebyshev_matches_eigh_reference_on_example():
     h_op = compile_expression(
         cfg.full_hamiltonian_expr(), {}, {1: gc, 2: gq}, HBAR, consts
     )
-    p_c = momentum_operator(gc, HBAR).matrix
-    p_q = momentum_operator(gq, HBAR).matrix
+    p_c = momentum_operator(gc, HBAR).dense()
+    p_q = momentum_operator(gq, HBAR).dense()
     h_dense = (
         np.kron(p_c @ p_c, np.eye(32)) / (2 * consts["m"])
         + np.kron(np.eye(32), p_q @ p_q) / (2 * consts["M"])
@@ -355,10 +351,10 @@ def test_chebyshev_matches_eigh_reference_on_example():
     for t in cfg.sweep.times:
         subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(t)}
         obs = HybridObservable(
-            sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR, {}
+            sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
-        xis = xi_states(obs.matrix(), phi_q, phi_c, 0.25)
+        xis = xi_states(spectral_decompose(obs.matrix()), phi_q, phi_c, 0.25)
         cols = np.column_stack([psi0] + [x.state.amplitudes for x in xis])
         assert cols.shape[1] > 10
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
@@ -383,3 +379,10 @@ def test_state_validation_and_immutability():
     psi = gaussian_state(g, 0.0, 0.0, 0.3, HBAR)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 1.0
+
+
+def test_dense_operators_are_read_only():
+    g = Grid(8, -2.0, 2.0)
+    for op in (position_operator(g), momentum_operator(g, HBAR)):
+        with pytest.raises(ValueError):
+            op.dense()[0, 0] = 1.0
