@@ -78,7 +78,9 @@ from .hilbert import (
 
 CONFIG_VERSION = 1
 
-DEFAULT_TOLERANCES = {
+# fixed verification tolerances; every report echoes them and no config
+# can change them, so a config cannot loosen the checks that judge it
+TOLERANCES = {
     "edge_mass": 1e-6,
     "bound_slack": 1e-10,
     # rows with delta_L = I_B = 0 compare two discretizations of the same
@@ -130,10 +132,14 @@ class StateSpec:
         return {"kind": "gaussian", "q0": self.q0, "p0": self.p0, "dq": self.dq}
 
     @staticmethod
-    def from_json_dict(raw: Mapping) -> "StateSpec":
-        kind = raw.get("kind", "gaussian")
+    def from_json_dict(raw: Mapping, what: str = "state") -> "StateSpec":
+        kind = _object(raw, what, optional=None).get("kind", "gaussian")
         if kind == "file":
-            return StateSpec(kind="file", path=raw["path"])
+            _object(raw, what, required=("kind", "path"))
+            return StateSpec(kind="file", path=_text(raw["path"], f"{what} path"))
+        if kind != "gaussian":
+            raise ConfigError(f"unknown state kind {kind!r} in {what}")
+        _object(raw, what, optional=("kind", "q0", "p0", "dq"))
         return StateSpec(
             kind="gaussian",
             q0=_finite(raw.get("q0", 0.0), "state q0"),
@@ -158,7 +164,25 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Complete declaration of a half-quantum verification experiment."""
+    """Complete declaration of a half-quantum verification experiment.
+
+    The JSON form (:meth:`from_json_dict`) is an object with the required
+    keys ``version`` (1), ``system`` (``classical``, ``quantum``: DOF
+    counts), ``hamiltonian`` (classical form over q1..q(M+N), p1..p(M+N)),
+    ``classical_grids`` and ``quantum_grids`` (one ``npoints``, ``xmin``,
+    ``xmax`` object per DOF), ``classical_data`` (one ``q0``, ``p0``,
+    ``delta_q``, ``delta_p`` object per classical DOF), ``classical_state``
+    and ``quantum_state`` (one state object per DOF) and ``sweep``
+    (``times``, ``width_multipliers``, ``observables``: non-empty lists).
+    Optional keys: ``hbar`` (1.0), ``constants`` (``{}``, a map of names
+    to numbers), ``bound`` (``levels`` ``[1]``, ``probabilities``
+    ``[0.99]``, ``I_B`` ``null``) and ``seed`` (0).  A state object is
+    ``{"kind": "gaussian"}`` (the default kind) with optional ``q0``
+    (0.0), ``p0`` (0.0) and ``dq`` (1.0), or ``{"kind": "file", "path":
+    ...}``.  Unknown or missing keys, sections of the wrong JSON type and
+    strings where numbers belong raise :class:`ConfigError` before any
+    grid is built.  Verification tolerances are fixed (:data:`TOLERANCES`).
+    """
 
     system: System
     hbar: float
@@ -173,7 +197,6 @@ class SystemConfig:
     probabilities: tuple
     I_B: float | None
     sweep: SweepSpec
-    tolerances: dict
     seed: int = 0
 
     def __post_init__(self):
@@ -279,7 +302,6 @@ class SystemConfig:
                 "width_multipliers": list(self.sweep.width_multipliers),
                 "observables": list(self.sweep.observables),
             },
-            "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
         }
 
@@ -288,66 +310,77 @@ class SystemConfig:
 
     @staticmethod
     def from_json_dict(raw: Mapping) -> "SystemConfig":
-        version = raw.get("version")
+        version = _object(raw, "config", optional=None).get("version")
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}")
+        _object(raw, "config", _REQUIRED_KEYS, ("hbar", "constants", "bound", "seed"))
+        counts = _object(raw["system"], "system", ("classical", "quantum"))
         system = System(
-            _finite(raw["system"]["classical"], "classical DOF count", int),
-            _finite(raw["system"]["quantum"], "quantum DOF count", int),
+            _finite(counts["classical"], "classical DOF count", int),
+            _finite(counts["quantum"], "quantum DOF count", int),
         )
         hbar = _finite(raw.get("hbar", 1.0), "hbar")
         if hbar <= 0:
             raise ConfigError(f"hbar must be positive, got {hbar!r}")
-        unknown = sorted(set(raw.get("tolerances", {})) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(
-                f"unknown tolerance keys {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(DEFAULT_TOLERANCES))}"
-            )
-        tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update(
-            {k: _finite(v, f"tolerance {k}") for k, v in raw.get("tolerances", {}).items()}
-        )
+        constants = {
+            k: _finite(v, f"constant {k}")
+            for k, v in _object(raw.get("constants", {}), "constants", optional=None).items()
+        }
         levels, probabilities, i_b = _bound_from(raw.get("bound", {}))
+        lists = _object(raw["sweep"], "sweep", ("times", "width_multipliers", "observables"))
         sweep = SweepSpec(
-            times=tuple(_finite(t, "time") for t in raw["sweep"]["times"]),
+            times=tuple(_finite(t, "time") for t in _array(lists["times"], "sweep times")),
             width_multipliers=tuple(
-                _finite(x, "width multiplier") for x in raw["sweep"]["width_multipliers"]
+                _finite(x, "width multiplier")
+                for x in _array(lists["width_multipliers"], "sweep width_multipliers")
             ),
-            observables=tuple(raw["sweep"]["observables"]),
+            observables=tuple(
+                _text(name, "observable")
+                for name in _array(lists["observables"], "sweep observables")
+            ),
         )
+        classical_data = ClassicalData(
+            tuple(
+                ClassicalDatum(*(_finite(d[k], f"classical {k}") for k in _DATUM_KEYS))
+                for d in _objects(raw, "classical_data", _DATUM_KEYS)
+            )
+        )
+        states = {
+            key: tuple(
+                StateSpec.from_json_dict(d, f"{key}[{i}]")
+                for i, d in enumerate(_array(raw[key], key))
+            )
+            for key in ("classical_state", "quantum_state")
+        }
+        hamiltonian = _text(raw["hamiltonian"], "hamiltonian")
+        seed = _finite(raw.get("seed", 0), "seed", int)
+        # every check above runs before any grid is built
+        grids = {
+            key: [
+                (
+                    _finite(d["npoints"], "grid npoints", int),
+                    _finite(d["xmin"], "grid xmin"),
+                    _finite(d["xmax"], "grid xmax"),
+                )
+                for d in _objects(raw, key, ("npoints", "xmin", "xmax"))
+            ]
+            for key in ("classical_grids", "quantum_grids")
+        }
         return SystemConfig(
             system=system,
             hbar=hbar,
-            constants={
-                k: _finite(v, f"constant {k}") for k, v in raw.get("constants", {}).items()
-            },
-            hamiltonian=raw["hamiltonian"],
-            classical_grids=tuple(_grid_from(d) for d in raw["classical_grids"]),
-            quantum_grids=tuple(_grid_from(d) for d in raw["quantum_grids"]),
-            classical_data=ClassicalData(
-                tuple(
-                    ClassicalDatum(
-                        _finite(d["q0"], "classical q0"),
-                        _finite(d["p0"], "classical p0"),
-                        _finite(d["delta_q"], "classical delta_q"),
-                        _finite(d["delta_p"], "classical delta_p"),
-                    )
-                    for d in raw["classical_data"]
-                )
-            ),
-            classical_state=tuple(
-                StateSpec.from_json_dict(d) for d in raw["classical_state"]
-            ),
-            quantum_state=tuple(
-                StateSpec.from_json_dict(d) for d in raw["quantum_state"]
-            ),
+            constants=constants,
+            hamiltonian=hamiltonian,
+            classical_grids=tuple(Grid(*args) for args in grids["classical_grids"]),
+            quantum_grids=tuple(Grid(*args) for args in grids["quantum_grids"]),
+            classical_data=classical_data,
+            classical_state=states["classical_state"],
+            quantum_state=states["quantum_state"],
             levels=levels,
             probabilities=probabilities,
             I_B=i_b,
             sweep=sweep,
-            tolerances=tolerances,
-            seed=_finite(raw.get("seed", 0), "seed", int),
+            seed=seed,
         )
 
     @staticmethod
@@ -364,20 +397,16 @@ def _grid_dict(g: Grid) -> dict:
     return {"npoints": g.npoints, "xmin": g.xmin, "xmax": g.xmax}
 
 
-def _grid_from(d: Mapping) -> Grid:
-    return Grid(
-        _finite(d["npoints"], "grid npoints", int),
-        _finite(d["xmin"], "grid xmin"),
-        _finite(d["xmax"], "grid xmax"),
-    )
-
-
 def _bound_from(bound: Mapping) -> tuple:
     """(levels, probabilities, I_B) of a config's bound section; every
     (L, p) pair must make a valid :class:`BoundConfig`."""
-    levels = tuple(_finite(x, "level", int) for x in bound.get("levels", [1]))
+    _object(bound, "bound", optional=("levels", "probabilities", "I_B"))
+    levels = tuple(
+        _finite(x, "level", int) for x in _array(bound.get("levels", [1]), "bound levels")
+    )
     probabilities = tuple(
-        _finite(x, "probability") for x in bound.get("probabilities", [0.99])
+        _finite(x, "probability")
+        for x in _array(bound.get("probabilities", [0.99]), "bound probabilities")
     )
     i_b = None if bound.get("I_B") is None else _finite(bound["I_B"], "I_B")
     if not levels or not probabilities:
@@ -390,14 +419,60 @@ def _bound_from(bound: Mapping) -> tuple:
     return levels, probabilities, i_b
 
 
+# keys a config and each of its classical_data entries must carry
+_REQUIRED_KEYS = (
+    "version", "system", "hamiltonian", "classical_grids", "quantum_grids",
+    "classical_data", "classical_state", "quantum_state", "sweep",
+)
+_DATUM_KEYS = ("q0", "p0", "delta_q", "delta_p")
+
+
+def _object(value, what: str, required=(), optional=()) -> Mapping:
+    """``value`` if it is a JSON object that holds every key in ``required``
+    and, unless ``optional`` is None, no key outside ``required`` and
+    ``optional``; ConfigError naming the key and ``what`` otherwise."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    if optional is not None:
+        allowed = set(required) | set(optional)
+        unknown = sorted(k for k in value if k not in allowed)
+        if unknown:
+            allowed = ", ".join(sorted(allowed))
+            raise ConfigError(f"unknown key {unknown[0]!r} in {what}; allowed: {allowed}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    """``value``; ConfigError unless it is a JSON array."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _objects(raw: Mapping, key: str, required: tuple) -> list:
+    """The list ``raw[key]`` of objects with exactly the keys ``required``."""
+    return [_object(d, f"{key}[{i}]", required) for i, d in enumerate(_array(raw[key], key))]
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _finite(value, what: str, kind=float):
-    """``kind(value)``; ConfigError unless it is a finite number (booleans
-    are not) and, for ``int``, an integral one."""
-    try:
-        number = float(value)
-    except (OverflowError, TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
+    """``kind(value)``; ConfigError unless it is a finite JSON number
+    (booleans and strings are not) and, for ``int``, an integral one."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     if kind is int:
         if not number.is_integer():
@@ -448,7 +523,6 @@ def build_example(
             "width_multipliers": [1.25, 2.0, 4.0],
             "observables": ["q1", "p1", "Q1", "P1"],
         },
-        "tolerances": dict(DEFAULT_TOLERANCES),
         "seed": 0,
     }
     return SystemConfig.from_json_dict(raw)
@@ -734,7 +808,7 @@ def run_verification(
         "numpy_version": np.__version__,
         "grid_shape": list(shape),
         "full_dimension": int(np.prod(shape)),
-        "tolerances": dict(sorted(cfg.tolerances.items())),
+        "tolerances": dict(sorted(TOLERANCES.items())),
         "seed": cfg.seed,
         "picture": "schroedinger-equivalent",
     }
@@ -779,7 +853,6 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         if progress is not None:
             progress(msg)
 
-    tol = cfg.tolerances
     hbar = cfg.hbar
     grids = cfg.all_grids()
     shape = tuple(g.npoints for g in grids)
@@ -791,14 +864,14 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     phi_c = cfg.classical_factor()
     phi_q = cfg.quantum_factor()
     psi0 = tensor(phi_c, phi_q)
-    _edge_guard(psi0, tol["edge_mass"], "initial state")
+    _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
 
     evolved = {}
     for t_exact in map(_exact, cfg.sweep.times):
         t = float(t_exact)
         note(f"propagating the initial state to t={t}")
         evolved[t_exact] = evolve_full_quantum(h_op, psi0, t, hbar)
-        _edge_guard(evolved[t_exact], tol["edge_mass"], f"state at t={t}")
+        _edge_guard(evolved[t_exact], TOLERANCES["edge_mass"], f"state at t={t}")
 
     # per observable: the t=0 spectrum in the tensor space, the operator A
     # and the exact Heisenberg-picture series A(t) of the oracle
@@ -836,7 +909,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         if deep:
             for L, margin in point.margins.items():
                 lhs, rhs = operator_discrepancy(a_t, point.matrix, phi_c, phi_q, L, margin)
-                ok = lhs <= rhs * (1 + tol["discrepancy_slack"]) + 1e-12
+                ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
                 disc_rows.append(
                     {
                         "observable": point.name,
@@ -850,7 +923,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         xi_cache = {}
         for L, p, mult, D, pb in point.rows:
             oracle_p = interval_probability(a_decomp, psi_t, pb.I0)
-            slack = tol["bound_slack"] if pb.Delta_L > 0 else tol["degenerate_slack"]
+            slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             row = pb.to_json_dict()
             row.update(
@@ -879,7 +952,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             measured = tail_leakage(a_decomp.eigenvalues, xi_amps, xis, pb.I0, pb.Delta_L)
             bound = leakage_constant(pb.delta_L, BoundConfig(L, p, cfg.I_B))
             for which in ("X1", "X2"):
-                ok = measured[which] <= bound + tol["leak_slack"]
+                ok = measured[which] <= bound + TOLERANCES["leak_slack"]
                 leak_rows.append(
                     {
                         "observable": point.name,
@@ -894,9 +967,9 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                     }
                 )
 
-    if ehrenfest > tol["ehrenfest"]:
+    if ehrenfest > TOLERANCES["ehrenfest"]:
         raise GridError(
-            f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {tol['ehrenfest']:.1e}"
+            f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {TOLERANCES['ehrenfest']:.1e}"
         )
     return rows, leak_rows, disc_rows, ehrenfest
 

@@ -128,6 +128,24 @@ def test_bounds_exits_one_when_a_certificate_fails(tmp_path, capsys):
     assert json.loads(out)["rows"]
 
 
+@pytest.mark.parametrize(
+    "key, value", [("hamiltonian", None), ("sweep", 5)], ids=["no-hamiltonian", "sweep-number"]
+)
+def test_malformed_config_is_one_error_line(tmp_path, capsys, key, value):
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    if value is None:
+        del raw[key]
+    else:
+        raw[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "certify", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_verify_shallow_small_config(tmp_path, capsys):
     path = write_small_config(tmp_path)
     out_csv = tmp_path / "sweep.csv"

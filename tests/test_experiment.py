@@ -7,6 +7,7 @@ import pytest
 
 from halfq.classicality import certify, classicality_sequences, gaussian_feasibility
 from halfq.experiment import (
+    TOLERANCES,
     ConfigError,
     StateSpec,
     SystemConfig,
@@ -60,13 +61,20 @@ def test_config_rejects_narrow_multipliers():
         SystemConfig.from_json_dict(raw)
 
 
+MISSING = object()  # the key is deleted instead of set
+
+
 @pytest.mark.parametrize(
     "path, value, match",
     [
         (("hbar",), -1.0, "hbar must be positive"),
         (("hbar",), 0.0, "hbar must be positive"),
         (("constants", "k"), float("nan"), "constant k must be a finite number"),
-        (("tolerances", "ehrenfst"), 1.0, "unknown tolerance keys ehrenfst; allowed: .*ehrenfest"),
+        (
+            ("tolerances",),
+            {"edge_mass": 1.0, "ehrenfest": 1e3},
+            "unknown key 'tolerances' in config",
+        ),
         (("sweep", "times"), [], "sweep times must not be empty"),
         (("sweep", "observables"), [], "sweep observables must not be empty"),
         (("sweep", "width_multipliers"), [], "sweep width_multipliers must not be empty"),
@@ -79,13 +87,54 @@ def test_config_rejects_narrow_multipliers():
         (("bound", "probabilities"), [0.9, 1.0], r"probability p must lie in \(0,1\)"),
         (("bound", "levels"), [0, 1], "order L must be a positive integer"),
         (("bound", "I_B"), -0.5, "I_B must be nonnegative"),
+        (("h_bar",), 0.5, "unknown key 'h_bar' in config; allowed: .*hbar"),
+        (("bound", "level"), [1, 2], "unknown key 'level' in bound; allowed: .*levels"),
+        (("quantum_state", 0, "width"), 1.0, r"unknown key 'width' in quantum_state\[0\]"),
+        (("classical_grids", 0, "n"), 32, r"unknown key 'n' in classical_grids\[0\]"),
+        (("system", "quantun"), 1, "unknown key 'quantun' in system"),
+        (("sweep", "time"), [0.0], "unknown key 'time' in sweep"),
+        (("classical_data", 0, "dq"), 1.0, r"unknown key 'dq' in classical_data\[0\]"),
+        (("hamiltonian",), MISSING, "config is missing key 'hamiltonian'"),
+        (
+            ("classical_data", 0, "delta_p"),
+            MISSING,
+            r"classical_data\[0\] is missing key 'delta_p'",
+        ),
+        (("quantum_grids", 0, "xmax"), MISSING, r"quantum_grids\[0\] is missing key 'xmax'"),
+        (("system", "quantum"), MISSING, "system is missing key 'quantum'"),
+        (("sweep",), 5, "sweep must be an object, got 5"),
+        (("bound",), [1, 2], "bound must be an object"),
+        (("constants",), [1.0], "constants must be an object"),
+        (("classical_state", 0), 2.0, r"classical_state\[0\] must be an object"),
+        (("sweep", "times"), 0.4, "sweep times must be a list, got 0.4"),
+        (("classical_grids",), {"npoints": 32}, "classical_grids must be a list"),
+        (("sweep", "observables"), [1], "observable must be a string, got 1"),
+        (("hamiltonian",), 5, "hamiltonian must be a string, got 5"),
+        (
+            ("quantum_state", 0, "kind"),
+            "gausian",
+            r"unknown state kind 'gausian' in quantum_state\[0\]",
+        ),
+        (("quantum_state", 0), {"kind": "file"}, r"quantum_state\[0\] is missing key 'path'"),
+        (("quantum_state", 0), {"kind": "file", "path": 5}, "path must be a string, got 5"),
+        (("hbar",), "1.0", "hbar must be a finite number, got '1.0'"),
+        (("classical_grids", 0, "npoints"), "32", "grid npoints must be a finite number"),
+        (("bound", "levels"), ["1", "2"], "level must be a finite number, got '1'"),
     ],
     ids=[
-        "hbar-negative", "hbar-zero", "k-nan", "tolerance-unknown-key",
+        "hbar-negative", "hbar-zero", "k-nan", "tolerances-section",
         "times-empty", "observables-empty", "multipliers-empty",
         "probabilities-empty", "levels-empty", "level-fractional",
         "npoints-fractional", "dof-count-fractional", "dof-count-bool",
         "probability-one", "level-zero", "I_B-negative",
+        "hbar-typo", "levels-typo", "state-width-typo", "grid-unknown-key",
+        "system-unknown-key", "sweep-unknown-key", "datum-unknown-key",
+        "hamiltonian-missing", "delta_p-missing", "grid-xmax-missing",
+        "dof-count-missing", "sweep-not-object", "bound-not-object",
+        "constants-not-object", "state-not-object", "times-not-list",
+        "grids-not-list", "observable-not-string", "hamiltonian-not-string",
+        "state-kind-typo", "file-state-path-missing", "file-state-path-number",
+        "hbar-string", "npoints-string", "levels-strings",
     ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
@@ -95,7 +144,10 @@ def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, ma
     section = raw
     for key in path[:-1]:
         section = section[key]
-    section[path[-1]] = value
+    if value is MISSING:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
 
     def no_grid(*args):
         raise AssertionError("a grid was built before the numbers were checked")
@@ -103,6 +155,34 @@ def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, ma
     monkeypatch.setattr(halfq.experiment, "Grid", no_grid)
     with pytest.raises(ConfigError, match=match):
         SystemConfig.from_json(json.dumps(raw))
+
+
+def test_benchmark_configs_load_and_round_trip():
+    # every config document the benchmark generates must pass the loader
+    # unchanged; the module is read by path so the benchmark stays as it is
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def contains(whole, part):
+        if isinstance(part, dict):
+            return all(k in whole and contains(whole[k], v) for k, v in part.items())
+        if isinstance(part, list):
+            return len(whole) == len(part) and all(map(contains, whole, part))
+        return whole == part
+
+    for workload in ("oracle-deep", "predict-2p1"):
+        for seed in range(4):
+            for smoke in (False, True):
+                doc = workloads.make_input(workload, seed, smoke)
+                cfg = SystemConfig.from_json(json.dumps(doc))
+                text = cfg.to_json()
+                assert SystemConfig.from_json(text).to_json() == text
+                assert contains(json.loads(text), doc), (workload, seed, smoke)
 
 
 def test_example_defaults_are_feasible():
@@ -207,7 +287,7 @@ def test_verification_passes_on_small_example():
     )
     # independent in-run oracle check: exact Heisenberg observables against
     # the propagated states (measured 1.3e-8 here)
-    assert report.ehrenfest <= cfg.tolerances["ehrenfest"]
+    assert report.ehrenfest <= TOLERANCES["ehrenfest"]
     # enough coverage: distinct (t, I0) pairs beyond the spec's floor
     pairs = {(r["t"], tuple(r["I0"])) for r in report.rows}
     assert len(pairs) >= 20
@@ -304,6 +384,19 @@ def test_edge_guard_aborts_unconverged_runs():
     cfg = build_example(npoints=32, extent=8.0, times=(40.0,))
     with pytest.raises(GridError, match="boundary mass"):
         run_verification(cfg, deep=False)
+
+
+def test_wrapped_packets_cannot_loosen_the_guards():
+    # by t = 2 the packets reach the edges of the periodic 32-point box;
+    # the edge guard must stop the run, and a config cannot relax it
+    cfg = build_example(npoints=32, extent=8.0, times=(0.0, 2.0, 4.0, 6.0))
+    with pytest.raises(GridError, match="boundary mass"):
+        run_verification(cfg, deep=True)
+    raw = cfg.to_json_dict()
+    raw["tolerances"] = {"edge_mass": 1.0, "ehrenfest": 1e3}
+    with pytest.raises(ConfigError, match="unknown key 'tolerances'"):
+        SystemConfig.from_json_dict(raw)
+    assert not hasattr(cfg, "tolerances")
 
 
 def test_state_spec_amplitude_file(tmp_path):
