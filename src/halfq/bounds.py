@@ -213,20 +213,18 @@ def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
 
 @dataclass(frozen=True)
 class XiState:
-    """Coarse-grained spectral component of phi^Q over one eigenvalue window."""
+    """Coarse-grained spectral component of phi^Q over one eigenvalue window.
+
+    The full-quantum xi state is phi^C (x) ``quantum_state``; only the
+    quantum factor is stored.
+    """
 
     center: float  # central eigenvalue b_u
-    state: State  # tensored with the classical factor when supplied
     quantum_state: State
     weight: complex  # <xi_u|phi>
 
 
-def xi_states(
-    decomp: SpectralDecomp,
-    phi_quantum: State,
-    phi_classical: State | None,
-    I_B: float,
-) -> list:
+def xi_states(decomp: SpectralDecomp, phi_quantum: State, I_B: float) -> list:
     """Bin the eigencomponents of phi^Q over the spectrum ``decomp`` of the
     sector operator B into disjoint windows of width 2 I_B.
 
@@ -249,13 +247,11 @@ def xi_states(
         vec = decomp.eigenvectors @ coeffs
         norm = math.sqrt(weight_sq)
         quantum = State(vec / norm, phi_quantum.grids)
-        full = quantum if phi_classical is None else tensor(phi_classical, quantum)
         # <xi_u|phi> = <xi_u^Q|phi^Q> for product states
         weight = complex(np.vdot(quantum.amplitudes, phi_quantum.amplitudes))
         out.append(
             XiState(
                 center=lo + (2 * u + 1) * I_B,
-                state=full,
                 quantum_state=quantum,
                 weight=weight,
             )

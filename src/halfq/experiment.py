@@ -18,8 +18,12 @@ is unitarily identical to the Heisenberg-picture statement.  The oracle
 is matrix-free: the Hamiltonian and the Heisenberg-picture observables
 are compiled into per-DOF factors, states evolve by a Chebyshev
 expansion on their action, and the only dense eigenproblems are those of
-single-sector operators.  The Ehrenfest gap between the exact Heisenberg
-observables and the propagated states checks the oracle in every run.
+single-sector operators.  Every evolved state is phi^C (x) x for a
+quantum factor x (phi^Q or a xi state's factor), so a run evolves phi^C
+tensored with an orthonormal basis of the factors' span in one
+propagation to every sweep time and reads each state off that basis.
+The Ehrenfest gap between the exact Heisenberg observables and the
+propagated states checks the oracle in every run.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .hilbert import (
     GridError,
     SpectralDecomp,
     State,
+    chebyshev_terms,
     compile_expression,
     evolve_full_quantum,
     gaussian_state,
@@ -326,6 +331,8 @@ class SystemConfig:
             k: _finite(v, f"constant {k}")
             for k, v in _object(raw.get("constants", {}), "constants", optional=None).items()
         }
+        if "t" in constants:
+            raise ConfigError("constant 't' is reserved: t is the sweep time")
         levels, probabilities, i_b = _bound_from(raw.get("bound", {}))
         lists = _object(raw["sweep"], "sweep", ("times", "width_multipliers", "observables"))
         sweep = SweepSpec(
@@ -339,12 +346,14 @@ class SystemConfig:
                 for name in _array(lists["observables"], "sweep observables")
             ),
         )
-        classical_data = ClassicalData(
-            tuple(
-                ClassicalDatum(*(_finite(d[k], f"classical {k}") for k in _DATUM_KEYS))
-                for d in _objects(raw, "classical_data", _DATUM_KEYS)
-            )
-        )
+        data = []
+        for i, d in enumerate(_objects(raw, "classical_data", _DATUM_KEYS)):
+            datum = {k: _finite(d[k], f"classical {k}") for k in _DATUM_KEYS}
+            for k in ("delta_q", "delta_p"):
+                if datum[k] <= 0:
+                    raise ConfigError(f"classical_data[{i}] {k} must be positive, got {d[k]!r}")
+            data.append(ClassicalDatum(**datum))
+        classical_data = ClassicalData(tuple(data))
         states = {
             key: tuple(
                 StateSpec.from_json_dict(d, f"{key}[{i}]")
@@ -866,12 +875,45 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     psi0 = tensor(phi_c, phi_q)
     _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
 
-    evolved = {}
-    for t_exact in map(_exact, cfg.sweep.times):
-        t = float(t_exact)
-        note(f"propagating the initial state to t={t}")
-        evolved[t_exact] = evolve_full_quantum(h_op, psi0, t, hbar)
-        _edge_guard(evolved[t_exact], TOLERANCES["edge_mass"], f"state at t={t}")
+    # every state the oracle evolves is phi_c (x) x for a quantum factor x:
+    # phi_q, and in a deep run the xi states of each sweep point per
+    # distinct I_B, binned against the t=0 observable's eigenbasis
+    points = list(sandwich_sweep(cfg, sols, levels))
+    xi_sets = [{} for _ in points]
+    for point, xi_set in zip(points, xi_sets):
+        for *_, pb in point.rows:
+            key = round(pb.I_B, 15)
+            if deep and pb.I_B > 0 and key not in xi_set:
+                xis = xi_states(point.decomp, phi_q, pb.I_B)
+                xi_set[key] = (xis, np.column_stack([x.quantum_state.amplitudes for x in xis]))
+    factors = np.column_stack(
+        [phi_q.amplitudes]
+        + [cols for xi_set in xi_sets for _, cols in xi_set.values()]
+    )
+    # an orthonormal basis of their span, r = min(N_q, columns); the
+    # factors lie in it exactly, so no rank tolerance enters
+    basis = np.linalg.qr(factors)[0]
+    coordinates = basis.conj().T
+    times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
+    t_floats = [float(t) for t in times]
+    note(
+        f"propagating r={basis.shape[1]} columns to {len(times)} times in "
+        f"{chebyshev_terms(h_op, t_floats, hbar)} Chebyshev terms"
+    )
+    # one recurrence for all times: exp(-iHt/hbar)(phi_c (x) x) = W_t basis^H x
+    propagated = dict(
+        zip(times, evolve_full_quantum(
+            h_op, np.kron(phi_c.amplitudes[:, None], basis), t_floats, hbar
+        ))
+    )
+    evolved = {
+        t: State(w @ (coordinates @ phi_q.amplitudes), grids)
+        for t, w in propagated.items()
+    }
+    for t, psi_t in evolved.items():
+        _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
+    if not deep:
+        propagated = {}  # only xi states read W_t; keep one copy of each psi_t
 
     # per observable: the t=0 spectrum in the tensor space, the operator A
     # and the exact Heisenberg-picture series A(t) of the oracle
@@ -893,7 +935,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     leak_rows = []
     disc_rows = []
     ehrenfest = 0.0
-    for point in sandwich_sweep(cfg, sols, levels):
+    for point, xi_set in zip(points, xi_sets):
         t = float(point.t)
         note(f"observable {point.name}, t={t}")
         a_decomp, a_op, series = oracle[point.name]
@@ -920,7 +962,12 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                         "verdict": "pass" if ok else "fail",
                     }
                 )
-        xi_cache = {}
+        # evolved xi states in the Schroedinger picture, against the
+        # eigenbasis of the t=0 observable
+        xi_amps = {
+            key: a_decomp.amplitudes(propagated[point.t] @ (coordinates @ cols))
+            for key, (_, cols) in xi_set.items()
+        }
         for L, p, mult, D, pb in point.rows:
             oracle_p = interval_probability(a_decomp, psi_t, pb.I0)
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
@@ -941,15 +988,9 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             if not deep or pb.I_B <= 0:
                 continue
             key = round(pb.I_B, 15)
-            if key not in xi_cache:
-                # xi states in the Schroedinger picture, against the
-                # eigenbasis of the t=0 observable
-                xis = xi_states(point.decomp, phi_q, phi_c, pb.I_B)
-                cols = np.column_stack([x.state.amplitudes for x in xis])
-                evolved_cols = evolve_full_quantum(h_op, cols, t, hbar)
-                xi_cache[key] = (xis, a_decomp.amplitudes(evolved_cols))
-            xis, xi_amps = xi_cache[key]
-            measured = tail_leakage(a_decomp.eigenvalues, xi_amps, xis, pb.I0, pb.Delta_L)
+            measured = tail_leakage(
+                a_decomp.eigenvalues, xi_amps[key], xi_set[key][0], pb.I0, pb.Delta_L
+            )
             bound = leakage_constant(pb.delta_L, BoundConfig(L, p, cfg.I_B))
             for which in ("X1", "X2"):
                 ok = measured[which] <= bound + TOLERANCES["leak_slack"]

@@ -7,12 +7,13 @@ are Kronecker products with the grids listed in DOF order.
 
 Every numeric operator, a single Q or P included, is a hybrid expression
 of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
-of per-DOF factors that acts on states without a full-dimension matrix; a
-Chebyshev propagator on that action powers the brute-force full-quantum
-oracle.  A dense matrix is a read-only array taken from
-:meth:`CompiledOperator.dense` of a single-sector operator, and exists
-only to be diagonalized by :func:`spectral_decompose` or applied as a
-sector operator.
+of per-DOF factors that acts on states without a full-dimension matrix.
+The one propagator, :func:`evolve_full_quantum`, is a Chebyshev recurrence
+on that action that carries a batch of columns to several times in one
+pass; it powers the brute-force full-quantum oracle.  A dense matrix is a
+read-only array taken from :meth:`CompiledOperator.dense` of a
+single-sector operator, and exists only to be diagonalized by
+:func:`spectral_decompose` or applied as a sector operator.
 """
 
 from __future__ import annotations
@@ -397,30 +398,70 @@ def chebyshev_coefficients(alpha: float) -> np.ndarray:
     return coeffs
 
 
+def chebyshev_terms(H: CompiledOperator, times: Sequence[float], hbar: float = 1.0) -> int:
+    """Length of the Chebyshev recurrence :func:`evolve_full_quantum` runs
+    under ``H`` for ``times``: the order the largest |t| needs."""
+    lo, hi = H.spectral_interval
+    return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / hbar) for t in times)
+
+
 def evolve_full_quantum(
-    H: CompiledOperator, psi0: State | np.ndarray, t: float, hbar: float = 1.0
-):
-    """exp(-iHt/hbar) applied to a State, a (dim,) vector or each column of
-    a (dim, k) batch.
+    H: CompiledOperator,
+    vectors: State | np.ndarray,
+    times: Sequence[float],
+    hbar: float = 1.0,
+) -> list:
+    """exp(-iHt/hbar) applied to a State, a (dim,) vector or each of the r
+    columns of a (dim, r) batch, at every time in ``times``: one result of
+    the input's kind per time, in order.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-    1984) on ``H.apply`` over the operator's spectral interval, truncated
-    at a coefficient tail below CHEBYSHEV_TAIL.  Raises GridError when a
-    column's norm drifts by more than 1e-9.
+    1984) on ``H.apply`` over the operator's spectral interval.  The
+    vectors T_n(H~)v do not depend on t, so one recurrence runs to the
+    order max |t| needs (:func:`chebyshev_terms`) and every time sums its
+    own coefficients a_n(t) in the same loop, truncated where its
+    coefficient tail falls below CHEBYSHEV_TAIL.  The recurrence works in
+    place; memory is one r x dim result per time plus the input, T_n and
+    T_{n-1} and the temporaries of one ``apply``.  Raises GridError when
+    the columns' Gram matrix drifts by more than 1e-9 in spectral norm at
+    any time, so that no unit combination of the columns changes its
+    squared norm by more than 1e-9.
     """
-    vectors = psi0.amplitudes if isinstance(psi0, State) else np.asarray(psi0, dtype=complex)
+    v = vectors.amplitudes if isinstance(vectors, State) else np.asarray(vectors, dtype=complex)
     lo, hi = H.spectral_interval
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coeffs = chebyshev_coefficients(radius * t / hbar)
-    out = coeffs[0] * vectors
-    if coeffs.size > 1:
-        prev, cur = vectors, (H.apply(vectors) - center * vectors) / radius
-        out = out + coeffs[1] * cur
-        for a in coeffs[2:]:
-            prev, cur = cur, (2.0 / radius) * (H.apply(cur) - center * cur) - prev
-            out += a * cur
-    out *= np.exp(-1j * center * t / hbar)
-    drift = np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(vectors, axis=0))
-    if np.max(drift) > 1e-9:
-        raise GridError("evolution lost unitarity beyond 1e-9")
-    return State(out, psi0.grids) if isinstance(psi0, State) else out
+    coeffs = [chebyshev_coefficients(radius * t / hbar) for t in times]
+    outs = [a[0] * v for a in coeffs]
+    order = max((a.size for a in coeffs), default=0)
+    if order > 1:
+        prev, cur = v, H.apply(v)
+        cur -= center * v
+        cur /= radius
+        spare = None
+        for n in range(1, order):
+            if n > 1:
+                nxt = H.apply(cur)
+                nxt -= center * cur
+                nxt *= 2.0 / radius
+                nxt -= prev
+                # T_{n-2} is spent: its buffer takes the products below
+                spare = None if prev is v else prev
+                prev, cur = cur, nxt
+            for out, a in zip(outs, coeffs):
+                if n < a.size:
+                    out += np.multiply(a[n], cur, out=spare)
+            spare = None
+    gram = _gram(v)
+    for out, t in zip(outs, times):
+        out *= np.exp(-1j * center * t / hbar)
+        if np.linalg.norm(_gram(out) - gram, 2) > 1e-9:
+            raise GridError(f"evolution lost unitarity beyond 1e-9 at t={t}")
+    if isinstance(vectors, State):
+        return [State(out, vectors.grids) for out in outs]
+    return outs
+
+
+def _gram(columns: np.ndarray) -> np.ndarray:
+    """Inner products of the columns of a (dim,) vector or (dim, r) batch."""
+    cols = columns.reshape(columns.shape[0], -1)
+    return cols.conj().T @ cols

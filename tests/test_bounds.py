@@ -150,10 +150,10 @@ def test_xi_single_window_covers_spectrum():
     phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
     b = spectral_decompose(position_operator(GQ).dense())
     wide = b.spectral_range() + 1.0
-    xis = xi_states(b, phi_q, phi_c, wide)
+    xis = xi_states(b, phi_q, wide)
     assert len(xis) == 1
     full = tensor(phi_c, phi_q)
-    overlap = abs(np.vdot(xis[0].state.amplitudes, full.amplitudes))
+    overlap = abs(np.vdot(tensor(phi_c, xis[0].quantum_state).amplitudes, full.amplitudes))
     assert abs(overlap - 1.0) < 1e-12
     assert abs(abs(xis[0].weight) - 1.0) < 1e-12
 
@@ -162,7 +162,7 @@ def test_xi_small_windows_are_eigenprojections():
     phi_q = quantum_packet()
     b = spectral_decompose(position_operator(GQ).dense())
     gap = float(np.min(np.diff(b.eigenvalues)))
-    xis = xi_states(b, phi_q, None, gap / 4)
+    xis = xi_states(b, phi_q, gap / 4)
     assert len(xis) == GQ.npoints
     for xi in xis:
         amps = b.amplitudes(xi.quantum_state)
@@ -178,7 +178,7 @@ def test_xi_orthonormal_and_reconstructs_random_case():
     b = spectral_decompose(h)
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     phi = State(vec / np.linalg.norm(vec), (g,))
-    xis = xi_states(b, phi, None, 2.5)
+    xis = xi_states(b, phi, 2.5)
     mat = np.column_stack([x.quantum_state.amplitudes for x in xis])
     gram = mat.conj().T @ mat
     assert np.max(np.abs(gram - np.eye(len(xis)))) < 1e-10
@@ -193,7 +193,7 @@ def test_xi_orthonormal_and_reconstructs_random_case():
 
 def test_xi_requires_positive_window():
     with pytest.raises(ValueError):
-        xi_states(spectral_decompose(position_operator(GQ).dense()), quantum_packet(), None, 0.0)
+        xi_states(spectral_decompose(position_operator(GQ).dense()), quantum_packet(), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -288,8 +288,8 @@ def certified_classical_packet():
 def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
     delta = delta_L_margin(obs, phi_q, cfg.L).total
-    xis = xi_states(spectral_decompose(obs.matrix()), phi_q, phi_c, delta)
-    cols = np.column_stack([x.state.amplitudes for x in xis])
+    xis = xi_states(spectral_decompose(obs.matrix()), phi_q, delta)
+    cols = np.column_stack([tensor(phi_c, x.quantum_state).amplitudes for x in xis])
     amps = a_decomp.eigenvectors.conj().T @ cols
     big = spread_Delta_L(delta, cfg)
     measured = tail_leakage(a_decomp.eigenvalues, amps, xis, interval, big)

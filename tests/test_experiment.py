@@ -120,6 +120,17 @@ MISSING = object()  # the key is deleted instead of set
         (("hbar",), "1.0", "hbar must be a finite number, got '1.0'"),
         (("classical_grids", 0, "npoints"), "32", "grid npoints must be a finite number"),
         (("bound", "levels"), ["1", "2"], "level must be a finite number, got '1'"),
+        (("constants", "t"), 5.0, "constant 't' is reserved"),
+        (
+            ("classical_data", 0, "delta_q"),
+            0.0,
+            r"classical_data\[0\] delta_q must be positive, got 0\.0",
+        ),
+        (
+            ("classical_data", 0, "delta_p"),
+            -1,
+            r"classical_data\[0\] delta_p must be positive, got -1",
+        ),
     ],
     ids=[
         "hbar-negative", "hbar-zero", "k-nan", "tolerances-section",
@@ -134,7 +145,8 @@ MISSING = object()  # the key is deleted instead of set
         "constants-not-object", "state-not-object", "times-not-list",
         "grids-not-list", "observable-not-string", "hamiltonian-not-string",
         "state-kind-typo", "file-state-path-missing", "file-state-path-number",
-        "hbar-string", "npoints-string", "levels-strings",
+        "hbar-string", "npoints-string", "levels-strings", "constant-t-reserved",
+        "delta_q-zero", "delta_p-negative",
     ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
@@ -347,6 +359,68 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
     # one B per (observable, t): 4 observables x 4 times, shared by the
     # sandwich rows and the discrepancy rows of every order
     assert len(realized) == 16
+
+
+def test_verification_propagates_once(monkeypatch):
+    import halfq.experiment
+
+    original = halfq.experiment.evolve_full_quantum
+    calls = []
+
+    def evolve(H, vectors, times, hbar=1.0):
+        calls.append(np.shape(vectors))
+        return original(H, vectors, times, hbar)
+
+    monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", evolve)
+    cfg = small_example()
+    for deep in (True, False):
+        calls.clear()
+        notes = []
+        assert run_verification(cfg, deep=deep, progress=notes.append).status == "pass"
+        assert len(calls) == 1
+        (dim, columns), = calls
+        assert dim == 32 * 32
+        # the span of phi_q and every xi state's quantum factor: at most
+        # the quantum grid's 32 points deep, phi_q alone shallow
+        assert columns <= 32 if deep else columns == 1
+        # one progress note gives the propagation's size
+        (note,) = [n for n in notes if n.startswith("propagating")]
+        assert note.startswith(f"propagating r={columns} columns to 4 times in ")
+        assert note.endswith(" Chebyshev terms")
+
+
+def test_shallow_verification_with_two_classical_dofs():
+    """The paper's M+N setting beyond 1+1: two classical DOFs coupled to
+    one quantum DOF through its momentum, a 65,536-dimensional oracle."""
+    classical = {"npoints": 32, "xmin": -8.0, "xmax": 8.0}
+    packet = {"kind": "gaussian", "dq": 2.0**-0.5}
+    raw = {
+        "version": 1,
+        "system": {"classical": 2, "quantum": 1},
+        "hbar": 1.0,
+        "constants": {"m": 1.0, "M": 1.0, "k": 0.1, "c": 0.05},
+        "hamiltonian": "p1^2/(2*m) + p2^2/(2*m) + p3^2/(2*M) + k*q1*p3 + c*q2*p3",
+        "classical_grids": [classical, classical],
+        "quantum_grids": [{"npoints": 64, "xmin": -8.0, "xmax": 8.0}],
+        "classical_data": [
+            {"q0": 0.0, "p0": 1.0, "delta_q": 1.0, "delta_p": 1.0},
+            {"q0": 1.0, "p0": -0.5, "delta_q": 1.0, "delta_p": 1.0},
+        ],
+        "classical_state": [packet, packet],
+        "quantum_state": [{"kind": "gaussian", "q0": 0.0, "p0": 1.0, "dq": 1.0}],
+        "bound": {"levels": [1, 2], "probabilities": [0.9, 0.99], "I_B": None},
+        "sweep": {
+            "times": [0.0, 0.4, 0.8, 1.2],
+            "width_multipliers": [1.25, 2.0, 4.0],
+            "observables": ["q1", "p1", "q2", "p2", "Q1", "P1"],
+        },
+    }
+    report = run_verification(SystemConfig.from_json_dict(raw), deep=False)
+    assert report.environment["full_dimension"] == 65536
+    assert report.status == "pass"
+    # 6 observables x 4 times x 2 orders x 2 probabilities x 3 widths
+    assert len(report.rows) == 288
+    assert all(r["verdict"] == "pass" for r in report.rows)
 
 
 def test_degenerate_observable_rows_are_exact():

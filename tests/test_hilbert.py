@@ -238,11 +238,22 @@ def test_evolution_identity_and_phases():
     g = Grid(16, -4.0, 4.0)
     h = compile_expression(System(0, 1).Q(1), {}, {1: g}, HBAR)
     psi = gaussian_state(g, 0.0, 0.0, 0.5, HBAR)
-    same = evolve_full_quantum(h, psi, 0.0, HBAR)
+    (same,) = evolve_full_quantum(h, psi, (0.0,), HBAR)
     np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
-    later = evolve_full_quantum(h, psi, 0.7, HBAR)
+    (later,) = evolve_full_quantum(h, psi, (0.7,), HBAR)
     want = np.exp(-1j * g.points() * 0.7) * psi.amplitudes
     np.testing.assert_allclose(later.amplitudes, want, atol=1e-10)
+
+
+def test_evolution_refuses_lost_unitarity_at_any_time():
+    # exp(-i (iQ) t) = exp(Q t) rescales an off-center packet
+    g = Grid(16, -4.0, 4.0)
+    h = compile_expression(parse_expression("i*Q1", System(0, 1)), {}, {1: g}, HBAR)
+    psi = gaussian_state(g, 1.0, 0.0, 0.5, HBAR)
+    (same,) = evolve_full_quantum(h, psi, (0.0,), HBAR)
+    np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
+    with pytest.raises(GridError, match="unitarity beyond 1e-9 at t=0.3"):
+        evolve_full_quantum(h, psi, (0.0, 0.3), HBAR)
 
 
 def test_free_packet_dispersion():
@@ -252,7 +263,7 @@ def test_free_packet_dispersion():
     h = compile_expression(
         parse_expression("P1^2/(2*m)", System(0, 1), ("m",)), {}, {1: g}, HBAR, {"m": m}
     )
-    psi_t = evolve_full_quantum(h, psi, t, HBAR)
+    (psi_t,) = evolve_full_quantum(h, psi, (t,), HBAR)
     q = position_operator(g).dense()
     var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
     analytic = dq**2 * (1 + (HBAR * t / (2 * m * dq**2)) ** 2)
@@ -286,7 +297,7 @@ def test_heisenberg_schroedinger_consistency():
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
     heis = interval_probability(spectral_decompose(a_t), psi0, interval)
-    psi_t = evolve_full_quantum(h_op, psi0, t, HBAR)
+    (psi_t,) = evolve_full_quantum(h_op, psi0, (t,), HBAR)
     a_0 = np.kron(position_operator(gc).dense(), np.eye(32))
     schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
@@ -325,9 +336,10 @@ def test_compiled_apply_matches_dense_on_column_batches():
 
 
 def test_chebyshev_matches_eigh_reference_on_example():
-    """Independent oracle check: Chebyshev propagation of the example's
-    initial state and xi columns against dense eigh propagation of a
-    Hamiltonian assembled here by Kronecker products, at the sweep times."""
+    """Independent oracle check: one Chebyshev propagation of the example's
+    initial state and xi columns to every sweep time, t = 0 and a repeated
+    time included, against dense eigh propagation of a Hamiltonian
+    assembled here by Kronecker products."""
     from halfq.bounds import HybridObservable, xi_states
     from halfq.experiment import build_example, hybrid_solutions
 
@@ -348,18 +360,24 @@ def test_chebyshev_matches_eigh_reference_on_example():
     phi_c, phi_q = cfg.classical_factor(), cfg.quantum_factor()
     psi0 = tensor(phi_c, phi_q).amplitudes
     sol = hybrid_solutions(cfg)["Q1"]
+    cols = [psi0]
     for t in cfg.sweep.times:
         subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(t)}
         obs = HybridObservable(
             sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
-        xis = xi_states(spectral_decompose(obs.matrix()), phi_q, phi_c, 0.25)
-        cols = np.column_stack([psi0] + [x.state.amplitudes for x in xis])
-        assert cols.shape[1] > 10
+        xis = xi_states(spectral_decompose(obs.matrix()), phi_q, 0.25)
+        assert len(xis) >= 10
+        cols += [tensor(phi_c, x.quantum_state).amplitudes for x in xis]
+    cols = np.column_stack(cols)
+    times = tuple(cfg.sweep.times) + (cfg.sweep.times[2],)
+    assert 0.0 in times
+    got = evolve_full_quantum(h_op, cols, times, HBAR)
+    assert len(got) == len(times)
+    for t, evolved in zip(times, got):
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
-        got = evolve_full_quantum(h_op, cols, t, HBAR)
-        assert np.max(np.abs(got - want)) <= 1e-12, t
+        assert np.max(np.abs(evolved - want)) <= 1e-12, t
 
 
 def test_boundary_mass_detects_edge_weight():
