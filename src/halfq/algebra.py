@@ -898,58 +898,36 @@ def half_quantize(expr: HybridExpression, split: tuple) -> HybridExpression:
 
 
 def heisenberg_series(
-    observable: HybridExpression,
-    hamiltonian: HybridExpression,
-    time: Union[str, int, float, Fraction] = "t",
-    bracket: str = "hybrid",
-    max_order: int | None = None,
+    observable: HybridExpression, hamiltonian: HybridExpression
 ) -> HybridExpression:
-    """Series solution sum_n (1/n!) (t / i hbar)^n [..[O, H]..].
+    """Series solution sum_n (1/n!) (t / i hbar)^n (..(O, H)..., H) of the
+    hybrid bracket, with the time kept exact as the symbolic constant ``t``.
 
-    The nested-bracket chain must terminate (some iterate vanishes) unless a
-    truncation ``max_order`` is supplied.  ``time`` is either the name of a
-    symbolic constant (kept exact in the result) or a numeric value.
-    ``bracket`` selects the full-quantum commutator or the hybrid bracket.
+    On a system with no classical DOFs the hybrid bracket is the
+    commutator, so the same series is the full-quantum Heisenberg
+    observable.  The bracket chain must terminate (some iterate vanishes)
+    within 60 orders; otherwise NonTerminatingSeriesError carries the first
+    iterates.
     """
     observable._require_same(hamiltonian)
-    if bracket == "hybrid":
-        step = hybrid_bracket
-    elif bracket == "commutator":
-        step = commutator
-    else:
-        raise AlgebraError(f"unknown bracket {bracket!r}")
-    symbolic = isinstance(time, str)
-    if symbolic and not time.isidentifier():
-        raise AlgebraError(f"bad time constant name {time!r}")
-    truncate = max_order if max_order is not None else 60
-    result = observable
-    current = observable
+    result = current = observable
     iterates = []
     factorial = Fraction(1)
-    for n in range(1, truncate + 1):
-        current = div_ihbar(step(current, hamiltonian))
+    for n in range(1, 61):
+        current = div_ihbar(hybrid_bracket(current, hamiltonian))
         if current.is_zero:
             return result
         iterates.append(current)
         factorial *= n
-        if symbolic:
-            scaled = HybridExpression(
-                current.system,
-                {
-                    (h, _merge_pows(pr, ((time, n),)), cl, w): c * CNum(1 / factorial)
-                    for (h, pr, cl, w), c in current._terms.items()
-                },
-            )
-        else:
-            factor = CNum(Fraction(time) ** n / factorial)
-            scaled = current._scaled(factor)
-        result = result + scaled
-    if max_order is not None:
-        return result
+        result = result + HybridExpression(
+            current.system,
+            {
+                (h, _merge_pows(pr, (("t", n),)), cl, w): c * CNum(1 / factorial)
+                for (h, pr, cl, w), c in current._terms.items()
+            },
+        )
     raise NonTerminatingSeriesError(
-        f"bracket chain did not terminate within {truncate} orders; "
-        "pass max_order to truncate",
-        iterates[:6],
+        "bracket chain did not terminate within 60 orders", iterates[:6]
     )
 
 

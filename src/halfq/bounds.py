@@ -153,7 +153,7 @@ def delta_L_margin(
     )
 
 
-def closed_form_margin(expr: HybridExpression, time: str = "t") -> dict:
+def closed_form_margin(expr: HybridExpression) -> dict:
     """Symbolic margin weights for constant-derivative observables.
 
     Returns {classical symbol: weight expression in |t| and the declared
@@ -404,58 +404,36 @@ def worst_case_errors(cfg: BoundConfig) -> dict:
 def leakage_sum(
     eigenvalues: np.ndarray,
     xi_amps: np.ndarray,
-    weights: np.ndarray,
-    centers: np.ndarray,
-    I0: tuple,
-    window: tuple,
-    which: str,
-) -> float:
-    """Spectral double sum behind the X1/X2 leakage terms.
-
-    ``xi_amps[i, u] = <a_i|xi_u>`` over the full-quantum eigenbasis.
-    X1 sums |sum_u <phi|xi_u><xi_u|a>|^2 over a in I0 and xi centers
-    outside ``window`` (= Imax); X2 over a outside I0 and centers inside
-    ``window`` (= Imin).
-    """
-    if which == "X1":
-        a_mask = interval_mask(eigenvalues, I0)
-        u_mask = ~interval_mask(centers, window)
-    elif which == "X2":
-        a_mask = ~interval_mask(eigenvalues, I0)
-        u_mask = interval_mask(centers, window)
-    else:
-        raise ValueError(f"unknown leakage term {which!r}")
-    if not a_mask.any() or not u_mask.any():
-        return 0.0
-    block = xi_amps[np.ix_(a_mask, u_mask)] @ weights[u_mask]
-    return float(np.sum(np.abs(block) ** 2))
-
-
-def tail_leakage(
-    eigenvalues: np.ndarray,
-    xi_amps: np.ndarray,
     xi_set: Sequence[XiState],
     I0: tuple,
     big_delta: float,
 ) -> dict:
     """Measured X1 and X2 leakage of one sandwich row (verification mode).
 
-    ``xi_amps[i, u] = <a_i|xi_u>`` over the eigenbasis (``eigenvalues``) of
-    the full-quantum observable; the xi states may be evolved into the
-    Schroedinger picture.  X1 takes the window Imax, X2 the window Imin.
-    For certified classical factors X1 <= leakage_constant is the testable
+    ``xi_amps[i, ..., u] = <a_i (x) e|xi_u>``: the first axis runs over
+    the eigenbasis (``eigenvalues``) of the full-quantum observable, the
+    last over the xi states, which may be evolved into the Schroedinger
+    picture, and any axes between over basis states e of the other DOFs.
+    X1 sums |sum_u <phi|xi_u><xi_u|a (x) e>|^2 over a in I0 and centers
+    outside Imax; X2 over a outside I0 and centers inside Imin.  For
+    certified classical factors X1 <= leakage_constant is the testable
     content of the sandwich derivation.
     """
     weights = np.array([xi.weight for xi in xi_set])
     centers = np.array([xi.center for xi in xi_set])
     lo, hi = I0
     a0, D = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return {
-        which: leakage_sum(
-            eigenvalues, xi_amps, weights, centers, I0, (a0 - w, a0 + w), which
-        )
-        for which, w in (("X1", D + big_delta), ("X2", D - big_delta))
-    }
+    in_I0 = interval_mask(eigenvalues, I0)
+    out = {}
+    for which, w in (("X1", D + big_delta), ("X2", D - big_delta)):
+        in_window = interval_mask(centers, (a0 - w, a0 + w))
+        a_mask, u_mask = (in_I0, ~in_window) if which == "X1" else (~in_I0, in_window)
+        if not a_mask.any() or not u_mask.any():
+            out[which] = 0.0
+            continue
+        block = xi_amps[a_mask][..., u_mask] @ weights[u_mask]
+        out[which] = float(np.sum(np.abs(block) ** 2))
+    return out
 
 
 def operator_discrepancy(

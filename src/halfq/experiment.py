@@ -18,12 +18,17 @@ is unitarily identical to the Heisenberg-picture statement.  The oracle
 is matrix-free: the Hamiltonian and the Heisenberg-picture observables
 are compiled into per-DOF factors, states evolve by a Chebyshev
 expansion on their action, and the only dense eigenproblems are those of
-single-sector operators.  Every evolved state is phi^C (x) x for a
-quantum factor x (phi^Q or a xi state's factor), so a run evolves phi^C
-tensored with an orthonormal basis of the factors' span in one
-propagation to every sweep time and reads each state off that basis.
-The Ehrenfest gap between the exact Heisenberg observables and the
-propagated states checks the oracle in every run.
+single-sector operators.  The oracle shares the half-quantum path's
+tools: an observable's one-DOF :class:`SpectralDecomp` measures states
+and xi batches with that DOF's axis moved first, :func:`leakage_sum`
+sums the leakage, and :func:`heisenberg_series` gives the Heisenberg
+observables (with no classical DOFs the hybrid bracket is the
+commutator).  Every evolved state is phi^C (x) x for a quantum factor x
+(phi^Q or a xi state's factor), so a run evolves phi^C tensored with an
+orthonormal basis of the factors' span in one propagation to every sweep
+time and reads each state off that basis.  The Ehrenfest gap between the
+exact Heisenberg observables and the propagated states checks the oracle
+in every run.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -53,10 +58,10 @@ from .bounds import (
     delta_L_margin,
     closed_form_margin,
     leakage_constant,
+    leakage_sum,
     operator_discrepancy,
     prediction_bounds,
     spread_Delta_L,
-    tail_leakage,
     worst_case_errors,
     xi_states,
 )
@@ -177,7 +182,8 @@ class SystemConfig:
     ``classical_grids`` and ``quantum_grids`` (one ``npoints``, ``xmin``,
     ``xmax`` object per DOF), ``classical_data`` (one ``q0``, ``p0``,
     ``delta_q``, ``delta_p`` object per classical DOF), ``classical_state``
-    and ``quantum_state`` (one state object per DOF) and ``sweep``
+    and ``quantum_state`` (one state object per DOF; a classical one sets
+    no ``q0`` or ``p0``, which ``classical_data`` gives) and ``sweep``
     (``times``, ``width_multipliers``, ``observables``: non-empty lists).
     Optional keys: ``hbar`` (1.0), ``constants`` (``{}``, a map of names
     to numbers), ``bound`` (``levels`` ``[1]``, ``probabilities``
@@ -295,7 +301,11 @@ class SystemConfig:
                 }
                 for d in self.classical_data.data
             ],
-            "classical_state": [s.to_json_dict() for s in self.classical_state],
+            # classical_data centers the classical packets
+            "classical_state": [
+                {k: v for k, v in s.to_json_dict().items() if k not in ("q0", "p0")}
+                for s in self.classical_state
+            ],
             "quantum_state": [s.to_json_dict() for s in self.quantum_state],
             "bound": {
                 "levels": list(self.levels),
@@ -361,6 +371,10 @@ class SystemConfig:
             )
             for key in ("classical_state", "quantum_state")
         }
+        for i, d in enumerate(raw["classical_state"]):
+            if d.get("kind", "gaussian") == "gaussian":
+                what = f"classical_state[{i}] (classical_data[{i}] sets q0 and p0)"
+                _object(d, what, optional=("kind", "dq"))
         hamiltonian = _text(raw["hamiltonian"], "hamiltonian")
         seed = _finite(raw.get("seed", 0), "seed", int)
         # every check above runs before any grid is built
@@ -711,34 +725,6 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
 
 
 @dataclass
-class _SectorDecomp:
-    """Spectral data of a one-DOF operator embedded in the tensor space.
-
-    Amplitudes against the full eigenbasis are tensor contractions on the
-    DOF axis; nothing full-dimensional is materialized.
-    """
-
-    small: SpectralDecomp
-    axis: int
-    shape: tuple
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Each small eigenvalue repeated once per state of the other DOFs."""
-        n = self.shape[self.axis]
-        return np.repeat(self.small.eigenvalues, int(np.prod(self.shape)) // n)
-
-    def amplitudes(self, psi: State | np.ndarray) -> np.ndarray:
-        """<a_i (x) e_rest | psi> in the order of :attr:`eigenvalues`; the
-        columns of a (dim, k) batch stay columns."""
-        amplitudes = psi.amplitudes if isinstance(psi, State) else psi
-        moved = np.moveaxis(amplitudes.reshape(self.shape + (-1,)), self.axis, 0)
-        n = self.shape[self.axis]
-        contracted = self.small.eigenvectors.conj().T @ moved.reshape(n, -1)
-        return contracted.reshape(amplitudes.shape)
-
-
-@dataclass
 class VerificationReport:
     status: str  # pass | fail | not_applicable
     certificates: dict
@@ -915,8 +901,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     if not deep:
         propagated = {}  # only xi states read W_t; keep one copy of each psi_t
 
-    # per observable: the t=0 spectrum in the tensor space, the operator A
-    # and the exact Heisenberg-picture series A(t) of the oracle
+    # per observable: its DOF's axis and t=0 spectrum, the operator A and
+    # the exact Heisenberg-picture series A(t) of the oracle
     oracle = {}
     for name in cfg.sweep.observables:
         axis = cfg.observable_axis(name)
@@ -926,9 +912,10 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         )
         a_expr = cfg.full_system().symbol(quantized(axis + 1))
         oracle[name] = (
-            _SectorDecomp(spectral_decompose(base_op.dense()), axis, shape),
+            axis,
+            spectral_decompose(base_op.dense()),
             compile_expression(a_expr, {}, full_grids, hbar),
-            heisenberg_series(a_expr, h_expr, bracket="commutator"),
+            heisenberg_series(a_expr, h_expr),
         )
 
     rows = []
@@ -938,7 +925,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     for point, xi_set in zip(points, xi_sets):
         t = float(point.t)
         note(f"observable {point.name}, t={t}")
-        a_decomp, a_op, series = oracle[point.name]
+        axis, a_decomp, a_op, series = oracle[point.name]
         a_t = compile_expression(
             series.substitute_constants(_substitutions(cfg, point.t)),
             {}, full_grids, hbar, cfg.constants,
@@ -964,12 +951,15 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                 )
         # evolved xi states in the Schroedinger picture, against the
         # eigenbasis of the t=0 observable
+        psi_t_dof_first = _dof_first(psi_t.amplitudes, shape, axis)
         xi_amps = {
-            key: a_decomp.amplitudes(propagated[point.t] @ (coordinates @ cols))
+            key: a_decomp.amplitudes(
+                _dof_first(propagated[point.t] @ (coordinates @ cols), shape, axis)
+            )
             for key, (_, cols) in xi_set.items()
         }
         for L, p, mult, D, pb in point.rows:
-            oracle_p = interval_probability(a_decomp, psi_t, pb.I0)
+            oracle_p = interval_probability(a_decomp, psi_t_dof_first, pb.I0)
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             row = pb.to_json_dict()
@@ -988,7 +978,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             if not deep or pb.I_B <= 0:
                 continue
             key = round(pb.I_B, 15)
-            measured = tail_leakage(
+            measured = leakage_sum(
                 a_decomp.eigenvalues, xi_amps[key], xi_set[key][0], pb.I0, pb.Delta_L
             )
             bound = leakage_constant(pb.delta_L, BoundConfig(L, p, cfg.I_B))
@@ -1013,6 +1003,13 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {TOLERANCES['ehrenfest']:.1e}"
         )
     return rows, leak_rows, disc_rows, ehrenfest
+
+
+def _dof_first(columns: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """A (dim,) state or (dim, k) batch on the tensor grid ``shape`` as an
+    array whose first axis is the DOF ``axis``; the other DOFs and the
+    columns stay as trailing axes, so a one-DOF spectrum measures it."""
+    return np.moveaxis(columns.reshape(shape + columns.shape[1:]), axis, 0)
 
 
 def _edge_guard(state: State, tolerance: float, label: str):

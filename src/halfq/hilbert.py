@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraError, HybridExpression, Symbol, System
-from .grammar import parse_symbol
 
 HERMITIAN_RTOL = 1e-10
 
@@ -124,10 +123,14 @@ class SpectralDecomp:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def amplitudes(self, psi: State) -> np.ndarray:
-        """Projections <a_i|psi> in the eigenbasis."""
-        # conj(V^T conj(psi)) = V^dagger psi without a conjugated copy of V
-        return (self.eigenvectors.T @ psi.amplitudes.conj()).conj()
+    def amplitudes(self, psi: State | np.ndarray) -> np.ndarray:
+        """Projections <a_i|psi> in the eigenbasis, of a State or of an
+        array whose first axis is the operator's: the contraction runs over
+        that axis and every trailing axis (other DOFs, columns) stays."""
+        x = psi.amplitudes if isinstance(psi, State) else np.asarray(psi)
+        # conj(V^T conj(x)) = V^dagger x without a conjugated copy of V
+        out = self.eigenvectors.T @ x.reshape(x.shape[0], -1).conj()
+        return np.conj(out, out=out).reshape(x.shape)
 
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
@@ -213,8 +216,8 @@ class CompiledOperator:
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """The operator on a (dim,) vector or on each column of a (dim, k)
         batch: diagonal factors broadcast, dense ones are batched matmuls."""
-        x = np.asarray(columns).reshape(self.shape + (-1,))
-        out = np.zeros(x.shape, dtype=complex)
+        x = np.asarray(columns, dtype=complex).reshape(self.shape + (-1,))
+        out = np.zeros(x.shape, dtype=complex) if not self.terms else None
         for scalar, factors, _ in self.terms:
             part = x
             for axis, f in factors.items():
@@ -223,7 +226,10 @@ class CompiledOperator:
                 else:
                     rows = part.reshape(math.prod(x.shape[:axis]), f.shape[0], -1)
                     part = np.matmul(f, rows).reshape(x.shape)
-            out += scalar * part
+            # each factor made a fresh array to scale in place; the input is
+            # never written, and the first term's array is the accumulator
+            part = scalar * x if part is x else np.multiply(part, scalar, out=part)
+            out = part if out is None else np.add(out, part, out=out)
         return out.reshape(np.shape(columns))
 
     def dense(self) -> np.ndarray:
@@ -267,21 +273,19 @@ class CompiledOperator:
 
 def compile_expression(
     expr: HybridExpression,
-    classical_values: Mapping[Union[Symbol, str], float],
+    classical_values: Mapping[Symbol, float],
     quantum_grids: Mapping[int, Grid],
     hbar: float,
     constants: Mapping[str, float] | None = None,
 ) -> CompiledOperator:
     """Realize a hybrid expression as per-DOF factors on the quantum grids.
 
-    Every classical symbol must be bound in ``classical_values`` (keys may
-    be Symbols or names like ``"q1"``), every declared constant in
-    ``constants``, and every quantum DOF 1..N must have a grid.
+    Every classical symbol must be bound in ``classical_values`` (keyed by
+    Symbol), every declared constant in ``constants``, and every quantum
+    DOF 1..N must have a grid.
     """
     system = expr.system
-    values: dict = {}
-    for key, val in classical_values.items():
-        values[key if isinstance(key, Symbol) else parse_symbol(str(key))] = float(val)
+    values = {sym: float(val) for sym, val in classical_values.items()}
     constants = dict(constants or {})
     grids = tuple(quantum_grids[a] for a in range(1, system.quantum + 1))
     if not grids:
@@ -346,8 +350,9 @@ def interval_mask(eigenvalues: np.ndarray, interval: tuple) -> np.ndarray:
     return (eigenvalues >= lo - tol) & (eigenvalues <= hi + tol)
 
 
-def interval_probability(decomp: SpectralDecomp, psi: State, interval: tuple) -> float:
-    """Probability that a measurement lands in the closed interval."""
+def interval_probability(decomp: SpectralDecomp, psi: State | np.ndarray, interval: tuple) -> float:
+    """Probability that a measurement lands in the closed interval; ``psi``
+    as in :meth:`SpectralDecomp.amplitudes`."""
     amps = decomp.amplitudes(psi)
     mask = interval_mask(decomp.eigenvalues, interval)
     return float(np.sum(np.abs(amps[mask]) ** 2))

@@ -132,16 +132,17 @@ SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 @st.composite
-def hybrid_sums(draw):
-    """Sums of System(2, 1) monomials with complex rational coefficients,
+def hybrid_sums(draw, system=S21):
+    """Sums of ``system`` monomials with complex rational coefficients,
     hbar grades 0..2 and constants carrying negative powers."""
-    letters = (S21.q(1), S21.p(1), S21.q(2), S21.p(2), S21.Q(1), S21.P(1))
-    expr = S21.zero()
+    letters = [f(i) for i in range(1, system.classical + 1) for f in (system.q, system.p)]
+    letters += [f(a) for a in range(1, system.quantum + 1) for f in (system.Q, system.P)]
+    expr = system.zero()
     for _ in range(draw(st.integers(1, 3))):
-        term = S21.scalar(CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)))
-        term = term * S21.hbar(draw(st.integers(0, 2)))
+        term = system.scalar(CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)))
+        term = term * system.hbar(draw(st.integers(0, 2)))
         for name in ("m", "k"):
-            term = term * S21.const(name, draw(st.integers(-2, 2)))
+            term = term * system.const(name, draw(st.integers(-2, 2)))
         for factor in draw(st.lists(st.sampled_from(letters), max_size=4)):
             term = term * factor
         expr = expr + term
@@ -152,6 +153,14 @@ def hybrid_sums(draw):
 @given(hybrid_sums(), hybrid_sums())
 def test_hybrid_bracket_matches_its_definition(a, b):
     assert hybrid_bracket(a, b) == commutator(a, b) + mul_ihbar(double_bracket(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_sums(System(0, 2)), hybrid_sums(System(0, 2)))
+def test_hybrid_bracket_is_the_commutator_without_classical_dofs(a, b):
+    # M = 0 leaves the double bracket nothing to differentiate, so
+    # heisenberg_series is the full-quantum Heisenberg series
+    assert hybrid_bracket(a, b) == commutator(a, b)
 
 
 def test_system_mismatch_rejected():
@@ -425,7 +434,7 @@ def test_series_free_particle():
 
 def test_series_numeric_time():
     h = example_hamiltonian()
-    got = heisenberg_series(S11.q(1), h, time=Fraction(1, 2))
+    got = heisenberg_series(S11.q(1), h).substitute_constants({"t": Fraction(1, 2)})
     want = parse_expression("q1 + p1/(2*m) - k/(8*m)*P1", S11, CONSTS)
     assert got == want
 
@@ -436,7 +445,7 @@ def test_series_commutator_bracket_full_quantum():
     h_full = weyl_quantize(
         parse_expression("p2^2/(2*M) + p1^2/(2*m) + k*q1*p2", sc, CONSTS)
     )
-    got = heisenberg_series(sq.Q(1), h_full, bracket="commutator")
+    got = heisenberg_series(sq.Q(1), h_full)
     want = parse_expression("Q1 + t/m*P1 - k*t^2/(2*m)*P2", sq, CONSTS + ("t",))
     assert got == want
 
@@ -445,14 +454,9 @@ def test_non_terminating_series_raises_with_iterates():
     h_osc = parse_expression("p1^2/2 + q1^2/2", S11)
     with pytest.raises(NonTerminatingSeriesError) as err:
         heisenberg_series(S11.q(1), h_osc)
-    assert err.value.iterates
-    assert err.value.iterates[0] == S11.p(1)
-    # truncation succeeds and matches cos/sin Taylor coefficients
-    truncated = heisenberg_series(S11.q(1), h_osc, max_order=4)
-    want = parse_expression(
-        "q1 + t*p1 - t^2/2*q1 - t^3/6*p1 + t^4/24*q1", S11, ("t",)
-    )
-    assert truncated == want
+    # the iterates cycle through the cos/sin Taylor coefficients
+    q1, p1 = S11.q(1), S11.p(1)
+    assert err.value.iterates[:4] == [p1, -q1, -p1, q1]
 
 
 # --------------------------------------------------------------------------

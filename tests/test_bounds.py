@@ -17,7 +17,6 @@ from halfq.bounds import (
     operator_discrepancy,
     prediction_bounds,
     spread_Delta_L,
-    tail_leakage,
     worst_case_errors,
     xi_states,
 )
@@ -292,7 +291,7 @@ def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     cols = np.column_stack([tensor(phi_c, x.quantum_state).amplitudes for x in xis])
     amps = a_decomp.eigenvectors.conj().T @ cols
     big = spread_Delta_L(delta, cfg)
-    measured = tail_leakage(a_decomp.eigenvalues, amps, xis, interval, big)
+    measured = leakage_sum(a_decomp.eigenvalues, amps, xis, interval, big)
     return measured, leakage_constant(delta, cfg)
 
 
@@ -335,23 +334,16 @@ def test_tail_leakage_static_mixed_observable():
 
 
 def test_leakage_sum_by_hand():
-    # two eigenvalues, two xi vectors; X1 keeps a in I0, centers outside window
+    # two eigenvalues, two xi vectors (only centers and weights enter);
+    # I0 = [-0.5, 0.5] and Delta_L = 0.5 give Imax = [-1, 1], Imin = [0, 0]
     eigenvalues = np.array([0.0, 1.0])
     amps = np.array([[0.6, 0.1], [0.2, 0.5]])
-    weights = np.array([0.5, 0.5])
-    centers = np.array([0.0, 3.0])
-    got = leakage_sum(
-        eigenvalues, amps, weights, centers, I0=(-0.5, 0.5), window=(-1.0, 1.0),
-        which="X1",
-    )
-    # only eigenvalue 0 in I0; only center 3 outside window
-    assert abs(got - (0.1 * 0.5) ** 2) < 1e-15
-    got2 = leakage_sum(
-        eigenvalues, amps, weights, centers, I0=(-0.5, 0.5), window=(-1.0, 1.0),
-        which="X2",
-    )
-    # a = 1 outside I0, center 0 inside window
-    assert abs(got2 - (0.2 * 0.5) ** 2) < 1e-15
+    xis = [XiState(0.0, None, 0.5), XiState(3.0, None, 0.5)]
+    got = leakage_sum(eigenvalues, amps, xis, I0=(-0.5, 0.5), big_delta=0.5)
+    # X1: only eigenvalue 0 in I0; only center 3 outside Imax
+    assert abs(got["X1"] - (0.1 * 0.5) ** 2) < 1e-15
+    # X2: a = 1 outside I0, center 0 inside Imin
+    assert abs(got["X2"] - (0.2 * 0.5) ** 2) < 1e-15
 
 
 def test_operator_discrepancy_vanishes_without_classical_dependence():

@@ -131,6 +131,8 @@ MISSING = object()  # the key is deleted instead of set
             -1,
             r"classical_data\[0\] delta_p must be positive, got -1",
         ),
+        (("classical_state", 0, "q0"), 3.0, r"unknown key 'q0' in classical_state\[0\]"),
+        (("classical_state", 0, "p0"), 0.0, r"unknown key 'p0' in classical_state\[0\]"),
     ],
     ids=[
         "hbar-negative", "hbar-zero", "k-nan", "tolerances-section",
@@ -146,7 +148,7 @@ MISSING = object()  # the key is deleted instead of set
         "grids-not-list", "observable-not-string", "hamiltonian-not-string",
         "state-kind-typo", "file-state-path-missing", "file-state-path-number",
         "hbar-string", "npoints-string", "levels-strings", "constant-t-reserved",
-        "delta_q-zero", "delta_p-negative",
+        "delta_q-zero", "delta_p-negative", "classical-state-q0", "classical-state-p0",
     ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
@@ -489,9 +491,11 @@ def test_state_spec_amplitude_file(tmp_path):
 
 
 def test_sector_decomp_matches_dense_spectral_path():
-    # the structured oracle amplitudes must agree with a dense Kronecker
-    # decomposition on both axes
-    from halfq.experiment import _SectorDecomp
+    # the oracle measures tensor states and xi batches with a one-DOF
+    # spectrum, the DOF's axis moved first; probabilities and X1/X2 leakage
+    # must agree with a dense Kronecker decomposition on both axes
+    from halfq.bounds import XiState, leakage_sum
+    from halfq.experiment import _dof_first
     from halfq.hilbert import (
         interval_probability,
         momentum_operator,
@@ -504,14 +508,31 @@ def test_sector_decomp_matches_dense_spectral_path():
     psi = tensor(
         gaussian_state(g1, 0.0, 0.5, 0.4, 1.0), gaussian_state(g2, 0.0, 0.0, 0.3, 1.0)
     )
+    rng = np.random.default_rng(3)
+    cols = np.linalg.qr(rng.normal(size=(96, 4)) + 1j * rng.normal(size=(96, 4)))[0]
+    xis = [
+        XiState(center, None, weight)
+        for center, weight in zip((-1.5, -0.2, 0.6, 2.4), (0.5, 0.3 - 0.2j, 0.1j, -0.4))
+    ]
+    largest = 0.0
     for axis, op in ((0, position_operator(g1)), (1, momentum_operator(g2, 1.0))):
-        structured = _SectorDecomp(spectral_decompose(op.dense()), axis, (12, 8))
+        small = spectral_decompose(op.dense())
         factors = (op.dense(), np.eye(8)) if axis == 0 else (np.eye(12), op.dense())
         dense = spectral_decompose(np.kron(*factors))
+        psi_axis_first = _dof_first(psi.amplitudes, (12, 8), axis)
+        xi_small = small.amplitudes(_dof_first(cols, (12, 8), axis))
+        xi_dense = dense.amplitudes(cols)
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
-            got = interval_probability(structured, psi, interval)
+            got = interval_probability(small, psi_axis_first, interval)
             want = interval_probability(dense, psi, interval)
             assert abs(got - want) < 1e-10, (axis, interval)
+            for big_delta in (0.1, 0.4):
+                got = leakage_sum(small.eigenvalues, xi_small, xis, interval, big_delta)
+                want = leakage_sum(dense.eigenvalues, xi_dense, xis, interval, big_delta)
+                for which in ("X1", "X2"):
+                    assert abs(got[which] - want[which]) < 1e-12, (axis, interval, which)
+                    largest = max(largest, want[which])
+    assert largest > 1e-2
 
 
 def test_report_csv_rows():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from halfq import System, heisenberg_series, parse_expression, weyl_quantize
+from halfq import Symbol, System, heisenberg_series, parse_expression, weyl_quantize
 from halfq.hilbert import (
     Grid,
     GridError,
@@ -106,7 +106,7 @@ def test_tensor_properties():
 def test_evaluate_symbolic_scalar_binding():
     s = System(1, 1)
     g = Grid(16, -4.0, 4.0)
-    mat = compile_expression(s.q(1), {"q1": 2.0}, {1: g}, HBAR).dense()
+    mat = compile_expression(s.q(1), {Symbol.q(1): 2.0}, {1: g}, HBAR).dense()
     np.testing.assert_allclose(mat, 2.0 * np.eye(16), atol=1e-14)
 
 
@@ -127,7 +127,7 @@ def test_evaluate_symbolic_closed_form_solution():
         {"m": 1, "M": 1, "k": Fraction(1, 10), "t": 1}
     )
     g = Grid(32, -8.0, 8.0)
-    mat = compile_expression(sol, {"q1": 0.0, "p1": 1.0}, {1: g}, HBAR).dense()
+    mat = compile_expression(sol, {Symbol.q(1): 0.0, Symbol.p(1): 1.0}, {1: g}, HBAR).dense()
     want = np.eye(32) - 0.05 * momentum_operator(g, HBAR).dense()
     np.testing.assert_allclose(mat, want, atol=1e-12)
 
@@ -289,7 +289,7 @@ def test_heisenberg_schroedinger_consistency():
     t = 0.5
     subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(1, 2)}
     full_sys = System(0, 2)
-    a_t_expr = heisenberg_series(full_sys.Q(1), h_expr, bracket="commutator")
+    a_t_expr = heisenberg_series(full_sys.Q(1), h_expr)
     a_t = compile_expression(
         a_t_expr.substitute_constants(subs), {}, grids, HBAR, consts
     ).dense()
@@ -331,8 +331,16 @@ def test_compiled_apply_matches_dense_on_column_batches():
     rng = np.random.default_rng(7)
     batch = rng.normal(size=(960, 5)) + 1j * rng.normal(size=(960, 5))
     scale = np.max(np.abs(dense)) * np.max(np.abs(batch)) * 960
+    before = batch.copy()
     assert np.max(np.abs(op.apply(batch) - dense @ batch)) <= 1e-14 * scale
     assert np.max(np.abs(op.apply(batch[:, 2]) - dense @ batch[:, 2])) <= 1e-14 * scale
+    # the first term's array accumulates; the input is never written
+    assert np.array_equal(batch, before)
+    frozen = State(batch[:, 3], tuple(grids.values())).amplitudes
+    assert not frozen.flags.writeable
+    assert np.max(np.abs(op.apply(frozen) - dense @ batch[:, 3])) <= 1e-14 * scale
+    zero = compile_expression(s.zero(), {}, grids, 0.7)
+    assert np.array_equal(zero.apply(batch), np.zeros_like(batch))
 
 
 def test_chebyshev_matches_eigh_reference_on_example():

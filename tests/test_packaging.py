@@ -31,6 +31,21 @@ def test_exact_layer_imports_no_float_libraries(module):
     assert roots.isdisjoint({"numpy", "scipy"})
 
 
+def test_numeric_layers_import_no_parser():
+    # symbols reach the numeric layers as Symbols; only the config loader,
+    # the CLI and printing read text
+    for module in ("hilbert.py", "bounds.py", "classicality.py"):
+        tree = ast.parse((ROOT / "src" / "halfq" / module).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                names.update(alias.name for alias in node.names)
+        assert not any("grammar" in name.split(".") for name in names), module
+
+
 def test_scipy_is_a_test_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
