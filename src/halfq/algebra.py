@@ -15,6 +15,12 @@ distinct degrees of freedom commute.
 Floating point never enters here: all identities (round trips, bracket
 antisymmetry, series solutions) hold exactly.
 
+The canonical form has two rules: no two terms share a key, and no
+coefficient is zero.  Builders keep the first by accumulating into one dict
+per key; the :class:`HybridExpression` constructor enforces the second by
+dropping zero coefficients through ``_nonzero``.  The three single-DOF
+tables call the same helper when they store a result; no builder prunes.
+
 Two module-level tables memoize the exact kernel: ``_NORMAL_CACHE`` maps a
 quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` maps a
 pair of unit monomials to their hybrid bracket.  Both are keyed by symbols
@@ -115,7 +121,7 @@ class CNum:
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re.numerator or self.im.numerator)
 
     def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
@@ -265,8 +271,7 @@ class System:
         return self.symbol(Symbol.P(a))
 
     def scalar(self, value: ScalarLike) -> "HybridExpression":
-        c = CNum.of(value)
-        return HybridExpression(self, {(0, (), (), ()): c} if c else {})
+        return HybridExpression(self, {(0, (), (), ()): CNum.of(value)})
 
     def zero(self) -> "HybridExpression":
         return HybridExpression(self, {})
@@ -315,17 +320,21 @@ def _normal_words(word: tuple) -> dict:
             dropped = _normal_words(word[:i] + word[i + 2 :])
             result = dict(swapped)
             for w, c in dropped.items():
-                prev = result.get(w, _ZERO)
-                total = prev + _MINUS_I * c
-                if total:
-                    result[w] = total
-                elif w in result:
-                    del result[w]
+                result[w] = result.get(w, _ZERO) + _MINUS_I * c
+            result = _nonzero(result)
         break
     if result is None:
         result = {word: _ONE}
     _NORMAL_CACHE[word] = result
     return result
+
+
+def _nonzero(terms: dict) -> dict:
+    """The terms whose coefficient is not zero (the canonical-form rule);
+    ``terms`` itself when none is."""
+    if all(terms.values()):
+        return terms
+    return {k: c for k, c in terms.items() if c}
 
 
 def _merge_pows(a: tuple, b: tuple) -> tuple:
@@ -352,14 +361,15 @@ class HybridExpression:
 
     Immutable; all arithmetic returns new expressions.  Term keys are
     ``(hbar_power, constants, classical, quantum_word)`` and no two terms
-    share a key, so structural equality is semantic equality.
+    share a key.  The constructor drops zero coefficients, so the canonical
+    form is enforced here and structural equality is semantic equality.
     """
 
     __slots__ = ("system", "_terms")
 
     def __init__(self, system: System, terms: dict):
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_terms", _nonzero(terms))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("HybridExpression is immutable")
@@ -408,8 +418,6 @@ class HybridExpression:
             )
 
     def _scaled(self, c: CNum) -> "HybridExpression":
-        if not c:
-            return HybridExpression(self.system, {})
         return HybridExpression(self.system, {k: v * c for k, v in self._terms.items()})
 
     def __add__(self, other) -> "HybridExpression":
@@ -417,11 +425,7 @@ class HybridExpression:
         self._require_same(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            total = out.get(k, _ZERO) + c
-            if total:
-                out[k] = total
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, _ZERO) + c
         return HybridExpression(self.system, out)
 
     def __radd__(self, other) -> "HybridExpression":
@@ -456,11 +460,7 @@ class HybridExpression:
                 for word, cm in _normal_words(joined).items():
                     dh = (len(joined) - len(word)) // 2
                     key = (h1 + h2 + dh, consts, classical, word)
-                    total = out.get(key, _ZERO) + base * cm
-                    if total:
-                        out[key] = total
-                    elif key in out:
-                        del out[key]
+                    out[key] = out.get(key, _ZERO) + base * cm
         return HybridExpression(self.system, out)
 
     def __rmul__(self, other) -> "HybridExpression":
@@ -507,11 +507,7 @@ class HybridExpression:
             for new_word, cm in _normal_words(rev).items():
                 dh = (len(rev) - len(new_word)) // 2
                 key = (h + dh, pr, cl, new_word)
-                total = out.get(key, _ZERO) + base * cm
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, _ZERO) + base * cm
         return HybridExpression(self.system, out)
 
     def substitute_constants(self, values: Mapping[str, ScalarLike]) -> "HybridExpression":
@@ -530,11 +526,7 @@ class HybridExpression:
                 else:
                     kept.append((name, exp))
             key = (h, tuple(kept), cl, word)
-            total = out.get(key, _ZERO) + c
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, _ZERO) + c
         return HybridExpression(self.system, out)
 
 
@@ -558,11 +550,7 @@ def partial_derivative(expr: HybridExpression, sym: Symbol) -> HybridExpression:
         else:
             cl_dict[sym] = exp - 1
         key = (h, pr, tuple(sorted(cl_dict.items())), word)
-        total = out.get(key, _ZERO) + c * CNum(exp)
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
+        out[key] = out.get(key, _ZERO) + c * CNum(exp)
     return HybridExpression(expr.system, out)
 
 
@@ -588,16 +576,9 @@ def poisson_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpressio
 
 
 def double_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
-    """Symmetrized classical bracket: quantum products taken both ways."""
-    a._require_same(b)
-    out = a.system.zero()
-    dofs = {s.index for s in a.classical_symbols() | b.classical_symbols()}
-    for i in sorted(dofs):
-        qi, pi = Symbol.q(i), Symbol.p(i)
-        aq, ap = partial_derivative(a, qi), partial_derivative(a, pi)
-        bq, bp = partial_derivative(b, qi), partial_derivative(b, pi)
-        out = out + (aq * bp - ap * bq + bp * aq - bq * ap)
-    return out._scaled(CNum(Fraction(1, 2)))
+    """Symmetrized classical bracket: quantum products taken both ways,
+    ({a, b} - {b, a}) / 2."""
+    return (poisson_bracket(a, b) - poisson_bracket(b, a)) / 2
 
 
 def mul_ihbar(expr: HybridExpression) -> HybridExpression:
@@ -655,11 +636,7 @@ def hybrid_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression
             consts = _merge_pows(pr1, pr2)
             for h, cl, word, c in unit:
                 key = (h12 + h, consts, cl, word)
-                total = out.get(key, _ZERO) + base * c
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, _ZERO) + base * c
     return HybridExpression(a.system, out)
 
 
@@ -697,16 +674,9 @@ def _weyl_single(a: int, b: int) -> dict:
     acc: dict = {}
     for word in orderings:
         for normal, c in _normal_words(word).items():
-            counts = (
-                sum(1 for s in normal if not s.is_momentum),
-                sum(1 for s in normal if s.is_momentum),
-            )
-            total = acc.get(counts, _ZERO) + c * weight
-            if total:
-                acc[counts] = total
-            elif counts in acc:
-                del acc[counts]
-    _WEYL_CACHE[key] = acc
+            counts = _dof_powers((s, 1) for s in normal).get(1, (0, 0))
+            acc[counts] = acc.get(counts, _ZERO) + c * weight
+    acc = _WEYL_CACHE[key] = _nonzero(acc)
     return acc
 
 
@@ -731,24 +701,17 @@ def _unquantize_single(a: int, b: int) -> dict:
         dh = (a + b - a2 - b2) // 2
         for (qp, pp, dh2), c2 in _unquantize_single(a2, b2).items():
             k = (qp, pp, dh + dh2)
-            total = result.get(k, _ZERO) - c * c2
-            if total:
-                result[k] = total
-            elif k in result:
-                del result[k]
-    _UNQ_CACHE[key] = result
+            result[k] = result.get(k, _ZERO) - c * c2
+    result = _UNQ_CACHE[key] = _nonzero(result)
     return result
 
 
-def _word_dof_powers(word: tuple) -> dict:
-    """Q/P powers per DOF of a canonical word."""
+def _dof_powers(pairs) -> dict:
+    """Position/momentum powers per DOF of (symbol, exponent) pairs."""
     powers: dict = {}
-    for sym in word:
+    for sym, exp in pairs:
         a, b = powers.get(sym.index, (0, 0))
-        if sym.is_momentum:
-            powers[sym.index] = (a, b + 1)
-        else:
-            powers[sym.index] = (a + 1, b)
+        powers[sym.index] = (a, b + exp) if sym.is_momentum else (a + exp, b)
     return powers
 
 
@@ -768,13 +731,7 @@ def weyl_quantize(expr: HybridExpression) -> HybridExpression:
     target = System(0, expr.system.classical)
     out: dict = {}
     for (h, pr, cl, _word), c in expr._terms.items():
-        per_dof: dict = {}
-        for sym, exp in cl:
-            a, b = per_dof.get(sym.index, (0, 0))
-            if sym.is_momentum:
-                per_dof[sym.index] = (a, b + exp)
-            else:
-                per_dof[sym.index] = (a + exp, b)
+        per_dof = _dof_powers(cl)
         dofs = sorted(per_dof)
         expanded = [list(_weyl_single(*per_dof[d]).items()) for d in dofs]
         for combo in product(*expanded):
@@ -787,11 +744,7 @@ def weyl_quantize(expr: HybridExpression) -> HybridExpression:
                 word.extend([Symbol.Q(d)] * a2 + [Symbol.P(d)] * b2)
                 coeff = coeff * cw
             key = (h + dh, pr, (), tuple(word))
-            total = out.get(key, _ZERO) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, _ZERO) + coeff
     return HybridExpression(target, out)
 
 
@@ -817,9 +770,8 @@ def unquantize(
         raise AlgebraError(f"classical_count {classical_count} exceeds {n} DOFs")
     target = System(classical_count, n - classical_count)
     out: dict = {}
-    for (h, pr, cl, word), c in expr._terms.items():
-        assert not cl
-        powers = _word_dof_powers(word)
+    for (h, pr, _cl, word), c in expr._terms.items():
+        powers = _dof_powers((s, 1) for s in word)
         class_dofs = sorted(d for d in powers if d <= classical_count)
         passthrough = tuple(
             Symbol(s.kind, s.index - classical_count)
@@ -839,11 +791,7 @@ def unquantize(
                 if pp:
                     cl_pows[Symbol.p(d)] = pp
             key = (h + dh, pr, tuple(sorted(cl_pows.items())), passthrough)
-            total = out.get(key, _ZERO) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, _ZERO) + coeff
     result = HybridExpression(target, out)
     if magnitude_guard is not None:
         leading = result.coefficient_scale(0)
@@ -919,13 +867,7 @@ def heisenberg_series(
             return result
         iterates.append(current)
         factorial *= n
-        result = result + HybridExpression(
-            current.system,
-            {
-                (h, _merge_pows(pr, (("t", n),)), cl, w): c * CNum(1 / factorial)
-                for (h, pr, cl, w), c in current._terms.items()
-            },
-        )
+        result = result + current * current.system.const("t", n) / factorial
     raise NonTerminatingSeriesError(
         "bracket chain did not terminate within 60 orders", iterates[:6]
     )

@@ -344,10 +344,9 @@ def prediction_bounds(
     a0 = 0.5 * (lo + hi)
     D = 0.5 * (hi - lo)
     if i_b == 0:
-        # exact quantum sector: no classical blur, xi states are eigenstates
+        # exact quantum sector: no blur (Delta_L is already 0), xi states are eigenstates
         if delta != 0:
             raise ValueError("I_B must be positive when delta_L > 0")
-        big_delta = 0.0
     elif D <= big_delta:
         raise ValueError(
             f"interval half-width D={D:.6g} must exceed Delta_L={big_delta:.6g}"

@@ -85,7 +85,6 @@ class SequenceSpec:
     """An ordered sequence of classical symbols with nonvanishing mixed partial."""
 
     symbols: tuple
-    order: int = 1
 
     def __post_init__(self):
         if not self.symbols:
@@ -209,13 +208,10 @@ def compose_sequences(sequences: Sequence[SequenceSpec], L: int) -> list:
     """All ordered L-fold compositions of first-order sequences."""
     if L < 1:
         raise ValueError("order L must be a positive integer")
-    out = []
-    for combo in product(sequences, repeat=L):
-        symbols = tuple(s for spec in combo for s in spec.symbols)
-        out.append(SequenceSpec(symbols, order=L))
     # distinct concatenations only, deterministic order
-    unique = sorted({spec.symbols for spec in out})
-    return [SequenceSpec(symbols, order=L) for symbols in unique]
+    combos = product(sequences, repeat=L)
+    unique = {tuple(s for spec in combo for s in spec.symbols) for combo in combos}
+    return [SequenceSpec(symbols) for symbols in sorted(unique)]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import json
 import sys
 
 from .algebra import (
+    NonTerminatingSeriesError,
     System,
     half_quantize,
     jacobiator,
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NonTerminatingSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -665,8 +665,8 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
 class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
-    ``matrix`` is the read-only dense sector operator B of ``observable``
-    (from its compiled form) and ``decomp`` its spectrum;
+    ``matrix`` is the read-only dense sector operator B of the observable
+    ``name`` at time ``t`` (from its compiled form) and ``decomp`` its spectrum;
     ``a0 = <phi^Q|B|phi^Q>`` centers every interval; ``margins``
     maps each order L to its margin; ``rows`` holds one
     ``(L, p, width_multiplier, D, PredictionBound)`` per sandwich, with
@@ -675,7 +675,6 @@ class SandwichPoint:
 
     name: str
     t: Fraction
-    observable: HybridObservable
     matrix: np.ndarray
     decomp: SpectralDecomp
     a0: float
@@ -716,7 +715,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                         )
                         rows.append((L, p, mult, D, pb))
             yield SandwichPoint(
-                name, t_exact, observable, b, decomp, a0, margins, tuple(rows)
+                name, t_exact, b, decomp, a0, margins, tuple(rows)
             )
 
 
@@ -741,7 +740,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -156,6 +156,19 @@ def test_hybrid_bracket_matches_its_definition(a, b):
 
 
 @settings(max_examples=60, deadline=None)
+@given(hybrid_sums(), hybrid_sums())
+def test_double_bracket_matches_its_definition(a, b):
+    # 1/2 sum_i (d_qi a d_pi b - d_pi a d_qi b + d_pi b d_qi a - d_qi b d_pi a),
+    # quantum products kept in the order written
+    want = S21.zero()
+    for i in (1, 2):
+        aq, ap = partial_derivative(a, Symbol.q(i)), partial_derivative(a, Symbol.p(i))
+        bq, bp = partial_derivative(b, Symbol.q(i)), partial_derivative(b, Symbol.p(i))
+        want = want + (aq * bp - ap * bq + bp * aq - bq * ap)
+    assert double_bracket(a, b) == want / 2
+
+
+@settings(max_examples=60, deadline=None)
 @given(hybrid_sums(System(0, 2)), hybrid_sums(System(0, 2)))
 def test_hybrid_bracket_is_the_commutator_without_classical_dofs(a, b):
     # M = 0 leaves the double bracket nothing to differentiate, so
@@ -197,6 +210,39 @@ def test_normal_order_within_dof():
 def test_distinct_dofs_commute():
     sys2 = System(0, 2)
     assert sys2.P(2) * sys2.Q(1) == sys2.Q(1) * sys2.P(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hybrid_sums(),
+    hybrid_sums(),
+    st.sampled_from([0, 1, -1, Fraction(1, 2), 1j]),
+    st.sampled_from([1, -1, 2]),
+)
+def test_builders_leave_no_zero_coefficient(a, b, scale, value):
+    # the constructor drops zero coefficients, so cancellations in any
+    # builder (including the constant substitution, which merges terms
+    # when m and k take equal values) leave no zero term behind
+    built = [
+        a + b,
+        a - b,
+        a * b,
+        a * scale,
+        scale * a,
+        a.adjoint(),
+        a.substitute_constants({"m": value, "k": value}),
+        partial_derivative(a, Symbol.q(1)),
+        partial_derivative(a, Symbol.p(2)),
+        commutator(a, b),
+        poisson_bracket(a, b),
+        double_bracket(a, b),
+        hybrid_bracket(a, b),
+        mul_ihbar(a),
+    ]
+    for expr in built:
+        assert all(c for _, c in expr.terms()), expr
+    for vanishing in (a - a, a * 0, hybrid_bracket(a, a)):
+        assert vanishing.is_zero and vanishing.terms() == []
 
 
 # --------------------------------------------------------------------------

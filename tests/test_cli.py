@@ -146,6 +146,21 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, key, value):
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("command", ["evolve", "certify", "bounds", "verify"])
+def test_non_terminating_series_is_one_error_line(tmp_path, capsys, command):
+    # a harmonic term makes the bracket chain of q1 cycle instead of vanish
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    raw["hamiltonian"] += " + w*q1^2/2"
+    raw["constants"]["w"] = 0.5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines == ["error: bracket chain did not terminate within 60 orders"], err
+
+
 def test_verify_shallow_small_config(tmp_path, capsys):
     path = write_small_config(tmp_path)
     out_csv = tmp_path / "sweep.csv"

@@ -1,6 +1,11 @@
-"""Packaging guards: the library runs on numpy alone, and the CLI only formats."""
+"""Packaging guards: the library runs on numpy alone, the CLI only formats,
+and the benchmark's entry points run."""
 
 import ast
+import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +77,24 @@ def test_cli_reaches_the_numerics_through_experiment_only():
             if layers & set(module.split(".")) or name in layers or name.startswith("_")
         ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("workload", ["symbolic", "predict-2p1", "oracle-deep"])
+def test_benchmark_worker_runs_clean(tmp_path, workload):
+    # the benchmark's entry points keep working: each workload's smoke input
+    # runs through its worker with no failed operation; the benchmark
+    # modules are loaded and run by path, as they are
+    bench = ROOT / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(workloads.make_input(workload, 0, smoke=True)), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(bench / "worker.py"), "--root", str(ROOT),
+         "--workload", workload, "--input", str(path)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["errors"]
