@@ -90,17 +90,28 @@ class CNum:
             return CNum(Fraction(value.real), Fraction(value.imag))
         raise TypeError(f"cannot build an exact scalar from {value!r}")
 
+    # a non-CNum operand returns NotImplemented, so Python tries the other
+    # operand's reflected method (HybridExpression.__rmul__ and friends)
     def __add__(self, other: "CNum") -> "CNum":
-        return _cnum(self.re + other.re, self.im + other.im)
+        try:
+            return _cnum(self.re + other.re, self.im + other.im)
+        except AttributeError:
+            return NotImplemented
 
     def __sub__(self, other: "CNum") -> "CNum":
-        return _cnum(self.re - other.re, self.im - other.im)
+        try:
+            return _cnum(self.re - other.re, self.im - other.im)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "CNum":
         return _cnum(-self.re, -self.im)
 
     def __mul__(self, other: "CNum") -> "CNum":
-        a, b, c, d = self.re, self.im, other.re, other.im
+        try:
+            a, b, c, d = self.re, self.im, other.re, other.im
+        except AttributeError:
+            return NotImplemented
         if not b and not d:
             return _cnum(a * c, _FRACTION_ZERO)
         return _cnum(a * c - b * d, a * d + b * c)
@@ -560,25 +571,33 @@ def commutator(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     return a * b - b * a
 
 
+def _partials(a: HybridExpression, b: HybridExpression) -> list:
+    """(da/dq_i, da/dp_i, db/dq_i, db/dp_i) for each classical DOF i of a or b."""
+    a._require_same(b)
+    dofs = {s.index for s in a.classical_symbols() | b.classical_symbols()}
+    return [
+        tuple(partial_derivative(x, s) for x in (a, b) for s in (Symbol.q(i), Symbol.p(i)))
+        for i in sorted(dofs)
+    ]
+
+
 def poisson_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     """Classical bracket over the classical symbols; quantum factors are
     multiplied in the order written."""
-    a._require_same(b)
     out = a.system.zero()
-    dofs = {s.index for s in a.classical_symbols() | b.classical_symbols()}
-    for i in sorted(dofs):
-        qi, pi = Symbol.q(i), Symbol.p(i)
-        out = out + (
-            partial_derivative(a, qi) * partial_derivative(b, pi)
-            - partial_derivative(a, pi) * partial_derivative(b, qi)
-        )
+    for aq, ap, bq, bp in _partials(a, b):
+        out = out + (aq * bp - ap * bq)
     return out
 
 
 def double_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     """Symmetrized classical bracket: quantum products taken both ways,
-    ({a, b} - {b, a}) / 2."""
-    return (poisson_bracket(a, b) - poisson_bracket(b, a)) / 2
+    ({a, b} - {b, a}) / 2, with each argument differentiated once."""
+    ab = ba = a.system.zero()
+    for aq, ap, bq, bp in _partials(a, b):
+        ab = ab + (aq * bp - ap * bq)
+        ba = ba + (bq * ap - bp * aq)
+    return (ab - ba) / 2
 
 
 def mul_ihbar(expr: HybridExpression) -> HybridExpression:

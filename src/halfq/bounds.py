@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .hilbert import (
     compile_expression,
     interval_mask,
     interval_probability,
-    spectral_decompose,
     tensor,
 )
 
@@ -208,58 +206,6 @@ def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
 
 
 # --------------------------------------------------------------------------
-# xi states
-
-
-@dataclass(frozen=True)
-class XiState:
-    """Coarse-grained spectral component of phi^Q over one eigenvalue window.
-
-    The full-quantum xi state is phi^C (x) ``quantum_state``; only the
-    quantum factor is stored.
-    """
-
-    center: float  # central eigenvalue b_u
-    quantum_state: State
-    weight: complex  # <xi_u|phi>
-
-
-def xi_states(decomp: SpectralDecomp, phi_quantum: State, I_B: float) -> list:
-    """Bin the eigencomponents of phi^Q over the spectrum ``decomp`` of the
-    sector operator B into disjoint windows of width 2 I_B.
-
-    Windows step by 2*I_B from the spectral minimum; the central eigenvalue
-    is the window midpoint.  Bins with no amplitude are dropped.  The
-    returned states are orthonormal and reconstruct phi exactly.
-    """
-    if I_B <= 0:
-        raise ValueError("I_B must be positive")
-    amps = decomp.amplitudes(phi_quantum)
-    lo = float(decomp.eigenvalues[0])
-    bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B)).astype(int)
-    out = []
-    for u in sorted(set(bins.tolist())):
-        mask = bins == u
-        coeffs = np.where(mask, amps, 0.0)
-        weight_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if weight_sq <= 1e-30:
-            continue
-        vec = decomp.eigenvectors @ coeffs
-        norm = math.sqrt(weight_sq)
-        quantum = State(vec / norm, phi_quantum.grids)
-        # <xi_u|phi> = <xi_u^Q|phi^Q> for product states
-        weight = complex(np.vdot(quantum.amplitudes, phi_quantum.amplitudes))
-        out.append(
-            XiState(
-                center=lo + (2 * u + 1) * I_B,
-                quantum_state=quantum,
-                weight=weight,
-            )
-        )
-    return out
-
-
-# --------------------------------------------------------------------------
 # the sandwich bound
 
 
@@ -322,21 +268,18 @@ def _clamp01(x: float) -> float:
 
 
 def prediction_bounds(
-    observable: HybridObservable,
     phi_quantum: State,
     cfg: BoundConfig,
     I0: tuple,
-    decomp: SpectralDecomp | None = None,
-    margin: DeltaMargin | None = None,
+    decomp: SpectralDecomp,
+    margin: DeltaMargin,
 ) -> PredictionBound:
     """Sandwich bound for P(a in I0) from the half-quantum operator alone.
 
-    ``I0 = [a0-D, a0+D]`` must satisfy ``D > Delta_L``.  ``decomp``/``margin``
-    may be supplied to reuse cached pieces; they must belong to the same
-    observable.
+    ``decomp`` is the spectrum of the observable's sector operator B and
+    ``margin`` its order-``cfg.L`` margin at ``phi_quantum``.
+    ``I0 = [a0-D, a0+D]`` must satisfy ``D > Delta_L``.
     """
-    if margin is None:
-        margin = delta_L_margin(observable, phi_quantum, cfg.L)
     delta = margin.total
     i_b = delta if cfg.I_B is None else cfg.I_B
     big_delta = spread_Delta_L(delta, cfg)
@@ -351,8 +294,6 @@ def prediction_bounds(
         raise ValueError(
             f"interval half-width D={D:.6g} must exceed Delta_L={big_delta:.6g}"
         )
-    if decomp is None:
-        decomp = spectral_decompose(observable.matrix())
     imin = (a0 - (D - big_delta), a0 + (D - big_delta))
     imax = (a0 - (D + big_delta), a0 + (D + big_delta))
     pmin = interval_probability(decomp, phi_quantum, imin)
@@ -400,39 +341,32 @@ def worst_case_errors(cfg: BoundConfig) -> dict:
 # verification-mode checks against the full quantum oracle
 
 
-def leakage_sum(
-    eigenvalues: np.ndarray,
-    xi_amps: np.ndarray,
-    xi_set: Sequence[XiState],
-    I0: tuple,
-    big_delta: float,
-) -> dict:
-    """Measured X1 and X2 leakage of one sandwich row (verification mode).
+def leakage_sectors(
+    decomp: SpectralDecomp,
+    phi_quantum: State | np.ndarray,
+    I_B: float,
+    Imax: tuple,
+    Imin: tuple,
+) -> np.ndarray:
+    """Columns P_S phi^Q of an (N, 2) array whose evolved masses are a
+    sandwich row's leakage: X1 is column 0's mass in I0, S the windows
+    centred outside ``Imax``; X2 is column 1's mass outside I0, S the
+    windows centred inside ``Imin``.
 
-    ``xi_amps[i, ..., u] = <a_i (x) e|xi_u>``: the first axis runs over
-    the eigenbasis (``eigenvalues``) of the full-quantum observable, the
-    last over the xi states, which may be evolved into the Schroedinger
-    picture, and any axes between over basis states e of the other DOFs.
-    X1 sums |sum_u <phi|xi_u><xi_u|a (x) e>|^2 over a in I0 and centers
-    outside Imax; X2 over a outside I0 and centers inside Imin.  For
-    certified classical factors X1 <= leakage_constant is the testable
-    content of the sandwich derivation.
+    Windows of width 2 I_B step from the minimum of the spectrum ``decomp``
+    of the sector operator B.  With xi_u = P_u phi / |P_u phi| the paper's
+    xi states, sum_{u in S} <xi_u|phi> xi_u = P_S phi.  For certified
+    classical factors X1 <= leakage_constant is the testable content of the
+    sandwich derivation.
     """
-    weights = np.array([xi.weight for xi in xi_set])
-    centers = np.array([xi.center for xi in xi_set])
-    lo, hi = I0
-    a0, D = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    in_I0 = interval_mask(eigenvalues, I0)
-    out = {}
-    for which, w in (("X1", D + big_delta), ("X2", D - big_delta)):
-        in_window = interval_mask(centers, (a0 - w, a0 + w))
-        a_mask, u_mask = (in_I0, ~in_window) if which == "X1" else (~in_I0, in_window)
-        if not a_mask.any() or not u_mask.any():
-            out[which] = 0.0
-            continue
-        block = xi_amps[a_mask][..., u_mask] @ weights[u_mask]
-        out[which] = float(np.sum(np.abs(block) ** 2))
-    return out
+    if I_B <= 0:
+        raise ValueError("I_B must be positive")
+    lo = float(decomp.eigenvalues[0])
+    bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B))
+    centers = lo + (2 * bins + 1) * I_B
+    amps = decomp.amplitudes(phi_quantum)
+    kept = np.stack([~interval_mask(centers, Imax), interval_mask(centers, Imin)], axis=1)
+    return decomp.eigenvectors @ np.where(kept, amps[:, None], 0.0)
 
 
 def operator_discrepancy(

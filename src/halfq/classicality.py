@@ -24,6 +24,7 @@ from .hilbert import (
     SpectralDecomp,
     State,
     compile_expression,
+    interval_mask,
 )
 
 
@@ -160,7 +161,7 @@ def tail_probability(
         raise ValueError("distance must be positive")
     amps2 = np.abs(decomp.amplitudes(psi)) ** 2
     dev = decomp.eigenvalues - x0
-    outside = np.abs(dev) > dist
+    outside = ~interval_mask(decomp.eigenvalues, (x0 - dist, x0 + dist))
     measured = float(amps2[outside].sum())
     ee = float((dev ** (2 * n) * amps2).sum())
     return measured, ee / dist ** (2 * n)

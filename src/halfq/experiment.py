@@ -20,15 +20,16 @@ are compiled into per-DOF factors, states evolve by a Chebyshev
 expansion on their action, and the only dense eigenproblems are those of
 single-sector operators.  The oracle shares the half-quantum path's
 tools: an observable's one-DOF :class:`SpectralDecomp` measures states
-and xi batches with that DOF's axis moved first, :func:`leakage_sum`
-sums the leakage, and :func:`heisenberg_series` gives the Heisenberg
-observables (with no classical DOFs the hybrid bracket is the
-commutator).  Every evolved state is phi^C (x) x for a quantum factor x
-(phi^Q or a xi state's factor), so a run evolves phi^C tensored with an
-orthonormal basis of the factors' span in one propagation to every sweep
-time and reads each state off that basis.  The Ehrenfest gap between the
-exact Heisenberg observables and the propagated states checks the oracle
-in every run.
+with that DOF's axis moved first, and :func:`heisenberg_series` gives
+the Heisenberg observables (with no classical DOFs the hybrid bracket is
+the commutator).  A sandwich row's xi-state leakage sum is the mass of
+one projection P_S phi^Q (:func:`leakage_sectors`).  Every evolved state
+is phi^C (x) x for a quantum factor x (phi^Q or a leakage sector), so a
+run evolves phi^C tensored with an orthonormal basis of the factors'
+span in one propagation to every sweep time and reads each state off
+that basis; each sweep point's states are measured in one batch.  The
+Ehrenfest gap between the exact Heisenberg observables and the
+propagated states checks the oracle in every run.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ from .bounds import (
     delta_L_margin,
     closed_form_margin,
     leakage_constant,
-    leakage_sum,
+    leakage_sectors,
     operator_discrepancy,
     prediction_bounds,
     spread_Delta_L,
     worst_case_errors,
-    xi_states,
 )
 from .classicality import (
     ClassicalData,
@@ -81,7 +81,7 @@ from .hilbert import (
     compile_expression,
     evolve_full_quantum,
     gaussian_state,
-    interval_probability,
+    interval_mask,
     spectral_decompose,
     tensor,
 )
@@ -709,10 +709,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                     big = spread_Delta_L(margin.total, bc)
                     for mult in cfg.sweep.width_multipliers:
                         D = mult * big if big > 0 else mult
-                        pb = prediction_bounds(
-                            observable, phi_q, bc, (a0 - D, a0 + D),
-                            decomp=decomp, margin=margin,
-                        )
+                        pb = prediction_bounds(phi_q, bc, (a0 - D, a0 + D), decomp, margin)
                         rows.append((L, p, mult, D, pb))
             yield SandwichPoint(
                 name, t_exact, b, decomp, a0, margins, tuple(rows)
@@ -861,20 +858,18 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
-    # phi_q, and in a deep run the xi states of each sweep point per
-    # distinct I_B, binned against the t=0 observable's eigenbasis
+    # phi_q, and in a deep run the two leakage sectors of each sandwich row
+    # with I_B > 0, binned against its sweep point's sector operator
     points = list(sandwich_sweep(cfg, sols, levels))
-    xi_sets = [{} for _ in points]
-    for point, xi_set in zip(points, xi_sets):
-        for *_, pb in point.rows:
-            key = round(pb.I_B, 15)
-            if deep and pb.I_B > 0 and key not in xi_set:
-                xis = xi_states(point.decomp, phi_q, pb.I_B)
-                xi_set[key] = (xis, np.column_stack([x.quantum_state.amplitudes for x in xis]))
-    factors = np.column_stack(
-        [phi_q.amplitudes]
-        + [cols for xi_set in xi_sets for _, cols in xi_set.values()]
-    )
+    sectors = [
+        [
+            leakage_sectors(point.decomp, phi_q, pb.I_B, pb.Imax, pb.Imin)
+            for *_, pb in point.rows
+            if deep and pb.I_B > 0
+        ]
+        for point in points
+    ]
+    factors = np.column_stack([phi_q.amplitudes] + [s for cols in sectors for s in cols])
     # an orthonormal basis of their span, r = min(N_q, columns); the
     # factors lie in it exactly, so no rank tolerance enters
     basis = np.linalg.qr(factors)[0]
@@ -891,14 +886,9 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             h_op, np.kron(phi_c.amplitudes[:, None], basis), t_floats, hbar
         ))
     )
-    evolved = {
-        t: State(w @ (coordinates @ phi_q.amplitudes), grids)
-        for t, w in propagated.items()
-    }
-    for t, psi_t in evolved.items():
+    for t, w in propagated.items():
+        psi_t = State(w @ (coordinates @ phi_q.amplitudes), grids)
         _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
-    if not deep:
-        propagated = {}  # only xi states read W_t; keep one copy of each psi_t
 
     # per observable: its DOF's axis and t=0 spectrum, the operator A and
     # the exact Heisenberg-picture series A(t) of the oracle
@@ -921,7 +911,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     leak_rows = []
     disc_rows = []
     ehrenfest = 0.0
-    for point, xi_set in zip(points, xi_sets):
+    for point, cols in zip(points, sectors):
         t = float(point.t)
         note(f"observable {point.name}, t={t}")
         axis, a_decomp, a_op, series = oracle[point.name]
@@ -929,9 +919,12 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             series.substitute_constants(_substitutions(cfg, point.t)),
             {}, full_grids, hbar, cfg.constants,
         )
-        psi_t = evolved[point.t]
+        # psi_t and the evolved leakage sectors in the Schroedinger picture
+        factors = np.column_stack([phi_q.amplitudes] + cols)
+        batch = propagated[point.t] @ (coordinates @ factors)
+        psi_t = batch[:, 0]
         gap = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes)) - np.vdot(
-            psi_t.amplitudes, a_op.apply(psi_t.amplitudes)
+            psi_t, a_op.apply(psi_t)
         )
         ehrenfest = max(ehrenfest, abs(gap))
         if deep:
@@ -948,17 +941,12 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                         "verdict": "pass" if ok else "fail",
                     }
                 )
-        # evolved xi states in the Schroedinger picture, against the
-        # eigenbasis of the t=0 observable
-        psi_t_dof_first = _dof_first(psi_t.amplitudes, shape, axis)
-        xi_amps = {
-            key: a_decomp.amplitudes(
-                _dof_first(propagated[point.t] @ (coordinates @ cols), shape, axis)
-            )
-            for key, (_, cols) in xi_set.items()
-        }
+        # the whole batch measured once in the eigenbasis of the t=0 observable
+        masses = _axis_masses(a_decomp, batch, shape, axis)
+        j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
         for L, p, mult, D, pb in point.rows:
-            oracle_p = interval_probability(a_decomp, psi_t_dof_first, pb.I0)
+            in_I0 = interval_mask(a_decomp.eigenvalues, pb.I0)
+            oracle_p = float(masses[in_I0, 0].sum())
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             row = pb.to_json_dict()
@@ -976,13 +964,10 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             rows.append(row)
             if not deep or pb.I_B <= 0:
                 continue
-            key = round(pb.I_B, 15)
-            measured = leakage_sum(
-                a_decomp.eigenvalues, xi_amps[key], xi_set[key][0], pb.I0, pb.Delta_L
-            )
             bound = leakage_constant(pb.delta_L, BoundConfig(L, p, cfg.I_B))
-            for which in ("X1", "X2"):
-                ok = measured[which] <= bound + TOLERANCES["leak_slack"]
+            for which, mass in (("X1", masses[in_I0, j]), ("X2", masses[~in_I0, j + 1])):
+                measured = float(mass.sum())
+                ok = measured <= bound + TOLERANCES["leak_slack"]
                 leak_rows.append(
                     {
                         "observable": point.name,
@@ -991,11 +976,12 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                         "p": p,
                         "width_multiplier": mult,
                         "which": which,
-                        "measured": measured[which],
+                        "measured": measured,
                         "bound": bound,
                         "verdict": "pass" if ok else "fail",
                     }
                 )
+            j += 2
 
     if ehrenfest > TOLERANCES["ehrenfest"]:
         raise GridError(
@@ -1004,11 +990,16 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     return rows, leak_rows, disc_rows, ehrenfest
 
 
-def _dof_first(columns: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-    """A (dim,) state or (dim, k) batch on the tensor grid ``shape`` as an
-    array whose first axis is the DOF ``axis``; the other DOFs and the
-    columns stay as trailing axes, so a one-DOF spectrum measures it."""
-    return np.moveaxis(columns.reshape(shape + columns.shape[1:]), axis, 0)
+def _axis_masses(
+    decomp: SpectralDecomp, columns: np.ndarray, shape: tuple, axis: int
+) -> np.ndarray:
+    """(n, k) probabilities of the n eigenvalues of ``decomp``, the spectrum
+    of the DOF ``axis`` alone, in each column of the (dim, k) batch
+    ``columns`` on the tensor grid ``shape``: the DOF's axis is moved first
+    and the other DOFs are summed over."""
+    k = columns.shape[1]
+    amps = decomp.amplitudes(np.moveaxis(columns.reshape(shape + (k,)), axis, 0))
+    return np.sum(np.abs(amps.reshape(decomp.dim, -1, k)) ** 2, axis=1)
 
 
 def _edge_guard(state: State, tolerance: float, label: str):

@@ -132,9 +132,6 @@ class SpectralDecomp:
         out = self.eigenvectors.T @ x.reshape(x.shape[0], -1).conj()
         return np.conj(out, out=out).reshape(x.shape)
 
-    def spectral_range(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 # --------------------------------------------------------------------------
 # operators and states on a single grid

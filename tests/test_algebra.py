@@ -168,6 +168,34 @@ def test_double_bracket_matches_its_definition(a, b):
     assert double_bracket(a, b) == want / 2
 
 
+def test_double_bracket_differentiates_each_argument_once(monkeypatch):
+    import halfq.algebra as algebra
+
+    calls = []
+    original = algebra.partial_derivative
+
+    def counted(expr, sym):
+        calls.append(sym)
+        return original(expr, sym)
+
+    monkeypatch.setattr(algebra, "partial_derivative", counted)
+    a = parse_expression("q1*p2*P1 + q2^2", S21)
+    b = parse_expression("p1*Q1 + q1*q2", S21)
+    double_bracket(a, b)
+    # two classical DOFs: d/dq_i and d/dp_i of a and of b, once each
+    assert len(calls) == 8
+
+
+def test_cnum_defers_to_the_other_operand():
+    e = parse_expression("q1*P1 + p1", S11)
+    i = CNum(0, 1)
+    assert i * e == e * i
+    assert i + e == e + i
+    assert i - e == -(e - i)
+    with pytest.raises(TypeError):
+        CNum(1) * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(hybrid_sums(System(0, 2)), hybrid_sums(System(0, 2)))
 def test_hybrid_bracket_is_the_commutator_without_classical_dofs(a, b):

@@ -1,5 +1,6 @@
 """Margins, xi states, prediction bounds, leakage, discrepancy."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,27 +10,26 @@ from halfq import System, heisenberg_series, parse_expression
 from halfq.bounds import (
     BoundConfig,
     HybridObservable,
-    XiState,
     closed_form_margin,
     delta_L_margin,
     leakage_constant,
-    leakage_sum,
+    leakage_sectors,
     operator_discrepancy,
     prediction_bounds,
     spread_Delta_L,
     worst_case_errors,
-    xi_states,
 )
 from halfq.classicality import ClassicalData, ClassicalDatum, certify, classicality_sequences
 from halfq.hilbert import (
     Grid,
+    SpectralDecomp,
     State,
     compile_expression,
     gaussian_state,
+    interval_mask,
     momentum_operator,
     position_operator,
     spectral_decompose,
-    tensor,
 )
 
 HBAR = 1.0
@@ -61,6 +61,12 @@ def observable_at(name, t, k=Fraction(1, 10)):
 
 def quantum_packet():
     return gaussian_state(GQ, 0.0, 1.0, 1.0, HBAR)
+
+
+def bound_for(obs, phi, cfg, I0):
+    """The sandwich of ``obs`` over ``I0``, from its spectrum and margin."""
+    decomp = spectral_decompose(obs.matrix())
+    return prediction_bounds(phi, cfg, I0, decomp, delta_L_margin(obs, phi, cfg.L))
 
 
 # --------------------------------------------------------------------------
@@ -144,55 +150,89 @@ def test_leakage_constant_degenerate_and_invalid():
 # xi states
 
 
-def test_xi_single_window_covers_spectrum():
-    phi_q = quantum_packet()
-    phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
-    b = spectral_decompose(position_operator(GQ).dense())
-    wide = b.spectral_range() + 1.0
-    xis = xi_states(b, phi_q, wide)
-    assert len(xis) == 1
-    full = tensor(phi_c, phi_q)
-    overlap = abs(np.vdot(tensor(phi_c, xis[0].quantum_state).amplitudes, full.amplitudes))
-    assert abs(overlap - 1.0) < 1e-12
-    assert abs(abs(xis[0].weight) - 1.0) < 1e-12
+def paper_xi_states(decomp, phi_quantum, I_B):
+    """The paper's xi states, the reference for the sector identity: one
+    (center b_u, quantum factor xi_u, weight <xi_u|phi>) per window of
+    width 2 I_B stepping from the spectral minimum that phi^Q populates."""
+    amps = decomp.amplitudes(phi_quantum)
+    lo = float(decomp.eigenvalues[0])
+    bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B)).astype(int)
+    out = []
+    for u in sorted(set(bins.tolist())):
+        coeffs = np.where(bins == u, amps, 0.0)
+        weight_sq = float(np.sum(np.abs(coeffs) ** 2))
+        if weight_sq <= 1e-30:
+            continue
+        vec = decomp.eigenvectors @ coeffs / math.sqrt(weight_sq)
+        weight = complex(np.vdot(vec, phi_quantum.amplitudes))
+        out.append((lo + (2 * u + 1) * I_B, vec, weight))
+    return out
 
 
-def test_xi_small_windows_are_eigenprojections():
-    phi_q = quantum_packet()
-    b = spectral_decompose(position_operator(GQ).dense())
-    gap = float(np.min(np.diff(b.eigenvalues)))
-    xis = xi_states(b, phi_q, gap / 4)
-    assert len(xis) == GQ.npoints
-    for xi in xis:
-        amps = b.amplitudes(xi.quantum_state)
-        assert np.sum(np.abs(amps) > 1e-12) == 1
+def paper_leakage_sum(eigenvalues, xi_amps, xis, I0, big_delta):
+    """X1 and X2 as the paper writes them: |sum_u <phi|xi_u><xi_u|a>|^2
+    summed over a in I0 and centers outside Imax (X1), or over a outside
+    I0 and centers inside Imin (X2); ``xi_amps[i, u] = <a_i|xi_u>``."""
+    centers = np.array([center for center, _, _ in xis])
+    weights = np.array([weight for _, _, weight in xis])
+    a0, D = 0.5 * (I0[0] + I0[1]), 0.5 * (I0[1] - I0[0])
+    in_I0 = interval_mask(eigenvalues, I0)
+    out = {}
+    for which, w in (("X1", D + big_delta), ("X2", D - big_delta)):
+        in_window = interval_mask(centers, (a0 - w, a0 + w))
+        a_mask, u_mask = (in_I0, ~in_window) if which == "X1" else (~in_I0, in_window)
+        block = xi_amps[a_mask][:, u_mask] @ weights[u_mask]
+        out[which] = float(np.sum(np.abs(block) ** 2))
+    return out
 
 
-def test_xi_orthonormal_and_reconstructs_random_case():
-    rng = np.random.default_rng(3)
-    n = 64
-    g = Grid(n, -8.0, 8.0)
+def sector_leakage(a_decomp, evolve, sectors, I0):
+    """X1 and X2 as interval masses of the evolved leakage sectors."""
+    masses = np.abs(a_decomp.amplitudes(evolve(sectors))) ** 2
+    in_I0 = interval_mask(a_decomp.eigenvalues, I0)
+    return {"X1": float(masses[in_I0, 0].sum()), "X2": float(masses[~in_I0, 1].sum())}
+
+
+def random_hermitian(rng, n):
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = h + h.conj().T
-    b = spectral_decompose(h)
+    return h + h.conj().T
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leakage_sectors_match_the_paper_xi_sum(seed):
+    # sum_{u in S} <xi_u|phi> xi_u = P_S phi: the leakage of the paper's xi
+    # states equals the interval mass of one projected state, for any
+    # evolution W and any measured observable A
+    rng = np.random.default_rng(seed)
+    n = 40
+    g = Grid(n, -8.0, 8.0)
+    b = spectral_decompose(random_hermitian(rng, n))
+    a_decomp = spectral_decompose(random_hermitian(rng, n))
+    w = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     phi = State(vec / np.linalg.norm(vec), (g,))
-    xis = xi_states(b, phi, 2.5)
-    mat = np.column_stack([x.quantum_state.amplitudes for x in xis])
-    gram = mat.conj().T @ mat
-    assert np.max(np.abs(gram - np.eye(len(xis)))) < 1e-10
-    recon = mat @ np.array([x.weight for x in xis])
-    assert np.linalg.norm(recon - phi.amplitudes) < 1e-10
-    # every eigenvalue within I_B of its window center
-    for xi in xis:
-        amps = np.abs(b.amplitudes(xi.quantum_state)) ** 2
-        support = b.eigenvalues[amps > 1e-20]
-        assert np.all(np.abs(support - xi.center) <= 2.5 + 1e-12)
+    a0 = rng.normal()
+    largest = {"X1": 0.0, "X2": 0.0}
+    for I_B in (0.5, 1.3, 3.0):
+        xis = paper_xi_states(b, phi, I_B)
+        xi_amps = a_decomp.amplitudes(w @ np.column_stack([x for _, x, _ in xis]))
+        for D, big in ((2.0, 0.4), (5.0, 1.5), (9.0, 8.5)):
+            I0 = (a0 - D, a0 + D)
+            want = paper_leakage_sum(a_decomp.eigenvalues, xi_amps, xis, I0, big)
+            sectors = leakage_sectors(
+                b, phi, I_B, (a0 - (D + big), a0 + (D + big)), (a0 - (D - big), a0 + (D - big))
+            )
+            got = sector_leakage(a_decomp, lambda cols: w @ cols, sectors, I0)
+            for which in ("X1", "X2"):
+                assert abs(got[which] - want[which]) <= 1e-12, (I_B, D, big, which)
+                largest[which] = max(largest[which], want[which])
+    assert min(largest.values()) > 1e-2
 
 
 def test_xi_requires_positive_window():
+    b = spectral_decompose(position_operator(GQ).dense())
     with pytest.raises(ValueError):
-        xi_states(spectral_decompose(position_operator(GQ).dense()), quantum_packet(), 0.0)
+        leakage_sectors(b, quantum_packet(), 0.0, (-2.0, 2.0), (-1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -207,14 +247,12 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
     big = spread_Delta_L(margin.total, cfg)
     a0 = 0.6
     D = 2.0 * big
-    pb = prediction_bounds(obs, phi, cfg, (a0 - D, a0 + D))
+    pb = bound_for(obs, phi, cfg, (a0 - D, a0 + D))
     assert pb.Imin[0] > pb.I0[0] > pb.Imax[0]
     assert pb.Imin[1] < pb.I0[1] < pb.Imax[1]
     assert pb.lower <= pb.upper
     assert 0.0 <= pb.lower_clamped <= pb.upper_clamped <= 1.0
     leak = leakage_constant(margin.total, cfg)
-    import math
-
     want_emin = 2 * math.sqrt(1 - pb.Pmin) * math.sqrt(leak) + leak
     assert abs(pb.Emin - want_emin) < 1e-12
 
@@ -225,7 +263,7 @@ def test_prediction_bound_rejects_narrow_interval():
     margin = delta_L_margin(obs, quantum_packet(), 1)
     big = spread_Delta_L(margin.total, cfg)
     with pytest.raises(ValueError, match="exceed"):
-        prediction_bounds(obs, quantum_packet(), cfg, (-0.5 * big, 0.5 * big))
+        bound_for(obs, quantum_packet(), cfg, (-0.5 * big, 0.5 * big))
 
 
 def test_prediction_bound_degenerate_exact_case():
@@ -233,7 +271,7 @@ def test_prediction_bound_degenerate_exact_case():
     # quantum-sector probability with zero error terms
     obs = observable_at("P1", 0.7)
     phi = quantum_packet()
-    pb = prediction_bounds(obs, phi, BoundConfig(1, 0.99), (0.0, 2.0))
+    pb = bound_for(obs, phi, BoundConfig(1, 0.99), (0.0, 2.0))
     assert pb.delta_L == 0.0 and pb.Delta_L == 0.0
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
@@ -257,13 +295,13 @@ def test_bound_width_monotone_in_margins():
         margin = delta_L_margin(obs, phi, 1)
         big = spread_Delta_L(margin.total, cfg)
         D = 1.5 * big
-        pb = prediction_bounds(obs, phi, cfg, (0.4 - D, 0.4 + D))
+        pb = bound_for(obs, phi, cfg, (0.4 - D, 0.4 + D))
         widths.append(pb.upper - pb.lower)
     assert widths[0] <= widths[1] <= widths[2]
 
 
 def test_prediction_bound_json_fields():
-    pb = prediction_bounds(
+    pb = bound_for(
         observable_at("q1", 0.3), quantum_packet(), BoundConfig(1, 0.99), (-30.0, 30.0)
     )
     blob = pb.to_json_dict()
@@ -286,13 +324,12 @@ def certified_classical_packet():
 
 def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
-    delta = delta_L_margin(obs, phi_q, cfg.L).total
-    xis = xi_states(spectral_decompose(obs.matrix()), phi_q, delta)
-    cols = np.column_stack([tensor(phi_c, x.quantum_state).amplitudes for x in xis])
-    amps = a_decomp.eigenvectors.conj().T @ cols
-    big = spread_Delta_L(delta, cfg)
-    measured = leakage_sum(a_decomp.eigenvalues, amps, xis, interval, big)
-    return measured, leakage_constant(delta, cfg)
+    pb = bound_for(obs, phi_q, cfg, interval)
+    sectors = leakage_sectors(spectral_decompose(obs.matrix()), phi_q, pb.I_B, pb.Imax, pb.Imin)
+    measured = sector_leakage(
+        a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, interval
+    )
+    return measured, leakage_constant(pb.delta_L, cfg)
 
 
 def test_tail_leakage_no_weight_outside_window():
@@ -334,16 +371,19 @@ def test_tail_leakage_static_mixed_observable():
 
 
 def test_leakage_sum_by_hand():
-    # two eigenvalues, two xi vectors (only centers and weights enter);
-    # I0 = [-0.5, 0.5] and Delta_L = 0.5 give Imax = [-1, 1], Imin = [0, 0]
-    eigenvalues = np.array([0.0, 1.0])
-    amps = np.array([[0.6, 0.1], [0.2, 0.5]])
-    xis = [XiState(0.0, None, 0.5), XiState(3.0, None, 0.5)]
-    got = leakage_sum(eigenvalues, amps, xis, I0=(-0.5, 0.5), big_delta=0.5)
-    # X1: only eigenvalue 0 in I0; only center 3 outside Imax
-    assert abs(got["X1"] - (0.1 * 0.5) ** 2) < 1e-15
-    # X2: a = 1 outside I0, center 0 inside Imin
-    assert abs(got["X2"] - (0.2 * 0.5) ** 2) < 1e-15
+    # B = diag(0, 0.9, 1.2, 3) with I_B = 0.5: windows of width 1 from 0,
+    # centred at 0.5, 0.5, 1.5 and 3.5; window centres, not eigenvalues,
+    # decide membership
+    b = SpectralDecomp(np.array([0.0, 0.9, 1.2, 3.0]), np.eye(4))
+    phi = np.full(4, 0.5, dtype=complex)
+    sectors = leakage_sectors(b, phi, 0.5, (-1.0, 1.4), (0.4, 1.3))
+    # X1: centres 1.5 and 3.5 lie outside Imax (eigenvalue 1.2 lies inside)
+    assert np.array_equal(sectors[:, 0], [0.0, 0.0, 0.5, 0.5])
+    # X2: centre 0.5 lies inside Imin (eigenvalue 0 lies outside)
+    assert np.array_equal(sectors[:, 1], [0.5, 0.5, 0.0, 0.0])
+    # measured against B itself, unevolved, over I0 = [0.5, 1.25]
+    got = sector_leakage(b, lambda cols: cols, sectors, (0.5, 1.25))
+    assert got == {"X1": 0.25, "X2": 0.25}
 
 
 def test_operator_discrepancy_vanishes_without_classical_dependence():

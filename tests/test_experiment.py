@@ -310,7 +310,6 @@ def test_verification_passes_on_small_example():
 def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     import tracemalloc
 
-    import halfq.bounds
     import halfq.experiment
     import halfq.hilbert
 
@@ -329,8 +328,9 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
         built.append(self.dim)
         return original_dense(self)
 
-    for module in (halfq.experiment, halfq.bounds):
-        monkeypatch.setattr(module, "spectral_decompose", decompose)
+    # experiment is the only module that decomposes: every spectrum reaches
+    # bounds as an argument
+    monkeypatch.setattr(halfq.experiment, "spectral_decompose", decompose)
     monkeypatch.setattr(halfq.hilbert.CompiledOperator, "dense", dense)
     tracemalloc.start()
     try:
@@ -491,13 +491,15 @@ def test_state_spec_amplitude_file(tmp_path):
 
 
 def test_sector_decomp_matches_dense_spectral_path():
-    # the oracle measures tensor states and xi batches with a one-DOF
-    # spectrum, the DOF's axis moved first; probabilities and X1/X2 leakage
-    # must agree with a dense Kronecker decomposition on both axes
-    from halfq.bounds import XiState, leakage_sum
-    from halfq.experiment import _dof_first
+    # the oracle measures psi_t and the evolved leakage sectors of a sweep
+    # point in one batch with a one-DOF spectrum, the DOF's axis moved
+    # first; the mass of every column inside and outside an interval (the
+    # oracle probability, X1 and X2) must agree with a dense Kronecker
+    # decomposition on both axes
+    from halfq.bounds import leakage_sectors
+    from halfq.experiment import _axis_masses
     from halfq.hilbert import (
-        interval_probability,
+        interval_mask,
         momentum_operator,
         position_operator,
         spectral_decompose,
@@ -505,34 +507,31 @@ def test_sector_decomp_matches_dense_spectral_path():
     )
 
     g1, g2 = Grid(12, -3.0, 3.0), Grid(8, -2.0, 2.0)
-    psi = tensor(
-        gaussian_state(g1, 0.0, 0.5, 0.4, 1.0), gaussian_state(g2, 0.0, 0.0, 0.3, 1.0)
-    )
+    phi1, phi2 = gaussian_state(g1, 0.0, 0.5, 0.4, 1.0), gaussian_state(g2, 0.0, 0.0, 0.3, 1.0)
     rng = np.random.default_rng(3)
-    cols = np.linalg.qr(rng.normal(size=(96, 4)) + 1j * rng.normal(size=(96, 4)))[0]
-    xis = [
-        XiState(center, None, weight)
-        for center, weight in zip((-1.5, -0.2, 0.6, 2.4), (0.5, 0.3 - 0.2j, 0.1j, -0.4))
+    # a random unitary on the tensor space stands in for the evolution
+    w = np.linalg.qr(rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96)))[0]
+    b = spectral_decompose(momentum_operator(g2, 1.0).dense())
+    sectors = [
+        leakage_sectors(b, phi2, 0.3, (-half - 0.4, half + 0.4), (-half + 0.4, half - 0.4))
+        for half in (0.5, 1.5)
     ]
-    largest = 0.0
+    batch = np.column_stack(
+        [tensor(phi1, phi2).amplitudes]
+        + [w @ np.kron(phi1.amplitudes[:, None], cols) for cols in sectors]
+    )
     for axis, op in ((0, position_operator(g1)), (1, momentum_operator(g2, 1.0))):
         small = spectral_decompose(op.dense())
         factors = (op.dense(), np.eye(8)) if axis == 0 else (np.eye(12), op.dense())
         dense = spectral_decompose(np.kron(*factors))
-        psi_axis_first = _dof_first(psi.amplitudes, (12, 8), axis)
-        xi_small = small.amplitudes(_dof_first(cols, (12, 8), axis))
-        xi_dense = dense.amplitudes(cols)
+        masses = _axis_masses(small, batch, (12, 8), axis)
+        dense_masses = np.abs(dense.amplitudes(batch)) ** 2
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
-            got = interval_probability(small, psi_axis_first, interval)
-            want = interval_probability(dense, psi, interval)
-            assert abs(got - want) < 1e-10, (axis, interval)
-            for big_delta in (0.1, 0.4):
-                got = leakage_sum(small.eigenvalues, xi_small, xis, interval, big_delta)
-                want = leakage_sum(dense.eigenvalues, xi_dense, xis, interval, big_delta)
-                for which in ("X1", "X2"):
-                    assert abs(got[which] - want[which]) < 1e-12, (axis, interval, which)
-                    largest = max(largest, want[which])
-    assert largest > 1e-2
+            for inside in (True, False):
+                got = masses[interval_mask(small.eigenvalues, interval) == inside].sum(axis=0)
+                want = dense_masses[interval_mask(dense.eigenvalues, interval) == inside]
+                assert np.max(np.abs(got - want.sum(axis=0))) < 1e-12, (axis, interval)
+        assert np.min(masses.sum(axis=0)[1:]) > 1e-2
 
 
 def test_report_csv_rows():

@@ -345,10 +345,10 @@ def test_compiled_apply_matches_dense_on_column_batches():
 
 def test_chebyshev_matches_eigh_reference_on_example():
     """Independent oracle check: one Chebyshev propagation of the example's
-    initial state and xi columns to every sweep time, t = 0 and a repeated
-    time included, against dense eigh propagation of a Hamiltonian
-    assembled here by Kronecker products."""
-    from halfq.bounds import HybridObservable, xi_states
+    initial state and leakage-sector columns to every sweep time, t = 0 and
+    a repeated time included, against dense eigh propagation of a
+    Hamiltonian assembled here by Kronecker products."""
+    from halfq.bounds import HybridObservable, leakage_sectors
     from halfq.experiment import build_example, hybrid_solutions
 
     cfg = build_example(npoints=32, extent=8.0)
@@ -375,9 +375,13 @@ def test_chebyshev_matches_eigh_reference_on_example():
             sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
-        xis = xi_states(spectral_decompose(obs.matrix()), phi_q, 0.25)
-        assert len(xis) >= 10
-        cols += [tensor(phi_c, x.quantum_state).amplitudes for x in xis]
+        b = spectral_decompose(obs.matrix())
+        for half in (0.5, 1.0, 2.0):
+            sectors = leakage_sectors(
+                b, phi_q, 0.25, (-half - 0.25, half + 0.25), (-half + 0.25, half - 0.25)
+            )
+            assert np.min(np.linalg.norm(sectors, axis=0)) > 1e-3
+            cols.append(np.kron(phi_c.amplitudes[:, None], sectors))
     cols = np.column_stack(cols)
     times = tuple(cfg.sweep.times) + (cfg.sweep.times[2],)
     assert 0.0 in times

@@ -79,22 +79,36 @@ def test_cli_reaches_the_numerics_through_experiment_only():
     assert offenders == []
 
 
-@pytest.mark.parametrize("workload", ["symbolic", "predict-2p1", "oracle-deep"])
-def test_benchmark_worker_runs_clean(tmp_path, workload):
-    # the benchmark's entry points keep working: each workload's smoke input
-    # runs through its worker with no failed operation; the benchmark
-    # modules are loaded and run by path, as they are
+def _run_worker(tmp_path, workload: str, smoke: bool, *flags: str) -> dict:
+    """One benchmark job on the workload's seed-0 input, through its worker
+    in a subprocess; the benchmark modules are loaded and run by path, as
+    they are."""
     bench = ROOT / "perfbench"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(workloads.make_input(workload, 0, smoke=True)), encoding="utf-8")
+    path.write_text(json.dumps(workloads.make_input(workload, 0, smoke=smoke)), encoding="utf-8")
     done = subprocess.run(
         [sys.executable, str(bench / "worker.py"), "--root", str(ROOT),
-         "--workload", workload, "--input", str(path)],
+         "--workload", workload, "--input", str(path), *flags],
         capture_output=True, text=True, timeout=300, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["symbolic", "predict-2p1", "oracle-deep"])
+def test_benchmark_worker_runs_clean(tmp_path, workload):
+    # the benchmark's entry points keep working: each workload's smoke input
+    # runs through its worker with no failed operation
+    result = _run_worker(tmp_path, workload, True)
+    assert result["failed"] == 0, result["errors"]
+
+
+@pytest.mark.parametrize("workload", ["oracle-deep", "predict-2p1"])
+def test_benchmark_reference_rows_match(tmp_path, workload):
+    # the full-size seed-0 job reproduces the benchmark's stored reference
+    # rows (sandwich, leakage and discrepancy values, or bounds)
+    result = _run_worker(tmp_path, workload, False, "--compare-reference")
     assert result["failed"] == 0, result["errors"]
