@@ -4,16 +4,19 @@ An expression is a finite sum of monomials
 
     c * i^s * hbar^h * (declared constants)^e * (classical symbols) * (quantum word)
 
-where the coefficient c is an exact rational, the hbar grading h is a
-nonnegative integer, classical symbols q_i/p_i commute with everything,
-and the quantum word is an ordered product of Q_a/P_a operators kept in
-normal order (within each degree of freedom all Q factors precede all P
-factors).  Reordering a quantum word uses the canonical commutation
-relation [Q_a, P_a] = i*hbar, which raises the hbar grading; symbols of
-distinct degrees of freedom commute.
+where the coefficient c is an exact complex rational, the hbar grading h
+is a nonnegative integer, classical symbols q_i/p_i commute with
+everything, and the quantum word is an ordered product of Q_a/P_a
+operators kept in normal order (within each degree of freedom all Q
+factors precede all P factors).  Reordering a quantum word uses the
+canonical commutation relation [Q_a, P_a] = i*hbar, which raises the hbar
+grading; symbols of distinct degrees of freedom commute.
 
 Floating point never enters here: all identities (round trips, bracket
-antisymmetry, series solutions) hold exactly.
+antisymmetry, series solutions) hold exactly.  A coefficient is a
+:class:`CNum`, the Gaussian rational (a + b*i)/d held as three ints in
+lowest terms with d > 0; its arithmetic is int arithmetic plus one gcd,
+and no ``Fraction`` object is built unless a caller reads ``re`` or ``im``.
 
 The canonical form has two rules: no two terms share a key, and no
 coefficient is zero.  Builders keep the first by accumulating into one dict
@@ -67,13 +70,23 @@ class UnquantizationWarning(UserWarning):
 
 
 class CNum:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as the Gaussian rational (a + b*i)/d: the int triple ``_abd`` with
+    d > 0 and gcd(a, b, d) = 1.  That form is unique, so equality and
+    hashing compare int tuples, and the arithmetic runs on ints with one
+    ``gcd`` per result.  ``re`` and ``im`` read the parts as Fractions.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is not int or type(im) is not int:
+            re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr * di // math.gcd(dr, di)
+        parts = (re.numerator * (d // dr), im.numerator * (d // di), d)
+        object.__setattr__(self, "_abd", parts)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CNum is immutable")
@@ -90,55 +103,83 @@ class CNum:
             return CNum(Fraction(value.real), Fraction(value.imag))
         raise TypeError(f"cannot build an exact scalar from {value!r}")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     # a non-CNum operand returns NotImplemented, so Python tries the other
     # operand's reflected method (HybridExpression.__rmul__ and friends)
     def __add__(self, other: "CNum") -> "CNum":
         try:
-            return _cnum(self.re + other.re, self.im + other.im)
+            a1, b1, d1 = self._abd
+            a2, b2, d2 = other._abd
         except AttributeError:
             return NotImplemented
+        if d1 == d2:
+            return _gaussian(a1 + a2, b1 + b2, d1)
+        return _gaussian(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     def __sub__(self, other: "CNum") -> "CNum":
         try:
-            return _cnum(self.re - other.re, self.im - other.im)
+            a1, b1, d1 = self._abd
+            a2, b2, d2 = other._abd
         except AttributeError:
             return NotImplemented
+        if d1 == d2:
+            return _gaussian(a1 - a2, b1 - b2, d1)
+        return _gaussian(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __neg__(self) -> "CNum":
-        return _cnum(-self.re, -self.im)
+        a, b, d = self._abd
+        return _gaussian(-a, -b, d, reduced=True)
 
     def __mul__(self, other: "CNum") -> "CNum":
         try:
-            a, b, c, d = self.re, self.im, other.re, other.im
+            a1, b1, d1 = self._abd
+            a2, b2, d2 = other._abd
         except AttributeError:
             return NotImplemented
-        if not b and not d:
-            return _cnum(a * c, _FRACTION_ZERO)
-        return _cnum(a * c - b * d, a * d + b * c)
+        if not b1 and not b2:
+            return _gaussian(a1 * a2, 0, d1 * d2)
+        return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     def inverse(self) -> "CNum":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        a, b, d = self._abd
+        norm = a * a + b * b
+        if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return CNum(self.re / d, -self.im / d)
+        return _gaussian(d * a, -d * b, norm)
 
     def conjugate(self) -> "CNum":
-        return CNum(self.re, -self.im)
+        a, b, d = self._abd
+        return _gaussian(a, -b, d, reduced=True)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CNum) and self.re == other.re and self.im == other.im
+        return isinstance(other, CNum) and self._abd == other._abd
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash(self._abd)
 
     def __bool__(self) -> bool:
-        return bool(self.re.numerator or self.im.numerator)
+        a, b, _ = self._abd
+        return bool(a or b)
 
+    # int true division is correctly rounded, as float(Fraction) is, so these
+    # floats are the ones the Fraction parts give
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        a, b, d = self._abd
+        return math.hypot(a / d, b / d)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __repr__(self) -> str:
         return f"CNum({self.re!r}, {self.im!r})"
@@ -146,16 +187,19 @@ class CNum:
 
 ScalarLike = Union[int, Fraction, float, complex, CNum]
 
-_FRACTION_ZERO = Fraction(0)
-_set_re = CNum.re.__set__
-_set_im = CNum.im.__set__
+_new_cnum = object.__new__
+_set_abd = CNum._abd.__set__
 
 
-def _cnum(re: Fraction, im: Fraction) -> CNum:
-    """CNum from parts that are already Fractions, without re-coercing them."""
-    z = object.__new__(CNum)
-    _set_re(z, re)
-    _set_im(z, im)
+def _gaussian(a: int, b: int, d: int, reduced: bool = False) -> CNum:
+    """The CNum (a + b*i)/d for d > 0, brought to lowest terms unless the
+    caller knows gcd(a, b, d) is already 1."""
+    if not reduced:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _new_cnum(CNum)
+    _set_abd(z, (a, b, d))
     return z
 
 
@@ -936,6 +980,15 @@ def find_jacobiator_witness(max_degree: int = 3):
 
     degrees = [degree(m) for m in monos]
     count = len(monos)
+    # (i, j) -> hybrid_bracket(monos[i], monos[j]); many triples share a pair
+    brackets: dict = {}
+
+    def bracket(i: int, j: int) -> HybridExpression:
+        found = brackets.get((i, j))
+        if found is None:
+            found = brackets[i, j] = hybrid_bracket(monos[i], monos[j])
+        return found
+
     for total in range(3, 3 * max_degree + 1):
         for ia in range(count):
             a = monos[ia]
@@ -948,7 +1001,7 @@ def find_jacobiator_witness(max_degree: int = 3):
                     if degrees[ic] != rest:
                         continue
                     c = monos[ic]
-                    bc, ca, ab = hybrid_bracket(b, c), hybrid_bracket(c, a), hybrid_bracket(a, b)
+                    bc, ca, ab = bracket(ib, ic), bracket(ic, ia), bracket(ia, ib)
                     if bc.is_zero and ca.is_zero and ab.is_zero:
                         continue
                     j = hybrid_bracket(a, bc) + hybrid_bracket(b, ca) + hybrid_bracket(c, ab)

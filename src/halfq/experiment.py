@@ -190,9 +190,10 @@ class SystemConfig:
     ``[0.99]``, ``I_B`` ``null``) and ``seed`` (0).  A state object is
     ``{"kind": "gaussian"}`` (the default kind) with optional ``q0``
     (0.0), ``p0`` (0.0) and ``dq`` (1.0), or ``{"kind": "file", "path":
-    ...}``.  Unknown or missing keys, sections of the wrong JSON type and
-    strings where numbers belong raise :class:`ConfigError` before any
-    grid is built.  Verification tolerances are fixed (:data:`TOLERANCES`).
+    ...}``.  Unknown or missing keys, sections of the wrong JSON type,
+    strings where numbers belong and a Hamiltonian that does not parse or
+    divides by a zero constant raise :class:`ConfigError` before any grid
+    is built.  Verification tolerances are fixed (:data:`TOLERANCES`).
     """
 
     system: System
@@ -231,12 +232,7 @@ class SystemConfig:
         return System(0, self.system.classical + self.system.quantum)
 
     def parse_hamiltonian(self) -> HybridExpression:
-        try:
-            return parse_expression(
-                self.hamiltonian, self.classical_system(), tuple(self.constants)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad Hamiltonian: {exc}") from exc
+        return _parse_hamiltonian(self.hamiltonian, self.classical_system(), self.constants)
 
     def hybrid_hamiltonian(self) -> HybridExpression:
         from .algebra import half_quantize
@@ -376,6 +372,9 @@ class SystemConfig:
                 what = f"classical_state[{i}] (classical_data[{i}] sets q0 and p0)"
                 _object(d, what, optional=("kind", "dq"))
         hamiltonian = _text(raw["hamiltonian"], "hamiltonian")
+        _parse_hamiltonian(
+            hamiltonian, System(system.classical + system.quantum, 0), constants
+        )
         seed = _finite(raw.get("seed", 0), "seed", int)
         # every check above runs before any grid is built
         grids = {
@@ -409,6 +408,23 @@ class SystemConfig:
     @staticmethod
     def from_json(text: str) -> "SystemConfig":
         return SystemConfig.from_json_dict(json.loads(text))
+
+
+def _parse_hamiltonian(text: str, system: System, constants: Mapping) -> HybridExpression:
+    """The Hamiltonian over ``system``; a syntax error, or a constant it
+    divides by whose exact value (:func:`_exact`) is zero, is a ConfigError."""
+    try:
+        expr = parse_expression(text, system, tuple(constants))
+    except ValueError as exc:
+        raise ConfigError(f"bad Hamiltonian: {exc}") from exc
+    for (_, consts, _, _), _ in expr.terms():
+        for name, exp in consts:
+            if exp < 0 and _exact(constants[name]) == 0:
+                raise ConfigError(
+                    f"constant {name} = {constants[name]!r} reads as 0, "
+                    "and the Hamiltonian divides by it"
+                )
+    return expr
 
 
 def _product_state(specs: Sequence[StateSpec], grids: Sequence[Grid], hbar: float) -> State:

@@ -114,9 +114,10 @@ class _Parser:
     def term(self) -> HybridExpression:
         result = self.unary()
         while True:
-            kind, value, where = self.peek()
+            kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
+                where = self.peek()[2]
                 rhs = self.unary()
                 if value == "*":
                     result = result * rhs
@@ -193,6 +194,8 @@ class _Parser:
         raise ExpressionSyntaxError(f"unknown identifier {name!r}", where)
 
     def _scalar_inverse(self, expr: HybridExpression, where: int) -> HybridExpression:
+        if expr.is_zero:
+            raise ExpressionSyntaxError("division by zero", where)
         terms = expr.terms()
         if len(terms) != 1:
             raise ExpressionSyntaxError(
@@ -252,19 +255,26 @@ def parse_expression(
 
 def _format_coefficient(c: CNum) -> tuple:
     """Return (sign, factor_string or None); None means magnitude one."""
-    if c.im == 0:
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        return sign, None if mag == 1 else str(mag)
-    if c.re == 0:
-        sign = "-" if c.im < 0 else "+"
-        mag = abs(c.im)
-        return sign, "i" if mag == 1 else f"{mag}*i"
-    re_str = str(c.re)
-    im_mag = abs(c.im)
-    im_str = "i" if im_mag == 1 else f"{im_mag}*i"
-    joiner = "-" if c.im < 0 else "+"
-    return "+", f"({re_str} {joiner} {im_str})"
+    real, imag = c.re, c.im
+    if not imag:
+        return _sign(real), _magnitude(real)
+    mag = _magnitude(imag)
+    im_str = "i" if mag is None else f"{mag}*i"
+    if not real:
+        return _sign(imag), im_str
+    return "+", f"({real} {_sign(imag)} {im_str})"
+
+
+def _sign(x: Fraction) -> str:
+    return "-" if x.numerator < 0 else "+"
+
+
+def _magnitude(x: Fraction) -> str | None:
+    """``str(abs(x))`` from the numerator and denominator; None when it is 1."""
+    n, d = abs(x.numerator), x.denominator
+    if n == d:
+        return None
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _format_power(base: str, exp: int) -> str:

@@ -1,5 +1,6 @@
 """Symbolic engine: brackets, quantization maps, series, exact identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from halfq import (
     UnquantizationWarning,
     commutator,
     div_ihbar,
+    format_expression,
     half_quantize,
     heisenberg_series,
     hybrid_bracket,
@@ -592,6 +594,27 @@ def test_no_witness_below_degree_three():
     assert find_jacobiator_witness(max_degree=2) is None
 
 
+def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
+    import halfq.algebra
+
+    calls = []
+    bracket = halfq.algebra.hybrid_bracket
+
+    def counted(a, b):
+        calls.append(1)
+        return bracket(a, b)
+
+    monkeypatch.setattr(halfq.algebra, "hybrid_bracket", counted)
+    a, b, c, j = find_jacobiator_witness(max_degree=3)
+    assert [format_expression(e) for e in (a, b, c, j)] == [
+        "p1*P1", "p1*Q1*P1", "q1^2*Q1", "1/2*hbar^4",
+    ]
+    # 898 distinct pair brackets, plus one outer bracket per triple whose
+    # pair brackets are not all zero: 10,756 calls (20,691 with a pair
+    # bracket recomputed for every triple)
+    assert len(calls) <= 10_756
+
+
 def test_exhaustive_witness_search_reproduces_recorded_triple():
     witness = find_jacobiator_witness(max_degree=3)
     assert witness is not None
@@ -655,6 +678,53 @@ def test_cnum_arithmetic_is_componentwise_fraction_arithmetic(a, b, c, d):
     for got, re, im in cases:
         assert (got.re, got.im) == (re, im)
         assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+def test_cnum_equal_values_are_equal_and_hash_equal():
+    half = [
+        CNum(Fraction(2, 4)),
+        CNum(1) * CNum(Fraction(1, 2)),
+        CNum(Fraction(1, 3)) + CNum(Fraction(1, 6)),
+    ]
+    for z in half:
+        assert z == CNum(Fraction(1, 2)) and hash(z) == hash(CNum(Fraction(1, 2)))
+    zeros = [
+        CNum(),
+        CNum(Fraction(1, 3)) - CNum(Fraction(1, 3)),
+        CNum(0, Fraction(5, 7)) * CNum(0),
+    ]
+    for z in zeros:
+        assert z == CNum(0) and hash(z) == hash(CNum(0)) and not z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(), st.fractions(), st.fractions())
+def test_cnum_inverse_conjugate_and_floats_match_fraction_arithmetic(a, b, c):
+    x = CNum(a, b)
+    norm = a * a + b * b
+    if norm:
+        assert (x.inverse().re, x.inverse().im) == (a / norm, -b / norm)
+        assert x * x.inverse() == CNum(1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    assert (x.conjugate().re, x.conjugate().im) == (a, -b)
+    assert bool(x) == bool(a or b)
+    # bit for bit, sign of zero included
+    z, ref = x.to_complex(), complex(float(a), float(b))
+    assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    assert abs(x) == math.hypot(float(a), float(b))
+    # one value reached along different paths is one canonical form
+    paths = [
+        CNum(a) + CNum(0, 1) * CNum(b),
+        CNum(a.numerator * b.denominator, b.numerator * a.denominator)
+        * CNum(Fraction(1, a.denominator * b.denominator)),
+        x - CNum(c, c) + CNum(c, c),
+    ]
+    if c:
+        paths.append(x * CNum(c) * CNum(c).inverse())
+    for y in paths:
+        assert y == x and hash(y) == hash(x)
 
 
 def test_substitute_constants():

@@ -34,6 +34,16 @@ def test_parse_reports_errors(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, position", [("q1/0", 3), ("q1/(1-1)", 3), ("0^-1*q1", 0)]
+)
+def test_parse_division_by_zero_says_so(capsys, text, position):
+    code, out, err = run_cli(capsys, "parse", text)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: division by zero (at position {position})"]
+
+
 def test_halfquantize_example_hamiltonian(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -144,6 +154,19 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, key, value):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("command", ["evolve", "certify", "bounds", "verify"])
+def test_zero_divisor_constant_is_one_error_line(tmp_path, capsys, command):
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    raw["constants"]["M"] = 0.0  # the Hamiltonian holds p2^2/(2*M)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines == ["error: constant M = 0.0 reads as 0, and the Hamiltonian divides by it"], err
 
 
 @pytest.mark.parametrize("command", ["evolve", "certify", "bounds", "verify"])

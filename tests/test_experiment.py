@@ -133,6 +133,13 @@ MISSING = object()  # the key is deleted instead of set
         ),
         (("classical_state", 0, "q0"), 3.0, r"unknown key 'q0' in classical_state\[0\]"),
         (("classical_state", 0, "p0"), 0.0, r"unknown key 'p0' in classical_state\[0\]"),
+        # the example Hamiltonian holds p2^2/(2*M)
+        (
+            ("constants", "M"),
+            0.0,
+            r"constant M = 0\.0 reads as 0, and the Hamiltonian divides by it",
+        ),
+        (("constants", "M"), 1e-13, "constant M = 1e-13 reads as 0"),
     ],
     ids=[
         "hbar-negative", "hbar-zero", "k-nan", "tolerances-section",
@@ -149,6 +156,7 @@ MISSING = object()  # the key is deleted instead of set
         "state-kind-typo", "file-state-path-missing", "file-state-path-number",
         "hbar-string", "npoints-string", "levels-strings", "constant-t-reserved",
         "delta_q-zero", "delta_p-negative", "classical-state-q0", "classical-state-p0",
+        "divisor-constant-zero", "divisor-constant-below-precision",
     ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):

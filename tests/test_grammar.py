@@ -105,6 +105,15 @@ def test_division_by_symbols_rejected():
         parse_expression("q1/(1 + m)", S11, ("m",))
 
 
+@pytest.mark.parametrize(
+    "text, position", [("q1/0", 3), ("q1/(1-1)", 3), ("0^-1*q1", 0), ("q1/(m-m)", 3)]
+)
+def test_division_by_zero_rejected(text, position):
+    with pytest.raises(ExpressionSyntaxError, match="division by zero") as err:
+        parse_expression(text, S11, ("m",))
+    assert err.value.position == position
+
+
 def test_scalar_division_allowed():
     expr = parse_expression("q1/(2*m)", S11, ("m",))
     assert format_expression(expr) == "1/2*m^-1*q1"
