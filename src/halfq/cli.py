@@ -96,13 +96,16 @@ def cmd_halfquantize(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
     sols = hybrid_solutions(cfg)
+    if args.observable and args.observable not in sols:
+        print(
+            f"error: unknown observable {args.observable!r}; choose from {', '.join(sols)}",
+            file=sys.stderr,
+        )
+        return 2
     names = [args.observable] if args.observable else list(sols)
     payload = {}
     lines = []
     for name in names:
-        if name not in sols:
-            print(f"unknown observable {name!r}", file=sys.stderr)
-            return 2
         text = format_expression(sols[name])
         payload[name] = text
         lines.append(f"{name}(t) = {text}")

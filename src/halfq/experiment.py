@@ -80,6 +80,7 @@ from .hilbert import (
     chebyshev_terms,
     compile_expression,
     evolve_full_quantum,
+    fourier_axes,
     gaussian_state,
     interval_mask,
     spectral_decompose,
@@ -892,9 +893,12 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     coordinates = basis.conj().T
     times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
     t_floats = [float(t) for t in times]
+    # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
+    rotated = ", ".join(str(axis + 1) for axis in fourier_axes(h_op))
     note(
         f"propagating r={basis.shape[1]} columns to {len(times)} times in "
-        f"{chebyshev_terms(h_op, t_floats, hbar)} Chebyshev terms"
+        f"{chebyshev_terms(h_op, t_floats, hbar)} Chebyshev terms; "
+        + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
     )
     # one recurrence for all times: exp(-iHt/hbar)(phi_c (x) x) = W_t basis^H x
     propagated = dict(

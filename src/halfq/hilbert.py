@@ -8,9 +8,15 @@ are Kronecker products with the grids listed in DOF order.
 Every numeric operator, a single Q or P included, is a hybrid expression
 of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
 of per-DOF factors that acts on states without a full-dimension matrix.
+Each term records its per-DOF (Q power, P power) beside its factors.
 The one propagator, :func:`evolve_full_quantum`, is a Chebyshev recurrence
 on that action that carries a batch of columns to several times in one
-pass; it powers the brute-force full-quantum oracle.  A dense matrix is a
+pass; it powers the brute-force full-quantum oracle.  It runs in a
+per-axis basis: the axes where pure powers of P outnumber pure powers of
+Q (:func:`fourier_axes`) are taken once to the unitary-DFT basis, where
+P^n is diagonal, and every term diagonal on all axes joins one array over
+the grid.  The recurrence writes each new Chebyshev vector over a spent
+one, so it holds three of them besides the results.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose` or applied as a sector operator.
@@ -141,16 +147,34 @@ def position_operator(grid: Grid) -> CompiledOperator:
     return compile_expression(System(0, 1).Q(1), {}, {1: grid}, 1.0)
 
 
-@lru_cache(maxsize=32)
-def _momentum_matrix(grid: Grid, hbar: float) -> np.ndarray:
+def _fourier_basis(grid: Grid) -> tuple:
+    """(f, k): the unitary DFT matrix, f @ x = fft(x, norm="ortho"), and the
+    wavenumber of each of its rows."""
     n = grid.npoints
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
-    # unitary DFT: momentum = F^dagger diag(hbar k) F, exactly Hermitian
     f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+    return f, k
+
+
+@lru_cache(maxsize=32)
+def _momentum_matrix(grid: Grid, hbar: float) -> np.ndarray:
+    f, k = _fourier_basis(grid)
+    # unitary DFT: momentum = F^dagger diag(hbar k) F, exactly Hermitian
     mat = f.conj().T @ (hbar * k[:, None] * f)
     mat = 0.5 * (mat + mat.conj().T)
     mat.flags.writeable = False
     return mat
+
+
+def _fourier_factor(grid: Grid, hbar: float, q: int, p: int) -> np.ndarray:
+    """Q^q P^p on one grid in the basis of :func:`_fourier_basis`:
+    f diag(x^q) f^dagger diag((hbar k)^p), so a pure power of P is exactly
+    the diagonal (hbar k)^p."""
+    f, k = _fourier_basis(grid)
+    diagonal = (hbar * k) ** p
+    if q == 0:
+        return diagonal
+    return (f * grid.points() ** q) @ f.conj().T * diagonal
 
 
 def momentum_operator(grid: Grid, hbar: float) -> CompiledOperator:
@@ -192,15 +216,19 @@ def tensor(a: State, b: State) -> State:
 class CompiledOperator:
     """A hybrid expression as a sum of per-DOF tensor products.
 
-    Each term is ``(scalar, factors, hermitian)``: ``factors`` maps a tensor
-    axis to a small matrix on that DOF's grid, a 1-D array when diagonal
-    (position powers), the identity on absent axes.  ``hermitian`` marks
-    terms Hermitian by construction: a real scalar and every factor a power
-    of Q or of P.  Nothing of the full dimension is stored.
+    Each term is ``(scalar, factors, powers)``: ``factors`` maps a tensor
+    axis to a small matrix on that DOF's grid, a 1-D array when diagonal,
+    the identity on absent axes; ``powers`` maps the same axes to the
+    factor's (Q power, P power).  A term is Hermitian by construction when
+    its scalar is real and every factor a pure power of Q or of P.  Momentum
+    factors are realized with ``hbar``.  Nothing of the full dimension is
+    stored; only the operator the propagator applies has a scalar that is
+    an array over the grid (:func:`_chebyshev_operator`).
     """
 
     terms: tuple
     grids: tuple
+    hbar: float
 
     @property
     def shape(self) -> tuple:
@@ -210,24 +238,37 @@ class CompiledOperator:
     def dim(self) -> int:
         return _total_dim(self.grids)
 
-    def apply(self, columns: np.ndarray) -> np.ndarray:
+    def apply(self, columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The operator on a (dim,) vector or on each column of a (dim, k)
-        batch: diagonal factors broadcast, dense ones are batched matmuls."""
+        batch: diagonal factors broadcast, dense ones are batched matmuls.
+        The result goes to ``out`` when given, an array of the input's
+        shape that does not overlap it."""
         x = np.asarray(columns, dtype=complex).reshape(self.shape + (-1,))
-        out = np.zeros(x.shape, dtype=complex) if not self.terms else None
+        buf = None if out is None else out.reshape(x.shape)
+        acc = np.zeros(x.shape, dtype=complex) if not self.terms else None
         for scalar, factors, _ in self.terms:
+            # the first term builds in ``buf``, later steps of a term work in
+            # place on its own array; the input is never written
+            dst = buf if acc is None else None
             part = x
             for axis, f in factors.items():
                 if f.ndim == 1:
-                    part = part * f.reshape((-1,) + (1,) * (x.ndim - axis - 1))
+                    diag = f.reshape((-1,) + (1,) * (x.ndim - axis - 1))
+                    part = np.multiply(part, diag, out=dst if part is x else part)
                 else:
                     rows = part.reshape(math.prod(x.shape[:axis]), f.shape[0], -1)
-                    part = np.matmul(f, rows).reshape(x.shape)
-            # each factor made a fresh array to scale in place; the input is
-            # never written, and the first term's array is the accumulator
-            part = scalar * x if part is x else np.multiply(part, scalar, out=part)
-            out = part if out is None else np.add(out, part, out=out)
-        return out.reshape(np.shape(columns))
+                    if part is x and dst is not None:
+                        np.matmul(f, rows, out=dst.reshape(rows.shape))
+                        part = dst
+                    else:
+                        part = np.matmul(f, rows).reshape(x.shape)
+            part = np.multiply(part, scalar, out=dst if part is x else part)
+            acc = part if acc is None else np.add(acc, part, out=acc)
+        if buf is None:
+            return acc.reshape(np.shape(columns))
+        if acc is not buf:
+            buf[...] = acc
+        return out
 
     def dense(self) -> np.ndarray:
         """The full matrix, read-only; for sector-size operators only."""
@@ -252,8 +293,8 @@ class CompiledOperator:
         per-factor extremes; any other term gives +-|s| prod ||factor||_2.
         """
         lo = hi = 0.0
-        for scalar, factors, hermitian in self.terms:
-            if hermitian:
+        for scalar, factors, powers in self.terms:
+            if scalar.imag == 0 and all(0 in qp for qp in powers.values()):
                 ends = [scalar.real]
                 for f in factors.values():
                     eig = f if f.ndim == 1 else np.linalg.eigvalsh(f)
@@ -300,20 +341,21 @@ def compile_expression(
             scalar *= values[sym] ** e
         # canonical words group factors per DOF, positions before momenta
         factors: dict = {}
-        kinds: dict = {}
+        powers: dict = {}
         for sym in word:
             axis = sym.index - 1
             cur = factors.get(axis)
+            q, p = powers.get(axis, (0, 0))
             if sym.is_momentum:
-                p = _momentum_matrix(grids[axis], float(hbar))
-                factors[axis] = p if cur is None else (cur[:, None] * p if cur.ndim == 1 else cur @ p)
+                mom = _momentum_matrix(grids[axis], float(hbar))
+                factors[axis] = mom if cur is None else (cur[:, None] * mom if cur.ndim == 1 else cur @ mom)
+                powers[axis] = (q, p + 1)
             else:
                 x = grids[axis].points()
                 factors[axis] = x if cur is None else cur * x
-            kinds.setdefault(axis, set()).add(sym.is_momentum)
-        hermitian = scalar.imag == 0 and all(len(k) == 1 for k in kinds.values())
-        terms.append((scalar, factors, hermitian))
-    return CompiledOperator(tuple(terms), grids)
+                powers[axis] = (q + 1, p)
+        terms.append((scalar, factors, powers))
+    return CompiledOperator(tuple(terms), grids, float(hbar))
 
 
 # --------------------------------------------------------------------------
@@ -407,6 +449,42 @@ def chebyshev_terms(H: CompiledOperator, times: Sequence[float], hbar: float = 1
     return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / hbar) for t in times)
 
 
+def fourier_axes(H: CompiledOperator) -> tuple:
+    """The tensor axes :func:`evolve_full_quantum` runs in the basis of
+    :func:`_fourier_basis`: those on which more of H's terms have a pure
+    power of P than a pure power of Q.  Ties stay in position."""
+    votes = [0] * len(H.grids)
+    for _, _, powers in H.terms:
+        for axis, (q, p) in powers.items():
+            votes[axis] += (q == 0) - (p == 0)
+    return tuple(axis for axis, vote in enumerate(votes) if vote > 0)
+
+
+def _chebyshev_operator(
+    H: CompiledOperator, axes: tuple, center: float, scale: float
+) -> CompiledOperator:
+    """scale * (H - center), the operator the Chebyshev recurrence of
+    :func:`evolve_full_quantum` applies, with the factors on ``axes``
+    rebuilt in the basis of :func:`_fourier_basis`.  The shift and every
+    term diagonal on all axes are summed into one first term whose scalar
+    is an array over the grid, so one product builds them in ``apply``."""
+    diagonal = np.full(H.shape, -center * scale, dtype=complex)
+    terms = []
+    for scalar, factors, powers in H.terms:
+        factors = {
+            a: _fourier_factor(H.grids[a], H.hbar, *powers[a]) if a in axes else f
+            for a, f in factors.items()
+        }
+        if all(f.ndim == 1 for f in factors.values()):
+            part = scalar * scale
+            for a, f in factors.items():
+                part = part * f.reshape((-1,) + (1,) * (len(H.grids) - a - 1))
+            diagonal += part
+        else:
+            terms.append((scalar * scale, factors, powers))
+    return CompiledOperator(((diagonal[..., None], {}, {}),) + tuple(terms), H.grids, H.hbar)
+
+
 def evolve_full_quantum(
     H: CompiledOperator,
     vectors: State | np.ndarray,
@@ -418,43 +496,56 @@ def evolve_full_quantum(
     the input's kind per time, in order.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-    1984) on ``H.apply`` over the operator's spectral interval.  The
-    vectors T_n(H~)v do not depend on t, so one recurrence runs to the
-    order max |t| needs (:func:`chebyshev_terms`) and every time sums its
-    own coefficients a_n(t) in the same loop, truncated where its
-    coefficient tail falls below CHEBYSHEV_TAIL.  The recurrence works in
-    place; memory is one r x dim result per time plus the input, T_n and
-    T_{n-1} and the temporaries of one ``apply``.  Raises GridError when
-    the columns' Gram matrix drifts by more than 1e-9 in spectral norm at
-    any time, so that no unit combination of the columns changes its
-    squared norm by more than 1e-9.
+    1984) over H's spectral interval.  The vectors T_n(H~)v do not depend
+    on t, so one recurrence runs to the order max |t| needs
+    (:func:`chebyshev_terms`) and every time sums its own coefficients
+    a_n(t) in the same loop, truncated where its coefficient tail falls
+    below CHEBYSHEV_TAIL.  The recurrence runs in a per-axis basis: the
+    axes of :func:`fourier_axes` are taken to the unitary-DFT basis once,
+    where a pure power of P is diagonal, and each result is taken back at
+    the end; order and coefficients still come from H's own interval.
+    Three buffers, the transformed input first, hold the T_n in turn, each
+    new one written over a spent one, so memory is one r x dim result per
+    time plus those buffers and one temporary per term of ``apply``.
+    Raises GridError when the columns' Gram matrix drifts by more than
+    1e-9 in spectral norm at any time, so that no unit combination of the
+    columns changes its squared norm by more than 1e-9.
     """
     v = vectors.amplitudes if isinstance(vectors, State) else np.asarray(vectors, dtype=complex)
     lo, hi = H.spectral_interval
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in times]
-    outs = [a[0] * v for a in coeffs]
+    axes = fourier_axes(H)
+    grid_shape = H.shape + (-1,)
+    u = v
+    if axes:
+        u = np.fft.fftn(v.reshape(grid_shape), axes=axes, norm="ortho").reshape(v.shape)
+    outs = [a[0] * u for a in coeffs]
     order = max((a.size for a in coeffs), default=0)
     if order > 1:
-        prev, cur = v, H.apply(v)
-        cur -= center * v
-        cur /= radius
+        # T_{n+1} = op T_n - T_{n-1} with op = 2 (H - center) / radius
+        op = _chebyshev_operator(H, axes, center, 2.0 / radius)
+        prev, cur = u, op.apply(u)
+        cur *= 0.5
         spare = None
         for n in range(1, order):
             if n > 1:
-                nxt = H.apply(cur)
-                nxt -= center * cur
-                nxt *= 2.0 / radius
-                nxt -= prev
-                # T_{n-2} is spent: its buffer takes the products below
-                spare = None if prev is v else prev
-                prev, cur = cur, nxt
+                # T_n goes over the spent buffer; T_{n-2} is spent after it
+                # and takes the products below, unless it is the caller's input
+                prev, cur, spare = cur, op.apply(cur, out=spare), prev
+                cur -= spare
+                if spare is v:
+                    spare = None
             for out, a in zip(outs, coeffs):
                 if n < a.size:
                     out += np.multiply(a[n], cur, out=spare)
-            spare = None
+        del prev, cur, spare
+    del u  # the buffers are free before the results are taken back
     gram = _gram(v)
     for out, t in zip(outs, times):
+        if axes:
+            grid = out.reshape(grid_shape)
+            grid[...] = np.fft.ifftn(grid, axes=axes, norm="ortho")
         out *= np.exp(-1j * center * t / hbar)
         if np.linalg.norm(_gram(out) - gram, 2) > 1e-9:
             raise GridError(f"evolution lost unitarity beyond 1e-9 at t={t}")

@@ -64,6 +64,13 @@ def test_evolve_prints_series(capsys):
     assert out.strip() == "P1(t) = P1"
 
 
+def test_evolve_names_the_observables_on_an_unknown_one(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--observable", "X9")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: unknown observable 'X9'; choose from q1, p1, Q1, P1"]
+
+
 def test_certify_default_example(capsys):
     code, out, _ = run_cli(capsys, "certify")
     assert code == 0

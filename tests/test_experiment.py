@@ -396,7 +396,9 @@ def test_verification_propagates_once(monkeypatch):
         # one progress note gives the propagation's size
         (note,) = [n for n in notes if n.startswith("propagating")]
         assert note.startswith(f"propagating r={columns} columns to 4 times in ")
-        assert note.endswith(" Chebyshev terms")
+        # the quantum DOF's axis is all momentum powers (P2^2 and k*Q1*P2);
+        # the classical one ties P1^2 against Q1 and stays in position
+        assert note.endswith(" Chebyshev terms; Fourier basis on axes 2")
 
 
 def test_shallow_verification_with_two_classical_dofs():

@@ -1,6 +1,7 @@
 """Grids, states, operators: analytic and quadrature oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from halfq.hilbert import (
     chebyshev_coefficients,
     compile_expression,
     evolve_full_quantum,
+    fourier_axes,
     gaussian_state,
     interval_probability,
     momentum_operator,
@@ -341,6 +343,14 @@ def test_compiled_apply_matches_dense_on_column_batches():
     assert np.max(np.abs(op.apply(frozen) - dense @ batch[:, 3])) <= 1e-14 * scale
     zero = compile_expression(s.zero(), {}, grids, 0.7)
     assert np.array_equal(zero.apply(batch), np.zeros_like(batch))
+    # into a caller's buffer: the first term is a constant, a diagonal
+    # factor followed by a matmul, or absent
+    single = compile_expression(parse_expression("Q2*P3^2", s), {}, grids, 0.7)
+    buf = np.empty_like(batch)
+    for other in (op, single, zero):
+        assert other.apply(batch, out=buf) is buf
+        assert np.max(np.abs(buf - other.dense() @ batch)) <= 1e-14 * scale
+    assert np.array_equal(batch, before)
 
 
 def test_chebyshev_matches_eigh_reference_on_example():
@@ -390,6 +400,90 @@ def test_chebyshev_matches_eigh_reference_on_example():
     for t, evolved in zip(times, got):
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
         assert np.max(np.abs(evolved - want)) <= 1e-12, t
+
+
+def test_fourier_axes_follow_the_pure_powers():
+    g = Grid(16, -4.0, 4.0)
+    s = System(0, 1)
+    for text, axes in (("P1^2/2", (0,)), ("Q1^2", ()), ("P1^2 + Q1", ())):
+        op = compile_expression(parse_expression(text, s), {}, {1: g}, HBAR)
+        assert fourier_axes(op) == axes, text
+
+
+def test_mixed_basis_propagation_matches_dense_eigh():
+    """Axis 2 (P2^2 and Q1*P2/5 against Q2^4) propagates in the Fourier
+    basis and axis 1 (P1^2 against Q1^2 and Q1) in position, against a
+    Hamiltonian assembled here from dense one-DOF matrices."""
+    g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
+    s = System(0, 2)
+    expr = parse_expression("P1^2/2 + Q1^2/2 + P2^2/2 + Q1*P2/5 + Q2^4/40 + 3/2", s)
+    h_op = compile_expression(expr, {}, {1: g1, 2: g2}, HBAR)
+    assert fourier_axes(h_op) == (1,)
+    p1, p2 = momentum_operator(g1, HBAR).dense(), momentum_operator(g2, HBAR).dense()
+    q1, q2 = np.diag(g1.points()), np.diag(g2.points())
+    i1, i2 = np.eye(16), np.eye(20)
+    h_dense = (
+        np.kron(p1 @ p1 + q1 @ q1, i2) / 2
+        + np.kron(i1, p2 @ p2) / 2
+        + np.kron(q1, p2) / 5
+        + np.kron(i1, q2**4) / 40
+        + 1.5 * np.eye(320)
+    )
+    w, v = np.linalg.eigh(h_dense)
+    rng = np.random.default_rng(11)
+    cols = np.linalg.qr(rng.normal(size=(320, 3)) + 1j * rng.normal(size=(320, 3)))[0]
+    times = (0.3, 0.8, 1.5)
+    for t, evolved in zip(times, evolve_full_quantum(h_op, cols, times, HBAR)):
+        want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
+        assert np.max(np.abs(evolved - want)) <= 1e-12, t
+
+
+def test_chebyshev_operator_in_mixed_basis_matches_dense():
+    """The operator the recurrence applies, scale * (H - center) with axis
+    2 in the unitary-DFT basis, on every kind of term: mixed Q2*P2 and
+    Q2^2*P2^3 factors rebuilt in that basis, a mixed factor on the
+    position axis, complex scalars and a constant.  On a grid such a
+    Hamiltonian is not Hermitian, so no propagation can check these
+    terms; the operator is compared with the position-basis matrix."""
+    from halfq.hilbert import _chebyshev_operator
+
+    g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
+    s = System(0, 2)
+    expr = parse_expression(
+        "P1^2/2 + Q1*P1 + P2^2/2 + Q1*P2/5 + (2+i)*Q2*P2 + i*Q2^2*P2^3 + 3/2 - i/4", s
+    )
+    h_op = compile_expression(expr, {}, {1: g1, 2: g2}, 0.7)
+    assert fourier_axes(h_op) == (1,)
+    center, scale = 1.3, 0.2
+    op = _chebyshev_operator(h_op, (1,), center, scale)
+    rng = np.random.default_rng(5)
+    cols = rng.normal(size=(320, 4)) + 1j * rng.normal(size=(320, 4))
+    want = scale * (h_op.dense() @ cols - center * cols)
+    got = op.apply(np.fft.fft(cols.reshape(16, 20, 4), axis=1, norm="ortho"))
+    got = np.fft.ifft(got, axis=1, norm="ortho").reshape(320, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_propagation_memory_is_its_results_and_four_arrays():
+    """The oracle-deep shape: 2,304 dimensions, 48 columns, 4 times.  Past
+    the results, the input's transform, three recurrence buffers and one
+    apply temporary; the caller's input was allocated before tracing."""
+    from halfq.experiment import build_example
+
+    cfg = build_example(npoints=48, extent=12.0)
+    grids = {a + 1: g for a, g in enumerate(cfg.all_grids())}
+    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, grids, HBAR, cfg.constants)
+    rng = np.random.default_rng(2)
+    cols = np.linalg.qr(rng.normal(size=(2304, 48)) + 1j * rng.normal(size=(2304, 48)))[0]
+    times = (0.0, 0.4, 0.8, 1.2)
+    evolve_full_quantum(h_op, cols, times, HBAR)  # warm-up: caches fill
+    tracemalloc.start()
+    try:
+        evolve_full_quantum(h_op, cols, times, HBAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(times) + 4.1) * cols.nbytes
 
 
 def test_boundary_mass_detects_edge_weight():
