@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraError,
-    CNum,
-    HybridExpression,
-    Symbol,
-    partial_derivative,
-)
+from .algebra import AlgebraError, HybridExpression, Symbol, partial_derivative
 from .classicality import ClassicalData
 from .hilbert import (
     CompiledOperator,
@@ -63,10 +57,6 @@ class HybridObservable:
         e = self.expr if expr is None else expr
         centers = {sym: self.data.center(sym) for sym in e.classical_symbols()}
         return compile_expression(e, centers, self.quantum_grids, self.hbar)
-
-    def matrix(self) -> np.ndarray:
-        """Dense read-only quantum-sector matrix of :meth:`compiled`."""
-        return self.compiled().dense()
 
 
 @dataclass(frozen=True)
@@ -149,38 +139,6 @@ def delta_L_margin(
         per_symbol=per_symbol,
         second_order=second,
     )
-
-
-def closed_form_margin(expr: HybridExpression) -> dict:
-    """Symbolic margin weights for constant-derivative observables.
-
-    Returns {classical symbol: weight expression in |t| and the declared
-    constants}; the margin is sum_i weight_i * delta_i.  Requires every
-    classical derivative to be a scalar multiple of the identity whose
-    coefficient is a single constant monomial (true for the worked example);
-    declared constants are taken positive.  Raises otherwise.
-    """
-    out = {}
-    for sym in sorted(expr.classical_symbols()):
-        deriv = partial_derivative(expr, sym)
-        terms = deriv.terms()
-        if deriv.is_zero:
-            continue
-        if len(terms) != 1:
-            raise AlgebraError(
-                f"derivative along {sym.name} is not a single constant monomial"
-            )
-        (hbar, consts, classical, word), coeff = terms[0]
-        if hbar or classical or word:
-            raise AlgebraError(
-                f"derivative along {sym.name} is not a constant multiple of the identity"
-            )
-        if coeff.im != 0:
-            raise AlgebraError("margin weights must be real")
-        out[sym] = HybridExpression(
-            deriv.system, {(0, consts, (), ()): CNum(abs(coeff.re))}
-        )
-    return out
 
 
 def spread_Delta_L(delta_L: float, cfg: BoundConfig) -> float:
@@ -371,7 +329,7 @@ def leakage_sectors(
 
 def operator_discrepancy(
     A_full: CompiledOperator,
-    B: np.ndarray,
+    B: CompiledOperator,
     psi_classical: State,
     psi_quantum: State,
     L: int,
@@ -380,7 +338,7 @@ def operator_discrepancy(
     """|<psi|(A-B)^2L|psi>|^(1/2L) against the margin bound.
 
     ``A_full`` acts on the tensor space, classical DOFs first; ``B`` is the
-    half-quantum operator's quantum-sector matrix (classical symbols at
+    half-quantum operator on the quantum sector (classical symbols at
     their central values), acting as the identity on the classical sector.
     ``margin`` is its order-L margin at ``psi_quantum``.  For a certified
     classical factor, lhs <= rhs.
@@ -389,7 +347,7 @@ def operator_discrepancy(
     n_c = psi_classical.dim
     vec = psi.amplitudes
     for _ in range(L):
-        # I (x) B acts on the trailing quantum axis of the flattened tensor
-        vec = A_full.apply(vec) - (vec.reshape(n_c, -1) @ B.T).reshape(-1)
+        # I (x) B acts on the trailing quantum axes: one column per classical node
+        vec = A_full.apply(vec) - B.apply(vec.reshape(n_c, -1).T).T.reshape(-1)
     lhs = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
     return lhs, margin.with_second_order

@@ -305,24 +305,6 @@ def certify(
     return ClassicalityCertificate(order=L, rows=tuple(rows))
 
 
-def schwarz_precheck(
-    psi_c: State, data: ClassicalData, L: int, hbar: float
-) -> dict:
-    """Fast sufficient conditions <(z - z0)^2L> <= delta_z^2L per symbol.
-
-    These are the Schwarz-reduced inequalities (hbar^2 terms dropped); a
-    certificate verdict always comes from the full evaluation in
-    :func:`certify`.
-    """
-    ops = classical_operators(psi_c.grids, hbar)
-    out = {}
-    for sym, op in ops.items():
-        center = data.center(sym)
-        lhs = error_ket_norm_sq([op] * L, [center] * L, psi_c)
-        out[sym] = (lhs, data.margin(sym) ** (2 * L))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Gaussian families
 

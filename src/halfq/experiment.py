@@ -57,7 +57,6 @@ from .bounds import (
     BoundConfig,
     HybridObservable,
     delta_L_margin,
-    closed_form_margin,
     leakage_constant,
     leakage_sectors,
     operator_discrepancy,
@@ -71,8 +70,9 @@ from .classicality import (
     certify,
     classicality_sequences,
 )
-from .grammar import format_expression, parse_expression, parse_symbol
+from .grammar import parse_expression, parse_symbol
 from .hilbert import (
+    CompiledOperator,
     Grid,
     GridError,
     SpectralDecomp,
@@ -582,81 +582,10 @@ def hybrid_solutions(cfg: SystemConfig) -> dict:
     return out
 
 
-def closed_form_check(cfg: SystemConfig) -> dict:
-    """Golden test of the example: engine series and margins against the
-    known closed-form solutions, as exact polynomial identities."""
-    system = cfg.system
-    if (system.classical, system.quantum) != (1, 1):
-        raise ConfigError("closed-form check applies to the 1+1 DOF example")
-    consts = tuple(cfg.constants)
-    expected = {
-        "q1": "q1 + t/m*p1 - k*t^2/(2*m)*P1",
-        "p1": "p1 - k*t*P1",
-        "Q1": "Q1 + t/M*P1 + k*t*q1 + k*t^2/(2*m)*p1 - k^2*t^3/(6*m)*P1",
-        "P1": "P1",
-    }
-    expected_margins = {
-        "q1": {"q1": "1", "p1": "t/m"},
-        "p1": {"p1": "1"},
-        "Q1": {"q1": "k*t", "p1": "k*t^2/(2*m)"},
-        "P1": {},
-    }
-    sols = hybrid_solutions(cfg)
-    time_consts = consts + ("t",)
-    report = {}
-    for name, sol in sols.items():
-        want = parse_expression(expected[name], system, time_consts)
-        series_ok = sol == want
-        margins = closed_form_margin(sol)
-        margin_sys = next(iter(margins.values())).system if margins else system
-        want_m = {
-            parse_symbol(k): parse_expression(v, margin_sys, time_consts)
-            for k, v in expected_margins[name].items()
-        }
-        margins_ok = margins == want_m
-        report[name] = {
-            "series": format_expression(sol),
-            "series_ok": series_ok,
-            "margins": {s.name: format_expression(e) for s, e in margins.items()},
-            "margins_ok": margins_ok,
-            "ok": series_ok and margins_ok,
-        }
-    return report
-
-
-def constants_check() -> list:
-    """The worst-case sandwich-error constants at the two reference settings."""
-    rows = []
-    for cfg, checks in (
-        (
-            BoundConfig(1, 0.99),
-            {"worst_error": (0.72, 0.02), "widening_over_delta": (20.0, 1e-9)},
-        ),
-        (
-            BoundConfig(10, 0.99999),
-            {
-                "worst_error": (0.0019, 1e-4),
-                "leakage": (9.4e-7, 1e-8),
-                "widening_over_delta": (3.6, 0.05),
-            },
-        ),
-    ):
-        values = worst_case_errors(cfg)
-        row = dict(values)
-        row["checks"] = {}
-        ok = True
-        for key, (target, tol) in checks.items():
-            good = abs(values[key] - target) <= tol
-            row["checks"][key] = {
-                "computed": values[key],
-                "target": target,
-                "tolerance": tol,
-                "ok": good,
-            }
-            ok = ok and good
-        row["ok"] = ok
-        rows.append(row)
-    return rows
+def reference_constants() -> list:
+    """The worst-case sandwich-error constants (:func:`worst_case_errors`)
+    at the two reference settings, (L, p) = (1, 0.99) and (10, 0.99999)."""
+    return [worst_case_errors(BoundConfig(L, p)) for L, p in ((1, 0.99), (10, 0.99999))]
 
 
 # --------------------------------------------------------------------------
@@ -682,8 +611,8 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
 class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
-    ``matrix`` is the read-only dense sector operator B of the observable
-    ``name`` at time ``t`` (from its compiled form) and ``decomp`` its spectrum;
+    ``operator`` is the compiled sector operator B of the observable
+    ``name`` at time ``t`` and ``decomp`` its spectrum;
     ``a0 = <phi^Q|B|phi^Q>`` centers every interval; ``margins``
     maps each order L to its margin; ``rows`` holds one
     ``(L, p, width_multiplier, D, PredictionBound)`` per sandwich, with
@@ -692,7 +621,7 @@ class SandwichPoint:
 
     name: str
     t: Fraction
-    matrix: np.ndarray
+    operator: CompiledOperator
     decomp: SpectralDecomp
     a0: float
     margins: dict
@@ -715,9 +644,11 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 sols[name].substitute_constants(_substitutions(cfg, t_exact)),
                 cfg.classical_data, quantum_grid_map, cfg.hbar,
             )
-            b = observable.matrix()
-            decomp = spectral_decompose(b)
-            a0 = float(np.vdot(phi_q.amplitudes, b @ phi_q.amplitudes).real)
+            b = observable.compiled()
+            # the one dense B: its spectrum, and a0 off the same array
+            dense = b.dense()
+            decomp = spectral_decompose(dense)
+            a0 = float(np.vdot(phi_q.amplitudes, dense @ phi_q.amplitudes).real)
             margins = {L: delta_L_margin(observable, phi_q, L) for L in levels}
             rows = []
             for L, margin in margins.items():
@@ -897,21 +828,21 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     rotated = ", ".join(str(axis + 1) for axis in fourier_axes(h_op))
     note(
         f"propagating r={basis.shape[1]} columns to {len(times)} times in "
-        f"{chebyshev_terms(h_op, t_floats, hbar)} Chebyshev terms; "
+        f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "
         + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
     )
     # one recurrence for all times: exp(-iHt/hbar)(phi_c (x) x) = W_t basis^H x
     propagated = dict(
         zip(times, evolve_full_quantum(
-            h_op, np.kron(phi_c.amplitudes[:, None], basis), t_floats, hbar
+            h_op, np.kron(phi_c.amplitudes[:, None], basis), t_floats
         ))
     )
     for t, w in propagated.items():
         psi_t = State(w @ (coordinates @ phi_q.amplitudes), grids)
         _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
 
-    # per observable: its DOF's axis and t=0 spectrum, the operator A and
-    # the exact Heisenberg-picture series A(t) of the oracle
+    # per observable: its DOF's axis, the one-DOF spectrum of the t=0
+    # operator A and the exact Heisenberg-picture series A(t) of the oracle
     oracle = {}
     for name in cfg.sweep.observables:
         axis = cfg.observable_axis(name)
@@ -919,12 +850,10 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         base_op = compile_expression(
             System(0, 1).symbol(quantized(1)), {}, {1: grids[axis]}, hbar
         )
-        a_expr = cfg.full_system().symbol(quantized(axis + 1))
         oracle[name] = (
             axis,
             spectral_decompose(base_op.dense()),
-            compile_expression(a_expr, {}, full_grids, hbar),
-            heisenberg_series(a_expr, h_expr),
+            heisenberg_series(cfg.full_system().symbol(quantized(axis + 1)), h_expr),
         )
 
     rows = []
@@ -934,7 +863,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     for point, cols in zip(points, sectors):
         t = float(point.t)
         note(f"observable {point.name}, t={t}")
-        axis, a_decomp, a_op, series = oracle[point.name]
+        axis, a_decomp, series = oracle[point.name]
         a_t = compile_expression(
             series.substitute_constants(_substitutions(cfg, point.t)),
             {}, full_grids, hbar, cfg.constants,
@@ -942,14 +871,16 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         # psi_t and the evolved leakage sectors in the Schroedinger picture
         factors = np.column_stack([phi_q.amplitudes] + cols)
         batch = propagated[point.t] @ (coordinates @ factors)
-        psi_t = batch[:, 0]
-        gap = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes)) - np.vdot(
-            psi_t, a_op.apply(psi_t)
+        # the whole batch measured once in the eigenbasis of the t=0 observable
+        masses = _axis_masses(a_decomp, batch, shape, axis)
+        # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
+        gap = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes)) - (
+            a_decomp.eigenvalues @ masses[:, 0]
         )
         ehrenfest = max(ehrenfest, abs(gap))
         if deep:
             for L, margin in point.margins.items():
-                lhs, rhs = operator_discrepancy(a_t, point.matrix, phi_c, phi_q, L, margin)
+                lhs, rhs = operator_discrepancy(a_t, point.operator, phi_c, phi_q, L, margin)
                 ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
                 disc_rows.append(
                     {
@@ -961,8 +892,6 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                         "verdict": "pass" if ok else "fail",
                     }
                 )
-        # the whole batch measured once in the eigenbasis of the t=0 observable
-        masses = _axis_masses(a_decomp, batch, shape, axis)
         j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
         for L, p, mult, D, pb in point.rows:
             in_I0 = interval_mask(a_decomp.eigenvalues, pb.I0)

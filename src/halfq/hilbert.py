@@ -8,18 +8,20 @@ are Kronecker products with the grids listed in DOF order.
 Every numeric operator, a single Q or P included, is a hybrid expression
 of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
 of per-DOF factors that acts on states without a full-dimension matrix.
-Each term records its per-DOF (Q power, P power) beside its factors.
-The one propagator, :func:`evolve_full_quantum`, is a Chebyshev recurrence
-on that action that carries a batch of columns to several times in one
-pass; it powers the brute-force full-quantum oracle.  It runs in a
-per-axis basis: the axes where pure powers of P outnumber pure powers of
-Q (:func:`fourier_axes`) are taken once to the unitary-DFT basis, where
+Each term records its per-DOF (Q power, P power) beside its factors, and
+one function, :func:`_axis_factor`, realizes every factor Q^q P^p on a
+grid, in position or in the unitary-DFT basis.  The one propagator,
+:func:`evolve_full_quantum`, is a Chebyshev recurrence on that action
+that carries a batch of columns to several times in one pass; it powers
+the brute-force full-quantum oracle.  It runs in a per-axis basis: the
+axes where pure powers of P outnumber pure powers of Q
+(:func:`fourier_axes`) are taken once to the unitary-DFT basis, where
 P^n is diagonal, and every term diagonal on all axes joins one array over
 the grid.  The recurrence writes each new Chebyshev vector over a spent
 one, so it holds three of them besides the results.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
-:func:`spectral_decompose` or applied as a sector operator.
+:func:`spectral_decompose`.
 """
 
 from __future__ import annotations
@@ -156,25 +158,37 @@ def _fourier_basis(grid: Grid) -> tuple:
     return f, k
 
 
-@lru_cache(maxsize=32)
-def _momentum_matrix(grid: Grid, hbar: float) -> np.ndarray:
-    f, k = _fourier_basis(grid)
-    # unitary DFT: momentum = F^dagger diag(hbar k) F, exactly Hermitian
-    mat = f.conj().T @ (hbar * k[:, None] * f)
-    mat = 0.5 * (mat + mat.conj().T)
-    mat.flags.writeable = False
-    return mat
+# lru_cache keys keyword and positional arguments apart: every call passes
+# all five by position, so that each factor has one cache entry
+@lru_cache(maxsize=64)
+def _axis_factor(grid: Grid, hbar: float, q: int, p: int, fourier: bool) -> np.ndarray:
+    """Q^q P^p on one grid, read-only; 1-D when diagonal.
 
-
-def _fourier_factor(grid: Grid, hbar: float, q: int, p: int) -> np.ndarray:
-    """Q^q P^p on one grid in the basis of :func:`_fourier_basis`:
-    f diag(x^q) f^dagger diag((hbar k)^p), so a pure power of P is exactly
-    the diagonal (hbar k)^p."""
-    f, k = _fourier_basis(grid)
-    diagonal = (hbar * k) ** p
-    if q == 0:
-        return diagonal
-    return (f * grid.points() ** q) @ f.conj().T * diagonal
+    In position, Q^q is the diagonal x^q by repeated products with x, and
+    P the spectral derivative f^dagger diag(hbar k) f made exactly
+    Hermitian; a further P multiplies from the right.  In the basis of
+    :func:`_fourier_basis` (``fourier``) the factor is
+    f diag(x^q) f^dagger diag((hbar k)^p), so a pure power of P is the
+    diagonal (hbar k)^p.
+    """
+    if fourier:
+        f, k = _fourier_basis(grid)
+        out = (hbar * k) ** p
+        if q:
+            out = (f * _axis_factor(grid, hbar, q, 0, False)) @ f.conj().T * out
+    elif p == 0:
+        x = grid.points()
+        out = np.ones_like(x) if q == 0 else _axis_factor(grid, hbar, q - 1, 0, False) * x
+    elif p == 1:
+        f, _ = _fourier_basis(grid)
+        out = f.conj().T @ (_axis_factor(grid, hbar, 0, 1, True)[:, None] * f)
+        out = 0.5 * (out + out.conj().T)
+        if q:
+            out = _axis_factor(grid, hbar, q, 0, False)[:, None] * out
+    else:
+        out = _axis_factor(grid, hbar, q, p - 1, False) @ _axis_factor(grid, hbar, 0, 1, False)
+    out.flags.writeable = False
+    return out
 
 
 def momentum_operator(grid: Grid, hbar: float) -> CompiledOperator:
@@ -290,14 +304,16 @@ class CompiledOperator:
 
         Per-term enclosures add up (Weyl's inequality).  A Hermitian term
         gives the exact range of its eigenvalues, spanned by products of
-        per-factor extremes; any other term gives +-|s| prod ||factor||_2.
+        per-factor extremes, read off each pure power's diagonal (in the
+        DFT basis for a power of P); any other term gives
+        +-|s| prod ||factor||_2.
         """
         lo = hi = 0.0
         for scalar, factors, powers in self.terms:
             if scalar.imag == 0 and all(0 in qp for qp in powers.values()):
                 ends = [scalar.real]
-                for f in factors.values():
-                    eig = f if f.ndim == 1 else np.linalg.eigvalsh(f)
+                for a, (q, p) in powers.items():
+                    eig = _axis_factor(self.grids[a], self.hbar, q, p, p > 0)
                     ends = [e * x for e in ends for x in (eig.min(), eig.max())]
                 lo, hi = lo + min(ends), hi + max(ends)
             else:
@@ -340,20 +356,13 @@ def compile_expression(
                 raise AlgebraError(f"unbound classical symbol {sym.name}")
             scalar *= values[sym] ** e
         # canonical words group factors per DOF, positions before momenta
-        factors: dict = {}
         powers: dict = {}
         for sym in word:
-            axis = sym.index - 1
-            cur = factors.get(axis)
-            q, p = powers.get(axis, (0, 0))
-            if sym.is_momentum:
-                mom = _momentum_matrix(grids[axis], float(hbar))
-                factors[axis] = mom if cur is None else (cur[:, None] * mom if cur.ndim == 1 else cur @ mom)
-                powers[axis] = (q, p + 1)
-            else:
-                x = grids[axis].points()
-                factors[axis] = x if cur is None else cur * x
-                powers[axis] = (q + 1, p)
+            q, p = powers.get(sym.index - 1, (0, 0))
+            powers[sym.index - 1] = (q, p + 1) if sym.is_momentum else (q + 1, p)
+        factors = {
+            a: _axis_factor(grids[a], float(hbar), q, p, False) for a, (q, p) in powers.items()
+        }
         terms.append((scalar, factors, powers))
     return CompiledOperator(tuple(terms), grids, float(hbar))
 
@@ -442,11 +451,11 @@ def chebyshev_coefficients(alpha: float) -> np.ndarray:
     return coeffs
 
 
-def chebyshev_terms(H: CompiledOperator, times: Sequence[float], hbar: float = 1.0) -> int:
+def chebyshev_terms(H: CompiledOperator, times: Sequence[float]) -> int:
     """Length of the Chebyshev recurrence :func:`evolve_full_quantum` runs
     under ``H`` for ``times``: the order the largest |t| needs."""
     lo, hi = H.spectral_interval
-    return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / hbar) for t in times)
+    return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / H.hbar) for t in times)
 
 
 def fourier_axes(H: CompiledOperator) -> tuple:
@@ -464,16 +473,16 @@ def _chebyshev_operator(
     H: CompiledOperator, axes: tuple, center: float, scale: float
 ) -> CompiledOperator:
     """scale * (H - center), the operator the Chebyshev recurrence of
-    :func:`evolve_full_quantum` applies, with the factors on ``axes``
-    rebuilt in the basis of :func:`_fourier_basis`.  The shift and every
+    :func:`evolve_full_quantum` applies, with the factors on ``axes`` in
+    the basis of :func:`_fourier_basis`.  The shift and every
     term diagonal on all axes are summed into one first term whose scalar
     is an array over the grid, so one product builds them in ``apply``."""
     diagonal = np.full(H.shape, -center * scale, dtype=complex)
     terms = []
-    for scalar, factors, powers in H.terms:
+    for scalar, _, powers in H.terms:
         factors = {
-            a: _fourier_factor(H.grids[a], H.hbar, *powers[a]) if a in axes else f
-            for a, f in factors.items()
+            a: _axis_factor(H.grids[a], H.hbar, q, p, a in axes)
+            for a, (q, p) in powers.items()
         }
         if all(f.ndim == 1 for f in factors.values()):
             part = scalar * scale
@@ -489,11 +498,11 @@ def evolve_full_quantum(
     H: CompiledOperator,
     vectors: State | np.ndarray,
     times: Sequence[float],
-    hbar: float = 1.0,
 ) -> list:
     """exp(-iHt/hbar) applied to a State, a (dim,) vector or each of the r
     columns of a (dim, r) batch, at every time in ``times``: one result of
-    the input's kind per time, in order.
+    the input's kind per time, in order; hbar is the one ``H`` was
+    compiled with.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
     1984) over H's spectral interval.  The vectors T_n(H~)v do not depend
@@ -512,6 +521,7 @@ def evolve_full_quantum(
     columns changes its squared norm by more than 1e-9.
     """
     v = vectors.amplitudes if isinstance(vectors, State) else np.asarray(vectors, dtype=complex)
+    hbar = H.hbar
     lo, hi = H.spectral_interval
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in times]

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from halfq import (
+    Symbol,
     System,
     commutator,
     hybrid_bracket,
@@ -22,6 +23,7 @@ from halfq import (
     mul_ihbar,
     div_ihbar,
     parse_expression,
+    partial_derivative,
     poisson_bracket,
     unquantize,
     weyl_quantize,
@@ -37,7 +39,7 @@ from halfq.classicality import (
     ClassicalData,
     ClassicalDatum,
 )
-from halfq.experiment import build_example, closed_form_check, run_verification
+from halfq.experiment import build_example, hybrid_solutions, run_verification
 from halfq.hilbert import (
     Grid,
     State,
@@ -108,18 +110,31 @@ def test_criterion_2_constants_L10():
 
 
 def test_criterion_3_closed_form_solutions():
-    """Hybrid-bracket evolution equals the closed forms and margin columns
-    as exact polynomial identities."""
+    """Hybrid-bracket evolution equals the closed forms, and its derivative
+    along each classical symbol the margin column, as exact polynomial
+    identities."""
+    expected = {
+        "q1": ("q1 + t/m*p1 - k*t^2/(2*m)*P1", "1", "t/m"),
+        "p1": ("p1 - k*t*P1", "0", "1"),
+        "Q1": ("Q1 + t/M*P1 + k*t*q1 + k*t^2/(2*m)*p1 - k^2*t^3/(6*m)*P1", "k*t", "k*t^2/(2*m)"),
+        "P1": ("P1", "0", "0"),
+    }
     start = time.time()
-    report = closed_form_check(build_example())
+    cfg = build_example()
+    sols = hybrid_solutions(cfg)
     elapsed = time.time() - start
-    ok = (
-        set(report) == {"q1", "p1", "Q1", "P1"}
-        and all(entry["series_ok"] for entry in report.values())
-        and all(entry["margins_ok"] for entry in report.values())
-        and elapsed < 5.0
-    )
-    _report(3, "closed-form solutions and margins", ok, f"{elapsed:.2f}s")
+    system = cfg.system
+    mismatches = []
+    for name, (series, along_q1, along_p1) in expected.items():
+        for got, want in (
+            (sols[name], series),
+            (partial_derivative(sols[name], Symbol.q(1)), along_q1),
+            (partial_derivative(sols[name], Symbol.p(1)), along_p1),
+        ):
+            if got != parse_expression(want, system, ("m", "M", "k", "t")):
+                mismatches.append((name, want))
+    ok = set(sols) == set(expected) and not mismatches and elapsed < 5.0
+    _report(3, "closed-form solutions and margins", ok, f"{elapsed:.2f}s {mismatches}")
 
 
 def test_criterion_4_sandwich_verification(full_run):

@@ -10,7 +10,6 @@ from halfq import System, heisenberg_series, parse_expression
 from halfq.bounds import (
     BoundConfig,
     HybridObservable,
-    closed_form_margin,
     delta_L_margin,
     leakage_constant,
     leakage_sectors,
@@ -65,7 +64,7 @@ def quantum_packet():
 
 def bound_for(obs, phi, cfg, I0):
     """The sandwich of ``obs`` over ``I0``, from its spectrum and margin."""
-    decomp = spectral_decompose(obs.matrix())
+    decomp = spectral_decompose(obs.compiled().dense())
     return prediction_bounds(phi, cfg, I0, decomp, delta_L_margin(obs, phi, cfg.L))
 
 
@@ -108,18 +107,6 @@ def test_margin_second_order_term():
     assert margin.per_symbol == {} or margin.total == 0.0
     want_second = 0.5 * 2.0 * np.sqrt(p2) * DATA.data[0].delta_q ** 2
     assert abs(margin.second_order - want_second) < 1e-10
-
-
-def test_symbolic_margin_weights():
-    sols = example_solutions()
-    weights = closed_form_margin(sols["q1"])
-    from halfq.algebra import Symbol
-
-    tconsts = CONSTS + ("t",)
-    sys_m = weights[Symbol.q(1)].system
-    assert weights[Symbol.q(1)] == parse_expression("1", sys_m, tconsts)
-    assert weights[Symbol.p(1)] == parse_expression("t/m", sys_m, tconsts)
-    assert closed_form_margin(sols["P1"]) == {}
 
 
 def test_spread_values():
@@ -275,7 +262,7 @@ def test_prediction_bound_degenerate_exact_case():
     assert pb.delta_L == 0.0 and pb.Delta_L == 0.0
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
-    d = spectral_decompose(obs.matrix())
+    d = spectral_decompose(obs.compiled().dense())
     from halfq.hilbert import interval_probability
 
     direct = interval_probability(d, phi, (0.0, 2.0))
@@ -325,7 +312,8 @@ def certified_classical_packet():
 def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
     pb = bound_for(obs, phi_q, cfg, interval)
-    sectors = leakage_sectors(spectral_decompose(obs.matrix()), phi_q, pb.I_B, pb.Imax, pb.Imin)
+    b = spectral_decompose(obs.compiled().dense())
+    sectors = leakage_sectors(b, phi_q, pb.I_B, pb.Imax, pb.Imin)
     measured = sector_leakage(
         a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, interval
     )
@@ -355,7 +343,7 @@ def test_tail_leakage_static_mixed_observable():
     a_full = np.kron(position_operator(GC).dense(), momentum_operator(GQ, HBAR).dense())
     # raises unless A = q (x) P is Hermitian to HERMITIAN_RTOL
     a_decomp = spectral_decompose(a_full)
-    b_mat = obs.matrix()
+    b_mat = obs.compiled().dense()
     a0 = float(np.vdot(phi_q.amplitudes, b_mat @ phi_q.amplitudes).real)
     for L in (1, 2):
         for p in (0.9, 0.99):
@@ -392,7 +380,7 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
     margin = delta_L_margin(obs, phi_q, 1)
-    lhs, rhs = operator_discrepancy(a_full, obs.matrix(), phi_c, phi_q, 1, margin)
+    lhs, rhs = operator_discrepancy(a_full, obs.compiled(), phi_c, phi_q, 1, margin)
     assert lhs < 1e-10
     assert rhs == 0.0
 
@@ -407,7 +395,7 @@ def test_operator_discrepancy_static_bound():
     )
     for L in (1, 2):
         margin = delta_L_margin(obs, phi_q, L)
-        lhs, rhs = operator_discrepancy(a_op, obs.matrix(), phi_c, phi_q, L, margin)
+        lhs, rhs = operator_discrepancy(a_op, obs.compiled(), phi_c, phi_q, L, margin)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
 

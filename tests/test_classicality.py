@@ -21,7 +21,6 @@ from halfq.classicality import (
     error_ket_norm_sq,
     gaussian_feasibility,
     gaussian_moment,
-    schwarz_precheck,
     spread_n,
     tail_probability,
 )
@@ -309,17 +308,6 @@ def test_certificate_json_shape():
     assert blob["order"] == 1
     assert blob["verdict"] == "pass"
     assert {"sequence", "lhs", "rhs", "slack"} <= set(blob["rows"][0])
-
-
-def test_schwarz_precheck_matches_moments():
-    data = ClassicalData((ClassicalDatum(0.0, 1.0, 1.0, 1.0),))
-    psi = packet()
-    out = schwarz_precheck(psi, data, 1, HBAR)
-    from halfq.algebra import Symbol
-
-    lhs, rhs = out[Symbol.q(1)]
-    assert abs(lhs - 0.5) < 1e-6  # dq^2 for the minimum packet
-    assert rhs == 1.0
 
 
 def test_confinement_of_certified_states():

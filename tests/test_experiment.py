@@ -12,8 +12,6 @@ from halfq.experiment import (
     StateSpec,
     SystemConfig,
     build_example,
-    closed_form_check,
-    constants_check,
     hybrid_solutions,
     run_verification,
 )
@@ -222,43 +220,17 @@ def test_example_defaults_are_feasible():
         assert certify(phi_c, cfg.classical_data, L, seqs, cfg.hbar).passed
 
 
-def test_closed_form_check_passes_on_example():
-    report = closed_form_check(build_example())
-    assert set(report) == {"q1", "p1", "Q1", "P1"}
-    assert all(entry["ok"] for entry in report.values())
-
-
-def test_closed_form_check_requires_example_shape():
-    raw = build_example().to_json_dict()
-    raw["system"] = {"classical": 2, "quantum": 1}
-    raw["hamiltonian"] = "p1^2 + p2^2 + p3^2"
-    raw["classical_grids"] = raw["classical_grids"] * 2
-    raw["classical_data"] = raw["classical_data"] * 2
-    raw["classical_state"] = raw["classical_state"] * 2
-    raw["sweep"]["observables"] = ["q1"]
-    cfg = SystemConfig.from_json_dict(raw)
-    with pytest.raises(ConfigError):
-        closed_form_check(cfg)
-
-
-def test_constants_check_rows():
-    rows = constants_check()
-    assert [r["L"] for r in rows] == [1, 10]
-    assert all(r["ok"] for r in rows)
-
-
 def test_decoupled_system_margins_vanish():
     # k = 0: the quantum-sector observables carry no classical error and
     # their bounds degenerate to exact quantum-sector probabilities
     # (equality rows carry no slack, so keep t small against node blur)
     cfg = small_example(coupling=0.0, times=(0.0, 0.4))
     sols = hybrid_solutions(cfg)
-    from halfq.bounds import closed_form_margin
     from halfq.grammar import parse_expression
 
     free = sols["Q1"].substitute_constants({"k": 0})
     assert free == parse_expression("Q1 + t/M*P1", cfg.system, ("M", "t"))
-    assert closed_form_margin(free) == {}
+    assert not free.classical_symbols()
     report = run_verification(cfg, deep=False)
     assert report.status == "pass"
     for row in report.rows:
@@ -354,21 +326,22 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
 
 
 def test_deep_verification_realizes_each_operator_once(monkeypatch):
-    from halfq.bounds import HybridObservable
+    import halfq.experiment
 
-    original = HybridObservable.matrix
-    realized = []
+    original = halfq.experiment.spectral_decompose
+    dims = []
 
-    def matrix(self):
-        realized.append(self.expr)
-        return original(self)
+    def decompose(mat):
+        dims.append(mat.shape[0])
+        return original(mat)
 
-    monkeypatch.setattr(HybridObservable, "matrix", matrix)
+    monkeypatch.setattr(halfq.experiment, "spectral_decompose", decompose)
     report = run_verification(small_example(), deep=True)
     assert report.discrepancy_rows
-    # one B per (observable, t): 4 observables x 4 times, shared by the
-    # sandwich rows and the discrepancy rows of every order
-    assert len(realized) == 16
+    # one dense B per (observable, t), 4 observables x 4 times, shared by
+    # the sandwich, leakage and discrepancy rows of every order; and one
+    # one-DOF spectrum per oracle observable
+    assert dims == [32] * (16 + 4)
 
 
 def test_verification_propagates_once(monkeypatch):
@@ -377,9 +350,9 @@ def test_verification_propagates_once(monkeypatch):
     original = halfq.experiment.evolve_full_quantum
     calls = []
 
-    def evolve(H, vectors, times, hbar=1.0):
+    def evolve(H, vectors, times):
         calls.append(np.shape(vectors))
-        return original(H, vectors, times, hbar)
+        return original(H, vectors, times)
 
     monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", evolve)
     cfg = small_example()

@@ -85,6 +85,19 @@ def test_momentum_spectrum_is_fourier_ladder():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_compiled_factors_are_the_position_chain_bit_for_bit():
+    # x^q by repeated products, then one momentum matrix per P multiplied
+    # from the right: the arithmetic order the seed-0 references depend on
+    g, hbar = Grid(24, -5.0, 7.0), 0.7
+    s = System(0, 1)
+    p = momentum_operator(g, hbar).dense()
+    x = g.points()
+    x2 = x * x
+    for text, want in (("Q1^2*P1^3", x2[:, None] * p @ p @ p), ("P1^2", p @ p)):
+        got = compile_expression(parse_expression(text, s), {}, {1: g}, hbar).dense()
+        assert np.array_equal(got, want), text
+
+
 def test_ccr_on_bulk_states():
     g = Grid(64, -16.0, 16.0)
     q = position_operator(g).dense()
@@ -240,10 +253,21 @@ def test_evolution_identity_and_phases():
     g = Grid(16, -4.0, 4.0)
     h = compile_expression(System(0, 1).Q(1), {}, {1: g}, HBAR)
     psi = gaussian_state(g, 0.0, 0.0, 0.5, HBAR)
-    (same,) = evolve_full_quantum(h, psi, (0.0,), HBAR)
+    (same,) = evolve_full_quantum(h, psi, (0.0,))
     np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
-    (later,) = evolve_full_quantum(h, psi, (0.7,), HBAR)
+    (later,) = evolve_full_quantum(h, psi, (0.7,))
     want = np.exp(-1j * g.points() * 0.7) * psi.amplitudes
+    np.testing.assert_allclose(later.amplitudes, want, atol=1e-10)
+
+
+def test_evolution_reads_hbar_from_the_operator():
+    # H = Q compiled at hbar = 0.7: exp(-i x t / hbar), not exp(-i x t)
+    hbar = 0.7
+    g = Grid(16, -4.0, 4.0)
+    h = compile_expression(System(0, 1).Q(1), {}, {1: g}, hbar)
+    psi = gaussian_state(g, 0.0, 0.0, 0.5, hbar)
+    (later,) = evolve_full_quantum(h, psi, (0.7,))
+    want = np.exp(-1j * g.points() * 0.7 / hbar) * psi.amplitudes
     np.testing.assert_allclose(later.amplitudes, want, atol=1e-10)
 
 
@@ -252,10 +276,10 @@ def test_evolution_refuses_lost_unitarity_at_any_time():
     g = Grid(16, -4.0, 4.0)
     h = compile_expression(parse_expression("i*Q1", System(0, 1)), {}, {1: g}, HBAR)
     psi = gaussian_state(g, 1.0, 0.0, 0.5, HBAR)
-    (same,) = evolve_full_quantum(h, psi, (0.0,), HBAR)
+    (same,) = evolve_full_quantum(h, psi, (0.0,))
     np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
     with pytest.raises(GridError, match="unitarity beyond 1e-9 at t=0.3"):
-        evolve_full_quantum(h, psi, (0.0, 0.3), HBAR)
+        evolve_full_quantum(h, psi, (0.0, 0.3))
 
 
 def test_free_packet_dispersion():
@@ -265,7 +289,7 @@ def test_free_packet_dispersion():
     h = compile_expression(
         parse_expression("P1^2/(2*m)", System(0, 1), ("m",)), {}, {1: g}, HBAR, {"m": m}
     )
-    (psi_t,) = evolve_full_quantum(h, psi, (t,), HBAR)
+    (psi_t,) = evolve_full_quantum(h, psi, (t,))
     q = position_operator(g).dense()
     var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
     analytic = dq**2 * (1 + (HBAR * t / (2 * m * dq**2)) ** 2)
@@ -299,7 +323,7 @@ def test_heisenberg_schroedinger_consistency():
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
     heis = interval_probability(spectral_decompose(a_t), psi0, interval)
-    (psi_t,) = evolve_full_quantum(h_op, psi0, (t,), HBAR)
+    (psi_t,) = evolve_full_quantum(h_op, psi0, (t,))
     a_0 = np.kron(position_operator(gc).dense(), np.eye(32))
     schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
@@ -385,7 +409,7 @@ def test_chebyshev_matches_eigh_reference_on_example():
             sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
-        b = spectral_decompose(obs.matrix())
+        b = spectral_decompose(obs.compiled().dense())
         for half in (0.5, 1.0, 2.0):
             sectors = leakage_sectors(
                 b, phi_q, 0.25, (-half - 0.25, half + 0.25), (-half + 0.25, half - 0.25)
@@ -395,7 +419,7 @@ def test_chebyshev_matches_eigh_reference_on_example():
     cols = np.column_stack(cols)
     times = tuple(cfg.sweep.times) + (cfg.sweep.times[2],)
     assert 0.0 in times
-    got = evolve_full_quantum(h_op, cols, times, HBAR)
+    got = evolve_full_quantum(h_op, cols, times)
     assert len(got) == len(times)
     for t, evolved in zip(times, got):
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
@@ -433,7 +457,7 @@ def test_mixed_basis_propagation_matches_dense_eigh():
     rng = np.random.default_rng(11)
     cols = np.linalg.qr(rng.normal(size=(320, 3)) + 1j * rng.normal(size=(320, 3)))[0]
     times = (0.3, 0.8, 1.5)
-    for t, evolved in zip(times, evolve_full_quantum(h_op, cols, times, HBAR)):
+    for t, evolved in zip(times, evolve_full_quantum(h_op, cols, times)):
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
         assert np.max(np.abs(evolved - want)) <= 1e-12, t
 
@@ -476,10 +500,10 @@ def test_propagation_memory_is_its_results_and_four_arrays():
     rng = np.random.default_rng(2)
     cols = np.linalg.qr(rng.normal(size=(2304, 48)) + 1j * rng.normal(size=(2304, 48)))[0]
     times = (0.0, 0.4, 0.8, 1.2)
-    evolve_full_quantum(h_op, cols, times, HBAR)  # warm-up: caches fill
+    evolve_full_quantum(h_op, cols, times)  # warm-up: caches fill
     tracemalloc.start()
     try:
-        evolve_full_quantum(h_op, cols, times, HBAR)
+        evolve_full_quantum(h_op, cols, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
