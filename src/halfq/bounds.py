@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .hilbert import (
     State,
     compile_expression,
     interval_mask,
-    interval_probability,
+    interval_mass,
     tensor,
 )
 
@@ -96,49 +97,56 @@ class DeltaMargin:
 def delta_L_margin(
     observable: HybridObservable,
     xi_quantum: State,
-    L: int,
-) -> DeltaMargin:
-    """delta_L = sum_i |<xi|(dB^dag/dO_i)^L (dB/dO_i)^L|xi>|^(1/2L) * delta_i.
+    levels: Sequence[int],
+) -> dict:
+    """{L: DeltaMargin} for each distinct order L in ``levels``, with
+    delta_L = sum_i |<xi|(dB^dag/dO_i)^L (dB/dO_i)^L|xi>|^(1/2L) * delta_i.
 
+    Each derivative operator D is taken and compiled once; one chain of
+    products D^L xi gives its weight ||D^L xi||^(1/L) at every order.
     Second-order derivative terms (the n=2 tail of the margin expansion)
     are evaluated and reported separately.  For observables whose classical
     derivatives are constant multiples of the identity the result is
     independent of L and of the state.
     """
-    if L < 1:
-        raise ValueError("order L must be a positive integer")
+    levels = tuple(dict.fromkeys(levels))
+    if min(levels) < 1:
+        raise ValueError("orders L must be positive integers")
     data = observable.data
     symbols = sorted(
         [Symbol.q(i) for i in range(1, data.dofs + 1)]
         + [Symbol.p(i) for i in range(1, data.dofs + 1)]
     )
 
-    def weight(deriv: HybridExpression) -> float:
-        """|<xi|(D^dag)^L D^L|xi>|^(1/2L) of one derivative operator D."""
+    def weights(deriv: HybridExpression) -> dict:
+        """{L: |<xi|(D^dag)^L D^L|xi>|^(1/2L)} of one derivative operator D."""
         op = observable.compiled(deriv)
-        vec = xi_quantum.amplitudes
-        for _ in range(L):
+        vec, out = xi_quantum.amplitudes, {}
+        for L in range(1, max(levels) + 1):
             vec = op.apply(vec)
-        return float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+            if L in levels:
+                out[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+        return out
 
-    per_symbol = {}
-    second = 0.0
+    per_symbol = {L: {} for L in levels}
+    second = dict.fromkeys(levels, 0.0)
     for sym_i in symbols:
         deriv = partial_derivative(observable.expr, sym_i)
         if deriv.is_zero:
             continue
-        contribution = weight(deriv) * data.margin(sym_i)
-        if contribution:
-            per_symbol[sym_i] = contribution
+        for L, w in weights(deriv).items():
+            contribution = w * data.margin(sym_i)
+            if contribution:
+                per_symbol[L][sym_i] = contribution
         for sym_k in symbols:
             deriv2 = partial_derivative(deriv, sym_k)
             if not deriv2.is_zero:
-                second += 0.5 * weight(deriv2) * data.margin(sym_i) * data.margin(sym_k)
-    return DeltaMargin(
-        total=float(sum(per_symbol.values())),
-        per_symbol=per_symbol,
-        second_order=second,
-    )
+                for L, w in weights(deriv2).items():
+                    second[L] += 0.5 * w * data.margin(sym_i) * data.margin(sym_k)
+    return {
+        L: DeltaMargin(float(sum(per_symbol[L].values())), per_symbol[L], second[L])
+        for L in levels
+    }
 
 
 def spread_Delta_L(delta_L: float, cfg: BoundConfig) -> float:
@@ -183,6 +191,7 @@ class PredictionBound:
     Pmax: float
     Emin: float
     Emax: float
+    leakage: float  # leakage_constant that Emin and Emax are built from
 
     @property
     def lower(self) -> float:
@@ -226,17 +235,18 @@ def _clamp01(x: float) -> float:
 
 
 def prediction_bounds(
-    phi_quantum: State,
+    eigenvalues: np.ndarray,
+    masses: np.ndarray,
     cfg: BoundConfig,
     I0: tuple,
-    decomp: SpectralDecomp,
     margin: DeltaMargin,
 ) -> PredictionBound:
     """Sandwich bound for P(a in I0) from the half-quantum operator alone.
 
-    ``decomp`` is the spectrum of the observable's sector operator B and
-    ``margin`` its order-``cfg.L`` margin at ``phi_quantum``.
-    ``I0 = [a0-D, a0+D]`` must satisfy ``D > Delta_L``.
+    ``eigenvalues`` is the spectrum of the observable's sector operator B,
+    ``masses`` the spectral masses of phi^Q on it, and ``margin`` B's
+    order-``cfg.L`` margin at phi^Q.  ``I0 = [a0-D, a0+D]`` must satisfy
+    ``D > Delta_L``.
     """
     delta = margin.total
     i_b = delta if cfg.I_B is None else cfg.I_B
@@ -254,8 +264,8 @@ def prediction_bounds(
         )
     imin = (a0 - (D - big_delta), a0 + (D - big_delta))
     imax = (a0 - (D + big_delta), a0 + (D + big_delta))
-    pmin = interval_probability(decomp, phi_quantum, imin)
-    pmax = interval_probability(decomp, phi_quantum, imax)
+    pmin = interval_mass(eigenvalues, masses, imin)
+    pmax = interval_mass(eigenvalues, masses, imax)
     leak = leakage_constant(delta, cfg)
     # probabilities inside the error terms clamped against grid blur
     emin = 2.0 * math.sqrt(_clamp01(1.0 - pmin)) * math.sqrt(leak) + leak
@@ -273,6 +283,7 @@ def prediction_bounds(
         Pmax=pmax,
         Emin=emin,
         Emax=emax,
+        leakage=leak,
     )
 
 
@@ -301,7 +312,7 @@ def worst_case_errors(cfg: BoundConfig) -> dict:
 
 def leakage_sectors(
     decomp: SpectralDecomp,
-    phi_quantum: State | np.ndarray,
+    amplitudes: np.ndarray,
     I_B: float,
     Imax: tuple,
     Imin: tuple,
@@ -312,19 +323,20 @@ def leakage_sectors(
     windows centred inside ``Imin``.
 
     Windows of width 2 I_B step from the minimum of the spectrum ``decomp``
-    of the sector operator B.  With xi_u = P_u phi / |P_u phi| the paper's
-    xi states, sum_{u in S} <xi_u|phi> xi_u = P_S phi.  For certified
-    classical factors X1 <= leakage_constant is the testable content of the
-    sandwich derivation.
+    of the sector operator B; ``amplitudes`` are phi^Q's projections on
+    its eigenbasis (:meth:`SpectralDecomp.amplitudes`).  With
+    xi_u = P_u phi / |P_u phi| the paper's xi states,
+    sum_{u in S} <xi_u|phi> xi_u = P_S phi.  For certified classical factors
+    X1 <= leakage_constant is the testable content of the sandwich
+    derivation.
     """
     if I_B <= 0:
         raise ValueError("I_B must be positive")
     lo = float(decomp.eigenvalues[0])
     bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B))
     centers = lo + (2 * bins + 1) * I_B
-    amps = decomp.amplitudes(phi_quantum)
     kept = np.stack([~interval_mask(centers, Imax), interval_mask(centers, Imin)], axis=1)
-    return decomp.eigenvectors @ np.where(kept, amps[:, None], 0.0)
+    return decomp.eigenvectors @ np.where(kept, amplitudes[:, None], 0.0)
 
 
 def operator_discrepancy(

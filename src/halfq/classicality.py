@@ -24,7 +24,8 @@ from .hilbert import (
     SpectralDecomp,
     State,
     compile_expression,
-    interval_mask,
+    interval_mass,
+    spectral_masses,
 )
 
 
@@ -159,11 +160,10 @@ def tail_probability(
     """
     if dist <= 0:
         raise ValueError("distance must be positive")
-    amps2 = np.abs(decomp.amplitudes(psi)) ** 2
-    dev = decomp.eigenvalues - x0
-    outside = ~interval_mask(decomp.eigenvalues, (x0 - dist, x0 + dist))
-    measured = float(amps2[outside].sum())
-    ee = float((dev ** (2 * n) * amps2).sum())
+    masses = spectral_masses(decomp, psi)
+    inside = interval_mass(decomp.eigenvalues, masses, (x0 - dist, x0 + dist))
+    measured = float(masses.sum()) - inside
+    ee = float(((decomp.eigenvalues - x0) ** (2 * n) * masses).sum())
     return measured, ee / dist ** (2 * n)
 
 

@@ -22,14 +22,17 @@ single-sector operators.  The oracle shares the half-quantum path's
 tools: an observable's one-DOF :class:`SpectralDecomp` measures states
 with that DOF's axis moved first, and :func:`heisenberg_series` gives
 the Heisenberg observables (with no classical DOFs the hybrid bracket is
-the commutator).  A sandwich row's xi-state leakage sum is the mass of
-one projection P_S phi^Q (:func:`leakage_sectors`).  Every evolved state
-is phi^C (x) x for a quantum factor x (phi^Q or a leakage sector), so a
-run evolves phi^C tensored with an orthonormal basis of the factors'
-span in one propagation to every sweep time and reads each state off
-that basis; each sweep point's states are measured in one batch.  The
-Ehrenfest gap between the exact Heisenberg observables and the
-propagated states checks the oracle in every run.
+the commutator).  Both sides read every interval probability off one
+spectral measure (:func:`spectral_masses`, :func:`interval_mass`): a
+sweep point projects phi^Q on its sector operator's eigenbasis once.  A
+sandwich row's xi-state leakage sum is the mass of one projection
+P_S phi^Q (:func:`leakage_sectors`).  Every evolved state is
+phi^C (x) x for a quantum factor x (phi^Q or a leakage sector), so a run
+evolves phi^C tensored with an orthonormal basis of the factors' span in
+one propagation to every sweep time and reads each state off that basis;
+each sweep point's states are measured in one batch.  The Ehrenfest gap
+between the exact Heisenberg observables and the propagated states
+checks the oracle in every run.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .bounds import (
     BoundConfig,
     HybridObservable,
     delta_L_margin,
-    leakage_constant,
     leakage_sectors,
     operator_discrepancy,
     prediction_bounds,
@@ -82,8 +84,9 @@ from .hilbert import (
     evolve_full_quantum,
     fourier_axes,
     gaussian_state,
-    interval_mask,
+    interval_mass,
     spectral_decompose,
+    spectral_masses,
     tensor,
 )
 
@@ -130,6 +133,8 @@ class StateSpec:
                     f"amplitude file {self.path} must have {grid.npoints} rows "
                     "of (real, imaginary)"
                 )
+            if not np.isfinite(raw).all():
+                raise ConfigError(f"amplitude file {self.path} holds a non-finite number")
             amps = raw[:, 0] + 1j * raw[:, 1]
             norm = np.linalg.norm(amps)
             if norm == 0:
@@ -612,9 +617,11 @@ class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
     ``operator`` is the compiled sector operator B of the observable
-    ``name`` at time ``t`` and ``decomp`` its spectrum;
-    ``a0 = <phi^Q|B|phi^Q>`` centers every interval; ``margins``
-    maps each order L to its margin; ``rows`` holds one
+    ``name`` at time ``t`` and ``decomp`` its spectrum; ``amplitudes``
+    are phi^Q's projections on B's eigenbasis, taken once, and
+    ``masses`` their squared moduli, the spectral measure every row
+    reads; its first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
+    ``margins`` maps each order L to its margin; ``rows`` holds one
     ``(L, p, width_multiplier, D, PredictionBound)`` per sandwich, with
     the interval ``I0 = [a0 - D, a0 + D]``.
     """
@@ -623,6 +630,8 @@ class SandwichPoint:
     t: Fraction
     operator: CompiledOperator
     decomp: SpectralDecomp
+    amplitudes: np.ndarray
+    masses: np.ndarray
     a0: float
     margins: dict
     rows: tuple
@@ -645,11 +654,11 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 cfg.classical_data, quantum_grid_map, cfg.hbar,
             )
             b = observable.compiled()
-            # the one dense B: its spectrum, and a0 off the same array
-            dense = b.dense()
-            decomp = spectral_decompose(dense)
-            a0 = float(np.vdot(phi_q.amplitudes, dense @ phi_q.amplitudes).real)
-            margins = {L: delta_L_margin(observable, phi_q, L) for L in levels}
+            decomp = spectral_decompose(b.dense())
+            amplitudes = decomp.amplitudes(phi_q)
+            masses = np.abs(amplitudes) ** 2
+            a0 = float(decomp.eigenvalues @ masses)
+            margins = delta_L_margin(observable, phi_q, levels)
             rows = []
             for L, margin in margins.items():
                 for p in cfg.probabilities:
@@ -657,10 +666,12 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                     big = spread_Delta_L(margin.total, bc)
                     for mult in cfg.sweep.width_multipliers:
                         D = mult * big if big > 0 else mult
-                        pb = prediction_bounds(phi_q, bc, (a0 - D, a0 + D), decomp, margin)
+                        pb = prediction_bounds(
+                            decomp.eigenvalues, masses, bc, (a0 - D, a0 + D), margin
+                        )
                         rows.append((L, p, mult, D, pb))
             yield SandwichPoint(
-                name, t_exact, b, decomp, a0, margins, tuple(rows)
+                name, t_exact, b, decomp, amplitudes, masses, a0, margins, tuple(rows)
             )
 
 
@@ -692,32 +703,9 @@ class VerificationReport:
 
     def csv_rows(self) -> list:
         """Plot-ready (observable, L, p, multiplier, t, lower, oracle, upper)."""
-        out = [
-            (
-                "observable",
-                "L",
-                "p",
-                "width_multiplier",
-                "t",
-                "lower",
-                "oracle",
-                "upper",
-            )
-        ]
-        for row in self.rows:
-            out.append(
-                (
-                    row["observable"],
-                    row["L"],
-                    row["p"],
-                    row["width_multiplier"],
-                    row["t"],
-                    row["lower"],
-                    row["oracle_P"],
-                    row["upper"],
-                )
-            )
-        return out
+        keys = ("observable", "L", "p", "width_multiplier", "t", "lower", "oracle_P", "upper")
+        header = tuple("oracle" if k == "oracle_P" else k for k in keys)
+        return [header] + [tuple(row[k] for k in keys) for row in self.rows]
 
 
 def run_verification(
@@ -795,15 +783,15 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     hbar = cfg.hbar
     grids = cfg.all_grids()
     shape = tuple(g.npoints for g in grids)
+    phi_c = cfg.classical_factor()
+    phi_q = cfg.quantum_factor()
+    psi0 = tensor(phi_c, phi_q)
+    _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
     # full-quantum oracle, matrix-free
     note("compiling full-quantum Hamiltonian")
     full_grids = {a + 1: g for a, g in enumerate(grids)}
     h_expr = cfg.full_hamiltonian_expr()
     h_op = compile_expression(h_expr, {}, full_grids, hbar, cfg.constants)
-    phi_c = cfg.classical_factor()
-    phi_q = cfg.quantum_factor()
-    psi0 = tensor(phi_c, phi_q)
-    _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
     # phi_q, and in a deep run the two leakage sectors of each sandwich row
@@ -811,7 +799,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     points = list(sandwich_sweep(cfg, sols, levels))
     sectors = [
         [
-            leakage_sectors(point.decomp, phi_q, pb.I_B, pb.Imax, pb.Imin)
+            leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
             for *_, pb in point.rows
             if deep and pb.I_B > 0
         ]
@@ -872,12 +860,11 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         factors = np.column_stack([phi_q.amplitudes] + cols)
         batch = propagated[point.t] @ (coordinates @ factors)
         # the whole batch measured once in the eigenbasis of the t=0 observable
-        masses = _axis_masses(a_decomp, batch, shape, axis)
+        masses = spectral_masses(a_decomp, batch, shape, axis)
+        totals = masses.sum(axis=0)
         # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
-        gap = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes)) - (
-            a_decomp.eigenvalues @ masses[:, 0]
-        )
-        ehrenfest = max(ehrenfest, abs(gap))
+        exact = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes))
+        ehrenfest = max(ehrenfest, abs(exact - a_decomp.eigenvalues @ masses[:, 0]))
         if deep:
             for L, margin in point.margins.items():
                 lhs, rhs = operator_discrepancy(a_t, point.operator, phi_c, phi_q, L, margin)
@@ -894,41 +881,27 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                 )
         j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
         for L, p, mult, D, pb in point.rows:
-            in_I0 = interval_mask(a_decomp.eigenvalues, pb.I0)
-            oracle_p = float(masses[in_I0, 0].sum())
+            inside = interval_mass(a_decomp.eigenvalues, masses, pb.I0)
+            oracle_p = float(inside[0])
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
-            row = pb.to_json_dict()
-            row.update(
-                {
-                    "observable": point.name,
-                    "t": t,
-                    "a0": point.a0,
-                    "D": D,
-                    "width_multiplier": mult,
-                    "oracle_P": oracle_p,
-                    "verdict": "pass" if ok else "fail",
-                }
+            rows.append(
+                pb.to_json_dict() | dict(
+                    observable=point.name, t=t, a0=point.a0, D=D, width_multiplier=mult,
+                    oracle_P=oracle_p, verdict="pass" if ok else "fail",
+                )
             )
-            rows.append(row)
             if not deep or pb.I_B <= 0:
                 continue
-            bound = leakage_constant(pb.delta_L, BoundConfig(L, p, cfg.I_B))
-            for which, mass in (("X1", masses[in_I0, j]), ("X2", masses[~in_I0, j + 1])):
-                measured = float(mass.sum())
-                ok = measured <= bound + TOLERANCES["leak_slack"]
+            # X1 is column j's mass in I0, X2 column j + 1's mass outside it
+            for which, mass in (("X1", inside[j]), ("X2", totals[j + 1] - inside[j + 1])):
+                measured = float(mass)
+                ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
                 leak_rows.append(
-                    {
-                        "observable": point.name,
-                        "t": t,
-                        "L": L,
-                        "p": p,
-                        "width_multiplier": mult,
-                        "which": which,
-                        "measured": measured,
-                        "bound": bound,
-                        "verdict": "pass" if ok else "fail",
-                    }
+                    dict(
+                        observable=point.name, t=t, L=L, p=p, width_multiplier=mult, which=which,
+                        measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
+                    )
                 )
             j += 2
 
@@ -937,18 +910,6 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {TOLERANCES['ehrenfest']:.1e}"
         )
     return rows, leak_rows, disc_rows, ehrenfest
-
-
-def _axis_masses(
-    decomp: SpectralDecomp, columns: np.ndarray, shape: tuple, axis: int
-) -> np.ndarray:
-    """(n, k) probabilities of the n eigenvalues of ``decomp``, the spectrum
-    of the DOF ``axis`` alone, in each column of the (dim, k) batch
-    ``columns`` on the tensor grid ``shape``: the DOF's axis is moved first
-    and the other DOFs are summed over."""
-    k = columns.shape[1]
-    amps = decomp.amplitudes(np.moveaxis(columns.reshape(shape + (k,)), axis, 0))
-    return np.sum(np.abs(amps.reshape(decomp.dim, -1, k)) ** 2, axis=1)
 
 
 def _edge_guard(state: State, tolerance: float, label: str):

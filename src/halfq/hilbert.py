@@ -21,7 +21,9 @@ the grid.  The recurrence writes each new Chebyshev vector over a spent
 one, so it holds three of them besides the results.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
-:func:`spectral_decompose`.
+:func:`spectral_decompose`.  Oracle and bounds alike read every interval
+probability off one spectral measure: :func:`spectral_masses` projects on
+an eigenbasis once, and :func:`interval_mass` sums over an interval.
 """
 
 from __future__ import annotations
@@ -398,12 +400,25 @@ def interval_mask(eigenvalues: np.ndarray, interval: tuple) -> np.ndarray:
     return (eigenvalues >= lo - tol) & (eigenvalues <= hi + tol)
 
 
-def interval_probability(decomp: SpectralDecomp, psi: State | np.ndarray, interval: tuple) -> float:
-    """Probability that a measurement lands in the closed interval; ``psi``
-    as in :meth:`SpectralDecomp.amplitudes`."""
-    amps = decomp.amplitudes(psi)
-    mask = interval_mask(decomp.eigenvalues, interval)
-    return float(np.sum(np.abs(amps[mask]) ** 2))
+def spectral_masses(
+    decomp: SpectralDecomp, psi: State | np.ndarray, shape: tuple | None = None, axis: int = 0
+) -> np.ndarray:
+    """Probability of each eigenvalue of ``decomp`` in a State, a vector or
+    each column of a (dim, k) batch: an (n,) or (n, k) array.  With the
+    tensor grid ``shape`` of the vectors, ``decomp`` is the spectrum of the
+    DOF ``axis`` alone: that axis is moved first and the other DOFs are
+    summed over."""
+    x = psi.amplitudes if isinstance(psi, State) else np.asarray(psi)
+    batch = x.shape[1:]
+    amps = decomp.amplitudes(np.moveaxis(x.reshape((shape or x.shape[:1]) + batch), axis, 0))
+    return np.sum(np.abs(amps.reshape((decomp.dim, -1) + batch)) ** 2, axis=1)
+
+
+def interval_mass(eigenvalues: np.ndarray, masses: np.ndarray, interval: tuple):
+    """Mass that ``masses`` (per eigenvalue, as from :func:`spectral_masses`)
+    puts in the closed interval: a float, or one per column of a batch."""
+    inside = masses[interval_mask(eigenvalues, interval)].sum(axis=0)
+    return float(inside) if inside.ndim == 0 else inside
 
 
 CHEBYSHEV_TAIL = 1e-15

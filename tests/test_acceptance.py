@@ -44,10 +44,11 @@ from halfq.hilbert import (
     Grid,
     State,
     gaussian_state,
-    interval_probability,
+    interval_mass,
     momentum_operator,
     position_operator,
     spectral_decompose,
+    spectral_masses,
 )
 
 
@@ -213,7 +214,8 @@ def test_criterion_7_error_ket_invariants():
         tail_ok = tail_ok and measured <= bound + 1e-10
         p = float(rng.uniform(0.5, 0.999))
         radius = spread_n([op], [x0], psi, n=n, p=p)
-        inside = interval_probability(decomp, psi, (x0 - radius, x0 + radius))
+        masses = spectral_masses(decomp, psi)
+        inside = interval_mass(decomp.eigenvalues, masses, (x0 - radius, x0 + radius))
         confinement_ok = confinement_ok and inside >= p - 1e-10
     elapsed = time.time() - start
     ok = tail_ok and confinement_ok and elapsed < 60.0

@@ -26,9 +26,11 @@ from halfq.hilbert import (
     compile_expression,
     gaussian_state,
     interval_mask,
+    interval_mass,
     momentum_operator,
     position_operator,
     spectral_decompose,
+    spectral_masses,
 )
 
 HBAR = 1.0
@@ -65,7 +67,8 @@ def quantum_packet():
 def bound_for(obs, phi, cfg, I0):
     """The sandwich of ``obs`` over ``I0``, from its spectrum and margin."""
     decomp = spectral_decompose(obs.compiled().dense())
-    return prediction_bounds(phi, cfg, I0, decomp, delta_L_margin(obs, phi, cfg.L))
+    margin = delta_L_margin(obs, phi, [cfg.L])[cfg.L]
+    return prediction_bounds(decomp.eigenvalues, spectral_masses(decomp, phi), cfg, I0, margin)
 
 
 # --------------------------------------------------------------------------
@@ -82,16 +85,17 @@ def test_margins_match_closed_form_columns():
         "P1": 0.0,
     }
     for name, want in expect.items():
-        for L in (1, 2, 3):
-            margin = delta_L_margin(observable_at(name, t), phi, L)
+        margins = delta_L_margin(observable_at(name, t), phi, (1, 2, 3))
+        assert list(margins) == [1, 2, 3]
+        for L, margin in margins.items():
             assert abs(margin.total - want) < 1e-10, (name, L)
             assert margin.second_order == 0.0
 
 
 def test_margin_is_state_independent_for_constant_derivatives():
     other = gaussian_state(GQ, 1.0, -0.5, 0.7, HBAR)
-    m1 = delta_L_margin(observable_at("q1", 0.5), quantum_packet(), 1)
-    m2 = delta_L_margin(observable_at("q1", 0.5), other, 1)
+    m1 = delta_L_margin(observable_at("q1", 0.5), quantum_packet(), [1])[1]
+    m2 = delta_L_margin(observable_at("q1", 0.5), other, [1])[1]
     assert abs(m1.total - m2.total) < 1e-12
 
 
@@ -100,7 +104,7 @@ def test_margin_second_order_term():
     expr = parse_expression("q1^2*P1", S11)
     obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
     phi = quantum_packet()
-    margin = delta_L_margin(obs, phi, 1)
+    margin = delta_L_margin(obs, phi, [1])[1]
     p_mat = momentum_operator(GQ, HBAR).dense()
     p2 = float(np.vdot(phi.amplitudes, p_mat @ p_mat @ phi.amplitudes).real)
     # first order: |<phi|(2 q P)^dag (2 q P)|phi>|^(1/2) at q=q0=0 -> 0
@@ -206,9 +210,8 @@ def test_leakage_sectors_match_the_paper_xi_sum(seed):
         for D, big in ((2.0, 0.4), (5.0, 1.5), (9.0, 8.5)):
             I0 = (a0 - D, a0 + D)
             want = paper_leakage_sum(a_decomp.eigenvalues, xi_amps, xis, I0, big)
-            sectors = leakage_sectors(
-                b, phi, I_B, (a0 - (D + big), a0 + (D + big)), (a0 - (D - big), a0 + (D - big))
-            )
+            imax, imin = (a0 - (D + big), a0 + (D + big)), (a0 - (D - big), a0 + (D - big))
+            sectors = leakage_sectors(b, b.amplitudes(phi), I_B, imax, imin)
             got = sector_leakage(a_decomp, lambda cols: w @ cols, sectors, I0)
             for which in ("X1", "X2"):
                 assert abs(got[which] - want[which]) <= 1e-12, (I_B, D, big, which)
@@ -219,7 +222,7 @@ def test_leakage_sectors_match_the_paper_xi_sum(seed):
 def test_xi_requires_positive_window():
     b = spectral_decompose(position_operator(GQ).dense())
     with pytest.raises(ValueError):
-        leakage_sectors(b, quantum_packet(), 0.0, (-2.0, 2.0), (-1.0, 1.0))
+        leakage_sectors(b, b.amplitudes(quantum_packet()), 0.0, (-2.0, 2.0), (-1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
     obs = observable_at("q1", 0.6)
     phi = quantum_packet()
     cfg = BoundConfig(1, 0.99)
-    margin = delta_L_margin(obs, phi, 1)
+    margin = delta_L_margin(obs, phi, [1])[1]
     big = spread_Delta_L(margin.total, cfg)
     a0 = 0.6
     D = 2.0 * big
@@ -247,7 +250,7 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
 def test_prediction_bound_rejects_narrow_interval():
     obs = observable_at("q1", 0.5)
     cfg = BoundConfig(1, 0.99)
-    margin = delta_L_margin(obs, quantum_packet(), 1)
+    margin = delta_L_margin(obs, quantum_packet(), [1])[1]
     big = spread_Delta_L(margin.total, cfg)
     with pytest.raises(ValueError, match="exceed"):
         bound_for(obs, quantum_packet(), cfg, (-0.5 * big, 0.5 * big))
@@ -263,9 +266,7 @@ def test_prediction_bound_degenerate_exact_case():
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
     d = spectral_decompose(obs.compiled().dense())
-    from halfq.hilbert import interval_probability
-
-    direct = interval_probability(d, phi, (0.0, 2.0))
+    direct = interval_mass(d.eigenvalues, spectral_masses(d, phi), (0.0, 2.0))
     assert abs(pb.lower - direct) < 1e-12
     assert abs(pb.upper - direct) < 1e-12
 
@@ -279,7 +280,7 @@ def test_bound_width_monotone_in_margins():
         obs = HybridObservable(
             observable_at("q1", 0.4).expr, data, {1: GQ}, HBAR
         )
-        margin = delta_L_margin(obs, phi, 1)
+        margin = delta_L_margin(obs, phi, [1])[1]
         big = spread_Delta_L(margin.total, cfg)
         D = 1.5 * big
         pb = bound_for(obs, phi, cfg, (0.4 - D, 0.4 + D))
@@ -313,11 +314,12 @@ def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
     pb = bound_for(obs, phi_q, cfg, interval)
     b = spectral_decompose(obs.compiled().dense())
-    sectors = leakage_sectors(b, phi_q, pb.I_B, pb.Imax, pb.Imin)
+    sectors = leakage_sectors(b, b.amplitudes(phi_q), pb.I_B, pb.Imax, pb.Imin)
     measured = sector_leakage(
         a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, interval
     )
-    return measured, leakage_constant(pb.delta_L, cfg)
+    assert pb.leakage == leakage_constant(pb.delta_L, cfg)
+    return measured, pb.leakage
 
 
 def test_tail_leakage_no_weight_outside_window():
@@ -348,7 +350,7 @@ def test_tail_leakage_static_mixed_observable():
     for L in (1, 2):
         for p in (0.9, 0.99):
             cfg = BoundConfig(L, p)
-            margin = delta_L_margin(obs, phi_q, L)
+            margin = delta_L_margin(obs, phi_q, [L])[L]
             big = spread_Delta_L(margin.total, cfg)
             for mult in (1.5, 3.0):
                 interval = (a0 - mult * big, a0 + mult * big)
@@ -364,7 +366,7 @@ def test_leakage_sum_by_hand():
     # decide membership
     b = SpectralDecomp(np.array([0.0, 0.9, 1.2, 3.0]), np.eye(4))
     phi = np.full(4, 0.5, dtype=complex)
-    sectors = leakage_sectors(b, phi, 0.5, (-1.0, 1.4), (0.4, 1.3))
+    sectors = leakage_sectors(b, b.amplitudes(phi), 0.5, (-1.0, 1.4), (0.4, 1.3))
     # X1: centres 1.5 and 3.5 lie outside Imax (eigenvalue 1.2 lies inside)
     assert np.array_equal(sectors[:, 0], [0.0, 0.0, 0.5, 0.5])
     # X2: centre 0.5 lies inside Imin (eigenvalue 0 lies outside)
@@ -379,7 +381,7 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
-    margin = delta_L_margin(obs, phi_q, 1)
+    margin = delta_L_margin(obs, phi_q, [1])[1]
     lhs, rhs = operator_discrepancy(a_full, obs.compiled(), phi_c, phi_q, 1, margin)
     assert lhs < 1e-10
     assert rhs == 0.0
@@ -394,7 +396,7 @@ def test_operator_discrepancy_static_bound():
         parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
     )
     for L in (1, 2):
-        margin = delta_L_margin(obs, phi_q, L)
+        margin = delta_L_margin(obs, phi_q, [L])[L]
         lhs, rhs = operator_discrepancy(a_op, obs.compiled(), phi_c, phi_q, L, margin)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0

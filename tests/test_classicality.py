@@ -29,9 +29,11 @@ from halfq.hilbert import (
     Grid,
     State,
     gaussian_state,
+    interval_mass,
     momentum_operator,
     position_operator,
     spectral_decompose,
+    spectral_masses,
     tensor,
 )
 
@@ -327,10 +329,10 @@ def test_confinement_of_certified_states():
             for p in (0.9, 0.99):
                 radius_q = data.data[0].delta_q / (1 - p) ** (1 / (2 * L))
                 radius_p = data.data[0].delta_p / (1 - p) ** (1 / (2 * L))
-                from halfq.hilbert import interval_probability
-
-                pq = interval_probability(qd, psi, (-radius_q, radius_q))
-                pp = interval_probability(pd, psi, (1.0 - radius_p, 1.0 + radius_p))
+                pq = interval_mass(qd.eigenvalues, spectral_masses(qd, psi), (-radius_q, radius_q))
+                pp = interval_mass(
+                    pd.eigenvalues, spectral_masses(pd, psi), (1.0 - radius_p, 1.0 + radius_p)
+                )
                 assert pq >= p - 1e-10
                 assert pp >= p - 1e-10
 

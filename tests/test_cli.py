@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from halfq.cli import main
@@ -189,6 +190,23 @@ def test_non_terminating_series_is_one_error_line(tmp_path, capsys, command):
     assert out == ""
     lines = err.splitlines()
     assert lines == ["error: bracket chain did not terminate within 60 orders"], err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_non_finite_amplitude_file_is_one_error_line(tmp_path, capsys, command, value):
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    amps = np.column_stack([np.ones(32), np.zeros(32)])
+    amps[5, 1] = value
+    amp_path = tmp_path / "phi_q.txt"
+    np.savetxt(amp_path, amps)
+    raw["quantum_state"] = [{"kind": "file", "path": str(amp_path)}]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: amplitude file {amp_path} holds a non-finite number"]
 
 
 def test_verify_shallow_small_config(tmp_path, capsys):

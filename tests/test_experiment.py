@@ -14,8 +14,9 @@ from halfq.experiment import (
     build_example,
     hybrid_solutions,
     run_verification,
+    sandwich_sweep,
 )
-from halfq.hilbert import Grid, GridError, gaussian_state
+from halfq.hilbert import Grid, GridError, SpectralDecomp, gaussian_state
 
 
 def small_example(**overrides):
@@ -262,7 +263,7 @@ def test_heavy_classical_mass_shrinks_momentum_margin():
             cfg.hbar,
         )
         phi_q = cfg.quantum_factor()
-        margins[cfg.constants["m"]] = delta_L_margin(obs, phi_q, 1).total
+        margins[cfg.constants["m"]] = delta_L_margin(obs, phi_q, [1])[1].total
     assert margins[10.0] < margins[1.0]
     assert abs(margins[1.0] - 2.0) < 1e-12  # delta_q + delta_p
     assert abs(margins[10.0] - 1.1) < 1e-12  # delta_q + delta_p/10
@@ -336,12 +337,60 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
         return original(mat)
 
     monkeypatch.setattr(halfq.experiment, "spectral_decompose", decompose)
+    project = SpectralDecomp.amplitudes
+    projections = []
+
+    def amplitudes(self, psi):
+        projections.append(self.dim)
+        return project(self, psi)
+
+    monkeypatch.setattr(SpectralDecomp, "amplitudes", amplitudes)
     report = run_verification(small_example(), deep=True)
     assert report.discrepancy_rows
     # one dense B per (observable, t), 4 observables x 4 times, shared by
     # the sandwich, leakage and discrepancy rows of every order; and one
     # one-DOF spectrum per oracle observable
     assert dims == [32] * (16 + 4)
+    # one projection of phi^Q on each B's eigenbasis, and one of each
+    # point's evolved batch on its observable's eigenbasis
+    assert projections == [32] * (16 + 16)
+
+
+def test_sweep_a0_is_the_expectation_of_B():
+    # a0 is the first moment of phi^Q's spectral masses on B's eigenbasis
+    cfg = build_example()
+    phi = cfg.quantum_factor().amplitudes
+    points = list(sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels))
+    assert len(points) == 16
+    for point in points:
+        want = np.vdot(phi, point.operator.apply(phi)).real
+        assert abs(point.a0 - want) < 1e-12, (point.name, point.t)
+
+
+def test_sweep_margins_take_each_derivative_once(monkeypatch):
+    # delta_L_margin differentiates and compiles each first and second
+    # derivative once for all levels; each level's margin equals, bit for
+    # bit, the margin of a sweep at that level alone
+    import halfq.bounds
+
+    cfg = small_example()
+    sols = hybrid_solutions(cfg)
+    calls = {"partial_derivative": 0, "compile_expression": 0}
+    for name in calls:
+        original = getattr(halfq.bounds, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(halfq.bounds, name, counted)
+    points = list(sandwich_sweep(cfg, sols, (1, 2)))
+    # 16 points; 33 compiles are 17 derivatives and each point's own B
+    assert calls == {"partial_derivative": 66, "compile_expression": 33}
+    monkeypatch.undo()
+    for L in (1, 2):
+        alone = sandwich_sweep(cfg, sols, (L,))
+        assert all(a.margins[L] == b.margins[L] for a, b in zip(alone, points))
 
 
 def test_verification_propagates_once(monkeypatch):
@@ -480,12 +529,13 @@ def test_sector_decomp_matches_dense_spectral_path():
     # oracle probability, X1 and X2) must agree with a dense Kronecker
     # decomposition on both axes
     from halfq.bounds import leakage_sectors
-    from halfq.experiment import _axis_masses
     from halfq.hilbert import (
         interval_mask,
+        interval_mass,
         momentum_operator,
         position_operator,
         spectral_decompose,
+        spectral_masses,
         tensor,
     )
 
@@ -495,8 +545,9 @@ def test_sector_decomp_matches_dense_spectral_path():
     # a random unitary on the tensor space stands in for the evolution
     w = np.linalg.qr(rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96)))[0]
     b = spectral_decompose(momentum_operator(g2, 1.0).dense())
+    amps = b.amplitudes(phi2)
     sectors = [
-        leakage_sectors(b, phi2, 0.3, (-half - 0.4, half + 0.4), (-half + 0.4, half - 0.4))
+        leakage_sectors(b, amps, 0.3, (-half - 0.4, half + 0.4), (-half + 0.4, half - 0.4))
         for half in (0.5, 1.5)
     ]
     batch = np.column_stack(
@@ -507,13 +558,14 @@ def test_sector_decomp_matches_dense_spectral_path():
         small = spectral_decompose(op.dense())
         factors = (op.dense(), np.eye(8)) if axis == 0 else (np.eye(12), op.dense())
         dense = spectral_decompose(np.kron(*factors))
-        masses = _axis_masses(small, batch, (12, 8), axis)
+        masses = spectral_masses(small, batch, (12, 8), axis)
         dense_masses = np.abs(dense.amplitudes(batch)) ** 2
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
-            for inside in (True, False):
-                got = masses[interval_mask(small.eigenvalues, interval) == inside].sum(axis=0)
+            got = interval_mass(small.eigenvalues, masses, interval)
+            got_out = masses.sum(axis=0) - got
+            for inside, value in ((True, got), (False, got_out)):
                 want = dense_masses[interval_mask(dense.eigenvalues, interval) == inside]
-                assert np.max(np.abs(got - want.sum(axis=0))) < 1e-12, (axis, interval)
+                assert np.max(np.abs(value - want.sum(axis=0))) < 1e-12, (axis, interval)
         assert np.min(masses.sum(axis=0)[1:]) > 1e-2
 
 

@@ -17,14 +17,20 @@ from halfq.hilbert import (
     evolve_full_quantum,
     fourier_axes,
     gaussian_state,
-    interval_probability,
+    interval_mass,
     momentum_operator,
     position_operator,
     spectral_decompose,
+    spectral_masses,
     tensor,
 )
 
 HBAR = 1.0
+
+
+def probability(decomp, psi, interval):
+    """P(measurement of ``decomp``'s observable on ``psi`` in ``interval``)."""
+    return interval_mass(decomp.eigenvalues, spectral_masses(decomp, psi), interval)
 
 
 def gaussian_quadrature_moment(q0, dq, power, phase_p0=0.0):
@@ -219,11 +225,38 @@ def test_interval_probability_completeness_and_eigenvector():
     g = Grid(32, -8.0, 8.0)
     d = spectral_decompose(momentum_operator(g, HBAR).dense())
     psi = gaussian_state(g, 0.0, 0.3, 1.0, HBAR)
-    full = interval_probability(d, psi, (d.eigenvalues[0], d.eigenvalues[-1]))
+    full = probability(d, psi, (d.eigenvalues[0], d.eigenvalues[-1]))
     assert abs(full - 1.0) < 1e-10
     eigvec = State(d.eigenvectors[:, 5], (g,))
     lam = d.eigenvalues[5]
-    assert abs(interval_probability(d, eigvec, (lam, lam)) - 1.0) < 1e-10
+    assert abs(probability(d, eigvec, (lam, lam)) - 1.0) < 1e-10
+
+
+def test_interval_mass_counts_a_degenerate_endpoint_whole():
+    # a threefold eigenvalue sits on the interval's lower endpoint: its whole
+    # eigenspace counts, for each column of a batch and for a single state
+    rng = np.random.default_rng(7)
+    n = 24
+    levels = np.concatenate([[0.5, 0.5, 0.5], rng.uniform(-3.0, 3.0, n - 3)])
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    h = (u * levels) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    d = spectral_decompose(h)
+    psi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    interval = (0.5, 1.7)
+    got = interval_mass(d.eigenvalues, spectral_masses(d, psi), interval)
+    # the masked sum of |V^H psi|^2, V from eigh of the same matrix
+    w, v = np.linalg.eigh(h)
+    inside = (w >= interval[0] - 1e-9) & (w <= interval[1] + 1e-9)
+    want = (np.abs(v.conj().T @ psi) ** 2)[inside].sum(axis=0)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # and the norm of psi's projection on the eigenspaces the interval holds
+    keep = (levels >= interval[0]) & (levels <= interval[1])
+    assert inside.sum() == keep.sum() >= 3
+    proj = u[:, keep] @ u[:, keep].conj().T
+    assert np.max(np.abs(got - np.linalg.norm(proj @ psi, axis=0) ** 2)) < 1e-10
+    single = interval_mass(d.eigenvalues, spectral_masses(d, psi[:, 0]), interval)
+    assert isinstance(single, float) and abs(single - got[0]) < 1e-12
 
 
 def test_interval_probability_gaussian_erf():
@@ -233,7 +266,7 @@ def test_interval_probability_gaussian_erf():
     q0 = g.spacing / 2
     psi = gaussian_state(g, q0, 0.0, 1.0, HBAR)
     d = spectral_decompose(position_operator(g).dense())
-    got = interval_probability(d, psi, (q0 - 1.0, q0 + 1.0))
+    got = probability(d, psi, (q0 - 1.0, q0 + 1.0))
     assert abs(got - math.erf(1 / math.sqrt(2))) < 1e-3
 
 
@@ -241,12 +274,12 @@ def test_interval_probability_additive_and_monotone():
     g = Grid(64, -16.0, 16.0)
     d = spectral_decompose(position_operator(g).dense())
     psi = gaussian_state(g, 0.0, 0.4, 1.5, HBAR)
-    left = interval_probability(d, psi, (-8.0, 0.1))
-    right = interval_probability(d, psi, (0.35, 8.0))
-    union = interval_probability(d, psi, (-8.0, 8.0))
-    inner = interval_probability(d, psi, (0.1, 0.35))
+    left = probability(d, psi, (-8.0, 0.1))
+    right = probability(d, psi, (0.35, 8.0))
+    union = probability(d, psi, (-8.0, 8.0))
+    inner = probability(d, psi, (0.1, 0.35))
     assert abs((left + right + inner) - union) < 1e-10
-    assert interval_probability(d, psi, (-2.0, 2.0)) <= union + 1e-12
+    assert probability(d, psi, (-2.0, 2.0)) <= union + 1e-12
 
 
 def test_evolution_identity_and_phases():
@@ -322,10 +355,10 @@ def test_heisenberg_schroedinger_consistency():
     # endpoints midway between position nodes, away from the density peak
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
-    heis = interval_probability(spectral_decompose(a_t), psi0, interval)
+    heis = probability(spectral_decompose(a_t), psi0, interval)
     (psi_t,) = evolve_full_quantum(h_op, psi0, (t,))
     a_0 = np.kron(position_operator(gc).dense(), np.eye(32))
-    schr = interval_probability(spectral_decompose(a_0), psi_t, interval)
+    schr = probability(spectral_decompose(a_0), psi_t, interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
     assert abs(heis - schr) < 1e-3
 
@@ -410,9 +443,10 @@ def test_chebyshev_matches_eigh_reference_on_example():
         )
         # fixed window width: Q1 carries no margin at t = 0
         b = spectral_decompose(obs.compiled().dense())
+        amps = b.amplitudes(phi_q)
         for half in (0.5, 1.0, 2.0):
             sectors = leakage_sectors(
-                b, phi_q, 0.25, (-half - 0.25, half + 0.25), (-half + 0.25, half - 0.25)
+                b, amps, 0.25, (-half - 0.25, half + 0.25), (-half + 0.25, half - 0.25)
             )
             assert np.min(np.linalg.norm(sectors, axis=0)) > 1e-3
             cols.append(np.kron(phi_c.amplitudes[:, None], sectors))

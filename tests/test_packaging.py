@@ -79,6 +79,24 @@ def test_cli_reaches_the_numerics_through_experiment_only():
     assert offenders == []
 
 
+def test_one_spectral_measure():
+    # interval probabilities are read through hilbert.spectral_masses and
+    # hilbert.interval_mass; bounds alone imports interval_mask, for the
+    # leakage window centres, so no module grows its own masked sum
+    importers = []
+    for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                if "interval_mask" in names:
+                    importers.append(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name == "interval_probability":
+                importers.append(f"{path.name} defines interval_probability")
+            elif isinstance(node, ast.Name) and node.id == "interval_probability":
+                importers.append(f"{path.name} uses interval_probability")
+    assert importers == ["bounds.py"]
+
+
 def _run_worker(tmp_path, workload: str, smoke: bool, *flags: str) -> dict:
     """One benchmark job on the workload's seed-0 input, through its worker
     in a subprocess; the benchmark modules are loaded and run by path, as
