@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, HybridExpression, Symbol, partial_derivative
+from .algebra import AlgebraError, HybridExpression, partial_derivative
 from .classicality import ClassicalData
 from .hilbert import (
     CompiledOperator,
@@ -31,33 +31,6 @@ from .hilbert import (
     interval_mass,
     tensor,
 )
-
-
-@dataclass(frozen=True)
-class HybridObservable:
-    """A hybrid expression bound to classical data and quantum grids.
-
-    Declared constants must be substituted before binding.
-    """
-
-    expr: HybridExpression
-    data: ClassicalData
-    quantum_grids: dict
-    hbar: float
-
-    def __post_init__(self):
-        for sym in self.expr.classical_symbols():
-            self.data.center(sym)  # raises if unbound
-        unbound = self.expr.constants()
-        if unbound:
-            raise AlgebraError(f"unbound constants in observable: {sorted(unbound)}")
-        object.__setattr__(self, "quantum_grids", dict(self.quantum_grids))
-
-    def compiled(self, expr: HybridExpression | None = None) -> CompiledOperator:
-        """Quantum-sector operator with classical symbols at their centers."""
-        e = self.expr if expr is None else expr
-        centers = {sym: self.data.center(sym) for sym in e.classical_symbols()}
-        return compile_expression(e, centers, self.quantum_grids, self.hbar)
 
 
 @dataclass(frozen=True)
@@ -95,15 +68,20 @@ class DeltaMargin:
 
 
 def delta_L_margin(
-    observable: HybridObservable,
-    xi_quantum: State,
+    expr: HybridExpression,
+    data: ClassicalData,
+    phi_q: State,
+    hbar: float,
     levels: Sequence[int],
 ) -> dict:
-    """{L: DeltaMargin} for each distinct order L in ``levels``, with
-    delta_L = sum_i |<xi|(dB^dag/dO_i)^L (dB/dO_i)^L|xi>|^(1/2L) * delta_i.
+    """{L: DeltaMargin} for each distinct order L in ``levels`` of the
+    sector expression ``expr`` at the quantum state ``phi_q``, with
+    delta_L = sum_i |<phi|(dB^dag/dO_i)^L (dB/dO_i)^L|phi>|^(1/2L) * delta_i.
 
-    Each derivative operator D is taken and compiled once; one chain of
-    products D^L xi gives its weight ||D^L xi||^(1/L) at every order.
+    Constants must already be substituted; classical symbols take their
+    centers in ``data``, and ``phi_q``'s grids are the quantum grids.  Each
+    derivative operator D is taken and compiled once; one chain of
+    products D^L phi gives its weight ||D^L phi||^(1/L) at every order.
     Second-order derivative terms (the n=2 tail of the margin expansion)
     are evaluated and reported separately.  For observables whose classical
     derivatives are constant multiples of the identity the result is
@@ -112,26 +90,27 @@ def delta_L_margin(
     levels = tuple(dict.fromkeys(levels))
     if min(levels) < 1:
         raise ValueError("orders L must be positive integers")
-    data = observable.data
-    symbols = sorted(
-        [Symbol.q(i) for i in range(1, data.dofs + 1)]
-        + [Symbol.p(i) for i in range(1, data.dofs + 1)]
-    )
+    centers = data.centers()
+    unbound = expr.classical_symbols() - centers.keys()
+    if unbound:
+        raise AlgebraError(f"unbound classical symbol {min(unbound).name}")
+    grids = dict(enumerate(phi_q.grids, start=1))
 
     def weights(deriv: HybridExpression) -> dict:
-        """{L: |<xi|(D^dag)^L D^L|xi>|^(1/2L)} of one derivative operator D."""
-        op = observable.compiled(deriv)
-        vec, out = xi_quantum.amplitudes, {}
+        """{L: |<phi|(D^dag)^L D^L|phi>|^(1/2L)} of one derivative operator D."""
+        op = compile_expression(deriv, centers, grids, hbar)
+        vec, out = phi_q.amplitudes, {}
         for L in range(1, max(levels) + 1):
             vec = op.apply(vec)
             if L in levels:
                 out[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
         return out
 
+    symbols = sorted(centers)
     per_symbol = {L: {} for L in levels}
     second = dict.fromkeys(levels, 0.0)
     for sym_i in symbols:
-        deriv = partial_derivative(observable.expr, sym_i)
+        deriv = partial_derivative(expr, sym_i)
         if deriv.is_zero:
             continue
         for L, w in weights(deriv).items():

@@ -60,6 +60,14 @@ class ClassicalData:
         d = self._datum(sym)
         return d.p0 if sym.is_momentum else d.q0
 
+    def centers(self) -> dict:
+        """{symbol: central value} of every q1..qM and p1..pM."""
+        return {
+            sym: self.center(sym)
+            for i in range(1, self.dofs + 1)
+            for sym in (Symbol.q(i), Symbol.p(i))
+        }
+
     def margin(self, sym: Symbol) -> float:
         d = self._datum(sym)
         return d.delta_p if sym.is_momentum else d.delta_q

@@ -133,15 +133,11 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     sols = hybrid_solutions(cfg)
     failed = [L for L, cert in certificates(cfg, sols).items() if not cert.passed]
-    rows = []
-    for point in sandwich_sweep(cfg, sols, cfg.levels):
-        for _, _, mult, _, pb in point.rows:
-            row = pb.to_json_dict()
-            row.update(
-                {"observable": point.name, "t": float(point.t), "a0": point.a0,
-                 "width_multiplier": mult}
-            )
-            rows.append(row)
+    rows = [
+        point.row_dict(row)
+        for point in sandwich_sweep(cfg, sols, cfg.levels)
+        for row in point.rows
+    ]
     header = ["observable", "t", "L", "p", "width_multiplier", "lower", "upper"]
     table = [header] + [[r[k] for k in header] for r in rows]
     if args.out:
@@ -296,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="sweep rows as CSV on stdout")
     p.add_argument("--out", default=None, help="write (t, lower, oracle, upper) CSV")
     p.add_argument("--shallow", action="store_true",
-                   help="skip leakage/discrepancy spectral sums")
+                   help="skip the propagated leakage sectors and the "
+                   "leakage and discrepancy rows")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -18,7 +18,10 @@ is unitarily identical to the Heisenberg-picture statement.  The oracle
 is matrix-free: the Hamiltonian and the Heisenberg-picture observables
 are compiled into per-DOF factors, states evolve by a Chebyshev
 expansion on their action, and the only dense eigenproblems are those of
-single-sector operators.  The oracle shares the half-quantum path's
+single-sector operators.  Constants and times become numbers in one
+way, substituted exactly (:func:`_substitutions`, :func:`_exact`) before
+anything is compiled, so B, H and A(t) read the same values.  The
+oracle shares the half-quantum path's
 tools: an observable's one-DOF :class:`SpectralDecomp` measures states
 with that DOF's axis moved first, and :func:`heisenberg_series` gives
 the Heisenberg observables (with no classical DOFs the hybrid bracket is
@@ -58,7 +61,6 @@ from .algebra import (
 )
 from .bounds import (
     BoundConfig,
-    HybridObservable,
     delta_L_margin,
     leakage_sectors,
     operator_discrepancy,
@@ -248,7 +250,9 @@ class SystemConfig:
         )
 
     def full_hamiltonian_expr(self) -> HybridExpression:
-        return weyl_quantize(self.parse_hamiltonian())
+        """The Weyl-quantized Hamiltonian with every declared constant at
+        its exact value (:func:`_substitutions`)."""
+        return weyl_quantize(self.parse_hamiltonian().substitute_constants(_substitutions(self)))
 
     def observable_symbol(self, name: str) -> Symbol:
         try:
@@ -636,6 +640,15 @@ class SandwichPoint:
     margins: dict
     rows: tuple
 
+    def row_dict(self, row: tuple) -> dict:
+        """One of ``rows`` as a JSON row: its bound's fields with the
+        observable, t, a0 and width multiplier."""
+        *_, mult, _, pb = row
+        return pb.to_json_dict() | {
+            "observable": self.name, "t": float(self.t), "a0": self.a0,
+            "width_multiplier": mult,
+        }
+
 
 def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
     """Yield the :class:`SandwichPoint` of every sweep observable and time,
@@ -645,20 +658,19 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
     Delta_L vanishes (no classical blur).
     """
     phi_q = cfg.quantum_factor()
-    quantum_grid_map = dict(enumerate(cfg.quantum_grids, start=1))
+    grids = dict(enumerate(cfg.quantum_grids, start=1))
+    centers = cfg.classical_data.centers()
+    subs = _substitutions(cfg)
     for name in cfg.sweep.observables:
         for t in cfg.sweep.times:
             t_exact = _exact(t)
-            observable = HybridObservable(
-                sols[name].substitute_constants(_substitutions(cfg, t_exact)),
-                cfg.classical_data, quantum_grid_map, cfg.hbar,
-            )
-            b = observable.compiled()
+            expr = sols[name].substitute_constants(subs | {"t": t_exact})
+            b = compile_expression(expr, centers, grids, cfg.hbar)
             decomp = spectral_decompose(b.dense())
             amplitudes = decomp.amplitudes(phi_q)
             masses = np.abs(amplitudes) ** 2
             a0 = float(decomp.eigenvalues @ masses)
-            margins = delta_L_margin(observable, phi_q, levels)
+            margins = delta_L_margin(expr, cfg.classical_data, phi_q, cfg.hbar, levels)
             rows = []
             for L, margin in margins.items():
                 for p in cfg.probabilities:
@@ -715,8 +727,9 @@ def run_verification(
 
     The certification gate is :func:`certificates` and the sandwich rows
     are those of :func:`sandwich_sweep` at the certified orders; this adds
-    the oracle columns to each point.  ``deep`` adds the tail-leakage and
-    operator-discrepancy rows (the expensive spectral double sums).  Raises
+    the oracle columns to each point.  ``deep`` also propagates each
+    row's two leakage sectors and adds the tail-leakage and
+    operator-discrepancy rows.  Raises
     :class:`GridError` when a state leaks probability onto the grid
     boundary (unconverged setup).
     """
@@ -791,7 +804,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     note("compiling full-quantum Hamiltonian")
     full_grids = {a + 1: g for a, g in enumerate(grids)}
     h_expr = cfg.full_hamiltonian_expr()
-    h_op = compile_expression(h_expr, {}, full_grids, hbar, cfg.constants)
+    h_op = compile_expression(h_expr, {}, full_grids, hbar)
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
     # phi_q, and in a deep run the two leakage sectors of each sandwich row
@@ -830,7 +843,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
 
     # per observable: its DOF's axis, the one-DOF spectrum of the t=0
-    # operator A and the exact Heisenberg-picture series A(t) of the oracle
+    # operator A and the exact Heisenberg-picture series A(t) of the oracle,
+    # whose one free constant is t
     oracle = {}
     for name in cfg.sweep.observables:
         axis = cfg.observable_axis(name)
@@ -853,8 +867,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         note(f"observable {point.name}, t={t}")
         axis, a_decomp, series = oracle[point.name]
         a_t = compile_expression(
-            series.substitute_constants(_substitutions(cfg, point.t)),
-            {}, full_grids, hbar, cfg.constants,
+            series.substitute_constants({"t": point.t}), {}, full_grids, hbar
         )
         # psi_t and the evolved leakage sectors in the Schroedinger picture
         factors = np.column_stack([phi_q.amplitudes] + cols)
@@ -880,16 +893,15 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                     }
                 )
         j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
-        for L, p, mult, D, pb in point.rows:
+        for row in point.rows:
+            L, p, mult, D, pb = row
             inside = interval_mass(a_decomp.eigenvalues, masses, pb.I0)
             oracle_p = float(inside[0])
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             rows.append(
-                pb.to_json_dict() | dict(
-                    observable=point.name, t=t, a0=point.a0, D=D, width_multiplier=mult,
-                    oracle_P=oracle_p, verdict="pass" if ok else "fail",
-                )
+                point.row_dict(row)
+                | dict(D=D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
             )
             if not deep or pb.I_B <= 0:
                 continue
@@ -927,8 +939,7 @@ def _exact(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**12)
 
 
-def _substitutions(cfg: SystemConfig, t: Fraction) -> dict:
-    """Exact values of the declared constants and of the time ``t``."""
-    subs = {name: _exact(v) for name, v in cfg.constants.items()}
-    subs["t"] = t
-    return subs
+def _substitutions(cfg: SystemConfig) -> dict:
+    """Exact values of the declared constants: the one way a constant
+    becomes a number, in B, A(t) and H alike."""
+    return {name: _exact(v) for name, v in cfg.constants.items()}

@@ -8,9 +8,11 @@ are Kronecker products with the grids listed in DOF order.
 Every numeric operator, a single Q or P included, is a hybrid expression
 of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
 of per-DOF factors that acts on states without a full-dimension matrix.
-Each term records its per-DOF (Q power, P power) beside its factors, and
-one function, :func:`_axis_factor`, realizes every factor Q^q P^p on a
-grid, in position or in the unitary-DFT basis.  The one propagator,
+Declared constants and the time are substituted in the exact layer
+before realization; only classical symbols are bound to floats here, at
+their central values.  Each term records its per-DOF (Q power, P power)
+beside its factors, and one function, :func:`_axis_factor`, realizes
+every factor Q^q P^p on a grid, in position or in the unitary-DFT basis.  The one propagator,
 :func:`evolve_full_quantum`, is a Chebyshev recurrence on that action
 that carries a batch of columns to several times in one pass; it powers
 the brute-force full-quantum oracle.  It runs in a per-axis basis: the
@@ -35,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, HybridExpression, Symbol, System
+from .algebra import AlgebraError, HybridExpression, Symbol, System, _dof_powers
 
 HERMITIAN_RTOL = 1e-10
 
@@ -332,36 +334,30 @@ def compile_expression(
     classical_values: Mapping[Symbol, float],
     quantum_grids: Mapping[int, Grid],
     hbar: float,
-    constants: Mapping[str, float] | None = None,
 ) -> CompiledOperator:
     """Realize a hybrid expression as per-DOF factors on the quantum grids.
 
-    Every classical symbol must be bound in ``classical_values`` (keyed by
-    Symbol), every declared constant in ``constants``, and every quantum
-    DOF 1..N must have a grid.
+    Declared constants must already be substituted
+    (:meth:`HybridExpression.substitute_constants`); every classical symbol
+    must be bound in ``classical_values`` (keyed by Symbol), and every
+    quantum DOF 1..N must have a grid.
     """
-    system = expr.system
+    unbound = expr.constants()
+    if unbound:
+        raise AlgebraError(f"unbound constant {min(unbound)!r}")
     values = {sym: float(val) for sym, val in classical_values.items()}
-    constants = dict(constants or {})
-    grids = tuple(quantum_grids[a] for a in range(1, system.quantum + 1))
+    grids = tuple(quantum_grids[a] for a in range(1, expr.system.quantum + 1))
     if not grids:
         raise AlgebraError("a numeric realization needs at least one quantum DOF")
     terms = []
-    for (h, consts, classical, word), coeff in expr.terms():
+    for (h, _, classical, word), coeff in expr.terms():
         scalar = coeff.to_complex() * float(hbar) ** h
-        for name, e in consts:
-            if name not in constants:
-                raise AlgebraError(f"unbound constant {name!r}")
-            scalar *= float(constants[name]) ** e
         for sym, e in classical:
             if sym not in values:
                 raise AlgebraError(f"unbound classical symbol {sym.name}")
             scalar *= values[sym] ** e
         # canonical words group factors per DOF, positions before momenta
-        powers: dict = {}
-        for sym in word:
-            q, p = powers.get(sym.index - 1, (0, 0))
-            powers[sym.index - 1] = (q, p + 1) if sym.is_momentum else (q + 1, p)
+        powers = {d - 1: qp for d, qp in _dof_powers((sym, 1) for sym in word).items()}
         factors = {
             a: _axis_factor(grids[a], float(hbar), q, p, False) for a, (q, p) in powers.items()
         }

@@ -9,7 +9,6 @@ import pytest
 from halfq import System, heisenberg_series, parse_expression
 from halfq.bounds import (
     BoundConfig,
-    HybridObservable,
     delta_L_margin,
     leakage_constant,
     leakage_sectors,
@@ -57,17 +56,22 @@ def example_solutions():
 def observable_at(name, t, k=Fraction(1, 10)):
     sol = example_solutions()[name]
     subs = {"m": 1, "M": 1, "k": k, "t": Fraction(t).limit_denominator(10**6)}
-    return HybridObservable(sol.substitute_constants(subs), DATA, {1: GQ}, HBAR)
+    return sol.substitute_constants(subs)
+
+
+def compiled(expr):
+    """The sector operator B of ``expr``, classical symbols at their centers."""
+    return compile_expression(expr, DATA.centers(), {1: GQ}, HBAR)
 
 
 def quantum_packet():
     return gaussian_state(GQ, 0.0, 1.0, 1.0, HBAR)
 
 
-def bound_for(obs, phi, cfg, I0):
+def bound_for(obs, phi, cfg, I0, data=DATA):
     """The sandwich of ``obs`` over ``I0``, from its spectrum and margin."""
-    decomp = spectral_decompose(obs.compiled().dense())
-    margin = delta_L_margin(obs, phi, [cfg.L])[cfg.L]
+    decomp = spectral_decompose(compiled(obs).dense())
+    margin = delta_L_margin(obs, data, phi, HBAR, [cfg.L])[cfg.L]
     return prediction_bounds(decomp.eigenvalues, spectral_masses(decomp, phi), cfg, I0, margin)
 
 
@@ -85,7 +89,7 @@ def test_margins_match_closed_form_columns():
         "P1": 0.0,
     }
     for name, want in expect.items():
-        margins = delta_L_margin(observable_at(name, t), phi, (1, 2, 3))
+        margins = delta_L_margin(observable_at(name, t), DATA, phi, HBAR, (1, 2, 3))
         assert list(margins) == [1, 2, 3]
         for L, margin in margins.items():
             assert abs(margin.total - want) < 1e-10, (name, L)
@@ -94,17 +98,16 @@ def test_margins_match_closed_form_columns():
 
 def test_margin_is_state_independent_for_constant_derivatives():
     other = gaussian_state(GQ, 1.0, -0.5, 0.7, HBAR)
-    m1 = delta_L_margin(observable_at("q1", 0.5), quantum_packet(), [1])[1]
-    m2 = delta_L_margin(observable_at("q1", 0.5), other, [1])[1]
+    m1 = delta_L_margin(observable_at("q1", 0.5), DATA, quantum_packet(), HBAR, [1])[1]
+    m2 = delta_L_margin(observable_at("q1", 0.5), DATA, other, HBAR, [1])[1]
     assert abs(m1.total - m2.total) < 1e-12
 
 
 def test_margin_second_order_term():
     # B = q^2 P: d2B/dq2 = 2P, so the n=2 term is (1/2)|<xi|(2P)^2L|xi>|^(1/2L) dq^2
-    expr = parse_expression("q1^2*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
+    obs = parse_expression("q1^2*P1", S11)
     phi = quantum_packet()
-    margin = delta_L_margin(obs, phi, [1])[1]
+    margin = delta_L_margin(obs, DATA, phi, HBAR, [1])[1]
     p_mat = momentum_operator(GQ, HBAR).dense()
     p2 = float(np.vdot(phi.amplitudes, p_mat @ p_mat @ phi.amplitudes).real)
     # first order: |<phi|(2 q P)^dag (2 q P)|phi>|^(1/2) at q=q0=0 -> 0
@@ -233,7 +236,7 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
     obs = observable_at("q1", 0.6)
     phi = quantum_packet()
     cfg = BoundConfig(1, 0.99)
-    margin = delta_L_margin(obs, phi, [1])[1]
+    margin = delta_L_margin(obs, DATA, phi, HBAR, [1])[1]
     big = spread_Delta_L(margin.total, cfg)
     a0 = 0.6
     D = 2.0 * big
@@ -250,7 +253,7 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
 def test_prediction_bound_rejects_narrow_interval():
     obs = observable_at("q1", 0.5)
     cfg = BoundConfig(1, 0.99)
-    margin = delta_L_margin(obs, quantum_packet(), [1])[1]
+    margin = delta_L_margin(obs, DATA, quantum_packet(), HBAR, [1])[1]
     big = spread_Delta_L(margin.total, cfg)
     with pytest.raises(ValueError, match="exceed"):
         bound_for(obs, quantum_packet(), cfg, (-0.5 * big, 0.5 * big))
@@ -265,7 +268,7 @@ def test_prediction_bound_degenerate_exact_case():
     assert pb.delta_L == 0.0 and pb.Delta_L == 0.0
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
-    d = spectral_decompose(obs.compiled().dense())
+    d = spectral_decompose(compiled(obs).dense())
     direct = interval_mass(d.eigenvalues, spectral_masses(d, phi), (0.0, 2.0))
     assert abs(pb.lower - direct) < 1e-12
     assert abs(pb.upper - direct) < 1e-12
@@ -277,13 +280,11 @@ def test_bound_width_monotone_in_margins():
     widths = []
     for scale in (1.0, 2.0, 4.0):
         data = DATA.scaled(scale)
-        obs = HybridObservable(
-            observable_at("q1", 0.4).expr, data, {1: GQ}, HBAR
-        )
-        margin = delta_L_margin(obs, phi, [1])[1]
+        obs = observable_at("q1", 0.4)
+        margin = delta_L_margin(obs, data, phi, HBAR, [1])[1]
         big = spread_Delta_L(margin.total, cfg)
         D = 1.5 * big
-        pb = bound_for(obs, phi, cfg, (0.4 - D, 0.4 + D))
+        pb = bound_for(obs, phi, cfg, (0.4 - D, 0.4 + D), data)
         widths.append(pb.upper - pb.lower)
     assert widths[0] <= widths[1] <= widths[2]
 
@@ -313,7 +314,7 @@ def certified_classical_packet():
 def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
     """Measured X1/X2 of a static observable and the leakage constant."""
     pb = bound_for(obs, phi_q, cfg, interval)
-    b = spectral_decompose(obs.compiled().dense())
+    b = spectral_decompose(compiled(obs).dense())
     sectors = leakage_sectors(b, b.amplitudes(phi_q), pb.I_B, pb.Imax, pb.Imin)
     measured = sector_leakage(
         a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, interval
@@ -340,17 +341,16 @@ def test_tail_leakage_static_mixed_observable():
     # B = q1 * P1 with A = q (x) P exactly: A - B = (q - q0) P
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
-    expr = parse_expression("q1*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
+    obs = parse_expression("q1*P1", S11)
     a_full = np.kron(position_operator(GC).dense(), momentum_operator(GQ, HBAR).dense())
     # raises unless A = q (x) P is Hermitian to HERMITIAN_RTOL
     a_decomp = spectral_decompose(a_full)
-    b_mat = obs.compiled().dense()
+    b_mat = compiled(obs).dense()
     a0 = float(np.vdot(phi_q.amplitudes, b_mat @ phi_q.amplitudes).real)
     for L in (1, 2):
         for p in (0.9, 0.99):
             cfg = BoundConfig(L, p)
-            margin = delta_L_margin(obs, phi_q, [L])[L]
+            margin = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L]
             big = spread_Delta_L(margin.total, cfg)
             for mult in (1.5, 3.0):
                 interval = (a0 - mult * big, a0 + mult * big)
@@ -381,8 +381,8 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
-    margin = delta_L_margin(obs, phi_q, [1])[1]
-    lhs, rhs = operator_discrepancy(a_full, obs.compiled(), phi_c, phi_q, 1, margin)
+    margin = delta_L_margin(obs, DATA, phi_q, HBAR, [1])[1]
+    lhs, rhs = operator_discrepancy(a_full, compiled(obs), phi_c, phi_q, 1, margin)
     assert lhs < 1e-10
     assert rhs == 0.0
 
@@ -390,25 +390,29 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
 def test_operator_discrepancy_static_bound():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
-    expr = parse_expression("q1*P1", S11)
-    obs = HybridObservable(expr, DATA, {1: GQ}, HBAR)
+    obs = parse_expression("q1*P1", S11)
     a_op = compile_expression(
         parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
     )
     for L in (1, 2):
-        margin = delta_L_margin(obs, phi_q, [L])[L]
-        lhs, rhs = operator_discrepancy(a_op, obs.compiled(), phi_c, phi_q, L, margin)
+        margin = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L]
+        lhs, rhs = operator_discrepancy(a_op, compiled(obs), phi_c, phi_q, L, margin)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
 
 
-def test_hybrid_observable_validates_bindings():
+def test_compile_expression_validates_bindings():
+    # a classical symbol with no classical data, and a free constant
     expr = parse_expression("q2*P1", System(2, 1))
-    with pytest.raises(Exception):
-        HybridObservable(expr, DATA, {1: GQ}, HBAR)
+    with pytest.raises(Exception, match="unbound"):
+        compile_expression(expr, DATA.centers(), {1: GQ}, HBAR)
+    # the margin's derivatives along q1 and p1 all vanish, so only the
+    # binding check sees q2
+    with pytest.raises(Exception, match="unbound"):
+        delta_L_margin(expr, DATA, quantum_packet(), HBAR, [1])
     expr2 = parse_expression("k*P1", S11, ("k",))
     with pytest.raises(Exception, match="unbound"):
-        HybridObservable(expr2, DATA, {1: GQ}, HBAR)
+        compile_expression(expr2, DATA.centers(), {1: GQ}, HBAR)
 
 
 def test_bound_config_validation():

@@ -247,7 +247,7 @@ def test_decoupled_system_margins_vanish():
 def test_heavy_classical_mass_shrinks_momentum_margin():
     from fractions import Fraction
 
-    from halfq.bounds import HybridObservable, delta_L_margin
+    from halfq.bounds import delta_L_margin
 
     light = small_example(classical_mass=1.0)
     heavy = small_example(classical_mass=10.0)
@@ -256,14 +256,9 @@ def test_heavy_classical_mass_shrinks_momentum_margin():
         sols = hybrid_solutions(cfg)
         subs = {c: Fraction(v).limit_denominator() for c, v in cfg.constants.items()}
         subs["t"] = 1
-        obs = HybridObservable(
-            sols["q1"].substitute_constants(subs),
-            cfg.classical_data,
-            {1: cfg.quantum_grids[0]},
-            cfg.hbar,
-        )
-        phi_q = cfg.quantum_factor()
-        margins[cfg.constants["m"]] = delta_L_margin(obs, phi_q, [1])[1].total
+        expr = sols["q1"].substitute_constants(subs)
+        margin = delta_L_margin(expr, cfg.classical_data, cfg.quantum_factor(), cfg.hbar, [1])
+        margins[cfg.constants["m"]] = margin[1].total
     assert margins[10.0] < margins[1.0]
     assert abs(margins[1.0] - 2.0) < 1e-12  # delta_q + delta_p
     assert abs(margins[10.0] - 1.1) < 1e-12  # delta_q + delta_p/10
@@ -286,6 +281,15 @@ def test_verification_passes_on_small_example():
     # enough coverage: distinct (t, I0) pairs beyond the spec's floor
     pairs = {(r["t"], tuple(r["I0"])) for r in report.rows}
     assert len(pairs) >= 20
+
+
+def test_constants_read_as_zero_everywhere_alike():
+    # k = 1e-13 enters the exact layer as 0: B, A(t) and the oracle's H all
+    # take it from there, so the run is the k = 0 run row for row
+    tiny = run_verification(small_example(coupling=1e-13, times=(0.0, 0.4)), deep=False)
+    zero = run_verification(small_example(coupling=0.0, times=(0.0, 0.4)), deep=False)
+    assert len(zero.rows) == 96
+    assert tiny.rows == zero.rows
 
 
 def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
@@ -372,18 +376,24 @@ def test_sweep_margins_take_each_derivative_once(monkeypatch):
     # derivative once for all levels; each level's margin equals, bit for
     # bit, the margin of a sweep at that level alone
     import halfq.bounds
+    import halfq.experiment
 
     cfg = small_example()
     sols = hybrid_solutions(cfg)
     calls = {"partial_derivative": 0, "compile_expression": 0}
-    for name in calls:
-        original = getattr(halfq.bounds, name)
+    # derivatives are compiled in bounds, each point's B in experiment
+    for module, name in (
+        (halfq.bounds, "partial_derivative"),
+        (halfq.bounds, "compile_expression"),
+        (halfq.experiment, "compile_expression"),
+    ):
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(halfq.bounds, name, counted)
+        monkeypatch.setattr(module, name, counted)
     points = list(sandwich_sweep(cfg, sols, (1, 2)))
     # 16 points; 33 compiles are 17 derivatives and each point's own B
     assert calls == {"partial_derivative": 66, "compile_expression": 33}

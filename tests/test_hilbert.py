@@ -186,9 +186,8 @@ def test_quantized_real_polynomial_is_hermitian():
         "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2", s2, ("m", "M", "k")
     )
     g8 = Grid(16, -4.0, 4.0)
-    h_mat = compile_expression(
-        weyl_quantize(h_cl), {}, {1: g8, 2: g8}, HBAR, {"m": 1.0, "M": 1.0, "k": 0.1}
-    ).dense()
+    h_exact = weyl_quantize(h_cl).substitute_constants({"m": 1, "M": 1, "k": Fraction(1, 10)})
+    h_mat = compile_expression(h_exact, {}, {1: g8, 2: g8}, HBAR).dense()
     spectral_decompose(h_mat)  # raises unless Hermitian to HERMITIAN_RTOL
 
 
@@ -319,9 +318,8 @@ def test_free_packet_dispersion():
     g = Grid(128, -24.0, 24.0)
     dq, m, t = 1.0, 1.0, 1.0
     psi = gaussian_state(g, 0.0, 0.0, dq, HBAR)
-    h = compile_expression(
-        parse_expression("P1^2/(2*m)", System(0, 1), ("m",)), {}, {1: g}, HBAR, {"m": m}
-    )
+    h_expr = parse_expression("P1^2/(2*m)", System(0, 1), ("m",))
+    h = compile_expression(h_expr.substitute_constants({"m": 1}), {}, {1: g}, HBAR)
     (psi_t,) = evolve_full_quantum(h, psi, (t,))
     q = position_operator(g).dense()
     var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
@@ -340,18 +338,16 @@ def test_heisenberg_schroedinger_consistency():
     gc = Grid(32, -8.0, 8.0)
     gq = Grid(32, -8.0, 8.0)
     grids = {1: gc, 2: gq}
-    h_op = compile_expression(h_expr, {}, grids, HBAR, consts)
+    subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(1, 2)}
+    h_op = compile_expression(h_expr.substitute_constants(subs), {}, grids, HBAR)
     psi0 = tensor(
         gaussian_state(gc, 0.0, 1.0, 2**-0.5, HBAR),
         gaussian_state(gq, 0.0, 1.0, 1.0, HBAR),
     )
     t = 0.5
-    subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(1, 2)}
     full_sys = System(0, 2)
     a_t_expr = heisenberg_series(full_sys.Q(1), h_expr)
-    a_t = compile_expression(
-        a_t_expr.substitute_constants(subs), {}, grids, HBAR, consts
-    ).dense()
+    a_t = compile_expression(a_t_expr.substitute_constants(subs), {}, grids, HBAR).dense()
     # endpoints midway between position nodes, away from the density peak
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
@@ -415,15 +411,13 @@ def test_chebyshev_matches_eigh_reference_on_example():
     initial state and leakage-sector columns to every sweep time, t = 0 and
     a repeated time included, against dense eigh propagation of a
     Hamiltonian assembled here by Kronecker products."""
-    from halfq.bounds import HybridObservable, leakage_sectors
+    from halfq.bounds import leakage_sectors
     from halfq.experiment import build_example, hybrid_solutions
 
     cfg = build_example(npoints=32, extent=8.0)
     gc, gq = cfg.classical_grids[0], cfg.quantum_grids[0]
     consts = cfg.constants
-    h_op = compile_expression(
-        cfg.full_hamiltonian_expr(), {}, {1: gc, 2: gq}, HBAR, consts
-    )
+    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, {1: gc, 2: gq}, HBAR)
     p_c = momentum_operator(gc, HBAR).dense()
     p_q = momentum_operator(gq, HBAR).dense()
     h_dense = (
@@ -438,11 +432,11 @@ def test_chebyshev_matches_eigh_reference_on_example():
     cols = [psi0]
     for t in cfg.sweep.times:
         subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(t)}
-        obs = HybridObservable(
-            sol.substitute_constants(subs), cfg.classical_data, {1: gq}, HBAR
+        obs = compile_expression(
+            sol.substitute_constants(subs), cfg.classical_data.centers(), {1: gq}, HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
-        b = spectral_decompose(obs.compiled().dense())
+        b = spectral_decompose(obs.dense())
         amps = b.amplitudes(phi_q)
         for half in (0.5, 1.0, 2.0):
             sectors = leakage_sectors(
@@ -530,7 +524,7 @@ def test_propagation_memory_is_its_results_and_four_arrays():
 
     cfg = build_example(npoints=48, extent=12.0)
     grids = {a + 1: g for a, g in enumerate(cfg.all_grids())}
-    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, grids, HBAR, cfg.constants)
+    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, grids, HBAR)
     rng = np.random.default_rng(2)
     cols = np.linalg.qr(rng.normal(size=(2304, 48)) + 1j * rng.normal(size=(2304, 48)))[0]
     times = (0.0, 0.4, 0.8, 1.2)

@@ -97,6 +97,22 @@ def test_one_spectral_measure():
     assert importers == ["bounds.py"]
 
 
+
+def test_one_binding_rule_for_constants():
+    # a constant or a time becomes a number in one place: the exact layer
+    # rounds it once (experiment._exact), and the numeric layers receive
+    # expressions whose constants are already substituted
+    sources = sorted((ROOT / "src" / "halfq").glob("*.py"))
+    uses = sum(p.read_text(encoding="utf-8").count("limit_denominator") for p in sources)
+    assert uses == 1
+    for module in ("hilbert.py", "bounds.py", "classicality.py"):
+        tree = ast.parse((ROOT / "src" / "halfq" / module).read_text(encoding="utf-8"))
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "substitute_constants"
+        ]
+        assert calls == [], module
+
 def _run_worker(tmp_path, workload: str, smoke: bool, *flags: str) -> dict:
     """One benchmark job on the workload's seed-0 input, through its worker
     in a subprocess; the benchmark modules are loaded and run by path, as
