@@ -21,13 +21,16 @@ and no ``Fraction`` object is built unless a caller reads ``re`` or ``im``.
 The canonical form has two rules: no two terms share a key, and no
 coefficient is zero.  Builders keep the first by accumulating into one dict
 per key; the :class:`HybridExpression` constructor enforces the second by
-dropping zero coefficients through ``_nonzero``.  The three single-DOF
-tables call the same helper when they store a result; no builder prunes.
+dropping zero coefficients through ``_nonzero``.  The normal-ordering
+table calls the same helper when it stores a result; no builder prunes.
 
 Two module-level tables memoize the exact kernel: ``_NORMAL_CACHE`` maps a
 quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` maps a
 pair of unit monomials to their hybrid bracket.  Both are keyed by symbols
 alone and grow with the distinct words and monomial pairs a process meets.
+Weyl quantization and unquantization read one closed-form single-DOF table,
+``_weyl_terms``: the Weyl <-> normal-order correspondence
+exp(-+(i*hbar/2) d_q d_p), whose cost is polynomial in the degree.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import permutations, product
+from functools import cache
+from itertools import product
 from typing import Mapping, Union
 import warnings
 
@@ -717,56 +721,39 @@ def jacobiator(
 # --------------------------------------------------------------------------
 # quantization and unquantization
 
-# pattern-level caches keyed by (q_power, p_power) of a single DOF
-_WEYL_CACHE: dict = {}
-_UNQ_CACHE: dict = {}
 
+@cache
+def _weyl_terms(a: int, b: int, sign: int) -> tuple:
+    """The single-DOF Weyl correspondence exp(sign*(i*hbar/2) d_q d_p)
+    applied to q^a p^b (McCoy, PNAS 18, 674 (1932)).
 
-def _weyl_single(a: int, b: int) -> dict:
-    """Fully symmetrized product of a Q's and b P's of one DOF, expanded in
-    the normal-ordered basis.  Returns {(a', b'): coeff}; the hbar increment
-    is (a + b - a' - b') // 2."""
-    key = (a, b)
-    cached = _WEYL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    Q, P = Symbol.Q(1), Symbol.P(1)
-    pattern = (Q,) * a + (P,) * b
-    orderings = set(permutations(pattern))
-    weight = CNum(Fraction(1, len(orderings)))
-    acc: dict = {}
-    for word in orderings:
-        for normal, c in _normal_words(word).items():
-            counts = _dof_powers((s, 1) for s in normal).get(1, (0, 0))
-            acc[counts] = acc.get(counts, _ZERO) + c * weight
-    acc = _WEYL_CACHE[key] = _nonzero(acc)
-    return acc
-
-
-def _unquantize_single(a: int, b: int) -> dict:
-    """Weyl symbol of the normal-ordered word Q^a P^b of one DOF.
-
-    Returns {(q_power, p_power, hbar_increment): coeff} such that
-    Q^a P^b = sum_terms coeff * hbar^inc * Weyl(q^qp * p^pp); replacing each
-    Weyl-symmetrized block by the classical monomial realizes the
-    unquantization map, and quantize-then-unquantize is the exact identity.
+    Returns the terms (a - k, b - k, k, c_k) for k = 0..min(a, b), with
+    c_k = k! C(a, k) C(b, k) (sign*i/2)^k exact.  With sign -1 they expand
+    Weyl(q^a p^b) = sum_k c_k hbar^k Q^(a-k) P^(b-k) in normal order; with
+    sign +1 they give the Weyl symbol of Q^a P^b as
+    sum_k c_k hbar^k q^(a-k) p^(b-k).  The two maps are inverse, and the
+    cost of a table is polynomial in the degree.
     """
-    key = (a, b)
-    cached = _UNQ_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = {(a, b, 0): _ONE}
-    # Weyl(q^a p^b) = Q^a P^b + lower-degree normal terms R;
-    # invert triangularly: unq(Q^a P^b) = q^a p^b - unq(R).
-    for (a2, b2), c in _weyl_single(a, b).items():
-        if (a2, b2) == (a, b):
-            continue
-        dh = (a + b - a2 - b2) // 2
-        for (qp, pp, dh2), c2 in _unquantize_single(a2, b2).items():
-            k = (qp, pp, dh + dh2)
-            result[k] = result.get(k, _ZERO) - c * c2
-    result = _UNQ_CACHE[key] = _nonzero(result)
-    return result
+    step = CNum(0, Fraction(sign, 2))
+    terms, power = [], _ONE
+    for k in range(min(a, b) + 1):
+        count = math.factorial(k) * math.comb(a, k) * math.comb(b, k)
+        terms.append((a - k, b - k, k, CNum(count) * power))
+        power = power * step
+    return tuple(terms)
+
+
+def _weyl_products(powers: dict, sign: int):
+    """Each product over the DOFs of ``powers`` ({dof: (a, b)}) of one
+    :func:`_weyl_terms` term per DOF: yields the hbar increment, the
+    coefficient and the ((dof, a', b'), ...) powers in DOF order."""
+    dofs = sorted(powers)
+    for combo in product(*(_weyl_terms(*powers[d], sign) for d in dofs)):
+        coeff, dh = _ONE, 0
+        for _, _, k, c in combo:
+            coeff = coeff * c
+            dh += k
+        yield dh, coeff, tuple((d, a, b) for d, (a, b, _, _) in zip(dofs, combo))
 
 
 def _dof_powers(pairs) -> dict:
@@ -781,9 +768,10 @@ def _dof_powers(pairs) -> dict:
 def weyl_quantize(expr: HybridExpression) -> HybridExpression:
     """Dirac/Weyl quantization of a fully classical expression.
 
-    Classical DOF i becomes quantum DOF i; each monomial q^n p^m maps to the
-    fully symmetrized operator product, expressed in normal order with
-    explicit hbar corrections.
+    Classical DOF i becomes quantum DOF i; each monomial q^a p^b maps to the
+    fully symmetrized operator product in normal order, which per DOF is
+    the closed form sum_k k! C(a,k) C(b,k) (-i*hbar/2)^k Q^(a-k) P^(b-k)
+    (:func:`_weyl_terms`), at a cost polynomial in the degree.
     """
     if expr.has_quantum:
         raise AlgebraError("weyl_quantize input must contain no quantum symbols")
@@ -794,20 +782,12 @@ def weyl_quantize(expr: HybridExpression) -> HybridExpression:
     target = System(0, expr.system.classical)
     out: dict = {}
     for (h, pr, cl, _word), c in expr._terms.items():
-        per_dof = _dof_powers(cl)
-        dofs = sorted(per_dof)
-        expanded = [list(_weyl_single(*per_dof[d]).items()) for d in dofs]
-        for combo in product(*expanded):
-            word: list = []
-            coeff = c
-            dh = 0
-            for d, ((a2, b2), cw) in zip(dofs, combo):
-                a, b = per_dof[d]
-                dh += (a + b - a2 - b2) // 2
-                word.extend([Symbol.Q(d)] * a2 + [Symbol.P(d)] * b2)
-                coeff = coeff * cw
-            key = (h + dh, pr, (), tuple(word))
-            out[key] = out.get(key, _ZERO) + coeff
+        for dh, cw, pows in _weyl_products(_dof_powers(cl), -1):
+            word = tuple(
+                s for d, a, b in pows for s in (Symbol.Q(d),) * a + (Symbol.P(d),) * b
+            )
+            key = (h + dh, pr, (), word)
+            out[key] = out.get(key, _ZERO) + c * cw
     return HybridExpression(target, out)
 
 
@@ -817,8 +797,13 @@ def unquantize(
     magnitude_guard: float | None = 1000.0,
 ) -> HybridExpression:
     """Unquantization: quantum DOFs 1..classical_count become classical
-    variables via the Weyl-symbol basis; the remaining DOFs pass through
+    variables through their Weyl symbols; the remaining DOFs pass through
     (renumbered to 1..N-classical_count).
+
+    Per DOF the Weyl symbol of Q^a P^b is the closed form
+    sum_k k! C(a,k) C(b,k) (i*hbar/2)^k q^(a-k) p^(b-k)
+    (:func:`_weyl_terms`), the inverse of :func:`weyl_quantize`, at a cost
+    polynomial in the degree.
 
     With ``magnitude_guard`` set, warns when the hbar^0 grade of the result
     does not dominate the hbar^2-and-higher residual by that factor: such a
@@ -835,26 +820,17 @@ def unquantize(
     out: dict = {}
     for (h, pr, _cl, word), c in expr._terms.items():
         powers = _dof_powers((s, 1) for s in word)
-        class_dofs = sorted(d for d in powers if d <= classical_count)
         passthrough = tuple(
             Symbol(s.kind, s.index - classical_count)
             for s in word
             if s.index > classical_count
         )
-        expanded = [list(_unquantize_single(*powers[d]).items()) for d in class_dofs]
-        for combo in product(*expanded):
-            coeff = c
-            dh = 0
-            cl_pows: dict = {}
-            for d, ((qp, pp, dhi), cu) in zip(class_dofs, combo):
-                coeff = coeff * cu
-                dh += dhi
-                if qp:
-                    cl_pows[Symbol.q(d)] = qp
-                if pp:
-                    cl_pows[Symbol.p(d)] = pp
-            key = (h + dh, pr, tuple(sorted(cl_pows.items())), passthrough)
-            out[key] = out.get(key, _ZERO) + coeff
+        classical = {d: ab for d, ab in powers.items() if d <= classical_count}
+        for dh, cu, pows in _weyl_products(classical, 1):
+            # every q before every p, each in DOF order: Symbol's sort order
+            cl = [(Symbol.q(d), a) for d, a, _ in pows] + [(Symbol.p(d), b) for d, _, b in pows]
+            key = (h + dh, pr, tuple((s, e) for s, e in cl if e), passthrough)
+            out[key] = out.get(key, _ZERO) + c * cu
     result = HybridExpression(target, out)
     if magnitude_guard is not None:
         leading = result.coefficient_scale(0)

@@ -46,8 +46,8 @@ class BoundConfig:
             raise ValueError("order L must be a positive integer")
         if not 0 < self.p < 1:
             raise ValueError("probability p must lie in (0,1)")
-        if self.I_B is not None and self.I_B < 0:
-            raise ValueError("I_B must be nonnegative")
+        if self.I_B is not None and self.I_B <= 0:
+            raise ValueError("I_B must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -138,14 +138,12 @@ def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
     """(1-p) Delta_L / (2(2L-1) I_B): the spectral tail-leakage bound.
 
     Degenerate exact case: when the observable carries no classical error
-    (delta_L = 0) and I_B collapses with it, every xi state is a true
-    eigenstate and the leakage vanishes identically.
+    (delta_L = 0) and I_B is unset, I_B collapses with it, every xi state
+    is a true eigenstate and the leakage vanishes identically.
     """
     i_b = delta_L if cfg.I_B is None else cfg.I_B
     if i_b == 0:
-        if delta_L == 0:
-            return 0.0
-        raise ValueError("I_B must be positive when the observable carries classical error")
+        return 0.0
     delta = spread_Delta_L(delta_L, cfg)
     return (1.0 - cfg.p) * delta / (2.0 * (2 * cfg.L - 1) * i_b)
 
@@ -233,11 +231,9 @@ def prediction_bounds(
     lo, hi = I0
     a0 = 0.5 * (lo + hi)
     D = 0.5 * (hi - lo)
-    if i_b == 0:
-        # exact quantum sector: no blur (Delta_L is already 0), xi states are eigenstates
-        if delta != 0:
-            raise ValueError("I_B must be positive when delta_L > 0")
-    elif D <= big_delta:
+    # i_b = 0 is the exact quantum sector: no blur (Delta_L is already 0),
+    # xi states are eigenstates
+    if i_b != 0 and D <= big_delta:
         raise ValueError(
             f"interval half-width D={D:.6g} must exceed Delta_L={big_delta:.6g}"
         )

@@ -539,34 +539,29 @@ def build_example(
     extent: float = 16.0,
     coupling: float = 0.1,
     classical_mass: float = 1.0,
-    quantum_mass: float = 1.0,
-    levels: Sequence[int] = (1, 2),
-    probabilities: Sequence[float] = (0.9, 0.99),
     times: Sequence[float] = (0.0, 0.4, 0.8, 1.2),
     packet_width: float = 2.0**-0.5,
 ) -> SystemConfig:
     """Two coupled particles: quantum kinetic + classical kinetic + k q P.
 
-    Defaults: unit masses, k = 0.1, hbar = 1, 64-point grids, classical
-    packet at the center of the Gaussian feasibility window for L <= 2.
+    Defaults: unit masses (the quantum mass is always 1), k = 0.1,
+    hbar = 1, 64-point grids, classical packet at the center of the
+    Gaussian feasibility window for L <= 2; bounds at L in {1, 2} and
+    p in {0.9, 0.99}.
     """
     grid = {"npoints": npoints, "xmin": -extent, "xmax": extent}
     raw = {
         "version": CONFIG_VERSION,
         "system": {"classical": 1, "quantum": 1},
         "hbar": 1.0,
-        "constants": {"m": classical_mass, "M": quantum_mass, "k": coupling},
+        "constants": {"m": classical_mass, "M": 1.0, "k": coupling},
         "hamiltonian": "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2",
         "classical_grids": [grid],
         "quantum_grids": [grid],
         "classical_data": [{"q0": 0.0, "p0": 1.0, "delta_q": 1.0, "delta_p": 1.0}],
         "classical_state": [{"kind": "gaussian", "dq": packet_width}],
         "quantum_state": [{"kind": "gaussian", "q0": 0.0, "p0": 1.0, "dq": 1.0}],
-        "bound": {
-            "levels": list(levels),
-            "probabilities": list(probabilities),
-            "I_B": None,
-        },
+        "bound": {"levels": [1, 2], "probabilities": [0.9, 0.99], "I_B": None},
         "sweep": {
             "times": list(times),
             "width_multipliers": [1.25, 2.0, 4.0],
@@ -702,10 +697,6 @@ class VerificationReport:
     environment: dict
     config: dict
     notes: list
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))

@@ -275,11 +275,7 @@ class CompiledOperator:
                     part = np.multiply(part, diag, out=dst if part is x else part)
                 else:
                     rows = part.reshape(math.prod(x.shape[:axis]), f.shape[0], -1)
-                    if part is x and dst is not None:
-                        np.matmul(f, rows, out=dst.reshape(rows.shape))
-                        part = dst
-                    else:
-                        part = np.matmul(f, rows).reshape(x.shape)
+                    part = np.matmul(f, rows).reshape(x.shape)
             part = np.multiply(part, scalar, out=dst if part is x else part)
             acc = part if acc is None else np.add(acc, part, out=acc)
         if buf is None:

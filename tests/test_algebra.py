@@ -2,7 +2,9 @@
 
 import math
 import random
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -31,7 +33,12 @@ from halfq import (
     unquantize,
     weyl_quantize,
 )
-from halfq.algebra import double_bracket, find_jacobiator_witness, hybrid_monomials
+from halfq.algebra import (
+    _weyl_terms,
+    double_bracket,
+    find_jacobiator_witness,
+    hybrid_monomials,
+)
 
 S11 = System(1, 1)
 S21 = System(2, 1)
@@ -290,6 +297,62 @@ def test_weyl_examples():
     # symmetrized q^2 p, canonical form Q^2 P - i hbar Q
     got = weyl_quantize(sc.q(1) ** 2 * sc.p(1))
     assert got == sq.Q(1) ** 2 * sq.P(1) - mul_ihbar(sq.Q(1))
+
+
+def symmetrized_product(a, b):
+    """Reference Weyl(q^a p^b): the average of Q^a P^b over all distinct
+    orderings of its factors, each normal-ordered by the CCR."""
+    sq = System(0, 1)
+    factor = {"Q": sq.Q(1), "P": sq.P(1)}
+    orderings = set(permutations("Q" * a + "P" * b))
+    total = sq.zero()
+    for word in orderings:
+        term = sq.one()
+        for letter in word:
+            term = term * factor[letter]
+        total = total + term
+    return total / len(orderings)
+
+
+def test_weyl_table_matches_ordering_enumeration():
+    sq = System(0, 1)
+    for a in range(9):
+        for b in range(9 - a):
+            table = sq.zero()
+            for a2, b2, k, c in _weyl_terms(a, b, -1):
+                table = table + sq.hbar(k) * sq.Q(1) ** a2 * sq.P(1) ** b2 * c
+            assert table == symmetrized_product(a, b), (a, b)
+
+
+def test_weyl_correspondence_round_trips_both_ways():
+    sc, sq = System(1, 0), System(0, 1)
+    for a in range(9):
+        for b in range(9 - a):
+            mono = sc.q(1) ** a * sc.p(1) ** b
+            assert unquantize(weyl_quantize(mono), 1) == mono, (a, b)
+            op = sq.Q(1) ** a * sq.P(1) ** b
+            assert weyl_quantize(unquantize(op, 1, magnitude_guard=None)) == op, (a, b)
+
+
+def test_weyl_correspondence_is_polynomial_in_the_degree():
+    # enumerating the (a+b)! orderings took seconds at degree 10 and grew
+    # factorially; the closed form builds each table in O(min(a, b)) terms
+    sc, sq, s2 = System(1, 0), System(0, 1), System(2, 0)
+    mono = s2.q(1) ** 5 * s2.p(1) ** 5
+    op = sq.Q(1) ** 6 * sq.P(1) ** 6
+    _weyl_terms.cache_clear()
+
+    def timed(call, *args, **kwargs):
+        start = time.perf_counter()
+        result = call(*args, **kwargs)
+        assert time.perf_counter() - start < 1.0, call.__name__
+        return result
+
+    weyl = timed(weyl_quantize, sc.q(1) ** 12)
+    assert weyl.adjoint() == weyl
+    assert unquantize(weyl, 1) == sc.q(1) ** 12
+    assert timed(half_quantize, mono, (1, 1)) == S11.q(1) ** 5 * S11.p(1) ** 5
+    assert weyl_quantize(timed(unquantize, op, 1, magnitude_guard=None)) == op
 
 
 def test_weyl_matches_matrix_ordering_average():

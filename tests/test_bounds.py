@@ -119,7 +119,7 @@ def test_margin_second_order_term():
 def test_spread_values():
     assert abs(spread_Delta_L(1.0, BoundConfig(1, 0.99)) - 20.0) < 1e-9
     assert abs(spread_Delta_L(1.0, BoundConfig(10, 0.99999)) - 3.6) < 0.05
-    assert spread_Delta_L(0.0, BoundConfig(1, 0.9, I_B=0.0)) == 0.0
+    assert spread_Delta_L(0.0, BoundConfig(1, 0.9)) == 0.0
 
 
 def test_worst_case_error_constants():
@@ -134,10 +134,10 @@ def test_worst_case_error_constants():
 
 
 def test_leakage_constant_degenerate_and_invalid():
-    assert leakage_constant(0.0, BoundConfig(1, 0.99, I_B=0.0)) == 0.0
+    assert leakage_constant(0.0, BoundConfig(1, 0.99)) == 0.0
     assert leakage_constant(0.0, BoundConfig(2, 0.9)) == 0.0
-    with pytest.raises(ValueError):
-        leakage_constant(1.0, BoundConfig(1, 0.99, I_B=0.0))
+    with pytest.raises(ValueError, match="I_B must be positive"):
+        BoundConfig(1, 0.99, I_B=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -422,3 +422,5 @@ def test_bound_config_validation():
         BoundConfig(1, 1.0)
     with pytest.raises(ValueError):
         BoundConfig(1, 0.5, I_B=-1.0)
+    with pytest.raises(ValueError):
+        BoundConfig(1, 0.5, I_B=0.0)

@@ -85,6 +85,21 @@ def test_constants_rows(capsys):
     assert "3.5566" in out
 
 
+def test_constants_json_rows_match_text(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["L"], r["p"]) for r in rows] == [(1, 0.99), (10, 0.99999)]
+    assert set(rows[0]) == {
+        "L", "p", "leakage", "error_coefficient", "worst_error", "widening_over_delta",
+    }
+    _, text, _ = run_cli(capsys, "constants")
+    lines = text.splitlines()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert f"worst error={row['worst_error']:.6f}" in line
+
+
 def test_jacobi_demo(capsys):
     code, out, _ = run_cli(capsys, "jacobi-demo")
     assert code == 0
@@ -132,6 +147,64 @@ def test_bounds_rows_equal_verify_rows(tmp_path, capsys):
     assert [[r[k] for k in key] for r in bounds_rows] == [
         [r[k] for k in key] for r in verify_rows
     ]
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        (("bounds",), ["observable", "t", "L", "p", "width_multiplier", "lower", "upper"]),
+        (
+            ("verify", "--shallow", "--quiet"),
+            ["observable", "L", "p", "width_multiplier", "t", "lower", "oracle", "upper"],
+        ),
+    ],
+    ids=["bounds", "verify"],
+)
+def test_csv_output_matches_json_rows(tmp_path, capsys, command, header):
+    path = write_small_config(tmp_path)
+    code, out, _ = run_cli(capsys, *command, "--config", str(path), "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out, _ = run_cli(capsys, *command, "--config", str(path), "--csv")
+    assert code == 0
+    table = list(csv.reader(out.splitlines()))
+    assert table[0] == header
+    assert len(rows) == 96 and len(table) == len(rows) + 1
+    keys = ["oracle_P" if k == "oracle" else k for k in header]
+    assert table[1:] == [[str(r[k]) for k in keys] for r in rows]
+
+
+def test_verify_fails_when_leakage_exceeds_its_bound(tmp_path, capsys, monkeypatch):
+    from halfq.experiment import TOLERANCES
+
+    # a negative slack puts every measured leakage over its bound
+    monkeypatch.setitem(TOLERANCES, "leak_slack", -1.0)
+    path = write_small_config(tmp_path)
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path), "--quiet")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "status: fail"
+    assert "sandwich rows: 96 (0 violations)" in lines
+    assert "X1 leakage rows: 60 (60 over bound)" in lines
+    assert "X2 leakage rows: 60 (60 over bound)" in lines
+    assert lines[-1] == (
+        "note: 60 X2 rows exceed the closed-form leakage constant "
+        "(continuum approximation; informational, not gating)"
+    )
+
+
+def test_verify_ehrenfest_guard_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from halfq.experiment import TOLERANCES
+
+    monkeypatch.setitem(TOLERANCES, "ehrenfest", 0.0)
+    path = write_small_config(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--shallow", "--quiet")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: oracle Ehrenfest gap ")
+    assert lines[0].endswith(" exceeds 0.0e+00")
 
 
 def test_bounds_exits_one_when_a_certificate_fails(tmp_path, capsys):

@@ -85,7 +85,8 @@ MISSING = object()  # the key is deleted instead of set
         (("system", "quantum"), True, "quantum DOF count must be a finite number, got True"),
         (("bound", "probabilities"), [0.9, 1.0], r"probability p must lie in \(0,1\)"),
         (("bound", "levels"), [0, 1], "order L must be a positive integer"),
-        (("bound", "I_B"), -0.5, "I_B must be nonnegative"),
+        (("bound", "I_B"), -0.5, "I_B must be positive"),
+        (("bound", "I_B"), 0.0, "bad bound: I_B must be positive"),
         (("h_bar",), 0.5, "unknown key 'h_bar' in config; allowed: .*hbar"),
         (("bound", "level"), [1, 2], "unknown key 'level' in bound; allowed: .*levels"),
         (("quantum_state", 0, "width"), 1.0, r"unknown key 'width' in quantum_state\[0\]"),
@@ -145,7 +146,7 @@ MISSING = object()  # the key is deleted instead of set
         "times-empty", "observables-empty", "multipliers-empty",
         "probabilities-empty", "levels-empty", "level-fractional",
         "npoints-fractional", "dof-count-fractional", "dof-count-bool",
-        "probability-one", "level-zero", "I_B-negative",
+        "probability-one", "level-zero", "I_B-negative", "I_B-zero",
         "hbar-typo", "levels-typo", "state-width-typo", "grid-unknown-key",
         "system-unknown-key", "sweep-unknown-key", "datum-unknown-key",
         "hamiltonian-missing", "delta_p-missing", "grid-xmax-missing",

@@ -397,12 +397,15 @@ def test_compiled_apply_matches_dense_on_column_batches():
     zero = compile_expression(s.zero(), {}, grids, 0.7)
     assert np.array_equal(zero.apply(batch), np.zeros_like(batch))
     # into a caller's buffer: the first term is a constant, a diagonal
-    # factor followed by a matmul, or absent
+    # factor followed by a matmul, a matmul first, or absent
     single = compile_expression(parse_expression("Q2*P3^2", s), {}, grids, 0.7)
+    dense_first = compile_expression(parse_expression("Q1*P1*Q3 + 2*Q2", s), {}, grids, 0.7)
+    assert dense_first.terms[0][1][0].ndim == 2
     buf = np.empty_like(batch)
-    for other in (op, single, zero):
+    for other in (op, single, dense_first, zero):
         assert other.apply(batch, out=buf) is buf
         assert np.max(np.abs(buf - other.dense() @ batch)) <= 1e-14 * scale
+        assert np.array_equal(buf, other.apply(batch))
     assert np.array_equal(batch, before)
 
 

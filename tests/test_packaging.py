@@ -97,6 +97,20 @@ def test_one_spectral_measure():
     assert importers == ["bounds.py"]
 
 
+def test_one_weyl_table():
+    # the Weyl correspondence is one closed-form table (algebra._weyl_terms)
+    # read by weyl_quantize and unquantize; no map enumerates orderings or
+    # keeps a table of its own
+    offenders = []
+    tree = ast.parse((ROOT / "src" / "halfq" / "algebra.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "permutations" in {alias.name for alias in node.names}:
+                offenders.append("imports permutations")
+        elif isinstance(node, ast.Name) and node.id in ("_WEYL_CACHE", "_UNQ_CACHE"):
+            offenders.append(f"defines {node.id}")
+    assert offenders == []
+
 
 def test_one_binding_rule_for_constants():
     # a constant or a time becomes a number in one place: the exact layer
