@@ -29,7 +29,6 @@ from .hilbert import (
     compile_expression,
     interval_mask,
     interval_mass,
-    tensor,
 )
 
 
@@ -59,7 +58,6 @@ class DeltaMargin:
     """First- and second-order pieces of the L-order error margin."""
 
     total: float  # sum of first-order contributions
-    per_symbol: dict  # symbol -> contribution
     second_order: float  # reported separately (truncation magnitude)
 
     @property
@@ -88,8 +86,6 @@ def delta_L_margin(
     independent of L and of the state.
     """
     levels = tuple(dict.fromkeys(levels))
-    if min(levels) < 1:
-        raise ValueError("orders L must be positive integers")
     centers = data.centers()
     unbound = expr.classical_symbols() - centers.keys()
     if unbound:
@@ -107,25 +103,20 @@ def delta_L_margin(
         return out
 
     symbols = sorted(centers)
-    per_symbol = {L: {} for L in levels}
+    first = dict.fromkeys(levels, 0.0)
     second = dict.fromkeys(levels, 0.0)
     for sym_i in symbols:
         deriv = partial_derivative(expr, sym_i)
         if deriv.is_zero:
             continue
         for L, w in weights(deriv).items():
-            contribution = w * data.margin(sym_i)
-            if contribution:
-                per_symbol[L][sym_i] = contribution
+            first[L] += w * data.margin(sym_i)
         for sym_k in symbols:
             deriv2 = partial_derivative(deriv, sym_k)
             if not deriv2.is_zero:
                 for L, w in weights(deriv2).items():
                     second[L] += 0.5 * w * data.margin(sym_i) * data.margin(sym_k)
-    return {
-        L: DeltaMargin(float(sum(per_symbol[L].values())), per_symbol[L], second[L])
-        for L in levels
-    }
+    return {L: DeltaMargin(first[L], second[L]) for L in levels}
 
 
 def spread_Delta_L(delta_L: float, cfg: BoundConfig) -> float:
@@ -154,8 +145,12 @@ def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
 
 @dataclass(frozen=True)
 class PredictionBound:
-    """Interval probabilities with explicit imprecision (the sandwich)."""
+    """Interval probabilities with explicit imprecision (the sandwich):
+    one row of the half-quantum prediction, I0 = [a0 - D, a0 + D]."""
 
+    a0: float
+    width_multiplier: float
+    D: float
     I0: tuple
     Imin: tuple
     Imax: tuple
@@ -188,6 +183,8 @@ class PredictionBound:
 
     def to_json_dict(self) -> dict:
         return {
+            "a0": self.a0,
+            "width_multiplier": self.width_multiplier,
             "I0": list(self.I0),
             "Imin": list(self.Imin),
             "Imax": list(self.Imax),
@@ -215,28 +212,29 @@ def prediction_bounds(
     eigenvalues: np.ndarray,
     masses: np.ndarray,
     cfg: BoundConfig,
-    I0: tuple,
+    a0: float,
+    width_multiplier: float,
     margin: DeltaMargin,
 ) -> PredictionBound:
-    """Sandwich bound for P(a in I0) from the half-quantum operator alone.
+    """Sandwich bound for P(a in I0), I0 = [a0-D, a0+D], from the
+    half-quantum operator alone.
 
     ``eigenvalues`` is the spectrum of the observable's sector operator B,
     ``masses`` the spectral masses of phi^Q on it, and ``margin`` B's
-    order-``cfg.L`` margin at phi^Q.  ``I0 = [a0-D, a0+D]`` must satisfy
-    ``D > Delta_L``.
+    order-``cfg.L`` margin at phi^Q.  D is ``width_multiplier`` times
+    Delta_L, or the multiplier itself when Delta_L vanishes (no classical
+    blur); D must exceed Delta_L, so a multiplier <= 1 is refused when
+    Delta_L > 0.
     """
     delta = margin.total
     i_b = delta if cfg.I_B is None else cfg.I_B
     big_delta = spread_Delta_L(delta, cfg)
-    lo, hi = I0
-    a0 = 0.5 * (lo + hi)
-    D = 0.5 * (hi - lo)
-    # i_b = 0 is the exact quantum sector: no blur (Delta_L is already 0),
-    # xi states are eigenstates
-    if i_b != 0 and D <= big_delta:
+    # Delta_L = 0 is the exact quantum sector: no blur, xi states are eigenstates
+    if big_delta > 0 and width_multiplier <= 1:
         raise ValueError(
-            f"interval half-width D={D:.6g} must exceed Delta_L={big_delta:.6g}"
+            f"width multiplier {width_multiplier:g} must exceed 1 (D > Delta_L={big_delta:.6g})"
         )
+    D = width_multiplier * big_delta if big_delta > 0 else width_multiplier
     imin = (a0 - (D - big_delta), a0 + (D - big_delta))
     imax = (a0 - (D + big_delta), a0 + (D + big_delta))
     pmin = interval_mass(eigenvalues, masses, imin)
@@ -246,7 +244,10 @@ def prediction_bounds(
     emin = 2.0 * math.sqrt(_clamp01(1.0 - pmin)) * math.sqrt(leak) + leak
     emax = 2.0 * math.sqrt(_clamp01(pmax)) * math.sqrt(leak) + leak
     return PredictionBound(
-        I0=(lo, hi),
+        a0=a0,
+        width_multiplier=width_multiplier,
+        D=D,
+        I0=(a0 - D, a0 + D),
         Imin=imin,
         Imax=imax,
         delta_L=delta,
@@ -317,24 +318,21 @@ def leakage_sectors(
 def operator_discrepancy(
     A_full: CompiledOperator,
     B: CompiledOperator,
-    psi_classical: State,
-    psi_quantum: State,
+    psi: State,
+    classical_dim: int,
     L: int,
-    margin: DeltaMargin,
-) -> tuple:
-    """|<psi|(A-B)^2L|psi>|^(1/2L) against the margin bound.
+) -> float:
+    """|<psi|(A-B)^2L|psi>|^(1/2L), bounded by B's order-L margin
+    (:attr:`DeltaMargin.with_second_order`) for a certified classical factor.
 
-    ``A_full`` acts on the tensor space, classical DOFs first; ``B`` is the
-    half-quantum operator on the quantum sector (classical symbols at
-    their central values), acting as the identity on the classical sector.
-    ``margin`` is its order-L margin at ``psi_quantum``.  For a certified
-    classical factor, lhs <= rhs.
+    ``A_full`` acts on the tensor space of ``psi`` = phi^C (x) phi^Q,
+    classical DOFs first, whose classical sector has dimension
+    ``classical_dim``; ``B`` is the half-quantum operator on the quantum
+    sector (classical symbols at their central values), acting as the
+    identity on the classical sector.
     """
-    psi = tensor(psi_classical, psi_quantum)
-    n_c = psi_classical.dim
     vec = psi.amplitudes
     for _ in range(L):
         # I (x) B acts on the trailing quantum axes: one column per classical node
-        vec = A_full.apply(vec) - B.apply(vec.reshape(n_c, -1).T).T.reshape(-1)
-    lhs = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-    return lhs, margin.with_second_order
+        vec = A_full.apply(vec) - B.apply(vec.reshape(classical_dim, -1).T).T.reshape(-1)
+    return float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))

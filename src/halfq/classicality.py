@@ -10,7 +10,6 @@ half-quantum prediction bounds valid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -90,24 +89,6 @@ class ClassicalData:
         )
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """An ordered sequence of classical symbols with nonvanishing mixed partial."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("sequence must be nonempty")
-        if any(not s.is_classical for s in self.symbols):
-            raise ValueError("sequence symbols must be classical")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-
-    @property
-    def name(self) -> str:
-        return ",".join(s.name for s in self.symbols)
-
-
 # --------------------------------------------------------------------------
 # error kets and their consequences
 
@@ -124,12 +105,6 @@ def error_ket(
             raise ValueError("operator dimension does not match state")
         vec = op.apply(vec) - center * vec
     return State(vec, psi.grids)
-
-
-def error_ket_norm_sq(
-    ops: Sequence[CompiledOperator], centers: Sequence[float], psi: State
-) -> float:
-    return error_ket(ops, centers, psi).norm() ** 2
 
 
 def spread_n(
@@ -155,7 +130,7 @@ def spread_n(
         centers = centers * n
     if len(ops) != n:
         raise ValueError("order n does not match the number of factors")
-    ee = error_ket_norm_sq(ops, centers, psi)
+    ee = error_ket(ops, centers, psi).norm() ** 2
     return (ee / (1.0 - p)) ** (1.0 / (2 * n))
 
 
@@ -182,8 +157,9 @@ def tail_probability(
 def classicality_sequences(
     solutions: Iterable[HybridExpression], classical_dofs: int
 ) -> list:
-    """First-order sequences: multisets of classical symbols whose mixed
-    partial of some time-evolved observable does not vanish.
+    """First-order sequences: sorted tuples of classical symbols (multisets)
+    whose mixed partial of some time-evolved observable does not vanish,
+    shortest first.
 
     Total degree is capped at the classical polynomial degree of the
     solutions (higher mixed partials vanish identically).
@@ -204,23 +180,18 @@ def classicality_sequences(
             if not derived:
                 continue
             seq = prefix + (sym,)
-            found.append(SequenceSpec(seq))
+            found.append(seq)
             if len(seq) < max_degree:
                 extend(seq, idx, derived)
 
     extend((), 0, solutions)
-    found.sort(key=lambda s: (len(s.symbols), s.symbols))
+    found.sort(key=lambda seq: (len(seq), seq))
     return found
 
 
-def compose_sequences(sequences: Sequence[SequenceSpec], L: int) -> list:
-    """All ordered L-fold compositions of first-order sequences."""
-    if L < 1:
-        raise ValueError("order L must be a positive integer")
-    # distinct concatenations only, deterministic order
-    combos = product(sequences, repeat=L)
-    unique = {tuple(s for spec in combo for s in spec.symbols) for combo in combos}
-    return [SequenceSpec(symbols) for symbols in sorted(unique)]
+def compose_sequences(sequences: Sequence[tuple], L: int) -> list:
+    """The distinct L-fold concatenations of first-order sequences, sorted."""
+    return sorted({sum(combo, ()) for combo in product(sequences, repeat=L)})
 
 
 @dataclass(frozen=True)
@@ -242,9 +213,6 @@ class ClassicalityCertificate:
     def passed(self) -> bool:
         return all(row.slack >= 0 for row in self.rows)
 
-    def worst(self) -> CertificateRow:
-        return self.rows[0]
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -259,9 +227,6 @@ class ClassicalityCertificate:
                 for row in self.rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def classical_operators(grids: Sequence[Grid], hbar: float) -> dict:
@@ -280,7 +245,7 @@ def certify(
     psi_c: State,
     data: ClassicalData,
     L: int,
-    sequences: Sequence[SequenceSpec],
+    sequences: Sequence[tuple],
     hbar: float,
 ) -> ClassicalityCertificate:
     """Evaluate every composed L-order sequence inequality <E|E> <= prod(delta^2).
@@ -288,22 +253,20 @@ def certify(
     Rows are sorted most binding first (ascending slack); the verdict is a
     property of the certificate, never an exception.
     """
-    if L < 1:
-        raise ValueError("order L must be a positive integer")
     if len(psi_c.grids) != data.dofs:
         raise ValueError("state grids do not match the classical data")
     ops = classical_operators(psi_c.grids, hbar)
     rows = []
-    for spec in compose_sequences(sequences, L):
-        chain_ops = [ops[s] for s in spec.symbols]
-        centers = [data.center(s) for s in spec.symbols]
-        lhs = error_ket_norm_sq(chain_ops, centers, psi_c)
+    for seq in compose_sequences(sequences, L):
+        chain_ops = [ops[s] for s in seq]
+        centers = [data.center(s) for s in seq]
+        lhs = error_ket(chain_ops, centers, psi_c).norm() ** 2
         rhs = 1.0
-        for s in spec.symbols:
+        for s in seq:
             rhs *= data.margin(s) ** 2
         rows.append(
             CertificateRow(
-                sequence=tuple(s.name for s in spec.symbols),
+                sequence=tuple(s.name for s in seq),
                 lhs=lhs,
                 rhs=rhs,
                 slack=rhs - lhs,

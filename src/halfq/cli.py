@@ -5,7 +5,7 @@ Subcommands mirror the library surface: expression handling (``parse``,
 (``certify``), prediction bounds (``bounds``, ``constants``), and the
 full-quantum verification experiment (``verify``).  Every command prints
 human-readable text; ``--json`` / ``--csv`` switch to machine output and
-``--out`` writes a plot-ready CSV.
+``--out`` writes the ``--csv`` table to a file.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage.
 """
@@ -57,16 +57,19 @@ def _load_config(args) -> SystemConfig:
         return SystemConfig.from_json(fh.read())
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+def _emit(args, payload: dict, text: str, table=None) -> None:
+    """Print ``table`` (a header row, then rows) as CSV under ``--csv``,
+    else ``payload`` as JSON under ``--json``, else ``text``; ``--out``
+    also writes ``table`` to a CSV file."""
+    if table is not None and args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+    if table is not None and args.csv:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
+    elif args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _write_csv(path: str, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -134,27 +137,19 @@ def cmd_bounds(args) -> int:
     sols = hybrid_solutions(cfg)
     failed = [L for L, cert in certificates(cfg, sols).items() if not cert.passed]
     rows = [
-        point.row_dict(row)
+        point.row_dict(pb)
         for point in sandwich_sweep(cfg, sols, cfg.levels)
-        for row in point.rows
+        for pb in point.rows
     ]
     header = ["observable", "t", "L", "p", "width_multiplier", "lower", "upper"]
-    table = [header] + [[r[k] for k in header] for r in rows]
-    if args.out:
-        _write_csv(args.out, table)
-    if args.csv:
-        for row in table:
-            print(",".join(str(x) for x in row))
-    elif args.json:
-        print(json.dumps({"rows": rows}, indent=2, sort_keys=True))
-    else:
-        for r in rows:
-            print(
-                f"{r['observable']:>3} t={r['t']:<5g} L={r['L']} p={r['p']:<7g} "
-                f"D={r['width_multiplier']}x "
-                f"delta={r['delta_L']:.4g} Delta={r['Delta_L']:.4g} "
-                f"[{r['lower']:+.4f}, {r['upper']:+.4f}]"
-            )
+    text = "\n".join(
+        f"{r['observable']:>3} t={r['t']:<5g} L={r['L']} p={r['p']:<7g} "
+        f"D={r['width_multiplier']}x "
+        f"delta={r['delta_L']:.4g} Delta={r['Delta_L']:.4g} "
+        f"[{r['lower']:+.4f}, {r['upper']:+.4f}]"
+        for r in rows
+    )
+    _emit(args, {"rows": rows}, text, [header] + [[r[k] for k in header] for r in rows])
     if failed:
         orders = ", ".join(f"L={L}" for L in failed)
         print(
@@ -168,14 +163,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_constants(args) -> int:
     rows = reference_constants()
-    if args.json:
-        print(json.dumps({"rows": rows}, indent=2, sort_keys=True))
-    else:
-        for row in rows:
-            print(
-                f"L={row['L']:<3d} p={row['p']:<8g} worst error={row['worst_error']:.6f} "
-                f"leakage={row['leakage']:.6g} widening={row['widening_over_delta']:.4f}"
-            )
+    text = "\n".join(
+        f"L={row['L']:<3d} p={row['p']:<8g} worst error={row['worst_error']:.6f} "
+        f"leakage={row['leakage']:.6g} widening={row['widening_over_delta']:.4f}"
+        for row in rows
+    )
+    _emit(args, {"rows": rows}, text)
     return 0
 
 
@@ -202,32 +195,21 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     progress = None if args.quiet else (lambda msg: print(f"  .. {msg}", file=sys.stderr))
     report = run_verification(cfg, deep=not args.shallow, progress=progress)
-    if args.out:
-        _write_csv(args.out, report.csv_rows())
-    if args.csv:
-        for row in report.csv_rows():
-            print(",".join(str(x) for x in row))
-    elif args.json:
-        print(report.to_json())
-    else:
-        print(f"status: {report.status}")
-        print(f"ehrenfest gap: {report.ehrenfest:.3e}")
-        for level, cert in sorted(report.certificates.items()):
-            print(f"certificate L={level}: {cert['verdict']}")
-        n_bad = sum(1 for r in report.rows if r["verdict"] != "pass")
-        print(f"sandwich rows: {len(report.rows)} ({n_bad} violations)")
-        for kind in ("X1", "X2"):
-            rows = [r for r in report.leakage_rows if r["which"] == kind]
-            bad = sum(1 for r in rows if r["verdict"] != "pass")
-            print(f"{kind} leakage rows: {len(rows)} ({bad} over bound)")
-        n_bad_disc = sum(
-            1 for r in report.discrepancy_rows if r["verdict"] != "pass"
-        )
-        print(
-            f"discrepancy rows: {len(report.discrepancy_rows)} ({n_bad_disc} violations)"
-        )
-        for note in report.notes:
-            print(f"note: {note}")
+    lines = [f"status: {report.status}", f"ehrenfest gap: {report.ehrenfest:.3e}"]
+    for level, cert in sorted(report.certificates.items()):
+        lines.append(f"certificate L={level}: {cert['verdict']}")
+    n_bad = sum(1 for r in report.rows if r["verdict"] != "pass")
+    lines.append(f"sandwich rows: {len(report.rows)} ({n_bad} violations)")
+    for kind in ("X1", "X2"):
+        rows = [r for r in report.leakage_rows if r["which"] == kind]
+        bad = sum(1 for r in rows if r["verdict"] != "pass")
+        lines.append(f"{kind} leakage rows: {len(rows)} ({bad} over bound)")
+    n_bad_disc = sum(1 for r in report.discrepancy_rows if r["verdict"] != "pass")
+    lines.append(
+        f"discrepancy rows: {len(report.discrepancy_rows)} ({n_bad_disc} violations)"
+    )
+    lines += [f"note: {note}" for note in report.notes]
+    _emit(args, report.to_json_dict(), "\n".join(lines), report.csv_rows())
     if report.status == "pass":
         return 0
     return 1
@@ -275,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV rows on stdout")
-    p.add_argument("--out", default=None, help="write rows as CSV")
+    p.add_argument("--out", default=None,
+                   help="write the observable, t, L, p, width_multiplier, lower, upper "
+                   "table as CSV")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("constants", help="worst-case error constants")
@@ -290,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true", help="sweep rows as CSV on stdout")
-    p.add_argument("--out", default=None, help="write (t, lower, oracle, upper) CSV")
+    p.add_argument("--out", default=None,
+                   help="write the observable, L, p, width_multiplier, t, lower, oracle, "
+                   "upper table as CSV")
     p.add_argument("--shallow", action="store_true",
                    help="skip the propagated leakage sectors and the "
                    "leakage and discrepancy rows")

@@ -61,11 +61,11 @@ from .algebra import (
 )
 from .bounds import (
     BoundConfig,
+    PredictionBound,
     delta_L_margin,
     leakage_sectors,
     operator_discrepancy,
     prediction_bounds,
-    spread_Delta_L,
     worst_case_errors,
 )
 from .classicality import (
@@ -158,11 +158,14 @@ class StateSpec:
         if kind != "gaussian":
             raise ConfigError(f"unknown state kind {kind!r} in {what}")
         _object(raw, what, optional=("kind", "q0", "p0", "dq"))
+        dq = _finite(raw.get("dq", 1.0), "state dq")
+        if dq <= 0:
+            raise ConfigError(f"{what} dq must be positive, got {raw['dq']!r}")
         return StateSpec(
             kind="gaussian",
             q0=_finite(raw.get("q0", 0.0), "state q0"),
             p0=_finite(raw.get("p0", 0.0), "state p0"),
-            dq=_finite(raw.get("dq", 1.0), "state dq"),
+            dq=dq,
         )
 
 
@@ -186,22 +189,25 @@ class SystemConfig:
 
     The JSON form (:meth:`from_json_dict`) is an object with the required
     keys ``version`` (1), ``system`` (``classical``, ``quantum``: DOF
-    counts), ``hamiltonian`` (classical form over q1..q(M+N), p1..p(M+N)),
-    ``classical_grids`` and ``quantum_grids`` (one ``npoints``, ``xmin``,
-    ``xmax`` object per DOF), ``classical_data`` (one ``q0``, ``p0``,
-    ``delta_q``, ``delta_p`` object per classical DOF), ``classical_state``
-    and ``quantum_state`` (one state object per DOF; a classical one sets
-    no ``q0`` or ``p0``, which ``classical_data`` gives) and ``sweep``
-    (``times``, ``width_multipliers``, ``observables``: non-empty lists).
-    Optional keys: ``hbar`` (1.0), ``constants`` (``{}``, a map of names
-    to numbers), ``bound`` (``levels`` ``[1]``, ``probabilities``
+    counts, each at least 1), ``hamiltonian`` (classical form over
+    q1..q(M+N), p1..p(M+N)), ``classical_grids`` and ``quantum_grids``
+    (one ``npoints``, ``xmin``, ``xmax`` object per DOF),
+    ``classical_data`` (one ``q0``, ``p0``, ``delta_q``, ``delta_p``
+    object per classical DOF), ``classical_state`` and ``quantum_state``
+    (one state object per DOF; a classical one sets no ``q0`` or ``p0``,
+    which ``classical_data`` gives) and ``sweep`` (``times``,
+    ``width_multipliers``, ``observables``: non-empty lists).  Optional
+    keys: ``hbar`` (1.0), ``constants`` (``{}``, a map of names to
+    numbers), ``bound`` (``levels`` ``[1]``, ``probabilities``
     ``[0.99]``, ``I_B`` ``null``) and ``seed`` (0).  A state object is
     ``{"kind": "gaussian"}`` (the default kind) with optional ``q0``
-    (0.0), ``p0`` (0.0) and ``dq`` (1.0), or ``{"kind": "file", "path":
-    ...}``.  Unknown or missing keys, sections of the wrong JSON type,
-    strings where numbers belong and a Hamiltonian that does not parse or
-    divides by a zero constant raise :class:`ConfigError` before any grid
-    is built.  Verification tolerances are fixed (:data:`TOLERANCES`).
+    (0.0), ``p0`` (0.0) and ``dq`` (1.0, positive), or ``{"kind":
+    "file", "path": ...}``.  Unknown or missing keys, sections of the
+    wrong JSON type, strings where numbers belong, list lengths that do
+    not match the DOF counts, sweep observables outside the system and a
+    Hamiltonian that does not parse or divides by a zero constant raise
+    :class:`ConfigError` in the loader, before any grid is built.
+    Verification tolerances are fixed (:data:`TOLERANCES`).
     """
 
     system: System
@@ -218,18 +224,6 @@ class SystemConfig:
     I_B: float | None
     sweep: SweepSpec
     seed: int = 0
-
-    def __post_init__(self):
-        m, n = self.system.classical, self.system.quantum
-        if len(self.classical_grids) != m or len(self.quantum_grids) != n:
-            raise ConfigError("grid count does not match DOF counts")
-        if self.classical_data.dofs != m:
-            raise ConfigError("classical data count does not match DOF count")
-        if len(self.classical_state) != m or len(self.quantum_state) != n:
-            raise ConfigError("state spec count does not match DOF count")
-        self.parse_hamiltonian()  # fail fast on syntax/range errors
-        for name in self.sweep.observables:
-            self.observable_symbol(name)
 
     # -- symbolic structure ---------------------------------------------------
 
@@ -255,13 +249,7 @@ class SystemConfig:
         return weyl_quantize(self.parse_hamiltonian().substitute_constants(_substitutions(self)))
 
     def observable_symbol(self, name: str) -> Symbol:
-        try:
-            sym = parse_symbol(name)
-        except AlgebraError as exc:
-            raise ConfigError(f"not an observable name: {name!r}") from exc
-        if not self.system.contains(sym):
-            raise ConfigError(f"observable {name} outside the declared system")
-        return sym
+        return _observable_symbol(name, self.system)
 
     def observable_axis(self, name: str) -> int:
         """0-based tensor axis of the observable's DOF (classical DOFs first)."""
@@ -336,10 +324,11 @@ class SystemConfig:
             raise ConfigError(f"unsupported config version {version!r}")
         _object(raw, "config", _REQUIRED_KEYS, ("hbar", "constants", "bound", "seed"))
         counts = _object(raw["system"], "system", ("classical", "quantum"))
-        system = System(
-            _finite(counts["classical"], "classical DOF count", int),
-            _finite(counts["quantum"], "quantum DOF count", int),
-        )
+        dofs = {k: _finite(counts[k], f"{k} DOF count", int) for k in ("classical", "quantum")}
+        for key, count in dofs.items():
+            if count < 1:
+                raise ConfigError(f"{key} DOF count must be at least 1, got {count!r}")
+        system = System(**dofs)
         hbar = _finite(raw.get("hbar", 1.0), "hbar")
         if hbar <= 0:
             raise ConfigError(f"hbar must be positive, got {hbar!r}")
@@ -386,7 +375,6 @@ class SystemConfig:
             hamiltonian, System(system.classical + system.quantum, 0), constants
         )
         seed = _finite(raw.get("seed", 0), "seed", int)
-        # every check above runs before any grid is built
         grids = {
             key: [
                 (
@@ -398,6 +386,16 @@ class SystemConfig:
             ]
             for key in ("classical_grids", "quantum_grids")
         }
+        m, n = system.classical, system.quantum
+        if len(grids["classical_grids"]) != m or len(grids["quantum_grids"]) != n:
+            raise ConfigError("grid count does not match DOF counts")
+        if classical_data.dofs != m:
+            raise ConfigError("classical data count does not match DOF count")
+        if len(states["classical_state"]) != m or len(states["quantum_state"]) != n:
+            raise ConfigError("state spec count does not match DOF count")
+        for name in sweep.observables:
+            _observable_symbol(name, system)
+        # every check above runs before any grid is built
         return SystemConfig(
             system=system,
             hbar=hbar,
@@ -435,6 +433,18 @@ def _parse_hamiltonian(text: str, system: System, constants: Mapping) -> HybridE
                     "and the Hamiltonian divides by it"
                 )
     return expr
+
+
+def _observable_symbol(name: str, system: System) -> Symbol:
+    """The fundamental observable ``name`` of ``system``; ConfigError if it
+    names no symbol or one outside the system."""
+    try:
+        sym = parse_symbol(name)
+    except AlgebraError as exc:
+        raise ConfigError(f"not an observable name: {name!r}") from exc
+    if not system.contains(sym):
+        raise ConfigError(f"observable {name} outside the declared system")
+    return sym
 
 
 def _product_state(specs: Sequence[StateSpec], grids: Sequence[Grid], hbar: float) -> State:
@@ -621,8 +631,7 @@ class SandwichPoint:
     ``masses`` their squared moduli, the spectral measure every row
     reads; its first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
     ``margins`` maps each order L to its margin; ``rows`` holds one
-    ``(L, p, width_multiplier, D, PredictionBound)`` per sandwich, with
-    the interval ``I0 = [a0 - D, a0 + D]``.
+    :class:`PredictionBound` per (L, p, width multiplier).
     """
 
     name: str
@@ -635,23 +644,14 @@ class SandwichPoint:
     margins: dict
     rows: tuple
 
-    def row_dict(self, row: tuple) -> dict:
-        """One of ``rows`` as a JSON row: its bound's fields with the
-        observable, t, a0 and width multiplier."""
-        *_, mult, _, pb = row
-        return pb.to_json_dict() | {
-            "observable": self.name, "t": float(self.t), "a0": self.a0,
-            "width_multiplier": mult,
-        }
+    def row_dict(self, pb: PredictionBound) -> dict:
+        """One of ``rows`` as a JSON row: its fields with the observable and t."""
+        return pb.to_json_dict() | {"observable": self.name, "t": float(self.t)}
 
 
 def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
     """Yield the :class:`SandwichPoint` of every sweep observable and time,
-    observables outer, at each distinct order in ``levels``.
-
-    D is the width multiplier times Delta_L, or the multiplier itself when
-    Delta_L vanishes (no classical blur).
-    """
+    observables outer, at each distinct order in ``levels``."""
     phi_q = cfg.quantum_factor()
     grids = dict(enumerate(cfg.quantum_grids, start=1))
     centers = cfg.classical_data.centers()
@@ -666,20 +666,15 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
             masses = np.abs(amplitudes) ** 2
             a0 = float(decomp.eigenvalues @ masses)
             margins = delta_L_margin(expr, cfg.classical_data, phi_q, cfg.hbar, levels)
-            rows = []
-            for L, margin in margins.items():
-                for p in cfg.probabilities:
-                    bc = BoundConfig(L, p, cfg.I_B)
-                    big = spread_Delta_L(margin.total, bc)
-                    for mult in cfg.sweep.width_multipliers:
-                        D = mult * big if big > 0 else mult
-                        pb = prediction_bounds(
-                            decomp.eigenvalues, masses, bc, (a0 - D, a0 + D), margin
-                        )
-                        rows.append((L, p, mult, D, pb))
-            yield SandwichPoint(
-                name, t_exact, b, decomp, amplitudes, masses, a0, margins, tuple(rows)
+            rows = tuple(
+                prediction_bounds(
+                    decomp.eigenvalues, masses, BoundConfig(L, p, cfg.I_B), a0, mult, margin
+                )
+                for L, margin in margins.items()
+                for p in cfg.probabilities
+                for mult in cfg.sweep.width_multipliers
             )
+            yield SandwichPoint(name, t_exact, b, decomp, amplitudes, masses, a0, margins, rows)
 
 
 # --------------------------------------------------------------------------
@@ -804,7 +799,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     sectors = [
         [
             leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
-            for *_, pb in point.rows
+            for pb in point.rows
             if deep and pb.I_B > 0
         ]
         for point in points
@@ -871,7 +866,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         ehrenfest = max(ehrenfest, abs(exact - a_decomp.eigenvalues @ masses[:, 0]))
         if deep:
             for L, margin in point.margins.items():
-                lhs, rhs = operator_discrepancy(a_t, point.operator, phi_c, phi_q, L, margin)
+                lhs = operator_discrepancy(a_t, point.operator, psi0, phi_c.dim, L)
+                rhs = margin.with_second_order
                 ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
                 disc_rows.append(
                     {
@@ -884,15 +880,14 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                     }
                 )
         j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
-        for row in point.rows:
-            L, p, mult, D, pb = row
+        for pb in point.rows:
             inside = interval_mass(a_decomp.eigenvalues, masses, pb.I0)
             oracle_p = float(inside[0])
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             rows.append(
-                point.row_dict(row)
-                | dict(D=D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
+                point.row_dict(pb)
+                | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
             )
             if not deep or pb.I_B <= 0:
                 continue
@@ -902,7 +897,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                 ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
                 leak_rows.append(
                     dict(
-                        observable=point.name, t=t, L=L, p=p, width_multiplier=mult, which=which,
+                        observable=point.name, t=t, L=pb.L, p=pb.p,
+                        width_multiplier=pb.width_multiplier, which=which,
                         measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
                     )
                 )

@@ -30,6 +30,7 @@ from halfq.hilbert import (
     position_operator,
     spectral_decompose,
     spectral_masses,
+    tensor,
 )
 
 HBAR = 1.0
@@ -68,11 +69,13 @@ def quantum_packet():
     return gaussian_state(GQ, 0.0, 1.0, 1.0, HBAR)
 
 
-def bound_for(obs, phi, cfg, I0, data=DATA):
-    """The sandwich of ``obs`` over ``I0``, from its spectrum and margin."""
+def bound_for(obs, phi, cfg, a0, mult, data=DATA):
+    """The sandwich of ``obs`` centred on ``a0`` at width multiplier
+    ``mult``, from its spectrum and margin."""
     decomp = spectral_decompose(compiled(obs).dense())
     margin = delta_L_margin(obs, data, phi, HBAR, [cfg.L])[cfg.L]
-    return prediction_bounds(decomp.eigenvalues, spectral_masses(decomp, phi), cfg, I0, margin)
+    masses = spectral_masses(decomp, phi)
+    return prediction_bounds(decomp.eigenvalues, masses, cfg, a0, mult, margin)
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +114,7 @@ def test_margin_second_order_term():
     p_mat = momentum_operator(GQ, HBAR).dense()
     p2 = float(np.vdot(phi.amplitudes, p_mat @ p_mat @ phi.amplitudes).real)
     # first order: |<phi|(2 q P)^dag (2 q P)|phi>|^(1/2) at q=q0=0 -> 0
-    assert margin.per_symbol == {} or margin.total == 0.0
+    assert margin.total == 0.0
     want_second = 0.5 * 2.0 * np.sqrt(p2) * DATA.data[0].delta_q ** 2
     assert abs(margin.second_order - want_second) < 1e-10
 
@@ -238,9 +241,8 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
     cfg = BoundConfig(1, 0.99)
     margin = delta_L_margin(obs, DATA, phi, HBAR, [1])[1]
     big = spread_Delta_L(margin.total, cfg)
-    a0 = 0.6
-    D = 2.0 * big
-    pb = bound_for(obs, phi, cfg, (a0 - D, a0 + D))
+    pb = bound_for(obs, phi, cfg, 0.6, 2.0)
+    assert pb.D == 2.0 * big and pb.I0 == (0.6 - pb.D, 0.6 + pb.D)
     assert pb.Imin[0] > pb.I0[0] > pb.Imax[0]
     assert pb.Imin[1] < pb.I0[1] < pb.Imax[1]
     assert pb.lower <= pb.upper
@@ -251,12 +253,12 @@ def test_prediction_bound_geometry_and_sandwich_algebra():
 
 
 def test_prediction_bound_rejects_narrow_interval():
+    # D = mult * Delta_L must exceed Delta_L > 0: a multiplier <= 1 is refused
     obs = observable_at("q1", 0.5)
     cfg = BoundConfig(1, 0.99)
-    margin = delta_L_margin(obs, DATA, quantum_packet(), HBAR, [1])[1]
-    big = spread_Delta_L(margin.total, cfg)
-    with pytest.raises(ValueError, match="exceed"):
-        bound_for(obs, quantum_packet(), cfg, (-0.5 * big, 0.5 * big))
+    for mult in (0.5, 1.0):
+        with pytest.raises(ValueError, match="width multiplier .* must exceed 1"):
+            bound_for(obs, quantum_packet(), cfg, 0.0, mult)
 
 
 def test_prediction_bound_degenerate_exact_case():
@@ -264,7 +266,9 @@ def test_prediction_bound_degenerate_exact_case():
     # quantum-sector probability with zero error terms
     obs = observable_at("P1", 0.7)
     phi = quantum_packet()
-    pb = bound_for(obs, phi, BoundConfig(1, 0.99), (0.0, 2.0))
+    # with Delta_L = 0 the multiplier is D itself, and 1 is allowed
+    pb = bound_for(obs, phi, BoundConfig(1, 0.99), 1.0, 1.0)
+    assert pb.I0 == (0.0, 2.0)
     assert pb.delta_L == 0.0 and pb.Delta_L == 0.0
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
@@ -281,19 +285,15 @@ def test_bound_width_monotone_in_margins():
     for scale in (1.0, 2.0, 4.0):
         data = DATA.scaled(scale)
         obs = observable_at("q1", 0.4)
-        margin = delta_L_margin(obs, data, phi, HBAR, [1])[1]
-        big = spread_Delta_L(margin.total, cfg)
-        D = 1.5 * big
-        pb = bound_for(obs, phi, cfg, (0.4 - D, 0.4 + D), data)
+        pb = bound_for(obs, phi, cfg, 0.4, 1.5, data)
         widths.append(pb.upper - pb.lower)
     assert widths[0] <= widths[1] <= widths[2]
 
 
 def test_prediction_bound_json_fields():
-    pb = bound_for(
-        observable_at("q1", 0.3), quantum_packet(), BoundConfig(1, 0.99), (-30.0, 30.0)
-    )
+    pb = bound_for(observable_at("q1", 0.3), quantum_packet(), BoundConfig(1, 0.99), 0.0, 2.0)
     blob = pb.to_json_dict()
+    assert blob["a0"] == 0.0 and blob["width_multiplier"] == 2.0 and "D" not in blob
     for key in ("I0", "Imin", "Imax", "delta_L", "Delta_L", "Pmin", "Pmax",
                 "Emin", "Emax", "lower", "upper"):
         assert key in blob
@@ -311,13 +311,13 @@ def certified_classical_packet():
     return phi_c
 
 
-def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, interval):
+def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, a0, mult):
     """Measured X1/X2 of a static observable and the leakage constant."""
-    pb = bound_for(obs, phi_q, cfg, interval)
+    pb = bound_for(obs, phi_q, cfg, a0, mult)
     b = spectral_decompose(compiled(obs).dense())
     sectors = leakage_sectors(b, b.amplitudes(phi_q), pb.I_B, pb.Imax, pb.Imin)
     measured = sector_leakage(
-        a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, interval
+        a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, pb.I0
     )
     assert pb.leakage == leakage_constant(pb.delta_L, cfg)
     return measured, pb.leakage
@@ -328,10 +328,10 @@ def test_tail_leakage_no_weight_outside_window():
     phi_q = quantum_packet()
     obs = observable_at("q1", 0.5)
     a_full = np.kron(position_operator(GC).dense(), np.eye(32))
-    # I0 spanning far beyond the spectrum: nothing outside Imax
+    # I0 spanning far beyond the spectrum (Delta_L = 30, D = 600): nothing
+    # outside Imax
     measured, bound = leakage_against(
-        spectral_decompose(a_full), obs, phi_c, phi_q, BoundConfig(1, 0.99),
-        (-500.0, 500.0),
+        spectral_decompose(a_full), obs, phi_c, phi_q, BoundConfig(1, 0.99), 0.0, 20.0
     )
     assert measured["X1"] == 0.0
     assert bound > 0
@@ -350,13 +350,8 @@ def test_tail_leakage_static_mixed_observable():
     for L in (1, 2):
         for p in (0.9, 0.99):
             cfg = BoundConfig(L, p)
-            margin = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L]
-            big = spread_Delta_L(margin.total, cfg)
             for mult in (1.5, 3.0):
-                interval = (a0 - mult * big, a0 + mult * big)
-                measured, bound = leakage_against(
-                    a_decomp, obs, phi_c, phi_q, cfg, interval
-                )
+                measured, bound = leakage_against(a_decomp, obs, phi_c, phi_q, cfg, a0, mult)
                 assert measured["X1"] <= bound + 1e-10, (L, p, mult)
 
 
@@ -382,9 +377,9 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
     margin = delta_L_margin(obs, DATA, phi_q, HBAR, [1])[1]
-    lhs, rhs = operator_discrepancy(a_full, compiled(obs), phi_c, phi_q, 1, margin)
+    lhs = operator_discrepancy(a_full, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, 1)
     assert lhs < 1e-10
-    assert rhs == 0.0
+    assert margin.with_second_order == 0.0
 
 
 def test_operator_discrepancy_static_bound():
@@ -395,8 +390,8 @@ def test_operator_discrepancy_static_bound():
         parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
     )
     for L in (1, 2):
-        margin = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L]
-        lhs, rhs = operator_discrepancy(a_op, compiled(obs), phi_c, phi_q, L, margin)
+        rhs = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L].with_second_order
+        lhs = operator_discrepancy(a_op, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, L)
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
 

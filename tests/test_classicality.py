@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from halfq import System, heisenberg_series, parse_expression
+from halfq import Symbol, System, heisenberg_series, parse_expression
 from halfq.classicality import (
     ClassicalData,
     ClassicalDatum,
     ClassicalityCertificate,
-    SequenceSpec,
     certify,
     classical_operators,
     classicality_sequences,
     compose_sequences,
     double_factorial_odd,
     error_ket,
-    error_ket_norm_sq,
     gaussian_feasibility,
     gaussian_moment,
     spread_n,
@@ -162,13 +160,13 @@ def example_solutions():
 
 def test_sequences_for_example_are_q_and_p():
     seqs = classicality_sequences(example_solutions(), 1)
-    assert [spec.name for spec in seqs] == ["q1", "p1"]
+    assert seqs == [(Symbol.q(1),), (Symbol.p(1),)]
 
 
 def test_sequences_quadratic_solution():
     sol = parse_expression("q1 + p1^2*t", System(1, 0), ("t",))
-    names = [s.name for s in classicality_sequences([sol], 1)]
-    assert names == ["q1", "p1", "p1,p1"]
+    q1, p1 = Symbol.q(1), Symbol.p(1)
+    assert classicality_sequences([sol], 1) == [(q1,), (p1,), (p1, p1)]
 
 
 def test_sequences_constant_solutions_empty():
@@ -178,9 +176,8 @@ def test_sequences_constant_solutions_empty():
 
 def test_compose_sequences_orderings():
     base = classicality_sequences(example_solutions(), 1)
-    composed = compose_sequences(base, 2)
-    names = {spec.name for spec in composed}
-    assert names == {"q1,q1", "q1,p1", "p1,q1", "p1,p1"}
+    q1, p1 = Symbol.q(1), Symbol.p(1)
+    assert compose_sequences(base, 2) == [(q1, q1), (q1, p1), (p1, q1), (p1, p1)]
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def test_certify_fails_on_wide_packet():
     seqs = classicality_sequences(example_solutions(), 1)
     cert = certify(psi, data, 1, seqs, HBAR)
     assert not cert.passed
-    assert cert.worst().sequence == ("q1",)
+    assert cert.rows[0].sequence == ("q1",)
 
 
 def test_certify_fails_on_broad_state():
@@ -225,11 +222,7 @@ def test_certificate_rows_use_two_sided_error_kets():
     seqs = classicality_sequences(example_solutions(), 1)
     cert = certify(psi, data, 2, seqs, HBAR)
     ops = classical_operators(psi.grids, HBAR)
-    from halfq.algebra import Symbol
-
-    direct = error_ket_norm_sq(
-        [ops[Symbol.q(1)], ops[Symbol.p(1)]], [0.0, 1.0], psi
-    )
+    direct = error_ket([ops[Symbol.q(1)], ops[Symbol.p(1)]], [0.0, 1.0], psi).norm() ** 2
     row = next(r for r in cert.rows if r.sequence == ("q1", "p1"))
     assert abs(row.lhs - direct) < 1e-12
     # analytic value for the minimum packet: 3 hbar^2 / 4
@@ -241,15 +234,13 @@ def test_multi_dof_certify_matches_kron_error_kets(monkeypatch):
     from Kronecker products, with no sector-dimension dense matrix."""
     import tracemalloc
 
-    from halfq.algebra import Symbol
-
     g1, g2 = Grid(24, -6.0, 6.0), Grid(24, -5.0, 7.0)
     psi = tensor(packet(0.0, 1.0, 0.7, g1), packet(1.0, -0.5, 0.6, g2))
     data = ClassicalData(
         (ClassicalDatum(0.0, 1.0, 1.0, 1.0), ClassicalDatum(1.0, -0.5, 0.9, 1.1))
     )
     q1, p1, q2, p2 = Symbol.q(1), Symbol.p(1), Symbol.q(2), Symbol.p(2)
-    seqs = [SequenceSpec((s,)) for s in (q1, p1, q2, p2)] + [SequenceSpec((q1, p2))]
+    seqs = [(q1,), (p1,), (q2,), (p2,), (q1, p2)]
     built = []
     original_dense = CompiledOperator.dense
 
@@ -405,11 +396,3 @@ def test_margins_must_be_positive():
     with pytest.raises(ValueError):
         ClassicalDatum(0.0, 0.0, 0.0, 1.0)
 
-
-def test_sequence_spec_validation():
-    from halfq.algebra import Symbol
-
-    with pytest.raises(ValueError):
-        SequenceSpec(())
-    with pytest.raises(ValueError):
-        SequenceSpec((Symbol.Q(1),))

@@ -165,8 +165,12 @@ def test_csv_output_matches_json_rows(tmp_path, capsys, command, header):
     code, out, _ = run_cli(capsys, *command, "--config", str(path), "--json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    code, out, _ = run_cli(capsys, *command, "--config", str(path), "--csv")
+    out_csv = tmp_path / "table.csv"
+    code, out, _ = run_cli(capsys, *command, "--config", str(path), "--csv", "--out", str(out_csv))
     assert code == 0
+    # one CSV writer: "\n" line ends on stdout, CRLF in the --out file
+    assert "\r" not in out
+    assert out_csv.read_bytes() == out.replace("\n", "\r\n").encode("utf-8")
     table = list(csv.reader(out.splitlines()))
     assert table[0] == header
     assert len(rows) == 96 and len(table) == len(rows) + 1

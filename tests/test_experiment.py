@@ -140,6 +140,19 @@ MISSING = object()  # the key is deleted instead of set
             r"constant M = 0\.0 reads as 0, and the Hamiltonian divides by it",
         ),
         (("constants", "M"), 1e-13, "constant M = 1e-13 reads as 0"),
+        (("hbar",), 10**400, "hbar must be a finite number"),
+        (("quantum_state", 0, "dq"), 0, r"quantum_state\[0\] dq must be positive, got 0"),
+        (("classical_state", 0, "dq"), -0.5, r"classical_state\[0\] dq must be positive"),
+        (("system", "quantum"), 0, "quantum DOF count must be at least 1, got 0"),
+        (("system", "quantum"), -1, "quantum DOF count must be at least 1, got -1"),
+        (("sweep", "observables"), ["q1", "x1"], "not an observable name: 'x1'"),
+        (("sweep", "observables"), ["Q2"], "observable Q2 outside the declared system"),
+        (
+            ("classical_data",),
+            [{"q0": 0.0, "p0": 1.0, "delta_q": 1.0, "delta_p": 1.0}] * 2,
+            "classical data count does not match DOF count",
+        ),
+        (("quantum_state",), [{"kind": "gaussian"}] * 2, "state spec count does not match"),
     ],
     ids=[
         "hbar-negative", "hbar-zero", "k-nan", "tolerances-section",
@@ -157,6 +170,9 @@ MISSING = object()  # the key is deleted instead of set
         "hbar-string", "npoints-string", "levels-strings", "constant-t-reserved",
         "delta_q-zero", "delta_p-negative", "classical-state-q0", "classical-state-p0",
         "divisor-constant-zero", "divisor-constant-below-precision",
+        "hbar-overflow", "quantum-dq-zero", "classical-dq-negative", "dof-count-zero",
+        "dof-count-negative", "observable-not-a-symbol", "observable-outside-system",
+        "classical-data-extra", "quantum-state-extra",
     ],
 )
 def test_config_rejects_bad_numbers_before_any_grid(monkeypatch, path, value, match):
@@ -531,6 +547,20 @@ def test_state_spec_amplitude_file(tmp_path):
     np.savetxt(bad, np.zeros((4, 2)))
     with pytest.raises(ConfigError, match="rows"):
         StateSpec(kind="file", path=str(bad)).realize(grid, 1.0)
+
+
+def test_file_state_round_trips_through_json(tmp_path):
+    cfg = small_example()
+    amps = cfg.quantum_factor().amplitudes
+    path = tmp_path / "amps.txt"
+    np.savetxt(path, np.column_stack([amps.real, amps.imag]))
+    raw = cfg.to_json_dict()
+    raw["quantum_state"] = [{"kind": "file", "path": str(path)}]
+    loaded = SystemConfig.from_json_dict(raw)
+    text = loaded.to_json()
+    assert json.loads(text)["quantum_state"] == raw["quantum_state"]
+    assert SystemConfig.from_json(text).to_json() == text
+    assert np.max(np.abs(loaded.quantum_factor().amplitudes - amps)) < 1e-15
 
 
 def test_sector_decomp_matches_dense_spectral_path():

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfq import (
+    AlgebraError,
     CNum,
     ExpressionSyntaxError,
     System,
     format_expression,
     parse_expression,
 )
-from halfq.grammar import validate_constant_names
+from halfq.grammar import parse_symbol, validate_constant_names
 
 S11 = System(1, 1)
 
@@ -80,6 +81,24 @@ def test_syntax_error_carries_position():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("q1 + * p1", S11)
     assert err.value.position == 5
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("q1 $ p1", r"^unexpected character '\$' \(at position 3\)$"),
+        ("(q1 + p1", r"^expected '\)'"),
+        ("q1 p1", r"^unexpected 'p1'"),
+    ],
+)
+def test_malformed_text_names_its_fault(text, message):
+    with pytest.raises(ExpressionSyntaxError, match=message):
+        parse_expression(text, S11)
+
+
+def test_parse_symbol_rejects_other_names():
+    with pytest.raises(AlgebraError, match="not a symbol name: 'x1'"):
+        parse_symbol("x1")
 
 
 def test_unknown_identifier_rejected():

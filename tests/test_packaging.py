@@ -3,6 +3,7 @@ and the benchmark's entry points run."""
 
 import ast
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -160,3 +161,70 @@ def test_benchmark_reference_rows_match(tmp_path, workload):
     # rows (sandwich, leakage and discrepancy values, or bounds)
     result = _run_worker(tmp_path, workload, False, "--compare-reference")
     assert result["failed"] == 0, result["errors"]
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((ROOT / "src" / "halfq" / module).read_text(encoding="utf-8"))
+
+
+def test_certificate_sequences_are_symbol_tuples():
+    # classicality_sequences and compose_sequences hand plain tuples of
+    # Symbols to certify; no wrapper class or one-line norm helper returns
+    defined = {
+        node.name
+        for node in ast.walk(_tree("classicality.py"))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert defined.isdisjoint({"SequenceSpec", "error_ket_norm_sq"})
+
+
+def test_cli_writes_csv_in_one_place():
+    # every table reaches stdout or an --out file through cli._emit
+    outside = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "csv" and function != "_emit":
+                outside.append(f"line {child.lineno} in {function}")
+            visit(child, function)
+
+    visit(_tree("cli.py"), None)
+    assert outside == []
+
+
+def test_prediction_bounds_takes_the_centre_and_multiplier():
+    # the width rule lives in prediction_bounds: it builds I0 from a0 and
+    # the multiplier instead of recovering them from a caller's interval
+    from halfq.bounds import prediction_bounds
+
+    params = list(inspect.signature(prediction_bounds).parameters)
+    assert params == ["eigenvalues", "masses", "cfg", "a0", "width_multiplier", "margin"]
+
+
+def test_sweep_rows_are_prediction_bounds():
+    from halfq.bounds import PredictionBound
+    from halfq.experiment import build_example, hybrid_solutions, sandwich_sweep
+
+    cfg = build_example(npoints=32, extent=8.0, times=(0.0, 0.8))
+    rows, branches = 0, set()
+    for point in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels):
+        keys = [(pb.L, pb.p, pb.width_multiplier) for pb in point.rows]
+        assert keys == [
+            (L, p, mult)
+            for L in cfg.levels
+            for p in cfg.probabilities
+            for mult in cfg.sweep.width_multipliers
+        ]
+        for pb in point.rows:
+            assert type(pb) is PredictionBound
+            assert pb.a0 == point.a0
+            width = pb.width_multiplier
+            assert pb.D == (width * pb.Delta_L if pb.Delta_L > 0 else width)
+            assert pb.I0 == (pb.a0 - pb.D, pb.a0 + pb.D)
+            branches.add(pb.Delta_L > 0)
+            rows += 1
+    # both branches of the width rule are exercised (P1 carries no margin)
+    assert rows == 96 and branches == {True, False}
