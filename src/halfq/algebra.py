@@ -307,6 +307,12 @@ class System:
             )
         return sym
 
+    def fundamental_symbols(self) -> tuple:
+        """q_i, p_i per classical DOF, then Q_a, P_a per quantum DOF."""
+        classical = ((Symbol.q(i), Symbol.p(i)) for i in range(1, self.classical + 1))
+        quantum = ((Symbol.Q(a), Symbol.P(a)) for a in range(1, self.quantum + 1))
+        return tuple(sym for pair in (*classical, *quantum) for sym in pair)
+
     # -- expression constructors -------------------------------------------
 
     def symbol(self, sym: Symbol) -> "HybridExpression":

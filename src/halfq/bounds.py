@@ -48,6 +48,10 @@ class BoundConfig:
         if self.I_B is not None and self.I_B <= 0:
             raise ValueError("I_B must be positive")
 
+    def window(self, delta_L: float) -> float:
+        """The window width I_B at margin ``delta_L``: delta_L when unset."""
+        return delta_L if self.I_B is None else self.I_B
+
 
 # --------------------------------------------------------------------------
 # error margins
@@ -90,11 +94,10 @@ def delta_L_margin(
     unbound = expr.classical_symbols() - centers.keys()
     if unbound:
         raise AlgebraError(f"unbound classical symbol {min(unbound).name}")
-    grids = dict(enumerate(phi_q.grids, start=1))
 
     def weights(deriv: HybridExpression) -> dict:
         """{L: |<phi|(D^dag)^L D^L|phi>|^(1/2L)} of one derivative operator D."""
-        op = compile_expression(deriv, centers, grids, hbar)
+        op = compile_expression(deriv, centers, phi_q.grids, hbar)
         vec, out = phi_q.amplitudes, {}
         for L in range(1, max(levels) + 1):
             vec = op.apply(vec)
@@ -121,8 +124,7 @@ def delta_L_margin(
 
 def spread_Delta_L(delta_L: float, cfg: BoundConfig) -> float:
     """Delta_L = (delta_L + I_B) / (1-p)^(1/2L)."""
-    i_b = delta_L if cfg.I_B is None else cfg.I_B
-    return (delta_L + i_b) / (1.0 - cfg.p) ** (1.0 / (2 * cfg.L))
+    return (delta_L + cfg.window(delta_L)) / (1.0 - cfg.p) ** (1.0 / (2 * cfg.L))
 
 
 def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
@@ -132,7 +134,7 @@ def leakage_constant(delta_L: float, cfg: BoundConfig) -> float:
     (delta_L = 0) and I_B is unset, I_B collapses with it, every xi state
     is a true eigenstate and the leakage vanishes identically.
     """
-    i_b = delta_L if cfg.I_B is None else cfg.I_B
+    i_b = cfg.window(delta_L)
     if i_b == 0:
         return 0.0
     delta = spread_Delta_L(delta_L, cfg)
@@ -175,11 +177,11 @@ class PredictionBound:
 
     @property
     def lower_clamped(self) -> float:
-        return min(max(self.lower, 0.0), 1.0)
+        return _clamp01(self.lower)
 
     @property
     def upper_clamped(self) -> float:
-        return min(max(self.upper, 0.0), 1.0)
+        return _clamp01(self.upper)
 
     def to_json_dict(self) -> dict:
         return {
@@ -227,7 +229,6 @@ def prediction_bounds(
     Delta_L > 0.
     """
     delta = margin.total
-    i_b = delta if cfg.I_B is None else cfg.I_B
     big_delta = spread_Delta_L(delta, cfg)
     # Delta_L = 0 is the exact quantum sector: no blur, xi states are eigenstates
     if big_delta > 0 and width_multiplier <= 1:
@@ -254,7 +255,7 @@ def prediction_bounds(
         Delta_L=big_delta,
         L=cfg.L,
         p=cfg.p,
-        I_B=i_b,
+        I_B=cfg.window(delta),
         Pmin=pmin,
         Pmax=pmax,
         Emin=emin,

@@ -61,11 +61,7 @@ class ClassicalData:
 
     def centers(self) -> dict:
         """{symbol: central value} of every q1..qM and p1..pM."""
-        return {
-            sym: self.center(sym)
-            for i in range(1, self.dofs + 1)
-            for sym in (Symbol.q(i), Symbol.p(i))
-        }
+        return {sym: self.center(sym) for sym in System(self.dofs, 0).fundamental_symbols()}
 
     def margin(self, sym: Symbol) -> float:
         d = self._datum(sym)
@@ -143,7 +139,7 @@ def tail_probability(
     """
     if dist <= 0:
         raise ValueError("distance must be positive")
-    masses = spectral_masses(decomp, psi)
+    masses = spectral_masses(decomp, psi.amplitudes)
     inside = interval_mass(decomp.eigenvalues, masses, (x0 - dist, x0 + dist))
     measured = float(masses.sum()) - inside
     ee = float(((decomp.eigenvalues - x0) ** (2 * n) * masses).sum())
@@ -165,10 +161,7 @@ def classicality_sequences(
     solutions (higher mixed partials vanish identically).
     """
     solutions = list(solutions)
-    symbols = [Symbol.q(i) for i in range(1, classical_dofs + 1)] + [
-        Symbol.p(i) for i in range(1, classical_dofs + 1)
-    ]
-    symbols.sort()
+    symbols = sorted(System(classical_dofs, 0).fundamental_symbols())
     max_degree = max((sol.classical_degree() for sol in solutions), default=0)
     found = []
 
@@ -233,11 +226,10 @@ def classical_operators(grids: Sequence[Grid], hbar: float) -> dict:
     """q/p operators for every classical DOF, compiled on the sector grids
     (each DOF quantized on its own axis; no sector-dimension matrix)."""
     sector = System(0, len(grids))
-    grid_map = dict(enumerate(grids, start=1))
     ops = {}
-    for i in grid_map:
-        ops[Symbol.q(i)] = compile_expression(sector.Q(i), {}, grid_map, hbar)
-        ops[Symbol.p(i)] = compile_expression(sector.P(i), {}, grid_map, hbar)
+    for i in range(1, len(grids) + 1):
+        ops[Symbol.q(i)] = compile_expression(sector.Q(i), {}, grids, hbar)
+        ops[Symbol.p(i)] = compile_expression(sector.P(i), {}, grids, hbar)
     return ops
 
 

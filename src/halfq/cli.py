@@ -98,7 +98,7 @@ def cmd_halfquantize(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _load_config(args)
-    sols = hybrid_solutions(cfg)
+    sols = {sym.name: sol for sym, sol in hybrid_solutions(cfg).items()}
     if args.observable and args.observable not in sols:
         print(
             f"error: unknown observable {args.observable!r}; choose from {', '.join(sols)}",

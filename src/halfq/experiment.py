@@ -56,6 +56,7 @@ from .algebra import (
     HybridExpression,
     Symbol,
     System,
+    half_quantize,
     heisenberg_series,
     weyl_quantize,
 )
@@ -173,7 +174,7 @@ class StateSpec:
 class SweepSpec:
     times: tuple
     width_multipliers: tuple
-    observables: tuple
+    observables: tuple  # Symbols
 
     def __post_init__(self):
         for field in ("times", "width_multipliers", "observables"):
@@ -206,14 +207,18 @@ class SystemConfig:
     wrong JSON type, strings where numbers belong, list lengths that do
     not match the DOF counts, sweep observables outside the system and a
     Hamiltonian that does not parse or divides by a zero constant raise
-    :class:`ConfigError` in the loader, before any grid is built.
-    Verification tolerances are fixed (:data:`TOLERANCES`).
+    :class:`ConfigError` in the loader, before any grid is built.  A sweep
+    observable name is read as a symbol (``q01`` is q1) and printed in
+    canonical form; the Hamiltonian is parsed once, in the loader, and
+    kept beside its text.  Verification tolerances are fixed
+    (:data:`TOLERANCES`).
     """
 
     system: System
     hbar: float
     constants: dict
-    hamiltonian: str  # classical form over all M+N DOFs
+    hamiltonian: str  # classical form over all M+N DOFs, as written
+    classical_hamiltonian: HybridExpression  # ``hamiltonian`` parsed
     classical_grids: tuple
     quantum_grids: tuple
     classical_data: ClassicalData
@@ -227,34 +232,15 @@ class SystemConfig:
 
     # -- symbolic structure ---------------------------------------------------
 
-    def classical_system(self) -> System:
-        return System(self.system.classical + self.system.quantum, 0)
-
-    def full_system(self) -> System:
-        return System(0, self.system.classical + self.system.quantum)
-
-    def parse_hamiltonian(self) -> HybridExpression:
-        return _parse_hamiltonian(self.hamiltonian, self.classical_system(), self.constants)
-
     def hybrid_hamiltonian(self) -> HybridExpression:
-        from .algebra import half_quantize
-
         return half_quantize(
-            self.parse_hamiltonian(), (self.system.classical, self.system.quantum)
+            self.classical_hamiltonian, (self.system.classical, self.system.quantum)
         )
 
     def full_hamiltonian_expr(self) -> HybridExpression:
         """The Weyl-quantized Hamiltonian with every declared constant at
         its exact value (:func:`_substitutions`)."""
-        return weyl_quantize(self.parse_hamiltonian().substitute_constants(_substitutions(self)))
-
-    def observable_symbol(self, name: str) -> Symbol:
-        return _observable_symbol(name, self.system)
-
-    def observable_axis(self, name: str) -> int:
-        """0-based tensor axis of the observable's DOF (classical DOFs first)."""
-        sym = self.observable_symbol(name)
-        return (sym.index - 1) if sym.is_classical else self.system.classical + sym.index - 1
+        return weyl_quantize(self.classical_hamiltonian.substitute_constants(_substitutions(self)))
 
     def all_grids(self) -> tuple:
         return tuple(self.classical_grids) + tuple(self.quantum_grids)
@@ -309,7 +295,7 @@ class SystemConfig:
             "sweep": {
                 "times": list(self.sweep.times),
                 "width_multipliers": list(self.sweep.width_multipliers),
-                "observables": list(self.sweep.observables),
+                "observables": [sym.name for sym in self.sweep.observables],
             },
             "seed": self.seed,
         }
@@ -347,7 +333,7 @@ class SystemConfig:
                 for x in _array(lists["width_multipliers"], "sweep width_multipliers")
             ),
             observables=tuple(
-                _text(name, "observable")
+                _observable_symbol(_text(name, "observable"), system)
                 for name in _array(lists["observables"], "sweep observables")
             ),
         )
@@ -371,7 +357,7 @@ class SystemConfig:
                 what = f"classical_state[{i}] (classical_data[{i}] sets q0 and p0)"
                 _object(d, what, optional=("kind", "dq"))
         hamiltonian = _text(raw["hamiltonian"], "hamiltonian")
-        _parse_hamiltonian(
+        classical_hamiltonian = _parse_hamiltonian(
             hamiltonian, System(system.classical + system.quantum, 0), constants
         )
         seed = _finite(raw.get("seed", 0), "seed", int)
@@ -393,14 +379,13 @@ class SystemConfig:
             raise ConfigError("classical data count does not match DOF count")
         if len(states["classical_state"]) != m or len(states["quantum_state"]) != n:
             raise ConfigError("state spec count does not match DOF count")
-        for name in sweep.observables:
-            _observable_symbol(name, system)
         # every check above runs before any grid is built
         return SystemConfig(
             system=system,
             hbar=hbar,
             constants=constants,
             hamiltonian=hamiltonian,
+            classical_hamiltonian=classical_hamiltonian,
             classical_grids=tuple(Grid(*args) for args in grids["classical_grids"]),
             quantum_grids=tuple(Grid(*args) for args in grids["quantum_grids"]),
             classical_data=classical_data,
@@ -583,17 +568,14 @@ def build_example(
 
 
 def hybrid_solutions(cfg: SystemConfig) -> dict:
-    """Hybrid-bracket time evolution of every fundamental observable."""
+    """{Symbol: hybrid-bracket time evolution} of every fundamental
+    observable, in :meth:`System.fundamental_symbols` order."""
     system = cfg.system
     h_tilde = cfg.hybrid_hamiltonian()
-    out = {}
-    for i in range(1, system.classical + 1):
-        out[f"q{i}"] = heisenberg_series(system.q(i), h_tilde)
-        out[f"p{i}"] = heisenberg_series(system.p(i), h_tilde)
-    for a in range(1, system.quantum + 1):
-        out[f"Q{a}"] = heisenberg_series(system.Q(a), h_tilde)
-        out[f"P{a}"] = heisenberg_series(system.P(a), h_tilde)
-    return out
+    return {
+        sym: heisenberg_series(system.symbol(sym), h_tilde)
+        for sym in system.fundamental_symbols()
+    }
 
 
 def reference_constants() -> list:
@@ -625,16 +607,16 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
 class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
-    ``operator`` is the compiled sector operator B of the observable
-    ``name`` at time ``t`` and ``decomp`` its spectrum; ``amplitudes``
-    are phi^Q's projections on B's eigenbasis, taken once, and
+    ``operator`` is the compiled sector operator B of the fundamental
+    observable ``observable`` (a Symbol) at time ``t`` and ``decomp`` its
+    spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once, and
     ``masses`` their squared moduli, the spectral measure every row
     reads; its first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
     ``margins`` maps each order L to its margin; ``rows`` holds one
     :class:`PredictionBound` per (L, p, width multiplier).
     """
 
-    name: str
+    observable: Symbol
     t: Fraction
     operator: CompiledOperator
     decomp: SpectralDecomp
@@ -646,23 +628,22 @@ class SandwichPoint:
 
     def row_dict(self, pb: PredictionBound) -> dict:
         """One of ``rows`` as a JSON row: its fields with the observable and t."""
-        return pb.to_json_dict() | {"observable": self.name, "t": float(self.t)}
+        return pb.to_json_dict() | {"observable": self.observable.name, "t": float(self.t)}
 
 
 def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
     """Yield the :class:`SandwichPoint` of every sweep observable and time,
     observables outer, at each distinct order in ``levels``."""
     phi_q = cfg.quantum_factor()
-    grids = dict(enumerate(cfg.quantum_grids, start=1))
     centers = cfg.classical_data.centers()
     subs = _substitutions(cfg)
-    for name in cfg.sweep.observables:
+    for sym in cfg.sweep.observables:
         for t in cfg.sweep.times:
             t_exact = _exact(t)
-            expr = sols[name].substitute_constants(subs | {"t": t_exact})
-            b = compile_expression(expr, centers, grids, cfg.hbar)
+            expr = sols[sym].substitute_constants(subs | {"t": t_exact})
+            b = compile_expression(expr, centers, cfg.quantum_grids, cfg.hbar)
             decomp = spectral_decompose(b.dense())
-            amplitudes = decomp.amplitudes(phi_q)
+            amplitudes = decomp.amplitudes(phi_q.amplitudes)
             masses = np.abs(amplitudes) ** 2
             a0 = float(decomp.eigenvalues @ masses)
             margins = delta_L_margin(expr, cfg.classical_data, phi_q, cfg.hbar, levels)
@@ -674,7 +655,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 for p in cfg.probabilities
                 for mult in cfg.sweep.width_multipliers
             )
-            yield SandwichPoint(name, t_exact, b, decomp, amplitudes, masses, a0, margins, rows)
+            yield SandwichPoint(sym, t_exact, b, decomp, amplitudes, masses, a0, margins, rows)
 
 
 # --------------------------------------------------------------------------
@@ -695,9 +676,6 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self) -> list:
         """Plot-ready (observable, L, p, multiplier, t, lower, oracle, upper)."""
@@ -788,9 +766,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
     # full-quantum oracle, matrix-free
     note("compiling full-quantum Hamiltonian")
-    full_grids = {a + 1: g for a, g in enumerate(grids)}
     h_expr = cfg.full_hamiltonian_expr()
-    h_op = compile_expression(h_expr, {}, full_grids, hbar)
+    h_op = compile_expression(h_expr, {}, grids, hbar)
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
     # phi_q, and in a deep run the two leakage sectors of each sandwich row
@@ -828,20 +805,18 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         psi_t = State(w @ (coordinates @ phi_q.amplitudes), grids)
         _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
 
-    # per observable: its DOF's axis, the one-DOF spectrum of the t=0
-    # operator A and the exact Heisenberg-picture series A(t) of the oracle,
-    # whose one free constant is t
+    # per observable: its DOF's axis (classical DOFs first), the one-DOF
+    # spectrum of the t=0 operator A, Q or P on that axis, and the exact
+    # Heisenberg-picture series A(t) of the oracle, whose one free constant is t
     oracle = {}
-    for name in cfg.sweep.observables:
-        axis = cfg.observable_axis(name)
-        quantized = Symbol.P if cfg.observable_symbol(name).is_momentum else Symbol.Q
-        base_op = compile_expression(
-            System(0, 1).symbol(quantized(1)), {}, {1: grids[axis]}, hbar
-        )
-        oracle[name] = (
+    for sym in cfg.sweep.observables:
+        axis = sym.index - 1 + (0 if sym.is_classical else cfg.system.classical)
+        quantized = Symbol.P if sym.is_momentum else Symbol.Q
+        base_op = compile_expression(System(0, 1).symbol(quantized(1)), {}, (grids[axis],), hbar)
+        oracle[sym] = (
             axis,
             spectral_decompose(base_op.dense()),
-            heisenberg_series(cfg.full_system().symbol(quantized(axis + 1)), h_expr),
+            heisenberg_series(h_expr.system.symbol(quantized(axis + 1)), h_expr),
         )
 
     rows = []
@@ -850,11 +825,10 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     ehrenfest = 0.0
     for point, cols in zip(points, sectors):
         t = float(point.t)
-        note(f"observable {point.name}, t={t}")
-        axis, a_decomp, series = oracle[point.name]
-        a_t = compile_expression(
-            series.substitute_constants({"t": point.t}), {}, full_grids, hbar
-        )
+        name = point.observable.name
+        note(f"observable {name}, t={t}")
+        axis, a_decomp, series = oracle[point.observable]
+        a_t = compile_expression(series.substitute_constants({"t": point.t}), {}, grids, hbar)
         # psi_t and the evolved leakage sectors in the Schroedinger picture
         factors = np.column_stack([phi_q.amplitudes] + cols)
         batch = propagated[point.t] @ (coordinates @ factors)
@@ -871,7 +845,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                 ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
                 disc_rows.append(
                     {
-                        "observable": point.name,
+                        "observable": name,
                         "t": t,
                         "L": L,
                         "lhs": lhs,
@@ -897,7 +871,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                 ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
                 leak_rows.append(
                     dict(
-                        observable=point.name, t=t, L=pb.L, p=pb.p,
+                        observable=name, t=t, L=pb.L, p=pb.p,
                         width_multiplier=pb.width_multiplier, which=which,
                         measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
                     )

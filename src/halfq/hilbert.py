@@ -3,7 +3,11 @@
 Each degree of freedom lives on a periodic grid; the momentum operator is
 the spectral (discrete Fourier) derivative, so smooth wave packets that
 stay away from the grid edges see continuum behaviour.  Multi-DOF states
-are Kronecker products with the grids listed in DOF order.
+are Kronecker products, and grids travel as tuples in DOF order: a
+:class:`State`, a :class:`CompiledOperator` and :func:`compile_expression`
+hold or take them that way.  The batch kernels (:meth:`SpectralDecomp.amplitudes`,
+:func:`spectral_masses`, :func:`evolve_full_quantum`) take and return
+plain arrays, a (dim,) vector or a (dim, k) batch of columns.
 
 Every numeric operator, a single Q or P included, is a hybrid expression
 of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
@@ -135,11 +139,10 @@ class SpectralDecomp:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def amplitudes(self, psi: State | np.ndarray) -> np.ndarray:
-        """Projections <a_i|psi> in the eigenbasis, of a State or of an
-        array whose first axis is the operator's: the contraction runs over
-        that axis and every trailing axis (other DOFs, columns) stays."""
-        x = psi.amplitudes if isinstance(psi, State) else np.asarray(psi)
+    def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """Projections <a_i|x> in the eigenbasis of an array whose first
+        axis is the operator's: the contraction runs over that axis and
+        every trailing axis (other DOFs, columns) stays."""
         # conj(V^T conj(x)) = V^dagger x without a conjugated copy of V
         out = self.eigenvectors.T @ x.reshape(x.shape[0], -1).conj()
         return np.conj(out, out=out).reshape(x.shape)
@@ -150,7 +153,7 @@ class SpectralDecomp:
 
 
 def position_operator(grid: Grid) -> CompiledOperator:
-    return compile_expression(System(0, 1).Q(1), {}, {1: grid}, 1.0)
+    return compile_expression(System(0, 1).Q(1), {}, (grid,), 1.0)
 
 
 def _fourier_basis(grid: Grid) -> tuple:
@@ -201,7 +204,7 @@ def momentum_operator(grid: Grid, hbar: float) -> CompiledOperator:
     [q, p] = i*hbar*I holds on states negligible at the grid edges (the
     commutator picks up aliasing corrections in the outermost cells).
     """
-    return compile_expression(System(0, 1).P(1), {}, {1: grid}, hbar)
+    return compile_expression(System(0, 1).P(1), {}, (grid,), hbar)
 
 
 def gaussian_state(grid: Grid, q0: float, p0: float, dq: float, hbar: float) -> State:
@@ -328,21 +331,22 @@ class CompiledOperator:
 def compile_expression(
     expr: HybridExpression,
     classical_values: Mapping[Symbol, float],
-    quantum_grids: Mapping[int, Grid],
+    grids: tuple,
     hbar: float,
 ) -> CompiledOperator:
     """Realize a hybrid expression as per-DOF factors on the quantum grids.
 
     Declared constants must already be substituted
     (:meth:`HybridExpression.substitute_constants`); every classical symbol
-    must be bound in ``classical_values`` (keyed by Symbol), and every
-    quantum DOF 1..N must have a grid.
+    must be bound in ``classical_values`` (keyed by Symbol), and ``grids``
+    holds one grid per quantum DOF, in DOF order.
     """
     unbound = expr.constants()
     if unbound:
         raise AlgebraError(f"unbound constant {min(unbound)!r}")
     values = {sym: float(val) for sym, val in classical_values.items()}
-    grids = tuple(quantum_grids[a] for a in range(1, expr.system.quantum + 1))
+    if len(grids) != expr.system.quantum:
+        raise AlgebraError(f"{len(grids)} grids for {expr.system.quantum} quantum DOFs")
     if not grids:
         raise AlgebraError("a numeric realization needs at least one quantum DOF")
     terms = []
@@ -393,14 +397,13 @@ def interval_mask(eigenvalues: np.ndarray, interval: tuple) -> np.ndarray:
 
 
 def spectral_masses(
-    decomp: SpectralDecomp, psi: State | np.ndarray, shape: tuple | None = None, axis: int = 0
+    decomp: SpectralDecomp, x: np.ndarray, shape: tuple | None = None, axis: int = 0
 ) -> np.ndarray:
-    """Probability of each eigenvalue of ``decomp`` in a State, a vector or
-    each column of a (dim, k) batch: an (n,) or (n, k) array.  With the
-    tensor grid ``shape`` of the vectors, ``decomp`` is the spectrum of the
-    DOF ``axis`` alone: that axis is moved first and the other DOFs are
-    summed over."""
-    x = psi.amplitudes if isinstance(psi, State) else np.asarray(psi)
+    """Probability of each eigenvalue of ``decomp`` in a vector or each
+    column of a (dim, k) batch: an (n,) or (n, k) array.  With the tensor
+    grid ``shape`` of the vectors, ``decomp`` is the spectrum of the DOF
+    ``axis`` alone: that axis is moved first and the other DOFs are summed
+    over."""
     batch = x.shape[1:]
     amps = decomp.amplitudes(np.moveaxis(x.reshape((shape or x.shape[:1]) + batch), axis, 0))
     return np.sum(np.abs(amps.reshape((decomp.dim, -1) + batch)) ** 2, axis=1)
@@ -503,13 +506,13 @@ def _chebyshev_operator(
 
 def evolve_full_quantum(
     H: CompiledOperator,
-    vectors: State | np.ndarray,
+    vectors: np.ndarray,
     times: Sequence[float],
 ) -> list:
-    """exp(-iHt/hbar) applied to a State, a (dim,) vector or each of the r
-    columns of a (dim, r) batch, at every time in ``times``: one result of
-    the input's kind per time, in order; hbar is the one ``H`` was
-    compiled with.
+    """exp(-iHt/hbar) applied to a (dim,) vector or each of the r columns
+    of a (dim, r) batch, at every time in ``times``: one array of the
+    input's shape per time, in order; hbar is the one ``H`` was compiled
+    with.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
     1984) over H's spectral interval.  The vectors T_n(H~)v do not depend
@@ -527,7 +530,7 @@ def evolve_full_quantum(
     1e-9 in spectral norm at any time, so that no unit combination of the
     columns changes its squared norm by more than 1e-9.
     """
-    v = vectors.amplitudes if isinstance(vectors, State) else np.asarray(vectors, dtype=complex)
+    v = np.asarray(vectors, dtype=complex)
     hbar = H.hbar
     lo, hi = H.spectral_interval
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -566,8 +569,6 @@ def evolve_full_quantum(
         out *= np.exp(-1j * center * t / hbar)
         if np.linalg.norm(_gram(out) - gram, 2) > 1e-9:
             raise GridError(f"evolution lost unitarity beyond 1e-9 at t={t}")
-    if isinstance(vectors, State):
-        return [State(out, vectors.grids) for out in outs]
     return outs
 
 

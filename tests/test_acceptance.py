@@ -115,10 +115,12 @@ def test_criterion_3_closed_form_solutions():
     along each classical symbol the margin column, as exact polynomial
     identities."""
     expected = {
-        "q1": ("q1 + t/m*p1 - k*t^2/(2*m)*P1", "1", "t/m"),
-        "p1": ("p1 - k*t*P1", "0", "1"),
-        "Q1": ("Q1 + t/M*P1 + k*t*q1 + k*t^2/(2*m)*p1 - k^2*t^3/(6*m)*P1", "k*t", "k*t^2/(2*m)"),
-        "P1": ("P1", "0", "0"),
+        Symbol.q(1): ("q1 + t/m*p1 - k*t^2/(2*m)*P1", "1", "t/m"),
+        Symbol.p(1): ("p1 - k*t*P1", "0", "1"),
+        Symbol.Q(1): (
+            "Q1 + t/M*P1 + k*t*q1 + k*t^2/(2*m)*p1 - k^2*t^3/(6*m)*P1", "k*t", "k*t^2/(2*m)"
+        ),
+        Symbol.P(1): ("P1", "0", "0"),
     }
     start = time.time()
     cfg = build_example()
@@ -214,7 +216,7 @@ def test_criterion_7_error_ket_invariants():
         tail_ok = tail_ok and measured <= bound + 1e-10
         p = float(rng.uniform(0.5, 0.999))
         radius = spread_n([op], [x0], psi, n=n, p=p)
-        masses = spectral_masses(decomp, psi)
+        masses = spectral_masses(decomp, psi.amplitudes)
         inside = interval_mass(decomp.eigenvalues, masses, (x0 - radius, x0 + radius))
         confinement_ok = confinement_ok and inside >= p - 1e-10
     elapsed = time.time() - start

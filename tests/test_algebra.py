@@ -373,7 +373,7 @@ def test_weyl_matches_matrix_ordering_average():
     oracle = (qm @ qm @ pm + qm @ pm @ qm + pm @ qm @ qm) / 3.0
     sc = System(1, 0)
     sym = weyl_quantize(sc.q(1) ** 2 * sc.p(1))
-    mat = compile_expression(sym, {}, {1: g}, 1.0).dense()
+    mat = compile_expression(sym, {}, (g,), 1.0).dense()
     psi = gaussian_state(g, 0.5, 0.8, 1.0, 1.0).amplitudes
     np.testing.assert_allclose(mat @ psi, oracle @ psi, atol=1e-8)
 
@@ -396,6 +396,8 @@ def test_unquantize_requires_operator_input():
         unquantize(S11.q(1), 1)
     with pytest.raises(AlgebraError):
         unquantize(System(0, 1).Q(1), 0)
+    with pytest.raises(AlgebraError, match="exceeds 2 DOFs"):
+        unquantize(System(0, 2).Q(1), 3)
 
 
 def test_round_trip_degree_six_exhaustive():
@@ -477,6 +479,8 @@ def test_half_quantize_bad_split():
         half_quantize(sc.q(1), (1, 2))
     with pytest.raises(AlgebraError):
         half_quantize(sc.q(1), (2, 0))
+    with pytest.raises(AlgebraError, match="needs at least one classical DOF"):
+        half_quantize(sc.q(1), (0, 2))
 
 
 @st.composite
@@ -725,6 +729,12 @@ def test_cnum_arithmetic():
     assert a * b == CNum(-3, Fraction(1, 2))
     assert (a * a.inverse()) == CNum(1)
     assert a.conjugate().im == -3
+
+
+def test_cnum_of_reads_floats_exactly_and_refuses_text():
+    assert CNum.of(0.1) == CNum(Fraction(0.1))
+    with pytest.raises(TypeError):
+        CNum.of("x")
 
 
 @settings(max_examples=100, deadline=None)

@@ -62,7 +62,7 @@ def observable_at(name, t, k=Fraction(1, 10)):
 
 def compiled(expr):
     """The sector operator B of ``expr``, classical symbols at their centers."""
-    return compile_expression(expr, DATA.centers(), {1: GQ}, HBAR)
+    return compile_expression(expr, DATA.centers(), (GQ,), HBAR)
 
 
 def quantum_packet():
@@ -74,7 +74,7 @@ def bound_for(obs, phi, cfg, a0, mult, data=DATA):
     ``mult``, from its spectrum and margin."""
     decomp = spectral_decompose(compiled(obs).dense())
     margin = delta_L_margin(obs, data, phi, HBAR, [cfg.L])[cfg.L]
-    masses = spectral_masses(decomp, phi)
+    masses = spectral_masses(decomp, phi.amplitudes)
     return prediction_bounds(decomp.eigenvalues, masses, cfg, a0, mult, margin)
 
 
@@ -151,7 +151,7 @@ def paper_xi_states(decomp, phi_quantum, I_B):
     """The paper's xi states, the reference for the sector identity: one
     (center b_u, quantum factor xi_u, weight <xi_u|phi>) per window of
     width 2 I_B stepping from the spectral minimum that phi^Q populates."""
-    amps = decomp.amplitudes(phi_quantum)
+    amps = decomp.amplitudes(phi_quantum.amplitudes)
     lo = float(decomp.eigenvalues[0])
     bins = np.floor((decomp.eigenvalues - lo) / (2.0 * I_B)).astype(int)
     out = []
@@ -217,7 +217,7 @@ def test_leakage_sectors_match_the_paper_xi_sum(seed):
             I0 = (a0 - D, a0 + D)
             want = paper_leakage_sum(a_decomp.eigenvalues, xi_amps, xis, I0, big)
             imax, imin = (a0 - (D + big), a0 + (D + big)), (a0 - (D - big), a0 + (D - big))
-            sectors = leakage_sectors(b, b.amplitudes(phi), I_B, imax, imin)
+            sectors = leakage_sectors(b, b.amplitudes(phi.amplitudes), I_B, imax, imin)
             got = sector_leakage(a_decomp, lambda cols: w @ cols, sectors, I0)
             for which in ("X1", "X2"):
                 assert abs(got[which] - want[which]) <= 1e-12, (I_B, D, big, which)
@@ -228,7 +228,7 @@ def test_leakage_sectors_match_the_paper_xi_sum(seed):
 def test_xi_requires_positive_window():
     b = spectral_decompose(position_operator(GQ).dense())
     with pytest.raises(ValueError):
-        leakage_sectors(b, b.amplitudes(quantum_packet()), 0.0, (-2.0, 2.0), (-1.0, 1.0))
+        leakage_sectors(b, b.amplitudes(quantum_packet().amplitudes), 0.0, (-2.0, 2.0), (-1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_prediction_bound_degenerate_exact_case():
     assert pb.Emin == 0.0 and pb.Emax == 0.0
     assert pb.Imin == pb.I0 == pb.Imax
     d = spectral_decompose(compiled(obs).dense())
-    direct = interval_mass(d.eigenvalues, spectral_masses(d, phi), (0.0, 2.0))
+    direct = interval_mass(d.eigenvalues, spectral_masses(d, phi.amplitudes), (0.0, 2.0))
     assert abs(pb.lower - direct) < 1e-12
     assert abs(pb.upper - direct) < 1e-12
 
@@ -315,7 +315,7 @@ def leakage_against(a_decomp, obs, phi_c, phi_q, cfg, a0, mult):
     """Measured X1/X2 of a static observable and the leakage constant."""
     pb = bound_for(obs, phi_q, cfg, a0, mult)
     b = spectral_decompose(compiled(obs).dense())
-    sectors = leakage_sectors(b, b.amplitudes(phi_q), pb.I_B, pb.Imax, pb.Imin)
+    sectors = leakage_sectors(b, b.amplitudes(phi_q.amplitudes), pb.I_B, pb.Imax, pb.Imin)
     measured = sector_leakage(
         a_decomp, lambda cols: np.kron(phi_c.amplitudes[:, None], cols), sectors, pb.I0
     )
@@ -375,7 +375,7 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
-    a_full = compile_expression(System(0, 2).P(2), {}, {1: GC, 2: GQ}, HBAR)
+    a_full = compile_expression(System(0, 2).P(2), {}, (GC, GQ), HBAR)
     margin = delta_L_margin(obs, DATA, phi_q, HBAR, [1])[1]
     lhs = operator_discrepancy(a_full, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, 1)
     assert lhs < 1e-10
@@ -387,7 +387,7 @@ def test_operator_discrepancy_static_bound():
     phi_q = quantum_packet()
     obs = parse_expression("q1*P1", S11)
     a_op = compile_expression(
-        parse_expression("Q1*P2", System(0, 2)), {}, {1: GC, 2: GQ}, HBAR
+        parse_expression("Q1*P2", System(0, 2)), {}, (GC, GQ), HBAR
     )
     for L in (1, 2):
         rhs = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L].with_second_order
@@ -400,14 +400,14 @@ def test_compile_expression_validates_bindings():
     # a classical symbol with no classical data, and a free constant
     expr = parse_expression("q2*P1", System(2, 1))
     with pytest.raises(Exception, match="unbound"):
-        compile_expression(expr, DATA.centers(), {1: GQ}, HBAR)
+        compile_expression(expr, DATA.centers(), (GQ,), HBAR)
     # the margin's derivatives along q1 and p1 all vanish, so only the
     # binding check sees q2
     with pytest.raises(Exception, match="unbound"):
         delta_L_margin(expr, DATA, quantum_packet(), HBAR, [1])
     expr2 = parse_expression("k*P1", S11, ("k",))
     with pytest.raises(Exception, match="unbound"):
-        compile_expression(expr2, DATA.centers(), {1: GQ}, HBAR)
+        compile_expression(expr2, DATA.centers(), (GQ,), HBAR)
 
 
 def test_bound_config_validation():

@@ -320,9 +320,13 @@ def test_confinement_of_certified_states():
             for p in (0.9, 0.99):
                 radius_q = data.data[0].delta_q / (1 - p) ** (1 / (2 * L))
                 radius_p = data.data[0].delta_p / (1 - p) ** (1 / (2 * L))
-                pq = interval_mass(qd.eigenvalues, spectral_masses(qd, psi), (-radius_q, radius_q))
+                pq = interval_mass(
+                    qd.eigenvalues, spectral_masses(qd, psi.amplitudes), (-radius_q, radius_q)
+                )
                 pp = interval_mass(
-                    pd.eigenvalues, spectral_masses(pd, psi), (1.0 - radius_p, 1.0 + radius_p)
+                    pd.eigenvalues,
+                    spectral_masses(pd, psi.amplitudes),
+                    (1.0 - radius_p, 1.0 + radius_p),
                 )
                 assert pq >= p - 1e-10
                 assert pp >= p - 1e-10

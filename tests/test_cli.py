@@ -112,6 +112,13 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_malformed_system_argument_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "q1", "--system", "1"])
+    assert exc.value.code == 2
+    assert "system must look like M,N" in capsys.readouterr().err
+
+
 def write_small_config(tmp_path):
     cfg = build_example(npoints=32, extent=8.0, times=(0.0, 0.5))
     path = tmp_path / "config.json"
@@ -284,6 +291,64 @@ def test_non_finite_amplitude_file_is_one_error_line(tmp_path, capsys, command, 
     assert code == 1
     assert out == ""
     assert err.splitlines() == [f"error: amplitude file {amp_path} holds a non-finite number"]
+
+
+def test_zero_amplitude_file_is_one_error_line(tmp_path, capsys):
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    amp_path = tmp_path / "phi_q.txt"
+    np.savetxt(amp_path, np.zeros((32, 2)))
+    raw["quantum_state"] = [{"kind": "file", "path": str(amp_path)}]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bounds", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: amplitude file holds the zero vector"]
+
+
+def test_observable_names_are_read_as_symbols(tmp_path, capsys):
+    # q01 names q1: bounds and verify run it and print the canonical name
+    # in every row, in the config echo and in the progress notes, while
+    # evolve matches --observable against canonical names only
+    raw = build_example(npoints=32, extent=8.0, times=(0.0, 0.5)).to_json_dict()
+    raw["sweep"]["observables"] = ["q01", "P1"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bounds", "--config", str(path), "--json")
+    assert code == 0, err
+    assert {row["observable"] for row in json.loads(out)["rows"]} == {"q1", "P1"}
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--shallow", "--json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert {row["observable"] for row in report["rows"]} == {"q1", "P1"}
+    assert report["config"]["sweep"]["observables"] == ["q1", "P1"]
+    assert "  .. observable q1, t=0.5" in err.splitlines()
+    code, out, err = run_cli(capsys, "evolve", "--config", str(path), "--observable", "q01")
+    assert code == 2
+    assert out == ""
+    assert "unknown observable 'q01'" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify"], ["bounds"], ["verify", "--shallow", "--quiet"]], ids=lambda a: a[0]
+)
+def test_each_command_parses_the_hamiltonian_once(tmp_path, capsys, monkeypatch, argv):
+    # the loader parses the Hamiltonian and keeps the expression on the
+    # config; the hybrid and full-quantum forms are built from it
+    import halfq.experiment
+
+    path = write_small_config(tmp_path)
+    original = halfq.experiment._parse_hamiltonian
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(halfq.experiment, "_parse_hamiltonian", counted)
+    code, _, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_verify_shallow_small_config(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from halfq.algebra import Symbol
 from halfq.classicality import certify, classicality_sequences, gaussian_feasibility
 from halfq.experiment import (
     TOLERANCES,
@@ -246,7 +247,7 @@ def test_decoupled_system_margins_vanish():
     sols = hybrid_solutions(cfg)
     from halfq.grammar import parse_expression
 
-    free = sols["Q1"].substitute_constants({"k": 0})
+    free = sols[Symbol.Q(1)].substitute_constants({"k": 0})
     assert free == parse_expression("Q1 + t/M*P1", cfg.system, ("M", "t"))
     assert not free.classical_symbols()
     report = run_verification(cfg, deep=False)
@@ -273,7 +274,7 @@ def test_heavy_classical_mass_shrinks_momentum_margin():
         sols = hybrid_solutions(cfg)
         subs = {c: Fraction(v).limit_denominator() for c, v in cfg.constants.items()}
         subs["t"] = 1
-        expr = sols["q1"].substitute_constants(subs)
+        expr = sols[Symbol.q(1)].substitute_constants(subs)
         margin = delta_L_margin(expr, cfg.classical_data, cfg.quantum_factor(), cfg.hbar, [1])
         margins[cfg.constants["m"]] = margin[1].total
     assert margins[10.0] < margins[1.0]
@@ -385,7 +386,7 @@ def test_sweep_a0_is_the_expectation_of_B():
     assert len(points) == 16
     for point in points:
         want = np.vdot(phi, point.operator.apply(phi)).real
-        assert abs(point.a0 - want) < 1e-12, (point.name, point.t)
+        assert abs(point.a0 - want) < 1e-12, (point.observable, point.t)
 
 
 def test_sweep_margins_take_each_derivative_once(monkeypatch):
@@ -508,8 +509,8 @@ def test_uncertified_classical_factor_is_not_applicable():
 
 def test_verification_report_is_deterministic():
     cfg = small_example(times=(0.0, 0.4))
-    a = run_verification(cfg, deep=False).to_json()
-    b = run_verification(cfg, deep=False).to_json()
+    a = json.dumps(run_verification(cfg, deep=False).to_json_dict(), sort_keys=True)
+    b = json.dumps(run_verification(cfg, deep=False).to_json_dict(), sort_keys=True)
     assert a == b
 
 
@@ -586,7 +587,7 @@ def test_sector_decomp_matches_dense_spectral_path():
     # a random unitary on the tensor space stands in for the evolution
     w = np.linalg.qr(rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96)))[0]
     b = spectral_decompose(momentum_operator(g2, 1.0).dense())
-    amps = b.amplitudes(phi2)
+    amps = b.amplitudes(phi2.amplitudes)
     sectors = [
         leakage_sectors(b, amps, 0.3, (-half - 0.4, half + 0.4), (-half + 0.4, half - 0.4))
         for half in (0.5, 1.5)
@@ -621,7 +622,7 @@ def test_report_csv_rows():
 def test_report_json_structure():
     cfg = small_example(times=(0.0,))
     report = run_verification(cfg, deep=False)
-    blob = json.loads(report.to_json())
+    blob = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))
     for key in (
         "status",
         "certificates",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from halfq import Symbol, System, heisenberg_series, parse_expression, weyl_quantize
+from halfq import AlgebraError, Symbol, System, heisenberg_series, parse_expression, weyl_quantize
 from halfq.hilbert import (
     Grid,
     GridError,
@@ -30,7 +30,7 @@ HBAR = 1.0
 
 def probability(decomp, psi, interval):
     """P(measurement of ``decomp``'s observable on ``psi`` in ``interval``)."""
-    return interval_mass(decomp.eigenvalues, spectral_masses(decomp, psi), interval)
+    return interval_mass(decomp.eigenvalues, spectral_masses(decomp, psi.amplitudes), interval)
 
 
 def gaussian_quadrature_moment(q0, dq, power, phase_p0=0.0):
@@ -100,7 +100,7 @@ def test_compiled_factors_are_the_position_chain_bit_for_bit():
     x = g.points()
     x2 = x * x
     for text, want in (("Q1^2*P1^3", x2[:, None] * p @ p @ p), ("P1^2", p @ p)):
-        got = compile_expression(parse_expression(text, s), {}, {1: g}, hbar).dense()
+        got = compile_expression(parse_expression(text, s), {}, (g,), hbar).dense()
         assert np.array_equal(got, want), text
 
 
@@ -127,7 +127,7 @@ def test_tensor_properties():
 def test_evaluate_symbolic_scalar_binding():
     s = System(1, 1)
     g = Grid(16, -4.0, 4.0)
-    mat = compile_expression(s.q(1), {Symbol.q(1): 2.0}, {1: g}, HBAR).dense()
+    mat = compile_expression(s.q(1), {Symbol.q(1): 2.0}, (g,), HBAR).dense()
     np.testing.assert_allclose(mat, 2.0 * np.eye(16), atol=1e-14)
 
 
@@ -135,7 +135,7 @@ def test_evaluate_symbolic_ccr_on_smooth_states():
     s = System(0, 1)
     g = Grid(64, -16.0, 16.0)
     expr = s.Q(1) * s.P(1) - s.P(1) * s.Q(1)
-    mat = compile_expression(expr, {}, {1: g}, HBAR).dense()
+    mat = compile_expression(expr, {}, (g,), HBAR).dense()
     psi = gaussian_state(g, 0.0, 0.5, 1.0, HBAR).amplitudes
     assert np.linalg.norm(mat @ psi - 1j * HBAR * psi) < 1e-6
 
@@ -148,7 +148,7 @@ def test_evaluate_symbolic_closed_form_solution():
         {"m": 1, "M": 1, "k": Fraction(1, 10), "t": 1}
     )
     g = Grid(32, -8.0, 8.0)
-    mat = compile_expression(sol, {Symbol.q(1): 0.0, Symbol.p(1): 1.0}, {1: g}, HBAR).dense()
+    mat = compile_expression(sol, {Symbol.q(1): 0.0, Symbol.p(1): 1.0}, (g,), HBAR).dense()
     want = np.eye(32) - 0.05 * momentum_operator(g, HBAR).dense()
     np.testing.assert_allclose(mat, want, atol=1e-12)
 
@@ -156,7 +156,17 @@ def test_evaluate_symbolic_closed_form_solution():
 def test_evaluate_symbolic_unbound_symbol():
     s = System(1, 1)
     with pytest.raises(Exception, match="unbound"):
-        compile_expression(s.q(1), {}, {1: Grid(16, -4.0, 4.0)}, HBAR)
+        compile_expression(s.q(1), {}, (Grid(16, -4.0, 4.0),), HBAR)
+
+
+def test_compile_expression_takes_one_grid_per_quantum_dof():
+    # grids travel in DOF order; a missing or extra grid is refused
+    g = Grid(16, -4.0, 4.0)
+    expr = parse_expression("Q1*P2", System(0, 2))
+    assert compile_expression(expr, {}, (g, g), HBAR).shape == (16, 16)
+    for grids in ((g,), (g, g, g)):
+        with pytest.raises(AlgebraError, match="grids for 2 quantum DOFs"):
+            compile_expression(expr, {}, grids, HBAR)
 
 
 def test_quantized_real_polynomial_is_hermitian():
@@ -174,7 +184,7 @@ def test_quantized_real_polynomial_is_hermitian():
         expr = expr + term
     quantized = weyl_quantize(expr)
     assert quantized.adjoint() == quantized
-    mat = compile_expression(quantized, {}, {1: g}, HBAR).dense()
+    mat = compile_expression(quantized, {}, (g,), HBAR).dense()
     phi = gaussian_state(g, 0.3, 0.5, 1.0, HBAR).amplitudes
     chi = gaussian_state(g, -0.8, -0.2, 1.3, HBAR).amplitudes
     lhs = np.vdot(phi, mat @ chi)
@@ -187,7 +197,7 @@ def test_quantized_real_polynomial_is_hermitian():
     )
     g8 = Grid(16, -4.0, 4.0)
     h_exact = weyl_quantize(h_cl).substitute_constants({"m": 1, "M": 1, "k": Fraction(1, 10)})
-    h_mat = compile_expression(h_exact, {}, {1: g8, 2: g8}, HBAR).dense()
+    h_mat = compile_expression(h_exact, {}, (g8, g8), HBAR).dense()
     spectral_decompose(h_mat)  # raises unless Hermitian to HERMITIAN_RTOL
 
 
@@ -283,35 +293,35 @@ def test_interval_probability_additive_and_monotone():
 
 def test_evolution_identity_and_phases():
     g = Grid(16, -4.0, 4.0)
-    h = compile_expression(System(0, 1).Q(1), {}, {1: g}, HBAR)
+    h = compile_expression(System(0, 1).Q(1), {}, (g,), HBAR)
     psi = gaussian_state(g, 0.0, 0.0, 0.5, HBAR)
-    (same,) = evolve_full_quantum(h, psi, (0.0,))
-    np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
-    (later,) = evolve_full_quantum(h, psi, (0.7,))
+    (same,) = evolve_full_quantum(h, psi.amplitudes, (0.0,))
+    np.testing.assert_allclose(same, psi.amplitudes, atol=1e-12)
+    (later,) = evolve_full_quantum(h, psi.amplitudes, (0.7,))
     want = np.exp(-1j * g.points() * 0.7) * psi.amplitudes
-    np.testing.assert_allclose(later.amplitudes, want, atol=1e-10)
+    np.testing.assert_allclose(later, want, atol=1e-10)
 
 
 def test_evolution_reads_hbar_from_the_operator():
     # H = Q compiled at hbar = 0.7: exp(-i x t / hbar), not exp(-i x t)
     hbar = 0.7
     g = Grid(16, -4.0, 4.0)
-    h = compile_expression(System(0, 1).Q(1), {}, {1: g}, hbar)
+    h = compile_expression(System(0, 1).Q(1), {}, (g,), hbar)
     psi = gaussian_state(g, 0.0, 0.0, 0.5, hbar)
-    (later,) = evolve_full_quantum(h, psi, (0.7,))
+    (later,) = evolve_full_quantum(h, psi.amplitudes, (0.7,))
     want = np.exp(-1j * g.points() * 0.7 / hbar) * psi.amplitudes
-    np.testing.assert_allclose(later.amplitudes, want, atol=1e-10)
+    np.testing.assert_allclose(later, want, atol=1e-10)
 
 
 def test_evolution_refuses_lost_unitarity_at_any_time():
     # exp(-i (iQ) t) = exp(Q t) rescales an off-center packet
     g = Grid(16, -4.0, 4.0)
-    h = compile_expression(parse_expression("i*Q1", System(0, 1)), {}, {1: g}, HBAR)
+    h = compile_expression(parse_expression("i*Q1", System(0, 1)), {}, (g,), HBAR)
     psi = gaussian_state(g, 1.0, 0.0, 0.5, HBAR)
-    (same,) = evolve_full_quantum(h, psi, (0.0,))
-    np.testing.assert_allclose(same.amplitudes, psi.amplitudes, atol=1e-12)
+    (same,) = evolve_full_quantum(h, psi.amplitudes, (0.0,))
+    np.testing.assert_allclose(same, psi.amplitudes, atol=1e-12)
     with pytest.raises(GridError, match="unitarity beyond 1e-9 at t=0.3"):
-        evolve_full_quantum(h, psi, (0.0, 0.3))
+        evolve_full_quantum(h, psi.amplitudes, (0.0, 0.3))
 
 
 def test_free_packet_dispersion():
@@ -319,13 +329,13 @@ def test_free_packet_dispersion():
     dq, m, t = 1.0, 1.0, 1.0
     psi = gaussian_state(g, 0.0, 0.0, dq, HBAR)
     h_expr = parse_expression("P1^2/(2*m)", System(0, 1), ("m",))
-    h = compile_expression(h_expr.substitute_constants({"m": 1}), {}, {1: g}, HBAR)
-    (psi_t,) = evolve_full_quantum(h, psi, (t,))
+    h = compile_expression(h_expr.substitute_constants({"m": 1}), {}, (g,), HBAR)
+    (psi_t,) = evolve_full_quantum(h, psi.amplitudes, (t,))
     q = position_operator(g).dense()
-    var = np.vdot(psi_t.amplitudes, q @ q @ psi_t.amplitudes).real
+    var = np.vdot(psi_t, q @ q @ psi_t).real
     analytic = dq**2 * (1 + (HBAR * t / (2 * m * dq**2)) ** 2)
     assert abs(var - analytic) < 1e-4
-    assert abs(psi_t.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(psi_t) - 1.0) < 1e-9
 
 
 def test_heisenberg_schroedinger_consistency():
@@ -337,7 +347,7 @@ def test_heisenberg_schroedinger_consistency():
     h_expr = weyl_quantize(h_cl)
     gc = Grid(32, -8.0, 8.0)
     gq = Grid(32, -8.0, 8.0)
-    grids = {1: gc, 2: gq}
+    grids = (gc, gq)
     subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(1, 2)}
     h_op = compile_expression(h_expr.substitute_constants(subs), {}, grids, HBAR)
     psi0 = tensor(
@@ -352,9 +362,9 @@ def test_heisenberg_schroedinger_consistency():
     # (knife-edge node mass would otherwise dominate the comparison)
     interval = (-1.25, 2.25)
     heis = probability(spectral_decompose(a_t), psi0, interval)
-    (psi_t,) = evolve_full_quantum(h_op, psi0, (t,))
+    (psi_t,) = evolve_full_quantum(h_op, psi0.amplitudes, (t,))
     a_0 = np.kron(position_operator(gc).dense(), np.eye(32))
-    schr = probability(spectral_decompose(a_0), psi_t, interval)
+    schr = probability(spectral_decompose(a_0), State(psi_t, grids), interval)
     assert 0.9 < schr < 0.99  # nontrivial probability
     assert abs(heis - schr) < 1e-3
 
@@ -380,7 +390,7 @@ def test_compiled_apply_matches_dense_on_column_batches():
     expr = parse_expression(
         "Q1^2*P1*Q2*P3^2 + (2+i)*Q1*P2 - 3*P1^2*Q3 + hbar*Q2^3 + 5", s
     )
-    grids = {1: Grid(8, -2.0, 2.0), 2: Grid(10, -3.0, 3.0), 3: Grid(12, -1.0, 2.0)}
+    grids = (Grid(8, -2.0, 2.0), Grid(10, -3.0, 3.0), Grid(12, -1.0, 2.0))
     op = compile_expression(expr, {}, grids, 0.7)
     dense = op.dense()
     rng = np.random.default_rng(7)
@@ -391,7 +401,7 @@ def test_compiled_apply_matches_dense_on_column_batches():
     assert np.max(np.abs(op.apply(batch[:, 2]) - dense @ batch[:, 2])) <= 1e-14 * scale
     # the first term's array accumulates; the input is never written
     assert np.array_equal(batch, before)
-    frozen = State(batch[:, 3], tuple(grids.values())).amplitudes
+    frozen = State(batch[:, 3], grids).amplitudes
     assert not frozen.flags.writeable
     assert np.max(np.abs(op.apply(frozen) - dense @ batch[:, 3])) <= 1e-14 * scale
     zero = compile_expression(s.zero(), {}, grids, 0.7)
@@ -420,7 +430,7 @@ def test_chebyshev_matches_eigh_reference_on_example():
     cfg = build_example(npoints=32, extent=8.0)
     gc, gq = cfg.classical_grids[0], cfg.quantum_grids[0]
     consts = cfg.constants
-    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, {1: gc, 2: gq}, HBAR)
+    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, (gc, gq), HBAR)
     p_c = momentum_operator(gc, HBAR).dense()
     p_q = momentum_operator(gq, HBAR).dense()
     h_dense = (
@@ -431,16 +441,16 @@ def test_chebyshev_matches_eigh_reference_on_example():
     w, v = np.linalg.eigh(h_dense)
     phi_c, phi_q = cfg.classical_factor(), cfg.quantum_factor()
     psi0 = tensor(phi_c, phi_q).amplitudes
-    sol = hybrid_solutions(cfg)["Q1"]
+    sol = hybrid_solutions(cfg)[Symbol.Q(1)]
     cols = [psi0]
     for t in cfg.sweep.times:
         subs = {"m": 1, "M": 1, "k": Fraction(1, 10), "t": Fraction(t)}
         obs = compile_expression(
-            sol.substitute_constants(subs), cfg.classical_data.centers(), {1: gq}, HBAR
+            sol.substitute_constants(subs), cfg.classical_data.centers(), (gq,), HBAR
         )
         # fixed window width: Q1 carries no margin at t = 0
         b = spectral_decompose(obs.dense())
-        amps = b.amplitudes(phi_q)
+        amps = b.amplitudes(phi_q.amplitudes)
         for half in (0.5, 1.0, 2.0):
             sectors = leakage_sectors(
                 b, amps, 0.25, (-half - 0.25, half + 0.25), (-half + 0.25, half - 0.25)
@@ -461,7 +471,7 @@ def test_fourier_axes_follow_the_pure_powers():
     g = Grid(16, -4.0, 4.0)
     s = System(0, 1)
     for text, axes in (("P1^2/2", (0,)), ("Q1^2", ()), ("P1^2 + Q1", ())):
-        op = compile_expression(parse_expression(text, s), {}, {1: g}, HBAR)
+        op = compile_expression(parse_expression(text, s), {}, (g,), HBAR)
         assert fourier_axes(op) == axes, text
 
 
@@ -472,7 +482,7 @@ def test_mixed_basis_propagation_matches_dense_eigh():
     g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
     s = System(0, 2)
     expr = parse_expression("P1^2/2 + Q1^2/2 + P2^2/2 + Q1*P2/5 + Q2^4/40 + 3/2", s)
-    h_op = compile_expression(expr, {}, {1: g1, 2: g2}, HBAR)
+    h_op = compile_expression(expr, {}, (g1, g2), HBAR)
     assert fourier_axes(h_op) == (1,)
     p1, p2 = momentum_operator(g1, HBAR).dense(), momentum_operator(g2, HBAR).dense()
     q1, q2 = np.diag(g1.points()), np.diag(g2.points())
@@ -507,7 +517,7 @@ def test_chebyshev_operator_in_mixed_basis_matches_dense():
     expr = parse_expression(
         "P1^2/2 + Q1*P1 + P2^2/2 + Q1*P2/5 + (2+i)*Q2*P2 + i*Q2^2*P2^3 + 3/2 - i/4", s
     )
-    h_op = compile_expression(expr, {}, {1: g1, 2: g2}, 0.7)
+    h_op = compile_expression(expr, {}, (g1, g2), 0.7)
     assert fourier_axes(h_op) == (1,)
     center, scale = 1.3, 0.2
     op = _chebyshev_operator(h_op, (1,), center, scale)
@@ -526,8 +536,7 @@ def test_propagation_memory_is_its_results_and_four_arrays():
     from halfq.experiment import build_example
 
     cfg = build_example(npoints=48, extent=12.0)
-    grids = {a + 1: g for a, g in enumerate(cfg.all_grids())}
-    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, grids, HBAR)
+    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, cfg.all_grids(), HBAR)
     rng = np.random.default_rng(2)
     cols = np.linalg.qr(rng.normal(size=(2304, 48)) + 1j * rng.normal(size=(2304, 48)))[0]
     times = (0.0, 0.4, 0.8, 1.2)

@@ -228,3 +228,72 @@ def test_sweep_rows_are_prediction_bounds():
             rows += 1
     # both branches of the width rule are exercised (P1 carries no margin)
     assert rows == 96 and branches == {True, False}
+
+
+def test_grids_travel_in_dof_order():
+    # compile_expression takes the grids as a sequence in DOF order, as
+    # State.grids and CompiledOperator.grids hold them; no module builds a
+    # 1-based grid map
+    from halfq.hilbert import compile_expression
+
+    offenders = []
+    for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "dict"
+                and any(getattr(getattr(arg, "func", None), "id", None) == "enumerate"
+                        for arg in node.args)
+            ):
+                offenders.append(f"{path.name}:{node.lineno} dict(enumerate(...))")
+            elif isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and type(key.value) is int for key in node.keys
+            ):
+                offenders.append(f"{path.name}:{node.lineno} int-keyed dict")
+            elif (
+                isinstance(node, ast.DictComp)
+                and isinstance(node.key, ast.BinOp)
+                and isinstance(node.key.op, ast.Add)
+            ):
+                offenders.append(f"{path.name}:{node.lineno} keys shifted up")
+    assert offenders == []
+    params = list(inspect.signature(compile_expression).parameters)
+    assert params == ["expr", "classical_values", "grids", "hbar"]
+
+
+def test_batch_kernels_take_arrays():
+    # SpectralDecomp.amplitudes, spectral_masses and evolve_full_quantum
+    # take and return arrays; none of them names State
+    kernels = {"amplitudes", "spectral_masses", "evolve_full_quantum"}
+    seen, offenders = set(), []
+    for node in ast.walk(_tree("hilbert.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in kernels:
+            seen.add(node.name)
+            offenders += [
+                f"{node.name}:{inner.lineno}"
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Name) and inner.id == "State"
+            ]
+    assert seen == kernels
+    assert offenders == []
+
+
+def _function(tree: ast.Module, name: str):
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+    )
+
+
+def test_config_keeps_what_the_loader_parsed():
+    # the loader's Symbols and parsed Hamiltonian stay on the config; no
+    # method parses them again
+    config = _function(_tree("experiment.py"), "SystemConfig")
+    methods = {node.name for node in config.body if isinstance(node, ast.FunctionDef)}
+    assert methods.isdisjoint({"observable_symbol", "parse_hamiltonian", "classical_system"})
+
+
+def test_hybrid_solutions_are_keyed_by_symbol():
+    # one enumeration of the fundamental symbols, no f-string names
+    body = _function(_tree("experiment.py"), "hybrid_solutions")
+    assert not any(isinstance(node, ast.JoinedStr) for node in ast.walk(body))
