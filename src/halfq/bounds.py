@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -321,9 +321,10 @@ def operator_discrepancy(
     B: CompiledOperator,
     psi: State,
     classical_dim: int,
-    L: int,
-) -> float:
-    """|<psi|(A-B)^2L|psi>|^(1/2L), bounded by B's order-L margin
+    orders: Collection[int],
+) -> dict:
+    """{L: |<psi|(A-B)^2L|psi>|^(1/2L)} for each order L in ``orders``, from
+    one chain of (A-B) applications; each is bounded by B's order-L margin
     (:attr:`DeltaMargin.with_second_order`) for a certified classical factor.
 
     ``A_full`` acts on the tensor space of ``psi`` = phi^C (x) phi^Q,
@@ -332,8 +333,9 @@ def operator_discrepancy(
     sector (classical symbols at their central values), acting as the
     identity on the classical sector.
     """
-    vec = psi.amplitudes
-    for _ in range(L):
+    vec, values = psi.amplitudes, {}
+    for L in range(1, max(orders) + 1):
         # I (x) B acts on the trailing quantum axes: one column per classical node
         vec = A_full.apply(vec) - B.apply(vec.reshape(classical_dim, -1).T).T.reshape(-1)
-    return float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+        values[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+    return {L: values[L] for L in orders}

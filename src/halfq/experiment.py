@@ -839,9 +839,9 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         exact = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes))
         ehrenfest = max(ehrenfest, abs(exact - a_decomp.eigenvalues @ masses[:, 0]))
         if deep:
+            lhs_of = operator_discrepancy(a_t, point.operator, psi0, phi_c.dim, point.margins)
             for L, margin in point.margins.items():
-                lhs = operator_discrepancy(a_t, point.operator, psi0, phi_c.dim, L)
-                rhs = margin.with_second_order
+                lhs, rhs = lhs_of[L], margin.with_second_order
                 ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
                 disc_rows.append(
                     {
@@ -886,12 +886,19 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
 
 
 def _edge_guard(state: State, tolerance: float, label: str):
-    mass = state.boundary_mass()
-    if mass > tolerance:
-        raise GridError(
-            f"{label} carries boundary mass {mass:.3e} > {tolerance:.1e}; "
-            "enlarge the grids or shorten the sweep"
-        )
+    # the momentum edge of an axis is its unitary-DFT modes n/2 - 1, n/2 and n/2 + 1
+    amps = state.amplitudes.reshape(tuple(g.npoints for g in state.grids))
+    edges = (range(n // 2 - 1, n // 2 + 2) for n in amps.shape)
+    momentum = sum(
+        np.sum(np.abs(np.take(np.fft.fft(amps, axis=a, norm="ortho"), k, axis=a)) ** 2)
+        for a, k in enumerate(edges)
+    )
+    for edge, mass in (("boundary", state.boundary_mass()), ("momentum-edge", float(momentum))):
+        if mass > tolerance:
+            raise GridError(
+                f"{label} carries {edge} mass {mass:.3e} > {tolerance:.1e}; "
+                "widen or refine the grids, or shorten the sweep"
+            )
 
 
 def _exact(value: float) -> Fraction:

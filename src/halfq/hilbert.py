@@ -2,7 +2,9 @@
 
 Each degree of freedom lives on a periodic grid; the momentum operator is
 the spectral (discrete Fourier) derivative, so smooth wave packets that
-stay away from the grid edges see continuum behaviour.  Multi-DOF states
+stay away from both edges of each grid, its outermost cells and its
+momentum edge (the unitary-DFT modes n/2 - 1, n/2 and n/2 + 1), see
+continuum behaviour; the oracle's edge guard checks both.  Multi-DOF states
 are Kronecker products, and grids travel as tuples in DOF order: a
 :class:`State`, a :class:`CompiledOperator` and :func:`compile_expression`
 hold or take them that way.  The batch kernels (:meth:`SpectralDecomp.amplitudes`,
@@ -22,9 +24,13 @@ that carries a batch of columns to several times in one pass; it powers
 the brute-force full-quantum oracle.  It runs in a per-axis basis: the
 axes where pure powers of P outnumber pure powers of Q
 (:func:`fourier_axes`) are taken once to the unitary-DFT basis, where
-P^n is diagonal, and every term diagonal on all axes joins one array over
-the grid.  The recurrence writes each new Chebyshev vector over a spent
-one, so it holds three of them besides the results.  A dense matrix is a
+P^n is diagonal, and H is realized once in that basis
+(:func:`_chebyshev_operator`), every term diagonal on all axes joined in
+one array over the grid.  Its spectral interval is read off that one
+realization: the array's exact range, so terms diagonal together cancel,
+plus one enclosure per other term.  The recurrence writes each new
+Chebyshev vector over a spent one, so it holds three of them besides the
+results.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose`.  Oracle and bounds alike read every interval
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,16 +114,8 @@ class State:
 
     def boundary_mass(self) -> float:
         """Probability weight sitting on the outermost cell of any axis."""
-        shape = tuple(g.npoints for g in self.grids)
-        dens = np.abs(self.amplitudes.reshape(shape)) ** 2
-        total = 0.0
-        for axis in range(len(shape)):
-            sl_lo = [slice(None)] * len(shape)
-            sl_hi = [slice(None)] * len(shape)
-            sl_lo[axis] = 0
-            sl_hi[axis] = shape[axis] - 1
-            total += float(dens[tuple(sl_lo)].sum() + dens[tuple(sl_hi)].sum())
-        return total
+        dens = np.abs(self.amplitudes.reshape(tuple(g.npoints for g in self.grids))) ** 2
+        return float(sum(np.take(dens, [0, -1], axis=a).sum() for a in range(dens.ndim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,32 +299,6 @@ class CompiledOperator:
         total.flags.writeable = False
         return total
 
-    @cached_property
-    def spectral_interval(self) -> tuple:
-        """(lo, hi) enclosing the spectrum, the operator taken Hermitian.
-
-        Per-term enclosures add up (Weyl's inequality).  A Hermitian term
-        gives the exact range of its eigenvalues, spanned by products of
-        per-factor extremes, read off each pure power's diagonal (in the
-        DFT basis for a power of P); any other term gives
-        +-|s| prod ||factor||_2.
-        """
-        lo = hi = 0.0
-        for scalar, factors, powers in self.terms:
-            if scalar.imag == 0 and all(0 in qp for qp in powers.values()):
-                ends = [scalar.real]
-                for a, (q, p) in powers.items():
-                    eig = _axis_factor(self.grids[a], self.hbar, q, p, p > 0)
-                    ends = [e * x for e in ends for x in (eig.min(), eig.max())]
-                lo, hi = lo + min(ends), hi + max(ends)
-            else:
-                radius = abs(scalar) * math.prod(
-                    np.abs(f).max() if f.ndim == 1 else np.linalg.norm(f, 2)
-                    for f in factors.values()
-                )
-                lo, hi = lo - radius, hi + radius
-        return float(lo), float(hi)
-
 
 def compile_expression(
     expr: HybridExpression,
@@ -464,7 +436,7 @@ def chebyshev_coefficients(alpha: float) -> np.ndarray:
 def chebyshev_terms(H: CompiledOperator, times: Sequence[float]) -> int:
     """Length of the Chebyshev recurrence :func:`evolve_full_quantum` runs
     under ``H`` for ``times``: the order the largest |t| needs."""
-    lo, hi = H.spectral_interval
+    lo, hi = _chebyshev_operator(H, fourier_axes(H))[1]
     return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / H.hbar) for t in times)
 
 
@@ -479,29 +451,47 @@ def fourier_axes(H: CompiledOperator) -> tuple:
     return tuple(axis for axis, vote in enumerate(votes) if vote > 0)
 
 
-def _chebyshev_operator(
-    H: CompiledOperator, axes: tuple, center: float, scale: float
-) -> CompiledOperator:
-    """scale * (H - center), the operator the Chebyshev recurrence of
-    :func:`evolve_full_quantum` applies, with the factors on ``axes`` in
-    the basis of :func:`_fourier_basis`.  The shift and every
-    term diagonal on all axes are summed into one first term whose scalar
-    is an array over the grid, so one product builds them in ``apply``."""
-    diagonal = np.full(H.shape, -center * scale, dtype=complex)
+def _chebyshev_operator(H: CompiledOperator, axes: tuple) -> tuple:
+    """(op, (lo, hi)): the one realization of H that :func:`evolve_full_quantum`
+    shifts, scales and applies, its factors on ``axes`` in the basis of
+    :func:`_fourier_basis` and every term diagonal on all axes summed into
+    one first term whose scalar is an array over the grid; and an interval
+    enclosing its spectrum, H taken Hermitian.  Per-term enclosures add up
+    (Weyl's inequality): the array's exact range, widened on both sides by
+    its largest imaginary part; the exact range of a Hermitian product of
+    pure powers, from per-factor extremes read off each power's diagonal
+    (in the DFT basis for a power of P); else +-|s| prod ||factor||_2."""
+    diagonal = np.zeros(H.shape, dtype=complex)
     terms = []
+    lo = hi = 0.0
     for scalar, _, powers in H.terms:
         factors = {
             a: _axis_factor(H.grids[a], H.hbar, q, p, a in axes)
             for a, (q, p) in powers.items()
         }
         if all(f.ndim == 1 for f in factors.values()):
-            part = scalar * scale
+            part = scalar
             for a, f in factors.items():
                 part = part * f.reshape((-1,) + (1,) * (len(H.grids) - a - 1))
             diagonal += part
+            continue
+        terms.append((scalar, factors, powers))
+        if scalar.imag == 0 and all(0 in qp for qp in powers.values()):
+            ends = [scalar.real]
+            for a, (q, p) in powers.items():
+                eig = _axis_factor(H.grids[a], H.hbar, q, p, p > 0)
+                ends = [e * x for e in ends for x in (eig.min(), eig.max())]
+            lo, hi = lo + min(ends), hi + max(ends)
         else:
-            terms.append((scalar * scale, factors, powers))
-    return CompiledOperator(((diagonal[..., None], {}, {}),) + tuple(terms), H.grids, H.hbar)
+            radius = abs(scalar) * math.prod(
+                np.abs(f).max() if f.ndim == 1 else np.linalg.norm(f, 2)
+                for f in factors.values()
+            )
+            lo, hi = lo - radius, hi + radius
+    widen = np.abs(diagonal.imag).max()
+    lo, hi = lo + diagonal.real.min() - widen, hi + diagonal.real.max() + widen
+    op = CompiledOperator(((diagonal[..., None], {}, {}),) + tuple(terms), H.grids, H.hbar)
+    return op, (float(lo), float(hi))
 
 
 def evolve_full_quantum(
@@ -522,7 +512,7 @@ def evolve_full_quantum(
     below CHEBYSHEV_TAIL.  The recurrence runs in a per-axis basis: the
     axes of :func:`fourier_axes` are taken to the unitary-DFT basis once,
     where a pure power of P is diagonal, and each result is taken back at
-    the end; order and coefficients still come from H's own interval.
+    the end; order and coefficients come from the same realization.
     Three buffers, the transformed input first, hold the T_n in turn, each
     new one written over a spent one, so memory is one r x dim result per
     time plus those buffers and one temporary per term of ``apply``.
@@ -532,10 +522,10 @@ def evolve_full_quantum(
     """
     v = np.asarray(vectors, dtype=complex)
     hbar = H.hbar
-    lo, hi = H.spectral_interval
+    axes = fourier_axes(H)
+    op, (lo, hi) = _chebyshev_operator(H, axes)
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in times]
-    axes = fourier_axes(H)
     grid_shape = H.shape + (-1,)
     u = v
     if axes:
@@ -544,7 +534,10 @@ def evolve_full_quantum(
     order = max((a.size for a in coeffs), default=0)
     if order > 1:
         # T_{n+1} = op T_n - T_{n-1} with op = 2 (H - center) / radius
-        op = _chebyshev_operator(H, axes, center, 2.0 / radius)
+        scale = 2.0 / radius
+        (diagonal, _, _), *rest = op.terms
+        terms = [(scale * (diagonal - center), {}, {})] + [(scale * s, f, qp) for s, f, qp in rest]
+        op = CompiledOperator(tuple(terms), H.grids, hbar)
         prev, cur = u, op.apply(u)
         cur *= 0.5
         spare = None

@@ -377,7 +377,8 @@ def test_operator_discrepancy_vanishes_without_classical_dependence():
     obs = observable_at("P1", 0.9)
     a_full = compile_expression(System(0, 2).P(2), {}, (GC, GQ), HBAR)
     margin = delta_L_margin(obs, DATA, phi_q, HBAR, [1])[1]
-    lhs = operator_discrepancy(a_full, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, 1)
+    psi = tensor(phi_c, phi_q)
+    lhs = operator_discrepancy(a_full, compiled(obs), psi, phi_c.dim, [1])[1]
     assert lhs < 1e-10
     assert margin.with_second_order == 0.0
 
@@ -391,9 +392,34 @@ def test_operator_discrepancy_static_bound():
     )
     for L in (1, 2):
         rhs = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L].with_second_order
-        lhs = operator_discrepancy(a_op, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, L)
+        lhs = operator_discrepancy(a_op, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, [L])[L]
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
+
+
+def test_operator_discrepancy_runs_one_chain_for_all_orders():
+    # the 32x32 example's Q1 at t = 0.8: orders 1..4 from one chain, each
+    # bitwise the value of a chain run to that order alone, and each the
+    # dense |<psi|(A-B)^2L|psi>|^(1/2L)
+    from halfq.experiment import build_example, hybrid_solutions, sandwich_sweep
+
+    cfg = build_example(npoints=32, extent=8.0, times=(0.8,))
+    point = next(
+        p for p in sandwich_sweep(cfg, hybrid_solutions(cfg), (1,)) if p.observable.name == "Q1"
+    )
+    h = cfg.full_hamiltonian_expr()
+    series = heisenberg_series(h.system.Q(2), h).substitute_constants({"t": point.t})
+    a_op = compile_expression(series, {}, cfg.all_grids(), HBAR)
+    psi = tensor(cfg.classical_factor(), cfg.quantum_factor())
+    got = operator_discrepancy(a_op, point.operator, psi, 32, range(1, 5))
+    assert list(got) == [1, 2, 3, 4]
+    diff = a_op.dense() - np.kron(np.eye(32), point.operator.dense())
+    vec = psi.amplitudes
+    for L, value in got.items():
+        assert value == operator_discrepancy(a_op, point.operator, psi, 32, [L])[L]
+        vec = diff @ vec
+        assert abs(value - np.linalg.norm(vec) ** (1.0 / L)) <= 1e-10 * value, L
+        assert value > 0
 
 
 def test_compile_expression_validates_bindings():

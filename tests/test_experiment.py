@@ -522,6 +522,16 @@ def test_edge_guard_aborts_unconverged_runs():
         run_verification(cfg, deep=False)
 
 
+@pytest.mark.parametrize("npoints, extent", [(20, 12.0), (24, 12.0), (32, 16.0)])
+def test_edge_guard_sees_the_momentum_edge(npoints, extent):
+    # these grids put 4.5e-2, 6.5e-3 and 4.2e-3 of psi0's mass in the
+    # unitary-DFT modes around the Nyquist mode, yet no position cell at the
+    # boundary; the run must stop at the initial state
+    cfg = build_example(npoints=npoints, extent=extent, times=(0.0,))
+    with pytest.raises(GridError, match="initial state carries momentum-edge mass"):
+        run_verification(cfg, deep=False)
+
+
 def test_wrapped_packets_cannot_loosen_the_guards():
     # by t = 2 the packets reach the edges of the periodic 32-point box;
     # the edge guard must stop the run, and a config cannot relax it

@@ -504,7 +504,7 @@ def test_mixed_basis_propagation_matches_dense_eigh():
 
 
 def test_chebyshev_operator_in_mixed_basis_matches_dense():
-    """The operator the recurrence applies, scale * (H - center) with axis
+    """The one realization of H the recurrence shifts and scales, with axis
     2 in the unitary-DFT basis, on every kind of term: mixed Q2*P2 and
     Q2^2*P2^3 factors rebuilt in that basis, a mixed factor on the
     position axis, complex scalars and a constant.  On a grid such a
@@ -519,14 +519,44 @@ def test_chebyshev_operator_in_mixed_basis_matches_dense():
     )
     h_op = compile_expression(expr, {}, (g1, g2), 0.7)
     assert fourier_axes(h_op) == (1,)
-    center, scale = 1.3, 0.2
-    op = _chebyshev_operator(h_op, (1,), center, scale)
+    op, _ = _chebyshev_operator(h_op, (1,))
     rng = np.random.default_rng(5)
     cols = rng.normal(size=(320, 4)) + 1j * rng.normal(size=(320, 4))
-    want = scale * (h_op.dense() @ cols - center * cols)
+    want = h_op.dense() @ cols
     got = op.apply(np.fft.fft(cols.reshape(16, 20, 4), axis=1, norm="ortho"))
     got = np.fft.ifft(got, axis=1, norm="ortho").reshape(320, 4)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "text, quantum, npoints",
+    [
+        # the example, the mixed-basis Hamiltonian above, and the 2+1
+        # benchmark config's Hamiltonian at k = 1/10, c = 1/20, all quantized
+        ("P2^2/2 + P1^2/2 + Q1*P2/10", 2, (16, 16)),
+        ("P1^2/2 + Q1^2/2 + P2^2/2 + Q1*P2/5 + Q2^4/40 + 3/2", 2, (16, 20)),
+        ("P1^2/2 + P2^2/2 + P3^2/2 + Q1*P3/10 + Q2*P3/20", 3, (8, 8, 16)),
+    ],
+)
+def test_chebyshev_interval_encloses_the_spectrum(text, quantum, npoints):
+    from halfq.hilbert import _chebyshev_operator
+
+    grids = tuple(Grid(n, -5.0, 5.0) for n in npoints)
+    h_op = compile_expression(parse_expression(text, System(0, quantum)), {}, grids, HBAR)
+    _, (lo, hi) = _chebyshev_operator(h_op, fourier_axes(h_op))
+    w = np.linalg.eigvalsh(h_op.dense())
+    assert lo <= w[0] and w[-1] <= hi, (lo, w[0], w[-1], hi)
+
+
+def test_chebyshev_terms_of_the_example():
+    # the interval reads the exact range of the terms diagonal together:
+    # P2^2/2 and k*Q1*P2 are one array in the mixed basis, not two ranges
+    from halfq.experiment import build_example
+    from halfq.hilbert import chebyshev_terms
+
+    for cfg, terms in ((build_example(npoints=48, extent=12.0), 65), (build_example(), 68)):
+        h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, cfg.all_grids(), HBAR)
+        assert chebyshev_terms(h_op, cfg.sweep.times) == terms
 
 
 def test_propagation_memory_is_its_results_and_four_arrays():

@@ -297,3 +297,31 @@ def test_hybrid_solutions_are_keyed_by_symbol():
     # one enumeration of the fundamental symbols, no f-string names
     body = _function(_tree("experiment.py"), "hybrid_solutions")
     assert not any(isinstance(node, ast.JoinedStr) for node in ast.walk(body))
+
+
+def test_one_realization_of_h_per_propagation():
+    # H becomes numbers for the propagator in hilbert._chebyshev_operator,
+    # which also reads its spectral interval; no second realization bounds
+    # the spectrum, and every factor comes from compile_expression or there
+    offenders = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if child.name == "spectral_interval":
+                    offenders.append(f"{path.name} defines spectral_interval")
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "spectral_interval":
+                offenders.append(f"{path.name}:{child.lineno} reads spectral_interval")
+            elif (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "_axis_factor"
+                and function not in ("compile_expression", "_chebyshev_operator", "_axis_factor")
+            ):
+                offenders.append(f"{path.name}:{child.lineno} _axis_factor in {function}")
+            visit(child, function)
+
+    for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert offenders == []
