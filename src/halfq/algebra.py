@@ -595,6 +595,18 @@ class HybridExpression:
         return HybridExpression(self.system, out)
 
 
+def embed(expr: HybridExpression, target: System, offset: int) -> HybridExpression:
+    """``expr`` over the larger ``target``, quantum DOF a renamed a + offset;
+    a common shift keeps words canonical.  AlgebraError if ``target`` lacks a symbol."""
+    def move(sym: Symbol) -> Symbol:
+        return target.check(sym if sym.is_classical else Symbol(sym.kind, sym.index + offset))
+
+    return HybridExpression(target, {
+        (h, pr, tuple((move(s), e) for s, e in cl), tuple(map(move, word))): c
+        for (h, pr, cl, word), c in expr._terms.items()
+    })
+
+
 # --------------------------------------------------------------------------
 # derivatives and brackets
 

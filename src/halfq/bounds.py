@@ -10,20 +10,21 @@ interval scale; and the probability sandwich
 
 is the theory's physical prediction, with Emin/Emax built from the
 tail-leakage constant (1-p) Delta_L / (2(2L-1) I_B).
+One function, :func:`power_weights`, reads every order's margin weight: of B's
+derivatives at phi^Q, and of the exact A(t) - B at psi0 (the operator discrepancy).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraError, HybridExpression, partial_derivative
 from .classicality import ClassicalData
 from .hilbert import (
-    CompiledOperator,
     SpectralDecomp,
     State,
     compile_expression,
@@ -69,6 +70,21 @@ class DeltaMargin:
         return self.total + self.second_order
 
 
+def power_weights(
+    expr: HybridExpression, centers: Mapping, state: State, hbar: float, orders: Collection[int]
+) -> dict:
+    """{L: ||O^L v||^(1/L)} for each order L in ``orders``, ascending, of ``expr``
+    compiled once at ``centers`` on ``state``'s grids, from one chain of products O^L v:
+    a margin weight, or for A(t) - B the discrepancy that B's margin bounds."""
+    op = compile_expression(expr, centers, state.grids, hbar)
+    vec, out = state.amplitudes, {}
+    for L in range(1, max(orders) + 1):
+        vec = op.apply(vec)
+        if L in orders:
+            out[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
+    return out
+
+
 def delta_L_margin(
     expr: HybridExpression,
     data: ClassicalData,
@@ -82,8 +98,8 @@ def delta_L_margin(
 
     Constants must already be substituted; classical symbols take their
     centers in ``data``, and ``phi_q``'s grids are the quantum grids.  Each
-    derivative operator D is taken and compiled once; one chain of
-    products D^L phi gives its weight ||D^L phi||^(1/L) at every order.
+    derivative operator D is taken and compiled once; one chain of products
+    D^L phi gives its weight at every order (:func:`power_weights`).
     Second-order derivative terms (the n=2 tail of the margin expansion)
     are evaluated and reported separately.  For observables whose classical
     derivatives are constant multiples of the identity the result is
@@ -95,16 +111,6 @@ def delta_L_margin(
     if unbound:
         raise AlgebraError(f"unbound classical symbol {min(unbound).name}")
 
-    def weights(deriv: HybridExpression) -> dict:
-        """{L: |<phi|(D^dag)^L D^L|phi>|^(1/2L)} of one derivative operator D."""
-        op = compile_expression(deriv, centers, phi_q.grids, hbar)
-        vec, out = phi_q.amplitudes, {}
-        for L in range(1, max(levels) + 1):
-            vec = op.apply(vec)
-            if L in levels:
-                out[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-        return out
-
     symbols = sorted(centers)
     first = dict.fromkeys(levels, 0.0)
     second = dict.fromkeys(levels, 0.0)
@@ -112,12 +118,12 @@ def delta_L_margin(
         deriv = partial_derivative(expr, sym_i)
         if deriv.is_zero:
             continue
-        for L, w in weights(deriv).items():
+        for L, w in power_weights(deriv, centers, phi_q, hbar, levels).items():
             first[L] += w * data.margin(sym_i)
         for sym_k in symbols:
             deriv2 = partial_derivative(deriv, sym_k)
             if not deriv2.is_zero:
-                for L, w in weights(deriv2).items():
+                for L, w in power_weights(deriv2, centers, phi_q, hbar, levels).items():
                     second[L] += 0.5 * w * data.margin(sym_i) * data.margin(sym_k)
     return {L: DeltaMargin(first[L], second[L]) for L in levels}
 
@@ -267,11 +273,11 @@ def prediction_bounds(
 def worst_case_errors(cfg: BoundConfig) -> dict:
     """The sandwich-error constants with both probability factors at one.
 
-    With I_B = delta_L the leakage constant reduces to
-    (1-p)^((2L-1)/2L) / (2L-1) and the interval widening to
-    2/(1-p)^(1/2L) in units of delta_L.
+    With I_B unset (I_B = delta_L) and delta_L = 1, :func:`leakage_constant`
+    is (1-p)^((2L-1)/2L) / (2L-1) and the interval widening
+    :func:`spread_Delta_L` is 2/(1-p)^(1/2L), in units of delta_L.
     """
-    leak = (1.0 - cfg.p) ** ((2 * cfg.L - 1) / (2 * cfg.L)) / (2 * cfg.L - 1)
+    leak = leakage_constant(1.0, cfg)
     coefficient = 2.0 * math.sqrt(leak)
     return {
         "L": cfg.L,
@@ -279,7 +285,7 @@ def worst_case_errors(cfg: BoundConfig) -> dict:
         "leakage": leak,
         "error_coefficient": coefficient,
         "worst_error": coefficient + leak,
-        "widening_over_delta": 2.0 / (1.0 - cfg.p) ** (1.0 / (2 * cfg.L)),
+        "widening_over_delta": spread_Delta_L(1.0, cfg),
     }
 
 
@@ -314,28 +320,3 @@ def leakage_sectors(
     centers = lo + (2 * bins + 1) * I_B
     kept = np.stack([~interval_mask(centers, Imax), interval_mask(centers, Imin)], axis=1)
     return decomp.eigenvectors @ np.where(kept, amplitudes[:, None], 0.0)
-
-
-def operator_discrepancy(
-    A_full: CompiledOperator,
-    B: CompiledOperator,
-    psi: State,
-    classical_dim: int,
-    orders: Collection[int],
-) -> dict:
-    """{L: |<psi|(A-B)^2L|psi>|^(1/2L)} for each order L in ``orders``, from
-    one chain of (A-B) applications; each is bounded by B's order-L margin
-    (:attr:`DeltaMargin.with_second_order`) for a certified classical factor.
-
-    ``A_full`` acts on the tensor space of ``psi`` = phi^C (x) phi^Q,
-    classical DOFs first, whose classical sector has dimension
-    ``classical_dim``; ``B`` is the half-quantum operator on the quantum
-    sector (classical symbols at their central values), acting as the
-    identity on the classical sector.
-    """
-    vec, values = psi.amplitudes, {}
-    for L in range(1, max(orders) + 1):
-        # I (x) B acts on the trailing quantum axes: one column per classical node
-        vec = A_full.apply(vec) - B.apply(vec.reshape(classical_dim, -1).T).T.reshape(-1)
-        values[L] = float(np.vdot(vec, vec).real) ** (1.0 / (2 * L))
-    return {L: values[L] for L in orders}

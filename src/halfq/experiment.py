@@ -56,6 +56,7 @@ from .algebra import (
     HybridExpression,
     Symbol,
     System,
+    embed,
     half_quantize,
     heisenberg_series,
     weyl_quantize,
@@ -65,7 +66,7 @@ from .bounds import (
     PredictionBound,
     delta_L_margin,
     leakage_sectors,
-    operator_discrepancy,
+    power_weights,
     prediction_bounds,
     worst_case_errors,
 )
@@ -77,7 +78,6 @@ from .classicality import (
 )
 from .grammar import parse_expression, parse_symbol
 from .hilbert import (
-    CompiledOperator,
     Grid,
     GridError,
     SpectralDecomp,
@@ -253,10 +253,10 @@ class SystemConfig:
             replace(spec, q0=datum.q0, p0=datum.p0)
             for spec, datum in zip(self.classical_state, self.classical_data.data)
         ]
-        return _product_state(specs, self.classical_grids, self.hbar)
+        return _product_state(specs, self.classical_grids, self.hbar, "classical factor")
 
     def quantum_factor(self) -> State:
-        return _product_state(self.quantum_state, self.quantum_grids, self.hbar)
+        return _product_state(self.quantum_state, self.quantum_grids, self.hbar, "quantum factor")
 
     # -- serialization ------------------------------------------------------------
 
@@ -432,9 +432,9 @@ def _observable_symbol(name: str, system: System) -> Symbol:
     return sym
 
 
-def _product_state(specs: Sequence[StateSpec], grids: Sequence[Grid], hbar: float) -> State:
-    """Tensor product of one realized state per DOF, in DOF order."""
-    return reduce(tensor, (spec.realize(g, hbar) for spec, g in zip(specs, grids)))
+def _product_state(specs: Sequence, grids: Sequence[Grid], hbar: float, label: str) -> State:
+    """Tensor product of one realized state per DOF, in DOF order, edge-guarded as ``label``."""
+    return _edge_guard(reduce(tensor, (s.realize(g, hbar) for s, g in zip(specs, grids))), label)
 
 
 def _grid_dict(g: Grid) -> dict:
@@ -597,6 +597,7 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
     """
     sequences = classicality_sequences(sols.values(), cfg.system.classical)
     phi_c = cfg.classical_factor()
+    cfg.quantum_factor()  # refuses a quantum packet the grids miss, as the sweep would
     return {
         L: certify(phi_c, cfg.classical_data, L, sequences, cfg.hbar)
         for L in cfg.levels
@@ -607,9 +608,9 @@ def certificates(cfg: SystemConfig, sols: Mapping) -> dict:
 class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
-    ``operator`` is the compiled sector operator B of the fundamental
-    observable ``observable`` (a Symbol) at time ``t`` and ``decomp`` its
-    spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once, and
+    ``expr`` is the exact sector expression B of the fundamental observable
+    ``observable`` (a Symbol) at time ``t``, classical symbols free, and ``decomp``
+    its spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once, and
     ``masses`` their squared moduli, the spectral measure every row
     reads; its first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
     ``margins`` maps each order L to its margin; ``rows`` holds one
@@ -618,7 +619,7 @@ class SandwichPoint:
 
     observable: Symbol
     t: Fraction
-    operator: CompiledOperator
+    expr: HybridExpression
     decomp: SpectralDecomp
     amplitudes: np.ndarray
     masses: np.ndarray
@@ -655,7 +656,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 for p in cfg.probabilities
                 for mult in cfg.sweep.width_multipliers
             )
-            yield SandwichPoint(sym, t_exact, b, decomp, amplitudes, masses, a0, margins, rows)
+            yield SandwichPoint(sym, t_exact, expr, decomp, amplitudes, masses, a0, margins, rows)
 
 
 # --------------------------------------------------------------------------
@@ -762,8 +763,8 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     shape = tuple(g.npoints for g in grids)
     phi_c = cfg.classical_factor()
     phi_q = cfg.quantum_factor()
-    psi0 = tensor(phi_c, phi_q)
-    _edge_guard(psi0, TOLERANCES["edge_mass"], "initial state")
+    # psi0's edge mass is the sum of its guarded factors'
+    psi0 = _edge_guard(tensor(phi_c, phi_q), "initial state")
     # full-quantum oracle, matrix-free
     note("compiling full-quantum Hamiltonian")
     h_expr = cfg.full_hamiltonian_expr()
@@ -771,17 +772,17 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
     # phi_q, and in a deep run the two leakage sectors of each sandwich row
-    # with I_B > 0, binned against its sweep point's sector operator
+    # with I_B > 0, binned against its point's B and paired with that row
     points = list(sandwich_sweep(cfg, sols, levels))
-    sectors = [
+    leaky = [
         [
-            leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
+            (pb, leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin))
             for pb in point.rows
             if deep and pb.I_B > 0
         ]
         for point in points
     ]
-    factors = np.column_stack([phi_q.amplitudes] + [s for cols in sectors for s in cols])
+    factors = np.column_stack([phi_q.amplitudes] + [s for pairs in leaky for _, s in pairs])
     # an orthonormal basis of their span, r = min(N_q, columns); the
     # factors lie in it exactly, so no rank tolerance enters
     basis = np.linalg.qr(factors)[0]
@@ -803,7 +804,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     )
     for t, w in propagated.items():
         psi_t = State(w @ (coordinates @ phi_q.amplitudes), grids)
-        _edge_guard(psi_t, TOLERANCES["edge_mass"], f"state at t={float(t)}")
+        _edge_guard(psi_t, f"state at t={float(t)}")
 
     # per observable: its DOF's axis (classical DOFs first), the one-DOF
     # spectrum of the t=0 operator A, Q or P on that axis, and the exact
@@ -819,18 +820,19 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             heisenberg_series(h_expr.system.symbol(quantized(axis + 1)), h_expr),
         )
 
-    rows = []
-    leak_rows = []
-    disc_rows = []
+    # A(t) - B over M classical and M + N quantum DOFs, B's quantum DOF a at M + a
+    full = System(cfg.system.classical, len(grids))
+    rows, leak_rows, disc_rows = [], [], []
     ehrenfest = 0.0
-    for point, cols in zip(points, sectors):
+    for point, pairs in zip(points, leaky):
         t = float(point.t)
         name = point.observable.name
         note(f"observable {name}, t={t}")
         axis, a_decomp, series = oracle[point.observable]
-        a_t = compile_expression(series.substitute_constants({"t": point.t}), {}, grids, hbar)
+        a_exact = series.substitute_constants({"t": point.t})
+        a_t = compile_expression(a_exact, {}, grids, hbar)
         # psi_t and the evolved leakage sectors in the Schroedinger picture
-        factors = np.column_stack([phi_q.amplitudes] + cols)
+        factors = np.column_stack([phi_q.amplitudes] + [s for _, s in pairs])
         batch = propagated[point.t] @ (coordinates @ factors)
         # the whole batch measured once in the eigenbasis of the t=0 observable
         masses = spectral_masses(a_decomp, batch, shape, axis)
@@ -839,34 +841,28 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         exact = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes))
         ehrenfest = max(ehrenfest, abs(exact - a_decomp.eigenvalues @ masses[:, 0]))
         if deep:
-            lhs_of = operator_discrepancy(a_t, point.operator, psi0, phi_c.dim, point.margins)
+            diff = embed(a_exact, full, 0) - embed(point.expr, full, full.classical)
+            # B's classical symbols bind to their centres, as in the sweep
+            lhs_of = power_weights(diff, cfg.classical_data.centers(), psi0, hbar, point.margins)
             for L, margin in point.margins.items():
                 lhs, rhs = lhs_of[L], margin.with_second_order
-                ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"]) + 1e-12
-                disc_rows.append(
-                    {
-                        "observable": name,
-                        "t": t,
-                        "L": L,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "verdict": "pass" if ok else "fail",
-                    }
-                )
-        j = 1  # column of the next leakage row's X1 sector; its X2 sector follows
+                ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"])
+                disc_rows.append(dict(
+                    observable=name, t=t, L=L, lhs=lhs, rhs=rhs, verdict="pass" if ok else "fail"
+                ))
         for pb in point.rows:
-            inside = interval_mass(a_decomp.eigenvalues, masses, pb.I0)
-            oracle_p = float(inside[0])
+            oracle_p = float(interval_mass(a_decomp.eigenvalues, masses, pb.I0)[0])
             slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
             ok = pb.lower - slack <= oracle_p <= pb.upper + slack
             rows.append(
                 point.row_dict(pb)
                 | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
             )
-            if not deep or pb.I_B <= 0:
-                continue
-            # X1 is column j's mass in I0, X2 column j + 1's mass outside it
-            for which, mass in (("X1", inside[j]), ("X2", totals[j + 1] - inside[j + 1])):
+        # X1 is a row's first sector's mass in I0, X2 its second's outside it
+        sector_masses = masses[:, 1:].reshape(len(masses), -1, 2).swapaxes(0, 1)
+        for (pb, _), pair, total in zip(pairs, sector_masses, totals[1:].reshape(-1, 2)):
+            inside = interval_mass(a_decomp.eigenvalues, pair, pb.I0)
+            for which, mass in (("X1", inside[0]), ("X2", total[1] - inside[1])):
                 measured = float(mass)
                 ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
                 leak_rows.append(
@@ -876,7 +872,6 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
                         measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
                     )
                 )
-            j += 2
 
     if ehrenfest > TOLERANCES["ehrenfest"]:
         raise GridError(
@@ -885,8 +880,9 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     return rows, leak_rows, disc_rows, ehrenfest
 
 
-def _edge_guard(state: State, tolerance: float, label: str):
-    # the momentum edge of an axis is its unitary-DFT modes n/2 - 1, n/2 and n/2 + 1
+def _edge_guard(state: State, label: str) -> State:
+    """``state``, or GridError naming ``label`` if its mass on the grid boundary or on
+    the momentum edge (each axis's unitary-DFT modes n/2 - 1 to n/2 + 1) is too large."""
     amps = state.amplitudes.reshape(tuple(g.npoints for g in state.grids))
     edges = (range(n // 2 - 1, n // 2 + 2) for n in amps.shape)
     momentum = sum(
@@ -894,11 +890,12 @@ def _edge_guard(state: State, tolerance: float, label: str):
         for a, k in enumerate(edges)
     )
     for edge, mass in (("boundary", state.boundary_mass()), ("momentum-edge", float(momentum))):
-        if mass > tolerance:
+        if mass > TOLERANCES["edge_mass"]:
             raise GridError(
-                f"{label} carries {edge} mass {mass:.3e} > {tolerance:.1e}; "
+                f"{label} carries {edge} mass {mass:.3e} > {TOLERANCES['edge_mass']:.1e}; "
                 "widen or refine the grids, or shorten the sweep"
             )
+    return state
 
 
 def _exact(value: float) -> Fraction:

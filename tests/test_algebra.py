@@ -36,6 +36,7 @@ from halfq import (
 from halfq.algebra import (
     _weyl_terms,
     double_bracket,
+    embed,
     find_jacobiator_witness,
     hybrid_monomials,
 )
@@ -216,6 +217,32 @@ def test_hybrid_bracket_is_the_commutator_without_classical_dofs(a, b):
 def test_system_mismatch_rejected():
     with pytest.raises(SystemMismatchError):
         commutator(S11.q(1), System(2, 1).q(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_sums(System(1, 2)), hybrid_sums(System(1, 2)), st.integers(0, 3))
+def test_embed_shifts_quantum_dofs_in_canonical_order(a, b, offset):
+    # quantum DOF a of a 1+2 system becomes a + offset of a larger system;
+    # classical symbols keep their index, and every word stays canonical
+    target = System(1, 2 + offset)
+    moved = embed(a, target, offset)
+    assert moved.system == target
+    assert moved.classical_symbols() == a.classical_symbols()
+    assert len(moved.terms()) == len(a.terms())
+    for ((h, pr, cl, word), c), ((h0, pr0, cl0, word0), c0) in zip(moved.terms(), a.terms()):
+        assert (h, pr, cl, c) == (h0, pr0, cl0, c0)
+        assert [(s.kind, s.index) for s in word] == [(s.kind, s.index + offset) for s in word0]
+        assert list(word) == sorted(word, key=lambda s: s.word_key)
+    # the shift commutes with the ring operations
+    assert embed(a + b, target, offset) == moved + embed(b, target, offset)
+    assert embed(a * b, target, offset) == moved * embed(b, target, offset)
+    # a target without room for a shifted symbol is refused
+    if any(s.index == 2 for (_, _, _, word), _ in a.terms() for s in word):
+        with pytest.raises(AlgebraError, match="outside system"):
+            embed(a, System(1, 1 + offset), offset)
+    if a.classical_symbols():
+        with pytest.raises(AlgebraError, match="outside system"):
+            embed(a, System(0, 2 + offset), offset)
 
 
 # --------------------------------------------------------------------------

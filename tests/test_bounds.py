@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from halfq import System, heisenberg_series, parse_expression
+from halfq.algebra import embed
 from halfq.bounds import (
     BoundConfig,
     delta_L_margin,
     leakage_constant,
     leakage_sectors,
-    operator_discrepancy,
+    power_weights,
     prediction_bounds,
     spread_Delta_L,
     worst_case_errors,
@@ -371,15 +372,24 @@ def test_leakage_sum_by_hand():
     assert got == {"X1": 0.25, "X2": 0.25}
 
 
+def discrepancy(a_full, b, psi, orders):
+    """{L: |<psi|(A-B)^2L|psi>|^(1/2L)} of the full-quantum expression
+    ``a_full`` and the sector expression ``b``, whose quantum DOF follows
+    the classical one: the weights of the exact difference, compiled once."""
+    full = System(1, a_full.system.quantum)
+    diff = embed(a_full, full, 0) - embed(b, full, 1)
+    return power_weights(diff, DATA.centers(), psi, HBAR, orders)
+
+
 def test_operator_discrepancy_vanishes_without_classical_dependence():
     phi_c = gaussian_state(GC, 0.0, 1.0, 2**-0.5, HBAR)
     phi_q = quantum_packet()
     obs = observable_at("P1", 0.9)
-    a_full = compile_expression(System(0, 2).P(2), {}, (GC, GQ), HBAR)
     margin = delta_L_margin(obs, DATA, phi_q, HBAR, [1])[1]
     psi = tensor(phi_c, phi_q)
-    lhs = operator_discrepancy(a_full, compiled(obs), psi, phi_c.dim, [1])[1]
-    assert lhs < 1e-10
+    # A - B is exactly zero, so the discrepancy is too, with no rounding
+    lhs = discrepancy(System(0, 2).P(2), obs, psi, [1])[1]
+    assert lhs == 0.0
     assert margin.with_second_order == 0.0
 
 
@@ -387,20 +397,19 @@ def test_operator_discrepancy_static_bound():
     phi_c = certified_classical_packet()
     phi_q = quantum_packet()
     obs = parse_expression("q1*P1", S11)
-    a_op = compile_expression(
-        parse_expression("Q1*P2", System(0, 2)), {}, (GC, GQ), HBAR
-    )
+    a_full = parse_expression("Q1*P2", System(0, 2))
     for L in (1, 2):
         rhs = delta_L_margin(obs, DATA, phi_q, HBAR, [L])[L].with_second_order
-        lhs = operator_discrepancy(a_op, compiled(obs), tensor(phi_c, phi_q), phi_c.dim, [L])[L]
+        lhs = discrepancy(a_full, obs, tensor(phi_c, phi_q), [L])[L]
         assert lhs <= rhs * (1 + 1e-6), (L, lhs, rhs)
         assert lhs > 0
 
 
 def test_operator_discrepancy_runs_one_chain_for_all_orders():
-    # the 32x32 example's Q1 at t = 0.8: orders 1..4 from one chain, each
-    # bitwise the value of a chain run to that order alone, and each the
-    # dense |<psi|(A-B)^2L|psi>|^(1/2L)
+    # the 32x32 example's Q1 at t = 0.8: orders 1..4 from one chain of the
+    # compiled difference A(t) - B, each bitwise the value of a chain run to
+    # that order alone, and each the dense reference
+    # |<psi|(A - I (x) B)^2L|psi>|^(1/2L) to 1e-12
     from halfq.experiment import build_example, hybrid_solutions, sandwich_sweep
 
     cfg = build_example(npoints=32, extent=8.0, times=(0.8,))
@@ -409,16 +418,17 @@ def test_operator_discrepancy_runs_one_chain_for_all_orders():
     )
     h = cfg.full_hamiltonian_expr()
     series = heisenberg_series(h.system.Q(2), h).substitute_constants({"t": point.t})
-    a_op = compile_expression(series, {}, cfg.all_grids(), HBAR)
     psi = tensor(cfg.classical_factor(), cfg.quantum_factor())
-    got = operator_discrepancy(a_op, point.operator, psi, 32, range(1, 5))
+    got = discrepancy(series, point.expr, psi, range(1, 5))
     assert list(got) == [1, 2, 3, 4]
-    diff = a_op.dense() - np.kron(np.eye(32), point.operator.dense())
+    a_dense = compile_expression(series, {}, cfg.all_grids(), HBAR).dense()
+    b_dense = compile_expression(point.expr, DATA.centers(), cfg.quantum_grids, HBAR).dense()
+    diff = a_dense - np.kron(np.eye(32), b_dense)
     vec = psi.amplitudes
     for L, value in got.items():
-        assert value == operator_discrepancy(a_op, point.operator, psi, 32, [L])[L]
+        assert value == discrepancy(series, point.expr, psi, [L])[L]
         vec = diff @ vec
-        assert abs(value - np.linalg.norm(vec) ** (1.0 / L)) <= 1e-10 * value, L
+        assert abs(value - np.linalg.norm(vec) ** (1.0 / L)) <= 1e-12 * value, L
         assert value > 0
 
 

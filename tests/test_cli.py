@@ -230,6 +230,24 @@ def test_bounds_exits_one_when_a_certificate_fails(tmp_path, capsys):
     assert json.loads(out)["rows"]
 
 
+def test_unresolved_quantum_packet_is_refused_by_every_command(tmp_path, capsys):
+    # a quantum packet of width 0.15 on 32 points over [-8, 8] holds 7.4e-2
+    # of its mass at the momentum edge; certify and bounds refuse it as
+    # verify does, naming the factor
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    raw["quantum_state"][0]["dq"] = 0.15
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    for command in ("certify", "bounds", "verify"):
+        code, out, err = run_cli(capsys, command, "--config", str(path), "--json")
+        assert code == 1, command
+        assert out == "", command
+        assert err.splitlines() == [
+            "error: quantum factor carries momentum-edge mass 7.408e-02 > 1.0e-06; "
+            "widen or refine the grids, or shorten the sweep"
+        ], command
+
+
 @pytest.mark.parametrize(
     "key, value", [("hamiltonian", None), ("sweep", 5)], ids=["no-hamiltonian", "sweep-number"]
 )

@@ -17,7 +17,7 @@ from halfq.experiment import (
     run_verification,
     sandwich_sweep,
 )
-from halfq.hilbert import Grid, GridError, SpectralDecomp, gaussian_state
+from halfq.hilbert import Grid, GridError, SpectralDecomp, compile_expression, gaussian_state
 
 
 def small_example(**overrides):
@@ -348,6 +348,20 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     assert peak < full * full * 16
 
 
+def test_exact_discrepancy_rows_read_zero_with_no_absolute_allowance():
+    # for P1, A(t) - B is exactly zero (P1 is conserved on both sides), so
+    # its discrepancy rows read 0.0 against a margin of exactly 0; every
+    # verdict is the relative rule alone
+    report = run_verification(small_example(), deep=True)
+    p1 = [r for r in report.discrepancy_rows if r["observable"] == "P1"]
+    assert len(p1) == 8
+    assert all(r["lhs"] == 0.0 and r["rhs"] == 0.0 for r in p1), p1
+    for r in report.discrepancy_rows:
+        within = r["lhs"] <= r["rhs"] * (1 + TOLERANCES["discrepancy_slack"])
+        assert r["verdict"] == ("pass" if within else "fail"), r
+        assert r["verdict"] == "pass", r
+
+
 def test_deep_verification_realizes_each_operator_once(monkeypatch):
     import halfq.experiment
 
@@ -382,10 +396,12 @@ def test_sweep_a0_is_the_expectation_of_B():
     # a0 is the first moment of phi^Q's spectral masses on B's eigenbasis
     cfg = build_example()
     phi = cfg.quantum_factor().amplitudes
+    centers = cfg.classical_data.centers()
     points = list(sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels))
     assert len(points) == 16
     for point in points:
-        want = np.vdot(phi, point.operator.apply(phi)).real
+        b = compile_expression(point.expr, centers, cfg.quantum_grids, cfg.hbar)
+        want = np.vdot(phi, b.apply(phi)).real
         assert abs(point.a0 - want) < 1e-12, (point.observable, point.t)
 
 
@@ -523,12 +539,20 @@ def test_edge_guard_aborts_unconverged_runs():
 
 
 @pytest.mark.parametrize("npoints, extent", [(20, 12.0), (24, 12.0), (32, 16.0)])
-def test_edge_guard_sees_the_momentum_edge(npoints, extent):
+def test_edge_guard_sees_the_momentum_edge(npoints, extent, monkeypatch):
     # these grids put 4.5e-2, 6.5e-3 and 4.2e-3 of psi0's mass in the
     # unitary-DFT modes around the Nyquist mode, yet no position cell at the
-    # boundary; the run must stop at the initial state
+    # boundary; the classical factor carries most of it (3.9e-2, 6.3e-3 and
+    # 4.1e-3), and the run must stop where it is realized, before any
+    # propagation
+    import halfq.experiment
+
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagated past the edge guard")
+
+    monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", propagate)
     cfg = build_example(npoints=npoints, extent=extent, times=(0.0,))
-    with pytest.raises(GridError, match="initial state carries momentum-edge mass"):
+    with pytest.raises(GridError, match="classical factor carries momentum-edge mass"):
         run_verification(cfg, deep=False)
 
 

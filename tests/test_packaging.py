@@ -325,3 +325,58 @@ def test_one_realization_of_h_per_propagation():
     for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert offenders == []
+
+
+def test_no_discrepancy_of_operators_applied_apart():
+    # the discrepancy is the weight of the exact difference A(t) - B; no
+    # function applies A and B apart through a transposed sector product
+    offenders = []
+    for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "operator_discrepancy":
+                    offenders.append(f"{path.name} defines operator_discrepancy")
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(arg.arg == "classical_dim" for arg in args):
+                    offenders.append(f"{path.name}:{node.name} takes classical_dim")
+    assert offenders == []
+
+
+def test_bounds_applies_operators_in_one_weight_function():
+    # every margin weight and every discrepancy is one chain in power_weights
+    appliers = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "apply":
+                appliers.add(function)
+            visit(child, function)
+
+    visit(_tree("bounds.py"), None)
+    assert appliers == {"power_weights"}
+
+
+def test_discrepancy_verdict_has_no_absolute_allowance():
+    # the verdict lhs <= rhs * (1 + slack) adds no number to rhs
+    def mentions_rhs(node):
+        return any(isinstance(n, ast.Name) and n.id == "rhs" for n in ast.walk(node))
+
+    verdicts = [
+        node for node in ast.walk(_tree("experiment.py"))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name) and node.left.id == "lhs"
+    ]
+    assert len(verdicts) == 1
+    literal_sums = [
+        node for node in ast.walk(verdicts[0])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and any(
+            isinstance(side, ast.Constant) and isinstance(side.value, (int, float))
+            and mentions_rhs(other)
+            for side, other in ((node.left, node.right), (node.right, node.left))
+        )
+    ]
+    assert literal_sums == []
