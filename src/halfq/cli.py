@@ -67,7 +67,7 @@ def _emit(args, payload: dict, text: str, table=None) -> None:
     if table is not None and args.csv:
         csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     elif args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(text)
 
@@ -195,7 +195,8 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     progress = None if args.quiet else (lambda msg: print(f"  .. {msg}", file=sys.stderr))
     report = run_verification(cfg, deep=not args.shallow, progress=progress)
-    lines = [f"status: {report.status}", f"ehrenfest gap: {report.ehrenfest:.3e}"]
+    gap = "not measured" if report.ehrenfest is None else f"{report.ehrenfest:.3e}"
+    lines = [f"status: {report.status}", f"ehrenfest gap: {gap}"]
     for level, cert in sorted(report.certificates.items()):
         lines.append(f"certificate L={level}: {cert['verdict']}")
     n_bad = sum(1 for r in report.rows if r["verdict"] != "pass")

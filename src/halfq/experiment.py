@@ -670,7 +670,7 @@ class VerificationReport:
     rows: list
     leakage_rows: list
     discrepancy_rows: list
-    ehrenfest: float
+    ehrenfest: float | None  # None when no order certified and no oracle ran
     environment: dict
     config: dict
     notes: list
@@ -722,7 +722,7 @@ def run_verification(
             cfg, sols, active_levels, deep, progress
         )
     else:
-        rows, leak_rows, disc_rows, ehrenfest = [], [], [], float("nan")
+        rows, leak_rows, disc_rows, ehrenfest = [], [], [], None
     gating = rows + disc_rows + [r for r in leak_rows if r["which"] == "X1"]
     if not active_levels:
         status = "not_applicable"
@@ -768,7 +768,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     # full-quantum oracle, matrix-free
     note("compiling full-quantum Hamiltonian")
     h_expr = cfg.full_hamiltonian_expr()
-    h_op = compile_expression(h_expr, {}, grids, hbar)
+    h_op = compile_expression(h_expr, {}, grids, hbar, fourier_axes(h_expr))
 
     # every state the oracle evolves is phi_c (x) x for a quantum factor x:
     # phi_q, and in a deep run the two leakage sectors of each sandwich row
@@ -790,7 +790,7 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
     t_floats = [float(t) for t in times]
     # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
-    rotated = ", ".join(str(axis + 1) for axis in fourier_axes(h_op))
+    rotated = ", ".join(str(axis + 1) for axis in h_op.fourier)
     note(
         f"propagating r={basis.shape[1]} columns to {len(times)} times in "
         f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "

@@ -12,25 +12,27 @@ hold or take them that way.  The batch kernels (:meth:`SpectralDecomp.amplitudes
 plain arrays, a (dim,) vector or a (dim, k) batch of columns.
 
 Every numeric operator, a single Q or P included, is a hybrid expression
-of :mod:`halfq.algebra` compiled by :func:`compile_expression` into a sum
-of per-DOF factors that acts on states without a full-dimension matrix.
+of :mod:`halfq.algebra` compiled by :func:`compile_expression`, the one
+place where a term becomes numbers, into one array over the grid that
+sums every term diagonal on all axes, plus a sum of per-DOF factors for
+the others; it acts on states without a full-dimension matrix.
 Declared constants and the time are substituted in the exact layer
 before realization; only classical symbols are bound to floats here, at
 their central values.  Each term records its per-DOF (Q power, P power)
 beside its factors, and one function, :func:`_axis_factor`, realizes
-every factor Q^q P^p on a grid, in position or in the unitary-DFT basis.  The one propagator,
+every factor Q^q P^p on a grid, in position or in the unitary-DFT basis.
+Every operator is compiled in position except the oracle's H, which is
+compiled once in its propagation basis: the axes where its pure powers
+of P outnumber its pure powers of Q (:func:`fourier_axes`) are realized
+in the unitary-DFT basis, where P^n is diagonal.  The one propagator,
 :func:`evolve_full_quantum`, is a Chebyshev recurrence on that action
 that carries a batch of columns to several times in one pass; it powers
-the brute-force full-quantum oracle.  It runs in a per-axis basis: the
-axes where pure powers of P outnumber pure powers of Q
-(:func:`fourier_axes`) are taken once to the unitary-DFT basis, where
-P^n is diagonal, and H is realized once in that basis
-(:func:`_chebyshev_operator`), every term diagonal on all axes joined in
-one array over the grid.  Its spectral interval is read off that one
-realization: the array's exact range, so terms diagonal together cancel,
-plus one enclosure per other term.  The recurrence writes each new
-Chebyshev vector over a spent one, so it holds three of them besides the
-results.  A dense matrix is a
+the brute-force full-quantum oracle.  It takes its columns to H's basis
+once and reads its spectral interval off that one realization
+(:func:`_chebyshev_interval`): the diagonal's exact range, so terms
+diagonal together cancel, plus one enclosure per other term.  The
+recurrence writes each new Chebyshev vector over a spent one, so it
+holds three of them besides the results.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose`.  Oracle and bounds alike read every interval
@@ -233,21 +235,26 @@ def tensor(a: State, b: State) -> State:
 
 @dataclass(frozen=True, eq=False)
 class CompiledOperator:
-    """A hybrid expression as a sum of per-DOF tensor products.
+    """A hybrid expression as a diagonal plus a sum of per-DOF tensor products.
 
-    Each term is ``(scalar, factors, powers)``: ``factors`` maps a tensor
-    axis to a small matrix on that DOF's grid, a 1-D array when diagonal,
-    the identity on absent axes; ``powers`` maps the same axes to the
+    ``diagonal`` is one read-only array over the grid, the sum of every
+    term diagonal on all axes.  Each other term is ``(scalar, factors,
+    powers)``: ``factors`` maps a tensor axis to a small matrix on that
+    DOF's grid, a 1-D array when diagonal, the identity on absent axes, and
+    at least one factor is a matrix; ``powers`` maps the same axes to the
     factor's (Q power, P power).  A term is Hermitian by construction when
     its scalar is real and every factor a pure power of Q or of P.  Momentum
-    factors are realized with ``hbar``.  Nothing of the full dimension is
-    stored; only the operator the propagator applies has a scalar that is
-    an array over the grid (:func:`_chebyshev_operator`).
+    factors are realized with ``hbar``.  The axes in ``fourier`` are
+    realized in the basis of :func:`_fourier_basis`, and :meth:`dense` is
+    in that basis too.  Nothing of the full dimension is stored but the
+    diagonal.
     """
 
+    diagonal: np.ndarray
     terms: tuple
     grids: tuple
     hbar: float
+    fourier: tuple
 
     @property
     def shape(self) -> tuple:
@@ -259,43 +266,33 @@ class CompiledOperator:
 
     def apply(self, columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The operator on a (dim,) vector or on each column of a (dim, k)
-        batch: diagonal factors broadcast, dense ones are batched matmuls.
-        The result goes to ``out`` when given, an array of the input's
-        shape that does not overlap it."""
+        batch: the diagonal and diagonal factors broadcast, dense ones are
+        batched matmuls.  The result goes to ``out`` when given, an array
+        of the input's shape that does not overlap it; the input is never
+        written."""
         x = np.asarray(columns, dtype=complex).reshape(self.shape + (-1,))
-        buf = None if out is None else out.reshape(x.shape)
-        acc = np.zeros(x.shape, dtype=complex) if not self.terms else None
+        acc = np.multiply(
+            x, self.diagonal[..., None], out=None if out is None else out.reshape(x.shape)
+        )
         for scalar, factors, _ in self.terms:
-            # the first term builds in ``buf``, later steps of a term work in
-            # place on its own array; the input is never written
-            dst = buf if acc is None else None
             part = x
             for axis, f in factors.items():
                 if f.ndim == 1:
                     diag = f.reshape((-1,) + (1,) * (x.ndim - axis - 1))
-                    part = np.multiply(part, diag, out=dst if part is x else part)
+                    part = np.multiply(part, diag, out=None if part is x else part)
                 else:
                     rows = part.reshape(math.prod(x.shape[:axis]), f.shape[0], -1)
                     part = np.matmul(f, rows).reshape(x.shape)
-            part = np.multiply(part, scalar, out=dst if part is x else part)
-            acc = part if acc is None else np.add(acc, part, out=acc)
-        if buf is None:
-            return acc.reshape(np.shape(columns))
-        if acc is not buf:
-            buf[...] = acc
-        return out
+            part *= scalar
+            acc += part
+        return acc.reshape(np.shape(columns)) if out is None else out
 
     def dense(self) -> np.ndarray:
         """The full matrix, read-only; for sector-size operators only."""
-        dim = self.dim
-        total = np.zeros((dim, dim), dtype=complex)
+        total = np.diag(self.diagonal.ravel())
         for scalar, factors, _ in self.terms:
             blocks = [factors.get(a, np.ones(g.npoints)) for a, g in enumerate(self.grids)]
-            if all(b.ndim == 1 for b in blocks):
-                total.flat[:: dim + 1] += scalar * reduce(np.kron, blocks)
-            else:
-                blocks = [np.diag(b) if b.ndim == 1 else b for b in blocks]
-                total += scalar * reduce(np.kron, blocks)
+            total += scalar * reduce(np.kron, [np.diag(b) if b.ndim == 1 else b for b in blocks])
         total.flags.writeable = False
         return total
 
@@ -305,8 +302,12 @@ def compile_expression(
     classical_values: Mapping[Symbol, float],
     grids: tuple,
     hbar: float,
+    fourier: tuple = (),
 ) -> CompiledOperator:
-    """Realize a hybrid expression as per-DOF factors on the quantum grids.
+    """Realize a hybrid expression as per-DOF factors on the quantum grids,
+    the axes in ``fourier`` in the basis of :func:`_fourier_basis`; every
+    term diagonal on all axes is summed into the one diagonal, in the
+    order of ``expr.terms()``.
 
     Declared constants must already be substituted
     (:meth:`HybridExpression.substitute_constants`); every classical symbol
@@ -321,20 +322,34 @@ def compile_expression(
         raise AlgebraError(f"{len(grids)} grids for {expr.system.quantum} quantum DOFs")
     if not grids:
         raise AlgebraError("a numeric realization needs at least one quantum DOF")
+    hbar = float(hbar)
+    diagonal = np.zeros(tuple(g.npoints for g in grids), dtype=complex)
     terms = []
     for (h, _, classical, word), coeff in expr.terms():
-        scalar = coeff.to_complex() * float(hbar) ** h
+        scalar = coeff.to_complex() * hbar**h
         for sym, e in classical:
             if sym not in values:
                 raise AlgebraError(f"unbound classical symbol {sym.name}")
             scalar *= values[sym] ** e
-        # canonical words group factors per DOF, positions before momenta
-        powers = {d - 1: qp for d, qp in _dof_powers((sym, 1) for sym in word).items()}
+        powers = _word_powers(word)
         factors = {
-            a: _axis_factor(grids[a], float(hbar), q, p, False) for a, (q, p) in powers.items()
+            a: _axis_factor(grids[a], hbar, q, p, a in fourier) for a, (q, p) in powers.items()
         }
-        terms.append((scalar, factors, powers))
-    return CompiledOperator(tuple(terms), grids, float(hbar))
+        if any(f.ndim == 2 for f in factors.values()):
+            terms.append((scalar, factors, powers))
+            continue
+        part = scalar
+        for a, f in factors.items():
+            part = part * f.reshape((-1,) + (1,) * (len(grids) - a - 1))
+        diagonal += part
+    diagonal.flags.writeable = False
+    return CompiledOperator(diagonal, tuple(terms), grids, hbar, tuple(fourier))
+
+
+def _word_powers(word) -> dict:
+    """Tensor axis -> (Q power, P power) of a canonical word, which groups
+    its factors per DOF, positions before momenta."""
+    return {d - 1: qp for d, qp in _dof_powers((sym, 1) for sym in word).items()}
 
 
 # --------------------------------------------------------------------------
@@ -436,46 +451,31 @@ def chebyshev_coefficients(alpha: float) -> np.ndarray:
 def chebyshev_terms(H: CompiledOperator, times: Sequence[float]) -> int:
     """Length of the Chebyshev recurrence :func:`evolve_full_quantum` runs
     under ``H`` for ``times``: the order the largest |t| needs."""
-    lo, hi = _chebyshev_operator(H, fourier_axes(H))[1]
+    lo, hi = _chebyshev_interval(H)
     return max(_chebyshev_order(0.5 * (hi - lo) * abs(t) / H.hbar) for t in times)
 
 
-def fourier_axes(H: CompiledOperator) -> tuple:
-    """The tensor axes :func:`evolve_full_quantum` runs in the basis of
-    :func:`_fourier_basis`: those on which more of H's terms have a pure
-    power of P than a pure power of Q.  Ties stay in position."""
-    votes = [0] * len(H.grids)
-    for _, _, powers in H.terms:
-        for axis, (q, p) in powers.items():
+def fourier_axes(expr: HybridExpression) -> tuple:
+    """The tensor axes to compile ``expr`` on in the basis of
+    :func:`_fourier_basis` for :func:`evolve_full_quantum`: those on which
+    more of its words have a pure power of P than a pure power of Q.  Ties
+    stay in position."""
+    votes = [0] * expr.system.quantum
+    for (_, _, _, word), _ in expr.terms():
+        for axis, (q, p) in _word_powers(word).items():
             votes[axis] += (q == 0) - (p == 0)
     return tuple(axis for axis, vote in enumerate(votes) if vote > 0)
 
 
-def _chebyshev_operator(H: CompiledOperator, axes: tuple) -> tuple:
-    """(op, (lo, hi)): the one realization of H that :func:`evolve_full_quantum`
-    shifts, scales and applies, its factors on ``axes`` in the basis of
-    :func:`_fourier_basis` and every term diagonal on all axes summed into
-    one first term whose scalar is an array over the grid; and an interval
-    enclosing its spectrum, H taken Hermitian.  Per-term enclosures add up
-    (Weyl's inequality): the array's exact range, widened on both sides by
-    its largest imaginary part; the exact range of a Hermitian product of
-    pure powers, from per-factor extremes read off each power's diagonal
-    (in the DFT basis for a power of P); else +-|s| prod ||factor||_2."""
-    diagonal = np.zeros(H.shape, dtype=complex)
-    terms = []
+def _chebyshev_interval(H: CompiledOperator) -> tuple:
+    """(lo, hi) enclosing the spectrum of ``H`` taken Hermitian.  Per-term
+    enclosures add up (Weyl's inequality): the diagonal's exact range, so
+    terms diagonal together cancel, widened on both sides by its largest
+    imaginary part; the exact range of a Hermitian product of pure powers,
+    from per-factor extremes read off each power's diagonal (in the DFT
+    basis for a power of P); else +-|s| prod ||factor||_2."""
     lo = hi = 0.0
-    for scalar, _, powers in H.terms:
-        factors = {
-            a: _axis_factor(H.grids[a], H.hbar, q, p, a in axes)
-            for a, (q, p) in powers.items()
-        }
-        if all(f.ndim == 1 for f in factors.values()):
-            part = scalar
-            for a, f in factors.items():
-                part = part * f.reshape((-1,) + (1,) * (len(H.grids) - a - 1))
-            diagonal += part
-            continue
-        terms.append((scalar, factors, powers))
+    for scalar, factors, powers in H.terms:
         if scalar.imag == 0 and all(0 in qp for qp in powers.values()):
             ends = [scalar.real]
             for a, (q, p) in powers.items():
@@ -488,10 +488,8 @@ def _chebyshev_operator(H: CompiledOperator, axes: tuple) -> tuple:
                 for f in factors.values()
             )
             lo, hi = lo - radius, hi + radius
-    widen = np.abs(diagonal.imag).max()
-    lo, hi = lo + diagonal.real.min() - widen, hi + diagonal.real.max() + widen
-    op = CompiledOperator(((diagonal[..., None], {}, {}),) + tuple(terms), H.grids, H.hbar)
-    return op, (float(lo), float(hi))
+    widen = np.abs(H.diagonal.imag).max()
+    return float(lo + H.diagonal.real.min() - widen), float(hi + H.diagonal.real.max() + widen)
 
 
 def evolve_full_quantum(
@@ -501,18 +499,19 @@ def evolve_full_quantum(
 ) -> list:
     """exp(-iHt/hbar) applied to a (dim,) vector or each of the r columns
     of a (dim, r) batch, at every time in ``times``: one array of the
-    input's shape per time, in order; hbar is the one ``H`` was compiled
-    with.
+    input's shape per time, in order; hbar and the basis are the ones
+    ``H`` was compiled with.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
     1984) over H's spectral interval.  The vectors T_n(H~)v do not depend
     on t, so one recurrence runs to the order max |t| needs
     (:func:`chebyshev_terms`) and every time sums its own coefficients
     a_n(t) in the same loop, truncated where its coefficient tail falls
-    below CHEBYSHEV_TAIL.  The recurrence runs in a per-axis basis: the
-    axes of :func:`fourier_axes` are taken to the unitary-DFT basis once,
-    where a pure power of P is diagonal, and each result is taken back at
-    the end; order and coefficients come from the same realization.
+    below CHEBYSHEV_TAIL.  The recurrence runs in H's own basis: the
+    input is taken once to the unitary-DFT basis on the axes ``H.fourier``
+    (those of :func:`fourier_axes` for the oracle's H), where a pure power
+    of P is diagonal, and each result is taken back at the end; order and
+    coefficients come from that one realization.
     Three buffers, the transformed input first, hold the T_n in turn, each
     new one written over a spent one, so memory is one r x dim result per
     time plus those buffers and one temporary per term of ``apply``.
@@ -521,9 +520,8 @@ def evolve_full_quantum(
     columns changes its squared norm by more than 1e-9.
     """
     v = np.asarray(vectors, dtype=complex)
-    hbar = H.hbar
-    axes = fourier_axes(H)
-    op, (lo, hi) = _chebyshev_operator(H, axes)
+    hbar, axes = H.hbar, H.fourier
+    lo, hi = _chebyshev_interval(H)
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in times]
     grid_shape = H.shape + (-1,)
@@ -535,9 +533,8 @@ def evolve_full_quantum(
     if order > 1:
         # T_{n+1} = op T_n - T_{n-1} with op = 2 (H - center) / radius
         scale = 2.0 / radius
-        (diagonal, _, _), *rest = op.terms
-        terms = [(scale * (diagonal - center), {}, {})] + [(scale * s, f, qp) for s, f, qp in rest]
-        op = CompiledOperator(tuple(terms), H.grids, hbar)
+        terms = tuple((scale * s, f, qp) for s, f, qp in H.terms)
+        op = CompiledOperator(scale * (H.diagonal - center), terms, H.grids, hbar, axes)
         prev, cur = u, op.apply(u)
         cur *= 0.5
         spare = None

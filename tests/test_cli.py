@@ -400,5 +400,27 @@ def test_verify_json_not_applicable(tmp_path, capsys):
         capsys, "verify", "--config", str(path), "--quiet", "--json"
     )
     assert code == 1
-    blob = json.loads(out)
+    # strict JSON (RFC 8259): no NaN or Infinity, so no oracle means null
+    blob = json.loads(out, parse_constant=_refuse_non_finite)
     assert blob["status"] == "not_applicable"
+    assert blob["ehrenfest"] is None
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path), "--quiet")
+    assert code == 1
+    assert "ehrenfest gap: not measured" in out
+
+
+def _refuse_non_finite(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_writer_refuses_non_finite_numbers(capsys):
+    # the one writer of every command's JSON prints no NaN or Infinity
+    from argparse import Namespace
+
+    from halfq.cli import _emit
+
+    args = Namespace(json=True, csv=False, out=None)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _emit(args, {"x": value}, "text")
+    assert capsys.readouterr().out == ""

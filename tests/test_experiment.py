@@ -262,6 +262,20 @@ def test_decoupled_system_margins_vanish():
             assert abs(row["oracle_P"] - row["lower"]) < tol
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="node-counting measure: degenerate Q1 rows miss by up to 2.1e-2 at t = 0.8",
+)
+def test_decoupled_system_passes_every_row_at_later_times():
+    # k = 0 is two free particles and B for Q1 is the oracle's own
+    # Q1 + t*P1, yet the 32x32 grid's degenerate Q1 rows at t = 0.8 miss
+    # degenerate_slack: the grid measure counts whole nodes at the interval
+    # ends.  This passes once the measure resolves the endpoints
+    cfg = small_example(coupling=0.0, times=(0.8,))
+    report = run_verification(cfg, deep=False)
+    assert [r for r in report.rows if r["verdict"] != "pass"] == []
+
+
 def test_heavy_classical_mass_shrinks_momentum_margin():
     from fractions import Fraction
 

@@ -6,8 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from halfq import AlgebraError, Symbol, System, heisenberg_series, parse_expression, weyl_quantize
+from halfq import (
+    AlgebraError,
+    CNum,
+    Symbol,
+    System,
+    heisenberg_series,
+    parse_expression,
+    weyl_quantize,
+)
 from halfq.hilbert import (
     Grid,
     GridError,
@@ -399,15 +409,15 @@ def test_compiled_apply_matches_dense_on_column_batches():
     before = batch.copy()
     assert np.max(np.abs(op.apply(batch) - dense @ batch)) <= 1e-14 * scale
     assert np.max(np.abs(op.apply(batch[:, 2]) - dense @ batch[:, 2])) <= 1e-14 * scale
-    # the first term's array accumulates; the input is never written
+    # the input is never written
     assert np.array_equal(batch, before)
     frozen = State(batch[:, 3], grids).amplitudes
     assert not frozen.flags.writeable
     assert np.max(np.abs(op.apply(frozen) - dense @ batch[:, 3])) <= 1e-14 * scale
     zero = compile_expression(s.zero(), {}, grids, 0.7)
     assert np.array_equal(zero.apply(batch), np.zeros_like(batch))
-    # into a caller's buffer: the first term is a constant, a diagonal
-    # factor followed by a matmul, a matmul first, or absent
+    # into a caller's buffer: a term with a diagonal factor followed by a
+    # matmul, a matmul first, or none beside the diagonal
     single = compile_expression(parse_expression("Q2*P3^2", s), {}, grids, 0.7)
     dense_first = compile_expression(parse_expression("Q1*P1*Q3 + 2*Q2", s), {}, grids, 0.7)
     assert dense_first.terms[0][1][0].ndim == 2
@@ -471,8 +481,9 @@ def test_fourier_axes_follow_the_pure_powers():
     g = Grid(16, -4.0, 4.0)
     s = System(0, 1)
     for text, axes in (("P1^2/2", (0,)), ("Q1^2", ()), ("P1^2 + Q1", ())):
-        op = compile_expression(parse_expression(text, s), {}, (g,), HBAR)
-        assert fourier_axes(op) == axes, text
+        expr = parse_expression(text, s)
+        assert fourier_axes(expr) == axes, text
+        assert compile_expression(expr, {}, (g,), HBAR, axes).fourier == axes
 
 
 def test_mixed_basis_propagation_matches_dense_eigh():
@@ -482,8 +493,8 @@ def test_mixed_basis_propagation_matches_dense_eigh():
     g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
     s = System(0, 2)
     expr = parse_expression("P1^2/2 + Q1^2/2 + P2^2/2 + Q1*P2/5 + Q2^4/40 + 3/2", s)
-    h_op = compile_expression(expr, {}, (g1, g2), HBAR)
-    assert fourier_axes(h_op) == (1,)
+    assert fourier_axes(expr) == (1,)
+    h_op = compile_expression(expr, {}, (g1, g2), HBAR, fourier_axes(expr))
     p1, p2 = momentum_operator(g1, HBAR).dense(), momentum_operator(g2, HBAR).dense()
     q1, q2 = np.diag(g1.points()), np.diag(g2.points())
     i1, i2 = np.eye(16), np.eye(20)
@@ -503,29 +514,69 @@ def test_mixed_basis_propagation_matches_dense_eigh():
         assert np.max(np.abs(evolved - want)) <= 1e-12, t
 
 
-def test_chebyshev_operator_in_mixed_basis_matches_dense():
-    """The one realization of H the recurrence shifts and scales, with axis
-    2 in the unitary-DFT basis, on every kind of term: mixed Q2*P2 and
-    Q2^2*P2^3 factors rebuilt in that basis, a mixed factor on the
-    position axis, complex scalars and a constant.  On a grid such a
-    Hamiltonian is not Hermitian, so no propagation can check these
-    terms; the operator is compared with the position-basis matrix."""
-    from halfq.hilbert import _chebyshev_operator
+S02 = System(0, 2)
+MIXED_GRIDS = (Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0))
+SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
-    g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
-    s = System(0, 2)
-    expr = parse_expression(
-        "P1^2/2 + Q1*P1 + P2^2/2 + Q1*P2/5 + (2+i)*Q2*P2 + i*Q2^2*P2^3 + 3/2 - i/4", s
+
+@st.composite
+def quantum_sums(draw):
+    """Sums of System(0, 2) words up to degree 3 with Gaussian-rational
+    coefficients: constants, pure powers and mixed same-axis words."""
+    letters = [S02.Q(1), S02.P(1), S02.Q(2), S02.P(2)]
+    expr = S02.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        term = S02.scalar(CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)))
+        for factor in draw(st.lists(st.sampled_from(letters), max_size=3)):
+            term = term * factor
+        expr = expr + term
+    return expr
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantum_sums())
+@example(
+    parse_expression(
+        "P1^2/2 + Q1*P1 + P2^2/2 + Q1*P2/5 + (2+i)*Q2*P2 + i*Q2^2*P2^3 + 3/2 - i/4", S02
     )
-    h_op = compile_expression(expr, {}, (g1, g2), 0.7)
-    assert fourier_axes(h_op) == (1,)
-    op, _ = _chebyshev_operator(h_op, (1,))
+)
+def test_compiled_operator_in_every_basis_matches_position_dense(expr):
+    """One realization in every per-axis basis: the operator compiled with
+    any ``fourier`` subset, conjugated back by the per-axis DFT, is the
+    position-basis matrix.  On a grid a mixed word is not Hermitian, so no
+    propagation can check these terms; the matrices are compared."""
+    want_dense = compile_expression(expr, {}, MIXED_GRIDS, 0.7).dense()
     rng = np.random.default_rng(5)
-    cols = rng.normal(size=(320, 4)) + 1j * rng.normal(size=(320, 4))
-    want = h_op.dense() @ cols
-    got = op.apply(np.fft.fft(cols.reshape(16, 20, 4), axis=1, norm="ortho"))
-    got = np.fft.ifft(got, axis=1, norm="ortho").reshape(320, 4)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    cols = rng.normal(size=(320, 3)) + 1j * rng.normal(size=(320, 3))
+    want = want_dense @ cols
+    tol = 1e-12 * np.max(np.abs(want))
+    for fourier in ((), (0,), (1,), (0, 1)):
+        op = compile_expression(expr, {}, MIXED_GRIDS, 0.7, fourier)
+        assert op.fourier == fourier
+        assert not op.diagonal.flags.writeable
+        # every term diagonal on all axes is in the diagonal; no scalar is an array
+        for scalar, factors, _ in op.terms:
+            assert type(scalar) is complex
+            assert any(f.ndim == 2 for f in factors.values())
+        u = cols.reshape(16, 20, 3)
+        if fourier:
+            u = np.fft.fftn(u, axes=fourier, norm="ortho")
+        u = u.reshape(320, 3)
+        before = u.copy()
+        got = op.apply(u).reshape(16, 20, 3)
+        if fourier:
+            got = np.fft.ifftn(got, axes=fourier, norm="ortho")
+        assert np.max(np.abs(got.reshape(320, 3) - want)) <= tol, fourier
+        # apply agrees with dense() in the operator's own basis, into a
+        # caller's buffer and on one vector, and never writes its input
+        dense = op.dense()
+        scale = 1e-12 * np.max(np.abs(dense @ u))
+        buf = np.empty_like(u)
+        assert op.apply(u, out=buf) is buf
+        assert np.max(np.abs(buf - dense @ u)) <= scale
+        assert np.array_equal(buf, op.apply(u))
+        assert np.max(np.abs(op.apply(u[:, 1]) - dense @ u[:, 1])) <= scale
+        assert np.array_equal(u, before)
 
 
 @pytest.mark.parametrize(
@@ -539,11 +590,14 @@ def test_chebyshev_operator_in_mixed_basis_matches_dense():
     ],
 )
 def test_chebyshev_interval_encloses_the_spectrum(text, quantum, npoints):
-    from halfq.hilbert import _chebyshev_operator
+    # H compiled in its propagation basis, whose dense() has H's spectrum
+    from halfq.hilbert import _chebyshev_interval
 
     grids = tuple(Grid(n, -5.0, 5.0) for n in npoints)
-    h_op = compile_expression(parse_expression(text, System(0, quantum)), {}, grids, HBAR)
-    _, (lo, hi) = _chebyshev_operator(h_op, fourier_axes(h_op))
+    expr = parse_expression(text, System(0, quantum))
+    h_op = compile_expression(expr, {}, grids, HBAR, fourier_axes(expr))
+    assert h_op.fourier
+    lo, hi = _chebyshev_interval(h_op)
     w = np.linalg.eigvalsh(h_op.dense())
     assert lo <= w[0] and w[-1] <= hi, (lo, w[0], w[-1], hi)
 
@@ -555,7 +609,8 @@ def test_chebyshev_terms_of_the_example():
     from halfq.hilbert import chebyshev_terms
 
     for cfg, terms in ((build_example(npoints=48, extent=12.0), 65), (build_example(), 68)):
-        h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, cfg.all_grids(), HBAR)
+        h_expr = cfg.full_hamiltonian_expr()
+        h_op = compile_expression(h_expr, {}, cfg.all_grids(), HBAR, fourier_axes(h_expr))
         assert chebyshev_terms(h_op, cfg.sweep.times) == terms
 
 
@@ -566,7 +621,8 @@ def test_propagation_memory_is_its_results_and_four_arrays():
     from halfq.experiment import build_example
 
     cfg = build_example(npoints=48, extent=12.0)
-    h_op = compile_expression(cfg.full_hamiltonian_expr(), {}, cfg.all_grids(), HBAR)
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), HBAR, fourier_axes(h_expr))
     rng = np.random.default_rng(2)
     cols = np.linalg.qr(rng.normal(size=(2304, 48)) + 1j * rng.normal(size=(2304, 48)))[0]
     times = (0.0, 0.4, 0.8, 1.2)

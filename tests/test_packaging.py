@@ -258,7 +258,7 @@ def test_grids_travel_in_dof_order():
                 offenders.append(f"{path.name}:{node.lineno} keys shifted up")
     assert offenders == []
     params = list(inspect.signature(compile_expression).parameters)
-    assert params == ["expr", "classical_values", "grids", "hbar"]
+    assert params == ["expr", "classical_values", "grids", "hbar", "fourier"]
 
 
 def test_batch_kernels_take_arrays():
@@ -300,16 +300,17 @@ def test_hybrid_solutions_are_keyed_by_symbol():
 
 
 def test_one_realization_of_h_per_propagation():
-    # H becomes numbers for the propagator in hilbert._chebyshev_operator,
-    # which also reads its spectral interval; no second realization bounds
-    # the spectrum, and every factor comes from compile_expression or there
+    # H becomes numbers once, in compile_expression, in its propagation
+    # basis; hilbert._chebyshev_interval reads the spectral interval off
+    # that operator and pure-power extremes off _axis_factor.  No second
+    # realization bounds the spectrum or rebuilds H for the propagator
     offenders = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
-                if child.name == "spectral_interval":
-                    offenders.append(f"{path.name} defines spectral_interval")
+                if child.name in ("spectral_interval", "_chebyshev_operator"):
+                    offenders.append(f"{path.name} defines {child.name}")
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Attribute) and child.attr == "spectral_interval":
@@ -317,7 +318,7 @@ def test_one_realization_of_h_per_propagation():
             elif (
                 isinstance(child, ast.Call)
                 and getattr(child.func, "id", None) == "_axis_factor"
-                and function not in ("compile_expression", "_chebyshev_operator", "_axis_factor")
+                and function not in ("compile_expression", "_chebyshev_interval", "_axis_factor")
             ):
                 offenders.append(f"{path.name}:{child.lineno} _axis_factor in {function}")
             visit(child, function)
@@ -325,6 +326,22 @@ def test_one_realization_of_h_per_propagation():
     for path in sorted((ROOT / "src" / "halfq").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert offenders == []
+
+
+def test_fourier_axes_take_an_expression():
+    # the propagation basis is voted on the exact words, before H is compiled
+    (arg,) = _function(_tree("hilbert.py"), "fourier_axes").args.args
+    assert getattr(arg.annotation, "id", None) == "HybridExpression"
+
+
+def test_compiled_operator_layout():
+    # one diagonal array, then the terms with a dense factor, and the basis
+    import dataclasses
+
+    from halfq.hilbert import CompiledOperator
+
+    fields = [f.name for f in dataclasses.fields(CompiledOperator)]
+    assert fields == ["diagonal", "terms", "grids", "hbar", "fourier"]
 
 
 def test_no_discrepancy_of_operators_applied_apart():
