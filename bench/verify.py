@@ -1,0 +1,122 @@
+"""End-to-end cost of ``halfq verify``: wall time and peak memory per run.
+
+    python3 bench/verify.py
+
+halfq is imported from ``src/`` of this checkout; nothing is installed.
+Every sample is a fresh process, one at a time, with
+``OPENBLAS_NUM_THREADS`` = min(2, cores).  The runs:
+
+- ``example-64-deep`` and ``example-64-shallow``: the shipped example
+  (64x64 grids, 4,096 dimensions), deep and shallow;
+- ``2p1-32x32x64-deep``: the Hamiltonian of the ``predict-2p1`` benchmark
+  workload at seed 0 on 32x32 classical and 64 quantum points, extent 8
+  (65,536 dimensions), deep.
+
+Each run is sampled SAMPLES times and records the median ``wall_s``
+(``run_verification`` in its process, after imports and config loading),
+``process_s`` (the process from start to exit) and ``peak_rss_mb`` (the
+process's ``ru_maxrss``), every sample's ``wall_s``, the status, the full
+dimension, r (the propagated columns) and the Chebyshev terms; the last
+two are read from the verification's progress note.  The result goes to
+``BENCH_verify.json`` at the root of the checkout, with the core count and
+the BLAS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = ("example-64-deep", "example-64-shallow", "2p1-32x32x64-deep")
+SAMPLES = 3
+NOTE = re.compile(r"propagating r=(\d+) columns to \d+ times in (\d+) Chebyshev terms")
+
+
+def _config(name: str):
+    from halfq.experiment import SystemConfig, build_example
+
+    if name.startswith("example-64"):
+        return build_example()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    # the smoke size of predict-2p1 is 32x32 classical x 64 quantum, extent 8
+    return SystemConfig.from_json_dict(workloads.predict_2p1_config(0, smoke=True))
+
+
+def _sample(name: str) -> dict:
+    """One run of ``name`` in this process."""
+    from halfq.experiment import run_verification
+
+    cfg = _config(name)
+    notes = []
+    start = time.perf_counter()
+    report = run_verification(cfg, deep=name.endswith("-deep"), progress=notes.append)
+    wall = time.perf_counter() - start
+    found = [m.groups() for m in map(NOTE.search, notes) if m]
+    r, terms = map(int, found[0]) if found else (None, None)
+    return {
+        "status": report.status,
+        "wall_s": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "full_dimension": report.environment["full_dimension"],
+        "r": r,
+        "chebyshev_terms": terms,
+    }
+
+
+def _blas() -> str:
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sample", choices=RUNS, help="run once in this process, print JSON")
+    args = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "src"))
+    if args.sample:
+        print(json.dumps(_sample(args.sample)))
+        return 0
+    cores = len(os.sched_getaffinity(0))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(min(2, cores)))
+    runs = {}
+    for name in RUNS:
+        samples = []
+        for _ in range(SAMPLES):
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, __file__, "--sample", name],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            sample = json.loads(done.stdout.splitlines()[-1])
+            samples.append(sample | {"process_s": time.perf_counter() - start})
+        record = samples[0] | {
+            key: statistics.median(s[key] for s in samples)
+            for key in ("wall_s", "process_s", "peak_rss_mb")
+        }
+        record["wall_s_samples"] = [s["wall_s"] for s in samples]
+        runs[name] = record
+        print(f"{name}: {record['status']}, {record['wall_s']:.2f} s, "
+              f"{record['peak_rss_mb']:.0f} MB", file=sys.stderr)
+    doc = {
+        "machine": {"cores": cores, "blas": _blas(), "blas_threads": min(2, cores)},
+        "runs": runs,
+    }
+    (ROOT / "BENCH_verify.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

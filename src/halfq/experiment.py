@@ -23,7 +23,7 @@ way, substituted exactly (:func:`_substitutions`, :func:`_exact`) before
 anything is compiled, so B, H and A(t) read the same values.  The
 oracle shares the half-quantum path's
 tools: an observable's one-DOF :class:`SpectralDecomp` measures states
-with that DOF's axis moved first, and :func:`heisenberg_series` gives
+by contracting that DOF's axis in place, and :func:`heisenberg_series` gives
 the Heisenberg observables (with no classical DOFs the hybrid bracket is
 the commutator).  Both sides read every interval probability off one
 spectral measure (:func:`spectral_masses`, :func:`interval_mass`): a
@@ -634,14 +634,21 @@ class SandwichPoint:
 
 def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
     """Yield the :class:`SandwichPoint` of every sweep observable and time,
-    observables outer, at each distinct order in ``levels``."""
+    observables outer, at each distinct order in ``levels``.  A point whose
+    B equals the previous point's (a conserved observable) is that point
+    under its own observable and t."""
     phi_q = cfg.quantum_factor()
     centers = cfg.classical_data.centers()
     subs = _substitutions(cfg)
+    point = None
     for sym in cfg.sweep.observables:
         for t in cfg.sweep.times:
             t_exact = _exact(t)
             expr = sols[sym].substitute_constants(subs | {"t": t_exact})
+            if point is not None and expr == point.expr:
+                point = replace(point, observable=sym, t=t_exact)
+                yield point
+                continue
             b = compile_expression(expr, centers, cfg.quantum_grids, cfg.hbar)
             decomp = spectral_decompose(b.dense())
             amplitudes = decomp.amplitudes(phi_q.amplitudes)
@@ -656,7 +663,8 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 for p in cfg.probabilities
                 for mult in cfg.sweep.width_multipliers
             )
-            yield SandwichPoint(sym, t_exact, expr, decomp, amplitudes, masses, a0, margins, rows)
+            point = SandwichPoint(sym, t_exact, expr, decomp, amplitudes, masses, a0, margins, rows)
+            yield point
 
 
 # --------------------------------------------------------------------------
@@ -789,13 +797,14 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
     coordinates = basis.conj().T
     times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
     t_floats = [float(t) for t in times]
-    # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
-    rotated = ", ".join(str(axis + 1) for axis in h_op.fourier)
-    note(
-        f"propagating r={basis.shape[1]} columns to {len(times)} times in "
-        f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "
-        + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
-    )
+    if progress is not None:
+        # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
+        rotated = ", ".join(str(axis + 1) for axis in h_op.fourier)
+        progress(
+            f"propagating r={basis.shape[1]} columns to {len(times)} times in "
+            f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "
+            + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
+        )
     # one recurrence for all times: exp(-iHt/hbar)(phi_c (x) x) = W_t basis^H x
     propagated = dict(
         zip(times, evolve_full_quantum(

@@ -204,6 +204,25 @@ def test_verify_fails_when_leakage_exceeds_its_bound(tmp_path, capsys, monkeypat
     )
 
 
+def test_quiet_verify_reads_the_spectral_interval_once(tmp_path, capsys, monkeypatch):
+    # the propagator reads H's interval; the progress note that counts
+    # Chebyshev terms reads it again, so it is built only when shown
+    import halfq.hilbert
+
+    original = halfq.hilbert._chebyshev_interval
+    calls = []
+
+    def interval(H):
+        calls.append(H.dim)
+        return original(H)
+
+    monkeypatch.setattr(halfq.hilbert, "_chebyshev_interval", interval)
+    path = write_small_config(tmp_path)
+    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--quiet")
+    assert code == 0 and err == ""
+    assert calls == [32 * 32]
+
+
 def test_verify_ehrenfest_guard_is_one_error_line(tmp_path, capsys, monkeypatch):
     from halfq.experiment import TOLERANCES
 

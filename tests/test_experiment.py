@@ -390,20 +390,21 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
     project = SpectralDecomp.amplitudes
     projections = []
 
-    def amplitudes(self, psi):
+    def amplitudes(self, psi, *axis):
         projections.append(self.dim)
-        return project(self, psi)
+        return project(self, psi, *axis)
 
     monkeypatch.setattr(SpectralDecomp, "amplitudes", amplitudes)
     report = run_verification(small_example(), deep=True)
     assert report.discrepancy_rows
-    # one dense B per (observable, t), 4 observables x 4 times, shared by
-    # the sandwich, leakage and discrepancy rows of every order; and one
-    # one-DOF spectrum per oracle observable
-    assert dims == [32] * (16 + 4)
-    # one projection of phi^Q on each B's eigenbasis, and one of each
-    # point's evolved batch on its observable's eigenbasis
-    assert projections == [32] * (16 + 16)
+    # one dense B per distinct (observable, t), shared by the sandwich,
+    # leakage and discrepancy rows of every order: 4 observables x 4 times
+    # less the 3 repeats of the conserved P1, whose B is the same at every
+    # t; and one one-DOF spectrum per oracle observable
+    assert dims == [32] * (13 + 4)
+    # one projection of phi^Q on each distinct B's eigenbasis, and one of
+    # each point's evolved batch on its observable's eigenbasis
+    assert projections == [32] * (13 + 16)
 
 
 def test_sweep_a0_is_the_expectation_of_B():
@@ -443,8 +444,9 @@ def test_sweep_margins_take_each_derivative_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     points = list(sandwich_sweep(cfg, sols, (1, 2)))
-    # 16 points; 33 compiles are 17 derivatives and each point's own B
-    assert calls == {"partial_derivative": 66, "compile_expression": 33}
+    # 16 points, 13 distinct: P1's B repeats at every t and its point is
+    # reused; 30 compiles are 17 derivatives and each distinct point's B
+    assert calls == {"partial_derivative": 60, "compile_expression": 30}
     monkeypatch.undo()
     for L in (1, 2):
         alone = sandwich_sweep(cfg, sols, (L,))

@@ -614,10 +614,57 @@ def test_chebyshev_terms_of_the_example():
         assert chebyshev_terms(h_op, cfg.sweep.times) == terms
 
 
-def test_propagation_memory_is_its_results_and_four_arrays():
-    """The oracle-deep shape: 2,304 dimensions, 48 columns, 4 times.  Past
-    the results, the input's transform, three recurrence buffers and one
-    apply temporary; the caller's input was allocated before tracing."""
+@pytest.mark.parametrize("fourier", [False, True])
+def test_chunked_propagation_evolves_each_column_alone(fourier):
+    # batches narrower than, as wide as and wider than one chunk, and a
+    # ragged last chunk, in position and in the mixed basis
+    from halfq.hilbert import CHUNK_COLUMNS
+
+    expr = parse_expression("P2^2/2 + P1^2/2 + Q1*P2/10 + Q1^2/8", System(0, 2))
+    grids = (Grid(16, -5.0, 5.0), Grid(12, -4.0, 4.0))
+    h_op = compile_expression(expr, {}, grids, HBAR, fourier_axes(expr) if fourier else ())
+    assert bool(h_op.fourier) == fourier
+    rng = np.random.default_rng(5)
+    times = (0.3, 0.0, 0.7)
+    c = CHUNK_COLUMNS
+    for width in (1, c - 1, c, c + 1, 3 * c + 2):
+        cols = rng.normal(size=(192, width)) + 1j * rng.normal(size=(192, width))
+        batch = evolve_full_quantum(h_op, cols, times)
+        assert [w.shape for w in batch] == [cols.shape] * len(times)
+        for j in range(width):
+            alone = evolve_full_quantum(h_op, cols[:, j], times)
+            for w, a in zip(batch, alone):
+                assert np.max(np.abs(w[:, j] - a)) <= 1e-14, (width, j)
+
+
+def test_time_zero_is_the_input_and_allocates_nothing():
+    expr = parse_expression("P1^2/2 + Q1^2/2", System(0, 1))
+    h_op = compile_expression(expr, {}, (Grid(64, -8.0, 8.0),), HBAR, fourier_axes(expr))
+    rng = np.random.default_rng(4)
+    cols = rng.normal(size=(64, 24)) + 1j * rng.normal(size=(64, 24))
+    before = cols.copy()
+    zero, later = evolve_full_quantum(h_op, cols, (0.0, 0.5))
+    assert np.array_equal(zero, before) and np.shares_memory(zero, cols)
+    assert not zero.flags.writeable and not np.shares_memory(later, cols)
+    with pytest.raises(ValueError):
+        zero[0, 0] = 0.0
+    evolve_full_quantum(h_op, cols, (0.0,))  # warm-up
+    tracemalloc.start()
+    try:
+        (alone,) = evolve_full_quantum(h_op, cols, (0.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(alone, before)
+    # less than one column: no result, no recurrence, no transform
+    assert peak < cols[:, 0].nbytes
+
+
+def test_propagation_memory_is_its_nonzero_results_and_chunk_buffers():
+    """The oracle-deep shape: 2,304 dimensions, 48 columns, 4 times, one of
+    them 0.  Past one result per nonzero time, the chunk buffers and the
+    Gram check take at most one and a half arrays; time 0 takes none.  The
+    caller's input was allocated before tracing."""
     from halfq.experiment import build_example
 
     cfg = build_example(npoints=48, extent=12.0)
@@ -633,7 +680,7 @@ def test_propagation_memory_is_its_results_and_four_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (len(times) + 4.1) * cols.nbytes
+    assert peak <= (len([t for t in times if t]) + 1.5) * cols.nbytes
 
 
 def test_boundary_mass_detects_edge_weight():
