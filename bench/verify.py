@@ -7,10 +7,14 @@ Every sample is a fresh process, one at a time, with
 ``OPENBLAS_NUM_THREADS`` = min(2, cores).  The runs:
 
 - ``example-64-deep`` and ``example-64-shallow``: the shipped example
-  (64x64 grids, 4,096 dimensions), deep and shallow;
+  (64x64 grids, extent 16, 4,096 dimensions), deep and shallow;
+- ``example-32-deep`` and ``example-32-shallow``: the example on 32x32
+  grids, extent 8 (the same spacing, 1,024 dimensions);
 - ``2p1-32x32x64-deep``: the Hamiltonian of the ``predict-2p1`` benchmark
   workload at seed 0 on 32x32 classical and 64 quantum points, extent 8
-  (65,536 dimensions), deep.
+  (65,536 dimensions), deep;
+- ``2p1-64x64x64-deep``: the same Hamiltonian on 64 points per DOF,
+  extent 16 (262,144 dimensions), deep.
 
 Each run is sampled SAMPLES times and records the median ``wall_s``
 (``run_verification`` in its process, after imports and config loading),
@@ -36,7 +40,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = ("example-64-deep", "example-64-shallow", "2p1-32x32x64-deep")
+RUNS = (
+    "example-64-deep",
+    "example-64-shallow",
+    "example-32-deep",
+    "example-32-shallow",
+    "2p1-32x32x64-deep",
+    "2p1-64x64x64-deep",
+)
 SAMPLES = 3
 NOTE = re.compile(r"propagating r=(\d+) columns to \d+ times in (\d+) Chebyshev terms")
 
@@ -44,13 +55,20 @@ NOTE = re.compile(r"propagating r=(\d+) columns to \d+ times in (\d+) Chebyshev 
 def _config(name: str):
     from halfq.experiment import SystemConfig, build_example
 
-    if name.startswith("example-64"):
-        return build_example()
+    if name.startswith("example-"):
+        npoints = int(name.split("-")[1])
+        return build_example(npoints=npoints, extent=npoints / 4)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    # the smoke size of predict-2p1 is 32x32 classical x 64 quantum, extent 8
-    return SystemConfig.from_json_dict(workloads.predict_2p1_config(0, smoke=True))
+    if name == "2p1-32x32x64-deep":
+        # the smoke size of predict-2p1 is 32x32 classical x 64 quantum, extent 8
+        return SystemConfig.from_json_dict(workloads.predict_2p1_config(0, smoke=True))
+    # its full size has 64-point classical grids at extent 16; the quantum
+    # DOF takes the same grid
+    raw = workloads.predict_2p1_config(0)
+    raw["quantum_grids"] = raw["classical_grids"][:1]
+    return SystemConfig.from_json_dict(raw)
 
 
 def _sample(name: str) -> dict:

@@ -30,10 +30,13 @@ spectral measure (:func:`spectral_masses`, :func:`interval_mass`): a
 sweep point projects phi^Q on its sector operator's eigenbasis once.  A
 sandwich row's xi-state leakage sum is the mass of one projection
 P_S phi^Q (:func:`leakage_sectors`).  Every evolved state is
-phi^C (x) x for a quantum factor x (phi^Q or a leakage sector), so a run
-evolves phi^C tensored with an orthonormal basis of the factors' span in
-one propagation to every sweep time and reads each state off that basis;
-each sweep point's states are measured in one batch.  The Ehrenfest gap
+phi^C (x) x for a quantum factor x (phi^Q or a leakage sector).  H is
+block diagonal over its :func:`block_axes`, so a run evolves phi^C
+tensored with an orthonormal basis of the factors' span over the other
+quantum axes, all-ones in H's basis on the quantum block axes (one column
+in every shipped Hamiltonian), in one propagation to every sweep time; it
+reads each state off that basis block by block and measures each sweep
+point's states in one batch.  The Ehrenfest gap
 between the exact Heisenberg observables and the propagated states
 checks the oracle in every run.
 """
@@ -82,6 +85,7 @@ from .hilbert import (
     GridError,
     SpectralDecomp,
     State,
+    block_axes,
     chebyshev_terms,
     compile_expression,
     evolve_full_quantum,
@@ -790,10 +794,32 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         ]
         for point in points
     ]
+    # H is block diagonal over its block axes; on the quantum ones (C) a
+    # column all-ones in H's basis carries every block, so the blocked
+    # layout puts them first, in H's basis, then the other axes in order
+    m = cfg.system.classical
+    blocks = [a for a in block_axes(h_op) if a >= m]
+    dft = [a for a in blocks if a in h_op.fourier]
+    order = blocks + [a for a in range(len(shape)) if a not in blocks]
+    layout, n_blocks = tuple(shape[a] for a in order), math.prod(shape[a] for a in blocks)
+    quantum = (1,) * m + shape[m:]  # a quantum factor on the full grid's axes
+
+    def blocked(x, grid=shape):
+        """A (dim, k) batch on ``grid`` in the blocked layout, (N_C, rest, k)."""
+        x = np.fft.fftn(x.reshape(grid + (-1,)), axes=dft, norm="ortho")
+        return np.moveaxis(x, blocks, range(len(blocks))).reshape(n_blocks, -1, x.shape[-1])
+
+    def unblocked(x, grid=shape):
+        """The (dim, k) batch on ``grid``, in position, of a blocked one."""
+        x = x.reshape(tuple(grid[a] for a in order) + (-1,))
+        x = np.moveaxis(x, range(len(blocks)), blocks)
+        return np.fft.ifftn(x, axes=dft, norm="ortho").reshape(-1, x.shape[-1])
+
     factors = np.column_stack([phi_q.amplitudes] + [s for pairs in leaky for _, s in pairs])
-    # an orthonormal basis of their span, r = min(N_q, columns); the
-    # factors lie in it exactly, so no rank tolerance enters
-    basis = np.linalg.qr(factors)[0]
+    # an orthonormal basis of their span over the other quantum axes (A) at
+    # every block index, r = min(N_A, N_C columns); the factors lie in it
+    # exactly, so no rank tolerance enters
+    basis = np.linalg.qr(np.hstack(blocked(factors, quantum)))[0]
     coordinates = basis.conj().T
     times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
     t_floats = [float(t) for t in times]
@@ -805,26 +831,28 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
             f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "
             + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
         )
-    # one recurrence for all times: exp(-iHt/hbar)(phi_c (x) x) = W_t basis^H x
-    propagated = dict(
-        zip(times, evolve_full_quantum(
-            h_op, np.kron(phi_c.amplitudes[:, None], basis), t_floats
-        ))
-    )
+    # one recurrence for all times: at each block index c,
+    # exp(-iHt/hbar)(phi_c (x) x) = W_t[c] basis^H x[c] in the blocked layout
+    columns = unblocked(np.broadcast_to(basis, (n_blocks,) + basis.shape), quantum)
+    evolved = evolve_full_quantum(h_op, np.kron(phi_c.amplitudes[:, None], columns), t_floats)
+    propagated = {t: blocked(w) for t, w in zip(times, evolved)}
+    psi_coordinates = coordinates @ blocked(phi_q.amplitudes, quantum)
     for t, w in propagated.items():
-        psi_t = State(w @ (coordinates @ phi_q.amplitudes), grids)
+        psi_t = State(unblocked(np.matmul(w, psi_coordinates)).ravel(), grids)
         _edge_guard(psi_t, f"state at t={float(t)}")
 
-    # per observable: its DOF's axis (classical DOFs first), the one-DOF
-    # spectrum of the t=0 operator A, Q or P on that axis, and the exact
-    # Heisenberg-picture series A(t) of the oracle, whose one free constant is t
+    # per observable: the place of its DOF's axis (classical DOFs first) in
+    # the blocked layout, the one-DOF spectrum of the t=0 operator A, Q or P
+    # on that axis in the layout's basis, and the exact Heisenberg-picture
+    # series A(t) of the oracle, whose one free constant is t
     oracle = {}
     for sym in cfg.sweep.observables:
-        axis = sym.index - 1 + (0 if sym.is_classical else cfg.system.classical)
+        axis = sym.index - 1 + (0 if sym.is_classical else m)
         quantized = Symbol.P if sym.is_momentum else Symbol.Q
-        base_op = compile_expression(System(0, 1).symbol(quantized(1)), {}, (grids[axis],), hbar)
+        one = System(0, 1).symbol(quantized(1))
+        base_op = compile_expression(one, {}, (grids[axis],), hbar, (0,) if axis in dft else ())
         oracle[sym] = (
-            axis,
+            order.index(axis),
             spectral_decompose(base_op.dense()),
             heisenberg_series(h_expr.system.symbol(quantized(axis + 1)), h_expr),
         )
@@ -837,14 +865,14 @@ def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, 
         t = float(point.t)
         name = point.observable.name
         note(f"observable {name}, t={t}")
-        axis, a_decomp, series = oracle[point.observable]
+        place, a_decomp, series = oracle[point.observable]
         a_exact = series.substitute_constants({"t": point.t})
         a_t = compile_expression(a_exact, {}, grids, hbar)
         # psi_t and the evolved leakage sectors in the Schroedinger picture
         factors = np.column_stack([phi_q.amplitudes] + [s for _, s in pairs])
-        batch = propagated[point.t] @ (coordinates @ factors)
+        batch = np.matmul(propagated[point.t], coordinates @ blocked(factors, quantum))
         # the whole batch measured once in the eigenbasis of the t=0 observable
-        masses = spectral_masses(a_decomp, batch, shape, axis)
+        masses = spectral_masses(a_decomp, batch.reshape(-1, len(factors.T)), layout, place)
         totals = masses.sum(axis=0)
         # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
         exact = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes))

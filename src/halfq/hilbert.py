@@ -27,14 +27,14 @@ of P outnumber its pure powers of Q (:func:`fourier_axes`) are realized
 in the unitary-DFT basis, where P^n is diagonal.  The one propagator,
 :func:`evolve_full_quantum`, is a Chebyshev recurrence on that action
 that carries a batch of columns to several times in one pass; it powers
-the brute-force full-quantum oracle.  It takes its columns to H's basis
-once and reads its spectral interval off that one realization
-(:func:`_chebyshev_interval`): the diagonal's exact range, so terms
-diagonal together cancel, plus one enclosure per other term.  The
-recurrence advances the columns in chunks of :data:`CHUNK_COLUMNS` and
-writes each new Chebyshev vector over a spent one, so besides one result
-per nonzero time it holds three chunk-sized vectors and one chunk-sized
-sum per time; time 0 is the input itself.  A dense matrix is a
+the brute-force full-quantum oracle.  It reads its spectral interval off
+H's one realization (:func:`_chebyshev_interval`: the diagonal's exact
+range plus one enclosure per other term) and advances the columns in
+chunks of :data:`CHUNK_COLUMNS`, three chunk vectors and one sum per time
+besides one result per nonzero time; time 0 is the input itself.  H is
+block diagonal over its :func:`block_axes`, so one column all-ones there
+in H's basis carries every block, and the unitarity guard checks each
+block's Gram matrix.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose`.  Oracle and bounds alike read every interval
@@ -473,6 +473,14 @@ def fourier_axes(expr: HybridExpression) -> tuple:
     return tuple(axis for axis, vote in enumerate(votes) if vote > 0)
 
 
+def block_axes(H: CompiledOperator) -> tuple:
+    """The axes where no term of ``H`` has a matrix factor, so H is diagonal
+    along them in its own basis, commutes with the projector on each of
+    their indices, and exp(-iHt/hbar) is block diagonal over those."""
+    mixing = {a for _, factors, _ in H.terms for a, f in factors.items() if f.ndim == 2}
+    return tuple(a for a in range(len(H.grids)) if a not in mixing)
+
+
 def _chebyshev_interval(H: CompiledOperator) -> tuple:
     """(lo, hi) enclosing the spectrum of ``H`` taken Hermitian.  Per-term
     enclosures add up (Weyl's inequality): the diagonal's exact range, so
@@ -523,9 +531,11 @@ def evolve_full_quantum(
     written over a spent one, so memory is one r x dim result per nonzero
     time plus, per chunk, those buffers, one accumulator per time and one
     temporary per term of ``apply``.
-    Raises GridError when the columns' Gram matrix drifts by more than
-    1e-9 in spectral norm at any time, so that no unit combination of the
-    columns changes its squared norm by more than 1e-9.
+    Raises GridError when the columns' Gram matrix within any block of
+    H's :func:`block_axes` (the whole Gram without them) drifts by more
+    than 1e-9 in spectral norm at any time, so that no unit combination of
+    the columns at one block index changes its squared norm by more than
+    1e-9; blocks are checked a group of indices at a time, uncopied.
     """
     v = np.asarray(vectors, dtype=complex)
     # exp(-iH 0) = I: time 0 is the input itself, read-only
@@ -544,7 +554,6 @@ def evolve_full_quantum(
     op = CompiledOperator(scale * (H.diagonal - center), terms, H.grids, hbar, axes)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in moving]
     order = max((a.size for a in coeffs), default=0)
-    gram = _gram(cols)
     outs = [np.empty_like(cols) for _ in moving]
     grid_shape = H.shape + (-1,)
     for start in range(0, cols.shape[1], CHUNK_COLUMNS):
@@ -572,11 +581,34 @@ def evolve_full_quantum(
             acc *= np.exp(-1j * center * t / hbar)
             out[:, chunk] = acc.reshape(len(cols), -1)
         del u, accs
-    for out, t in zip(outs, moving):
-        if np.linalg.norm(_gram(out) - gram, 2) > 1e-9:
-            raise GridError(f"evolution lost unitarity beyond 1e-9 at t={t}")
+    blocks = block_axes(H)
+    n = H.shape[blocks[0]] if blocks else 1
+    step = max(1, n * CHUNK_COLUMNS // cols.shape[1])
+    for group in (slice(start, start + step) for start in range(0, n, step)):
+        before = _block_grams(H, blocks, cols, group)
+        for out, t in zip(outs, moving):
+            drift = _block_grams(H, blocks, out, group) - before
+            if np.linalg.norm(drift, 2, axis=(1, 2)).max() > 1e-9:
+                raise GridError(f"evolution lost unitarity beyond 1e-9 at t={t}")
     moved = iter(out.reshape(v.shape) for out in outs)
     return [same if t == 0 else next(moved) for t in times]
+
+
+def _block_grams(H: CompiledOperator, blocks: tuple, cols: np.ndarray, group: slice):
+    """(b, r, r): the Gram matrix of the r columns of a (dim, r) batch in
+    each block of ``H``'s axes ``blocks``, in H's basis, whose index on the
+    first lies in ``group`` (the whole Gram when ``blocks`` is empty); only
+    those rows of the first block axis are taken to H's basis."""
+    if not blocks:
+        return _gram(cols)[None]
+    first, shape, r = blocks[0], H.shape, cols.shape[1]
+    rows = _fourier_basis(H.grids[first])[0] if first in H.fourier else np.eye(shape[first])
+    x = np.matmul(rows[group], cols.reshape(math.prod(shape[:first]), shape[first], -1))
+    x = x.reshape(shape[:first] + (-1,) + shape[first + 1 :] + (r,))
+    x = np.fft.fftn(x, axes=[a for a in blocks[1:] if a in H.fourier], norm="ortho")
+    x = np.moveaxis(x, blocks, range(len(blocks)))
+    x = x.reshape(math.prod(x.shape[: len(blocks)]), -1, r)
+    return np.matmul(x.conj().swapaxes(1, 2), x)
 
 
 def _gram(columns: np.ndarray) -> np.ndarray:

@@ -472,9 +472,9 @@ def test_verification_propagates_once(monkeypatch):
         assert len(calls) == 1
         (dim, columns), = calls
         assert dim == 32 * 32
-        # the span of phi_q and every xi state's quantum factor: at most
-        # the quantum grid's 32 points deep, phi_q alone shallow
-        assert columns <= 32 if deep else columns == 1
+        # the quantum axis is a block axis of H, so one column all-ones in
+        # its DFT basis carries phi_q and every xi state's quantum factor
+        assert columns == 1
         # one progress note gives the propagation's size
         (note,) = [n for n in notes if n.startswith("propagating")]
         assert note.startswith(f"propagating r={columns} columns to 4 times in ")
@@ -483,12 +483,12 @@ def test_verification_propagates_once(monkeypatch):
         assert note.endswith(" Chebyshev terms; Fourier basis on axes 2")
 
 
-def test_shallow_verification_with_two_classical_dofs():
-    """The paper's M+N setting beyond 1+1: two classical DOFs coupled to
-    one quantum DOF through its momentum, a 65,536-dimensional oracle."""
+def two_plus_one():
+    """Two classical DOFs coupled to one quantum DOF through its momentum,
+    on 32x32x64 grids: a 65,536-dimensional oracle."""
     classical = {"npoints": 32, "xmin": -8.0, "xmax": 8.0}
     packet = {"kind": "gaussian", "dq": 2.0**-0.5}
-    raw = {
+    return {
         "version": 1,
         "system": {"classical": 2, "quantum": 1},
         "hbar": 1.0,
@@ -509,7 +509,111 @@ def test_shallow_verification_with_two_classical_dofs():
             "observables": ["q1", "p1", "q2", "p2", "Q1", "P1"],
         },
     }
-    report = run_verification(SystemConfig.from_json_dict(raw), deep=False)
+
+
+def _evolved_factor_columns(cfg, monkeypatch, limit=None):
+    """Run a deep verification of ``cfg`` and return the width of each
+    propagation it made and, per sweep point, its time, its measured
+    batch (phi_q and the point's leakage sectors, evolved) taken back to
+    position, and the same factors evolved directly as phi_c (x) x; with
+    ``limit``, only that many columns of the first ``limit`` points."""
+    import halfq.experiment as ex
+    from halfq.hilbert import block_axes, fourier_axes
+
+    evolve, sectors, masses = ex.evolve_full_quantum, ex.leakage_sectors, ex.spectral_masses
+    widths, pairs, batches = [], [], []
+    monkeypatch.setattr(
+        ex, "evolve_full_quantum", lambda h, v, t: widths.append(v.shape[1]) or evolve(h, v, t)
+    )
+    monkeypatch.setattr(ex, "leakage_sectors", lambda *a: pairs.append(sectors(*a)) or pairs[-1])
+    monkeypatch.setattr(
+        ex, "spectral_masses", lambda d, x, *a: batches.append((x, a[0])) or masses(d, x, *a)
+    )
+    report = run_verification(cfg, deep=True)
+    assert report.status == "pass" and report.leakage_rows
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), cfg.hbar, fourier_axes(h_expr))
+    m, shape = cfg.system.classical, tuple(g.npoints for g in cfg.all_grids())
+    # the quantum axis is a block axis, first in the measured layout, in
+    # its DFT basis; the classical axes follow
+    assert m in block_axes(h_op) and h_op.fourier == (m,)
+    phi_c, phi_q = cfg.classical_factor().amplitudes, cfg.quantum_factor().amplitudes
+    times = cfg.sweep.times
+    out, used = [], 0
+    for i, (x, layout) in enumerate(batches):
+        assert layout == (shape[m],) + shape[:m]
+        factors = np.column_stack([phi_q] + pairs[used : used + (x.shape[1] - 1) // 2])
+        used += (x.shape[1] - 1) // 2
+        if limit is not None and i >= limit:
+            continue
+        x = np.moveaxis(x.reshape(layout + (-1,))[..., :limit], 0, m)
+        got = np.fft.ifft(x, axis=m, norm="ortho").reshape(len(phi_c) * len(phi_q), -1)
+        t = times[i % len(times)]
+        (want,) = evolve(h_op, np.kron(phi_c[:, None], factors[:, :limit]), (t,))
+        out.append((t, got, want))
+    assert used == len(pairs)
+    return widths, out
+
+
+@pytest.mark.parametrize("which", ["example-48", "2p1-32x32x64"])
+def test_block_columns_evolve_every_factor_as_a_direct_propagation(which, monkeypatch):
+    # one propagated column, all-ones in the quantum axis's DFT basis,
+    # carries every block; each measured column (phi_q and every leakage
+    # sector of every point, evolved) equals that factor's own propagation;
+    # the 2+1 config checks four columns of each of its first four points
+    if which == "example-48":
+        cfg, limit = build_example(npoints=48, extent=12.0), None
+    else:
+        cfg, limit = SystemConfig.from_json_dict(two_plus_one()), 4
+    widths, evolved = _evolved_factor_columns(cfg, monkeypatch, limit)
+    assert widths == [1]
+    assert len(evolved) == (16 if limit is None else limit)
+    for t, got, want in evolved:
+        assert np.max(np.abs(got - want)) <= 1e-13, t
+
+
+# oracle_P of six rows of the 32x32 example plus c*q2 (c = 0.05), as the
+# QR-basis propagation read them before the block columns; with no block
+# axis the oracle is that propagation
+MIXING_ORACLE_P = {
+    ("Q1", 0.4, 1, 0.9, 1.25): 0.19465572822870897,
+    ("Q1", 0.8, 1, 0.9, 1.25): 0.6496150411548244,
+    ("Q1", 1.2, 1, 0.9, 1.25): 0.8037135896757236,
+    ("P1", 0.4, 1, 0.9, 1.25): 0.9843996262610472,
+    ("P1", 0.8, 1, 0.9, 1.25): 0.9842972394553666,
+    ("P1", 1.2, 1, 0.9, 1.25): 0.9840204196793695,
+}
+
+
+def test_mixing_quantum_axis_keeps_a_basis_of_the_quantum_grid():
+    # c*Q2 is dense on the quantum axis in its DFT basis, so that axis is no
+    # block axis: the oracle propagates an orthonormal basis of the factors'
+    # span, r = min(N_q, rank) = 32 columns, and reads every state off it
+    from halfq.hilbert import block_axes, fourier_axes
+
+    raw = small_example().to_json_dict()
+    raw["hamiltonian"] += " + c*q2"
+    raw["constants"]["c"] = 0.05
+    cfg = SystemConfig.from_json_dict(raw)
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), cfg.hbar, fourier_axes(h_expr))
+    assert block_axes(h_op) == () and h_op.fourier == (1,)
+    notes = []
+    report = run_verification(cfg, deep=True, progress=notes.append)
+    assert report.status == "pass"
+    (note,) = [n for n in notes if n.startswith("propagating")]
+    assert note.startswith("propagating r=32 columns to 4 times")
+    oracle = {
+        (r["observable"], r["t"], r["L"], r["p"], r["width_multiplier"]): r["oracle_P"]
+        for r in report.rows
+    }
+    for key, want in MIXING_ORACLE_P.items():
+        assert abs(oracle[key] - want) <= 1e-14, key
+
+
+def test_shallow_verification_with_two_classical_dofs():
+    """The paper's M+N setting beyond 1+1 (:func:`two_plus_one`)."""
+    report = run_verification(SystemConfig.from_json_dict(two_plus_one()), deep=False)
     assert report.environment["full_dimension"] == 65536
     assert report.status == "pass"
     # 6 observables x 4 times x 2 orders x 2 probabilities x 3 widths
@@ -616,10 +720,10 @@ def test_file_state_round_trips_through_json(tmp_path):
 
 def test_sector_decomp_matches_dense_spectral_path():
     # the oracle measures psi_t and the evolved leakage sectors of a sweep
-    # point in one batch with a one-DOF spectrum, the DOF's axis moved
-    # first; the mass of every column inside and outside an interval (the
-    # oracle probability, X1 and X2) must agree with a dense Kronecker
-    # decomposition on both axes
+    # point in one batch with a one-DOF spectrum, contracting the DOF's
+    # axis in place; the mass of every column inside and outside an
+    # interval (the oracle probability, X1 and X2) must agree with a dense
+    # Kronecker decomposition on both axes
     from halfq.bounds import leakage_sectors
     from halfq.hilbert import (
         interval_mask,

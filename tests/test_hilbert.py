@@ -334,6 +334,34 @@ def test_evolution_refuses_lost_unitarity_at_any_time():
         evolve_full_quantum(h, psi.amplitudes, (0.0, 0.3))
 
 
+def test_unitarity_guard_checks_every_block_of_a_block_axis():
+    # a planted diagonal +-i*gamma*sign(k) on the example's quantum axis, a
+    # block axis of H in its DFT basis, commutes with H: it scales each
+    # block's weight by exp(2*gamma*t*sign(k)), moving the blocks at first
+    # order in gamma*t = 1e-5 while a packet even in k keeps its total norm
+    # to second order, within the whole-batch Gram check's 1e-9
+    from dataclasses import replace
+
+    from halfq.experiment import build_example
+    from halfq.hilbert import block_axes
+
+    cfg = build_example(npoints=48, extent=12.0)
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), HBAR, fourier_axes(h_expr))
+    assert block_axes(h_op) == (1,) and h_op.fourier == (1,)
+    gamma, t = 2.5e-5, 0.4
+    sign = np.sign(np.fft.fftfreq(48))
+    planted = replace(h_op, diagonal=h_op.diagonal + 1j * gamma * sign)
+    phi_q = gaussian_state(cfg.quantum_grids[0], 0.0, 0.0, 1.0, HBAR).amplitudes
+    weights = np.abs(np.fft.fft(phi_q, norm="ortho")) ** 2
+    moved = weights * np.expm1(2 * gamma * t * sign)
+    assert np.max(np.abs(moved)) > 1e-6 and abs(moved.sum()) < 1e-9
+    psi = np.kron(cfg.classical_factor().amplitudes, phi_q)
+    evolve_full_quantum(h_op, psi, (t,))
+    with pytest.raises(GridError, match="evolution lost unitarity beyond 1e-9 at t=0.4"):
+        evolve_full_quantum(planted, psi, (t,))
+
+
 def test_free_packet_dispersion():
     g = Grid(128, -24.0, 24.0)
     dq, m, t = 1.0, 1.0, 1.0
