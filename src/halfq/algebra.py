@@ -24,10 +24,12 @@ per key; the :class:`HybridExpression` constructor enforces the second by
 dropping zero coefficients through ``_nonzero``.  The normal-ordering
 table calls the same helper when it stores a result; no builder prunes.
 
-Two module-level tables memoize the exact kernel: ``_NORMAL_CACHE`` maps a
-quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` maps a
-pair of unit monomials to their hybrid bracket.  Both are keyed by symbols
-alone and grow with the distinct words and monomial pairs a process meets.
+Two module-level tables memoize the exact kernel, keyed by interned symbols
+alone: ``_NORMAL_CACHE`` maps a quantum word to its normal-ordered expansion,
+and ``_BRACKET_CACHE`` a pair of unit monomials to their hybrid bracket in the
+closed form (c1*W1, c2*W2) = c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 +
+W2*W1) of :func:`hybrid_bracket`, tested against the definition
+(:func:`commutator`, :func:`double_bracket`, :func:`mul_ihbar`).
 Weyl quantization and unquantization read one closed-form single-DOF table,
 ``_weyl_terms``: the Weyl <-> normal-order correspondence
 exp(-+(i*hbar/2) d_q d_p), whose cost is polynomial in the degree.
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cache
+from functools import cache, total_ordering
 from itertools import product
 from typing import Mapping, Union
 import warnings
@@ -232,48 +234,65 @@ _KIND_LETTER = {
 }
 
 
-@dataclass(frozen=True, order=True)
+# (kind, index) -> the one Symbol with that identity
+_SYMBOLS: dict = {}
+
+
+@total_ordering
 class Symbol:
-    """A canonical variable: classical q_i/p_i or quantum operator Q_a/P_a."""
+    """A canonical variable: classical q_i/p_i or quantum operator Q_a/P_a.
 
-    kind: Kind
-    index: int
+    Interned per (kind, index): equality and hashing are identity, done in C,
+    and order is by (kind, index).  ``word_key`` orders canonical words by
+    degree of freedom, position factors before momentum factors.
+    """
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise AlgebraError(f"symbol index must be positive, got {self.index}")
+    __slots__ = ("kind", "index", "is_classical", "is_momentum", "word_key", "_order")
 
-    @property
-    def is_classical(self) -> bool:
-        return self.kind in (Kind.CLASSICAL_POS, Kind.CLASSICAL_MOM)
+    def __new__(cls, kind: Kind, index: int) -> "Symbol":
+        sym = _SYMBOLS.get((kind, index))
+        if sym is None:
+            if index < 1:
+                raise AlgebraError(f"symbol index must be positive, got {index}")
+            sym, kind = object.__new__(cls), Kind(kind)
+            momentum = kind in (Kind.CLASSICAL_MOM, Kind.QUANTUM_MOM)
+            classical = kind in (Kind.CLASSICAL_POS, Kind.CLASSICAL_MOM)
+            values = (kind, index, classical, momentum, (index, momentum), (kind, index))
+            for name, value in zip(cls.__slots__, values):
+                object.__setattr__(sym, name, value)
+            sym = _SYMBOLS.setdefault((kind, index), sym)
+        return sym
 
-    @property
-    def is_momentum(self) -> bool:
-        return self.kind in (Kind.CLASSICAL_MOM, Kind.QUANTUM_MOM)
+    def __setattr__(self, name, value):
+        raise AttributeError("Symbol is immutable")
+
+    def __reduce__(self):
+        return Symbol, (self.kind, self.index)
+
+    def __lt__(self, other: "Symbol") -> bool:
+        return self._order < other._order if isinstance(other, Symbol) else NotImplemented
 
     @property
     def name(self) -> str:
         return f"{_KIND_LETTER[self.kind]}{self.index}"
 
-    # order used for canonical words: group by degree of freedom,
-    # position factors before momentum factors
-    @property
-    def word_key(self) -> tuple:
-        return (self.index, self.is_momentum)
-
     @staticmethod
+    @cache
     def q(i: int) -> "Symbol":
         return Symbol(Kind.CLASSICAL_POS, i)
 
     @staticmethod
+    @cache
     def p(i: int) -> "Symbol":
         return Symbol(Kind.CLASSICAL_MOM, i)
 
     @staticmethod
+    @cache
     def Q(a: int) -> "Symbol":
         return Symbol(Kind.QUANTUM_POS, a)
 
     @staticmethod
+    @cache
     def P(a: int) -> "Symbol":
         return Symbol(Kind.QUANTUM_MOM, a)
 
@@ -477,7 +496,7 @@ class HybridExpression:
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same(self, other: "HybridExpression"):
-        if self.system != other.system:
+        if self.system is not other.system and self.system != other.system:
             raise SystemMismatchError(
                 f"systems differ: {self.system} vs {other.system}"
             )
@@ -691,14 +710,27 @@ def div_ihbar(expr: HybridExpression) -> HybridExpression:
 _BRACKET_CACHE: dict = {}
 
 
-def _monomial_bracket(system: System, cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
+def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
+    """The hybrid bracket of the unit monomials c1*W1 and c2*W2, in the
+    closed form of :func:`hybrid_bracket`."""
     key = (cl1, w1, cl2, w2)
     cached = _BRACKET_CACHE.get(key)
     if cached is None:
-        a = HybridExpression(system, {(0, (), cl1, w1): _ONE})
-        b = HybridExpression(system, {(0, (), cl2, w2): _ONE})
-        full = commutator(a, b) + mul_ihbar(double_bracket(a, b))
-        cached = tuple((h, cl, w, c) for (h, _, cl, w), c in full._terms.items())
+        cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
+        # (hbar, classical, coefficient, word) before normal ordering
+        parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
+        e1, e2 = dict(cl1), dict(cl2)
+        for i in {s.index for s in (*e1, *e2)}:
+            q, p = Symbol.q(i), Symbol.p(i)
+            if n := e1.get(q, 0) * e2.get(p, 0) - e2.get(q, 0) * e1.get(p, 0):
+                cl, c = _merge_pows(cl12, ((q, -1), (p, -1))), CNum(0, Fraction(n, 2))
+                parts += [(1, cl, c, w12), (1, cl, c, w21)]
+        out: dict = {}
+        for h, cl, c, joined in parts:
+            for word, cm in _normal_words(joined).items():
+                k = (h + (len(joined) - len(word)) // 2, cl, word)
+                out[k] = out.get(k, _ZERO) + c * cm
+        cached = tuple((h, cl, w, c) for (h, cl, w), c in _nonzero(out).items())
         _BRACKET_CACHE[key] = cached
     return cached
 
@@ -707,13 +739,18 @@ def hybrid_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression
     """(a, b) = [a, b] + i*hbar*{{a, b}} - the generator of half-quantum dynamics.
 
     Computed as the bilinear sum over term pairs of memoized unit-monomial
-    brackets.
+    brackets in closed form.  Classical factors are central, so for a = c1*W1,
+    b = c2*W2 (classical monomials c, quantum words W) {a, b} = {c1, c2}*W1*W2
+    and {b, a} = -{c1, c2}*W2*W1, and with N normal ordering (hbar grade up by
+    (len - len')/2) and a_i, a'_i (b_i, b'_i) the powers of q_i, p_i in c1 (c2):
+        (a, b) = c1*c2*N(W1*W2 - W2*W1) + (i*hbar/2)*{c1, c2}*N(W1*W2 + W2*W1),
+        {c1, c2} = sum_i (a_i*b'_i - b_i*a'_i) * c1*c2/(q_i*p_i).
     """
     a._require_same(b)
     out: dict = {}
     for (h1, pr1, cl1, w1), c1 in a._terms.items():
         for (h2, pr2, cl2, w2), c2 in b._terms.items():
-            unit = _monomial_bracket(a.system, cl1, w1, cl2, w2)
+            unit = _monomial_bracket(cl1, w1, cl2, w2)
             if not unit:
                 continue
             base = c1 * c2

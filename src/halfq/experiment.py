@@ -936,9 +936,11 @@ def _edge_guard(state: State, label: str) -> State:
 
 
 def _exact(value: float) -> Fraction:
-    """Nearest small rational: times and constants re-enter the exact
-    coefficient ring before substitution."""
-    return Fraction(value).limit_denominator(10**12)
+    """Times and constants re-enter the exact coefficient ring as the nearest
+    rational of denominator <= 10^12 when it is the same float (0.4 -> 2/5) or
+    0 (below 5e-13), else as the float's exact value: no nonzero value moves."""
+    near = Fraction(value).limit_denominator(10**12)
+    return near if not near or float(near) == value else Fraction(value)
 
 
 def _substitutions(cfg: SystemConfig) -> dict:

@@ -157,7 +157,7 @@ class _Parser:
     def atom(self) -> HybridExpression:
         kind, value, where = self.advance()
         if kind == "number":
-            return self.system.scalar(Fraction(value))
+            return self.system.scalar(Fraction(value) if "." in value else int(value))
         if kind == "ident":
             return self._identifier(value, where)
         if kind == "op" and value == "(":

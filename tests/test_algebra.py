@@ -1,10 +1,12 @@
 """Symbolic engine: brackets, quantization maps, series, exact identities."""
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from halfq import (
     weyl_quantize,
 )
 from halfq.algebra import (
+    Kind,
     _weyl_terms,
     double_bracket,
     embed,
@@ -163,6 +166,24 @@ def hybrid_sums(draw, system=S21):
 @given(hybrid_sums(), hybrid_sums())
 def test_hybrid_bracket_matches_its_definition(a, b):
     assert hybrid_bracket(a, b) == commutator(a, b) + mul_ihbar(double_bracket(a, b))
+
+
+def test_closed_form_unit_bracket_matches_its_definition(monkeypatch):
+    # every ordered pair of unit monomials of degree <= 3 in q1, p1, q2, p2,
+    # Q1, P1, each bracket built afresh by the closed form
+    import halfq.algebra as algebra
+
+    monkeypatch.setattr(algebra, "_BRACKET_CACHE", {})
+    letters = (S21.q(1), S21.p(1), S21.q(2), S21.p(2), S21.Q(1), S21.P(1))
+    monos = [
+        math.prod((x**e for x, e in zip(letters, exps)), start=S21.one())
+        for exps in product(range(4), repeat=6)
+        if 1 <= sum(exps) <= 3
+    ]
+    assert len(monos) == 83
+    for a in monos:
+        for b in monos:
+            assert hybrid_bracket(a, b) == commutator(a, b) + mul_ihbar(double_bracket(a, b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,6 +650,28 @@ def test_non_terminating_series_raises_with_iterates():
     assert err.value.iterates[:4] == [p1, -q1, -p1, q1]
 
 
+def test_symbol_identity_is_kind_and_index():
+    q1 = Symbol.q(1)
+    assert Symbol(Kind.CLASSICAL_POS, 1) == q1 and Symbol(0, 1) is q1
+    assert hash(Symbol(Kind.CLASSICAL_POS, 1)) == hash(q1)
+    assert q1 != Symbol.p(1) and q1 != Symbol.q(2) and q1 != Symbol.Q(1)
+    assert q1 != (Kind.CLASSICAL_POS, 1) and (0, 1) != q1
+    assert {q1: 1}.get((Kind.CLASSICAL_POS, 1)) is None
+    syms = [Symbol.P(2), Symbol.q(2), Symbol.Q(1), Symbol.p(1), Symbol.q(1)]
+    assert sorted(syms) == [Symbol.q(1), Symbol.q(2), Symbol.p(1), Symbol.Q(1), Symbol.P(2)]
+    assert Symbol.q(2) > q1 and q1 <= q1 and Symbol.p(1) >= Symbol.q(9)
+    for bad in (0, -1):
+        with pytest.raises(AlgebraError):
+            Symbol(Kind.QUANTUM_MOM, bad)
+        with pytest.raises(AlgebraError):
+            Symbol.Q(bad)
+    with pytest.raises(AttributeError):
+        q1.index = 2
+    for s in syms:
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+
+
 # --------------------------------------------------------------------------
 # derivatives
 
@@ -707,6 +750,24 @@ def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
     # pair brackets are not all zero: 10,756 calls (20,691 with a pair
     # bracket recomputed for every triple)
     assert len(calls) <= 10_756
+
+
+def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
+    import halfq.algebra as algebra
+
+    calls = []
+    for name in ("commutator", "partial_derivative"):
+        original = getattr(algebra, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    monkeypatch.setattr(algebra, "_BRACKET_CACHE", {})
+    assert find_jacobiator_witness(max_degree=3) is not None
+    assert algebra._BRACKET_CACHE
+    assert calls == []
 
 
 def test_exhaustive_witness_search_reproduces_recorded_triple():

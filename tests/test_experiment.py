@@ -1,6 +1,7 @@
 """Configs, the worked example, and the verification harness (small grids)."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,6 +314,20 @@ def test_verification_passes_on_small_example():
     # enough coverage: distinct (t, I0) pairs beyond the spec's floor
     pairs = {(r["t"], tuple(r["I0"])) for r in report.rows}
     assert len(pairs) >= 20
+
+
+def test_exact_values_move_no_nonzero_float():
+    from halfq.experiment import _exact
+
+    assert _exact(0.4) == Fraction(2, 5)
+    # a six-decimal coupling as the benchmark draws it keeps its small rational
+    assert _exact(0.093517) == Fraction(0.093517).limit_denominator(10**12)
+    assert float(_exact(0.093517)) == 0.093517
+    # 6e-13 is nearest 1/10^12 among denominators <= 10^12, 67% off
+    assert _exact(6e-13) == Fraction(6e-13)
+    assert _exact(1.0000000000001) == Fraction(1.0000000000001)
+    # below 5e-13 a value reads as 0, as the run below relies on
+    assert _exact(1e-13) == 0
 
 
 def test_constants_read_as_zero_everywhere_alike():

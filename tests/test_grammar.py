@@ -60,6 +60,11 @@ def test_decimal_literals_are_exact():
     assert coeff == CNum(Fraction(1, 10))
 
 
+@pytest.mark.parametrize("text", ["0", "007", "12345678901234567890", "0.125", "1.50", "10.0"])
+def test_number_literals_read_exactly(text):
+    assert parse_expression(text, S11) == S11.scalar(Fraction(text))
+
+
 def test_constants_and_negative_powers():
     expr = parse_expression("k*q1/(2*m) + m^-1*p1", S11, ("m", "k"))
     assert expr == parse_expression("1/2*k*m^-1*q1 + m^-1*p1", S11, ("m", "k"))
