@@ -14,14 +14,20 @@ Every sample is a fresh process, one at a time, with
   workload at seed 0 on 32x32 classical and 64 quantum points, extent 8
   (65,536 dimensions), deep;
 - ``2p1-64x64x64-deep``: the same Hamiltonian on 64 points per DOF,
-  extent 16 (262,144 dimensions), deep.
+  extent 16 (262,144 dimensions), deep;
+- ``cli-parse``: the start-up cost of the exact layer, a fresh interpreter
+  that imports ``halfq.cli`` from ``src/`` and runs ``main(["parse", ...])``
+  with ``PYTHONDONTWRITEBYTECODE=1`` (every module compiled from source).
 
 Each run is sampled SAMPLES times and records the median ``wall_s``
 (``run_verification`` in its process, after imports and config loading),
 ``process_s`` (the process from start to exit) and ``peak_rss_mb`` (the
 process's ``ru_maxrss``), every sample's ``wall_s``, the status, the full
 dimension, r (the propagated columns) and the Chebyshev terms; the last
-two are read from the verification's progress note.  The result goes to
+two are read from the verification's progress note.  ``cli-parse`` is
+sampled CLI_SAMPLES times and records the median ``process_s`` and
+``peak_rss_mb`` (the child's own ``ru_maxrss``, from ``os.wait4``) and every
+sample's ``process_s``.  The result goes to
 ``BENCH_verify.json`` at the root of the checkout, with the core count and
 the BLAS.
 """
@@ -49,6 +55,9 @@ RUNS = (
     "2p1-64x64x64-deep",
 )
 SAMPLES = 3
+CLI_SAMPLES = 7
+CLI_PARSE = ("parse", "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2", "--system", "2,0",
+             "--constants", "m,M,k")
 NOTE = re.compile(r"propagating r=(\d+) columns to \d+ times in (\d+) Chebyshev terms")
 
 
@@ -92,6 +101,28 @@ def _sample(name: str) -> dict:
     }
 
 
+def _cli_parse() -> dict:
+    """``CLI_PARSE`` in CLI_SAMPLES fresh interpreters, one at a time."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    script = "import sys, halfq.cli; sys.exit(halfq.cli.main(sys.argv[1:]))"
+    samples = []
+    for _ in range(CLI_SAMPLES):
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", script, *CLI_PARSE], env=env,
+                                stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        samples.append((time.perf_counter() - start, usage.ru_maxrss / 1024))
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise RuntimeError(f"halfq {' '.join(CLI_PARSE)} exited {proc.returncode}")
+    return {
+        "argv": list(CLI_PARSE),
+        "process_s": statistics.median(s for s, _ in samples),
+        "peak_rss_mb": statistics.median(rss for _, rss in samples),
+        "process_s_samples": [s for s, _ in samples],
+    }
+
+
 def _blas() -> str:
     import numpy
 
@@ -128,6 +159,9 @@ def main() -> int:
         runs[name] = record
         print(f"{name}: {record['status']}, {record['wall_s']:.2f} s, "
               f"{record['peak_rss_mb']:.0f} MB", file=sys.stderr)
+    runs["cli-parse"] = _cli_parse()
+    print(f"cli-parse: {runs['cli-parse']['process_s']:.3f} s, "
+          f"{runs['cli-parse']['peak_rss_mb']:.1f} MB", file=sys.stderr)
     doc = {
         "machine": {"cores": cores, "blas": _blas(), "blas_threads": min(2, cores)},
         "runs": runs,

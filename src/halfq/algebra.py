@@ -97,6 +97,9 @@ class CNum:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CNum is immutable")
 
+    def __reduce__(self):
+        return _gaussian, (*self._abd, True)
+
     @staticmethod
     def of(value: "ScalarLike") -> "CNum":
         if isinstance(value, CNum):
@@ -457,6 +460,9 @@ class HybridExpression:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("HybridExpression is immutable")
+
+    def __reduce__(self):
+        return HybridExpression, (self.system, self._terms)
 
     # -- basic queries ------------------------------------------------------
 

@@ -3,7 +3,10 @@
 Subcommands mirror the library surface: expression handling (``parse``,
 ``halfquantize``, ``evolve``, ``jacobi-demo``), classicality
 (``certify``), prediction bounds (``bounds``, ``constants``), and the
-full-quantum verification experiment (``verify``).  Every command prints
+full-quantum verification experiment (``verify``).  ``parse``,
+``halfquantize`` and ``jacobi-demo`` run on the exact layer alone
+(:mod:`halfq.algebra`, :mod:`halfq.grammar`); the other commands import
+:mod:`halfq.experiment`, and with it numpy, when they run.  Every command prints
 human-readable text; ``--json`` / ``--csv`` switch to machine output and
 ``--out`` writes the ``--csv`` table to a file.
 
@@ -16,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .algebra import (
     NonTerminatingSeriesError,
@@ -23,16 +27,10 @@ from .algebra import (
     half_quantize,
     jacobiator,
 )
-from .experiment import (
-    SystemConfig,
-    build_example,
-    certificates,
-    hybrid_solutions,
-    reference_constants,
-    run_verification,
-    sandwich_sweep,
-)
 from .grammar import format_expression, parse_expression
+
+if TYPE_CHECKING:
+    from .experiment import SystemConfig
 
 # the first mixed monomial triple (by total degree, then enumeration order)
 # whose jacobiator does not vanish; found by find_jacobiator_witness over
@@ -51,10 +49,19 @@ def _system_arg(text: str) -> System:
 
 
 def _load_config(args) -> SystemConfig:
+    """The config of ``--config``, else the example; a value the exact layer
+    reads as 0 is named on stderr."""
+    from .experiment import SystemConfig, build_example, exact_zero_note
+
     if args.config is None:
-        return build_example()
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return SystemConfig.from_json(fh.read())
+        cfg = build_example()
+    else:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = SystemConfig.from_json(fh.read())
+    note = exact_zero_note(cfg)
+    if note:
+        print(f"note: {note}", file=sys.stderr)
+    return cfg
 
 
 def _emit(args, payload: dict, text: str, table=None) -> None:
@@ -97,6 +104,8 @@ def cmd_halfquantize(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .experiment import hybrid_solutions
+
     cfg = _load_config(args)
     sols = {sym.name: sol for sym, sol in hybrid_solutions(cfg).items()}
     if args.observable and args.observable not in sols:
@@ -117,6 +126,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .experiment import certificates, hybrid_solutions
+
     cfg = _load_config(args)
     certs = certificates(cfg, hybrid_solutions(cfg))
     lines = []
@@ -133,6 +144,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .experiment import certificates, hybrid_solutions, sandwich_sweep
+
     cfg = _load_config(args)
     sols = hybrid_solutions(cfg)
     failed = [L for L, cert in certificates(cfg, sols).items() if not cert.passed]
@@ -162,6 +175,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from .experiment import reference_constants
+
     rows = reference_constants()
     text = "\n".join(
         f"L={row['L']:<3d} p={row['p']:<8g} worst error={row['worst_error']:.6f} "
@@ -192,6 +207,8 @@ def cmd_jacobi_demo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .experiment import run_verification
+
     cfg = _load_config(args)
     progress = None if args.quiet else (lambda msg: print(f"  .. {msg}", file=sys.stderr))
     report = run_verification(cfg, deep=not args.shallow, progress=progress)

@@ -714,7 +714,9 @@ def run_verification(
     sols = hybrid_solutions(cfg)
     certs = certificates(cfg, sols)
     active_levels = [L for L, cert in certs.items() if cert.passed]
-    notes = [
+    zero_note = exact_zero_note(cfg)
+    notes = [zero_note] if zero_note else []
+    notes += [
         f"classical data not {L}-order valid: bounds at L={L} not applicable"
         for L, cert in certs.items()
         if not cert.passed
@@ -938,9 +940,20 @@ def _edge_guard(state: State, label: str) -> State:
 def _exact(value: float) -> Fraction:
     """Times and constants re-enter the exact coefficient ring as the nearest
     rational of denominator <= 10^12 when it is the same float (0.4 -> 2/5) or
-    0 (below 5e-13), else as the float's exact value: no nonzero value moves."""
+    0 (below 5e-13, named by :func:`exact_zero_note`), else as the float's
+    exact value: no other nonzero value moves."""
     near = Fraction(value).limit_denominator(10**12)
     return near if not near or float(near) == value else Fraction(value)
+
+
+def exact_zero_note(cfg: SystemConfig) -> str | None:
+    """The note naming each nonzero constant and sweep time that the exact
+    layer reads as 0 (:func:`_exact`), or None when there is none."""
+    zeros = [f"constant {name} = {v!r}" for name, v in cfg.constants.items() if v and not _exact(v)]
+    zeros += [f"time {t!r}" for t in dict.fromkeys(cfg.sweep.times) if t and not _exact(t)]
+    if not zeros:
+        return None
+    return f"{', '.join(zeros)} read as 0: the exact layer resolves no value below 5e-13"
 
 
 def _substitutions(cfg: SystemConfig) -> dict:

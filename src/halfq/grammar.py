@@ -16,6 +16,11 @@ literals, read exactly.  ``*`` between quantum identifiers preserves the
 written operator order.  Division is restricted to scalar divisors, and
 negative exponents to scalar bases.
 
+The parser reads the text in one scan.  Each term multiplies its factors
+into one monomial (coefficient, hbar grade, constant powers, classical
+powers, quantum word as written) and normal-orders the word once; only a
+parenthesized sum, or a power of one, is multiplied term by term.
+
 ``parse_expression`` and ``format_expression`` round-trip: parsing,
 printing, then parsing again is the identity on canonical forms.
 """
@@ -24,14 +29,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .algebra import (
+    _I,
+    _ONE,
+    _ZERO,
     AlgebraError,
     CNum,
     HybridExpression,
     Symbol,
     System,
+    _nonzero,
+    _normal_words,
 )
 
 
@@ -43,177 +53,237 @@ class ExpressionSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d+|\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+# a number, an identifier, or any other single non-space character: an
+# operator, or a character the grammar does not allow (:meth:`_Parser.fail`)
+_TOKEN_RE = re.compile(r"\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
+_OPERATORS = frozenset("+-*/^()")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SYMBOL_RE = re.compile(r"^([qpQP])([0-9]+)$")
 _RESERVED = {"hbar", "i"}
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {text[where]!r}", where)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# A factor is read either as one monomial, the tuple (coefficient, hbar
+# grade, constant powers, classical powers, quantum word) with the powers as
+# sorted (name or symbol, exponent) pairs, or as a sum: a canonical term dict
+# of two or more terms, which only a parenthesized expression or its power
+# yields.
+_UNIT = (_ONE, 0, (), (), ())
+_ZERO_FACTOR = (_ZERO, 0, (), (), ())
+
+
+def _factor(terms: dict):
+    """The factor a canonical term dict denotes: a monomial unless it has
+    two or more terms."""
+    terms = _nonzero(terms)
+    if len(terms) > 1:
+        return terms
+    if not terms:
+        return _ZERO_FACTOR
+    ((hbar, consts, classical, word), coeff), = terms.items()
+    return coeff, hbar, consts, classical, word
+
+
+def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
+    """The canonical terms of one monomial read factor by factor: its powers
+    sorted and its word normal-ordered once."""
+    key_consts = tuple(sorted((name, exp) for name, exp in consts.items() if exp))
+    key_classical = tuple(sorted(classical.items()))
+    word = tuple(word)
+    if len(word) < 2:
+        return {(hbar, key_consts, key_classical, word): coeff}
+    return {
+        (hbar + (len(word) - len(normal)) // 2, key_consts, key_classical, normal): coeff * c
+        for normal, c in _normal_words(word).items()
+    }
 
 
 class _Parser:
+    """Recursive descent over the tokens of one scan; the end token is "".
+    Each term multiplies its factors into one monomial, and a sum factor
+    term by term.  Positions are found only for an error (:meth:`fail`)."""
+
     def __init__(self, text: str, system: System, constants: frozenset):
         self.text = text
         self.system = system
         self.constants = constants
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, where = self.peek()
-        if kind != "op" or value != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", where)
-        return self.advance()
-
-    # -- grammar ------------------------------------------------------------
+    def fail(self, message: str, index: int) -> NoReturn:
+        """Raise ``message`` at token ``index``, or at the first character
+        the grammar does not allow, wherever it is."""
+        starts = []
+        for match in _TOKEN_RE.finditer(self.text):
+            token = match.group()
+            # \d is Unicode category Nd, which is what str.isdecimal tests
+            if not (token in _OPERATORS or token[0] in _IDENT_START or token[0].isdecimal()):
+                raise ExpressionSyntaxError(f"unexpected character {token!r}", match.start())
+            starts.append(match.start())
+        starts.append(len(self.text))
+        raise ExpressionSyntaxError(message, starts[index])
 
     def parse(self) -> HybridExpression:
-        expr = self.expr()
-        kind, value, where = self.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected {value!r}", where)
-        return expr
+        terms = self.expr()
+        if self.tokens[self.pos]:
+            self.fail(f"unexpected {self.tokens[self.pos]!r}", self.pos)
+        return HybridExpression(self.system, terms)
 
-    def expr(self) -> HybridExpression:
-        result = self.term()
+    def expr(self) -> dict:
+        """A fresh term dict of ``term (('+' | '-') term)*``."""
+        out = self.term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result
+            op = self.tokens[self.pos]
+            if op != "+" and op != "-":
+                return out
+            self.pos += 1
+            for key, c in self.term().items():
+                if op == "-":
+                    c = -c
+                out[key] = out[key] + c if key in out else c
 
-    def term(self) -> HybridExpression:
-        result = self.unary()
+    def term(self) -> dict:
+        """A fresh term dict of ``unary (('*' | '/') unary)*``."""
+        coeff, hbar, consts, classical, word = _ONE, 0, {}, {}, []
+        product = None  # the factors before the last sum factor, multiplied out
+        divide = False
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                where = self.peek()[2]
-                rhs = self.unary()
-                if value == "*":
-                    result = result * rhs
-                else:
-                    result = result * self._scalar_inverse(rhs, where)
+            start = self.pos
+            factor = self.unary()
+            if divide:
+                factor = self.inverse(factor, start)
+            if type(factor) is dict:
+                monomial = _monomial_terms(coeff, hbar, consts, classical, word)
+                left = HybridExpression(self.system, monomial)
+                if product is not None:
+                    left = product * left
+                product = left * HybridExpression(self.system, factor)
+                coeff, hbar, consts, classical, word = _ONE, 0, {}, {}, []
             else:
-                return result
+                c, h, pr, cl, w = factor
+                if c is not _ONE:
+                    coeff = coeff * c
+                hbar += h
+                for name, exp in pr:
+                    consts[name] = consts.get(name, 0) + exp
+                for sym, exp in cl:
+                    classical[sym] = classical.get(sym, 0) + exp
+                word += w
+            op = self.tokens[self.pos]
+            if op != "*" and op != "/":
+                break
+            self.pos += 1
+            divide = op == "/"
+        terms = _monomial_terms(coeff, hbar, consts, classical, word)
+        if product is None:
+            return terms
+        return dict((product * HybridExpression(self.system, terms))._terms)
 
-    def unary(self) -> HybridExpression:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return -self.unary()
-        return self.power()
+    def unary(self):
+        negate = False
+        while self.tokens[self.pos] == "-":
+            self.pos += 1
+            negate = not negate
+        factor = self.power()
+        if not negate:
+            return factor
+        if type(factor) is dict:
+            return {key: -c for key, c in factor.items()}
+        c, h, pr, cl, w = factor
+        return -c, h, pr, cl, w
 
-    def power(self) -> HybridExpression:
-        base_where = self.peek()[2]
+    def power(self):
+        start = self.pos
         base = self.atom()
-        kind, value, _ = self.peek()
-        if not (kind == "op" and value == "^"):
+        if self.tokens[self.pos] != "^":
             return base
-        self.advance()
+        self.pos += 1
         sign = 1
-        kind, value, where = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
             sign = -1
-            kind, value, where = self.peek()
-        if kind != "number" or "." in value:
-            raise ExpressionSyntaxError("exponent must be an integer", where)
-        self.advance()
+        value = self.tokens[self.pos]
+        if not value[:1].isdecimal() or "." in value:
+            self.fail("exponent must be an integer", self.pos)
+        self.pos += 1
         exponent = sign * int(value)
-        if exponent >= 0:
-            return base**exponent
-        return self._scalar_inverse(base, base_where) ** (-exponent)
+        if exponent < 0:
+            base, exponent = self.inverse(base, start), -exponent
+        if exponent == 0:
+            return _UNIT
+        if type(base) is dict:
+            return _factor((HybridExpression(self.system, base) ** exponent)._terms)
+        c, h, pr, cl, w = base
+        coeff = c
+        for _ in range(exponent - 1):
+            coeff = coeff * c
+        return (
+            coeff,
+            h * exponent,
+            tuple((name, exp * exponent) for name, exp in pr),
+            tuple((sym, exp * exponent) for sym, exp in cl),
+            w * exponent,
+        )
 
-    def atom(self) -> HybridExpression:
-        kind, value, where = self.advance()
-        if kind == "number":
-            return self.system.scalar(Fraction(value) if "." in value else int(value))
-        if kind == "ident":
-            return self._identifier(value, where)
-        if kind == "op" and value == "(":
+    def atom(self):
+        value = self.tokens[self.pos]
+        self.pos += 1
+        if value[:1].isdecimal():
+            return CNum(Fraction(value) if "." in value else int(value)), 0, (), (), ()
+        if value[:1] in _IDENT_START:
+            return self.identifier(value)
+        if value == "(":
             inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionSyntaxError(
+            if self.tokens[self.pos] != ")":
+                self.fail("expected ')'", self.pos)
+            self.pos += 1
+            return _factor(inner)
+        self.fail(
             f"expected a number, identifier or '(', got {value!r}" if value else "unexpected end of input",
-            where,
+            self.pos - 1,
         )
 
-    # -- helpers ------------------------------------------------------------
-
-    def _identifier(self, name: str, where: int) -> HybridExpression:
+    def identifier(self, name: str):
         if name == "hbar":
-            return self.system.hbar()
+            return _ONE, 1, (), (), ()
         if name == "i":
-            return self.system.scalar(CNum(0, 1))
-        if _SYMBOL_RE.match(name):
-            try:
-                sym = parse_symbol(name)
-            except AlgebraError:
-                sym = None
-            if sym is None or not self.system.contains(sym):
-                raise ExpressionSyntaxError(
-                    f"symbol {name} out of range for system "
-                    f"(classical 1..{self.system.classical}, "
-                    f"quantum 1..{self.system.quantum})",
-                    where,
-                )
-            return self.system.symbol(sym)
+            return _I, 0, (), (), ()
         if name in self.constants:
-            return self.system.const(name)
-        raise ExpressionSyntaxError(f"unknown identifier {name!r}", where)
+            return _ONE, 0, ((name, 1),), (), ()
+        try:
+            sym = parse_symbol(name)
+        except AlgebraError:
+            if not _SYMBOL_RE.match(name):
+                self.fail(f"unknown identifier {name!r}", self.pos - 1)
+            sym = None  # a zero index
+        if sym is None or not self.system.contains(sym):
+            self.fail(
+                f"symbol {name} out of range for system "
+                f"(classical 1..{self.system.classical}, "
+                f"quantum 1..{self.system.quantum})",
+                self.pos - 1,
+            )
+        if sym.is_classical:
+            return _ONE, 0, (), ((sym, 1),), ()
+        return _ONE, 0, (), (), (sym,)
 
-    def _scalar_inverse(self, expr: HybridExpression, where: int) -> HybridExpression:
-        if expr.is_zero:
-            raise ExpressionSyntaxError("division by zero", where)
-        terms = expr.terms()
-        if len(terms) != 1:
-            raise ExpressionSyntaxError(
-                "divisor/negative power must be a single scalar factor", where
-            )
-        (hbar, consts, classical, word), coeff = terms[0]
+    def inverse(self, factor, start: int):
+        """The monomial 1/``factor``, read from token ``start``; ``factor``
+        must be a nonzero scalar with no hbar."""
+        if type(factor) is not dict and len(factor[4]) > 1:
+            # a word read as written may normal-order to several terms
+            coeff, hbar, consts, classical, word = factor
+            factor = _factor(_monomial_terms(coeff, hbar, dict(consts), dict(classical), word))
+        if type(factor) is dict:
+            self.fail("divisor/negative power must be a single scalar factor", start)
+        coeff, hbar, consts, classical, word = factor
+        if not coeff:
+            self.fail("division by zero", start)
         if classical or word:
-            raise ExpressionSyntaxError(
-                "cannot divide by dynamical symbols", where
-            )
+            self.fail("cannot divide by dynamical symbols", start)
         if hbar:
-            raise ExpressionSyntaxError(
-                "cannot divide by hbar (grading must stay nonnegative)", where
-            )
-        inverted = ((name, -exp) for name, exp in consts)
-        return HybridExpression(
-            expr.system, {(0, tuple(inverted), (), ()): coeff.inverse()}
-        )
+            self.fail("cannot divide by hbar (grading must stay nonnegative)", start)
+        return coeff.inverse(), 0, tuple((name, -exp) for name, exp in consts), (), ()
 
 
 def validate_constant_names(constants: Iterable[str]) -> frozenset:

@@ -672,6 +672,19 @@ def test_symbol_identity_is_kind_and_index():
         assert pickle.loads(pickle.dumps(s)) is s
 
 
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_exact_values_copy_and_pickle(round_trip):
+    number = CNum(Fraction(3, 4), Fraction(-5, 6))
+    expr = parse_expression("(1/2 - 3*i)*k*hbar^2*q1*Q1*P1 + k", S11, ("k",))
+    assert expr.constants() == {"k"} and 2 in expr.hbar_grades() and expr.has_quantum
+    for value in (number, expr):
+        again = round_trip(value)
+        assert type(again) is type(value) and again == value
+        assert hash(again) == hash(value)
+
+
 # --------------------------------------------------------------------------
 # derivatives
 

@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +391,46 @@ def test_each_command_parses_the_hamiltonian_once(tmp_path, capsys, monkeypatch,
     code, _, err = run_cli(capsys, *argv, "--config", str(path))
     assert code == 0, err
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "certify", "bounds", "verify"])
+def test_values_read_as_zero_are_one_stderr_note(tmp_path, capsys, command):
+    cfg = build_example(npoints=32, extent=8.0, coupling=1e-13, times=(0.0, 1e-13))
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    flags = ["--json", "--quiet"] if command == "verify" else ["--json"]
+    _, out, err = run_cli(capsys, command, "--config", str(path), *flags)
+    note = "constant k = 1e-13, time 1e-13 read as 0: the exact layer resolves no value below 5e-13"
+    assert err.splitlines() == [f"note: {note}"]
+    if command == "verify":
+        assert json.loads(out)["notes"] == [note]
+
+
+def test_exact_commands_load_no_numeric_module():
+    # parse, halfquantize and jacobi-demo run on the exact layer alone; a
+    # command that needs the numerics still loads them when it runs
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import halfq, halfq.cli
+        argvs = (["parse", "Q1*P1 - P1*Q1"], ["halfquantize", "q1*p2^2", "--split", "1,1"],
+                 ["jacobi-demo"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [halfq.cli.main(argv) for argv in argvs]
+        numeric = ("numpy", "halfq.experiment", "halfq.hilbert", "halfq.bounds",
+                   "halfq.classicality")
+        loaded = [name for name in numeric if name in sys.modules]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = halfq.cli.main(["certify", "--json"])
+        levels = sorted(json.loads(out.getvalue())["certificates"])
+        print(json.dumps({"codes": codes, "loaded": loaded, "certify": [code, levels]}))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": [], "certify": [0, ["1", "2"]]}
 
 
 def test_verify_shallow_small_config(tmp_path, capsys):

@@ -330,6 +330,18 @@ def test_exact_values_move_no_nonzero_float():
     assert _exact(1e-13) == 0
 
 
+def test_values_read_as_zero_are_named():
+    from halfq.experiment import exact_zero_note
+
+    assert exact_zero_note(small_example()) is None
+    # 0 itself and 6e-13 (kept as its float's value) are not named
+    cfg = small_example(coupling=4e-13, classical_mass=6e-13, times=(0.0, 1e-13, 1e-13, -2e-13))
+    assert exact_zero_note(cfg) == (
+        "constant k = 4e-13, time 1e-13, time -2e-13 read as 0: "
+        "the exact layer resolves no value below 5e-13"
+    )
+
+
 def test_constants_read_as_zero_everywhere_alike():
     # k = 1e-13 enters the exact layer as 0: B, A(t) and the oracle's H all
     # take it from there, so the run is the k = 0 run row for row
@@ -702,6 +714,53 @@ def test_wrapped_packets_cannot_loosen_the_guards():
     with pytest.raises(ConfigError, match="unknown key 'tolerances'"):
         SystemConfig.from_json_dict(raw)
     assert not hasattr(cfg, "tolerances")
+
+
+# planted defects in the oracle alone, on the shipped 64x64 example, deep; a
+# check family that cannot fail with its defect planted checks nothing
+
+
+def _failing(rows):
+    return [r for r in rows if r["verdict"] != "pass"]
+
+
+def test_verify_passes_the_example_with_no_defect():
+    report = run_verification(build_example())
+    assert report.status == "pass"
+    assert report.ehrenfest < 1e-11
+
+
+@pytest.mark.parametrize("coupling", ["0.03", "0.3"])
+def test_discrepancy_rows_see_a_coupling_planted_in_the_oracle(coupling, monkeypatch):
+    from halfq import parse_expression
+
+    original = SystemConfig.full_hamiltonian_expr
+
+    def planted(cfg):
+        h = original(cfg)
+        return h + parse_expression(f"{coupling}*Q1*P2", h.system)
+
+    monkeypatch.setattr(SystemConfig, "full_hamiltonian_expr", planted)
+    report = run_verification(build_example())
+    assert report.status == "fail"
+    assert _failing(report.discrepancy_rows)
+    # the oracle's own series moves with its H, so the gap stays at rounding
+    assert report.ehrenfest < 1e-11
+    x1_rows = [r for r in report.leakage_rows if r["which"] == "X1"]
+    assert not _failing(report.rows) and not _failing(x1_rows)
+
+
+def test_ehrenfest_gap_sees_an_oracle_propagated_too_far(monkeypatch):
+    import halfq.experiment
+
+    original = halfq.experiment.evolve_full_quantum
+
+    def planted(h_op, columns, times):
+        return original(h_op, columns, [1.001 * t for t in times])
+
+    monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", planted)
+    with pytest.raises(GridError, match=r"oracle Ehrenfest gap 1\.\d+e-03 exceeds 1\.0e-06"):
+        run_verification(build_example())
 
 
 def test_state_spec_amplitude_file(tmp_path):

@@ -94,6 +94,10 @@ def test_syntax_error_carries_position():
         ("q1 $ p1", r"^unexpected character '\$' \(at position 3\)$"),
         ("(q1 + p1", r"^expected '\)'"),
         ("q1 p1", r"^unexpected 'p1'"),
+        # a character the grammar does not allow is named before any
+        # other fault, wherever it stands
+        ("q1/0 + $", r"^unexpected character '\$' \(at position 7\)$"),
+        ("q1 + * p1 é", r"^unexpected character 'é' \(at position 10\)$"),
     ],
 )
 def test_malformed_text_names_its_fault(text, message):
