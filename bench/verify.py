@@ -15,6 +15,9 @@ Every sample is a fresh process, one at a time, with
   (65,536 dimensions), deep;
 - ``2p1-64x64x64-deep``: the same Hamiltonian on 64 points per DOF,
   extent 16 (262,144 dimensions), deep;
+- ``mixing-32-deep``: the 32x32 example plus ``c*q2`` (c = 0.05), deep;
+  c*Q2 mixes the quantum axis in its DFT basis, so H has no block axis
+  and the oracle propagates a QR basis of r = 32 columns;
 - ``cli-parse``: the start-up cost of the exact layer, a fresh interpreter
   that imports ``halfq.cli`` from ``src/`` and runs ``main(["parse", ...])``
   with ``PYTHONDONTWRITEBYTECODE=1`` (every module compiled from source).
@@ -53,6 +56,7 @@ RUNS = (
     "example-32-shallow",
     "2p1-32x32x64-deep",
     "2p1-64x64x64-deep",
+    "mixing-32-deep",
 )
 SAMPLES = 3
 CLI_SAMPLES = 7
@@ -67,6 +71,11 @@ def _config(name: str):
     if name.startswith("example-"):
         npoints = int(name.split("-")[1])
         return build_example(npoints=npoints, extent=npoints / 4)
+    if name == "mixing-32-deep":
+        raw = build_example(npoints=32, extent=8.0).to_json_dict()
+        raw["hamiltonian"] += " + c*q2"
+        raw["constants"]["c"] = 0.05
+        return SystemConfig.from_json_dict(raw)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 

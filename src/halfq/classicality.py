@@ -286,11 +286,10 @@ class GaussianFeasibility:
 
     lower: float
     upper: float
-    violated: str | None
 
     @property
     def feasible(self) -> bool:
-        return self.violated is None and self.lower <= self.upper
+        return self.lower <= self.upper
 
 
 def gaussian_feasibility(
@@ -304,13 +303,7 @@ def gaussian_feasibility(
     """
     datum = data.data[dof - 1]
     c = double_factorial_odd(L) ** (1.0 / (2 * L))
-    upper = datum.delta_q / c
-    lower = c * hbar / (2.0 * datum.delta_p)
-    if lower <= upper:
-        return GaussianFeasibility(lower, upper, None)
-    # empty: name the side that cannot be met even at the other side's edge
-    violated = "momentum" if lower > datum.delta_q / c else "position"
-    return GaussianFeasibility(lower, upper, violated)
+    return GaussianFeasibility(c * hbar / (2.0 * datum.delta_p), datum.delta_q / c)
 
 
 def gaussian_moment(L: int, dq: float) -> float:

@@ -1,44 +1,37 @@
 """System configuration, the worked two-particle example, and the
 full-quantum verification experiment.
 
-The oracle path quantizes the configured classical Hamiltonian with every
-DOF quantum, evolves the product initial state on the tensor grid, and
-measures interval probabilities of the fundamental observables.  The
-half-quantum path evolves observables symbolically with the hybrid
-bracket and converts margins into sandwich bounds: one certification
-gate (:func:`certificates`) and one sweep (:func:`sandwich_sweep`) serve
-``halfq certify``, ``halfq bounds`` and :func:`run_verification`.  A
-verification run adds the oracle columns to each sweep point and checks,
-row by row, that the oracle probability falls inside the sandwich and
-that the leakage and operator-discrepancy contracts hold.
+The half-quantum path evolves observables symbolically with the hybrid
+bracket and turns margins into sandwich bounds: one certification gate
+(:func:`certificates`) and one sweep (:func:`sandwich_sweep`) serve
+``halfq certify``, ``halfq bounds`` and :func:`run_verification`.
+Constants and times become numbers in one way, substituted exactly
+(:func:`_substitutions`, :func:`_exact`) before anything is compiled, so
+B, H and A(t) read the same values.
 
-Fundamental-observable probabilities are measured in the Schroedinger
-picture (spectra of the t=0 operators against the evolved state), which
-is unitarily identical to the Heisenberg-picture statement.  The oracle
-is matrix-free: the Hamiltonian and the Heisenberg-picture observables
-are compiled into per-DOF factors, states evolve by a Chebyshev
-expansion on their action, and the only dense eigenproblems are those of
-single-sector operators.  Constants and times become numbers in one
-way, substituted exactly (:func:`_substitutions`, :func:`_exact`) before
-anything is compiled, so B, H and A(t) read the same values.  The
-oracle shares the half-quantum path's
-tools: an observable's one-DOF :class:`SpectralDecomp` measures states
-by contracting that DOF's axis in place, and :func:`heisenberg_series` gives
-the Heisenberg observables (with no classical DOFs the hybrid bracket is
-the commutator).  Both sides read every interval probability off one
-spectral measure (:func:`spectral_masses`, :func:`interval_mass`): a
-sweep point projects phi^Q on its sector operator's eigenbasis once.  A
-sandwich row's xi-state leakage sum is the mass of one projection
-P_S phi^Q (:func:`leakage_sectors`).  Every evolved state is
-phi^C (x) x for a quantum factor x (phi^Q or a leakage sector).  H is
-block diagonal over its :func:`block_axes`, so a run evolves phi^C
-tensored with an orthonormal basis of the factors' span over the other
-quantum axes, all-ones in H's basis on the quantum block axes (one column
-in every shipped Hamiltonian), in one propagation to every sweep time; it
-reads each state off that basis block by block and measures each sweep
-point's states in one batch.  The Ehrenfest gap
-between the exact Heisenberg observables and the propagated states
-checks the oracle in every run.
+A verification run checks every sweep row against the full-quantum
+evolution of the same initial data, in stages.  One :class:`Oracle`
+compiles H, every DOF quantum, in its propagation basis.  H is block
+diagonal over its :func:`block_axes`, so the oracle lays the grid out
+with the quantum block axes first, in H's basis, and keeps an
+orthonormal basis of the quantum factors' span over the other quantum
+axes, all-ones on the block axes (one column in every shipped
+Hamiltonian); each factor is projected on it once.  Every evolved state
+is phi^C (x) x for a quantum factor x: phi^Q, and in a deep run the two
+leakage sectors P_S phi^Q of each row (:func:`leakage_sectors`).  So one
+matrix-free Chebyshev propagation of phi^C (x) that basis reaches every
+sweep time, and each psi_t is edge-guarded.  At each sweep point the
+oracle measures the point's factors in one batch on the one-DOF
+spectrum of the t=0 observable, in the Schroedinger picture (unitarily
+identical to the Heisenberg statement); the only dense eigenproblems
+are single-DOF ones.  Both sides read interval probabilities off one
+spectral measure (:func:`spectral_masses`, :func:`interval_mass`).
+Three row judges read the measured masses: :func:`sandwich_rows`,
+:func:`leakage_rows` (X1 and X2) and :func:`discrepancy_rows` (the exact
+A(t) - B on psi0 against B's margin).  The Ehrenfest gap between the
+exact Heisenberg observables (:func:`heisenberg_series`; with no
+classical DOFs the hybrid bracket is the commutator) and the measured
+states checks the oracle in every run.
 """
 
 from __future__ import annotations
@@ -614,9 +607,9 @@ class SandwichPoint:
 
     ``expr`` is the exact sector expression B of the fundamental observable
     ``observable`` (a Symbol) at time ``t``, classical symbols free, and ``decomp``
-    its spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once, and
-    ``masses`` their squared moduli, the spectral measure every row
-    reads; its first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
+    its spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once,
+    whose squared moduli are the spectral measure every row reads; its
+    first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
     ``margins`` maps each order L to its margin; ``rows`` holds one
     :class:`PredictionBound` per (L, p, width multiplier).
     """
@@ -626,7 +619,6 @@ class SandwichPoint:
     expr: HybridExpression
     decomp: SpectralDecomp
     amplitudes: np.ndarray
-    masses: np.ndarray
     a0: float
     margins: dict
     rows: tuple
@@ -667,7 +659,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 for p in cfg.probabilities
                 for mult in cfg.sweep.width_multipliers
             )
-            point = SandwichPoint(sym, t_exact, expr, decomp, amplitudes, masses, a0, margins, rows)
+            point = SandwichPoint(sym, t_exact, expr, decomp, amplitudes, a0, margins, rows)
             yield point
 
 
@@ -703,25 +695,70 @@ def run_verification(
     """Full verification: certify, evolve, and check every sweep row.
 
     The certification gate is :func:`certificates` and the sandwich rows
-    are those of :func:`sandwich_sweep` at the certified orders; this adds
-    the oracle columns to each point.  ``deep`` also propagates each
-    row's two leakage sectors and adds the tail-leakage and
-    operator-discrepancy rows.  Raises
-    :class:`GridError` when a state leaks probability onto the grid
-    boundary (unconverged setup).
+    are those of :func:`sandwich_sweep` at the certified orders.  One
+    :class:`Oracle` evolves phi^Q and, when ``deep``, each row's two
+    leakage sectors; each point's batch is measured once and judged by
+    :func:`sandwich_rows`, :func:`leakage_rows` and, when ``deep``,
+    :func:`discrepancy_rows`.  Raises :class:`GridError` when a state
+    leaks probability onto the grid boundary (unconverged setup) or the
+    oracle's Ehrenfest gap exceeds its tolerance.
     """
-    shape = tuple(g.npoints for g in cfg.all_grids())
+    note = progress or (lambda msg: None)
     sols = hybrid_solutions(cfg)
     certs = certificates(cfg, sols)
-    active_levels = [L for L, cert in certs.items() if cert.passed]
-    zero_note = exact_zero_note(cfg)
-    notes = [zero_note] if zero_note else []
-    notes += [
+    levels = [L for L, cert in certs.items() if cert.passed]
+    rows, leak_rows, disc_rows, ehrenfest = [], [], [], None
+    if levels:
+        phi_q = cfg.quantum_factor()
+        # psi0's edge mass is the sum of its guarded factors'
+        psi0 = _edge_guard(tensor(cfg.classical_factor(), phi_q), "initial state")
+        points = list(sandwich_sweep(cfg, sols, levels))
+        # a deep run also evolves the two leakage sectors of each row with
+        # I_B > 0, binned against its point's B, as factors after phi_q
+        leaky = [[pb for pb in point.rows if deep and pb.I_B > 0] for point in points]
+        factors = np.column_stack([phi_q.amplitudes] + [
+            leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
+            for point, bounds in zip(points, leaky) for pb in bounds
+        ])
+        note("compiling full-quantum Hamiltonian")
+        oracle = Oracle(cfg, cfg.full_hamiltonian_expr(), factors, progress)
+        ehrenfest, start = 0.0, 1
+        for point, bounds in zip(points, leaky):
+            note(f"observable {point.observable.name}, t={float(point.t)}")
+            columns = [0, *range(start, start + 2 * len(bounds))]
+            start += 2 * len(bounds)
+            values, masses, a_t = oracle.measure(point, columns)
+            # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
+            a_op = compile_expression(a_t, {}, psi0.grids, cfg.hbar)
+            exact = np.vdot(psi0.amplitudes, a_op.apply(psi0.amplitudes))
+            ehrenfest = max(ehrenfest, abs(exact - values @ masses[:, 0]))
+            if deep:
+                disc_rows += discrepancy_rows(cfg, point, a_t, psi0)
+            rows += sandwich_rows(point, values, masses)
+            leak_rows += leakage_rows(point, bounds, values, masses)
+        if ehrenfest > TOLERANCES["ehrenfest"]:
+            raise GridError(
+                f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {TOLERANCES['ehrenfest']:.1e}"
+            )
+    return _report(cfg, certs, rows, leak_rows, disc_rows, ehrenfest)
+
+
+def _report(cfg, certs, rows, leak_rows, disc_rows, ehrenfest) -> VerificationReport:
+    """A run's report: its rows with the status, notes and environment."""
+    notes = [note for note in [exact_zero_note(cfg)] if note] + [
         f"classical data not {L}-order valid: bounds at L={L} not applicable"
-        for L, cert in certs.items()
-        if not cert.passed
+        for L, cert in certs.items() if not cert.passed
     ]
-    certificate_dicts = {str(L): cert.to_json_dict() for L, cert in certs.items()}
+    gating = rows + disc_rows + [r for r in leak_rows if r["which"] == "X1"]
+    passed = all(r["verdict"] == "pass" for r in gating)
+    status = "not_applicable" if ehrenfest is None else "pass" if passed else "fail"
+    x2_bad = [r for r in leak_rows if r["which"] == "X2" and r["verdict"] != "pass"]
+    if x2_bad:
+        notes.append(
+            f"{len(x2_bad)} X2 rows exceed the closed-form leakage constant "
+            "(continuum approximation; informational, not gating)"
+        )
+    shape = tuple(g.npoints for g in cfg.all_grids())
     environment = {
         "halfq_version": __version__,
         "numpy_version": np.__version__,
@@ -731,192 +768,160 @@ def run_verification(
         "seed": cfg.seed,
         "picture": "schroedinger-equivalent",
     }
-    if active_levels:
-        rows, leak_rows, disc_rows, ehrenfest = _oracle_columns(
-            cfg, sols, active_levels, deep, progress
-        )
-    else:
-        rows, leak_rows, disc_rows, ehrenfest = [], [], [], None
-    gating = rows + disc_rows + [r for r in leak_rows if r["which"] == "X1"]
-    if not active_levels:
-        status = "not_applicable"
-    elif all(r["verdict"] == "pass" for r in gating):
-        status = "pass"
-    else:
-        status = "fail"
-    x2_bad = [r for r in leak_rows if r["which"] == "X2" and r["verdict"] != "pass"]
-    if x2_bad:
-        notes.append(
-            f"{len(x2_bad)} X2 rows exceed the closed-form leakage constant "
-            "(continuum approximation; informational, not gating)"
-        )
+    certificate_dicts = {str(L): cert.to_json_dict() for L, cert in certs.items()}
     return VerificationReport(
-        status=status,
-        certificates=certificate_dicts,
-        rows=rows,
-        leakage_rows=leak_rows,
-        discrepancy_rows=disc_rows,
-        ehrenfest=ehrenfest,
-        environment=environment,
-        config=cfg.to_json_dict(),
-        notes=notes,
+        status, certificate_dicts, rows, leak_rows, disc_rows, ehrenfest, environment,
+        cfg.to_json_dict(), notes,
     )
 
 
-def _oracle_columns(cfg: SystemConfig, sols: Mapping, levels: list, deep: bool, progress):
-    """Sandwich, leakage and discrepancy rows of the sweep at the certified
-    ``levels``, each sandwich row with its oracle probability and verdict,
-    and the Ehrenfest gap of the oracle."""
+class Oracle:
+    """The full-quantum side of a run: built once, then measured per point.
 
-    def note(msg):
+    Built from ``cfg``, H's exact expression ``h_expr`` and the quantum
+    ``factors`` (an (N_Q, K) array, phi^Q first), it compiles H, owns the
+    blocked layout and the basis, projects each factor once, propagates,
+    edge-guards each psi_t, and builds each sweep observable's one-DOF
+    spectrum and exact series.  :meth:`measure` measures a point's factor
+    columns at its t; :meth:`position` reads evolved factors in position.
+    """
+
+    def __init__(self, cfg: SystemConfig, h_expr: HybridExpression, factors, progress=None):
+        grids = cfg.all_grids()
+        self.h_expr, self.shape = h_expr, tuple(g.npoints for g in grids)
+        self.h_op = compile_expression(h_expr, {}, grids, cfg.hbar, fourier_axes(h_expr))
+        # on H's quantum block axes (C) a column all-ones in H's basis
+        # carries every block, so the blocked layout puts them first, in
+        # H's basis, then the other axes in order
+        m = cfg.system.classical
+        self.blocks = [a for a in block_axes(self.h_op) if a >= m]
+        self.dft = [a for a in self.blocks if a in self.h_op.fourier]
+        self.order = self.blocks + [a for a in range(len(self.shape)) if a not in self.blocks]
+        quantum = (1,) * m + self.shape[m:]  # a quantum factor on the full grid's axes
+        # an orthonormal basis of the factors' span over the other quantum
+        # axes (A) at every block index, r = min(N_A, N_C K); the factors lie
+        # in it exactly, so no rank tolerance enters
+        factors = self._blocked(factors, quantum)
+        basis = np.linalg.qr(np.hstack(factors))[0]
+        self.coordinates = basis.conj().T @ factors  # x[c] = basis^H factor[c]
+        times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
+        t_floats = [float(t) for t in times]
         if progress is not None:
-            progress(msg)
+            # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
+            rotated = ", ".join(str(axis + 1) for axis in self.h_op.fourier)
+            progress(
+                f"propagating r={basis.shape[1]} columns to {len(times)} times in "
+                f"{chebyshev_terms(self.h_op, t_floats)} Chebyshev terms; "
+                + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
+            )
+        columns = self._unblocked(np.broadcast_to(basis, (len(factors),) + basis.shape), quantum)
+        columns = np.kron(cfg.classical_factor().amplitudes[:, None], columns)
+        self.propagated = dict(zip(times, self.propagate(columns, t_floats)))
+        for t in times:
+            _edge_guard(State(self.position(t, [0]).ravel(), grids), f"state at t={float(t)}")
+        self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
 
-    hbar = cfg.hbar
-    grids = cfg.all_grids()
-    shape = tuple(g.npoints for g in grids)
-    phi_c = cfg.classical_factor()
-    phi_q = cfg.quantum_factor()
-    # psi0's edge mass is the sum of its guarded factors'
-    psi0 = _edge_guard(tensor(phi_c, phi_q), "initial state")
-    # full-quantum oracle, matrix-free
-    note("compiling full-quantum Hamiltonian")
-    h_expr = cfg.full_hamiltonian_expr()
-    h_op = compile_expression(h_expr, {}, grids, hbar, fourier_axes(h_expr))
+    def propagate(self, columns: np.ndarray, times: Sequence[float]) -> list:
+        """The (dim, r) ``columns`` phi_c (x) basis evolved to each of ``times``
+        in one recurrence, as W_t in the blocked layout: at each block
+        index c, exp(-iHt/hbar)(phi_c (x) x) = W_t[c] basis^H x[c]."""
+        return [self._blocked(w) for w in evolve_full_quantum(self.h_op, columns, times)]
 
-    # every state the oracle evolves is phi_c (x) x for a quantum factor x:
-    # phi_q, and in a deep run the two leakage sectors of each sandwich row
-    # with I_B > 0, binned against its point's B and paired with that row
-    points = list(sandwich_sweep(cfg, sols, levels))
-    leaky = [
-        [
-            (pb, leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin))
-            for pb in point.rows
-            if deep and pb.I_B > 0
-        ]
-        for point in points
-    ]
-    # H is block diagonal over its block axes; on the quantum ones (C) a
-    # column all-ones in H's basis carries every block, so the blocked
-    # layout puts them first, in H's basis, then the other axes in order
-    m = cfg.system.classical
-    blocks = [a for a in block_axes(h_op) if a >= m]
-    dft = [a for a in blocks if a in h_op.fourier]
-    order = blocks + [a for a in range(len(shape)) if a not in blocks]
-    layout, n_blocks = tuple(shape[a] for a in order), math.prod(shape[a] for a in blocks)
-    quantum = (1,) * m + shape[m:]  # a quantum factor on the full grid's axes
-
-    def blocked(x, grid=shape):
-        """A (dim, k) batch on ``grid`` in the blocked layout, (N_C, rest, k)."""
-        x = np.fft.fftn(x.reshape(grid + (-1,)), axes=dft, norm="ortho")
-        return np.moveaxis(x, blocks, range(len(blocks))).reshape(n_blocks, -1, x.shape[-1])
-
-    def unblocked(x, grid=shape):
-        """The (dim, k) batch on ``grid``, in position, of a blocked one."""
-        x = x.reshape(tuple(grid[a] for a in order) + (-1,))
-        x = np.moveaxis(x, range(len(blocks)), blocks)
-        return np.fft.ifftn(x, axes=dft, norm="ortho").reshape(-1, x.shape[-1])
-
-    factors = np.column_stack([phi_q.amplitudes] + [s for pairs in leaky for _, s in pairs])
-    # an orthonormal basis of their span over the other quantum axes (A) at
-    # every block index, r = min(N_A, N_C columns); the factors lie in it
-    # exactly, so no rank tolerance enters
-    basis = np.linalg.qr(np.hstack(blocked(factors, quantum)))[0]
-    coordinates = basis.conj().T
-    times = tuple(dict.fromkeys(map(_exact, cfg.sweep.times)))
-    t_floats = [float(t) for t in times]
-    if progress is not None:
-        # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
-        rotated = ", ".join(str(axis + 1) for axis in h_op.fourier)
-        progress(
-            f"propagating r={basis.shape[1]} columns to {len(times)} times in "
-            f"{chebyshev_terms(h_op, t_floats)} Chebyshev terms; "
-            + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
-        )
-    # one recurrence for all times: at each block index c,
-    # exp(-iHt/hbar)(phi_c (x) x) = W_t[c] basis^H x[c] in the blocked layout
-    columns = unblocked(np.broadcast_to(basis, (n_blocks,) + basis.shape), quantum)
-    evolved = evolve_full_quantum(h_op, np.kron(phi_c.amplitudes[:, None], columns), t_floats)
-    propagated = {t: blocked(w) for t, w in zip(times, evolved)}
-    psi_coordinates = coordinates @ blocked(phi_q.amplitudes, quantum)
-    for t, w in propagated.items():
-        psi_t = State(unblocked(np.matmul(w, psi_coordinates)).ravel(), grids)
-        _edge_guard(psi_t, f"state at t={float(t)}")
-
-    # per observable: the place of its DOF's axis (classical DOFs first) in
-    # the blocked layout, the one-DOF spectrum of the t=0 operator A, Q or P
-    # on that axis in the layout's basis, and the exact Heisenberg-picture
-    # series A(t) of the oracle, whose one free constant is t
-    oracle = {}
-    for sym in cfg.sweep.observables:
-        axis = sym.index - 1 + (0 if sym.is_classical else m)
+    def _observable(self, cfg: SystemConfig, sym: Symbol) -> tuple:
+        """The place of ``sym``'s axis (classical DOFs first) in the blocked
+        layout, the one-DOF spectrum of the t=0 operator A, Q or P on that
+        axis in the layout's basis, and the exact Heisenberg-picture series
+        A(t) under H, whose one free constant is t."""
+        axis = sym.index - 1 + (0 if sym.is_classical else cfg.system.classical)
         quantized = Symbol.P if sym.is_momentum else Symbol.Q
         one = System(0, 1).symbol(quantized(1))
-        base_op = compile_expression(one, {}, (grids[axis],), hbar, (0,) if axis in dft else ())
-        oracle[sym] = (
-            order.index(axis),
-            spectral_decompose(base_op.dense()),
-            heisenberg_series(h_expr.system.symbol(quantized(axis + 1)), h_expr),
-        )
+        grid = (cfg.all_grids()[axis],)
+        base_op = compile_expression(one, {}, grid, cfg.hbar, (0,) if axis in self.dft else ())
+        series = heisenberg_series(self.h_expr.system.symbol(quantized(axis + 1)), self.h_expr)
+        return self.order.index(axis), spectral_decompose(base_op.dense()), series
 
+    def measure(self, point: SandwichPoint, columns: Sequence[int]) -> tuple:
+        """(eigenvalues, masses, A(t)): the spectrum of ``point``'s t=0
+        observable, the spectral masses of the factor ``columns`` evolved to
+        its t, one column each, and its exact Heisenberg observable A(t)."""
+        place, decomp, series = self.observables[point.observable]
+        layout = tuple(self.shape[a] for a in self.order)
+        batch = self._evolved(point.t, columns).reshape(-1, len(columns))
+        masses = spectral_masses(decomp, batch, layout, place)
+        return decomp.eigenvalues, masses, series.substitute_constants({"t": point.t})
+
+    def position(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
+        """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position."""
+        return self._unblocked(self._evolved(t, columns))
+
+    def _evolved(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
+        return np.matmul(self.propagated[t], self.coordinates[..., columns])
+
+    def _blocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
+        """A (dim, k) batch on ``grid`` (default: the full grid) in the
+        blocked layout, (N_C, rest, k)."""
+        x = np.fft.fftn(x.reshape((grid or self.shape) + (-1,)), axes=self.dft, norm="ortho")
+        x = np.moveaxis(x, self.blocks, range(len(self.blocks)))
+        return x.reshape(math.prod(self.shape[a] for a in self.blocks), -1, x.shape[-1])
+
+    def _unblocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
+        """The (dim, k) batch on ``grid``, in position, of a blocked one."""
+        x = x.reshape(tuple((grid or self.shape)[a] for a in self.order) + (-1,))
+        x = np.moveaxis(x, range(len(self.blocks)), self.blocks)
+        return np.fft.ifftn(x, axes=self.dft, norm="ortho").reshape(-1, x.shape[-1])
+
+
+def sandwich_rows(point: SandwichPoint, values: np.ndarray, masses: np.ndarray) -> list:
+    """``point``'s sandwich rows, each with its oracle probability (the
+    mass that column 0 of ``masses``, on the eigenvalues ``values``, puts
+    in I0) and whether it lies in [lower, upper] up to the slack."""
+    rows = []
+    for pb in point.rows:
+        oracle_p = float(interval_mass(values, masses, pb.I0)[0])
+        slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
+        ok = pb.lower - slack <= oracle_p <= pb.upper + slack
+        rows.append(
+            point.row_dict(pb) | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
+        )
+    return rows
+
+
+def leakage_rows(point: SandwichPoint, bounds: Sequence, values: np.ndarray, masses) -> list:
+    """The X1 and X2 rows of ``point``'s sandwich rows ``bounds``, whose
+    sector pairs are the columns of ``masses`` after 0: X1 is a row's first
+    sector's mass in I0, X2 its second's outside it."""
+    rows, totals = [], masses.sum(axis=0)
+    sector_masses = masses[:, 1:].reshape(len(masses), -1, 2).swapaxes(0, 1)
+    for pb, pair, total in zip(bounds, sector_masses, totals[1:].reshape(-1, 2)):
+        inside = interval_mass(values, pair, pb.I0)
+        for which, mass in (("X1", inside[0]), ("X2", total[1] - inside[1])):
+            measured = float(mass)
+            ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
+            rows.append(dict(
+                observable=point.observable.name, t=float(point.t), L=pb.L, p=pb.p,
+                width_multiplier=pb.width_multiplier, which=which,
+                measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
+            ))
+    return rows
+
+
+def discrepancy_rows(cfg: SystemConfig, point: SandwichPoint, a_t, psi0: State) -> list:
+    """One row per order L of ``point``: the weight of the exact A(t) - B
+    on ``psi0`` against B's margin at L."""
     # A(t) - B over M classical and M + N quantum DOFs, B's quantum DOF a at M + a
-    full = System(cfg.system.classical, len(grids))
-    rows, leak_rows, disc_rows = [], [], []
-    ehrenfest = 0.0
-    for point, pairs in zip(points, leaky):
-        t = float(point.t)
-        name = point.observable.name
-        note(f"observable {name}, t={t}")
-        place, a_decomp, series = oracle[point.observable]
-        a_exact = series.substitute_constants({"t": point.t})
-        a_t = compile_expression(a_exact, {}, grids, hbar)
-        # psi_t and the evolved leakage sectors in the Schroedinger picture
-        factors = np.column_stack([phi_q.amplitudes] + [s for _, s in pairs])
-        batch = np.matmul(propagated[point.t], coordinates @ blocked(factors, quantum))
-        # the whole batch measured once in the eigenbasis of the t=0 observable
-        masses = spectral_masses(a_decomp, batch.reshape(-1, len(factors.T)), layout, place)
-        totals = masses.sum(axis=0)
-        # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
-        exact = np.vdot(psi0.amplitudes, a_t.apply(psi0.amplitudes))
-        ehrenfest = max(ehrenfest, abs(exact - a_decomp.eigenvalues @ masses[:, 0]))
-        if deep:
-            diff = embed(a_exact, full, 0) - embed(point.expr, full, full.classical)
-            # B's classical symbols bind to their centres, as in the sweep
-            lhs_of = power_weights(diff, cfg.classical_data.centers(), psi0, hbar, point.margins)
-            for L, margin in point.margins.items():
-                lhs, rhs = lhs_of[L], margin.with_second_order
-                ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"])
-                disc_rows.append(dict(
-                    observable=name, t=t, L=L, lhs=lhs, rhs=rhs, verdict="pass" if ok else "fail"
-                ))
-        for pb in point.rows:
-            oracle_p = float(interval_mass(a_decomp.eigenvalues, masses, pb.I0)[0])
-            slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
-            ok = pb.lower - slack <= oracle_p <= pb.upper + slack
-            rows.append(
-                point.row_dict(pb)
-                | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
-            )
-        # X1 is a row's first sector's mass in I0, X2 its second's outside it
-        sector_masses = masses[:, 1:].reshape(len(masses), -1, 2).swapaxes(0, 1)
-        for (pb, _), pair, total in zip(pairs, sector_masses, totals[1:].reshape(-1, 2)):
-            inside = interval_mass(a_decomp.eigenvalues, pair, pb.I0)
-            for which, mass in (("X1", inside[0]), ("X2", total[1] - inside[1])):
-                measured = float(mass)
-                ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
-                leak_rows.append(
-                    dict(
-                        observable=name, t=t, L=pb.L, p=pb.p,
-                        width_multiplier=pb.width_multiplier, which=which,
-                        measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
-                    )
-                )
-
-    if ehrenfest > TOLERANCES["ehrenfest"]:
-        raise GridError(
-            f"oracle Ehrenfest gap {ehrenfest:.3e} exceeds {TOLERANCES['ehrenfest']:.1e}"
-        )
-    return rows, leak_rows, disc_rows, ehrenfest
+    full = System(cfg.system.classical, len(psi0.grids))
+    diff = embed(a_t, full, 0) - embed(point.expr, full, full.classical)
+    # B's classical symbols bind to their centres, as in the sweep
+    lhs_of = power_weights(diff, cfg.classical_data.centers(), psi0, cfg.hbar, point.margins)
+    rows = []
+    for L, margin in point.margins.items():
+        lhs, rhs = lhs_of[L], margin.with_second_order
+        ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"])
+        rows.append(dict(
+            observable=point.observable.name, t=float(point.t), L=L, lhs=lhs, rhs=rhs,
+            verdict="pass" if ok else "fail",
+        ))
+    return rows
 
 
 def _edge_guard(state: State, label: str) -> State:

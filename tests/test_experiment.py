@@ -541,44 +541,49 @@ def two_plus_one():
 def _evolved_factor_columns(cfg, monkeypatch, limit=None):
     """Run a deep verification of ``cfg`` and return the width of each
     propagation it made and, per sweep point, its time, its measured
-    batch (phi_q and the point's leakage sectors, evolved) taken back to
-    position, and the same factors evolved directly as phi_c (x) x; with
-    ``limit``, only that many columns of the first ``limit`` points."""
+    factors (phi_q and the point's leakage sectors) evolved by the run's
+    oracle and read in position, and the same factors evolved directly as
+    phi_c (x) x; with ``limit``, only that many columns of the first
+    ``limit`` points."""
     import halfq.experiment as ex
-    from halfq.hilbert import block_axes, fourier_axes
+    from halfq.hilbert import fourier_axes
 
-    evolve, sectors, masses = ex.evolve_full_quantum, ex.leakage_sectors, ex.spectral_masses
-    widths, pairs, batches = [], [], []
+    evolve = ex.evolve_full_quantum
+    widths, built, measured = [], [], []
+
+    class Recorded(ex.Oracle):
+        def __init__(self, cfg, h_expr, factors, progress=None):
+            built.append((self, factors))
+            super().__init__(cfg, h_expr, factors, progress)
+
+        def measure(self, point, columns):
+            measured.append((point.t, columns))
+            return super().measure(point, columns)
+
     monkeypatch.setattr(
         ex, "evolve_full_quantum", lambda h, v, t: widths.append(v.shape[1]) or evolve(h, v, t)
     )
-    monkeypatch.setattr(ex, "leakage_sectors", lambda *a: pairs.append(sectors(*a)) or pairs[-1])
-    monkeypatch.setattr(
-        ex, "spectral_masses", lambda d, x, *a: batches.append((x, a[0])) or masses(d, x, *a)
-    )
+    monkeypatch.setattr(ex, "Oracle", Recorded)
     report = run_verification(cfg, deep=True)
     assert report.status == "pass" and report.leakage_rows
-    h_expr = cfg.full_hamiltonian_expr()
-    h_op = compile_expression(h_expr, {}, cfg.all_grids(), cfg.hbar, fourier_axes(h_expr))
-    m, shape = cfg.system.classical, tuple(g.npoints for g in cfg.all_grids())
+    ((oracle, factors),) = built
     # the quantum axis is a block axis, first in the measured layout, in
     # its DFT basis; the classical axes follow
-    assert m in block_axes(h_op) and h_op.fourier == (m,)
-    phi_c, phi_q = cfg.classical_factor().amplitudes, cfg.quantum_factor().amplitudes
-    times = cfg.sweep.times
-    out, used = [], 0
-    for i, (x, layout) in enumerate(batches):
-        assert layout == (shape[m],) + shape[:m]
-        factors = np.column_stack([phi_q] + pairs[used : used + (x.shape[1] - 1) // 2])
-        used += (x.shape[1] - 1) // 2
-        if limit is not None and i >= limit:
-            continue
-        x = np.moveaxis(x.reshape(layout + (-1,))[..., :limit], 0, m)
-        got = np.fft.ifft(x, axis=m, norm="ortho").reshape(len(phi_c) * len(phi_q), -1)
-        t = times[i % len(times)]
-        (want,) = evolve(h_op, np.kron(phi_c[:, None], factors[:, :limit]), (t,))
+    m = cfg.system.classical
+    assert oracle.blocks == [m] and oracle.h_op.fourier == (m,)
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), cfg.hbar, fourier_axes(h_expr))
+    phi_c = cfg.classical_factor().amplitudes
+    assert np.array_equal(factors[:, 0], cfg.quantum_factor().amplitudes)
+    # every factor is measured once: phi_q at every point, each sector at its own
+    assert sorted(c for _, columns in measured for c in columns[1:]) == list(
+        range(1, factors.shape[1])
+    )
+    out = []
+    for t, columns in measured[:limit]:
+        got = oracle.position(t, columns[:limit])
+        (want,) = evolve(h_op, np.kron(phi_c[:, None], factors[:, columns[:limit]]), (float(t),))
         out.append((t, got, want))
-    assert used == len(pairs)
     return widths, out
 
 
@@ -730,17 +735,22 @@ def test_verify_passes_the_example_with_no_defect():
     assert report.ehrenfest < 1e-11
 
 
-@pytest.mark.parametrize("coupling", ["0.03", "0.3"])
-def test_discrepancy_rows_see_a_coupling_planted_in_the_oracle(coupling, monkeypatch):
+def _plant_coupling(monkeypatch, coupling):
+    """Make every run's oracle evolve under H + ``coupling``*Q1*P2, its H alone."""
+    import halfq.experiment as ex
     from halfq import parse_expression
 
-    original = SystemConfig.full_hamiltonian_expr
+    class Coupled(ex.Oracle):
+        def __init__(self, cfg, h_expr, factors, progress=None):
+            planted = h_expr + parse_expression(f"{coupling}*Q1*P2", h_expr.system)
+            super().__init__(cfg, planted, factors, progress)
 
-    def planted(cfg):
-        h = original(cfg)
-        return h + parse_expression(f"{coupling}*Q1*P2", h.system)
+    monkeypatch.setattr(ex, "Oracle", Coupled)
 
-    monkeypatch.setattr(SystemConfig, "full_hamiltonian_expr", planted)
+
+@pytest.mark.parametrize("coupling", ["0.03", "0.3"])
+def test_discrepancy_rows_see_a_coupling_planted_in_the_oracle(coupling, monkeypatch):
+    _plant_coupling(monkeypatch, coupling)
     report = run_verification(build_example())
     assert report.status == "fail"
     assert _failing(report.discrepancy_rows)
@@ -750,17 +760,53 @@ def test_discrepancy_rows_see_a_coupling_planted_in_the_oracle(coupling, monkeyp
     assert not _failing(report.rows) and not _failing(x1_rows)
 
 
+def test_x1_rows_see_a_large_coupling_planted_in_the_oracle(monkeypatch):
+    # at +1.0 the evolved leakage sectors move into I0: two X1 rows fail,
+    # beside eleven discrepancy rows, while every sandwich row still holds
+    _plant_coupling(monkeypatch, "1.0")
+    report = run_verification(build_example())
+    assert report.status == "fail"
+    x1_rows = [r for r in report.leakage_rows if r["which"] == "X1"]
+    assert len(_failing(x1_rows)) == 2
+    assert len(_failing(report.discrepancy_rows)) == 11
+    assert not _failing(report.rows)
+
+
 def test_ehrenfest_gap_sees_an_oracle_propagated_too_far(monkeypatch):
-    import halfq.experiment
+    import halfq.experiment as ex
 
-    original = halfq.experiment.evolve_full_quantum
+    class Late(ex.Oracle):
+        def propagate(self, columns, times):
+            return super().propagate(columns, [1.001 * t for t in times])
 
-    def planted(h_op, columns, times):
-        return original(h_op, columns, [1.001 * t for t in times])
-
-    monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", planted)
+    monkeypatch.setattr(ex, "Oracle", Late)
     with pytest.raises(GridError, match=r"oracle Ehrenfest gap 1\.\d+e-03 exceeds 1\.0e-06"):
         run_verification(build_example())
+
+
+@pytest.mark.parametrize("shift, verdicts", [
+    (0.0, {"1": "pass", "2": "pass"}),
+    (0.3, {"1": "pass", "2": "fail"}),
+    (1.0, {"1": "fail", "2": "fail"}),
+])
+def test_certificates_see_a_miscentred_classical_packet(shift, verdicts, tmp_path):
+    # the classical packet is read from a file, centred ``shift`` from the
+    # classical data's q0; the data, and so the margins, stay where they were
+    raw = build_example().to_json_dict()
+    datum, grid = raw["classical_data"][0], Grid(**raw["classical_grids"][0])
+    packet = gaussian_state(grid, datum["q0"] + shift, datum["p0"], 2.0**-0.5, raw["hbar"])
+    path = tmp_path / "packet.txt"
+    np.savetxt(path, np.column_stack([packet.amplitudes.real, packet.amplitudes.imag]))
+    raw["classical_state"] = [{"kind": "file", "path": str(path)}]
+    report = run_verification(SystemConfig.from_json_dict(raw))
+    assert {L: cert["verdict"] for L, cert in report.certificates.items()} == verdicts
+    failed = [L for L, verdict in verdicts.items() if verdict == "fail"]
+    assert [n for n in report.notes if "not applicable" in n] == [
+        f"classical data not {L}-order valid: bounds at L={L} not applicable" for L in failed
+    ]
+    # the rows run, and pass, at the certified orders alone
+    assert report.status == ("not_applicable" if len(failed) == 2 else "pass")
+    assert {r["L"] for r in report.rows} == {int(L) for L in verdicts if L not in failed}
 
 
 def test_state_spec_amplitude_file(tmp_path):

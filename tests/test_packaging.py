@@ -397,3 +397,30 @@ def test_discrepancy_verdict_has_no_absolute_allowance():
         )
     ]
     assert literal_sums == []
+
+
+def test_oracle_owns_the_layout_and_its_stages_stay_short():
+    # block_axes, the QR basis and the blocked/unblocked transforms appear
+    # in experiment.py only inside Oracle; the driver, every Oracle method
+    # and the three row judges each stay within 60 lines
+    tree = _tree("experiment.py")
+    defined = {
+        node.name: node for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    oracle = defined.get("Oracle", ast.ClassDef(name="Oracle", body=[]))
+    inside = {id(node) for node in ast.walk(oracle)}
+    layout = {"block_axes", "qr", "fftn", "ifftn", "moveaxis", "_blocked", "_unblocked"}
+    outside = [
+        f"{name} at line {node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in inside and isinstance(node, (ast.Name, ast.Attribute))
+        for name in [node.id if isinstance(node, ast.Name) else node.attr]
+        if name in layout
+    ]
+    assert outside == []
+    driver = ["run_verification", "sandwich_rows", "leakage_rows", "discrepancy_rows"]
+    stages = [defined[name] for name in driver]
+    stages += [node for node in oracle.body if isinstance(node, ast.FunctionDef)]
+    lengths = {node.name: node.end_lineno - node.lineno + 1 for node in stages}
+    assert {name: n for name, n in lengths.items() if n > 60} == {}
