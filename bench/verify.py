@@ -27,7 +27,8 @@ Each run is sampled SAMPLES times and records the median ``wall_s``
 ``process_s`` (the process from start to exit) and ``peak_rss_mb`` (the
 process's ``ru_maxrss``), every sample's ``wall_s``, the status, the full
 dimension, r (the propagated columns) and the Chebyshev terms; the last
-two are read from the verification's progress note.  ``cli-parse`` is
+two are read from the verification's progress note, which every run but
+a ``not_applicable`` one must give.  ``cli-parse`` is
 sampled CLI_SAMPLES times and records the median ``process_s`` and
 ``peak_rss_mb`` (the child's own ``ru_maxrss``, from ``os.wait4``) and every
 sample's ``process_s``.  The result goes to
@@ -99,6 +100,9 @@ def _sample(name: str) -> dict:
     report = run_verification(cfg, deep=name.endswith("-deep"), progress=notes.append)
     wall = time.perf_counter() - start
     found = [m.groups() for m in map(NOTE.search, notes) if m]
+    # only a run with no certified order propagates nothing
+    if not found and report.status != "not_applicable":
+        raise RuntimeError(f"{name}: {report.status} run without a propagation note")
     r, terms = map(int, found[0]) if found else (None, None)
     return {
         "status": report.status,

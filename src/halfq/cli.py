@@ -22,12 +22,13 @@ import sys
 from typing import TYPE_CHECKING
 
 from .algebra import (
+    AlgebraError,
     NonTerminatingSeriesError,
     System,
     half_quantize,
     jacobiator,
 )
-from .grammar import format_expression, parse_expression
+from .grammar import format_expression, parse_expression, parse_symbol
 
 if TYPE_CHECKING:
     from .experiment import SystemConfig
@@ -107,20 +108,19 @@ def cmd_evolve(args) -> int:
     from .experiment import hybrid_solutions
 
     cfg = _load_config(args)
-    sols = {sym.name: sol for sym, sol in hybrid_solutions(cfg).items()}
-    if args.observable and args.observable not in sols:
-        print(
-            f"error: unknown observable {args.observable!r}; choose from {', '.join(sols)}",
-            file=sys.stderr,
-        )
+    sols = hybrid_solutions(cfg)
+    try:
+        # read as the config reads names: Q01 is Q1
+        chosen = [parse_symbol(args.observable)] if args.observable else list(sols)
+    except AlgebraError:
+        chosen = [None]
+    if chosen[0] not in sols:
+        names = ", ".join(sym.name for sym in sols)
+        print(f"error: unknown observable {args.observable!r}; choose from {names}",
+              file=sys.stderr)
         return 2
-    names = [args.observable] if args.observable else list(sols)
-    payload = {}
-    lines = []
-    for name in names:
-        text = format_expression(sols[name])
-        payload[name] = text
-        lines.append(f"{name}(t) = {text}")
+    payload = {sym.name: format_expression(sols[sym]) for sym in chosen}
+    lines = [f"{name}(t) = {text}" for name, text in payload.items()]
     _emit(args, {"solutions": payload}, "\n".join(lines))
     return 0
 

@@ -11,16 +11,17 @@ B, H and A(t) read the same values.
 
 A verification run checks every sweep row against the full-quantum
 evolution of the same initial data, in stages.  One :class:`Oracle`
-compiles H, every DOF quantum, in its propagation basis.  H is block
-diagonal over its :func:`block_axes`, so the oracle lays the grid out
-with the quantum block axes first, in H's basis, and keeps an
-orthonormal basis of the quantum factors' span over the other quantum
-axes, all-ones on the block axes (one column in every shipped
-Hamiltonian); each factor is projected on it once.  Every evolved state
-is phi^C (x) x for a quantum factor x: phi^Q, and in a deep run the two
-leakage sectors P_S phi^Q of each row (:func:`leakage_sectors`).  So one
-matrix-free Chebyshev propagation of phi^C (x) that basis reaches every
-sweep time, and each psi_t is edge-guarded.  At each sweep point the
+compiles H, every DOF quantum, in its propagation basis, and takes
+phi^C and the quantum factors to that basis once.  H is block diagonal
+over its :func:`block_axes`, so the oracle lays the grid out with the
+quantum block axes first and keeps an orthonormal basis of the quantum
+factors' span over the other quantum axes, all-ones on the block axes
+(one column in every shipped Hamiltonian); each factor is projected on
+it once.  Every evolved state is phi^C (x) x for a quantum factor x:
+phi^Q, and in a deep run the two leakage sectors P_S phi^Q of each row
+(:func:`leakage_sectors`).  So one matrix-free Chebyshev propagation of
+phi^C (x) that basis reaches every sweep time, and each psi_t is read
+back in position and edge-guarded.  At each sweep point the
 oracle measures the point's factors in one batch on the one-DOF
 spectrum of the t=0 observable, in the Schroedinger picture (unitarily
 identical to the Heisenberg statement); the only dense eigenproblems
@@ -779,11 +780,12 @@ class Oracle:
     """The full-quantum side of a run: built once, then measured per point.
 
     Built from ``cfg``, H's exact expression ``h_expr`` and the quantum
-    ``factors`` (an (N_Q, K) array, phi^Q first), it compiles H, owns the
-    blocked layout and the basis, projects each factor once, propagates,
-    edge-guards each psi_t, and builds each sweep observable's one-DOF
-    spectrum and exact series.  :meth:`measure` measures a point's factor
-    columns at its t; :meth:`position` reads evolved factors in position.
+    ``factors`` (an (N_Q, K) array, phi^Q first), it compiles H, takes the
+    factors and phi^C to H's basis once, owns the blocked layout, projects
+    each factor once, propagates, edge-guards each psi_t, and builds each
+    sweep observable's one-DOF spectrum (in H's basis) and exact series.
+    :meth:`measure` measures a point's factor columns at its t;
+    :meth:`position` alone takes evolved factors back to position.
     """
 
     def __init__(self, cfg: SystemConfig, h_expr: HybridExpression, factors, progress=None):
@@ -791,13 +793,13 @@ class Oracle:
         self.h_expr, self.shape = h_expr, tuple(g.npoints for g in grids)
         self.h_op = compile_expression(h_expr, {}, grids, cfg.hbar, fourier_axes(h_expr))
         # on H's quantum block axes (C) a column all-ones in H's basis
-        # carries every block, so the blocked layout puts them first, in
-        # H's basis, then the other axes in order
-        m = cfg.system.classical
+        # carries every block, so the blocked layout puts them first, then
+        # the other axes in order; every array here is in H's basis
+        m, fourier = cfg.system.classical, self.h_op.fourier
         self.blocks = [a for a in block_axes(self.h_op) if a >= m]
-        self.dft = [a for a in self.blocks if a in self.h_op.fourier]
         self.order = self.blocks + [a for a in range(len(self.shape)) if a not in self.blocks]
         quantum = (1,) * m + self.shape[m:]  # a quantum factor on the full grid's axes
+        factors = np.fft.fftn(factors.reshape(quantum + (-1,)), axes=fourier, norm="ortho")
         # an orthonormal basis of the factors' span over the other quantum
         # axes (A) at every block index, r = min(N_A, N_C K); the factors lie
         # in it exactly, so no rank tolerance enters
@@ -808,35 +810,38 @@ class Oracle:
         t_floats = [float(t) for t in times]
         if progress is not None:
             # the rotated axes are named by DOF number, as in the Hamiltonian's Q_a
-            rotated = ", ".join(str(axis + 1) for axis in self.h_op.fourier)
+            rotated = ", ".join(str(axis + 1) for axis in fourier)
             progress(
                 f"propagating r={basis.shape[1]} columns to {len(times)} times in "
                 f"{chebyshev_terms(self.h_op, t_floats)} Chebyshev terms; "
                 + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
             )
         columns = self._unblocked(np.broadcast_to(basis, (len(factors),) + basis.shape), quantum)
-        columns = np.kron(cfg.classical_factor().amplitudes[:, None], columns)
+        phi_c = cfg.classical_factor().amplitudes.reshape(self.shape[:m] + (1,) * len(quantum[m:]))
+        phi_c = np.fft.fftn(phi_c, axes=fourier, norm="ortho")
+        columns = np.kron(phi_c.reshape(-1, 1), columns)
         self.propagated = dict(zip(times, self.propagate(columns, t_floats)))
         for t in times:
             _edge_guard(State(self.position(t, [0]).ravel(), grids), f"state at t={float(t)}")
         self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
 
     def propagate(self, columns: np.ndarray, times: Sequence[float]) -> list:
-        """The (dim, r) ``columns`` phi_c (x) basis evolved to each of ``times``
-        in one recurrence, as W_t in the blocked layout: at each block
-        index c, exp(-iHt/hbar)(phi_c (x) x) = W_t[c] basis^H x[c]."""
+        """The (dim, r) ``columns`` phi_c (x) basis, in H's basis, evolved to
+        each of ``times`` in one recurrence, as W_t in the blocked layout:
+        at each block index c, exp(-iHt/hbar)(phi_c (x) x) = W_t[c] basis^H x[c]."""
         return [self._blocked(w) for w in evolve_full_quantum(self.h_op, columns, times)]
 
     def _observable(self, cfg: SystemConfig, sym: Symbol) -> tuple:
         """The place of ``sym``'s axis (classical DOFs first) in the blocked
         layout, the one-DOF spectrum of the t=0 operator A, Q or P on that
-        axis in the layout's basis, and the exact Heisenberg-picture series
-        A(t) under H, whose one free constant is t."""
+        axis in H's basis, and the exact Heisenberg-picture series A(t)
+        under H, whose one free constant is t."""
         axis = sym.index - 1 + (0 if sym.is_classical else cfg.system.classical)
         quantized = Symbol.P if sym.is_momentum else Symbol.Q
         one = System(0, 1).symbol(quantized(1))
         grid = (cfg.all_grids()[axis],)
-        base_op = compile_expression(one, {}, grid, cfg.hbar, (0,) if axis in self.dft else ())
+        fourier = (0,) if axis in self.h_op.fourier else ()
+        base_op = compile_expression(one, {}, grid, cfg.hbar, fourier)
         series = heisenberg_series(self.h_expr.system.symbol(quantized(axis + 1)), self.h_expr)
         return self.order.index(axis), spectral_decompose(base_op.dense()), series
 
@@ -852,23 +857,23 @@ class Oracle:
 
     def position(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
         """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position."""
-        return self._unblocked(self._evolved(t, columns))
+        x = self._unblocked(self._evolved(t, columns)).reshape(self.shape + (-1,))
+        return np.fft.ifftn(x, axes=self.h_op.fourier, norm="ortho").reshape(-1, x.shape[-1])
 
     def _evolved(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
         return np.matmul(self.propagated[t], self.coordinates[..., columns])
 
     def _blocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
         """A (dim, k) batch on ``grid`` (default: the full grid) in the
-        blocked layout, (N_C, rest, k)."""
-        x = np.fft.fftn(x.reshape((grid or self.shape) + (-1,)), axes=self.dft, norm="ortho")
+        blocked layout, (N_C, rest, k): its axes permuted, block axes first."""
+        x = x.reshape((grid or self.shape) + (-1,))
         x = np.moveaxis(x, self.blocks, range(len(self.blocks)))
         return x.reshape(math.prod(self.shape[a] for a in self.blocks), -1, x.shape[-1])
 
     def _unblocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
-        """The (dim, k) batch on ``grid``, in position, of a blocked one."""
+        """The (dim, k) batch on ``grid`` of a blocked one."""
         x = x.reshape(tuple((grid or self.shape)[a] for a in self.order) + (-1,))
-        x = np.moveaxis(x, range(len(self.blocks)), self.blocks)
-        return np.fft.ifftn(x, axes=self.dft, norm="ortho").reshape(-1, x.shape[-1])
+        return np.moveaxis(x, range(len(self.blocks)), self.blocks).reshape(-1, x.shape[-1])
 
 
 def sandwich_rows(point: SandwichPoint, values: np.ndarray, masses: np.ndarray) -> list:

@@ -27,14 +27,16 @@ of P outnumber its pure powers of Q (:func:`fourier_axes`) are realized
 in the unitary-DFT basis, where P^n is diagonal.  The one propagator,
 :func:`evolve_full_quantum`, is a Chebyshev recurrence on that action
 that carries a batch of columns to several times in one pass; it powers
-the brute-force full-quantum oracle.  It reads its spectral interval off
+the brute-force full-quantum oracle.  Its columns are in H's basis on the
+way in and on the way out: it changes no basis, and its caller takes
+states to H's basis and back.  It reads its spectral interval off
 H's one realization (:func:`_chebyshev_interval`: the diagonal's exact
 range plus one enclosure per other term) and advances the columns in
 chunks of :data:`CHUNK_COLUMNS`, three chunk vectors and one sum per time
 besides one result per nonzero time; time 0 is the input itself.  H is
 block diagonal over its :func:`block_axes`, so one column all-ones there
-in H's basis carries every block, and the unitarity guard checks each
-block's Gram matrix.  A dense matrix is a
+in H's basis carries every block, and the unitarity guard reads each
+block's Gram matrix off the columns as given.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose`.  Oracle and bounds alike read every interval
@@ -513,29 +515,28 @@ def evolve_full_quantum(
 ) -> list:
     """exp(-iHt/hbar) applied to a (dim,) vector or each of the r columns
     of a (dim, r) batch, at every time in ``times``: one array of the
-    input's shape per time, in order; hbar and the basis are the ones
-    ``H`` was compiled with.  A time 0 gives a read-only view of the input.
+    input's shape per time, in order; hbar is the one ``H`` was compiled
+    with.  The input and every result are in the basis ``H`` was compiled
+    in: the unitary DFT on the axes ``H.fourier``, position on the others.
+    No basis changes here; the caller takes its vectors to H's basis and
+    back.  A time 0 gives a read-only view of the input.
 
     Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
     1984) over H's spectral interval.  The vectors T_n(H~)v do not depend
     on t, so one recurrence runs to the order max |t| needs
     (:func:`chebyshev_terms`) and every time sums its own coefficients
     a_n(t) in the same loop, truncated where its coefficient tail falls
-    below CHEBYSHEV_TAIL.  The recurrence runs in H's own basis, on
-    CHUNK_COLUMNS columns at a time: each chunk is taken to the
-    unitary-DFT basis on the axes ``H.fourier`` (those of
-    :func:`fourier_axes` for the oracle's H), where a pure power of P is
-    diagonal, and taken back into its columns of each result; order and
-    coefficients come from that one realization.  Three chunk buffers,
-    the transformed chunk first, hold the T_n in turn, each new one
-    written over a spent one, so memory is one r x dim result per nonzero
-    time plus, per chunk, those buffers, one accumulator per time and one
-    temporary per term of ``apply``.
+    below CHEBYSHEV_TAIL.  The recurrence runs on CHUNK_COLUMNS columns
+    at a time; order and coefficients come from H's one realization.
+    Three chunk buffers, a copy of the chunk first, hold the T_n in turn,
+    each new one written over a spent one, so memory is one r x dim
+    result per nonzero time plus, per chunk, those buffers, one
+    accumulator per time and one temporary per term of ``apply``.
     Raises GridError when the columns' Gram matrix within any block of
     H's :func:`block_axes` (the whole Gram without them) drifts by more
     than 1e-9 in spectral norm at any time, so that no unit combination of
     the columns at one block index changes its squared norm by more than
-    1e-9; blocks are checked a group of indices at a time, uncopied.
+    1e-9; blocks are checked a group of indices at a time.
     """
     v = np.asarray(vectors, dtype=complex)
     # exp(-iH 0) = I: time 0 is the input itself, read-only
@@ -545,22 +546,20 @@ def evolve_full_quantum(
     if not moving:
         return [same] * len(times)
     cols = v.reshape(v.shape[0], -1)
-    hbar, axes = H.hbar, H.fourier
+    hbar = H.hbar
     lo, hi = _chebyshev_interval(H)
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     # T_{n+1} = op T_n - T_{n-1} with op = 2 (H - center) / radius
     scale = 2.0 / radius
     terms = tuple((scale * s, f, qp) for s, f, qp in H.terms)
-    op = CompiledOperator(scale * (H.diagonal - center), terms, H.grids, hbar, axes)
+    op = CompiledOperator(scale * (H.diagonal - center), terms, H.grids, hbar, H.fourier)
     coeffs = [chebyshev_coefficients(radius * t / hbar) for t in moving]
     order = max((a.size for a in coeffs), default=0)
     outs = [np.empty_like(cols) for _ in moving]
-    grid_shape = H.shape + (-1,)
     for start in range(0, cols.shape[1], CHUNK_COLUMNS):
         chunk = slice(start, start + CHUNK_COLUMNS)
+        # a copy: the recurrence writes over its first buffer
         u = np.array(cols[:, chunk])
-        if axes:
-            u = np.fft.fftn(u.reshape(grid_shape), axes=axes, norm="ortho").reshape(u.shape)
         accs = [a[0] * u for a in coeffs]
         if order > 1:
             prev, cur, spare = u, op.apply(u), np.empty_like(u)
@@ -576,10 +575,8 @@ def evolve_full_quantum(
                         acc += np.multiply(a[n], cur, out=spare)
             del prev, cur, spare
         for out, acc, t in zip(outs, accs, moving):
-            if axes:
-                acc = np.fft.ifftn(acc.reshape(grid_shape), axes=axes, norm="ortho")
             acc *= np.exp(-1j * center * t / hbar)
-            out[:, chunk] = acc.reshape(len(cols), -1)
+            out[:, chunk] = acc
         del u, accs
     blocks = block_axes(H)
     n = H.shape[blocks[0]] if blocks else 1
@@ -596,16 +593,12 @@ def evolve_full_quantum(
 
 def _block_grams(H: CompiledOperator, blocks: tuple, cols: np.ndarray, group: slice):
     """(b, r, r): the Gram matrix of the r columns of a (dim, r) batch in
-    each block of ``H``'s axes ``blocks``, in H's basis, whose index on the
-    first lies in ``group`` (the whole Gram when ``blocks`` is empty); only
-    those rows of the first block axis are taken to H's basis."""
+    H's basis in each block of ``H``'s axes ``blocks`` whose index on the
+    first lies in ``group`` (the whole Gram when ``blocks`` is empty)."""
     if not blocks:
         return _gram(cols)[None]
-    first, shape, r = blocks[0], H.shape, cols.shape[1]
-    rows = _fourier_basis(H.grids[first])[0] if first in H.fourier else np.eye(shape[first])
-    x = np.matmul(rows[group], cols.reshape(math.prod(shape[:first]), shape[first], -1))
-    x = x.reshape(shape[:first] + (-1,) + shape[first + 1 :] + (r,))
-    x = np.fft.fftn(x, axes=[a for a in blocks[1:] if a in H.fourier], norm="ortho")
+    r = cols.shape[1]
+    x = cols.reshape(H.shape + (r,))[(slice(None),) * blocks[0] + (group,)]
     x = np.moveaxis(x, blocks, range(len(blocks)))
     x = x.reshape(math.prod(x.shape[: len(blocks)]), -1, r)
     return np.matmul(x.conj().swapaxes(1, 2), x)

@@ -77,6 +77,18 @@ def test_evolve_names_the_observables_on_an_unknown_one(capsys):
     assert err.splitlines() == ["error: unknown observable 'X9'; choose from q1, p1, Q1, P1"]
 
 
+def test_evolve_reads_observable_names_as_the_config_does(capsys):
+    # Q01 names Q1, as in a config's sweep; Q2 lies outside the 1+1 example
+    code, out, err = run_cli(capsys, "evolve", "--observable", "Q01")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "evolve", "--observable", "Q1")[1]
+    assert out.startswith("Q1(t) = ")
+    code, out, err = run_cli(capsys, "evolve", "--observable", "Q2")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: unknown observable 'Q2'; choose from q1, p1, Q1, P1"]
+
+
 def test_certify_default_example(capsys):
     code, out, _ = run_cli(capsys, "certify")
     assert code == 0
@@ -350,8 +362,8 @@ def test_zero_amplitude_file_is_one_error_line(tmp_path, capsys):
 
 def test_observable_names_are_read_as_symbols(tmp_path, capsys):
     # q01 names q1: bounds and verify run it and print the canonical name
-    # in every row, in the config echo and in the progress notes, while
-    # evolve matches --observable against canonical names only
+    # in every row, in the config echo and in the progress notes, and
+    # evolve reads --observable the same way
     raw = build_example(npoints=32, extent=8.0, times=(0.0, 0.5)).to_json_dict()
     raw["sweep"]["observables"] = ["q01", "P1"]
     path = tmp_path / "config.json"
@@ -366,9 +378,9 @@ def test_observable_names_are_read_as_symbols(tmp_path, capsys):
     assert report["config"]["sweep"]["observables"] == ["q1", "P1"]
     assert "  .. observable q1, t=0.5" in err.splitlines()
     code, out, err = run_cli(capsys, "evolve", "--config", str(path), "--observable", "q01")
-    assert code == 2
-    assert out == ""
-    assert "unknown observable 'q01'" in err
+    assert (code, err) == (0, "")
+    assert out.startswith("q1(t) = ")
+    assert out == run_cli(capsys, "evolve", "--config", str(path), "--observable", "q1")[1]
 
 
 @pytest.mark.parametrize(

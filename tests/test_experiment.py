@@ -277,6 +277,28 @@ def test_decoupled_system_passes_every_row_at_later_times():
     assert [r for r in report.rows if r["verdict"] != "pass"] == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="node-counting measure: oracle_P moves by up to 9.2e-2 from 64 to 128 points",
+)
+def test_grid_refinement_leaves_the_oracle_probabilities():
+    # doubling the points at extent 16 halves the spacing; a converged
+    # oracle moves no row's oracle_P by 1e-2, yet today 21 of 192 rows move
+    # further, Q1 at t = 0.4 the most.  This passes once the measure
+    # resolves the interval endpoints
+    def oracle_p(npoints):
+        report = run_verification(build_example(npoints=npoints, extent=16.0), deep=False)
+        assert report.status == "pass"
+        return {
+            (r["observable"], r["t"], r["L"], r["p"], r["width_multiplier"]): r["oracle_P"]
+            for r in report.rows
+        }
+
+    coarse, fine = oracle_p(64), oracle_p(128)
+    assert coarse.keys() == fine.keys()
+    assert max(abs(coarse[key] - fine[key]) for key in coarse) < 1e-2
+
+
 def test_heavy_classical_mass_shrinks_momentum_margin():
     from fractions import Fraction
 
@@ -579,11 +601,17 @@ def _evolved_factor_columns(cfg, monkeypatch, limit=None):
     assert sorted(c for _, columns in measured for c in columns[1:]) == list(
         range(1, factors.shape[1])
     )
+    # the direct propagation works in H's basis: each factor goes there and
+    # back by the unitary DFT on H's Fourier axes
+    shape, axes = oracle.shape, h_op.fourier
     out = []
     for t, columns in measured[:limit]:
         got = oracle.position(t, columns[:limit])
-        (want,) = evolve(h_op, np.kron(phi_c[:, None], factors[:, columns[:limit]]), (float(t),))
-        out.append((t, got, want))
+        x = np.kron(phi_c[:, None], factors[:, columns[:limit]]).reshape(shape + (-1,))
+        x = np.fft.fftn(x, axes=axes, norm="ortho").reshape(got.shape)
+        (want,) = evolve(h_op, x, (float(t),))
+        want = np.fft.ifftn(want.reshape(shape + (-1,)), axes=axes, norm="ortho")
+        out.append((t, got, want.reshape(got.shape)))
     return widths, out
 
 
@@ -706,6 +734,23 @@ def test_edge_guard_sees_the_momentum_edge(npoints, extent, monkeypatch):
     cfg = build_example(npoints=npoints, extent=extent, times=(0.0,))
     with pytest.raises(GridError, match="classical factor carries momentum-edge mass"):
         run_verification(cfg, deep=False)
+
+
+def test_edge_guard_sees_a_late_time_momentum_edge():
+    # a force F*q1 (F = 8) drives the classical packet's momentum toward the
+    # 32x32 grid's momentum edge while it stays clear of the boundary: psi_t
+    # is clean at t = 0.2 and carries momentum-edge mass 7.7e-5 at t = 0.5,
+    # read in position through the oracle's one inverse DFT
+    def forced(times):
+        raw = build_example(npoints=32, extent=8.0, times=times).to_json_dict()
+        raw["hamiltonian"] += " + F*q1"
+        raw["constants"]["F"] = 8.0
+        return SystemConfig.from_json_dict(raw)
+
+    report = run_verification(forced((0.0, 0.2)), deep=False)
+    assert report.status == "pass" and report.ehrenfest < 1e-11
+    with pytest.raises(GridError, match=r"state at t=0\.5 carries momentum-edge mass 7\.704e-05"):
+        run_verification(forced((0.0, 0.5)), deep=False)
 
 
 def test_wrapped_packets_cannot_loosen_the_guards():

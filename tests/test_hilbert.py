@@ -353,10 +353,12 @@ def test_unitarity_guard_checks_every_block_of_a_block_axis():
     sign = np.sign(np.fft.fftfreq(48))
     planted = replace(h_op, diagonal=h_op.diagonal + 1j * gamma * sign)
     phi_q = gaussian_state(cfg.quantum_grids[0], 0.0, 0.0, 1.0, HBAR).amplitudes
-    weights = np.abs(np.fft.fft(phi_q, norm="ortho")) ** 2
+    # the propagator works in H's basis: the packet goes in by the unitary DFT
+    phi_k = np.fft.fft(phi_q, norm="ortho")
+    weights = np.abs(phi_k) ** 2
     moved = weights * np.expm1(2 * gamma * t * sign)
     assert np.max(np.abs(moved)) > 1e-6 and abs(moved.sum()) < 1e-9
-    psi = np.kron(cfg.classical_factor().amplitudes, phi_q)
+    psi = np.kron(cfg.classical_factor().amplitudes, phi_k)
     evolve_full_quantum(h_op, psi, (t,))
     with pytest.raises(GridError, match="evolution lost unitarity beyond 1e-9 at t=0.4"):
         evolve_full_quantum(planted, psi, (t,))
@@ -517,7 +519,8 @@ def test_fourier_axes_follow_the_pure_powers():
 def test_mixed_basis_propagation_matches_dense_eigh():
     """Axis 2 (P2^2 and Q1*P2/5 against Q2^4) propagates in the Fourier
     basis and axis 1 (P1^2 against Q1^2 and Q1) in position, against a
-    Hamiltonian assembled here from dense one-DOF matrices."""
+    Hamiltonian assembled here from dense one-DOF matrices.  The columns go
+    to H's basis and back by a dense unitary DFT matrix on axis 2."""
     g1, g2 = Grid(16, -5.0, 5.0), Grid(20, -6.0, 6.0)
     s = System(0, 2)
     expr = parse_expression("P1^2/2 + Q1^2/2 + P2^2/2 + Q1*P2/5 + Q2^4/40 + 3/2", s)
@@ -537,9 +540,10 @@ def test_mixed_basis_propagation_matches_dense_eigh():
     rng = np.random.default_rng(11)
     cols = np.linalg.qr(rng.normal(size=(320, 3)) + 1j * rng.normal(size=(320, 3)))[0]
     times = (0.3, 0.8, 1.5)
-    for t, evolved in zip(times, evolve_full_quantum(h_op, cols, times)):
+    dft = np.kron(i1, np.fft.fft(i2, axis=0, norm="ortho"))
+    for t, evolved in zip(times, evolve_full_quantum(h_op, dft @ cols, times)):
         want = v @ (np.exp(-1j * w * t / HBAR)[:, None] * (v.conj().T @ cols))
-        assert np.max(np.abs(evolved - want)) <= 1e-12, t
+        assert np.max(np.abs(dft.conj().T @ evolved - want)) <= 1e-12, t
 
 
 S02 = System(0, 2)

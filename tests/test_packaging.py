@@ -278,6 +278,22 @@ def test_batch_kernels_take_arrays():
     assert offenders == []
 
 
+def test_propagator_changes_no_basis():
+    # evolve_full_quantum and its unitarity guard work in H's basis as
+    # given; the oracle alone takes states to that basis and back
+    tree = _tree("hilbert.py")
+    transforms = {"fft", "fftn", "ifftn", "_fourier_basis"}
+    named = {
+        name: sorted({
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(_function(tree, name))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        } & transforms)
+        for name in ("evolve_full_quantum", "_block_grams")
+    }
+    assert named == {"evolve_full_quantum": [], "_block_grams": []}
+
+
 def _function(tree: ast.Module, name: str):
     return next(
         node for node in ast.walk(tree)
