@@ -22,6 +22,14 @@ Every sample is a fresh process, one at a time, with
   that imports ``halfq.cli`` from ``src/`` and runs ``main(["parse", ...])``
   with ``PYTHONDONTWRITEBYTECODE=1`` (every module compiled from source).
 
+    python3 bench/verify.py --parent DIR
+
+With ``--parent``, DIR is a checkout of the parent commit: each run's
+samples alternate between DIR's ``src/`` and this checkout's, the side that
+goes first flipping on every sample, and the parent's records go under
+``parent`` with its commit.  Alternating spreads the drift of a shared box
+over both sides, so a few-percent change is not read off two separate rounds.
+
 Each run is sampled SAMPLES times and records the median ``wall_s``
 (``run_verification`` in its process, after imports and config loading),
 ``process_s`` (the process from start to exit) and ``peak_rss_mb`` (the
@@ -59,7 +67,7 @@ RUNS = (
     "2p1-64x64x64-deep",
     "mixing-32-deep",
 )
-SAMPLES = 3
+SAMPLES = 5
 CLI_SAMPLES = 7
 CLI_PARSE = ("parse", "p2^2/(2*M) + p1^2/(2*m) + k*q1*p2", "--system", "2,0",
              "--constants", "m,M,k")
@@ -114,20 +122,49 @@ def _sample(name: str) -> dict:
     }
 
 
-def _cli_parse() -> dict:
-    """``CLI_PARSE`` in CLI_SAMPLES fresh interpreters, one at a time."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+def _cli_sample(src: Path) -> tuple:
+    """``CLI_PARSE`` once in a fresh interpreter: (process_s, peak_rss_mb)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     script = "import sys, halfq.cli; sys.exit(halfq.cli.main(sys.argv[1:]))"
-    samples = []
-    for _ in range(CLI_SAMPLES):
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-c", script, *CLI_PARSE], env=env,
-                                stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        samples.append((time.perf_counter() - start, usage.ru_maxrss / 1024))
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
-            raise RuntimeError(f"halfq {' '.join(CLI_PARSE)} exited {proc.returncode}")
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", script, *CLI_PARSE], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    if code := os.waitstatus_to_exitcode(status):
+        raise RuntimeError(f"halfq {' '.join(CLI_PARSE)} exited {code} with {src}")
+    return elapsed, usage.ru_maxrss / 1024
+
+
+def _run_sample(name: str, src: Path, env: dict) -> dict:
+    """``name`` once in a fresh process that imports halfq from ``src``."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, __file__, "--sample", name, "--src", str(src)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    sample = json.loads(done.stdout.splitlines()[-1])
+    return sample | {"process_s": time.perf_counter() - start}
+
+
+def _alternating(sources: dict, count: int):
+    """``count`` rounds of one sample per side; with two sides the one that
+    goes first flips on every round."""
+    sides = list(sources)
+    for i in range(count):
+        yield from sides if i % 2 == 0 else sides[::-1]
+
+
+def _record(samples: list) -> dict:
+    record = samples[0] | {
+        key: statistics.median(s[key] for s in samples)
+        for key in ("wall_s", "process_s", "peak_rss_mb")
+    }
+    record["wall_s_samples"] = [s["wall_s"] for s in samples]
+    return record
+
+
+def _cli_record(samples: list) -> dict:
     return {
         "argv": list(CLI_PARSE),
         "process_s": statistics.median(s for s, _ in samples),
@@ -143,42 +180,52 @@ def _blas() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
+def _commit(checkout: Path):
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sample", choices=RUNS, help="run once in this process, print JSON")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="src/ directory that --sample imports halfq from")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="checkout of the parent commit to alternate samples with")
     args = parser.parse_args()
-    sys.path.insert(0, str(ROOT / "src"))
     if args.sample:
+        sys.path.insert(0, str(args.src))
         print(json.dumps(_sample(args.sample)))
         return 0
+    sources = {"change": ROOT / "src"}
+    if args.parent is not None:
+        if not (args.parent / "src" / "halfq").is_dir():
+            parser.error(f"--parent {args.parent} holds no src/halfq")
+        sources["parent"] = args.parent / "src"
     cores = len(os.sched_getaffinity(0))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(min(2, cores)))
-    runs = {}
+    runs = {side: {} for side in sources}
     for name in RUNS:
-        samples = []
-        for _ in range(SAMPLES):
-            start = time.perf_counter()
-            done = subprocess.run(
-                [sys.executable, __file__, "--sample", name],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            sample = json.loads(done.stdout.splitlines()[-1])
-            samples.append(sample | {"process_s": time.perf_counter() - start})
-        record = samples[0] | {
-            key: statistics.median(s[key] for s in samples)
-            for key in ("wall_s", "process_s", "peak_rss_mb")
-        }
-        record["wall_s_samples"] = [s["wall_s"] for s in samples]
-        runs[name] = record
-        print(f"{name}: {record['status']}, {record['wall_s']:.2f} s, "
-              f"{record['peak_rss_mb']:.0f} MB", file=sys.stderr)
-    runs["cli-parse"] = _cli_parse()
-    print(f"cli-parse: {runs['cli-parse']['process_s']:.3f} s, "
-          f"{runs['cli-parse']['peak_rss_mb']:.1f} MB", file=sys.stderr)
-    doc = {
-        "machine": {"cores": cores, "blas": _blas(), "blas_threads": min(2, cores)},
-        "runs": runs,
-    }
+        samples = {side: [] for side in sources}
+        for side in _alternating(sources, SAMPLES):
+            samples[side].append(_run_sample(name, sources[side], env))
+        for side, record in runs.items():
+            record[name] = _record(samples[side])
+            print(f"{side} {name}: {record[name]['status']}, {record[name]['wall_s']:.2f} s, "
+                  f"{record[name]['peak_rss_mb']:.0f} MB", file=sys.stderr)
+    samples = {side: [] for side in sources}
+    for side in _alternating(sources, CLI_SAMPLES):
+        samples[side].append(_cli_sample(sources[side]))
+    for side, record in runs.items():
+        record["cli-parse"] = _cli_record(samples[side])
+        print(f"{side} cli-parse: {record['cli-parse']['process_s']:.3f} s, "
+              f"{record['cli-parse']['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    machine = {"cores": cores, "blas": _blas(), "blas_threads": min(2, cores)}
+    doc = {"machine": machine, "runs": runs["change"]}
+    if args.parent is not None:
+        doc["parent"] = {"commit": _commit(args.parent), "machine": machine,
+                         "runs": runs["parent"]}
     (ROOT / "BENCH_verify.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -24,13 +24,16 @@ per key; the :class:`HybridExpression` constructor enforces the second by
 dropping zero coefficients through ``_nonzero``.  The normal-ordering
 table calls the same helper when it stores a result; no builder prunes.
 
-Two module-level tables memoize the exact kernel, keyed by interned symbols
-alone: ``_NORMAL_CACHE`` maps a quantum word to its normal-ordered expansion,
-and ``_BRACKET_CACHE`` a pair of unit monomials to their hybrid bracket in the
-closed form (c1*W1, c2*W2) = c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 +
-W2*W1) of :func:`hybrid_bracket`, tested against the definition
-(:func:`commutator`, :func:`double_bracket`, :func:`mul_ihbar`).
-Weyl quantization and unquantization read one closed-form single-DOF table,
+Every exact linear or bilinear map is one accumulation over memoized images
+of unit monomials, keyed by interned symbols alone: ``_NORMAL_CACHE`` maps a
+quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` a pair
+of unit monomials to their hybrid bracket in the closed form (c1*W1, c2*W2)
+= c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 + W2*W1) of
+:func:`hybrid_bracket`, tested against the definition (:func:`commutator`,
+:func:`double_bracket`, :func:`mul_ihbar`).  :func:`poisson_bracket` sums
+{c1, c2}*W1*W2 alike, differentiating nothing.  ``_weyl_image`` holds the
+half quantization of a classical monomial at a split and ``_symbol_image``
+the Weyl symbol of a word; both read one closed-form single-DOF table,
 ``_weyl_terms``: the Weyl <-> normal-order correspondence
 exp(-+(i*hbar/2) d_q d_p), whose cost is polynomial in the degree.
 """
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache, total_ordering
-from itertools import product
 from typing import Mapping, Union
 import warnings
 
@@ -662,30 +664,46 @@ def commutator(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     return a * b - b * a
 
 
-def _partials(a: HybridExpression, b: HybridExpression) -> list:
-    """(da/dq_i, da/dp_i, db/dq_i, db/dp_i) for each classical DOF i of a or b."""
-    a._require_same(b)
-    dofs = {s.index for s in a.classical_symbols() | b.classical_symbols()}
+def _classical_bracket(cl1: tuple, cl2: tuple) -> list:
+    """{c1, c2} of the classical monomials c1, c2 as (monomial, n) pairs:
+    sum_i n_i * c1*c2/(q_i*p_i), n_i = a_i*b'_i - b_i*a'_i, with a_i, a'_i
+    (b_i, b'_i) the powers of q_i, p_i in c1 (c2)."""
+    e1, e2, cl12, out = dict(cl1), dict(cl2), _merge_pows(cl1, cl2), []
+    for i in {s.index for s in (*e1, *e2)}:
+        q, p = Symbol.q(i), Symbol.p(i)
+        if n := e1.get(q, 0) * e2.get(p, 0) - e2.get(q, 0) * e1.get(p, 0):
+            out.append((_merge_pows(cl12, ((q, -1), (p, -1))), n))
+    return out
+
+
+def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> list:
+    """{c1*W1, c2*W2} = {c1, c2}*N(W1*W2) for unit monomials, N normal
+    ordering, in the terms of :func:`_monomial_bracket`."""
+    joined = w1 + w2
     return [
-        tuple(partial_derivative(x, s) for x in (a, b) for s in (Symbol.q(i), Symbol.p(i)))
-        for i in sorted(dofs)
+        ((len(joined) - len(word)) // 2, cl, word, cm * CNum(n))
+        for cl, n in _classical_bracket(cl1, cl2)
+        for word, cm in _normal_words(joined).items()
     ]
 
 
 def poisson_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
-    """Classical bracket over the classical symbols; quantum factors are
-    multiplied in the order written."""
-    out = a.system.zero()
-    for aq, ap, bq, bp in _partials(a, b):
-        out = out + (aq * bp - ap * bq)
-    return out
+    """Classical bracket sum_i (da/dq_i * db/dp_i - da/dp_i * db/dq_i) over
+    the classical symbols; quantum factors are multiplied in the order
+    written.  Classical factors are central, so it is the bilinear sum over
+    term pairs of :func:`_poisson_unit`, with no derivative formed."""
+    a._require_same(b)
+    return HybridExpression(a.system, _bracket_sum(((a, b),), _poisson_unit))
 
 
 def double_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     """Symmetrized classical bracket: quantum products taken both ways,
     ({a, b} - {b, a}) / 2, with each argument differentiated once."""
+    a._require_same(b)
     ab = ba = a.system.zero()
-    for aq, ap, bq, bp in _partials(a, b):
+    for i in sorted({s.index for s in a.classical_symbols() | b.classical_symbols()}):
+        qi, pi = Symbol.q(i), Symbol.p(i)
+        aq, ap, bq, bp = (partial_derivative(x, s) for x in (a, b) for s in (qi, pi))
         ab = ab + (aq * bp - ap * bq)
         ba = ba + (bq * ap - bp * aq)
     return (ab - ba) / 2
@@ -725,12 +743,9 @@ def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
         cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
         # (hbar, classical, coefficient, word) before normal ordering
         parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
-        e1, e2 = dict(cl1), dict(cl2)
-        for i in {s.index for s in (*e1, *e2)}:
-            q, p = Symbol.q(i), Symbol.p(i)
-            if n := e1.get(q, 0) * e2.get(p, 0) - e2.get(q, 0) * e1.get(p, 0):
-                cl, c = _merge_pows(cl12, ((q, -1), (p, -1))), CNum(0, Fraction(n, 2))
-                parts += [(1, cl, c, w12), (1, cl, c, w21)]
+        for cl, n in _classical_bracket(cl1, cl2):
+            c = CNum(0, Fraction(n, 2))
+            parts += [(1, cl, c, w12), (1, cl, c, w21)]
         out: dict = {}
         for h, cl, c, joined in parts:
             for word, cm in _normal_words(joined).items():
@@ -741,42 +756,48 @@ def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     return cached
 
 
+def _bracket_sum(pairs, bracket) -> dict:
+    """The terms of the sum over the ``pairs`` of expressions of the bilinear
+    map whose unit-monomial images ``bracket`` gives, accumulated into one
+    dict; zero coefficients are left for the caller's canonical form to drop."""
+    out: dict = {}
+    for a, b in pairs:
+        for (h1, pr1, cl1, w1), c1 in a._terms.items():
+            for (h2, pr2, cl2, w2), c2 in b._terms.items():
+                unit = bracket(cl1, w1, cl2, w2)
+                if not unit:
+                    continue
+                base = c1 * c2
+                h12 = h1 + h2
+                consts = _merge_pows(pr1, pr2)
+                for h, cl, word, c in unit:
+                    key = (h12 + h, consts, cl, word)
+                    out[key] = out.get(key, _ZERO) + base * c
+    return out
+
+
 def hybrid_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     """(a, b) = [a, b] + i*hbar*{{a, b}} - the generator of half-quantum dynamics.
 
     Computed as the bilinear sum over term pairs of memoized unit-monomial
-    brackets in closed form.  Classical factors are central, so for a = c1*W1,
-    b = c2*W2 (classical monomials c, quantum words W) {a, b} = {c1, c2}*W1*W2
-    and {b, a} = -{c1, c2}*W2*W1, and with N normal ordering (hbar grade up by
-    (len - len')/2) and a_i, a'_i (b_i, b'_i) the powers of q_i, p_i in c1 (c2):
+    brackets in closed form (:func:`_bracket_sum`).  Classical factors are
+    central, so for a = c1*W1, b = c2*W2 (classical monomials c, quantum
+    words W) {a, b} = {c1, c2}*W1*W2 and {b, a} = -{c1, c2}*W2*W1, and with N
+    normal ordering (hbar grade up by (len - len')/2):
         (a, b) = c1*c2*N(W1*W2 - W2*W1) + (i*hbar/2)*{c1, c2}*N(W1*W2 + W2*W1),
-        {c1, c2} = sum_i (a_i*b'_i - b_i*a'_i) * c1*c2/(q_i*p_i).
+    with {c1, c2} from :func:`_classical_bracket`.
     """
     a._require_same(b)
-    out: dict = {}
-    for (h1, pr1, cl1, w1), c1 in a._terms.items():
-        for (h2, pr2, cl2, w2), c2 in b._terms.items():
-            unit = _monomial_bracket(cl1, w1, cl2, w2)
-            if not unit:
-                continue
-            base = c1 * c2
-            h12 = h1 + h2
-            consts = _merge_pows(pr1, pr2)
-            for h, cl, word, c in unit:
-                key = (h12 + h, consts, cl, word)
-                out[key] = out.get(key, _ZERO) + base * c
-    return HybridExpression(a.system, out)
+    return HybridExpression(a.system, _bracket_sum(((a, b),), _monomial_bracket))
 
 
 def jacobiator(
     a: HybridExpression, b: HybridExpression, c: HybridExpression
 ) -> HybridExpression:
-    """(a,(b,c)) + (b,(c,a)) + (c,(a,b)); nonzero in general for the hybrid bracket."""
-    return (
-        hybrid_bracket(a, hybrid_bracket(b, c))
-        + hybrid_bracket(b, hybrid_bracket(c, a))
-        + hybrid_bracket(c, hybrid_bracket(a, b))
-    )
+    """(a,(b,c)) + (b,(c,a)) + (c,(a,b)); nonzero in general for the hybrid
+    bracket.  The three outer brackets accumulate into one sum."""
+    inner = (hybrid_bracket(b, c), hybrid_bracket(c, a), hybrid_bracket(a, b))
+    return HybridExpression(a.system, _bracket_sum(zip((a, b, c), inner), _monomial_bracket))
 
 
 # --------------------------------------------------------------------------
@@ -804,17 +825,18 @@ def _weyl_terms(a: int, b: int, sign: int) -> tuple:
     return tuple(terms)
 
 
-def _weyl_products(powers: dict, sign: int):
-    """Each product over the DOFs of ``powers`` ({dof: (a, b)}) of one
-    :func:`_weyl_terms` term per DOF: yields the hbar increment, the
-    coefficient and the ((dof, a', b'), ...) powers in DOF order."""
-    dofs = sorted(powers)
-    for combo in product(*(_weyl_terms(*powers[d], sign) for d in dofs)):
-        coeff, dh = _ONE, 0
-        for _, _, k, c in combo:
-            coeff = coeff * c
-            dh += k
-        yield dh, coeff, tuple((d, a, b) for d, (a, b, _, _) in zip(dofs, combo))
+def _weyl_products(powers: dict, sign: int, factors) -> list:
+    """(hbar increment, coefficient, factors) of each product over the DOFs
+    of ``powers`` ({dof: (a, b)}) of one :func:`_weyl_terms` term per DOF;
+    ``factors(dof, a', b')`` gives a DOF's part, joined in DOF order."""
+    terms = [(0, _ONE, ())]
+    for d in sorted(powers):
+        terms = [
+            (h + k, c * ck, f + factors(d, a, b))
+            for h, c, f in terms
+            for a, b, k, ck in _weyl_terms(*powers[d], sign)
+        ]
+    return terms
 
 
 def _dof_powers(pairs) -> dict:
@@ -826,13 +848,52 @@ def _dof_powers(pairs) -> dict:
     return powers
 
 
+@cache
+def _weyl_image(cl: tuple, m: int) -> tuple:
+    """Half quantization at split m of the unit classical monomial ``cl``,
+    as (hbar increment, classical, word, coefficient) terms with distinct
+    words: DOFs 1..m pass through and DOF d > m becomes the Weyl-quantized
+    quantum DOF d - m.  m = 0 is :func:`weyl_quantize`."""
+    kept = tuple((s, e) for s, e in cl if s.index <= m)
+    powers = _dof_powers((s, e) for s, e in cl if s.index > m)
+    word = lambda d, a, b: (Symbol.Q(d - m),) * a + (Symbol.P(d - m),) * b
+    return tuple((h, kept, w, c) for h, c, w in _weyl_products(powers, -1, word))
+
+
+@cache
+def _symbol_image(word: tuple, m: int) -> tuple:
+    """Unquantization of the normal-ordered quantum ``word`` with m classical
+    DOFs, as (hbar increment, classical, word, coefficient) terms: DOFs 1..m
+    become their Weyl symbols and DOF d > m passes through as DOF d - m."""
+    powers = _dof_powers((s, 1) for s in word if s.index <= m)
+    rest = tuple(Symbol(s.kind, s.index - m) for s in word if s.index > m)
+    pows = lambda d, a, b: ((Symbol.q(d), a), (Symbol.p(d), b))
+    # every q before every p, each in DOF order: Symbol's sort order
+    return tuple(
+        (h, tuple(sorted(x for x in cl if x[1])), rest, c)
+        for h, c, cl in _weyl_products(powers, 1, pows)
+    )
+
+
+def _mapped(expr: HybridExpression, target: System, image) -> HybridExpression:
+    """The linear map that sends each unit monomial (classical, word) of
+    ``expr`` to the terms ``image(classical, word)``."""
+    out: dict = {}
+    for (h, pr, cl, word), c in expr._terms.items():
+        for dh, cl2, word2, cu in image(cl, word):
+            key = (h + dh, pr, cl2, word2)
+            out[key] = out.get(key, _ZERO) + c * cu
+    return HybridExpression(target, out)
+
+
 def weyl_quantize(expr: HybridExpression) -> HybridExpression:
     """Dirac/Weyl quantization of a fully classical expression.
 
     Classical DOF i becomes quantum DOF i; each monomial q^a p^b maps to the
     fully symmetrized operator product in normal order, which per DOF is
     the closed form sum_k k! C(a,k) C(b,k) (-i*hbar/2)^k Q^(a-k) P^(b-k)
-    (:func:`_weyl_terms`), at a cost polynomial in the degree.
+    (:func:`_weyl_terms`), at a cost polynomial in the degree.  Each unit
+    monomial's image is memoized (:func:`_weyl_image` at split 0).
     """
     if expr.has_quantum:
         raise AlgebraError("weyl_quantize input must contain no quantum symbols")
@@ -840,16 +901,7 @@ def weyl_quantize(expr: HybridExpression) -> HybridExpression:
         raise AlgebraError(
             "weyl_quantize expects a purely classical system declaration"
         )
-    target = System(0, expr.system.classical)
-    out: dict = {}
-    for (h, pr, cl, _word), c in expr._terms.items():
-        for dh, cw, pows in _weyl_products(_dof_powers(cl), -1):
-            word = tuple(
-                s for d, a, b in pows for s in (Symbol.Q(d),) * a + (Symbol.P(d),) * b
-            )
-            key = (h + dh, pr, (), word)
-            out[key] = out.get(key, _ZERO) + c * cw
-    return HybridExpression(target, out)
+    return _mapped(expr, System(0, expr.system.classical), lambda cl, _: _weyl_image(cl, 0))
 
 
 def unquantize(
@@ -864,7 +916,8 @@ def unquantize(
     Per DOF the Weyl symbol of Q^a P^b is the closed form
     sum_k k! C(a,k) C(b,k) (i*hbar/2)^k q^(a-k) p^(b-k)
     (:func:`_weyl_terms`), the inverse of :func:`weyl_quantize`, at a cost
-    polynomial in the degree.
+    polynomial in the degree.  Each word's image is memoized
+    (:func:`_symbol_image`).
 
     With ``magnitude_guard`` set, warns when the hbar^0 grade of the result
     does not dominate the hbar^2-and-higher residual by that factor: such a
@@ -877,22 +930,8 @@ def unquantize(
         raise AlgebraError("unquantize requires at least one classical-sector DOF")
     if classical_count > n:
         raise AlgebraError(f"classical_count {classical_count} exceeds {n} DOFs")
-    target = System(classical_count, n - classical_count)
-    out: dict = {}
-    for (h, pr, _cl, word), c in expr._terms.items():
-        powers = _dof_powers((s, 1) for s in word)
-        passthrough = tuple(
-            Symbol(s.kind, s.index - classical_count)
-            for s in word
-            if s.index > classical_count
-        )
-        classical = {d: ab for d, ab in powers.items() if d <= classical_count}
-        for dh, cu, pows in _weyl_products(classical, 1):
-            # every q before every p, each in DOF order: Symbol's sort order
-            cl = [(Symbol.q(d), a) for d, a, _ in pows] + [(Symbol.p(d), b) for d, _, b in pows]
-            key = (h + dh, pr, tuple((s, e) for s, e in cl if e), passthrough)
-            out[key] = out.get(key, _ZERO) + c * cu
-    result = HybridExpression(target, out)
+    result = _mapped(expr, System(classical_count, n - classical_count),
+                     lambda _, word: _symbol_image(word, classical_count))
     if magnitude_guard is not None:
         leading = result.coefficient_scale(0)
         residual = max(
@@ -909,11 +948,14 @@ def unquantize(
 
 
 def half_quantize(expr: HybridExpression, split: tuple) -> HybridExpression:
-    """Half quantization: quantize everything, then unquantize the first
-    ``split[0]`` DOFs back to classical variables.
+    """Half quantization: Weyl-quantize DOFs M+1..M+N of a classical
+    polynomial over M+N DOFs, which become quantum operators 1..N, and leave
+    DOFs 1..M classical.
 
-    The input is a classical polynomial over M+N DOFs; DOFs 1..M stay
-    classical, DOFs M+1..M+N become quantum operators 1..N.
+    This is the paper's prescription unquantize(weyl_quantize(x), M) done in
+    one pass: the Weyl correspondence factors per DOF and unquantization
+    inverts it, so the round trip is the identity on DOFs 1..M.  Each unit
+    monomial's image is memoized (:func:`_weyl_image`).
 
     The map sends the Poisson bracket to the hybrid bracket exactly when x
     or y has total degree <= 2: the residue
@@ -935,10 +977,7 @@ def half_quantize(expr: HybridExpression, split: tuple) -> HybridExpression:
         raise AlgebraError("half quantization needs at least one quantum DOF")
     if m == 0:
         raise AlgebraError("half quantization needs at least one classical DOF")
-    # the magnitude guard targets unquantization of externally supplied
-    # operators (unresolved-commutator orders); a freshly quantized classical
-    # polynomial cannot be in a pathological order
-    return unquantize(weyl_quantize(expr), m, magnitude_guard=None)
+    return _mapped(expr, System(m, n), lambda cl, _: _weyl_image(cl, m))
 
 
 # --------------------------------------------------------------------------
@@ -1017,14 +1056,8 @@ def find_jacobiator_witness(max_degree: int = 3):
 
     degrees = [degree(m) for m in monos]
     count = len(monos)
-    # (i, j) -> hybrid_bracket(monos[i], monos[j]); many triples share a pair
-    brackets: dict = {}
-
-    def bracket(i: int, j: int) -> HybridExpression:
-        found = brackets.get((i, j))
-        if found is None:
-            found = brackets[i, j] = hybrid_bracket(monos[i], monos[j])
-        return found
+    # many triples share a pair, so each pair is bracketed once
+    bracket = cache(lambda i, j: hybrid_bracket(monos[i], monos[j]))
 
     for total in range(3, 3 * max_degree + 1):
         for ia in range(count):
@@ -1041,7 +1074,7 @@ def find_jacobiator_witness(max_degree: int = 3):
                     bc, ca, ab = bracket(ib, ic), bracket(ic, ia), bracket(ia, ib)
                     if bc.is_zero and ca.is_zero and ab.is_zero:
                         continue
-                    j = hybrid_bracket(a, bc) + hybrid_bracket(b, ca) + hybrid_bracket(c, ab)
-                    if not j.is_zero:
-                        return a, b, c, j
+                    j = _bracket_sum(((a, bc), (b, ca), (c, ab)), _monomial_bracket)
+                    if any(j.values()):
+                        return a, b, c, HybridExpression(system, j)
     return None

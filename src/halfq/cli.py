@@ -49,6 +49,12 @@ def _system_arg(text: str) -> System:
         ) from exc
 
 
+def _constants_arg(text: str) -> tuple:
+    """Comma-separated constant names, each stripped of spaces; the parser
+    refuses a name left empty."""
+    return tuple(name.strip() for name in text.split(",")) if text else ()
+
+
 def _load_config(args) -> SystemConfig:
     """The config of ``--config``, else the example; a value the exact layer
     reads as 0 is named on stderr."""
@@ -85,8 +91,7 @@ def _emit(args, payload: dict, text: str, table=None) -> None:
 
 
 def cmd_parse(args) -> int:
-    constants = tuple(args.constants.split(",")) if args.constants else ()
-    expr = parse_expression(args.expression, args.system, constants)
+    expr = parse_expression(args.expression, args.system, args.constants)
     _emit(
         args,
         {"canonical": format_expression(expr), "terms": len(expr.terms())},
@@ -97,8 +102,7 @@ def cmd_parse(args) -> int:
 
 def cmd_halfquantize(args) -> int:
     m, n = args.split.classical, args.split.quantum
-    constants = tuple(args.constants.split(",")) if args.constants else ()
-    classical = parse_expression(args.expression, System(m + n, 0), constants)
+    classical = parse_expression(args.expression, System(m + n, 0), args.constants)
     hybrid = half_quantize(classical, (m, n))
     _emit(args, {"hybrid": format_expression(hybrid)}, format_expression(hybrid))
     return 0
@@ -248,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expression")
     p.add_argument("--system", type=_system_arg, default=System(1, 1),
                    help="M,N DOF counts (default 1,1)")
-    p.add_argument("--constants", default="", help="comma-separated constant names")
+    p.add_argument("--constants", type=_constants_arg, default="",
+                   help="comma-separated constant names")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_parse)
 
@@ -256,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expression", help="classical expression over M+N DOFs")
     p.add_argument("--split", type=_system_arg, required=True,
                    help="M,N: first M DOFs stay classical")
-    p.add_argument("--constants", default="")
+    p.add_argument("--constants", type=_constants_arg, default="",
+                   help="comma-separated constant names")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_halfquantize)
 

@@ -217,6 +217,37 @@ def test_double_bracket_differentiates_each_argument_once(monkeypatch):
     assert len(calls) == 8
 
 
+def poisson_by_derivatives(a, b):
+    """sum_i (da/dq_i * db/dp_i - da/dp_i * db/dq_i), quantum products in the
+    order written: the definition :func:`poisson_bracket` sums in closed form."""
+    want = a.system.zero()
+    for i in range(1, a.system.classical + 1):
+        aq, ap = partial_derivative(a, Symbol.q(i)), partial_derivative(a, Symbol.p(i))
+        bq, bp = partial_derivative(b, Symbol.q(i)), partial_derivative(b, Symbol.p(i))
+        want = want + (aq * bp - ap * bq)
+    return want
+
+
+S22 = System(2, 2)
+
+
+def test_poisson_bracket_multiplies_words_in_the_order_written():
+    a = parse_expression("m*q1*Q1 + q2^2*P2*Q1", S22, ("m",))
+    b = parse_expression("p1*P1 + k^-1*p2*Q2", S22, ("k",))
+    for x, y in ((a, b), (b, a)):
+        assert poisson_bracket(x, y) == poisson_by_derivatives(x, y)
+    # {q1*Q1, p1*P1} = Q1*P1 but {p1*P1, q1*Q1} = -P1*Q1 = -Q1*P1 + i*hbar
+    q1Q1, p1P1 = S22.q(1) * S22.Q(1), S22.p(1) * S22.P(1)
+    assert poisson_bracket(q1Q1, p1P1) == S22.Q(1) * S22.P(1)
+    assert poisson_bracket(p1P1, q1Q1) == -S22.Q(1) * S22.P(1) + mul_ihbar(S22.one())
+
+
+@settings(max_examples=60, deadline=None)
+@given(hybrid_sums(S22), hybrid_sums(S22))
+def test_poisson_bracket_matches_its_definition(a, b):
+    assert poisson_bracket(a, b) == poisson_by_derivatives(a, b)
+
+
 def test_cnum_defers_to_the_other_operand():
     e = parse_expression("q1*P1 + p1", S11)
     i = CNum(0, 1)
@@ -531,6 +562,31 @@ def test_half_quantize_bad_split():
         half_quantize(sc.q(1), (0, 2))
 
 
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+def test_half_quantize_is_the_composition(split, data):
+    # the paper's prescription, quantize everything and unquantize the
+    # classical sector, is the reference for the direct map
+    x = data.draw(hybrid_sums(System(sum(split), 0)))
+    want = unquantize(weyl_quantize(x), split[0], magnitude_guard=None)
+    assert half_quantize(x, split) == want
+
+
+def test_exact_maps_form_no_intermediate(monkeypatch):
+    # half quantization needs no round trip and the Poisson bracket no
+    # derivative: both read memoized unit-monomial images
+    import halfq.algebra as algebra
+
+    calls = []
+    for name in ("weyl_quantize", "unquantize", "partial_derivative"):
+        monkeypatch.setattr(algebra, name, lambda *args, name=name: calls.append(name))
+    x = parse_expression("q1*p2^2*p3 + k*q2*q3^2", System(3, 0), ("k",))
+    y = parse_expression("p1^2*q3 + q2*p2", System(3, 0))
+    algebra.half_quantize(x, (2, 1))
+    algebra.poisson_bracket(x, y)
+    assert calls == []
+
+
 @st.composite
 def classical_polys(draw, degree):
     """Sums of System(2, 0) monomials of total degree <= ``degree`` with
@@ -763,6 +819,21 @@ def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
     # pair brackets are not all zero: 10,756 calls (20,691 with a pair
     # bracket recomputed for every triple)
     assert len(calls) <= 10_756
+
+
+
+def test_witness_candidates_reuse_the_pair_brackets(monkeypatch):
+    # a candidate jacobiator is one sum of cached unit brackets, so the
+    # search calls hybrid_bracket once per distinct monomial pair only
+    import halfq.algebra
+
+    calls = []
+    bracket = halfq.algebra.hybrid_bracket
+    monkeypatch.setattr(
+        halfq.algebra, "hybrid_bracket", lambda a, b: calls.append(1) or bracket(a, b)
+    )
+    assert find_jacobiator_witness(max_degree=3) is not None
+    assert len(calls) == 898
 
 
 def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):

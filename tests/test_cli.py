@@ -64,6 +64,32 @@ def test_halfquantize_example_hamiltonian(capsys):
     assert out.strip() == "1/2*M^-1*P1^2 + k*q1*P1 + 1/2*m^-1*p1^2"
 
 
+def test_halfquantize_two_classical_dofs(capsys):
+    code, out, _ = run_cli(
+        capsys, "halfquantize", "k*q1*p2*q3*p3^2 + p3^2/(2*M)", "--split", "2,1",
+        "--constants", "k,M",
+    )
+    assert code == 0
+    assert out.strip() == "1/2*M^-1*P1^2 + k*q1*p2*Q1*P1^2 - i*hbar*k*q1*p2*P1"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["parse", "k*q1", "--system", "1,0"], "k*q1"),
+        (["halfquantize", "k*q1*p2", "--split", "1, 1"], "k*q1*P1"),
+    ],
+)
+def test_constants_flag_strips_each_name(capsys, argv, want):
+    for names in ("k, m", " k ,m ", "k,m"):
+        code, out, err = run_cli(capsys, *argv, "--constants", names)
+        assert (code, out.strip(), err) == (0, want, "")
+    for names in ("k,", "k, ,m"):
+        code, out, err = run_cli(capsys, *argv, "--constants", names)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: constant '' is not an identifier"]
+
+
 def test_evolve_prints_series(capsys):
     code, out, _ = run_cli(capsys, "evolve", "--observable", "P1")
     assert code == 0
