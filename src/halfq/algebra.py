@@ -252,7 +252,7 @@ class Symbol:
     degree of freedom, position factors before momentum factors.
     """
 
-    __slots__ = ("kind", "index", "is_classical", "is_momentum", "word_key", "_order")
+    __slots__ = ("kind", "index", "is_classical", "is_momentum", "word_key", "_order", "name")
 
     def __new__(cls, kind: Kind, index: int) -> "Symbol":
         sym = _SYMBOLS.get((kind, index))
@@ -262,9 +262,10 @@ class Symbol:
             sym, kind = object.__new__(cls), Kind(kind)
             momentum = kind in (Kind.CLASSICAL_MOM, Kind.QUANTUM_MOM)
             classical = kind in (Kind.CLASSICAL_POS, Kind.CLASSICAL_MOM)
-            values = (kind, index, classical, momentum, (index, momentum), (kind, index))
-            for name, value in zip(cls.__slots__, values):
-                object.__setattr__(sym, name, value)
+            name = f"{_KIND_LETTER[kind]}{index}"
+            values = (kind, index, classical, momentum, (index, momentum), (kind, index), name)
+            for slot, value in zip(cls.__slots__, values):
+                object.__setattr__(sym, slot, value)
             sym = _SYMBOLS.setdefault((kind, index), sym)
         return sym
 
@@ -276,10 +277,6 @@ class Symbol:
 
     def __lt__(self, other: "Symbol") -> bool:
         return self._order < other._order if isinstance(other, Symbol) else NotImplemented
-
-    @property
-    def name(self) -> str:
-        return f"{_KIND_LETTER[self.kind]}{self.index}"
 
     @staticmethod
     @cache
@@ -681,7 +678,7 @@ def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> list:
     ordering, in the terms of :func:`_monomial_bracket`."""
     joined = w1 + w2
     return [
-        ((len(joined) - len(word)) // 2, cl, word, cm * CNum(n))
+        ((len(joined) - len(word)) // 2, cl, word, cm * _gaussian(n, 0, 1, reduced=True))
         for cl, n in _classical_bracket(cl1, cl2)
         for word, cm in _normal_words(joined).items()
     ]
@@ -744,7 +741,7 @@ def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
         # (hbar, classical, coefficient, word) before normal ordering
         parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
         for cl, n in _classical_bracket(cl1, cl2):
-            c = CNum(0, Fraction(n, 2))
+            c = _gaussian(0, n, 2)
             parts += [(1, cl, c, w12), (1, cl, c, w21)]
         out: dict = {}
         for h, cl, c, joined in parts:
@@ -1036,8 +1033,7 @@ def find_jacobiator_witness(max_degree: int = 3):
     """First monomial triple (by total degree, then enumeration order) with
     nonzero jacobiator; exhaustive over q1/p1/Q1/P1 monomials.
 
-    Returns (A, B, C, jacobiator) or None.  Pure-classical and pure-quantum
-    triples satisfy the Jacobi identity, so any witness mixes the sectors.
+    Returns (A, B, C, jacobiator) or None.
 
     Only sorted index triples are searched.  The hybrid bracket is bilinear
     and antisymmetric, so the jacobiator is totally antisymmetric: swapping
@@ -1046,29 +1042,39 @@ def find_jacobiator_witness(max_degree: int = 3):
     of three distinct monomials, and the sorted order of that set is the
     lexicographically first of its orderings, so the first witness over all
     ordered triples is the first sorted one.
+
+    Two kinds of triple have a zero jacobiator and are skipped, which keeps
+    the first witness.  A triple with a degree-1 member x: the bracket with
+    q, p, Q or P is i*hbar*d_p, -i*hbar*d_q, ad_Q or ad_P, a derivation D of
+    the product that commutes with the Poisson bracket, hence of the hybrid
+    bracket, so J(x, b, c) = D(b, c) - (D b, c) - (b, D c) = 0.  A triple
+    all in one sector: the bracket is then i*hbar times the Poisson bracket,
+    or the commutator, and both satisfy the Jacobi identity.
     """
     system = System(1, 1)
-    monos = hybrid_monomials(system, max_degree)
-
-    def degree(expr):
-        key = expr.terms()[0][0]
-        return sum(e for _, e in key[2]) + len(key[3])
-
-    degrees = [degree(m) for m in monos]
+    # the monomials of degree >= 2, with their degrees and sectors: "classical"
+    # or "quantum" for a monomial in one sector alone, else None
+    monos, degrees, sectors = [], [], []
+    for mono in hybrid_monomials(system, max_degree):
+        ((_, _, cl, word),) = mono._terms
+        if (degree := sum(e for _, e in cl) + len(word)) > 1:
+            monos.append(mono)
+            degrees.append(degree)
+            sectors.append(None if cl and word else "quantum" if word else "classical")
     count = len(monos)
     # many triples share a pair, so each pair is bracketed once
     bracket = cache(lambda i, j: hybrid_bracket(monos[i], monos[j]))
 
-    for total in range(3, 3 * max_degree + 1):
+    for total in range(6, 3 * max_degree + 1):
         for ia in range(count):
             a = monos[ia]
             for ib in range(ia + 1, count):
                 rest = total - degrees[ia] - degrees[ib]
-                if rest < 1:
+                if rest < 2:
                     continue
                 b = monos[ib]
                 for ic in range(ib + 1, count):
-                    if degrees[ic] != rest:
+                    if degrees[ic] != rest or sectors[ia] == sectors[ib] == sectors[ic] is not None:
                         continue
                     c = monos[ic]
                     bc, ca, ab = bracket(ib, ic), bracket(ic, ia), bracket(ia, ib)

@@ -3,9 +3,8 @@
 Grammar (used by config files, the CLI, and the canonical printer):
 
     expr     := term (('+' | '-') term)*
-    term     := unary (('*' | '/') unary)*
-    unary    := '-' unary | power
-    power    := atom ('^' ['-'] INTEGER)?
+    term     := factor (('*' | '/') factor)*
+    factor   := '-'* atom ('^' ['-'] INTEGER)?
     atom     := NUMBER | IDENT | '(' expr ')'
 
 Identifiers: ``q<i>``/``p<i>`` are classical symbols, ``Q<a>``/``P<a>``
@@ -16,10 +15,12 @@ literals, read exactly.  ``*`` between quantum identifiers preserves the
 written operator order.  Division is restricted to scalar divisors, and
 negative exponents to scalar bases.
 
-The parser reads the text in one scan.  Each term multiplies its factors
-into one monomial (coefficient, hbar grade, constant powers, classical
-powers, quantum word as written) and normal-orders the word once; only a
-parenthesized sum, or a power of one, is multiplied term by term.
+The parser reads the text in one scan.  Each term reads its factors in one
+loop and multiplies them into one monomial (coefficient, hbar grade,
+constant powers, classical powers, quantum word as written), taking the
+factor of a symbol, ``hbar`` or ``i`` from one table keyed by name, and
+normal-orders the word once; only a parenthesized sum, or a power of one,
+is multiplied term by term.
 
 ``parse_expression`` and ``format_expression`` round-trip: parsing,
 printing, then parsing again is the identity on canonical forms.
@@ -27,8 +28,10 @@ printing, then parsing again is the identity on canonical forms.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, NoReturn
 
 from .algebra import (
@@ -40,6 +43,7 @@ from .algebra import (
     HybridExpression,
     Symbol,
     System,
+    _gaussian,
     _nonzero,
     _normal_words,
 )
@@ -70,15 +74,18 @@ _RESERVED = {"hbar", "i"}
 _UNIT = (_ONE, 0, (), (), ())
 _ZERO_FACTOR = (_ZERO, 0, (), (), ())
 
+# name -> (factor, Symbol or None) for hbar, i and each symbol name, which
+# enters on first use and holds the one (interned) Symbol of its name.
+# Constants never enter; validate_constant_names keeps their names apart.
+_NAMED: dict = {"hbar": ((_ONE, 1, (), (), ()), None), "i": ((_I, 0, (), (), ()), None)}
+
 
 def _factor(terms: dict):
     """The factor a canonical term dict denotes: a monomial unless it has
     two or more terms."""
     terms = _nonzero(terms)
-    if len(terms) > 1:
-        return terms
-    if not terms:
-        return _ZERO_FACTOR
+    if len(terms) != 1:
+        return terms or _ZERO_FACTOR
     ((hbar, consts, classical, word), coeff), = terms.items()
     return coeff, hbar, consts, classical, word
 
@@ -86,7 +93,7 @@ def _factor(terms: dict):
 def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
     """The canonical terms of one monomial read factor by factor: its powers
     sorted and its word normal-ordered once."""
-    key_consts = tuple(sorted((name, exp) for name, exp in consts.items() if exp))
+    key_consts = tuple(sorted((n, e) for n, e in consts.items() if e)) if consts else ()
     key_classical = tuple(sorted(classical.items()))
     word = tuple(word)
     if len(word) < 2:
@@ -99,15 +106,17 @@ def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> di
 
 class _Parser:
     """Recursive descent over the tokens of one scan; the end token is "".
-    Each term multiplies its factors into one monomial, and a sum factor
-    term by term.  Positions are found only for an error (:meth:`fail`)."""
+    Each term reads its factors in one loop and multiplies them into one
+    monomial, and a sum factor term by term.  Positions are found only for
+    an error (:meth:`fail`)."""
 
     def __init__(self, text: str, system: System, constants: frozenset):
         self.text = text
         self.system = system
+        # the largest index of a quantum and of a classical symbol
+        self.limits = (system.quantum, system.classical)
         self.constants = constants
-        self.tokens = _TOKEN_RE.findall(text)
-        self.tokens.append("")
+        self.tokens = _TOKEN_RE.findall(text) + [""]
         self.pos = 0
 
     def fail(self, message: str, index: int) -> NoReturn:
@@ -131,82 +140,100 @@ class _Parser:
 
     def expr(self) -> dict:
         """A fresh term dict of ``term (('+' | '-') term)*``."""
-        out = self.term()
+        out = self.term(1)
         while True:
             op = self.tokens[self.pos]
             if op != "+" and op != "-":
                 return out
             self.pos += 1
-            for key, c in self.term().items():
-                if op == "-":
-                    c = -c
+            for key, c in self.term(-1 if op == "-" else 1).items():
                 out[key] = out[key] + c if key in out else c
 
-    def term(self) -> dict:
-        """A fresh term dict of ``unary (('*' | '/') unary)*``."""
-        coeff, hbar, consts, classical, word = _ONE, 0, {}, {}, []
+    def term(self, sign: int) -> dict:
+        """A fresh term dict of ``sign * factor (('*' | '/') factor)*``; each
+        factor, ``'-'* atom ('^' ['-'] INTEGER)?``, is read in one pass of the
+        loop, and its coefficient and sign multiplied into the Gaussian
+        rational (a + b*i)/d as ints, brought to lowest terms once."""
+        tokens, limits = self.tokens, self.limits
+        a, b, d, hbar, consts, classical, word = sign, 0, 1, 0, {}, {}, []
         product = None  # the factors before the last sum factor, multiplied out
         divide = False
+        pos = self.pos
         while True:
-            start = self.pos
-            factor = self.unary()
-            if divide:
+            start = pos
+            while tokens[pos] == "-":
+                pos += 1
+                a, b = -a, -b
+            atom, token = pos, tokens[pos]
+            pos += 1
+            if token.isdecimal() and tokens[pos] != "^":
+                # an integer literal is multiplied in, or divided out, as an int
+                n = int(token)
+                if not divide:
+                    a, b = a * n, b * n
+                elif n:
+                    d *= n
+                else:
+                    self.fail("division by zero", start)
+                factor = _UNIT
+            elif (named := _NAMED.get(token)) is not None:
+                factor, sym = named
+                if sym is not None and sym.index > limits[sym.is_classical]:
+                    self.out_of_range(token, atom)
+            elif token[:1].isdecimal():
+                n, m = Fraction(token).as_integer_ratio() if "." in token else (int(token), 1)
+                factor = _gaussian(n, 0, m, reduced=True), 0, (), (), ()
+            elif token == "(":
+                self.pos = pos
+                inner = self.expr()
+                pos = self.pos
+                if tokens[pos] != ")":
+                    self.fail("expected ')'", pos)
+                pos += 1
+                factor = _factor(inner)
+            else:
+                factor = self.identifier(token, atom)
+            if tokens[pos] == "^":
+                negative = tokens[pos + 1] == "-"
+                pos += 2 if negative else 1
+                value = tokens[pos]
+                if not value[:1].isdecimal() or "." in value:
+                    self.fail("exponent must be an integer", pos)
+                pos += 1
+                factor = self.power(factor, -int(value) if negative else int(value), atom)
+            if divide and factor is not _UNIT:
                 factor = self.inverse(factor, start)
             if type(factor) is dict:
-                monomial = _monomial_terms(coeff, hbar, consts, classical, word)
+                monomial = _monomial_terms(_gaussian(a, b, d), hbar, consts, classical, word)
                 left = HybridExpression(self.system, monomial)
                 if product is not None:
                     left = product * left
                 product = left * HybridExpression(self.system, factor)
-                coeff, hbar, consts, classical, word = _ONE, 0, {}, {}, []
-            else:
+                a, b, d, hbar, consts, classical, word = 1, 0, 1, 0, {}, {}, []
+            elif factor is not _UNIT:
                 c, h, pr, cl, w = factor
                 if c is not _ONE:
-                    coeff = coeff * c
+                    a2, b2, d2 = c._abd
+                    a, b, d = a * a2 - b * b2, a * b2 + b * a2, d * d2
                 hbar += h
                 for name, exp in pr:
                     consts[name] = consts.get(name, 0) + exp
                 for sym, exp in cl:
                     classical[sym] = classical.get(sym, 0) + exp
                 word += w
-            op = self.tokens[self.pos]
+            op = tokens[pos]
             if op != "*" and op != "/":
                 break
-            self.pos += 1
+            pos += 1
             divide = op == "/"
-        terms = _monomial_terms(coeff, hbar, consts, classical, word)
+        self.pos = pos
+        terms = _monomial_terms(_gaussian(a, b, d), hbar, consts, classical, word)
         if product is None:
             return terms
         return dict((product * HybridExpression(self.system, terms))._terms)
 
-    def unary(self):
-        negate = False
-        while self.tokens[self.pos] == "-":
-            self.pos += 1
-            negate = not negate
-        factor = self.power()
-        if not negate:
-            return factor
-        if type(factor) is dict:
-            return {key: -c for key, c in factor.items()}
-        c, h, pr, cl, w = factor
-        return -c, h, pr, cl, w
-
-    def power(self):
-        start = self.pos
-        base = self.atom()
-        if self.tokens[self.pos] != "^":
-            return base
-        self.pos += 1
-        sign = 1
-        if self.tokens[self.pos] == "-":
-            self.pos += 1
-            sign = -1
-        value = self.tokens[self.pos]
-        if not value[:1].isdecimal() or "." in value:
-            self.fail("exponent must be an integer", self.pos)
-        self.pos += 1
-        exponent = sign * int(value)
+    def power(self, base, exponent: int, start: int):
+        """``base`` (read from token ``start``) to the power ``exponent``."""
         if exponent < 0:
             base, exponent = self.inverse(base, start), -exponent
         if exponent == 0:
@@ -217,55 +244,35 @@ class _Parser:
         coeff = c
         for _ in range(exponent - 1):
             coeff = coeff * c
-        return (
-            coeff,
-            h * exponent,
-            tuple((name, exp * exponent) for name, exp in pr),
-            tuple((sym, exp * exponent) for sym, exp in cl),
-            w * exponent,
-        )
+        pr = tuple((name, exp * exponent) for name, exp in pr)
+        cl = tuple((sym, exp * exponent) for sym, exp in cl)
+        return coeff, h * exponent, pr, cl, w * exponent
 
-    def atom(self):
-        value = self.tokens[self.pos]
-        self.pos += 1
-        if value[:1].isdecimal():
-            return CNum(Fraction(value) if "." in value else int(value)), 0, (), (), ()
-        if value[:1] in _IDENT_START:
-            return self.identifier(value)
-        if value == "(":
-            inner = self.expr()
-            if self.tokens[self.pos] != ")":
-                self.fail("expected ')'", self.pos)
-            self.pos += 1
-            return _factor(inner)
-        self.fail(
-            f"expected a number, identifier or '(', got {value!r}" if value else "unexpected end of input",
-            self.pos - 1,
-        )
-
-    def identifier(self, name: str):
-        if name == "hbar":
-            return _ONE, 1, (), (), ()
-        if name == "i":
-            return _I, 0, (), (), ()
+    def identifier(self, name: str, index: int):
+        """The factor of a constant, or of a symbol name the table does not
+        hold yet (which this enters), read at token ``index``; fails on any
+        other token."""
         if name in self.constants:
             return _ONE, 0, ((name, 1),), (), ()
+        if name[:1] not in _IDENT_START:
+            got = f"expected a number, identifier or '(', got {name!r}"
+            self.fail(got if name else "unexpected end of input", index)
         try:
             sym = parse_symbol(name)
         except AlgebraError:
             if not _SYMBOL_RE.match(name):
-                self.fail(f"unknown identifier {name!r}", self.pos - 1)
-            sym = None  # a zero index
-        if sym is None or not self.system.contains(sym):
-            self.fail(
-                f"symbol {name} out of range for system "
-                f"(classical 1..{self.system.classical}, "
-                f"quantum 1..{self.system.quantum})",
-                self.pos - 1,
-            )
-        if sym.is_classical:
-            return _ONE, 0, (), ((sym, 1),), ()
-        return _ONE, 0, (), (), (sym,)
+                self.fail(f"unknown identifier {name!r}", index)
+            self.out_of_range(name, index)  # a zero index
+        factor = (_ONE, 0, (), ((sym, 1),), ()) if sym.is_classical else (_ONE, 0, (), (), (sym,))
+        _NAMED[name] = factor, sym
+        if sym.index > self.limits[sym.is_classical]:
+            self.out_of_range(name, index)
+        return factor
+
+    def out_of_range(self, name: str, index: int) -> NoReturn:
+        system = self.system
+        limits = f"classical 1..{system.classical}, quantum 1..{system.quantum}"
+        self.fail(f"symbol {name} out of range for system ({limits})", index)
 
     def inverse(self, factor, start: int):
         """The monomial 1/``factor``, read from token ``start``; ``factor``
@@ -324,33 +331,30 @@ def parse_expression(
 
 
 def _format_coefficient(c: CNum) -> tuple:
-    """Return (sign, factor_string or None); None means magnitude one."""
-    real, imag = c.re, c.im
-    if not imag:
-        return _sign(real), _magnitude(real)
-    mag = _magnitude(imag)
+    """Return (sign, factor_string or None); None means magnitude one.  The
+    parts are read from the reduced triple (a + b*i)/d, one gcd each."""
+    a, b, d = c._abd
+    if not b:
+        return "-" if a < 0 else "+", _magnitude(a, d)
+    mag = _magnitude(b, d)
     im_str = "i" if mag is None else f"{mag}*i"
-    if not real:
-        return _sign(imag), im_str
-    return "+", f"({real} {_sign(imag)} {im_str})"
+    if not a:
+        return "-" if b < 0 else "+", im_str
+    real = f"{'-' if a < 0 else ''}{_magnitude(a, d) or 1}"
+    return "+", f"({real} {'-' if b < 0 else '+'} {im_str})"
 
 
-def _sign(x: Fraction) -> str:
-    return "-" if x.numerator < 0 else "+"
-
-
-def _magnitude(x: Fraction) -> str | None:
-    """``str(abs(x))`` from the numerator and denominator; None when it is 1."""
-    n, d = abs(x.numerator), x.denominator
+def _magnitude(n: int, d: int) -> str | None:
+    """``str(abs(Fraction(n, d)))`` for d > 0; None when it is 1."""
+    g = math.gcd(n, d)
+    n, d = abs(n) // g, d // g
     if n == d:
         return None
     return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _format_power(base: str, exp: int) -> str:
-    if exp == 1:
-        return base
-    return f"{base}^{exp}" if exp >= 0 else f"{base}^-{-exp}"
+    return base if exp == 1 else f"{base}^{exp}"
 
 
 def format_expression(expr: HybridExpression) -> str:
@@ -361,26 +365,15 @@ def format_expression(expr: HybridExpression) -> str:
     pieces = []
     for (hbar, consts, classical, word), coeff in terms:
         sign, coeff_str = _format_coefficient(coeff)
-        factors = []
-        if coeff_str is not None:
-            factors.append(coeff_str)
+        factors = [] if coeff_str is None else [coeff_str]
         if hbar:
             factors.append(_format_power("hbar", hbar))
         for name, exp in consts:
             factors.append(_format_power(name, exp))
         for sym, exp in classical:
             factors.append(_format_power(sym.name, exp))
-        run: list = []
-        for sym in word:
-            if run and run[-1][0] == sym:
-                run[-1][1] += 1
-            else:
-                run.append([sym, 1])
-        factors.extend(_format_power(sym.name, exp) for sym, exp in run)
-        body = "*".join(factors) if factors else "1"
-        pieces.append((sign, body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        # a run of one operator prints as its power
+        factors.extend(_format_power(sym.name, len(list(run))) for sym, run in groupby(word))
+        pieces.append(f" {sign} {'*'.join(factors) if factors else '1'}")
+    out = "".join(pieces)
+    return out[3:] if out[1] == "+" else f"-{out[3:]}"

@@ -6,7 +6,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -803,22 +803,28 @@ def test_no_witness_below_degree_three():
 def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
     import halfq.algebra
 
-    calls = []
-    bracket = halfq.algebra.hybrid_bracket
+    calls, sums = [], []
+    bracket, bracket_sum = halfq.algebra.hybrid_bracket, halfq.algebra._bracket_sum
 
     def counted(a, b):
         calls.append(1)
         return bracket(a, b)
 
+    def counted_sum(*args):
+        sums.append(1)
+        return bracket_sum(*args)
+
     monkeypatch.setattr(halfq.algebra, "hybrid_bracket", counted)
+    monkeypatch.setattr(halfq.algebra, "_bracket_sum", counted_sum)
     a, b, c, j = find_jacobiator_witness(max_degree=3)
     assert [format_expression(e) for e in (a, b, c, j)] == [
         "p1*P1", "p1*Q1*P1", "q1^2*Q1", "1/2*hbar^4",
     ]
-    # 898 distinct pair brackets, plus one outer bracket per triple whose
-    # pair brackets are not all zero: 10,756 calls (20,691 with a pair
-    # bracket recomputed for every triple)
-    assert len(calls) <= 10_756
+    # 645 distinct pair brackets of the monomials of degree 2 and 3, each
+    # one bracket sum, plus one sum per candidate triple whose pair brackets
+    # are not all zero: 2,191 sums (4,184 without the skipped triples)
+    assert len(calls) <= 645
+    assert len(sums) <= 2_191
 
 
 
@@ -833,7 +839,7 @@ def test_witness_candidates_reuse_the_pair_brackets(monkeypatch):
         halfq.algebra, "hybrid_bracket", lambda a, b: calls.append(1) or bracket(a, b)
     )
     assert find_jacobiator_witness(max_degree=3) is not None
-    assert len(calls) == 898
+    assert len(calls) == 645
 
 
 def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
@@ -852,6 +858,24 @@ def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
     assert find_jacobiator_witness(max_degree=3) is not None
     assert algebra._BRACKET_CACHE
     assert calls == []
+
+
+def test_witness_search_skips_only_triples_with_zero_jacobiator():
+    # the search skips sorted triples with a degree-1 member and triples all
+    # in one sector; every such triple at max_degree 3 has a zero jacobiator
+    skipped = {"linear": 0, "classical": 0, "quantum": 0}
+    for triple in combinations(hybrid_monomials(S11, 3), 3):
+        keys = [m.terms()[0][0] for m in triple]
+        kinds = {
+            "linear": any(sum(e for _, e in cl) + len(word) == 1 for _, _, cl, word in keys),
+            "classical": not any(word for _, _, _, word in keys),
+            "quantum": not any(cl for _, _, cl, _ in keys),
+        }
+        if any(kinds.values()):
+            assert jacobiator(*triple).is_zero, triple
+        for kind, holds in kinds.items():
+            skipped[kind] += holds
+    assert skipped == {"linear": 1_924, "classical": 84, "quantum": 84}
 
 
 def test_exhaustive_witness_search_reproduces_recorded_triple():

@@ -208,3 +208,158 @@ def random_expressions(draw):
 def test_print_parse_round_trip(expr):
     text = format_expression(expr)
     assert parse_expression(text, expr.system, ("m",)) == expr
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("q1^", "exponent must be an integer", 3),
+        ("q1^x", "exponent must be an integer", 3),
+        ("q1^2.5", "exponent must be an integer", 3),
+        ("(q1", "expected ')'", 3),
+        ("q1)", "unexpected ')'", 2),
+        ("q1^-1", "cannot divide by dynamical symbols", 0),
+        ("2*(q1+p1)^-1", "divisor/negative power must be a single scalar factor", 2),
+    ],
+)
+def test_malformed_factor_keeps_its_message_and_position(text, message, position):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text, S11)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_monomial_terms_are_read_without_expression_products(monkeypatch):
+    # a term is multiplied out as one monomial; only a parenthesized sum
+    # needs HybridExpression products
+    from halfq.algebra import HybridExpression
+
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(HybridExpression, name)
+
+        def counted(self, other, name=name, original=original):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(HybridExpression, name, counted)
+    texts = [
+        "(4/1)*p2*p2 + (0/4)*p1*p1 + (-9/5)*q2*p1*q2 - (8/1)",
+        "8 + 1/4*q1*Q1^2*P1 - 3/5*q1*Q1*P1 + 3/10*i*hbar*q1 - 1/4*i*hbar*q1*Q1",
+        "P2*Q2*P1^2/(2*m) - -k^-2*q2^3*(p1) + (1/2 - 3*i)*hbar^2 + 0.25*Q1^0",
+    ]
+    for text in texts:
+        parse_expression(text, System(2, 2), ("m", "k"))
+    assert calls == []
+    parse_expression("(q1 + p1)^2*Q1", S11)
+    assert calls
+
+
+# an expression tree over System(2, 2) is drawn as (text, expression, level):
+# the text, the same tree built with HybridExpression arithmetic, and the
+# binding level of the text's outermost operator (0 sum, 1 product or
+# negation, 2 power, 3 atom); a child binding looser than its place needs is
+# parenthesized
+S22 = System(2, 2)
+TREE_CONSTANTS = ("m", "k")
+
+
+def _atom(text, expr):
+    return text, expr, 3
+
+
+def _wrap(node, level):
+    text, expr, own = node
+    return text if own >= level else f"({text})"
+
+
+@st.composite
+def _decimal_literal(draw):
+    text = f"{draw(st.integers(0, 20))}.{draw(st.integers(0, 999)):0{draw(st.integers(1, 3))}d}"
+    return _atom(text, S22.scalar(Fraction(text)))
+
+
+# nonzero scalar monomials, with their inverse, for divisors and negative powers
+@st.composite
+def _scalar_divisor(draw):
+    parts = draw(st.lists(st.sampled_from(["n", "i", "m", "k"]), min_size=1, max_size=2))
+    texts, value, inverse = [], S22.one(), S22.one()
+    for part in parts:
+        if part == "n":
+            n = draw(st.integers(1, 9))
+            texts.append(str(n))
+            value, inverse = value * n, inverse / n
+        elif part == "i":
+            texts.append("i")
+            value, inverse = value * 1j, inverse * -1j
+        else:
+            texts.append(part)
+            value, inverse = value * S22.const(part), inverse * S22.const(part, -1)
+    text = "*".join(texts)
+    return (text if len(texts) == 1 else f"({text})"), value, inverse
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 12).map(lambda n: _atom(str(n), S22.scalar(n))),
+    _decimal_literal(),
+    st.just(_atom("hbar", S22.hbar())),
+    st.just(_atom("i", S22.scalar(1j))),
+    st.sampled_from(TREE_CONSTANTS).map(lambda name: _atom(name, S22.const(name))),
+    st.sampled_from([(f"{k}{j}", k, j) for k in "qpQP" for j in (1, 2)]).map(
+        lambda s: _atom(s[0], getattr(S22, s[1])(s[2]))
+    ),
+)
+
+
+@st.composite
+def _sum(draw, children):
+    left, right = draw(children), draw(children)
+    op = draw(st.sampled_from("+-"))
+    value = left[1] + right[1] if op == "+" else left[1] - right[1]
+    return f"{_wrap(left, 0)} {op} {_wrap(right, 1)}", value, 0
+
+
+@st.composite
+def _product(draw, children):
+    left, right = draw(children), draw(children)
+    return f"{_wrap(left, 1)}*{_wrap(right, 1)}", left[1] * right[1], 1
+
+
+@st.composite
+def _quotient(draw, children):
+    left, (text, _, inverse) = draw(children), draw(_scalar_divisor())
+    return f"{_wrap(left, 1)}/{text}", left[1] * inverse, 1
+
+
+@st.composite
+def _negation(draw, children):
+    child = draw(children)
+    return f"-{_wrap(child, 1)}", -child[1], 1
+
+
+@st.composite
+def _power(draw, children):
+    if draw(st.booleans()):
+        base, exponent = draw(children), draw(st.integers(0, 3))
+        return f"{_wrap(base, 3)}^{exponent}", base[1] ** exponent, 2
+    (text, _, inverse), exponent = draw(_scalar_divisor()), draw(st.integers(1, 2))
+    return f"{text}^-{exponent}", inverse**exponent, 2
+
+
+def _branches(children):
+    return st.one_of(
+        _sum(children), _product(children), _quotient(children),
+        _negation(children), _power(children),
+    )
+
+
+EXPRESSION_TREES = st.recursive(_LEAVES, _branches, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPRESSION_TREES)
+def test_parsed_tree_equals_the_tree_built_by_arithmetic(tree):
+    text, expr, _ = tree
+    parsed = parse_expression(text, S22, TREE_CONSTANTS)
+    assert parsed == expr, text
+    assert parse_expression(format_expression(parsed), S22, TREE_CONSTANTS) == parsed
