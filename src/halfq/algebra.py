@@ -21,21 +21,28 @@ and no ``Fraction`` object is built unless a caller reads ``re`` or ``im``.
 The canonical form has two rules: no two terms share a key, and no
 coefficient is zero.  Builders keep the first by accumulating into one dict
 per key; the :class:`HybridExpression` constructor enforces the second by
-dropping zero coefficients through ``_nonzero``.  The normal-ordering
-table calls the same helper when it stores a result; no builder prunes.
+dropping zero coefficients through ``_nonzero``.  The bracket memo calls the
+same helper when it stores a result; no other builder prunes.
 
-Every exact linear or bilinear map is one accumulation over memoized images
-of unit monomials, keyed by interned symbols alone: ``_NORMAL_CACHE`` maps a
-quantum word to its normal-ordered expansion, and ``_BRACKET_CACHE`` a pair
-of unit monomials to their hybrid bracket in the closed form (c1*W1, c2*W2)
-= c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 + W2*W1) of
-:func:`hybrid_bracket`, tested against the definition (:func:`commutator`,
-:func:`double_bracket`, :func:`mul_ihbar`).  :func:`poisson_bracket` sums
-{c1, c2}*W1*W2 alike, differentiating nothing.  ``_weyl_image`` holds the
-half quantization of a classical monomial at a split and ``_symbol_image``
-the Weyl symbol of a word; both read one closed-form single-DOF table,
-``_weyl_terms``: the Weyl <-> normal-order correspondence
-exp(-+(i*hbar/2) d_q d_p), whose cost is polynomial in the degree.
+One closed-form single-DOF table, ``_weyl_terms``, does every reordering at
+a cost polynomial in the degree.  With step -i it is normal ordering,
+P^b Q^c = sum_k k! C(b,k) C(c,k) (-i*hbar)^k Q^(c-k) P^(b-k), folded over
+each DOF's runs of Q and P by ``_normal_words``; with step -+i/2 it is the
+Weyl correspondence of ``_weyl_image`` (half quantization of a classical
+monomial) and ``_symbol_image`` (Weyl symbol of a word).  All three join
+their DOFs through one product, ``_dof_products``.
+
+Every exact linear or bilinear map is one accumulation, :func:`_mapped` or
+``_bracket_sum``, over the images of unit monomials, keyed by interned
+symbols alone and memoized where they take work.  The product sums
+``_unit_product``, c1*c2*N(W1*W2) with N normal ordering;
+:func:`hybrid_bracket` sums ``_monomial_bracket``, the closed form (c1*W1,
+c2*W2) = c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 + W2*W1), tested
+against the definition (:func:`commutator`, :func:`double_bracket`,
+:func:`mul_ihbar`); :func:`poisson_bracket` sums {c1, c2}*N(W1*W2) alike.
+Only ``adjoint``, which conjugates coefficients, and
+``substitute_constants``, which rewrites the constants of a key, keep loops
+of their own.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache, total_ordering
+from itertools import groupby
 from typing import Mapping, Union
 import warnings
 
@@ -378,41 +386,85 @@ class System:
 
 
 # --------------------------------------------------------------------------
-# normal ordering of quantum words
-
-# word -> {canonical word -> coefficient}; the hbar increment of each output
-# word is (len(input) - len(output)) // 2 since every CCR application removes
-# one Q and one P and raises the grading by one.
-_NORMAL_CACHE: dict = {}
+# reordering: normal order and Weyl order from one table
 
 
-def _normal_words(word: tuple) -> dict:
-    if len(word) < 2:
-        return {word: _ONE}
-    cached = _NORMAL_CACHE.get(word)
-    if cached is not None:
-        return cached
-    result = None
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a.word_key <= b.word_key:
-            continue
-        if a.index != b.index:
-            # distinct DOFs commute
-            result = _normal_words(word[:i] + (b, a) + word[i + 2 :])
-        else:
-            # same DOF, P before Q:  P Q = Q P - i hbar
-            swapped = _normal_words(word[:i] + (b, a) + word[i + 2 :])
-            dropped = _normal_words(word[:i] + word[i + 2 :])
-            result = dict(swapped)
-            for w, c in dropped.items():
-                result[w] = result.get(w, _ZERO) + _MINUS_I * c
-            result = _nonzero(result)
-        break
-    if result is None:
-        result = {word: _ONE}
-    _NORMAL_CACHE[word] = result
-    return result
+@cache
+def _weyl_terms(a: int, b: int, step: CNum) -> tuple:
+    """The single-DOF reordering table exp(step*hbar d_q d_p) applied to
+    q^a p^b (McCoy, PNAS 18, 674 (1932)): the terms (a - k, b - k, k, c_k),
+    k = 0..min(a, b), with c_k = k! C(a, k) C(b, k) step^k exact.
+
+    Step -i/2 (``_TO_WEYL``) expands Weyl(q^a p^b) as sum_k c_k hbar^k
+    Q^(a-k) P^(b-k) in normal order; step +i/2 (``_FROM_WEYL``), the inverse,
+    gives the Weyl symbol of Q^a P^b as sum_k c_k hbar^k q^(a-k) p^(b-k); step
+    -i normal-orders P^b Q^a as sum_k c_k hbar^k Q^(a-k) P^(b-k).
+    """
+    terms, power = [], _ONE
+    for k in range(min(a, b) + 1):
+        count = math.factorial(k) * math.comb(a, k) * math.comb(b, k)
+        terms.append((a - k, b - k, k, CNum(count) * power))
+        power = power * step
+    return tuple(terms)
+
+
+_TO_WEYL = _gaussian(0, -1, 2)
+_FROM_WEYL = _gaussian(0, 1, 2)
+
+
+def _dof_products(per_dof, factors) -> list:
+    """(hbar increment, coefficient, factors) of each product of one term
+    per DOF of ``per_dof``, (dof, terms) pairs in DOF order whose terms are
+    (a, b, k, c) as :func:`_weyl_terms` gives them; ``factors(dof, a, b)``
+    gives a DOF's part, joined in DOF order."""
+    terms = [(0, _ONE, ())]
+    for d, dof_terms in per_dof:
+        terms = [
+            (h + k, c * ck, f + factors(d, a, b))
+            for h, c, f in terms
+            for a, b, k, ck in dof_terms
+        ]
+    return terms
+
+
+def _word_part(d: int, a: int, b: int) -> tuple:
+    """The canonical word Q_d^a P_d^b."""
+    return (Symbol.Q(d),) * a + (Symbol.P(d),) * b
+
+
+@cache
+def _normal_words(word: tuple) -> tuple:
+    """N(word): the quantum ``word`` in normal order, as (hbar increment,
+    canonical word, coefficient) terms with distinct words.
+
+    Distinct DOFs commute, so each DOF's letters are ordered alone.  Reading
+    them left to right, a DOF holds sum_k c_k hbar^k Q^(q-k) P^(p-k) after q
+    letters Q and p letters P; a run of P's raises p, and a run of n Q's
+    moves through P^(p-k) by the closed form
+    P^b Q^n = sum_j j! C(b, j) C(n, j) (-i*hbar)^j Q^(n-j) P^(b-j).
+    Every contraction removes one Q and one P, so the hbar power k alone
+    indexes a DOF's terms, and no coefficient cancels.
+    """
+    letters: dict = {}
+    for sym in word:
+        letters.setdefault(sym.index, []).append(sym.is_momentum)
+    per_dof = []
+    for d in sorted(letters):
+        q = p = 0
+        coeffs = [_ONE]  # coeffs[k]: the coefficient of hbar^k Q^(q-k) P^(p-k)
+        for momentum, run in groupby(letters[d]):
+            n = len(list(run))
+            if momentum:
+                p += n
+                continue
+            top = len(coeffs) - 1
+            moved = [_ZERO] * (top + min(n, p - top) + 1)
+            for k, c in enumerate(coeffs):
+                for _, _, j, cj in _weyl_terms(n, p - k, _MINUS_I):
+                    moved[k + j] += c * cj
+            coeffs, q = moved, q + n
+        per_dof.append((d, [(q - k, p - k, k, c) for k, c in enumerate(coeffs)]))
+    return tuple((h, w, c) for h, c, w in _dof_products(per_dof, _word_part))
 
 
 def _nonzero(terms: dict) -> dict:
@@ -539,18 +591,7 @@ class HybridExpression:
         if not isinstance(other, HybridExpression):
             return self._scaled(CNum.of(other))
         self._require_same(other)
-        out: dict = {}
-        for (h1, pr1, cl1, w1), c1 in self._terms.items():
-            for (h2, pr2, cl2, w2), c2 in other._terms.items():
-                base = c1 * c2
-                consts = _merge_pows(pr1, pr2)
-                classical = _merge_pows(cl1, cl2)
-                joined = w1 + w2
-                for word, cm in _normal_words(joined).items():
-                    dh = (len(joined) - len(word)) // 2
-                    key = (h1 + h2 + dh, consts, classical, word)
-                    out[key] = out.get(key, _ZERO) + base * cm
-        return HybridExpression(self.system, out)
+        return HybridExpression(self.system, _bracket_sum(((self, other),), _unit_product))
 
     def __rmul__(self, other) -> "HybridExpression":
         # scalars commute with everything; expression*expression handled above
@@ -592,9 +633,7 @@ class HybridExpression:
         out: dict = {}
         for (h, pr, cl, word), c in self._terms.items():
             base = c.conjugate()
-            rev = word[::-1]
-            for new_word, cm in _normal_words(rev).items():
-                dh = (len(rev) - len(new_word)) // 2
+            for dh, new_word, cm in _normal_words(word[::-1]):
                 key = (h + dh, pr, cl, new_word)
                 out[key] = out.get(key, _ZERO) + base * cm
         return HybridExpression(self.system, out)
@@ -622,13 +661,16 @@ class HybridExpression:
 def embed(expr: HybridExpression, target: System, offset: int) -> HybridExpression:
     """``expr`` over the larger ``target``, quantum DOF a renamed a + offset;
     a common shift keeps words canonical.  AlgebraError if ``target`` lacks a symbol."""
-    def move(sym: Symbol) -> Symbol:
-        return target.check(sym if sym.is_classical else Symbol(sym.kind, sym.index + offset))
+    return _mapped(expr, target, lambda cl, word: _shifted(target, cl, word, offset))
 
-    return HybridExpression(target, {
-        (h, pr, tuple((move(s), e) for s, e in cl), tuple(map(move, word))): c
-        for (h, pr, cl, word), c in expr._terms.items()
-    })
+
+@cache
+def _shifted(target: System, cl: tuple, word: tuple, offset: int) -> tuple:
+    """The image under :func:`embed` of the unit monomial ``cl``*``word``."""
+    for sym, _ in cl:
+        target.check(sym)
+    moved = tuple(target.check(Symbol(s.kind, s.index + offset)) for s in word)
+    return ((0, cl, moved, _ONE),)
 
 
 # --------------------------------------------------------------------------
@@ -640,19 +682,16 @@ def partial_derivative(expr: HybridExpression, sym: Symbol) -> HybridExpression:
     if not sym.is_classical:
         raise AlgebraError(f"can only differentiate along classical symbols, got {sym.name}")
     expr.system.check(sym)
-    out: dict = {}
-    for (h, pr, cl, word), c in expr._terms.items():
-        cl_dict = dict(cl)
-        exp = cl_dict.get(sym)
-        if not exp:
-            continue
-        if exp == 1:
-            del cl_dict[sym]
-        else:
-            cl_dict[sym] = exp - 1
-        key = (h, pr, tuple(sorted(cl_dict.items())), word)
-        out[key] = out.get(key, _ZERO) + c * CNum(exp)
-    return HybridExpression(expr.system, out)
+    return _mapped(expr, expr.system, lambda cl, word: _derivative(cl, word, sym))
+
+
+@cache
+def _derivative(cl: tuple, word: tuple, sym: Symbol) -> tuple:
+    """The image under :func:`partial_derivative` of ``cl``*``word``."""
+    exp = dict(cl).get(sym)
+    if not exp:
+        return ()
+    return ((0, _merge_pows(cl, ((sym, -1),)), word, CNum(exp)),)
 
 
 def commutator(a: HybridExpression, b: HybridExpression) -> HybridExpression:
@@ -676,11 +715,10 @@ def _classical_bracket(cl1: tuple, cl2: tuple) -> list:
 def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> list:
     """{c1*W1, c2*W2} = {c1, c2}*N(W1*W2) for unit monomials, N normal
     ordering, in the terms of :func:`_monomial_bracket`."""
-    joined = w1 + w2
     return [
-        ((len(joined) - len(word)) // 2, cl, word, cm * _gaussian(n, 0, 1, reduced=True))
+        (h, cl, word, cm * _gaussian(n, 0, 1, reduced=True))
         for cl, n in _classical_bracket(cl1, cl2)
-        for word, cm in _normal_words(joined).items()
+        for h, word, cm in _normal_words(w1 + w2)
     ]
 
 
@@ -708,49 +746,43 @@ def double_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression
 
 def mul_ihbar(expr: HybridExpression) -> HybridExpression:
     """Multiply by i*hbar (raises the grading)."""
-    out = {}
-    for (h, pr, cl, word), c in expr._terms.items():
-        out[(h + 1, pr, cl, word)] = c * _I
-    return HybridExpression(expr.system, out)
+    return _mapped(expr, expr.system, lambda cl, word: ((1, cl, word, _I),))
 
 
 def div_ihbar(expr: HybridExpression) -> HybridExpression:
     """Divide by i*hbar; every term must carry at least one power of hbar."""
-    out = {}
-    for (h, pr, cl, word), c in expr._terms.items():
-        if h < 1:
-            raise AlgebraError("expression is not divisible by hbar")
-        out[(h - 1, pr, cl, word)] = c * _MINUS_I
-    return HybridExpression(expr.system, out)
+    if min(expr.hbar_grades(), default=1) < 1:
+        raise AlgebraError("expression is not divisible by hbar")
+    return _mapped(expr, expr.system, lambda cl, word: ((-1, cl, word, _MINUS_I),))
 
 
-# (classical1, word1, classical2, word2) -> ((hbar, classical, word, coeff), ...):
-# the hybrid bracket of two unit monomials.  The hbar grading, the declared
-# constants and the coefficients are central, so they factor out of every
-# bracket and the table needs no system or constant part in its key.
-_BRACKET_CACHE: dict = {}
+@cache
+def _unit_product(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
+    """c1*W1 * c2*W2 = c1*c2*N(W1*W2) for unit monomials, N normal ordering,
+    in the terms of :func:`_monomial_bracket`."""
+    cl12 = _merge_pows(cl1, cl2)
+    return tuple((h, cl12, word, c) for h, word, c in _normal_words(w1 + w2))
 
 
+@cache
 def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     """The hybrid bracket of the unit monomials c1*W1 and c2*W2, in the
-    closed form of :func:`hybrid_bracket`."""
-    key = (cl1, w1, cl2, w2)
-    cached = _BRACKET_CACHE.get(key)
-    if cached is None:
-        cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
-        # (hbar, classical, coefficient, word) before normal ordering
-        parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
-        for cl, n in _classical_bracket(cl1, cl2):
-            c = _gaussian(0, n, 2)
-            parts += [(1, cl, c, w12), (1, cl, c, w21)]
-        out: dict = {}
-        for h, cl, c, joined in parts:
-            for word, cm in _normal_words(joined).items():
-                k = (h + (len(joined) - len(word)) // 2, cl, word)
-                out[k] = out.get(k, _ZERO) + c * cm
-        cached = tuple((h, cl, w, c) for (h, cl, w), c in _nonzero(out).items())
-        _BRACKET_CACHE[key] = cached
-    return cached
+    closed form of :func:`hybrid_bracket`, as (hbar increment, classical,
+    word, coefficient) terms.  The hbar grading, the declared constants and
+    the coefficients are central, so they factor out of every bracket and
+    the memo needs no system or constant part in its key."""
+    cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
+    # (hbar, classical, coefficient, word) before normal ordering
+    parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
+    for cl, n in _classical_bracket(cl1, cl2):
+        c = _gaussian(0, n, 2)
+        parts += [(1, cl, c, w12), (1, cl, c, w21)]
+    out: dict = {}
+    for h, cl, c, joined in parts:
+        for dh, word, cm in _normal_words(joined):
+            k = (h + dh, cl, word)
+            out[k] = out.get(k, _ZERO) + c * cm
+    return tuple((h, cl, w, c) for (h, cl, w), c in _nonzero(out).items())
 
 
 def _bracket_sum(pairs, bracket) -> dict:
@@ -801,41 +833,6 @@ def jacobiator(
 # quantization and unquantization
 
 
-@cache
-def _weyl_terms(a: int, b: int, sign: int) -> tuple:
-    """The single-DOF Weyl correspondence exp(sign*(i*hbar/2) d_q d_p)
-    applied to q^a p^b (McCoy, PNAS 18, 674 (1932)).
-
-    Returns the terms (a - k, b - k, k, c_k) for k = 0..min(a, b), with
-    c_k = k! C(a, k) C(b, k) (sign*i/2)^k exact.  With sign -1 they expand
-    Weyl(q^a p^b) = sum_k c_k hbar^k Q^(a-k) P^(b-k) in normal order; with
-    sign +1 they give the Weyl symbol of Q^a P^b as
-    sum_k c_k hbar^k q^(a-k) p^(b-k).  The two maps are inverse, and the
-    cost of a table is polynomial in the degree.
-    """
-    step = CNum(0, Fraction(sign, 2))
-    terms, power = [], _ONE
-    for k in range(min(a, b) + 1):
-        count = math.factorial(k) * math.comb(a, k) * math.comb(b, k)
-        terms.append((a - k, b - k, k, CNum(count) * power))
-        power = power * step
-    return tuple(terms)
-
-
-def _weyl_products(powers: dict, sign: int, factors) -> list:
-    """(hbar increment, coefficient, factors) of each product over the DOFs
-    of ``powers`` ({dof: (a, b)}) of one :func:`_weyl_terms` term per DOF;
-    ``factors(dof, a', b')`` gives a DOF's part, joined in DOF order."""
-    terms = [(0, _ONE, ())]
-    for d in sorted(powers):
-        terms = [
-            (h + k, c * ck, f + factors(d, a, b))
-            for h, c, f in terms
-            for a, b, k, ck in _weyl_terms(*powers[d], sign)
-        ]
-    return terms
-
-
 def _dof_powers(pairs) -> dict:
     """Position/momentum powers per DOF of (symbol, exponent) pairs."""
     powers: dict = {}
@@ -853,8 +850,8 @@ def _weyl_image(cl: tuple, m: int) -> tuple:
     quantum DOF d - m.  m = 0 is :func:`weyl_quantize`."""
     kept = tuple((s, e) for s, e in cl if s.index <= m)
     powers = _dof_powers((s, e) for s, e in cl if s.index > m)
-    word = lambda d, a, b: (Symbol.Q(d - m),) * a + (Symbol.P(d - m),) * b
-    return tuple((h, kept, w, c) for h, c, w in _weyl_products(powers, -1, word))
+    per_dof = [(d - m, _weyl_terms(*powers[d], _TO_WEYL)) for d in sorted(powers)]
+    return tuple((h, kept, w, c) for h, c, w in _dof_products(per_dof, _word_part))
 
 
 @cache
@@ -864,11 +861,12 @@ def _symbol_image(word: tuple, m: int) -> tuple:
     become their Weyl symbols and DOF d > m passes through as DOF d - m."""
     powers = _dof_powers((s, 1) for s in word if s.index <= m)
     rest = tuple(Symbol(s.kind, s.index - m) for s in word if s.index > m)
+    per_dof = [(d, _weyl_terms(*powers[d], _FROM_WEYL)) for d in sorted(powers)]
     pows = lambda d, a, b: ((Symbol.q(d), a), (Symbol.p(d), b))
     # every q before every p, each in DOF order: Symbol's sort order
     return tuple(
         (h, tuple(sorted(x for x in cl if x[1])), rest, c)
-        for h, c, cl in _weyl_products(powers, 1, pows)
+        for h, c, cl in _dof_products(per_dof, pows)
     )
 
 

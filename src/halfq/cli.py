@@ -10,7 +10,8 @@ full-quantum verification experiment (``verify``).  ``parse``,
 human-readable text; ``--json`` / ``--csv`` switch to machine output and
 ``--out`` writes the ``--csv`` table to a file.
 
-Exit codes: 0 success, 1 verification/certification failure, 2 usage.
+Exit codes: 0 success; 1 a failed verification or certificate, or an
+``error:`` line for a bad expression, config or file; 2 malformed usage.
 """
 
 from __future__ import annotations

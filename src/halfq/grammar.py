@@ -99,8 +99,8 @@ def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> di
     if len(word) < 2:
         return {(hbar, key_consts, key_classical, word): coeff}
     return {
-        (hbar + (len(word) - len(normal)) // 2, key_consts, key_classical, normal): coeff * c
-        for normal, c in _normal_words(word).items()
+        (hbar + dh, key_consts, key_classical, normal): coeff * c
+        for dh, normal, c in _normal_words(word)
     }
 
 

@@ -37,6 +37,8 @@ from halfq import (
 )
 from halfq.algebra import (
     Kind,
+    _TO_WEYL,
+    _monomial_bracket,
     _weyl_terms,
     double_bracket,
     embed,
@@ -168,12 +170,10 @@ def test_hybrid_bracket_matches_its_definition(a, b):
     assert hybrid_bracket(a, b) == commutator(a, b) + mul_ihbar(double_bracket(a, b))
 
 
-def test_closed_form_unit_bracket_matches_its_definition(monkeypatch):
+def test_closed_form_unit_bracket_matches_its_definition():
     # every ordered pair of unit monomials of degree <= 3 in q1, p1, q2, p2,
     # Q1, P1, each bracket built afresh by the closed form
-    import halfq.algebra as algebra
-
-    monkeypatch.setattr(algebra, "_BRACKET_CACHE", {})
+    _monomial_bracket.cache_clear()
     letters = (S21.q(1), S21.p(1), S21.q(2), S21.p(2), S21.Q(1), S21.P(1))
     monos = [
         math.prod((x**e for x, e in zip(letters, exps)), start=S21.one())
@@ -328,6 +328,54 @@ def test_distinct_dofs_commute():
     assert sys2.P(2) * sys2.Q(1) == sys2.Q(1) * sys2.P(2)
 
 
+def _schroedinger(letters, poly: dict) -> dict:
+    """The operator word ``letters`` in the Schrödinger representation,
+    Q_a = x_a* and P_a = -i*hbar d/dx_a, applied to ``poly``: a dict
+    (hbar power, exponents of x_1, x_2, ...) -> [real, imaginary] parts."""
+    for sym in reversed(letters):
+        out: dict = {}
+        for (h, *ns), (re, im) in poly.items():
+            a = sym.index - 1
+            if sym.is_momentum:
+                if not ns[a]:
+                    continue
+                # -i*hbar * n * x^(n-1): (re + i*im) * (-i*n) = n*im - i*n*re
+                re, im, h = ns[a] * im, -ns[a] * re, h + 1
+                ns[a] -= 1
+            else:
+                ns[a] += 1
+            key = (h, *ns)
+            old = out.get(key, (0, 0))
+            out[key] = (old[0] + re, old[1] + im)
+        poly = {k: v for k, v in out.items() if v != (0, 0)}
+    return poly
+
+
+@pytest.mark.parametrize("dofs, max_length, applications", [(1, 6, 768), (2, 4, 7_584)])
+def test_normal_order_matches_the_schroedinger_representation(dofs, max_length, applications):
+    # an independent reference for normal ordering: each word applied
+    # letter by letter to every monomial x^n with |n| per DOF up to the word's
+    # length equals its normal-ordered expansion applied term by term
+    system = System(0, dofs)
+    symbols = [s for a in range(1, dofs + 1) for s in (Symbol.Q(a), Symbol.P(a))]
+    checked = 0
+    for length in range(1, max_length + 1):
+        for letters in product(symbols, repeat=length):
+            expansion = math.prod((system.symbol(s) for s in letters), start=system.one())
+            for ns in product(range(length + 1), repeat=dofs):
+                start = {(0, *ns): (Fraction(1), Fraction(0))}
+                want = _schroedinger(letters, start)
+                got: dict = {}
+                for (h, _, _, word), c in expansion.terms():
+                    for (h2, *ns2), (re, im) in _schroedinger(word, start).items():
+                        key = (h + h2, *ns2)
+                        old = got.get(key, (0, 0))
+                        got[key] = (old[0] + c.re * re - c.im * im, old[1] + c.re * im + c.im * re)
+                assert {k: v for k, v in got.items() if v != (0, 0)} == want, (letters, ns)
+                checked += 1
+    assert checked == applications
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hybrid_sums(),
@@ -398,7 +446,7 @@ def test_weyl_table_matches_ordering_enumeration():
     for a in range(9):
         for b in range(9 - a):
             table = sq.zero()
-            for a2, b2, k, c in _weyl_terms(a, b, -1):
+            for a2, b2, k, c in _weyl_terms(a, b, _TO_WEYL):
                 table = table + sq.hbar(k) * sq.Q(1) ** a2 * sq.P(1) ** b2 * c
             assert table == symmetrized_product(a, b), (a, b)
 
@@ -810,9 +858,11 @@ def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
         calls.append(1)
         return bracket(a, b)
 
-    def counted_sum(*args):
-        sums.append(1)
-        return bracket_sum(*args)
+    def counted_sum(pairs, unit):
+        # products sum their unit products through _bracket_sum too
+        if unit is halfq.algebra._monomial_bracket:
+            sums.append(1)
+        return bracket_sum(pairs, unit)
 
     monkeypatch.setattr(halfq.algebra, "hybrid_bracket", counted)
     monkeypatch.setattr(halfq.algebra, "_bracket_sum", counted_sum)
@@ -854,9 +904,9 @@ def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(algebra, name, counted)
-    monkeypatch.setattr(algebra, "_BRACKET_CACHE", {})
+    _monomial_bracket.cache_clear()
     assert find_jacobiator_witness(max_degree=3) is not None
-    assert algebra._BRACKET_CACHE
+    assert _monomial_bracket.cache_info().currsize
     assert calls == []
 
 

@@ -50,6 +50,19 @@ def test_parse_division_by_zero_says_so(capsys, text, position):
     assert err.splitlines() == [f"error: division by zero (at position {position})"]
 
 
+def test_parse_normal_orders_long_words(capsys):
+    # normal ordering is a closed form per run of letters, so a word needing
+    # thousands of swaps costs no recursion
+    code, out, err = run_cli(capsys, "parse", "P1^40*Q1^40")
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "Q1^40*P1^40 - 1600*i*hbar*Q1^39*P1^39 - 1216800*hbar^2*Q1^38*P1^38"
+    )
+    code, out, err = run_cli(capsys, "parse", "P1^2000*Q1")
+    assert (code, err) == (0, "")
+    assert out.strip() == "Q1*P1^2000 - 2000*i*hbar*P1^1999"
+
+
 def test_halfquantize_example_hamiltonian(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -99,18 +99,40 @@ def test_one_spectral_measure():
 
 
 def test_one_weyl_table():
-    # the Weyl correspondence is one closed-form table (algebra._weyl_terms)
-    # read by weyl_quantize and unquantize; no map enumerates orderings or
-    # keeps a table of its own
+    # every reordering is one closed-form table (algebra._weyl_terms): the
+    # Weyl correspondence read by weyl_quantize and unquantize, and normal
+    # ordering read by _normal_words without recursion; no map enumerates
+    # orderings or keeps a table of its own, and the product, the
+    # derivative, the embedding and the i*hbar scalings loop only through
+    # the shared accumulators
     offenders = []
     tree = ast.parse((ROOT / "src" / "halfq" / "algebra.py").read_text(encoding="utf-8"))
+    banned = ("_WEYL_CACHE", "_UNQ_CACHE", "_NORMAL_CACHE", "_BRACKET_CACHE", "_weyl_products")
+    accumulated = ("__mul__", "partial_derivative", "embed", "mul_ihbar", "div_ihbar")
+    functions = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if "permutations" in {alias.name for alias in node.names}:
                 offenders.append("imports permutations")
-        elif isinstance(node, ast.Name) and node.id in ("_WEYL_CACHE", "_UNQ_CACHE"):
-            offenders.append(f"defines {node.id}")
+        elif isinstance(node, ast.Name) and node.id in banned:
+            offenders.append(f"names {node.id}")
+        elif isinstance(node, ast.FunctionDef):
+            functions.add(node.name)
+            inner = list(ast.walk(node))
+            if node.name in banned:
+                offenders.append(f"defines {node.name}")
+            if node.name == "_normal_words":
+                names = {n.id for n in inner if isinstance(n, ast.Name)}
+                if "_normal_words" in names:
+                    offenders.append("_normal_words calls itself")
+                if "_weyl_terms" not in names:
+                    offenders.append("_normal_words does not read _weyl_terms")
+            if node.name in accumulated and any(
+                isinstance(n, (ast.For, ast.comprehension)) for n in inner
+            ):
+                offenders.append(f"{node.name} loops")
     assert offenders == []
+    assert functions >= {"_normal_words", *accumulated}
 
 
 def test_one_binding_rule_for_constants():
