@@ -7,8 +7,9 @@ full-quantum verification experiment (``verify``).  ``parse``,
 ``halfquantize`` and ``jacobi-demo`` run on the exact layer alone
 (:mod:`halfq.algebra`, :mod:`halfq.grammar`); the other commands import
 :mod:`halfq.experiment`, and with it numpy, when they run.  Every command prints
-human-readable text; ``--json`` / ``--csv`` switch to machine output and
-``--out`` writes the ``--csv`` table to a file.
+human-readable text; ``--json`` (one line of JSON with sorted keys) /
+``--csv`` switch to machine output and ``--out`` writes the ``--csv`` table
+to a file.
 
 Exit codes: 0 success; 1 a failed verification or certificate, or an
 ``error:`` line for a bad expression, config or file; 2 malformed usage.
@@ -82,7 +83,7 @@ def _emit(args, payload: dict, text: str, table=None) -> None:
     if table is not None and args.csv:
         csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     elif args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print(text)
 

@@ -22,11 +22,14 @@ phi^Q, and in a deep run the two leakage sectors P_S phi^Q of each row
 (:func:`leakage_sectors`).  So one matrix-free Chebyshev propagation of
 phi^C (x) that basis reaches every sweep time, and each psi_t is read
 back in position and edge-guarded.  At each sweep point the
-oracle measures the point's factors in one batch on the one-DOF
-spectrum of the t=0 observable, in the Schroedinger picture (unitarily
-identical to the Heisenberg statement); the only dense eigenproblems
-are single-DOF ones.  Both sides read interval probabilities off one
-spectral measure (:func:`spectral_masses`, :func:`interval_mass`).
+oracle measures the point's factors on the one-DOF spectrum of the t=0
+observable, in the Schroedinger picture (unitarily identical to the
+Heisenberg statement), without evolving them: each mass is a quadratic
+form in the factors' coordinates, read off small tables of the
+propagated columns (:func:`_gram`, :func:`_block_masses`,
+:func:`_axis_masses`); the only dense eigenproblems are single-DOF
+ones.  Both sides read interval probabilities off one spectral measure
+(:func:`interval_mass`).
 Three row judges read the measured masses: :func:`sandwich_rows`,
 :func:`leakage_rows` (X1 and X2) and :func:`discrepancy_rows` (the exact
 A(t) - B on psi0 against B's margin).  The Ehrenfest gap between the
@@ -87,7 +90,6 @@ from .hilbert import (
     gaussian_state,
     interval_mass,
     spectral_decompose,
-    spectral_masses,
     tensor,
 )
 
@@ -824,6 +826,7 @@ class Oracle:
         for t in times:
             _edge_guard(State(self.position(t, [0]).ravel(), grids), f"state at t={float(t)}")
         self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
+        self.grams = {}  # (t, place) -> the Gram table of a block axis at t
 
     def propagate(self, columns: np.ndarray, times: Sequence[float]) -> list:
         """The (dim, r) ``columns`` phi_c (x) basis, in H's basis, evolved to
@@ -848,20 +851,30 @@ class Oracle:
     def measure(self, point: SandwichPoint, columns: Sequence[int]) -> tuple:
         """(eigenvalues, masses, A(t)): the spectrum of ``point``'s t=0
         observable, the spectral masses of the factor ``columns`` evolved to
-        its t, one column each, and its exact Heisenberg observable A(t)."""
+        its t, one column each, and its exact Heisenberg observable A(t).
+        Each mass is a quadratic form in the columns' coordinates x[c], read
+        off a table of W_t (:func:`_gram`, :func:`_block_masses` and
+        :func:`_axis_masses`); no evolved factor is formed."""
         place, decomp, series = self.observables[point.observable]
-        layout = tuple(self.shape[a] for a in self.order)
-        batch = self._evolved(point.t, columns).reshape(-1, len(columns))
-        masses = spectral_masses(decomp, batch, layout, place)
+        layout, nb = tuple(self.shape[a] for a in self.order), len(self.blocks)
+        x = self.coordinates[..., columns]
+        if place < nb:
+            # one Gram table per (t, block axis), shared by its observables
+            split, key = _split(layout[:nb], place), (point.t, place)
+            if key not in self.grams:
+                self.grams[key] = _gram(self.propagated[point.t], split)
+            masses = _block_masses(self.grams[key], x, decomp, split)
+        else:
+            split = _split(layout[nb:], place - nb)
+            masses = _axis_masses(self.propagated[point.t], x, decomp, split)
         return decomp.eigenvalues, masses, series.substitute_constants({"t": point.t})
 
     def position(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
-        """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position."""
-        x = self._unblocked(self._evolved(t, columns)).reshape(self.shape + (-1,))
+        """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position:
+        the edge guard's state, formed only here."""
+        x = np.matmul(self.propagated[t], self.coordinates[..., columns])
+        x = self._unblocked(x).reshape(self.shape + (-1,))
         return np.fft.ifftn(x, axes=self.h_op.fourier, norm="ortho").reshape(-1, x.shape[-1])
-
-    def _evolved(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
-        return np.matmul(self.propagated[t], self.coordinates[..., columns])
 
     def _blocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
         """A (dim, k) batch on ``grid`` (default: the full grid) in the
@@ -874,6 +887,52 @@ class Oracle:
         """The (dim, k) batch on ``grid`` of a blocked one."""
         x = x.reshape(tuple((grid or self.shape)[a] for a in self.order) + (-1,))
         return np.moveaxis(x, range(len(self.blocks)), self.blocks).reshape(-1, x.shape[-1])
+
+
+def _split(dims: tuple, place: int) -> tuple:
+    """(before, n, after): the sizes of ``dims`` before ``place``, at it and after it."""
+    return math.prod(dims[:place]), dims[place], math.prod(dims[place + 1:])
+
+
+def _gram(w: np.ndarray, split: tuple) -> np.ndarray:
+    """G_t for an observable on a block axis: with W_t = ``w``, (N_C, R, r),
+    and ``split`` the block axes' sizes around that axis, one Gram matrix
+    over R of (that axis's index a, column s) per index g of the other
+    block axes, (N_g, n r, n r); it depends on t alone."""
+    before, n, after = split
+    m = w.reshape(before, n, after, -1, w.shape[-1]).transpose(0, 2, 3, 1, 4)
+    m = m.reshape(before * after, m.shape[2], -1)
+    return np.matmul(m.conj().swapaxes(1, 2), m)
+
+
+def _block_masses(gram: np.ndarray, x: np.ndarray, decomp: SpectralDecomp, split) -> np.ndarray:
+    """(n, k) masses of the columns ``x``, (N_C, r, k), on ``decomp``'s
+    eigenbasis V of a block axis: masses[i, j] = sum_g u^H G_g u with
+    u[(a, s)] = V^H[i, a] x_j[(g, a), s], for the :func:`_gram` table."""
+    before, n, after = split
+    _, r, k = x.shape
+    x = x.reshape(before, n, after, r, k).swapaxes(1, 2)
+    u = decomp.eigenvectors.conj()[:, None, :, None] * x[..., None, :]
+    u = u.reshape(before * after, n * r, n * k)
+    gu = np.matmul(gram, u)
+    gu *= np.conjugate(u, out=u)  # u is spent: no third array of its size
+    return gu.real.sum(axis=(0, 1)).reshape(n, k)
+
+
+def _axis_masses(w: np.ndarray, x: np.ndarray, decomp: SpectralDecomp, split) -> np.ndarray:
+    """(n, k) masses of the columns ``x``, (N_C, r, k), on ``decomp``'s
+    eigenbasis V of an axis inside R, with W_t = ``w``, (N_C, R, r), and
+    ``split`` R's sizes around that axis.  Y = V^H on that axis of W_t gives
+    the r x r tables H[c, i] = Y_i[c]^H Y_i[c], and masses[i, j] =
+    sum_c x_j[c]^H H[c, i] x_j[c]."""
+    before, n, after = split
+    n_c, _, r = w.shape
+    y = decomp.amplitudes(w.reshape(n_c * before, n, after * r), 1)
+    # Y_i[c] is (before * after, r); a view unless the axis has both sides
+    y = y.reshape(n_c, before, n, after, r).transpose(0, 2, 1, 3, 4).reshape(n_c, n, -1, r)
+    h = np.matmul(y.conj().swapaxes(2, 3), y).reshape(n_c, n, r * r)
+    outer = x.conj()[:, :, None] * x[:, None]  # [c, s, s', j] = conj(x[c, s, j]) x[c, s', j]
+    return np.matmul(h.swapaxes(0, 1).reshape(n, -1), outer.reshape(n_c * r * r, -1)).real
 
 
 def sandwich_rows(point: SandwichPoint, values: np.ndarray, masses: np.ndarray) -> list:

@@ -13,7 +13,9 @@ grading unit, ``i`` the imaginary unit, and any declared constant name
 (``m``, ``M``, ``k``, ``t``, ...).  Numbers are integer or decimal
 literals, read exactly.  ``*`` between quantum identifiers preserves the
 written operator order.  Division is restricted to scalar divisors, and
-negative exponents to scalar bases.
+negative exponents to scalar bases.  No exponent may exceed
+:data:`MAX_POWER`, and no term's quantum word may grow longer: both are
+refused before the word or the coefficient is built.
 
 The parser reads the text in one scan.  Each term reads its factors in one
 loop and multiplies them into one monomial (coefficient, hbar grade,
@@ -64,6 +66,9 @@ _OPERATORS = frozenset("+-*/^()")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SYMBOL_RE = re.compile(r"^([qpQP])([0-9]+)$")
 _RESERVED = {"hbar", "i"}
+# the largest exponent, and the longest quantum word of a term, that a text
+# may ask for: checked before the word or the coefficient is built
+MAX_POWER = 4096
 
 
 # A factor is read either as one monomial, the tuple (coefficient, hbar
@@ -88,6 +93,13 @@ def _factor(terms: dict):
         return terms or _ZERO_FACTOR
     ((hbar, consts, classical, word), coeff), = terms.items()
     return coeff, hbar, consts, classical, word
+
+
+def _letters(factor) -> int:
+    """The length of a factor's longest quantum word."""
+    if type(factor) is dict:
+        return max(len(key[3]) for key in factor)
+    return len(factor[4])
 
 
 def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
@@ -157,6 +169,7 @@ class _Parser:
         tokens, limits = self.tokens, self.limits
         a, b, d, hbar, consts, classical, word = sign, 0, 1, 0, {}, {}, []
         product = None  # the factors before the last sum factor, multiplied out
+        letters = 0  # a bound on the length of product's quantum words
         divide = False
         pos = self.pos
         while True:
@@ -199,11 +212,15 @@ class _Parser:
                 value = tokens[pos]
                 if not value[:1].isdecimal() or "." in value:
                     self.fail("exponent must be an integer", pos)
+                self.bound(value, factor, letters + len(word), pos)
                 pos += 1
                 factor = self.power(factor, -int(value) if negative else int(value), atom)
             if divide and factor is not _UNIT:
                 factor = self.inverse(factor, start)
             if type(factor) is dict:
+                letters += len(word) + _letters(factor)
+                if letters > MAX_POWER:
+                    self.fail(f"quantum word longer than {MAX_POWER} letters", atom)
                 monomial = _monomial_terms(_gaussian(a, b, d), hbar, consts, classical, word)
                 left = HybridExpression(self.system, monomial)
                 if product is not None:
@@ -215,6 +232,8 @@ class _Parser:
                 if c is not _ONE:
                     a2, b2, d2 = c._abd
                     a, b, d = a * a2 - b * b2, a * b2 + b * a2, d * d2
+                if letters + len(word) + len(w) > MAX_POWER:
+                    self.fail(f"quantum word longer than {MAX_POWER} letters", atom)
                 hbar += h
                 for name, exp in pr:
                     consts[name] = consts.get(name, 0) + exp
@@ -231,6 +250,15 @@ class _Parser:
         if product is None:
             return terms
         return dict((product * HybridExpression(self.system, terms))._terms)
+
+    def bound(self, value: str, base, before: int, index: int) -> None:
+        """Refuse, at the exponent ``value`` (token ``index``), an exponent
+        above MAX_POWER or a power of ``base`` whose quantum word, after the
+        ``before`` letters of its term, would be longer, before building it."""
+        if len(value) > len(str(MAX_POWER)) or int(value) > MAX_POWER:
+            self.fail(f"exponent above {MAX_POWER}", index)
+        if before + int(value) * _letters(base) > MAX_POWER:
+            self.fail(f"quantum word longer than {MAX_POWER} letters", index)
 
     def power(self, base, exponent: int, start: int):
         """``base`` (read from token ``start``) to the power ``exponent``."""

@@ -40,8 +40,10 @@ block's Gram matrix off the columns as given.  A dense matrix is a
 read-only array taken from :meth:`CompiledOperator.dense` of a
 single-sector operator, and exists only to be diagonalized by
 :func:`spectral_decompose`.  Oracle and bounds alike read every interval
-probability off one spectral measure: :func:`spectral_masses` projects on
-an eigenbasis once, and :func:`interval_mass` sums over an interval.
+probability off one spectral measure, masses per eigenvalue: here
+:func:`spectral_masses` projects a state or batch on an eigenbasis once
+(the oracle reads the same masses off tables of its propagated columns),
+and :func:`interval_mass` sums them over an interval.
 """
 
 from __future__ import annotations
@@ -387,18 +389,12 @@ def interval_mask(eigenvalues: np.ndarray, interval: tuple) -> np.ndarray:
     return (eigenvalues >= lo - tol) & (eigenvalues <= hi + tol)
 
 
-def spectral_masses(
-    decomp: SpectralDecomp, x: np.ndarray, shape: tuple | None = None, axis: int = 0
-) -> np.ndarray:
+def spectral_masses(decomp: SpectralDecomp, x: np.ndarray) -> np.ndarray:
     """Probability of each eigenvalue of ``decomp`` in a vector or each
-    column of a (dim, k) batch: an (n,) or (n, k) array.  With the tensor
-    grid ``shape`` of the vectors, ``decomp`` is the spectrum of the DOF
-    ``axis`` alone: the projection contracts that axis in place and the
-    other DOFs are summed over."""
-    grid, batch = shape or x.shape[:1], x.shape[1:]
-    mass = np.abs(decomp.amplitudes(x.reshape(grid + batch), axis))
+    column of a (dim, k) batch: an (n,) or (n, k) array."""
+    mass = np.abs(decomp.amplitudes(x))
     np.square(mass, out=mass)
-    return mass.reshape((math.prod(grid[:axis]), decomp.dim, -1) + batch).sum(axis=(0, 2))
+    return mass
 
 
 def interval_mass(eigenvalues: np.ndarray, masses: np.ndarray, interval: tuple):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,35 @@ def test_parse_normal_orders_long_words(capsys):
     code, out, err = run_cli(capsys, "parse", "P1^2000*Q1")
     assert (code, err) == (0, "")
     assert out.strip() == "Q1*P1^2000 - 2000*i*hbar*P1^1999"
+
+
+def test_verify_json_is_one_line_of_the_report(tmp_path, capsys):
+    # --json prints the report as one line of JSON with sorted keys
+    from halfq.experiment import SystemConfig, run_verification
+
+    cfg = build_example(npoints=32, extent=8.0, times=(0.0, 0.5))
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--json", "--quiet")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1
+    report = run_verification(SystemConfig.from_json(path.read_text(encoding="utf-8")))
+    assert json.loads(out) == report.to_json_dict()
+    assert list(json.loads(out)) == sorted(report.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [(("Q1^1000000",), 3), (("q1^100000000", "--system", "1,1"), 3), (("hbar^100000000",), 5)],
+)
+def test_parse_refuses_runaway_exponents_at_once(capsys, argv, position):
+    # a 10^6-letter word, or 10^8 coefficient products, are refused at the
+    # exponent before either is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "parse", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: exponent above 4096 (at position {position})"]
 
 
 def test_halfquantize_example_hamiltonian(capsys):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -444,6 +445,11 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
         return project(self, psi, *axis)
 
     monkeypatch.setattr(SpectralDecomp, "amplitudes", amplitudes)
+    gram = halfq.experiment._gram
+    grams = []
+    monkeypatch.setattr(
+        halfq.experiment, "_gram", lambda w, split: grams.append(split) or gram(w, split)
+    )
     report = run_verification(small_example(), deep=True)
     assert report.discrepancy_rows
     # one dense B per distinct (observable, t), shared by the sandwich,
@@ -451,9 +457,12 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
     # less the 3 repeats of the conserved P1, whose B is the same at every
     # t; and one one-DOF spectrum per oracle observable
     assert dims == [32] * (13 + 4)
-    # one projection of phi^Q on each distinct B's eigenbasis, and one of
-    # each point's evolved batch on its observable's eigenbasis
-    assert projections == [32] * (13 + 16)
+    # one projection of phi^Q on each distinct B's eigenbasis, and one table
+    # projection of W_t per point on the classical axis (q1 and p1 at 4
+    # times); the points on the quantum block axis (Q1 and P1) project
+    # nothing: they share one Gram table per t
+    assert projections == [32] * (13 + 8)
+    assert grams == [(1, 32, 1)] * 4
 
 
 def test_sweep_a0_is_the_expectation_of_B():
@@ -894,12 +903,23 @@ def test_file_state_round_trips_through_json(tmp_path):
     assert np.max(np.abs(loaded.quantum_factor().amplitudes - amps)) < 1e-15
 
 
+def _axis_masses_by_batch(decomp, batch, shape, axis):
+    """Masses of each column of a (dim, k) ``batch`` on the grid ``shape``
+    on ``decomp``, the spectrum of the DOF ``axis`` alone: that axis is
+    contracted in place and the other DOFs are summed over."""
+    amps = decomp.amplitudes(batch.reshape(shape + batch.shape[1:]), axis)
+    masses = np.abs(amps) ** 2
+    return masses.reshape((int(np.prod(shape[:axis])), decomp.dim, -1, batch.shape[1])).sum(
+        axis=(0, 2)
+    )
+
+
 def test_sector_decomp_matches_dense_spectral_path():
-    # the oracle measures psi_t and the evolved leakage sectors of a sweep
-    # point in one batch with a one-DOF spectrum, contracting the DOF's
-    # axis in place; the mass of every column inside and outside an
-    # interval (the oracle probability, X1 and X2) must agree with a dense
-    # Kronecker decomposition on both axes
+    # psi_t and the evolved leakage sectors of a sweep point, measured with
+    # a one-DOF spectrum by contracting the DOF's axis in place: the mass
+    # of every column inside and outside an interval (the oracle
+    # probability, X1 and X2) must agree with a dense Kronecker
+    # decomposition on both axes
     from halfq.bounds import leakage_sectors
     from halfq.hilbert import (
         interval_mask,
@@ -907,7 +927,6 @@ def test_sector_decomp_matches_dense_spectral_path():
         momentum_operator,
         position_operator,
         spectral_decompose,
-        spectral_masses,
         tensor,
     )
 
@@ -930,7 +949,7 @@ def test_sector_decomp_matches_dense_spectral_path():
         small = spectral_decompose(op.dense())
         factors = (op.dense(), np.eye(8)) if axis == 0 else (np.eye(12), op.dense())
         dense = spectral_decompose(np.kron(*factors))
-        masses = spectral_masses(small, batch, (12, 8), axis)
+        masses = _axis_masses_by_batch(small, batch, (12, 8), axis)
         dense_masses = np.abs(dense.amplitudes(batch)) ** 2
         for interval in ((-1.0, 1.0), (0.2, 2.7), (-9.0, 9.0)):
             got = interval_mass(small.eigenvalues, masses, interval)
@@ -939,6 +958,50 @@ def test_sector_decomp_matches_dense_spectral_path():
                 want = dense_masses[interval_mask(dense.eigenvalues, interval) == inside]
                 assert np.max(np.abs(value - want.sum(axis=0))) < 1e-12, (axis, interval)
         assert np.min(masses.sum(axis=0)[1:]) > 1e-2
+
+
+# (block axis sizes, other axis sizes, r): one block axis, two block axes,
+# and no block axis (a mixing basis of r columns)
+TABLE_LAYOUTS = [((5,), (4, 3), 1), ((5,), (4, 3), 3), ((3, 4), (5,), 1), ((3, 4), (5,), 3),
+                 ((), (4, 5), 3)]
+
+
+@pytest.mark.parametrize("blocks, rest, r", TABLE_LAYOUTS)
+def test_oracle_tables_match_dense_kronecker_masses(blocks, rest, r):
+    # the Oracle's tables measure random propagated columns W (N_C, R, r)
+    # at random coordinates x (N_C, r, k) on every axis, block or not; each
+    # column's masses equal the dense Kronecker decomposition's of the
+    # state psi[c] = W[c] x[c], formed here only as the reference
+    from halfq.experiment import _axis_masses, _block_masses, _gram, _split
+    from halfq.hilbert import spectral_decompose
+
+    rng = np.random.default_rng(11)
+    layout, k = blocks + rest, 4
+    n_c, size = int(np.prod(blocks)), int(np.prod(rest))
+    w = rng.normal(size=(n_c, size, r)) + 1j * rng.normal(size=(n_c, size, r))
+    x = rng.normal(size=(n_c, r, k)) + 1j * rng.normal(size=(n_c, r, k))
+    x /= np.linalg.norm(np.matmul(w, x), axis=(0, 1))  # unit states psi
+    psi = np.matmul(w, x).reshape(-1, k)
+    for place, n in enumerate(layout):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        small = spectral_decompose(a + a.conj().T)
+        eyes = [np.eye(m) for m in layout]
+        eyes[place] = small.eigenvectors
+        dense_v = reduce(np.kron, eyes)
+        # the dense eigenbasis I (x) ... (x) V (x) ... (x) I, each column's
+        # mass summed over every index but the observable's
+        want = np.abs(dense_v.conj().T @ psi) ** 2
+        want = want.reshape(layout + (k,)).sum(
+            axis=tuple(i for i in range(len(layout)) if i != place)
+        )
+        if place < len(blocks):
+            split = _split(blocks, place)
+            got = _block_masses(_gram(w, split), x, small, split)
+        else:
+            split = _split(rest, place - len(blocks))
+            got = _axis_masses(w, x, small, split)
+        assert got.shape == (n, k)
+        assert np.max(np.abs(got - want)) < 1e-12, (place, r)
 
 
 def test_report_csv_rows():

@@ -157,6 +157,32 @@ def test_fractional_exponent_rejected():
         parse_expression("q1^1.5", S11)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("Q1^4097", "exponent above 4096", 3),
+        ("m^-5000*q1", "exponent above 4096", 3),
+        ("Q1^" + "9" * 5000, "exponent above 4096", 3),
+        ("Q1^4000*P1^97", "quantum word longer than 4096 letters", 11),
+        ("Q1^4000*P1*P1^95*Q1", "quantum word longer than 4096 letters", 17),
+        ("(Q1^2000)^3", "quantum word longer than 4096 letters", 10),
+        ("(P1^4000 + 1)*(Q1^4000 + 1)", "quantum word longer than 4096 letters", 14),
+    ],
+)
+def test_runaway_powers_are_refused_at_their_exponent(text, message, position):
+    # the exponent, and the quantum word of a term, are bounded by
+    # MAX_POWER before the word or the coefficient is built
+    with pytest.raises(ExpressionSyntaxError, match=message) as err:
+        parse_expression(text, S11, ("m",))
+    assert err.value.position == position
+
+
+def test_powers_up_to_the_bound_parse():
+    assert format_expression(parse_expression("Q1^4096", S11)) == "Q1^4096"
+    assert format_expression(parse_expression("Q1^4000*P1^96", S11)) == "Q1^4000*P1^96"
+    assert format_expression(parse_expression("hbar^4096*q1^4096", S11)) == "hbar^4096*q1^4096"
+
+
 def test_constant_name_validation():
     with pytest.raises(ValueError, match="collides"):
         validate_constant_names(["q1"])

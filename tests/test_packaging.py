@@ -462,3 +462,32 @@ def test_oracle_owns_the_layout_and_its_stages_stay_short():
     stages += [node for node in oracle.body if isinstance(node, ast.FunctionDef)]
     lengths = {node.name: node.end_lineno - node.lineno + 1 for node in stages}
     assert {name: n for name, n in lengths.items() if n > 60} == {}
+    # measurement reads tables of the propagated columns W_t: the one
+    # product of propagated and coordinates, W_t x, is Oracle.position's,
+    # the edge guard's state in position
+    products = sorted(
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if _product_of(node, {"propagated", "coordinates"})
+    )
+    assert products == ["position"]
+
+
+def _product_of(node: ast.AST, names: set) -> bool:
+    """Whether ``node`` is a product (``@``, ``*`` or a matmul, einsum, dot
+    or tensordot call) whose operands mention every name in ``names``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult)):
+        operands = [node.left, node.right]
+    elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+        func = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        if func not in {"matmul", "einsum", "dot", "tensordot"}:
+            return False
+        operands = node.args
+    else:
+        return False
+    mentioned = {
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for operand in operands for inner in ast.walk(operand)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    }
+    return names <= mentioned
