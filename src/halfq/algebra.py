@@ -66,14 +66,7 @@ class SystemMismatchError(AlgebraError):
 
 
 class NonTerminatingSeriesError(RuntimeError):
-    """Bracket iteration did not vanish within the allowed order.
-
-    Carries the nonzero iterates collected so far in ``iterates``.
-    """
-
-    def __init__(self, message: str, iterates: list["HybridExpression"]):
-        super().__init__(message)
-        self.iterates = iterates
+    """Bracket iteration did not vanish within the allowed order."""
 
 
 class UnquantizationWarning(UserWarning):
@@ -988,23 +981,18 @@ def heisenberg_series(
     On a system with no classical DOFs the hybrid bracket is the
     commutator, so the same series is the full-quantum Heisenberg
     observable.  The bracket chain must terminate (some iterate vanishes)
-    within 60 orders; otherwise NonTerminatingSeriesError carries the first
-    iterates.
+    within 60 orders; otherwise it raises NonTerminatingSeriesError.
     """
     observable._require_same(hamiltonian)
     result = current = observable
-    iterates = []
     factorial = Fraction(1)
     for n in range(1, 61):
         current = div_ihbar(hybrid_bracket(current, hamiltonian))
         if current.is_zero:
             return result
-        iterates.append(current)
         factorial *= n
         result = result + current * current.system.const("t", n) / factorial
-    raise NonTerminatingSeriesError(
-        "bracket chain did not terminate within 60 orders", iterates[:6]
-    )
+    raise NonTerminatingSeriesError("bracket chain did not terminate within 60 orders")
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,9 @@ Constants and times become numbers in one way, substituted exactly
 B, H and A(t) read the same values.
 
 A verification run checks every sweep row against the full-quantum
-evolution of the same initial data, in stages.  One :class:`Oracle`
-compiles H, every DOF quantum, in its propagation basis, and takes
-phi^C and the quantum factors to that basis once.  H is block diagonal
+evolution of psi0 = phi^C (x) phi^Q, in stages.  One :class:`Oracle`
+guards psi0, compiles H, every DOF quantum, in its propagation basis, and
+takes phi^C and the quantum factors to that basis once.  H is block diagonal
 over its :func:`block_axes`, so the oracle lays the grid out with the
 quantum block axes first and keeps an orthonormal basis of the quantum
 factors' span over the other quantum axes, all-ones on the block axes
@@ -30,12 +30,12 @@ propagated columns (:func:`_gram`, :func:`_block_masses`,
 :func:`_axis_masses`); the only dense eigenproblems are single-DOF
 ones.  Both sides read interval probabilities off one spectral measure
 (:func:`interval_mass`).
-Three row judges read the measured masses: :func:`sandwich_rows`,
-:func:`leakage_rows` (X1 and X2) and :func:`discrepancy_rows` (the exact
-A(t) - B on psi0 against B's margin).  The Ehrenfest gap between the
-exact Heisenberg observables (:func:`heisenberg_series`; with no
-classical DOFs the hybrid bracket is the commutator) and the measured
-states checks the oracle in every run.
+On psi0 the oracle also evaluates the exact Heisenberg observables A(t)
+(:func:`heisenberg_series`; with no classical DOFs the hybrid bracket is
+the commutator): <psi0|A(t)|psi0>, whose gap to the measured first moment
+checks the oracle in every run, and the weights of A(t) - B.  Three row
+judges read it: :func:`sandwich_rows`, :func:`leakage_rows` (X1 and X2)
+and :func:`discrepancy_rows` (A(t) - B against B's margin).
 """
 
 from __future__ import annotations
@@ -700,7 +700,7 @@ def run_verification(
     The certification gate is :func:`certificates` and the sandwich rows
     are those of :func:`sandwich_sweep` at the certified orders.  One
     :class:`Oracle` evolves phi^Q and, when ``deep``, each row's two
-    leakage sectors; each point's batch is measured once and judged by
+    leakage sectors; each point is measured once and judged by
     :func:`sandwich_rows`, :func:`leakage_rows` and, when ``deep``,
     :func:`discrepancy_rows`.  Raises :class:`GridError` when a state
     leaks probability onto the grid boundary (unconverged setup) or the
@@ -712,31 +712,25 @@ def run_verification(
     levels = [L for L, cert in certs.items() if cert.passed]
     rows, leak_rows, disc_rows, ehrenfest = [], [], [], None
     if levels:
-        phi_q = cfg.quantum_factor()
-        # psi0's edge mass is the sum of its guarded factors'
-        psi0 = _edge_guard(tensor(cfg.classical_factor(), phi_q), "initial state")
         points = list(sandwich_sweep(cfg, sols, levels))
         # a deep run also evolves the two leakage sectors of each row with
         # I_B > 0, binned against its point's B, as factors after phi_q
         leaky = [[pb for pb in point.rows if deep and pb.I_B > 0] for point in points]
-        factors = np.column_stack([phi_q.amplitudes] + [
+        factors = np.column_stack([cfg.quantum_factor().amplitudes] + [
             leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
             for point, bounds in zip(points, leaky) for pb in bounds
         ])
-        note("compiling full-quantum Hamiltonian")
         oracle = Oracle(cfg, cfg.full_hamiltonian_expr(), factors, progress)
         ehrenfest, start = 0.0, 1
         for point, bounds in zip(points, leaky):
             note(f"observable {point.observable.name}, t={float(point.t)}")
             columns = [0, *range(start, start + 2 * len(bounds))]
             start += 2 * len(bounds)
-            values, masses, a_t = oracle.measure(point, columns)
+            values, masses, reference = oracle.measure(point, columns)
             # <psi_t|A|psi_t> is the first moment of psi_t's spectral masses
-            a_op = compile_expression(a_t, {}, psi0.grids, cfg.hbar)
-            exact = np.vdot(psi0.amplitudes, a_op.apply(psi0.amplitudes))
-            ehrenfest = max(ehrenfest, abs(exact - values @ masses[:, 0]))
+            ehrenfest = max(ehrenfest, abs(reference - values @ masses[:, 0]))
             if deep:
-                disc_rows += discrepancy_rows(cfg, point, a_t, psi0)
+                disc_rows += discrepancy_rows(point, oracle.discrepancy(point))
             rows += sandwich_rows(point, values, masses)
             leak_rows += leakage_rows(point, bounds, values, masses)
         if ehrenfest > TOLERANCES["ehrenfest"]:
@@ -782,17 +776,21 @@ class Oracle:
     """The full-quantum side of a run: built once, then measured per point.
 
     Built from ``cfg``, H's exact expression ``h_expr`` and the quantum
-    ``factors`` (an (N_Q, K) array, phi^Q first), it compiles H, takes the
-    factors and phi^C to H's basis once, owns the blocked layout, projects
-    each factor once, propagates, edge-guards each psi_t, and builds each
-    sweep observable's one-DOF spectrum (in H's basis) and exact series.
-    :meth:`measure` measures a point's factor columns at its t;
-    :meth:`position` alone takes evolved factors back to position.
+    ``factors`` (an (N_Q, K) array, phi^Q first), it forms and edge-guards
+    psi0 = phi^C (x) phi^Q, compiles H, takes the factors and phi^C to H's
+    basis once, owns the blocked layout, projects each factor once,
+    propagates, edge-guards each later psi_t, and builds each sweep
+    observable's one-DOF spectrum (in H's basis) and exact series A(t).
+    :meth:`measure` and :meth:`discrepancy` read a point at its t.
     """
 
     def __init__(self, cfg: SystemConfig, h_expr: HybridExpression, factors, progress=None):
         grids = cfg.all_grids()
-        self.h_expr, self.shape = h_expr, tuple(g.npoints for g in grids)
+        phi_c, phi_q = cfg.classical_factor(), State(factors[:, 0], cfg.quantum_grids)
+        self.psi0 = _edge_guard(tensor(phi_c, phi_q), "initial state")
+        if progress is not None:
+            progress("compiling full-quantum Hamiltonian")
+        self.cfg, self.h_expr, self.shape = cfg, h_expr, tuple(g.npoints for g in grids)
         self.h_op = compile_expression(h_expr, {}, grids, cfg.hbar, fourier_axes(h_expr))
         # on H's quantum block axes (C) a column all-ones in H's basis
         # carries every block, so the blocked layout puts them first, then
@@ -819,11 +817,11 @@ class Oracle:
                 + (f"Fourier basis on axes {rotated}" if rotated else "position basis")
             )
         columns = self._unblocked(np.broadcast_to(basis, (len(factors),) + basis.shape), quantum)
-        phi_c = cfg.classical_factor().amplitudes.reshape(self.shape[:m] + (1,) * len(quantum[m:]))
+        phi_c = phi_c.amplitudes.reshape(self.shape[:m] + (1,) * len(quantum[m:]))
         phi_c = np.fft.fftn(phi_c, axes=fourier, norm="ortho")
         columns = np.kron(phi_c.reshape(-1, 1), columns)
         self.propagated = dict(zip(times, self.propagate(columns, t_floats)))
-        for t in times:
+        for t in filter(None, times):  # t = 0 is psi0, guarded above
             _edge_guard(State(self.position(t, [0]).ravel(), grids), f"state at t={float(t)}")
         self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
         self.grams = {}  # (t, place) -> the Gram table of a block axis at t
@@ -849,13 +847,13 @@ class Oracle:
         return self.order.index(axis), spectral_decompose(base_op.dense()), series
 
     def measure(self, point: SandwichPoint, columns: Sequence[int]) -> tuple:
-        """(eigenvalues, masses, A(t)): the spectrum of ``point``'s t=0
+        """(eigenvalues, masses, reference): the spectrum of ``point``'s t=0
         observable, the spectral masses of the factor ``columns`` evolved to
-        its t, one column each, and its exact Heisenberg observable A(t).
-        Each mass is a quadratic form in the columns' coordinates x[c], read
-        off a table of W_t (:func:`_gram`, :func:`_block_masses` and
-        :func:`_axis_masses`); no evolved factor is formed."""
-        place, decomp, series = self.observables[point.observable]
+        its t, one column each, and <psi0|A(t)|psi0>.  Each mass is a
+        quadratic form in the columns' coordinates x[c], read off a table of
+        W_t (:func:`_gram`, :func:`_block_masses` and :func:`_axis_masses`);
+        no evolved factor is formed."""
+        place, decomp, _ = self.observables[point.observable]
         layout, nb = tuple(self.shape[a] for a in self.order), len(self.blocks)
         x = self.coordinates[..., columns]
         if place < nb:
@@ -867,7 +865,22 @@ class Oracle:
         else:
             split = _split(layout[nb:], place - nb)
             masses = _axis_masses(self.propagated[point.t], x, decomp, split)
-        return decomp.eigenvalues, masses, series.substitute_constants({"t": point.t})
+        psi0 = self.psi0.amplitudes
+        a_op = compile_expression(self._heisenberg(point), {}, self.psi0.grids, self.cfg.hbar)
+        return decomp.eigenvalues, masses, np.vdot(psi0, a_op.apply(psi0))
+
+    def _heisenberg(self, point: SandwichPoint) -> HybridExpression:
+        """The exact Heisenberg observable A(t) of ``point``'s observable at its t."""
+        return self.observables[point.observable][2].substitute_constants({"t": point.t})
+
+    def discrepancy(self, point: SandwichPoint) -> dict:
+        """{L: ||(A(t) - B)^L psi0||^(1/L)} at each order L of ``point``'s
+        margins, B's classical symbols at their centres as in the sweep."""
+        # A(t) - B over M classical and M + N quantum DOFs, B's quantum DOF a at M + a
+        full = System(self.cfg.system.classical, len(self.shape))
+        diff = embed(self._heisenberg(point), full, 0) - embed(point.expr, full, full.classical)
+        centers = self.cfg.classical_data.centers()
+        return power_weights(diff, centers, self.psi0, self.cfg.hbar, point.margins)
 
     def position(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
         """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position:
@@ -969,17 +982,12 @@ def leakage_rows(point: SandwichPoint, bounds: Sequence, values: np.ndarray, mas
     return rows
 
 
-def discrepancy_rows(cfg: SystemConfig, point: SandwichPoint, a_t, psi0: State) -> list:
-    """One row per order L of ``point``: the weight of the exact A(t) - B
-    on ``psi0`` against B's margin at L."""
-    # A(t) - B over M classical and M + N quantum DOFs, B's quantum DOF a at M + a
-    full = System(cfg.system.classical, len(psi0.grids))
-    diff = embed(a_t, full, 0) - embed(point.expr, full, full.classical)
-    # B's classical symbols bind to their centres, as in the sweep
-    lhs_of = power_weights(diff, cfg.classical_data.centers(), psi0, cfg.hbar, point.margins)
+def discrepancy_rows(point: SandwichPoint, weights: Mapping) -> list:
+    """One row per order L of ``point``: ``weights[L]``, the weight of the exact
+    A(t) - B on psi0 (:meth:`Oracle.discrepancy`), against B's margin at L."""
     rows = []
     for L, margin in point.margins.items():
-        lhs, rhs = lhs_of[L], margin.with_second_order
+        lhs, rhs = weights[L], margin.with_second_order
         ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"])
         rows.append(dict(
             observable=point.observable.name, t=float(point.t), L=L, lhs=lhs, rhs=rhs,

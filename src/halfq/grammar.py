@@ -13,9 +13,9 @@ grading unit, ``i`` the imaginary unit, and any declared constant name
 (``m``, ``M``, ``k``, ``t``, ...).  Numbers are integer or decimal
 literals, read exactly.  ``*`` between quantum identifiers preserves the
 written operator order.  Division is restricted to scalar divisors, and
-negative exponents to scalar bases.  No exponent may exceed
-:data:`MAX_POWER`, and no term's quantum word may grow longer: both are
-refused before the word or the coefficient is built.
+negative exponents to scalar bases.  No exponent, quantum word of a term
+or term count of a power of a sum (:func:`_expansion_bound`) may exceed
+:data:`MAX_POWER`: each is refused before it is built.
 
 The parser reads the text in one scan.  Each term reads its factors in one
 loop and multiplies them into one monomial (coefficient, hbar grade,
@@ -66,8 +66,8 @@ _OPERATORS = frozenset("+-*/^()")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SYMBOL_RE = re.compile(r"^([qpQP])([0-9]+)$")
 _RESERVED = {"hbar", "i"}
-# the largest exponent, and the longest quantum word of a term, that a text
-# may ask for: checked before the word or the coefficient is built
+# the largest exponent, the longest quantum word of a term and the most
+# terms of a power of a sum that a text may ask for, each checked first
 MAX_POWER = 4096
 
 
@@ -100,6 +100,17 @@ def _letters(factor) -> int:
     if type(factor) is dict:
         return max(len(key[3]) for key in factor)
     return len(factor[4])
+
+
+def _expansion_bound(base: dict, exponent: int) -> int:
+    """An upper bound on the terms of the sum ``base`` of k terms to the power
+    n = ``exponent``: C(n + k - 1, n) products of its terms up to order, each
+    normal-ordering to at most prod_a (m_a / 2 + 1) <= (n l / (2 D) + 1)^D
+    words, where its D quantum DOFs share sum_a m_a <= n l letters, l the
+    longest word of a term in ``base``."""
+    dofs = len({sym.index for key in base for sym in key[3]})
+    orderings = Fraction(exponent * _letters(base) + 2 * dofs, 2 * dofs or 1) ** dofs
+    return math.comb(exponent + len(base) - 1, exponent) * math.floor(orderings)
 
 
 def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
@@ -252,13 +263,15 @@ class _Parser:
         return dict((product * HybridExpression(self.system, terms))._terms)
 
     def bound(self, value: str, base, before: int, index: int) -> None:
-        """Refuse, at the exponent ``value`` (token ``index``), an exponent
-        above MAX_POWER or a power of ``base`` whose quantum word, after the
-        ``before`` letters of its term, would be longer, before building it."""
+        """Refuse, at the exponent ``value`` (token ``index``), an exponent above
+        MAX_POWER or a power of ``base`` whose quantum word (after the ``before``
+        letters of its term) or, for a sum, term count could be larger."""
         if len(value) > len(str(MAX_POWER)) or int(value) > MAX_POWER:
             self.fail(f"exponent above {MAX_POWER}", index)
         if before + int(value) * _letters(base) > MAX_POWER:
             self.fail(f"quantum word longer than {MAX_POWER} letters", index)
+        if type(base) is dict and _expansion_bound(base, int(value)) > MAX_POWER:
+            self.fail(f"power of a sum could expand to more than {MAX_POWER} terms", index)
 
     def power(self, base, exponent: int, start: int):
         """``base`` (read from token ``start``) to the power ``exponent``."""

@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraError, HybridExpression, Symbol, System, _dof_powers
+from .algebra import AlgebraError, HybridExpression, Symbol, _dof_powers
 
 HERMITIAN_RTOL = 1e-10
 
@@ -158,10 +158,6 @@ class SpectralDecomp:
 # operators and states on a single grid
 
 
-def position_operator(grid: Grid) -> CompiledOperator:
-    return compile_expression(System(0, 1).Q(1), {}, (grid,), 1.0)
-
-
 def _fourier_basis(grid: Grid) -> tuple:
     """(f, k): the unitary DFT matrix, f @ x = fft(x, norm="ortho"), and the
     wavenumber of each of its rows."""
@@ -202,15 +198,6 @@ def _axis_factor(grid: Grid, hbar: float, q: int, p: int, fourier: bool) -> np.n
         out = _axis_factor(grid, hbar, q, p - 1, False) @ _axis_factor(grid, hbar, 0, 1, False)
     out.flags.writeable = False
     return out
-
-
-def momentum_operator(grid: Grid, hbar: float) -> CompiledOperator:
-    """Spectral-derivative momentum; periodic convention.
-
-    [q, p] = i*hbar*I holds on states negligible at the grid edges (the
-    commutator picks up aliasing corrections in the outermost cells).
-    """
-    return compile_expression(System(0, 1).P(1), {}, (grid,), hbar)
 
 
 def gaussian_state(grid: Grid, q0: float, p0: float, dq: float, hbar: float) -> State:

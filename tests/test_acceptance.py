@@ -45,11 +45,11 @@ from halfq.hilbert import (
     State,
     gaussian_state,
     interval_mass,
-    momentum_operator,
-    position_operator,
     spectral_decompose,
     spectral_masses,
 )
+
+from grid_operators import momentum_operator, position_operator
 
 
 def _report(criterion, description, ok, detail=""):

@@ -490,9 +490,8 @@ def test_weyl_matches_matrix_ordering_average():
         Grid,
         compile_expression,
         gaussian_state,
-        momentum_operator,
-        position_operator,
     )
+    from grid_operators import momentum_operator, position_operator
 
     g = Grid(64, -12.0, 12.0)
     qm = position_operator(g).dense()
@@ -745,13 +744,14 @@ def test_series_commutator_bracket_full_quantum():
     assert got == want
 
 
-def test_non_terminating_series_raises_with_iterates():
+def test_non_terminating_series_raises():
+    # the oscillator's iterates cycle through the cos/sin Taylor
+    # coefficients, so no order vanishes
     h_osc = parse_expression("p1^2/2 + q1^2/2", S11)
-    with pytest.raises(NonTerminatingSeriesError) as err:
+    with pytest.raises(
+        NonTerminatingSeriesError, match="^bracket chain did not terminate within 60 orders$"
+    ):
         heisenberg_series(S11.q(1), h_osc)
-    # the iterates cycle through the cos/sin Taylor coefficients
-    q1, p1 = S11.q(1), S11.p(1)
-    assert err.value.iterates[:4] == [p1, -q1, -p1, q1]
 
 
 def test_symbol_identity_is_kind_and_index():

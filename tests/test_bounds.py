@@ -27,12 +27,12 @@ from halfq.hilbert import (
     gaussian_state,
     interval_mask,
     interval_mass,
-    momentum_operator,
-    position_operator,
     spectral_decompose,
     spectral_masses,
     tensor,
 )
+
+from grid_operators import momentum_operator, position_operator
 
 HBAR = 1.0
 GQ = Grid(32, -8.0, 8.0)

@@ -80,17 +80,26 @@ def test_verify_json_is_one_line_of_the_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, position",
-    [(("Q1^1000000",), 3), (("q1^100000000", "--system", "1,1"), 3), (("hbar^100000000",), 5)],
+    "argv, position, message",
+    [
+        (("Q1^1000000",), 3, "exponent above 4096"),
+        (("q1^100000000", "--system", "1,1"), 3, "exponent above 4096"),
+        (("hbar^100000000",), 5, "exponent above 4096"),
+        (("(Q1+P1)^150", "--system", "0,1"), 8,
+         "power of a sum could expand to more than 4096 terms"),
+    ],
+    # explicit ids keep the names the first three cases are known by
+    ids=["argv0-3", "argv1-3", "argv2-5", "sum-power"],
 )
-def test_parse_refuses_runaway_exponents_at_once(capsys, argv, position):
-    # a 10^6-letter word, or 10^8 coefficient products, are refused at the
-    # exponent before either is built
+def test_parse_refuses_runaway_exponents_at_once(capsys, argv, position, message):
+    # a 10^6-letter word, 10^8 coefficient products, or the 5,776 terms of
+    # (Q1+P1)^150 (5.8 s to expand), are refused at the exponent before
+    # any is built
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "parse", *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: exponent above 4096 (at position {position})"]
+    assert err.splitlines() == [f"error: {message} (at position {position})"]
 
 
 def test_halfquantize_example_hamiltonian(capsys):

@@ -412,6 +412,19 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     assert peak < full * full * 16
 
 
+def test_an_explicit_interval_width_runs_end_to_end():
+    # every other run takes I_B = null (each row's Delta_L); an explicit
+    # I_B = 0.5 sets every row's window width and so gives every row its two
+    # leakage sectors, and the deep run passes on all of them
+    raw = build_example(npoints=32, extent=8.0).to_json_dict()
+    raw["bound"]["I_B"] = 0.5
+    report = run_verification(SystemConfig.from_json_dict(raw), deep=True)
+    assert report.status == "pass" and report.config["bound"]["I_B"] == 0.5
+    assert len(report.rows) == 192 and len(report.leakage_rows) == 2 * 192
+    assert {r["I_B"] for r in report.rows} == {0.5}
+    assert not _failing(report.rows + report.leakage_rows + report.discrepancy_rows)
+
+
 def test_exact_discrepancy_rows_read_zero_with_no_absolute_allowance():
     # for P1, A(t) - B is exactly zero (P1 is conserved on both sides), so
     # its discrepancy rows read 0.0 against a margin of exactly 0; every
@@ -450,8 +463,16 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
     monkeypatch.setattr(
         halfq.experiment, "_gram", lambda w, split: grams.append(split) or gram(w, split)
     )
+    classical_factor = SystemConfig.classical_factor
+    realized = []
+    monkeypatch.setattr(
+        SystemConfig, "classical_factor", lambda cfg: realized.append(cfg) or classical_factor(cfg)
+    )
     report = run_verification(small_example(), deep=True)
     assert report.discrepancy_rows
+    # phi^C is realized by the certificates and by the oracle, which forms
+    # psi0 from it
+    assert len(realized) == 2
     # one dense B per distinct (observable, t), shared by the sandwich,
     # leakage and discrepancy rows of every order: 4 observables x 4 times
     # less the 3 repeats of the conserved P1, whose B is the same at every
@@ -745,6 +766,26 @@ def test_edge_guard_sees_the_momentum_edge(npoints, extent, monkeypatch):
         run_verification(cfg, deep=False)
 
 
+def test_edge_guard_sees_an_initial_state_whose_factors_pass(monkeypatch):
+    # the classical factor carries 7.8e-7 of momentum-edge mass on its
+    # 28-point grid and the quantum factor 8.3e-7 on its 32-point one; each
+    # passes, psi0 carries their sum, and the run stops there, before the
+    # oracle's first note and any propagation
+    import halfq.experiment
+
+    def propagate(*args, **kwargs):
+        raise AssertionError("propagated past the edge guard")
+
+    monkeypatch.setattr(halfq.experiment, "evolve_full_quantum", propagate)
+    raw = build_example(times=(0.0, 0.4)).to_json_dict()
+    raw["classical_grids"] = [{"npoints": 28, "xmin": -9.0, "xmax": 9.0}]
+    raw["quantum_grids"] = [{"npoints": 32, "xmin": -13.5, "xmax": 13.5}]
+    notes = []
+    with pytest.raises(GridError, match=r"^initial state carries momentum-edge mass 1\.611e-06"):
+        run_verification(SystemConfig.from_json_dict(raw), deep=False, progress=notes.append)
+    assert notes == []
+
+
 def test_edge_guard_sees_a_late_time_momentum_edge():
     # a force F*q1 (F = 8) drives the classical packet's momentum toward the
     # 32x32 grid's momentum edge while it stays clear of the boundary: psi_t
@@ -924,11 +965,10 @@ def test_sector_decomp_matches_dense_spectral_path():
     from halfq.hilbert import (
         interval_mask,
         interval_mass,
-        momentum_operator,
-        position_operator,
         spectral_decompose,
         tensor,
     )
+    from grid_operators import momentum_operator, position_operator
 
     g1, g2 = Grid(12, -3.0, 3.0), Grid(8, -2.0, 2.0)
     phi1, phi2 = gaussian_state(g1, 0.0, 0.5, 0.4, 1.0), gaussian_state(g2, 0.0, 0.0, 0.3, 1.0)

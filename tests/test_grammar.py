@@ -14,7 +14,7 @@ from halfq import (
     format_expression,
     parse_expression,
 )
-from halfq.grammar import parse_symbol, validate_constant_names
+from halfq.grammar import _expansion_bound, parse_symbol, validate_constant_names
 
 S11 = System(1, 1)
 
@@ -167,6 +167,8 @@ def test_fractional_exponent_rejected():
         ("Q1^4000*P1*P1^95*Q1", "quantum word longer than 4096 letters", 17),
         ("(Q1^2000)^3", "quantum word longer than 4096 letters", 10),
         ("(P1^4000 + 1)*(Q1^4000 + 1)", "quantum word longer than 4096 letters", 14),
+        ("(Q1 + P1)^90", "power of a sum could expand to more than 4096 terms", 10),
+        ("(q1 + p1 + m)^90", "power of a sum could expand to more than 4096 terms", 14),
     ],
 )
 def test_runaway_powers_are_refused_at_their_exponent(text, message, position):
@@ -178,6 +180,11 @@ def test_runaway_powers_are_refused_at_their_exponent(text, message, position):
 
 
 def test_powers_up_to_the_bound_parse():
+    # (Q1+P1)^89 may hold 90 * 45 = 4050 terms by _expansion_bound; it has 2,070
+    assert len(parse_expression("(Q1 + P1)^40", S11).terms()) == 441
+    assert _expansion_bound(parse_expression("Q1 + P1", S11)._terms, 89) == 4050
+    # two DOFs share the letters of a product: the bound reads 286 * 12 = 3432
+    assert len(parse_expression("(Q1 + P1 + Q2 + P2)^10", System(0, 2)).terms()) == 581
     assert format_expression(parse_expression("Q1^4096", S11)) == "Q1^4096"
     assert format_expression(parse_expression("Q1^4000*P1^96", S11)) == "Q1^4000*P1^96"
     assert format_expression(parse_expression("hbar^4096*q1^4096", S11)) == "hbar^4096*q1^4096"

@@ -28,12 +28,12 @@ from halfq.hilbert import (
     fourier_axes,
     gaussian_state,
     interval_mass,
-    momentum_operator,
-    position_operator,
     spectral_decompose,
     spectral_masses,
     tensor,
 )
+
+from grid_operators import momentum_operator, position_operator
 
 HBAR = 1.0
 

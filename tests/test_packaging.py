@@ -185,6 +185,21 @@ def test_benchmark_reference_rows_match(tmp_path, workload):
     assert result["failed"] == 0, result["errors"]
 
 
+@pytest.mark.parametrize("run, r", [("example-32-shallow", 1), ("mixing-32-deep", 32)])
+def test_bench_verify_samples_a_run(run, r):
+    # bench/verify.py samples one run in a fresh process and reads r and the
+    # Chebyshev terms off the oracle's propagation note
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "verify.py"), "--sample", run,
+         "--src", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    sample = json.loads(done.stdout.splitlines()[-1])
+    assert (sample["status"], sample["r"]) == ("pass", r)
+    assert type(sample["chebyshev_terms"]) is int
+
+
 def _tree(module: str) -> ast.Module:
     return ast.parse((ROOT / "src" / "halfq" / module).read_text(encoding="utf-8"))
 
@@ -462,6 +477,17 @@ def test_oracle_owns_the_layout_and_its_stages_stay_short():
     stages += [node for node in oracle.body if isinstance(node, ast.FunctionDef)]
     lengths = {node.name: node.end_lineno - node.lineno + 1 for node in stages}
     assert {name: n for name, n in lengths.items() if n > 60} == {}
+    # psi0, A(t) and A(t) - B on the full grid are the Oracle's: the driver
+    # and the row judges realize no state or operator
+    realizers = {"tensor", "compile_expression", "power_weights", "embed", "classical_factor"}
+    calls = [
+        f"{name} calls {callee}"
+        for name in driver
+        for node in ast.walk(defined[name]) if isinstance(node, ast.Call)
+        for callee in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+        if callee in realizers
+    ]
+    assert calls == []
     # measurement reads tables of the propagated columns W_t: the one
     # product of propagated and coordinates, W_t x, is Oracle.position's,
     # the edge guard's state in position
