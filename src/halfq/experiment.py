@@ -20,9 +20,8 @@ factors' span over the other quantum axes, all-ones on the block axes
 it once.  Every evolved state is phi^C (x) x for a quantum factor x:
 phi^Q, and in a deep run the two leakage sectors P_S phi^Q of each row
 (:func:`leakage_sectors`).  So one matrix-free Chebyshev propagation of
-phi^C (x) that basis reaches every sweep time, and each psi_t is read
-back in position and edge-guarded.  At each sweep point the
-oracle measures the point's factors on the one-DOF spectrum of the t=0
+phi^C (x) that basis reaches every sweep time, and each psi_t is
+edge-guarded in H's basis.  At each sweep point the oracle measures the point's factors on the one-DOF spectrum of the t=0
 observable, in the Schroedinger picture (unitarily identical to the
 Heisenberg statement), without evolving them: each mass is a quadratic
 form in the factors' coordinates, read off small tables of the
@@ -434,7 +433,9 @@ def _observable_symbol(name: str, system: System) -> Symbol:
 
 def _product_state(specs: Sequence, grids: Sequence[Grid], hbar: float, label: str) -> State:
     """Tensor product of one realized state per DOF, in DOF order, edge-guarded as ``label``."""
-    return _edge_guard(reduce(tensor, (s.realize(g, hbar) for s, g in zip(specs, grids))), label)
+    states = [s.realize(g, hbar) for s, g in zip(specs, grids)]
+    _edge_guard(sum(_edge_masses(s.amplitudes, s.grids) for s in states), label)
+    return reduce(tensor, states)
 
 
 def _grid_dict(g: Grid) -> dict:
@@ -776,18 +777,20 @@ class Oracle:
     """The full-quantum side of a run: built once, then measured per point.
 
     Built from ``cfg``, H's exact expression ``h_expr`` and the quantum
-    ``factors`` (an (N_Q, K) array, phi^Q first), it forms and edge-guards
-    psi0 = phi^C (x) phi^Q, compiles H, takes the factors and phi^C to H's
-    basis once, owns the blocked layout, projects each factor once,
-    propagates, edge-guards each later psi_t, and builds each sweep
-    observable's one-DOF spectrum (in H's basis) and exact series A(t).
+    ``factors`` (an (N_Q, K) array, phi^Q first), it edge-guards psi0 =
+    phi^C (x) phi^Q by its factors and forms it, compiles H, takes the
+    factors and phi^C to H's basis once, owns the blocked layout, projects
+    each factor once, propagates, edge-guards each later psi_t in H's basis,
+    and builds each sweep observable's one-DOF spectrum and exact A(t).
     :meth:`measure` and :meth:`discrepancy` read a point at its t.
     """
 
     def __init__(self, cfg: SystemConfig, h_expr: HybridExpression, factors, progress=None):
         grids = cfg.all_grids()
         phi_c, phi_q = cfg.classical_factor(), State(factors[:, 0], cfg.quantum_grids)
-        self.psi0 = _edge_guard(tensor(phi_c, phi_q), "initial state")
+        masses = [_edge_masses(s.amplitudes, s.grids) for s in (phi_c, phi_q)]
+        _edge_guard(sum(masses), "initial state")  # psi0's are its unit factors' sum
+        self.psi0 = tensor(phi_c, phi_q)
         if progress is not None:
             progress("compiling full-quantum Hamiltonian")
         self.cfg, self.h_expr, self.shape = cfg, h_expr, tuple(g.npoints for g in grids)
@@ -822,7 +825,8 @@ class Oracle:
         columns = np.kron(phi_c.reshape(-1, 1), columns)
         self.propagated = dict(zip(times, self.propagate(columns, t_floats)))
         for t in filter(None, times):  # t = 0 is psi0, guarded above
-            _edge_guard(State(self.position(t, [0]).ravel(), grids), f"state at t={float(t)}")
+            psi = self._unblocked(np.matmul(self.propagated[t], self.coordinates[..., :1]))
+            _edge_guard(_edge_masses(psi, grids, fourier), f"state at t={float(t)}")
         self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
         self.grams = {}  # (t, place) -> the Gram table of a block axis at t
 
@@ -881,13 +885,6 @@ class Oracle:
         diff = embed(self._heisenberg(point), full, 0) - embed(point.expr, full, full.classical)
         centers = self.cfg.classical_data.centers()
         return power_weights(diff, centers, self.psi0, self.cfg.hbar, point.margins)
-
-    def position(self, t: Fraction, columns: Sequence[int]) -> np.ndarray:
-        """The factor ``columns`` as phi^C (x) x evolved to ``t``, in position:
-        the edge guard's state, formed only here."""
-        x = np.matmul(self.propagated[t], self.coordinates[..., columns])
-        x = self._unblocked(x).reshape(self.shape + (-1,))
-        return np.fft.ifftn(x, axes=self.h_op.fourier, norm="ortho").reshape(-1, x.shape[-1])
 
     def _blocked(self, x: np.ndarray, grid: tuple | None = None) -> np.ndarray:
         """A (dim, k) batch on ``grid`` (default: the full grid) in the
@@ -996,22 +993,30 @@ def discrepancy_rows(point: SandwichPoint, weights: Mapping) -> list:
     return rows
 
 
-def _edge_guard(state: State, label: str) -> State:
-    """``state``, or GridError naming ``label`` if its mass on the grid boundary or on
-    the momentum edge (each axis's unitary-DFT modes n/2 - 1 to n/2 + 1) is too large."""
-    amps = state.amplitudes.reshape(tuple(g.npoints for g in state.grids))
-    edges = (range(n // 2 - 1, n // 2 + 2) for n in amps.shape)
-    momentum = sum(
-        np.sum(np.abs(np.take(np.fft.fft(amps, axis=a, norm="ortho"), k, axis=a)) ** 2)
-        for a, k in enumerate(edges)
-    )
-    for edge, mass in (("boundary", state.boundary_mass()), ("momentum-edge", float(momentum))):
+def _edge_masses(x: np.ndarray, grids: tuple, fourier: tuple = ()) -> np.ndarray:
+    """[boundary, momentum edge]: the marginal masses of the state ``x`` on
+    ``grids`` (unitary DFT on the axes ``fourier``, else position) on
+    each axis's two outermost cells and unitary-DFT modes n/2 - 1 to n/2 + 1,
+    summed over the axes.  A marginal sums over the other axes in any basis,
+    so an axis takes one 1-D transform, to the basis it is not in; a product
+    of unit factors has the sum of its factors' masses."""
+    x, masses = x.reshape([g.npoints for g in grids]), np.zeros(2)
+    for a, n in enumerate(x.shape):
+        other = (np.fft.ifft if a in fourier else np.fft.fft)(x, axis=a, norm="ortho")
+        position, momentum = (other, x) if a in fourier else (x, other)
+        edges = ((position, [0, n - 1]), (momentum, range(n // 2 - 1, n // 2 + 2)))
+        masses += [np.sum(np.abs(np.take(y, cells, axis=a)) ** 2) for y, cells in edges]
+    return masses
+
+
+def _edge_guard(masses: np.ndarray, label: str) -> None:
+    """GridError naming ``label`` if a state's :func:`_edge_masses` are too large."""
+    for edge, mass in zip(("boundary", "momentum-edge"), masses):
         if mass > TOLERANCES["edge_mass"]:
             raise GridError(
                 f"{label} carries {edge} mass {mass:.3e} > {TOLERANCES['edge_mass']:.1e}; "
                 "widen or refine the grids, or shorten the sweep"
             )
-    return state
 
 
 def _exact(value: float) -> Fraction:

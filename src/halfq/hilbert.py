@@ -1,11 +1,10 @@
 """Finite-dimensional quantum mechanics on uniform position grids.
 
 Each degree of freedom lives on a periodic grid; the momentum operator is
-the spectral (discrete Fourier) derivative, so smooth wave packets that
-stay away from both edges of each grid, its outermost cells and its
-momentum edge (the unitary-DFT modes n/2 - 1, n/2 and n/2 + 1), see
-continuum behaviour; the oracle's edge guard checks both.  Multi-DOF states
-are Kronecker products, and grids travel as tuples in DOF order: a
+the spectral (discrete Fourier) derivative, so smooth wave packets clear
+of each grid's edges, in position and in momentum, see continuum behaviour
+(the oracle's edge guard reads both).  Multi-DOF states are Kronecker
+products, and grids travel as tuples in DOF order: a
 :class:`State`, a :class:`CompiledOperator` and :func:`compile_expression`
 hold or take them that way.  The batch kernels (:meth:`SpectralDecomp.amplitudes`,
 :func:`spectral_masses`, :func:`evolve_full_quantum`) take and return
@@ -29,7 +28,7 @@ in the unitary-DFT basis, where P^n is diagonal.  The one propagator,
 that carries a batch of columns to several times in one pass; it powers
 the brute-force full-quantum oracle.  Its columns are in H's basis on the
 way in and on the way out: it changes no basis, and its caller takes
-states to H's basis and back.  It reads its spectral interval off
+states to H's basis and reads them there.  It reads its spectral interval off
 H's one realization (:func:`_chebyshev_interval`: the diagonal's exact
 range plus one enclosure per other term) and advances the columns in
 chunks of :data:`CHUNK_COLUMNS`, three chunk vectors and one sum per time
@@ -119,11 +118,6 @@ class State:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def boundary_mass(self) -> float:
-        """Probability weight sitting on the outermost cell of any axis."""
-        dens = np.abs(self.amplitudes.reshape(tuple(g.npoints for g in self.grids))) ** 2
-        return float(sum(np.take(dens, [0, -1], axis=a).sum() for a in range(dens.ndim)))
 
 
 @dataclass(frozen=True, eq=False)

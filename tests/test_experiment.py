@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from halfq.algebra import Symbol
 from halfq.classicality import certify, classicality_sequences, gaussian_feasibility
 from halfq.experiment import (
     TOLERANCES,
+    _edge_masses,
     ConfigError,
     StateSpec,
     SystemConfig,
@@ -636,7 +638,9 @@ def _evolved_factor_columns(cfg, monkeypatch, limit=None):
     shape, axes = oracle.shape, h_op.fourier
     out = []
     for t, columns in measured[:limit]:
-        got = oracle.position(t, columns[:limit])
+        got = np.matmul(oracle.propagated[t], oracle.coordinates[..., columns[:limit]])
+        got = oracle._unblocked(got).reshape(shape + (-1,))
+        got = np.fft.ifftn(got, axes=axes, norm="ortho").reshape(-1, got.shape[-1])
         x = np.kron(phi_c[:, None], factors[:, columns[:limit]]).reshape(shape + (-1,))
         x = np.fft.fftn(x, axes=axes, norm="ortho").reshape(got.shape)
         (want,) = evolve(h_op, x, (float(t),))
@@ -801,6 +805,76 @@ def test_edge_guard_sees_a_late_time_momentum_edge():
     assert report.status == "pass" and report.ehrenfest < 1e-11
     with pytest.raises(GridError, match=r"state at t=0\.5 carries momentum-edge mass 7\.704e-05"):
         run_verification(forced((0.0, 0.5)), deep=False)
+
+
+def test_edge_masses_detect_boundary_weight():
+    g = Grid(32, -8.0, 8.0)
+    mid = gaussian_state(g, 0.0, 0.0, 1.0, 1.0)
+    assert _edge_masses(mid.amplitudes, mid.grids)[0] < 1e-12
+    amps = np.zeros(32, dtype=complex)
+    amps[0] = 1.0
+    assert _edge_masses(amps, (g,))[0] > 0.5
+
+
+def _position_edge_masses(amps: np.ndarray, shape: tuple) -> tuple:
+    """(boundary, momentum edge) of a state in position, read off the whole
+    grid: the density on each axis's outermost cells, and each axis's
+    unitary-DFT modes n/2 - 1 to n/2 + 1 after a transform of that axis."""
+    amps = amps.reshape(shape)
+    dens = np.abs(amps) ** 2
+    boundary = sum(np.take(dens, [0, -1], axis=a).sum() for a in range(dens.ndim))
+    edges = (range(n // 2 - 1, n // 2 + 2) for n in shape)
+    momentum = sum(
+        np.sum(np.abs(np.take(np.fft.fft(amps, axis=a, norm="ortho"), k, axis=a)) ** 2)
+        for a, k in enumerate(edges)
+    )
+    return boundary, momentum
+
+
+@pytest.mark.parametrize("shape", [(8, 11), (9, 8, 12)])
+def test_edge_masses_read_each_axis_in_the_basis_it_is_in(shape):
+    # a random state read in every mix of position and DFT axes gives the
+    # masses read in position; a product of unit factors reads its factors' sum
+    rng = np.random.default_rng(len(shape))
+    grids = tuple(Grid(n, -1.0, 1.0) for n in shape)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x /= np.linalg.norm(x)
+    want = _position_edge_masses(x, shape)
+    for r in range(len(shape) + 1):
+        for fourier in combinations(range(len(shape)), r):
+            y = np.fft.fftn(x, axes=fourier, norm="ortho") if fourier else x
+            got = _edge_masses(y.ravel(), grids, fourier)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(fourier))
+    factors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in shape]
+    factors = [f / np.linalg.norm(f) for f in factors]
+    total = sum(_edge_masses(f, (g,)) for f, g in zip(factors, grids))
+    np.testing.assert_allclose(_edge_masses(reduce(np.kron, factors), grids), total, rtol=1e-12)
+
+
+def test_guards_transform_the_full_grid_once_per_axis_of_each_later_state(monkeypatch):
+    # the shipped 64x64 example, deep: psi0 is guarded by its factors' masses
+    # before any propagation, with no full-grid transform; each psi_t at
+    # t = 0.4, 0.8 and 1.2 is read in H's basis (DFT on the quantum axis),
+    # one 1-D transform per axis: 6 in all, where reading each state in
+    # position took 11 (2 for psi0, an inverse DFT and 2 for each psi_t)
+    import halfq.experiment
+
+    full, propagated = [], []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+
+        def counted(a, *args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            if np.iscomplexobj(a) and np.ndim(a) > 1 and np.size(a) == 64 * 64:
+                full.append((_name, bool(propagated)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    evolve = halfq.experiment.evolve_full_quantum
+    monkeypatch.setattr(
+        halfq.experiment, "evolve_full_quantum", lambda *a: propagated.append(a) or evolve(*a)
+    )
+    assert run_verification(build_example(), deep=True).status == "pass"
+    assert len(propagated) == 1
+    assert full == [("fft", True), ("ifft", True)] * 3
 
 
 def test_wrapped_packets_cannot_loosen_the_guards():

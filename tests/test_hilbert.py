@@ -715,16 +715,6 @@ def test_propagation_memory_is_its_nonzero_results_and_chunk_buffers():
     assert peak <= (len([t for t in times if t]) + 1.5) * cols.nbytes
 
 
-def test_boundary_mass_detects_edge_weight():
-    g = Grid(32, -8.0, 8.0)
-    mid = gaussian_state(g, 0.0, 0.0, 1.0, HBAR)
-    assert mid.boundary_mass() < 1e-12
-    amps = np.zeros(32, dtype=complex)
-    amps[0] = 1.0
-    edge = State(amps, (g,))
-    assert edge.boundary_mass() > 0.5
-
-
 def test_state_validation_and_immutability():
     g = Grid(8, -2.0, 2.0)
     with pytest.raises(GridError):
