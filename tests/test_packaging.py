@@ -200,6 +200,20 @@ def test_bench_verify_samples_a_run(run, r):
     assert type(sample["chebyshev_terms"]) is int
 
 
+def test_bench_compare_outputs_finds_a_checkout_identical_to_itself():
+    # bench/compare_outputs.py runs one 32x32 deep verify against this same
+    # checkout: stdout, stderr notes and exit code all read identical
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "compare_outputs.py"), "--parent", ".",
+         "--run", "example-32-deep"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"example-32-deep {output}: identical" for output in ("stdout", "stderr", "exit")
+    ]
+
+
 def _tree(module: str) -> ast.Module:
     return ast.parse((ROOT / "src" / "halfq" / module).read_text(encoding="utf-8"))
 
@@ -489,14 +503,14 @@ def test_oracle_owns_the_layout_and_its_stages_stay_short():
     ]
     assert calls == []
     # measurement reads tables of the propagated columns W_t: the one
-    # product of propagated and coordinates, W_t x, is Oracle.position's,
-    # the edge guard's state in position
+    # product of propagated and coordinates, W_t x, is the edge guard's
+    # readout of each later psi_t in H's basis, in Oracle.__init__
     products = sorted(
         function.name
         for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
         for node in ast.walk(function) if _product_of(node, {"propagated", "coordinates"})
     )
-    assert products == ["position"]
+    assert products == ["__init__"]
 
 
 def _product_of(node: ast.AST, names: set) -> bool:
