@@ -14,8 +14,8 @@ grading unit, ``i`` the imaginary unit, and any declared constant name
 literals, read exactly.  ``*`` between quantum identifiers preserves the
 written operator order.  Division is restricted to scalar divisors, and
 negative exponents to scalar bases.  No exponent, quantum word of a term
-or term count of a power of a sum (:func:`_expansion_bound`) may exceed
-:data:`MAX_POWER`: each is refused before it is built.
+or term count of a power or product of sums (:func:`_expansion_bound`) may
+exceed :data:`MAX_POWER`: each is refused before it is built.
 
 The parser reads the text in one scan.  Each term reads its factors in one
 loop and multiplies them into one monomial (coefficient, hbar grade,
@@ -34,6 +34,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import groupby
+from operator import add
 from typing import Iterable, NoReturn
 
 from .algebra import (
@@ -45,6 +46,7 @@ from .algebra import (
     HybridExpression,
     Symbol,
     System,
+    _dof_powers,
     _gaussian,
     _nonzero,
     _normal_words,
@@ -67,7 +69,7 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _SYMBOL_RE = re.compile(r"^([qpQP])([0-9]+)$")
 _RESERVED = {"hbar", "i"}
 # the largest exponent, the longest quantum word of a term and the most
-# terms of a power of a sum that a text may ask for, each checked first
+# terms of a power or product of sums that a text may ask for, each checked first
 MAX_POWER = 4096
 
 
@@ -102,15 +104,47 @@ def _letters(factor) -> int:
     return len(factor[4])
 
 
-def _expansion_bound(base: dict, exponent: int) -> int:
-    """An upper bound on the terms of the sum ``base`` of k terms to the power
-    n = ``exponent``: C(n + k - 1, n) products of its terms up to order, each
-    normal-ordering to at most prod_a (m_a / 2 + 1) <= (n l / (2 D) + 1)^D
-    words, where its D quantum DOFs share sum_a m_a <= n l letters, l the
-    longest word of a term in ``base``."""
-    dofs = len({sym.index for key in base for sym in key[3]})
-    orderings = Fraction(exponent * _letters(base) + 2 * dofs, 2 * dofs or 1) ** dofs
-    return math.comb(exponent + len(base) - 1, exponent) * math.floor(orderings)
+def _expansion_bound(factors: list) -> int:
+    """An upper bound on the terms of the product of the term dicts
+    ``factors``, in order, or a partial one as soon as that passes MAX_POWER.
+
+    One term of each factor multiply to words whose exponents (hbar grade,
+    constant, classical, and Q and P powers of each quantum DOF d) sum to s,
+    and normal-order to the words with j_d fewer Q_d and P_d letters each,
+    one word per j; a normal-ordered u times a term v adds at most
+    min(P_d(u), Q_d(v)) to j_d.  So the bound sums prod_d (m_d + 1) over the
+    distinct s, m_d the most j_d that a choice of terms of sum s reaches.  It
+    is exact for a power of a sum over one DOF, and it grows with each factor
+    (every s moves to s + v), so it stops once past MAX_POWER."""
+    distinct = {id(f): f for f in factors}
+    keys = [key for f in distinct.values() for key in f]
+    names = list(dict.fromkeys(name for key in keys for name, _ in key[1] + key[2]))
+    dofs = sorted({sym.index for key in keys for sym in key[3]})
+    q = 1 + len(names)  # where the Q and P powers of each DOF start, interleaved
+
+    def vector(key) -> tuple:
+        exps, powers = dict(key[1] + key[2]), _dof_powers((sym, 1) for sym in key[3])
+        qp = (x for d in dofs for x in powers.get(d, (0, 0)))
+        return (key[0], *(exps.get(name, 0) for name in names), *qp)
+
+    vectors = {i: [vector(key) for key in f] for i, f in distinct.items()}
+    reach, total = {(0,) * (q + 2 * len(dofs)): (0,) * len(dofs)}, 1
+    for f in factors:
+        grown, total = {}, 0
+        for s, m in reach.items():
+            for v in vectors[id(f)]:
+                t = tuple(map(add, s, v))
+                old = grown.get(t)
+                new = tuple(map(min, s[q + 1 :: 2], map(add, m, v[q::2])))
+                if old is not None:
+                    new = tuple(map(max, old, new))
+                    total -= math.prod(j + 1 for j in old)
+                grown[t] = new
+                total += math.prod(j + 1 for j in new)
+                if total > MAX_POWER:
+                    return total
+        reach = grown
+    return total
 
 
 def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
@@ -233,10 +267,8 @@ class _Parser:
                 if letters > MAX_POWER:
                     self.fail(f"quantum word longer than {MAX_POWER} letters", atom)
                 monomial = _monomial_terms(_gaussian(a, b, d), hbar, consts, classical, word)
-                left = HybridExpression(self.system, monomial)
-                if product is not None:
-                    left = product * left
-                product = left * HybridExpression(self.system, factor)
+                left = monomial if product is None else self.times(product, monomial, start)
+                product = self.times(left, factor, start)
                 a, b, d, hbar, consts, classical, word = 1, 0, 1, 0, {}, {}, []
             elif factor is not _UNIT:
                 c, h, pr, cl, w = factor
@@ -258,9 +290,16 @@ class _Parser:
             divide = op == "/"
         self.pos = pos
         terms = _monomial_terms(_gaussian(a, b, d), hbar, consts, classical, word)
-        if product is None:
-            return terms
-        return dict((product * HybridExpression(self.system, terms))._terms)
+        return terms if product is None else self.times(product, terms, start)
+
+    def times(self, left: dict, right: dict, index: int) -> dict:
+        """The terms of ``left`` times ``right``, a product that ends with the
+        factor at token ``index``; refused there if it could expand to more
+        than MAX_POWER terms (:func:`_expansion_bound`)."""
+        if _expansion_bound([left, right]) > MAX_POWER:
+            self.fail(f"product could expand to more than {MAX_POWER} terms", index)
+        product = HybridExpression(self.system, left) * HybridExpression(self.system, right)
+        return dict(product._terms)
 
     def bound(self, value: str, base, before: int, index: int) -> None:
         """Refuse, at the exponent ``value`` (token ``index``), an exponent above
@@ -270,7 +309,7 @@ class _Parser:
             self.fail(f"exponent above {MAX_POWER}", index)
         if before + int(value) * _letters(base) > MAX_POWER:
             self.fail(f"quantum word longer than {MAX_POWER} letters", index)
-        if type(base) is dict and _expansion_bound(base, int(value)) > MAX_POWER:
+        if type(base) is dict and _expansion_bound([base] * int(value)) > MAX_POWER:
             self.fail(f"power of a sum could expand to more than {MAX_POWER} terms", index)
 
     def power(self, base, exponent: int, start: int):

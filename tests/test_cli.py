@@ -87,14 +87,17 @@ def test_verify_json_is_one_line_of_the_report(tmp_path, capsys):
         (("hbar^100000000",), 5, "exponent above 4096"),
         (("(Q1+P1)^150", "--system", "0,1"), 8,
          "power of a sum could expand to more than 4096 terms"),
+        (("(Q1+P1)^40*(Q1+P1)^40", "--system", "0,1"), 11,
+         "product could expand to more than 4096 terms"),
     ],
     # explicit ids keep the names the first three cases are known by
-    ids=["argv0-3", "argv1-3", "argv2-5", "sum-power"],
+    ids=["argv0-3", "argv1-3", "argv2-5", "sum-power", "sum-product"],
 )
 def test_parse_refuses_runaway_exponents_at_once(capsys, argv, position, message):
     # a 10^6-letter word, 10^8 coefficient products, or the 5,776 terms of
     # (Q1+P1)^150 (5.8 s to expand), are refused at the exponent before
-    # any is built
+    # any is built; the product of two 441-term powers (25.6 s to multiply
+    # out) at its second factor, before the two are multiplied
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "parse", *argv)
     assert time.perf_counter() - start < 1.0

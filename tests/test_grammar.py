@@ -167,24 +167,32 @@ def test_fractional_exponent_rejected():
         ("Q1^4000*P1*P1^95*Q1", "quantum word longer than 4096 letters", 17),
         ("(Q1^2000)^3", "quantum word longer than 4096 letters", 10),
         ("(P1^4000 + 1)*(Q1^4000 + 1)", "quantum word longer than 4096 letters", 14),
-        ("(Q1 + P1)^90", "power of a sum could expand to more than 4096 terms", 10),
+        ("(Q1 + P1)^127", "power of a sum could expand to more than 4096 terms", 10),
         ("(q1 + p1 + m)^90", "power of a sum could expand to more than 4096 terms", 14),
+        ("(Q1+P1)^40*(Q1+P1)^40", "product could expand to more than 4096 terms", 11),
     ],
 )
 def test_runaway_powers_are_refused_at_their_exponent(text, message, position):
     # the exponent, and the quantum word of a term, are bounded by
-    # MAX_POWER before the word or the coefficient is built
+    # MAX_POWER before the word or the coefficient is built; a product of
+    # sums is refused at its second factor, before it is multiplied out
     with pytest.raises(ExpressionSyntaxError, match=message) as err:
         parse_expression(text, S11, ("m",))
     assert err.value.position == position
 
 
 def test_powers_up_to_the_bound_parse():
-    # (Q1+P1)^89 may hold 90 * 45 = 4050 terms by _expansion_bound; it has 2,070
+    # _expansion_bound is exact for a power of a one-DOF sum: (Q1+P1)^89 has
+    # 2,070 terms and ^126, the largest power admitted, 4,096
     assert len(parse_expression("(Q1 + P1)^40", S11).terms()) == 441
-    assert _expansion_bound(parse_expression("Q1 + P1", S11)._terms, 89) == 4050
-    # two DOFs share the letters of a product: the bound reads 286 * 12 = 3432
+    q1p1 = parse_expression("Q1 + P1", S11)._terms
+    assert [_expansion_bound([q1p1] * n) for n in (89, 126)] == [2070, 4096]
+    assert _expansion_bound([q1p1] * 127) > 4096
+    # over two DOFs the bound reads 1,512 for the 784 terms of the 11th power
     assert len(parse_expression("(Q1 + P1 + Q2 + P2)^10", System(0, 2)).terms()) == 581
+    assert len(parse_expression("(Q1+P1+Q2+P2)^11", System(0, 2)).terms()) == 784
+    # a product of a 441-term power and its base is admitted
+    assert len(parse_expression("(Q1+P1)^40*(Q1+P1)", S11).terms()) == 462
     assert format_expression(parse_expression("Q1^4096", S11)) == "Q1^4096"
     assert format_expression(parse_expression("Q1^4000*P1^96", S11)) == "Q1^4000*P1^96"
     assert format_expression(parse_expression("hbar^4096*q1^4096", S11)) == "hbar^4096*q1^4096"
