@@ -110,6 +110,13 @@ TOLERANCES = {
 }
 
 
+# the most points of a grid, and dimensions of the quantum sector, whose dense
+# matrices are built: every momentum axis gets an n x n DFT matrix and dense
+# factors, and every sweep point diagonalizes the sector's dense B; one
+# complex 4,096 x 4,096 matrix takes 268 MB
+MAX_DENSE = 4096
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent system configuration."""
 
@@ -204,8 +211,9 @@ class SystemConfig:
     (0.0), ``p0`` (0.0) and ``dq`` (1.0, positive), or ``{"kind":
     "file", "path": ...}``.  Unknown or missing keys, sections of the
     wrong JSON type, strings where numbers belong, list lengths that do
-    not match the DOF counts, sweep observables outside the system and a
-    Hamiltonian that does not parse or divides by a zero constant raise
+    not match the DOF counts, sweep observables outside the system, a
+    Hamiltonian that does not parse or divides by a zero constant, and a
+    grid or quantum sector larger than :data:`MAX_DENSE` raise
     :class:`ConfigError` in the loader, before any grid is built.  A sweep
     observable name is read as a symbol (``q01`` is q1) and printed in
     canonical form; the Hamiltonian is parsed once, in the loader, and
@@ -378,6 +386,19 @@ class SystemConfig:
             raise ConfigError("classical data count does not match DOF count")
         if len(states["classical_state"]) != m or len(states["quantum_state"]) != n:
             raise ConfigError("state spec count does not match DOF count")
+        for key, specs in grids.items():
+            for i, (npoints, _, _) in enumerate(specs):
+                if npoints > MAX_DENSE:
+                    raise ConfigError(
+                        f"{key}[{i}] has {npoints} points; at most {MAX_DENSE} pass, "
+                        "as its dense matrices are built"
+                    )
+        sector = math.prod(npoints for npoints, _, _ in grids["quantum_grids"])
+        if sector > MAX_DENSE:
+            raise ConfigError(
+                f"quantum sector has {sector} dimensions; at most {MAX_DENSE} pass, "
+                "as its dense B is diagonalized"
+            )
         # every check above runs before any grid is built
         return SystemConfig(
             system=system,

@@ -58,6 +58,49 @@ def test_config_rejects_bad_hamiltonian():
         SystemConfig.from_json_dict(raw)
 
 
+def _sized(classical: int, quantum: list) -> dict:
+    """The example with a ``classical``-point classical grid and one quantum
+    DOF per entry of ``quantum``, on grids of that many points."""
+    raw = build_example().to_json_dict()
+    grids = [{"npoints": n, "xmin": -16.0, "xmax": 16.0} for n in [classical, *quantum]]
+    kinetic = " + ".join(f"p{i}^2" for i in range(1, len(grids) + 1))
+    return raw | {
+        "system": {"classical": 1, "quantum": len(quantum)},
+        "hamiltonian": kinetic + " + k*q1*p2",
+        "classical_grids": grids[:1],
+        "quantum_grids": grids[1:],
+        "quantum_state": raw["quantum_state"] * len(quantum),
+    }
+
+
+@pytest.mark.parametrize(
+    "classical, quantum, match",
+    [
+        (4097, [32], r"classical_grids\[0\] has 4097 points; at most 4096 pass"),
+        (32, [4097], r"quantum_grids\[0\] has 4097 points; at most 4096 pass"),
+        (32, [64, 65], "quantum sector has 4160 dimensions; at most 4096 pass"),
+    ],
+)
+def test_config_refuses_dense_matrices_it_cannot_build(classical, quantum, match, monkeypatch):
+    # a grid's n x n DFT matrix and the quantum sector's dense B are capped
+    # at 4,096: the 1+2 sector at 64 points, exactly at the cap, loads, and
+    # the loader refuses sizes just above it before any grid or array exists
+    import halfq.experiment
+    import halfq.hilbert
+
+    assert SystemConfig.from_json_dict(_sized(64, [64, 64])).full_hamiltonian_expr()
+    raw = _sized(classical, quantum)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a grid or array was built")
+
+    for module, name in ((halfq.experiment, "Grid"), (halfq.hilbert, "_fourier_basis"),
+                         (np, "zeros"), (np, "empty"), (np, "eye")):
+        monkeypatch.setattr(module, name, built)
+    with pytest.raises(ConfigError, match=match):
+        SystemConfig.from_json_dict(raw)
+
+
 def test_config_rejects_narrow_multipliers():
     raw = build_example().to_json_dict()
     raw["sweep"]["width_multipliers"] = [0.9]
