@@ -607,6 +607,40 @@ def test_verification_propagates_once(monkeypatch):
         assert note.endswith(" Chebyshev terms; Fourier basis on axes 2")
 
 
+def test_a_classical_axis_in_the_dft_basis_is_a_block_axis_of_h():
+    # with the coupling k*p1*p2 every term of H is a power of P on both axes,
+    # so H is diagonal in the DFT basis of both and the classical axis is a
+    # block axis too: the edge guard reads each psi_t's classical boundary
+    # through an inverse DFT.  The 32x32 grid's small extent leaves an
+    # Ehrenfest gap of 2.4e-7, and one X2 row (informational) over its constant
+    from halfq.hilbert import block_axes, fourier_axes
+
+    raw = small_example().to_json_dict()
+    raw["hamiltonian"] = raw["hamiltonian"].replace("k*q1*p2", "k*p1*p2")
+    cfg = SystemConfig.from_json_dict(raw)
+    h_expr = cfg.full_hamiltonian_expr()
+    h_op = compile_expression(h_expr, {}, cfg.all_grids(), cfg.hbar, fourier_axes(h_expr))
+    assert h_op.fourier == (0, 1) and block_axes(h_op) == (0, 1)
+    notes = []
+    report = run_verification(cfg, deep=True, progress=notes.append)
+    assert report.status == "pass" and report.ehrenfest < 1e-6
+    (note,) = [n for n in notes if n.startswith("propagating")]
+    assert note == (
+        "propagating r=1 columns to 4 times in 61 Chebyshev terms; Fourier basis on axes 1, 2"
+    )
+    assert (len(report.rows), len(report.leakage_rows), len(report.discrepancy_rows)) == (
+        192, 264, 32,
+    )
+    gating = report.rows + report.discrepancy_rows
+    gating += [r for r in report.leakage_rows if r["which"] == "X1"]
+    assert all(r["verdict"] == "pass" for r in gating)
+    assert [r["which"] for r in report.leakage_rows if r["verdict"] != "pass"] == ["X2"]
+    assert report.notes == [
+        "1 X2 rows exceed the closed-form leakage constant "
+        "(continuum approximation; informational, not gating)"
+    ]
+
+
 def two_plus_one():
     """Two classical DOFs coupled to one quantum DOF through its momentum,
     on 32x32x64 grids: a 65,536-dimensional oracle."""
