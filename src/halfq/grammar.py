@@ -127,16 +127,20 @@ def _expansion_bound(factors: list) -> int:
         qp = (x for d in dofs for x in powers.get(d, (0, 0)))
         return (key[0], *(exps.get(name, 0) for name in names), *qp)
 
-    vectors = {i: [vector(key) for key in f] for i, f in distinct.items()}
+    vectors = {i: [(v, v[q::2]) for v in map(vector, f)] for i, f in distinct.items()}
+    # each distinct sum of one term per factor so far -> its m, per DOF
     reach, total = {(0,) * (q + 2 * len(dofs)): (0,) * len(dofs)}, 1
     for f in factors:
         grown, total = {}, 0
         for s, m in reach.items():
-            for v in vectors[id(f)]:
+            ps = s[q + 1 :: 2]
+            for v, qv in vectors[id(f)]:
                 t = tuple(map(add, s, v))
+                new = tuple(map(min, ps, map(add, m, qv)))
                 old = grown.get(t)
-                new = tuple(map(min, s[q + 1 :: 2], map(add, m, v[q::2])))
                 if old is not None:
+                    if old == new:
+                        continue
                     new = tuple(map(max, old, new))
                     total -= math.prod(j + 1 for j in old)
                 grown[t] = new
