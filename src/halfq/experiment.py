@@ -21,7 +21,8 @@ it once.  Every evolved state is phi^C (x) x for a quantum factor x:
 phi^Q, and in a deep run the two leakage sectors P_S phi^Q of each row
 (:func:`leakage_sectors`).  So one matrix-free Chebyshev propagation of
 phi^C (x) that basis reaches every sweep time, and each psi_t is
-edge-guarded in H's basis.  At each sweep point the oracle measures the point's factors on the one-DOF spectrum of the t=0
+edge-guarded in H's basis.  At each sweep point the oracle measures the
+point's factors on the one-DOF spectrum of the t=0
 observable, in the Schroedinger picture (unitarily identical to the
 Heisenberg statement), without evolving them: each mass is a quadratic
 form in the factors' coordinates, read off small tables of the
@@ -455,7 +456,7 @@ def _observable_symbol(name: str, system: System) -> Symbol:
 def _product_state(specs: Sequence, grids: Sequence[Grid], hbar: float, label: str) -> State:
     """Tensor product of one realized state per DOF, in DOF order, edge-guarded as ``label``."""
     states = [s.realize(g, hbar) for s, g in zip(specs, grids)]
-    _edge_guard(sum(_edge_masses(s.amplitudes, s.grids) for s in states), label)
+    _edge_guard(label, *(_edge_masses(s.amplitudes, s.grids) for s in states))
     return reduce(tensor, states)
 
 
@@ -809,8 +810,7 @@ class Oracle:
     def __init__(self, cfg: SystemConfig, h_expr: HybridExpression, factors, progress=None):
         grids = cfg.all_grids()
         phi_c, phi_q = cfg.classical_factor(), State(factors[:, 0], cfg.quantum_grids)
-        masses = [_edge_masses(s.amplitudes, s.grids) for s in (phi_c, phi_q)]
-        _edge_guard(sum(masses), "initial state")  # psi0's are its unit factors' sum
+        _edge_guard("initial state", *(_edge_masses(s.amplitudes, s.grids) for s in (phi_c, phi_q)))
         self.psi0 = tensor(phi_c, phi_q)
         if progress is not None:
             progress("compiling full-quantum Hamiltonian")
@@ -847,7 +847,7 @@ class Oracle:
         self.propagated = dict(zip(times, self.propagate(columns, t_floats)))
         for t in filter(None, times):  # t = 0 is psi0, guarded above
             psi = self._unblocked(np.matmul(self.propagated[t], self.coordinates[..., :1]))
-            _edge_guard(_edge_masses(psi, grids, fourier), f"state at t={float(t)}")
+            _edge_guard(f"state at t={float(t)}", _edge_masses(psi, grids, fourier))
         self.observables = {sym: self._observable(cfg, sym) for sym in cfg.sweep.observables}
         self.grams = {}  # (t, place) -> the Gram table of a block axis at t
 
@@ -1030,9 +1030,9 @@ def _edge_masses(x: np.ndarray, grids: tuple, fourier: tuple = ()) -> np.ndarray
     return masses
 
 
-def _edge_guard(masses: np.ndarray, label: str) -> None:
-    """GridError naming ``label`` if a state's :func:`_edge_masses` are too large."""
-    for edge, mass in zip(("boundary", "momentum-edge"), masses):
+def _edge_guard(label: str, *masses: np.ndarray) -> None:
+    """GridError naming ``label`` if the summed :func:`_edge_masses` are too large."""
+    for edge, mass in zip(("boundary", "momentum-edge"), sum(masses)):
         if mass > TOLERANCES["edge_mass"]:
             raise GridError(
                 f"{label} carries {edge} mass {mass:.3e} > {TOLERANCES['edge_mass']:.1e}; "

@@ -28,8 +28,8 @@ in the unitary-DFT basis, where P^n is diagonal.  The one propagator,
 that carries a batch of columns to several times in one pass; it powers
 the brute-force full-quantum oracle.  Its columns are in H's basis on the
 way in and on the way out: it changes no basis, and its caller takes
-states to H's basis and reads them there.  It reads its spectral interval
-off H's one realization (:func:`_chebyshev_interval`: the diagonal's exact
+states to H's basis and reads them there.  It reads its spectral interval off
+H's one realization (:func:`_chebyshev_interval`: the diagonal's exact
 range plus one enclosure per other term) and advances the columns in
 chunks of :data:`CHUNK_COLUMNS`, three chunk vectors and one sum per time
 besides one result per nonzero time; time 0 is the input itself.  H is
