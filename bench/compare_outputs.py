@@ -39,12 +39,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-import workloads  # noqa: E402
 
 
 def _configs() -> dict:
     """Config documents by name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
     example = workloads.oracle_deep_config(0, smoke=True)
     mixing = json.loads(json.dumps(example))
     mixing["hamiltonian"] += " + c*q2"
@@ -139,12 +140,12 @@ def compare(parent: Path, names) -> bool:
     return same
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
     parser.add_argument("--run", action="append", choices=RUNS, help="a run to compare")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if not (args.parent / "src" / "halfq").is_dir():
         parser.error(f"--parent {args.parent} holds no src/halfq")
     return 0 if compare(args.parent.resolve(), args.run or list(RUNS)) else 1
