@@ -1,6 +1,6 @@
 """Byte-identity of halfq's outputs against a checkout of the parent commit.
 
-    python3 bench/compare_outputs.py --parent DIR [--run NAME ...]
+    python3 bench/compare_outputs.py --parent DIR
 
 Each run below is one halfq command line, run once with DIR's ``src/`` and
 once with this checkout's, each in a fresh interpreter with
@@ -24,7 +24,6 @@ For every run it prints one line per output, stdout, stderr (the progress
 notes, in text and order) and the exit code: ``identical``, or for JSON
 stdout the largest relative difference and its JSON path, else the first
 line that differs.  It exits 1 unless every output is identical.
-``--run`` picks runs by name (default: all).
 """
 
 from __future__ import annotations
@@ -118,12 +117,11 @@ def _verdict(parent: bytes, change: bytes, as_json: bool) -> str:
     return f"differs from line {line + 1}"
 
 
-def compare(parent: Path, names) -> bool:
-    """Print every output's verdict for the runs ``names``; whether all are identical."""
+def compare(parent: Path) -> bool:
+    """Print every output's verdict for each of :data:`RUNS`; whether all are identical."""
     configs, same = _configs(), True
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            config, argv = RUNS[name]
+        for name, (config, argv) in RUNS.items():
             path = Path(tmp) / f"{config}.json"
             path.write_text(json.dumps(configs[config]), encoding="utf-8")
             sides = [_halfq(src, argv + ["--config", str(path)])
@@ -144,11 +142,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
-    parser.add_argument("--run", action="append", choices=RUNS, help="a run to compare")
     args = parser.parse_args()
     if not (args.parent / "src" / "halfq").is_dir():
         parser.error(f"--parent {args.parent} holds no src/halfq")
-    return 0 if compare(args.parent.resolve(), args.run or list(RUNS)) else 1
+    return 0 if compare(args.parent.resolve()) else 1
 
 
 if __name__ == "__main__":

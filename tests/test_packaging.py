@@ -200,16 +200,21 @@ def test_bench_verify_samples_a_run(run, r):
     assert type(sample["chebyshev_terms"]) is int
 
 
-def test_bench_compare_outputs_finds_a_checkout_identical_to_itself():
-    # bench/compare_outputs.py runs one 32x32 deep verify against this same
-    # checkout: stdout, stderr notes and exit code all read identical
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "compare_outputs.py"), "--parent", ".",
-         "--run", "example-32-deep"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+def test_bench_compare_outputs_finds_a_checkout_identical_to_itself(monkeypatch, capsys):
+    # bench/compare_outputs.py --parent . on its one 32x32 deep verify: this
+    # checkout against itself reads identical in stdout, stderr and exit code
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "bench" / "compare_outputs.py"
     )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines() == [
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    run = {"example-32-deep": compare_outputs.RUNS["example-32-deep"]}
+    monkeypatch.setattr(compare_outputs, "RUNS", run)
+    monkeypatch.setattr(sys, "argv", ["compare_outputs.py", "--parent", "."])
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script adds perfbench/
+    monkeypatch.chdir(ROOT)
+    assert compare_outputs.main() == 0
+    assert capsys.readouterr().out.splitlines() == [
         f"example-32-deep {output}: identical" for output in ("stdout", "stderr", "exit")
     ]
 
