@@ -10,6 +10,7 @@ from halfq import (
     AlgebraError,
     CNum,
     ExpressionSyntaxError,
+    HybridExpression,
     System,
     format_expression,
     parse_expression,
@@ -196,6 +197,26 @@ def test_powers_up_to_the_bound_parse():
     assert format_expression(parse_expression("Q1^4096", S11)) == "Q1^4096"
     assert format_expression(parse_expression("Q1^4000*P1^96", S11)) == "Q1^4000*P1^96"
     assert format_expression(parse_expression("hbar^4096*q1^4096", S11)) == "hbar^4096*q1^4096"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["Q1", "P1", "Q2", "P2", "Q1*P1", "P1*Q1", "m", "q1", "hbar"]),
+             min_size=2, max_size=4, unique=True),
+    st.lists(st.sampled_from(["Q1", "P1", "P2*Q2", "P1^2", "m*Q2", "1"]),
+             min_size=2, max_size=3, unique=True),
+    st.integers(1, 4),
+)
+def test_the_term_bound_holds_every_expansion(left, right, n):
+    # a power and a product of normal-ordered sums never expand to more
+    # terms than _expansion_bound reads
+    system = System(1, 2)
+    a = parse_expression(" + ".join(left), system, ("m",))._terms
+    b = parse_expression(" + ".join(right), system, ("m",))._terms
+    power = HybridExpression(system, a) ** n
+    assert len(power.terms()) <= _expansion_bound([a] * n)
+    product = power * HybridExpression(system, b)
+    assert len(product.terms()) <= _expansion_bound([dict(power._terms), b])
 
 
 def test_constant_name_validation():
