@@ -4,8 +4,8 @@
 
 Each run below is one halfq command line, run once with DIR's ``src/`` and
 once with this checkout's, each in a fresh interpreter with
-``OPENBLAS_NUM_THREADS`` = min(2, cores).  The configs come from the
-``perfbench`` generators, as ``bench/verify.py`` takes them:
+``OPENBLAS_NUM_THREADS`` = min(2, cores).  The configs and the texts come
+from the ``perfbench`` generators, as ``bench/verify.py`` takes them:
 
 - ``example-32-deep`` and ``example-32-shallow``: ``verify --json``, deep
   and ``--shallow``, on the shipped example at 32x32 grids, extent 8 (the
@@ -17,8 +17,12 @@ once with this checkout's, each in a fresh interpreter with
   (c = 0.05);
 - ``kp1p2-32-deep``: ``verify --json`` on the 32x32 example with the
   coupling ``k*p1*p2``;
-- ``2p1-certify`` and ``2p1-bounds``: ``certify --json`` and ``bounds
-  --json`` on ``predict-2p1`` seed 0.
+- ``2p1-certify``, ``2p1-bounds`` and ``2p1-evolve``: ``certify --json``,
+  ``bounds --json`` and ``evolve --json`` on ``predict-2p1`` seed 0;
+- ``jacobi-demo``: ``jacobi-demo --json``, the Jacobi-witness search;
+- ``parse-power``: ``parse --json "(Q1+P1)^40" --system 0,1``;
+- ``halfquantize-symbolic``: ``halfquantize --json --split 1,1`` of the
+  first text of degree 4 in the ``symbolic`` seed-0 input.
 
 For every run it prints one line per output, stdout, stderr (the progress
 notes, in text and order) and the exit code: ``identical``, or for JSON
@@ -38,13 +42,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _configs() -> dict:
     """Config documents by name."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     example = workloads.oracle_deep_config(0, smoke=True)
     mixing = json.loads(json.dumps(example))
     mixing["hamiltonian"] += " + c*q2"
@@ -61,7 +64,14 @@ def _configs() -> dict:
     }
 
 
-# run name -> (config name, halfq arguments before --config)
+def _symbolic_text() -> str:
+    """The first ``symbolic`` seed-0 text with a term of degree 4."""
+    pairs = workloads.symbolic_input(0)["pairs"]
+    texts = (text for pair in pairs for text in (pair["x"], pair["y"]))
+    return next(t for t in texts if any(term.count("*") == 4 for term in t.split(" + ")))
+
+
+# run name -> (config name or None, halfq arguments before any --config)
 RUNS = {
     "example-32-deep": ("example-32", ["verify", "--json"]),
     "example-32-shallow": ("example-32", ["verify", "--json", "--shallow"]),
@@ -71,6 +81,10 @@ RUNS = {
     "kp1p2-32-deep": ("kp1p2-32", ["verify", "--json"]),
     "2p1-certify": ("2p1", ["certify", "--json"]),
     "2p1-bounds": ("2p1", ["bounds", "--json"]),
+    "2p1-evolve": ("2p1", ["evolve", "--json"]),
+    "jacobi-demo": (None, ["jacobi-demo", "--json"]),
+    "parse-power": (None, ["parse", "--json", "(Q1+P1)^40", "--system", "0,1"]),
+    "halfquantize-symbolic": (None, ["halfquantize", "--json", "--split", "1,1", _symbolic_text()]),
 }
 
 
@@ -122,10 +136,11 @@ def compare(parent: Path) -> bool:
     configs, same = _configs(), True
     with tempfile.TemporaryDirectory() as tmp:
         for name, (config, argv) in RUNS.items():
-            path = Path(tmp) / f"{config}.json"
-            path.write_text(json.dumps(configs[config]), encoding="utf-8")
-            sides = [_halfq(src, argv + ["--config", str(path)])
-                     for src in (parent / "src", ROOT / "src")]
+            if config is not None:
+                path = Path(tmp) / f"{config}.json"
+                path.write_text(json.dumps(configs[config]), encoding="utf-8")
+                argv = argv + ["--config", str(path)]
+            sides = [_halfq(src, argv) for src in (parent / "src", ROOT / "src")]
             (out0, err0, code0), (out1, err1, code1) = sides
             verdicts = {
                 "stdout": _verdict(out0, out1, True),

@@ -19,10 +19,10 @@ lowest terms with d > 0; its arithmetic is int arithmetic plus one gcd,
 and no ``Fraction`` object is built unless a caller reads ``re`` or ``im``.
 
 The canonical form has two rules: no two terms share a key, and no
-coefficient is zero.  Builders keep the first by accumulating into one dict
-per key; the :class:`HybridExpression` constructor enforces the second by
-dropping zero coefficients through ``_nonzero``.  The bracket memo calls the
-same helper when it stores a result; no other builder prunes.
+coefficient is zero.  Builders sum unreduced int triples into one dict per
+key (``_accumulate``) and reduce each sum once, dropping zeros
+(``_reduced``); the :class:`HybridExpression` constructor drops the zeros
+any other builder leaves (``_nonzero``).
 
 One closed-form single-DOF table, ``_weyl_terms``, does every reordering at
 a cost polynomial in the degree.  With step -i it is normal ordering,
@@ -32,17 +32,15 @@ Weyl correspondence of ``_weyl_image`` (half quantization of a classical
 monomial) and ``_symbol_image`` (Weyl symbol of a word).  All three join
 their DOFs through one product, ``_dof_products``.
 
-Every exact linear or bilinear map is one accumulation, :func:`_mapped` or
-``_bracket_sum``, over the images of unit monomials, keyed by interned
-symbols alone and memoized where they take work.  The product sums
+Every exact map sums the images of unit monomials, keyed by interned
+symbols alone and memoized where they take work: :func:`_mapped` for a
+linear map, ``_bracket_sum`` for a bilinear one.  The product sums
 ``_unit_product``, c1*c2*N(W1*W2) with N normal ordering;
 :func:`hybrid_bracket` sums ``_monomial_bracket``, the closed form (c1*W1,
 c2*W2) = c1*c2*[W1, W2] + (i*hbar/2)*{c1, c2}*(W1*W2 + W2*W1), tested
 against the definition (:func:`commutator`, :func:`double_bracket`,
 :func:`mul_ihbar`); :func:`poisson_bracket` sums {c1, c2}*N(W1*W2) alike.
-Only ``adjoint``, which conjugates coefficients, and
-``substitute_constants``, which rewrites the constants of a key, keep loops
-of their own.
+``adjoint`` and ``substitute_constants`` call ``_accumulate`` themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache, total_ordering
-from itertools import groupby
+from itertools import groupby, product
 from typing import Mapping, Union
 import warnings
 
@@ -138,14 +136,7 @@ class CNum:
         return _gaussian(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     def __sub__(self, other: "CNum") -> "CNum":
-        try:
-            a1, b1, d1 = self._abd
-            a2, b2, d2 = other._abd
-        except AttributeError:
-            return NotImplemented
-        if d1 == d2:
-            return _gaussian(a1 - a2, b1 - b2, d1)
-        return _gaussian(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+        return self + -other if isinstance(other, CNum) else NotImplemented
 
     def __neg__(self) -> "CNum":
         a, b, d = self._abd
@@ -625,11 +616,8 @@ class HybridExpression:
         """Hermitian conjugate: conjugate coefficients, reverse quantum words."""
         out: dict = {}
         for (h, pr, cl, word), c in self._terms.items():
-            base = c.conjugate()
-            for dh, new_word, cm in _normal_words(word[::-1]):
-                key = (h + dh, pr, cl, new_word)
-                out[key] = out.get(key, _ZERO) + base * cm
-        return HybridExpression(self.system, out)
+            _accumulate(out, h, pr, *c.conjugate()._abd, _unit_product(cl, word[::-1], (), ()))
+        return HybridExpression(self.system, _reduced(out))
 
     def substitute_constants(self, values: Mapping[str, ScalarLike]) -> "HybridExpression":
         """Replace declared constants by exact scalar values."""
@@ -646,9 +634,8 @@ class HybridExpression:
                         c = c * v
                 else:
                     kept.append((name, exp))
-            key = (h, tuple(kept), cl, word)
-            out[key] = out.get(key, _ZERO) + c
-        return HybridExpression(self.system, out)
+            _accumulate(out, h, tuple(kept), *c._abd, ((0, cl, word, _ONE),))
+        return HybridExpression(self.system, _reduced(out))
 
 
 def embed(expr: HybridExpression, target: System, offset: int) -> HybridExpression:
@@ -701,18 +688,21 @@ def _classical_bracket(cl1: tuple, cl2: tuple) -> list:
     for i in {s.index for s in (*e1, *e2)}:
         q, p = Symbol.q(i), Symbol.p(i)
         if n := e1.get(q, 0) * e2.get(p, 0) - e2.get(q, 0) * e1.get(p, 0):
-            out.append((_merge_pows(cl12, ((q, -1), (p, -1))), n))
+            # n != 0, so q_i and p_i both divide c1*c2
+            drop = (q, p)
+            out.append((tuple((s, e - (s in drop)) for s, e in cl12 if e > 1 or s not in drop), n))
     return out
 
 
-def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> list:
+@cache
+def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     """{c1*W1, c2*W2} = {c1, c2}*N(W1*W2) for unit monomials, N normal
     ordering, in the terms of :func:`_monomial_bracket`."""
-    return [
+    return tuple(
         (h, cl, word, cm * _gaussian(n, 0, 1, reduced=True))
         for cl, n in _classical_bracket(cl1, cl2)
         for h, word, cm in _normal_words(w1 + w2)
-    ]
+    )
 
 
 def poisson_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
@@ -762,40 +752,55 @@ def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     """The hybrid bracket of the unit monomials c1*W1 and c2*W2, in the
     closed form of :func:`hybrid_bracket`, as (hbar increment, classical,
     word, coefficient) terms.  The hbar grading, the declared constants and
-    the coefficients are central, so they factor out of every bracket and
-    the memo needs no system or constant part in its key."""
+    the coefficients are central, so the memo needs no system or constant
+    part in its key."""
     cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
-    # (hbar, classical, coefficient, word) before normal ordering
-    parts = [] if w12 == w21 else [(0, cl12, _ONE, w12), (0, cl12, -_ONE, w21)]
-    for cl, n in _classical_bracket(cl1, cl2):
-        c = _gaussian(0, n, 2)
-        parts += [(1, cl, c, w12), (1, cl, c, w21)]
+    # (hbar, classical, coefficient as a, b, d, word) before normal ordering
+    parts = [] if w12 == w21 else [(0, cl12, 1, 0, 1, w12), (0, cl12, -1, 0, 1, w21)]
+    parts += [(1, cl, 0, n, 2, w) for cl, n in _classical_bracket(cl1, cl2) for w in (w12, w21)]
     out: dict = {}
-    for h, cl, c, joined in parts:
-        for dh, word, cm in _normal_words(joined):
-            k = (h + dh, cl, word)
-            out[k] = out.get(k, _ZERO) + c * cm
-    return tuple((h, cl, w, c) for (h, cl, w), c in _nonzero(out).items())
+    for h, cl, a, b, d, joined in parts:
+        _accumulate(out, h, (), a, b, d, [(dh, cl, w, c) for dh, w, c in _normal_words(joined)])
+    return tuple((h, cl, w, c) for (h, _, cl, w), c in _reduced(out).items())
+
+
+def _accumulate(out: dict, h0: int, pr: tuple, a1: int, b1: int, d1: int, unit) -> None:
+    """Add (a1 + b1*i)/d1 times each term (h, cl, word, c) of ``unit`` to
+    ``out`` at key (h0 + h, pr, cl, word) as an unreduced int triple [a, b,
+    d], scaling unequal denominators to their lcm; :func:`_reduced` reads it."""
+    for h, cl, word, c in unit:
+        a2, b2, d2 = c._abd
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+        key = (h0 + h, pr, cl, word)
+        if (acc := out.get(key)) is None:
+            out[key] = [a, b, d]
+        elif acc[2] == d:
+            acc[0] += a
+            acc[1] += b
+        else:
+            m = math.lcm(acc[2], d)
+            s, t = m // acc[2], m // d
+            out[key] = [acc[0] * s + a * t, acc[1] * s + b * t, m]
+
+
+def _reduced(out: dict) -> dict:
+    """The nonzero sums of an :func:`_accumulate` dict, one CNum each."""
+    return {key: _gaussian(a, b, d) for key, (a, b, d) in out.items() if a or b}
 
 
 def _bracket_sum(pairs, bracket) -> dict:
-    """The terms of the sum over the ``pairs`` of expressions of the bilinear
-    map whose unit-monomial images ``bracket`` gives, accumulated into one
-    dict; zero coefficients are left for the caller's canonical form to drop."""
+    """The nonzero terms of the sum over the ``pairs`` of expressions of the
+    bilinear map whose unit-monomial images ``bracket`` gives."""
     out: dict = {}
     for a, b in pairs:
         for (h1, pr1, cl1, w1), c1 in a._terms.items():
+            a1, b1, d1 = c1._abd
             for (h2, pr2, cl2, w2), c2 in b._terms.items():
-                unit = bracket(cl1, w1, cl2, w2)
-                if not unit:
-                    continue
-                base = c1 * c2
-                h12 = h1 + h2
-                consts = _merge_pows(pr1, pr2)
-                for h, cl, word, c in unit:
-                    key = (h12 + h, consts, cl, word)
-                    out[key] = out.get(key, _ZERO) + base * c
-    return out
+                if unit := bracket(cl1, w1, cl2, w2):
+                    a2, b2, d2 = c2._abd
+                    _accumulate(out, h1 + h2, _merge_pows(pr1, pr2), a1 * a2 - b1 * b2,
+                                a1 * b2 + b1 * a2, d1 * d2, unit)
+    return _reduced(out)
 
 
 def hybrid_bracket(a: HybridExpression, b: HybridExpression) -> HybridExpression:
@@ -868,10 +873,8 @@ def _mapped(expr: HybridExpression, target: System, image) -> HybridExpression:
     ``expr`` to the terms ``image(classical, word)``."""
     out: dict = {}
     for (h, pr, cl, word), c in expr._terms.items():
-        for dh, cl2, word2, cu in image(cl, word):
-            key = (h + dh, pr, cl2, word2)
-            out[key] = out.get(key, _ZERO) + c * cu
-    return HybridExpression(target, out)
+        _accumulate(out, h, pr, *c._abd, image(cl, word))
+    return HybridExpression(target, _reduced(out))
 
 
 def weyl_quantize(expr: HybridExpression) -> HybridExpression:
@@ -1005,14 +1008,8 @@ def hybrid_monomials(system: System, max_degree: int) -> list:
     if system != System(1, 1):
         raise AlgebraError("monomial enumeration implemented for the 1+1 DOF system")
     q, p, Q, P = system.q(1), system.p(1), system.Q(1), system.P(1)
-    out = []
-    for total in range(1, max_degree + 1):
-        for a in range(total + 1):
-            for b in range(total - a + 1):
-                for c in range(total - a - b + 1):
-                    d = total - a - b - c
-                    out.append(q**a * p**b * Q**c * P**d)
-    return out
+    exps = sorted((sum(e), e) for e in product(range(max_degree + 1), repeat=4))
+    return [q**a * p**b * Q**c * P**d for n, (a, b, c, d) in exps if 1 <= n <= max_degree]
 
 
 def find_jacobiator_witness(max_degree: int = 3):
@@ -1029,24 +1026,27 @@ def find_jacobiator_witness(max_degree: int = 3):
     lexicographically first of its orderings, so the first witness over all
     ordered triples is the first sorted one.
 
-    Two kinds of triple have a zero jacobiator and are skipped, which keeps
-    the first witness.  A triple with a degree-1 member x: the bracket with
-    q, p, Q or P is i*hbar*d_p, -i*hbar*d_q, ad_Q or ad_P, a derivation D of
-    the product that commutes with the Poisson bracket, hence of the hybrid
-    bracket, so J(x, b, c) = D(b, c) - (D b, c) - (b, D c) = 0.  A triple
-    all in one sector: the bracket is then i*hbar times the Poisson bracket,
-    or the commutator, and both satisfy the Jacobi identity.
+    Skipped triples have a zero jacobiator, so the first witness stands.
+    J(x, b, c) = D(b, c) - (D b, c) - (b, D c) with D = (x, .) vanishes when
+    D is a derivation of the bracket, as it is for x
+    - purely quantum: D = [x, .] is a derivation of the product that
+      commutes with d_q and d_p, so of the commutator and of {{., .}};
+    - purely classical of degree <= 2: D = i*hbar*{x, .} is a linear
+      Hamiltonian vector field, a derivation of the product that commutes
+      with ad_Q and ad_P and preserves {{., .}}.
+    One predicate per monomial keeps the others, and a kept triple all
+    classical is skipped too: its bracket is i*hbar times the Poisson one.
+    These rules cover every triple with a degree-1 member or in one sector.
     """
     system = System(1, 1)
-    # the monomials of degree >= 2, with their degrees and sectors: "classical"
-    # or "quantum" for a monomial in one sector alone, else None
-    monos, degrees, sectors = [], [], []
+    monos, degrees, quantum = [], [], []  # kept monomials, degrees, has a word
     for mono in hybrid_monomials(system, max_degree):
         ((_, _, cl, word),) = mono._terms
-        if (degree := sum(e for _, e in cl) + len(word)) > 1:
+        degree = sum(e for _, e in cl) + len(word)
+        if cl and (word or degree > 2):
             monos.append(mono)
             degrees.append(degree)
-            sectors.append(None if cl and word else "quantum" if word else "classical")
+            quantum.append(bool(word))
     count = len(monos)
     # many triples share a pair, so each pair is bracketed once
     bracket = cache(lambda i, j: hybrid_bracket(monos[i], monos[j]))
@@ -1060,13 +1060,12 @@ def find_jacobiator_witness(max_degree: int = 3):
                     continue
                 b = monos[ib]
                 for ic in range(ib + 1, count):
-                    if degrees[ic] != rest or sectors[ia] == sectors[ib] == sectors[ic] is not None:
+                    if degrees[ic] != rest or not (quantum[ia] or quantum[ib] or quantum[ic]):
                         continue
                     c = monos[ic]
                     bc, ca, ab = bracket(ib, ic), bracket(ic, ia), bracket(ia, ib)
                     if bc.is_zero and ca.is_zero and ab.is_zero:
                         continue
-                    j = _bracket_sum(((a, bc), (b, ca), (c, ab)), _monomial_bracket)
-                    if any(j.values()):
+                    if j := _bracket_sum(((a, bc), (b, ca), (c, ab)), _monomial_bracket):
                         return a, b, c, HybridExpression(system, j)
     return None

@@ -1,6 +1,7 @@
 """Symbolic engine: brackets, quantization maps, series, exact identities."""
 
 import copy
+import functools
 import math
 import pickle
 import random
@@ -36,9 +37,16 @@ from halfq import (
     weyl_quantize,
 )
 from halfq.algebra import (
+    HybridExpression,
     Kind,
     _TO_WEYL,
+    _bracket_sum,
+    _derivative,
+    _mapped,
+    _merge_pows,
     _monomial_bracket,
+    _poisson_unit,
+    _unit_product,
     _weyl_terms,
     double_bracket,
     embed,
@@ -197,6 +205,101 @@ def test_double_bracket_matches_its_definition(a, b):
         bq, bp = partial_derivative(b, Symbol.q(i)), partial_derivative(b, Symbol.p(i))
         want = want + (aq * bp - ap * bq + bp * aq - bq * ap)
     assert double_bracket(a, b) == want / 2
+
+
+def cnum_bracket_sum(pairs, unit) -> HybridExpression:
+    """The sum of ``_bracket_sum``, one CNum product and sum at a time."""
+    out = {}
+    for a, b in pairs:
+        for (h1, pr1, cl1, w1), c1 in a._terms.items():
+            for (h2, pr2, cl2, w2), c2 in b._terms.items():
+                for h, cl, word, c in unit(cl1, w1, cl2, w2):
+                    key = (h1 + h2 + h, _merge_pows(pr1, pr2), cl, word)
+                    out[key] = out.get(key, CNum(0)) + c1 * c2 * c
+    return HybridExpression(S21, out)
+
+
+def cnum_mapped(expr, image) -> HybridExpression:
+    """The image of ``_mapped``, one CNum product and sum at a time."""
+    out = {}
+    for (h, pr, cl, word), c in expr._terms.items():
+        for dh, cl2, word2, cu in image(cl, word):
+            key = (h + dh, pr, cl2, word2)
+            out[key] = out.get(key, CNum(0)) + c * cu
+    return HybridExpression(expr.system, out)
+
+
+@st.composite
+def drawn_coefficients(draw):
+    """A :func:`hybrid_sums` sum with every coefficient drawn anew, so no
+    input coefficient comes out of the ``_bracket_sum`` under test."""
+    keys = draw(hybrid_sums())._terms
+    return HybridExpression(
+        S21, {key: CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)) for key in keys}
+    )
+
+
+# Gaussian unit images over unequal denominators: one whose two grades meet
+# at one key across terms, and one whose three terms cancel exactly
+GAUSSIAN_IMAGES = (
+    lambda cl, word: (
+        (0, cl, word, CNum(Fraction(1, 3), Fraction(-1, 2))),
+        (1, cl, word, CNum(Fraction(3, 4), 1)),
+    ),
+    lambda cl, word: (
+        (0, cl, word, CNum(Fraction(1, 3))),
+        (0, cl, word, CNum(Fraction(1, 6), Fraction(1, 4))),
+        (0, cl, word, CNum(Fraction(-1, 2), Fraction(-1, 4))),
+    ),
+    lambda cl, word: _derivative(cl, word, Symbol.q(1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(drawn_coefficients(), drawn_coefficients()), min_size=1, max_size=3),
+       st.booleans())
+def test_bracket_sum_matches_cnum_arithmetic(pairs, cancel):
+    # the int-triple accumulator against CNum products summed one at a time,
+    # on the unit images of the library and on two Gaussian ones whose terms
+    # meet at one key over unequal denominators; a negated copy of the
+    # first pair cancels it exactly
+    if cancel:
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    gaussian_units = [
+        lambda cl1, w1, cl2, w2, image=image: image(_merge_pows(cl1, cl2), w1 + w2)
+        for image in GAUSSIAN_IMAGES[:2]
+    ]
+    for unit in (_monomial_bracket, _unit_product, _poisson_unit, *gaussian_units):
+        got = _bracket_sum(pairs, unit)
+        assert all(got.values())
+        assert HybridExpression(S21, got) == cnum_bracket_sum(pairs, unit)
+        if cancel and len(pairs) == 2:
+            assert got == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_coefficients())
+def test_mapped_matches_cnum_arithmetic(expr):
+    for image in GAUSSIAN_IMAGES:
+        assert _mapped(expr, S21, image) == cnum_mapped(expr, image)
+    assert _mapped(expr, S21, GAUSSIAN_IMAGES[1]).is_zero
+
+
+def test_bracket_sum_reduces_each_output_key_once(monkeypatch):
+    # with the unit brackets memoized, a hybrid bracket builds one CNum per
+    # term of its result and none per multiply-add
+    import halfq.algebra as algebra
+
+    a = parse_expression("1/3*q1^2*P1^2 - 2/5*i*p1*Q1^3 + 3/2*q1*p1*Q1*P1 + 7*p1^4", S11)
+    b = parse_expression("5/4*p1^2*Q1^2 + i*q1^3*P1 - 1/6*q1*Q1*P1^2 + 2*i*Q1^4", S11)
+    want = hybrid_bracket(a, b)
+    calls = []
+    gaussian = algebra._gaussian
+    monkeypatch.setattr(
+        algebra, "_gaussian", lambda *args, **kw: calls.append(1) or gaussian(*args, **kw)
+    )
+    assert hybrid_bracket(a, b) == want
+    assert 0 < len(calls) <= len(want.terms())
 
 
 def test_double_bracket_differentiates_each_argument_once(monkeypatch):
@@ -870,11 +973,12 @@ def test_witness_search_brackets_each_monomial_pair_once(monkeypatch):
     assert [format_expression(e) for e in (a, b, c, j)] == [
         "p1*P1", "p1*Q1*P1", "q1^2*Q1", "1/2*hbar^4",
     ]
-    # 645 distinct pair brackets of the monomials of degree 2 and 3, each
-    # one bracket sum, plus one sum per candidate triple whose pair brackets
-    # are not all zero: 2,191 sums (4,184 without the skipped triples)
-    assert len(calls) <= 645
-    assert len(sums) <= 2_191
+    # 134 distinct pair brackets of the hybrid monomials and the classical
+    # ones of degree 3, each one bracket sum, plus one sum per candidate
+    # triple whose pair brackets are not all zero: 259 sums (645 brackets
+    # and 2,191 sums with only the degree-1 and one-sector skips)
+    assert len(calls) <= 134
+    assert len(sums) <= 259
 
 
 
@@ -889,7 +993,7 @@ def test_witness_candidates_reuse_the_pair_brackets(monkeypatch):
         halfq.algebra, "hybrid_bracket", lambda a, b: calls.append(1) or bracket(a, b)
     )
     assert find_jacobiator_witness(max_degree=3) is not None
-    assert len(calls) == 645
+    assert len(calls) == 134
 
 
 def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
@@ -911,21 +1015,46 @@ def test_witness_search_fills_the_bracket_table_in_closed_form(monkeypatch):
 
 
 def test_witness_search_skips_only_triples_with_zero_jacobiator():
-    # the search skips sorted triples with a degree-1 member and triples all
-    # in one sector; every such triple at max_degree 3 has a zero jacobiator
-    skipped = {"linear": 0, "classical": 0, "quantum": 0}
-    for triple in combinations(hybrid_monomials(S11, 3), 3):
-        keys = [m.terms()[0][0] for m in triple]
+    # the search skips the sorted triples with a purely quantum member, a
+    # classical member of degree <= 2, or all members classical; these hold
+    # the triples with a degree-1 member or all in one sector, and every
+    # such triple up to degree 4 has a zero jacobiator
+    monos = hybrid_monomials(S11, 4)
+    pair = functools.cache(lambda i, j: hybrid_bracket(monos[i], monos[j]))
+    skipped = dict.fromkeys(
+        ("linear", "classical", "quantum", "quantum member", "classical member <= 2"), 0
+    )
+    total = 0
+    for i, j, k in combinations(range(len(monos)), 3):
+        keys = [monos[n].terms()[0][0] for n in (i, j, k)]
+        degrees = [sum(e for _, e in cl) + len(word) for _, _, cl, word in keys]
         kinds = {
-            "linear": any(sum(e for _, e in cl) + len(word) == 1 for _, _, cl, word in keys),
+            "linear": 1 in degrees,
             "classical": not any(word for _, _, _, word in keys),
             "quantum": not any(cl for _, _, cl, _ in keys),
+            "quantum member": not all(cl for _, _, cl, _ in keys),
+            "classical member <= 2": any(
+                not word and n <= 2 for (_, _, _, word), n in zip(keys, degrees)
+            ),
         }
         if any(kinds.values()):
-            assert jacobiator(*triple).is_zero, triple
+            a, b, c = monos[i], monos[j], monos[k]
+            # (a, (b, c)) + (b, (c, a)) + (c, (a, b)), pair brackets cached
+            jac = hybrid_bracket(a, pair(j, k)) - hybrid_bracket(b, pair(i, k))
+            assert (jac + hybrid_bracket(c, pair(i, j))).is_zero, (a, b, c)
+            total += 1
         for kind, holds in kinds.items():
             skipped[kind] += holds
-    assert skipped == {"linear": 1_924, "classical": 84, "quantum": 84}
+    assert skipped == {
+        "linear": 8_714,
+        "classical": 364,
+        "quantum": 364,
+        "quantum member": 26_159,
+        "classical member <= 2": 10_730,
+    }
+    # 32,794 triples with a member of the two new kinds, plus the 84 triples
+    # of classical monomials of degree 3 and 4
+    assert total == 32_878
 
 
 def test_exhaustive_witness_search_reproduces_recorded_triple():

@@ -201,21 +201,23 @@ def test_bench_verify_samples_a_run(run, r):
 
 
 def test_bench_compare_outputs_finds_a_checkout_identical_to_itself(monkeypatch, capsys):
-    # bench/compare_outputs.py --parent . on its one 32x32 deep verify: this
-    # checkout against itself reads identical in stdout, stderr and exit code
+    # bench/compare_outputs.py --parent . on its 32x32 deep verify and its
+    # jacobi-demo, a run with no config: this checkout against itself reads
+    # identical in stdout, stderr and exit code
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script adds perfbench/
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "bench" / "compare_outputs.py"
     )
     compare_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(compare_outputs)
-    run = {"example-32-deep": compare_outputs.RUNS["example-32-deep"]}
-    monkeypatch.setattr(compare_outputs, "RUNS", run)
+    runs = {name: compare_outputs.RUNS[name] for name in ("example-32-deep", "jacobi-demo")}
+    monkeypatch.setattr(compare_outputs, "RUNS", runs)
     monkeypatch.setattr(sys, "argv", ["compare_outputs.py", "--parent", "."])
-    monkeypatch.setattr(sys, "path", [*sys.path])  # the script adds perfbench/
     monkeypatch.chdir(ROOT)
     assert compare_outputs.main() == 0
     assert capsys.readouterr().out.splitlines() == [
-        f"example-32-deep {output}: identical" for output in ("stdout", "stderr", "exit")
+        f"{name} {output}: identical"
+        for name in runs for output in ("stdout", "stderr", "exit")
     ]
 
 
