@@ -22,7 +22,14 @@ from the ``perfbench`` generators, as ``bench/verify.py`` takes them:
 - ``jacobi-demo``: ``jacobi-demo --json``, the Jacobi-witness search;
 - ``parse-power``: ``parse --json "(Q1+P1)^40" --system 0,1``;
 - ``halfquantize-symbolic``: ``halfquantize --json --split 1,1`` of the
-  first text of degree 4 in the ``symbolic`` seed-0 input.
+  first text of degree 4 in the ``symbolic`` seed-0 input;
+- ``parse-cancel``: ``parse --json "q1*P1 - P1*q1 + 0*Q1 + (Q1+P1)^2 -
+  (P1+Q1)^2 + 2*hbar - 2*hbar" --system 1,1``;
+- ``halfquantize-cancel``: ``halfquantize --json --split 1,1 "q1*p2 - p2*q1
+  + 0*q2^3 + (q1+p2)^2 - (p2+q1)^2"``.
+
+Every term of the two ``-cancel`` texts cancels, so both print ``0``: they
+check that each builder drops the zero coefficients it leaves.
 
 For every run it prints one line per output, stdout, stderr (the progress
 notes, in text and order) and the exit code: ``identical``, or for JSON
@@ -85,6 +92,10 @@ RUNS = {
     "jacobi-demo": (None, ["jacobi-demo", "--json"]),
     "parse-power": (None, ["parse", "--json", "(Q1+P1)^40", "--system", "0,1"]),
     "halfquantize-symbolic": (None, ["halfquantize", "--json", "--split", "1,1", _symbolic_text()]),
+    "parse-cancel": (None, ["parse", "--json", "q1*P1 - P1*q1 + 0*Q1 + (Q1+P1)^2 - (P1+Q1)^2"
+                            " + 2*hbar - 2*hbar", "--system", "1,1"]),
+    "halfquantize-cancel": (None, ["halfquantize", "--json", "--split", "1,1",
+                                   "q1*p2 - p2*q1 + 0*q2^3 + (q1+p2)^2 - (p2+q1)^2"]),
 }
 
 

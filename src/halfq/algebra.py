@@ -19,10 +19,10 @@ lowest terms with d > 0; its arithmetic is int arithmetic plus one gcd,
 and no ``Fraction`` object is built unless a caller reads ``re`` or ``im``.
 
 The canonical form has two rules: no two terms share a key, and no
-coefficient is zero.  Builders sum unreduced int triples into one dict per
-key (``_accumulate``) and reduce each sum once, dropping zeros
-(``_reduced``); the :class:`HybridExpression` constructor drops the zeros
-any other builder leaves (``_nonzero``).
+coefficient is zero.  Every builder returns canonical terms and the
+:class:`HybridExpression` constructor stores them as given: accumulators
+reduce each key's int-triple sum once, dropping zeros (``_reduced``), a sum
+drops the keys that cancel (``_add_terms``) and a scaling by zero is zero.
 
 One closed-form single-DOF table, ``_weyl_terms``, does every reordering at
 a cost polynomial in the degree.  With step -i it is normal ordering,
@@ -240,11 +240,10 @@ class Symbol:
     """A canonical variable: classical q_i/p_i or quantum operator Q_a/P_a.
 
     Interned per (kind, index): equality and hashing are identity, done in C,
-    and order is by (kind, index).  ``word_key`` orders canonical words by
-    degree of freedom, position factors before momentum factors.
+    and order is by (kind, index).
     """
 
-    __slots__ = ("kind", "index", "is_classical", "is_momentum", "word_key", "_order", "name")
+    __slots__ = ("kind", "index", "is_classical", "is_momentum", "_order", "name")
 
     def __new__(cls, kind: Kind, index: int) -> "Symbol":
         sym = _SYMBOLS.get((kind, index))
@@ -255,7 +254,7 @@ class Symbol:
             momentum = kind in (Kind.CLASSICAL_MOM, Kind.QUANTUM_MOM)
             classical = kind in (Kind.CLASSICAL_POS, Kind.CLASSICAL_MOM)
             name = f"{_KIND_LETTER[kind]}{index}"
-            values = (kind, index, classical, momentum, (index, momentum), (kind, index), name)
+            values = (kind, index, classical, momentum, (kind, index), name)
             for slot, value in zip(cls.__slots__, values):
                 object.__setattr__(sym, slot, value)
             sym = _SYMBOLS.setdefault((kind, index), sym)
@@ -349,7 +348,7 @@ class System:
         return self.symbol(Symbol.P(a))
 
     def scalar(self, value: ScalarLike) -> "HybridExpression":
-        return HybridExpression(self, {(0, (), (), ()): CNum.of(value)})
+        return HybridExpression(self, {(0, (), (), ()): c} if (c := CNum.of(value)) else {})
 
     def zero(self) -> "HybridExpression":
         return HybridExpression(self, {})
@@ -451,12 +450,16 @@ def _normal_words(word: tuple) -> tuple:
     return tuple((h, w, c) for h, c, w in _dof_products(per_dof, _word_part))
 
 
-def _nonzero(terms: dict) -> dict:
-    """The terms whose coefficient is not zero (the canonical-form rule);
-    ``terms`` itself when none is."""
-    if all(terms.values()):
-        return terms
-    return {k: c for k, c in terms.items() if c}
+def _add_terms(out: dict, terms: dict) -> dict:
+    """``out`` plus the canonical ``terms``, in place, without the keys that cancel."""
+    for k, c in terms.items():
+        if k not in out:
+            out[k] = c
+        elif s := out[k] + c:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 def _merge_pows(a: tuple, b: tuple) -> tuple:
@@ -482,16 +485,16 @@ class HybridExpression:
     """Canonical sum of hybrid monomials over a fixed :class:`System`.
 
     Immutable; all arithmetic returns new expressions.  Term keys are
-    ``(hbar_power, constants, classical, quantum_word)`` and no two terms
-    share a key.  The constructor drops zero coefficients, so the canonical
-    form is enforced here and structural equality is semantic equality.
+    ``(hbar_power, constants, classical, quantum_word)``.  The constructor
+    stores canonical terms as given (no two share a key, none is zero), and
+    every builder returns such terms, so structural equality is semantic.
     """
 
     __slots__ = ("system", "_terms")
 
     def __init__(self, system: System, terms: dict):
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "_terms", _nonzero(terms))
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("HybridExpression is immutable")
@@ -543,15 +546,14 @@ class HybridExpression:
             )
 
     def _scaled(self, c: CNum) -> "HybridExpression":
-        return HybridExpression(self.system, {k: v * c for k, v in self._terms.items()})
+        # Gaussian rationals have no zero divisors: only c = 0 leaves a zero
+        terms = {k: v * c for k, v in self._terms.items()} if c else {}
+        return HybridExpression(self.system, terms)
 
     def __add__(self, other) -> "HybridExpression":
         other = self._coerce(other)
         self._require_same(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, _ZERO) + c
-        return HybridExpression(self.system, out)
+        return HybridExpression(self.system, _add_terms(dict(self._terms), other._terms))
 
     def __radd__(self, other) -> "HybridExpression":
         return self.__add__(other)
@@ -680,11 +682,11 @@ def commutator(a: HybridExpression, b: HybridExpression) -> HybridExpression:
     return a * b - b * a
 
 
-def _classical_bracket(cl1: tuple, cl2: tuple) -> list:
-    """{c1, c2} of the classical monomials c1, c2 as (monomial, n) pairs:
-    sum_i n_i * c1*c2/(q_i*p_i), n_i = a_i*b'_i - b_i*a'_i, with a_i, a'_i
-    (b_i, b'_i) the powers of q_i, p_i in c1 (c2)."""
-    e1, e2, cl12, out = dict(cl1), dict(cl2), _merge_pows(cl1, cl2), []
+def _classical_bracket(cl1: tuple, cl2: tuple, cl12: tuple) -> list:
+    """{c1, c2} of the classical monomials c1, c2, whose product is ``cl12``,
+    as (monomial, n) pairs: sum_i n_i * c1*c2/(q_i*p_i), n_i = a_i*b'_i -
+    b_i*a'_i, with a_i, a'_i (b_i, b'_i) the powers of q_i, p_i in c1 (c2)."""
+    e1, e2, out = dict(cl1), dict(cl2), []
     for i in {s.index for s in (*e1, *e2)}:
         q, p = Symbol.q(i), Symbol.p(i)
         if n := e1.get(q, 0) * e2.get(p, 0) - e2.get(q, 0) * e1.get(p, 0):
@@ -700,7 +702,7 @@ def _poisson_unit(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     ordering, in the terms of :func:`_monomial_bracket`."""
     return tuple(
         (h, cl, word, cm * _gaussian(n, 0, 1, reduced=True))
-        for cl, n in _classical_bracket(cl1, cl2)
+        for cl, n in _classical_bracket(cl1, cl2, _merge_pows(cl1, cl2))
         for h, word, cm in _normal_words(w1 + w2)
     )
 
@@ -757,7 +759,8 @@ def _monomial_bracket(cl1: tuple, w1: tuple, cl2: tuple, w2: tuple) -> tuple:
     cl12, w12, w21 = _merge_pows(cl1, cl2), w1 + w2, w2 + w1
     # (hbar, classical, coefficient as a, b, d, word) before normal ordering
     parts = [] if w12 == w21 else [(0, cl12, 1, 0, 1, w12), (0, cl12, -1, 0, 1, w21)]
-    parts += [(1, cl, 0, n, 2, w) for cl, n in _classical_bracket(cl1, cl2) for w in (w12, w21)]
+    parts += [(1, cl, 0, n, 2, w) for cl, n in _classical_bracket(cl1, cl2, cl12)
+              for w in (w12, w21)]
     out: dict = {}
     for h, cl, a, b, d, joined in parts:
         _accumulate(out, h, (), a, b, d, [(dh, cl, w, c) for dh, w, c in _normal_words(joined)])

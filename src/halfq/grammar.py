@@ -46,9 +46,9 @@ from .algebra import (
     HybridExpression,
     Symbol,
     System,
+    _add_terms,
     _dof_powers,
     _gaussian,
-    _nonzero,
     _normal_words,
 )
 
@@ -90,7 +90,6 @@ _NAMED: dict = {"hbar": ((_ONE, 1, (), (), ()), None), "i": ((_I, 0, (), (), ())
 def _factor(terms: dict):
     """The factor a canonical term dict denotes: a monomial unless it has
     two or more terms."""
-    terms = _nonzero(terms)
     if len(terms) != 1:
         return terms or _ZERO_FACTOR
     ((hbar, consts, classical, word), coeff), = terms.items()
@@ -153,7 +152,9 @@ def _expansion_bound(factors: list) -> int:
 
 def _monomial_terms(coeff, hbar: int, consts: dict, classical: dict, word) -> dict:
     """The canonical terms of one monomial read factor by factor: its powers
-    sorted and its word normal-ordered once."""
+    sorted and its word normal-ordered once; none when ``coeff`` is zero."""
+    if not coeff:
+        return {}
     key_consts = tuple(sorted((n, e) for n, e in consts.items() if e)) if consts else ()
     key_classical = tuple(sorted(classical.items()))
     word = tuple(word)
@@ -207,8 +208,7 @@ class _Parser:
             if op != "+" and op != "-":
                 return out
             self.pos += 1
-            for key, c in self.term(-1 if op == "-" else 1).items():
-                out[key] = out[key] + c if key in out else c
+            _add_terms(out, self.term(-1 if op == "-" else 1))
 
     def term(self, sign: int) -> dict:
         """A fresh term dict of ``sign * factor (('*' | '/') factor)*``; each

@@ -112,10 +112,6 @@ class State:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "grids", tuple(self.grids))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -1,10 +1,13 @@
 """Symbolic engine: brackets, quantization maps, series, exact identities."""
 
+import ast
 import copy
 import functools
+import inspect
 import math
 import pickle
 import random
+import textwrap
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -216,7 +219,7 @@ def cnum_bracket_sum(pairs, unit) -> HybridExpression:
                 for h, cl, word, c in unit(cl1, w1, cl2, w2):
                     key = (h1 + h2 + h, _merge_pows(pr1, pr2), cl, word)
                     out[key] = out.get(key, CNum(0)) + c1 * c2 * c
-    return HybridExpression(S21, out)
+    return HybridExpression(S21, {key: c for key, c in out.items() if c})
 
 
 def cnum_mapped(expr, image) -> HybridExpression:
@@ -226,17 +229,17 @@ def cnum_mapped(expr, image) -> HybridExpression:
         for dh, cl2, word2, cu in image(cl, word):
             key = (h + dh, pr, cl2, word2)
             out[key] = out.get(key, CNum(0)) + c * cu
-    return HybridExpression(expr.system, out)
+    return HybridExpression(expr.system, {key: c for key, c in out.items() if c})
 
 
 @st.composite
 def drawn_coefficients(draw):
     """A :func:`hybrid_sums` sum with every coefficient drawn anew, so no
-    input coefficient comes out of the ``_bracket_sum`` under test."""
+    input coefficient comes out of the ``_bracket_sum`` under test; a key
+    drawn a zero coefficient is left out, as canonical terms require."""
     keys = draw(hybrid_sums())._terms
-    return HybridExpression(
-        S21, {key: CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)) for key in keys}
-    )
+    drawn = {key: CNum(draw(SMALL_FRACTIONS), draw(SMALL_FRACTIONS)) for key in keys}
+    return HybridExpression(S21, {key: c for key, c in drawn.items() if c})
 
 
 # Gaussian unit images over unequal denominators: one whose two grades meet
@@ -387,7 +390,7 @@ def test_embed_shifts_quantum_dofs_in_canonical_order(a, b, offset):
     for ((h, pr, cl, word), c), ((h0, pr0, cl0, word0), c0) in zip(moved.terms(), a.terms()):
         assert (h, pr, cl, c) == (h0, pr0, cl0, c0)
         assert [(s.kind, s.index) for s in word] == [(s.kind, s.index + offset) for s in word0]
-        assert list(word) == sorted(word, key=lambda s: s.word_key)
+        assert list(word) == sorted(word, key=lambda s: (s.index, s.is_momentum))
     # the shift commutes with the ring operations
     assert embed(a + b, target, offset) == moved + embed(b, target, offset)
     assert embed(a * b, target, offset) == moved * embed(b, target, offset)
@@ -487,29 +490,84 @@ def test_normal_order_matches_the_schroedinger_representation(dofs, max_length, 
     st.sampled_from([1, -1, 2]),
 )
 def test_builders_leave_no_zero_coefficient(a, b, scale, value):
-    # the constructor drops zero coefficients, so cancellations in any
-    # builder (including the constant substitution, which merges terms
-    # when m and k take equal values) leave no zero term behind
+    # the constructor stores the terms it is given, so each builder must
+    # drop the zeros its cancellations leave (the constant substitution
+    # merges terms when m and k take equal values): every result has no zero
+    # coefficient and equals a reference summed one CNum at a time and
+    # filtered by hand
+    s = CNum.of(scale)
+    summed, differenced, adjoint, substituted = dict(a._terms), dict(a._terms), {}, {}
+    for key, c in b._terms.items():
+        summed[key] = summed.get(key, CNum(0)) + c
+        differenced[key] = differenced.get(key, CNum(0)) - c
+    for (h, pr, cl, word), c in a._terms.items():
+        for dh, cl2, word2, cu in _unit_product(cl, word[::-1], (), ()):
+            key = (h + dh, pr, cl2, word2)
+            adjoint[key] = adjoint.get(key, CNum(0)) + c.conjugate() * cu
+        key, v = (h, (), cl, word), CNum(Fraction(value) ** sum(e for _, e in pr))
+        substituted[key] = substituted.get(key, CNum(0)) + c * v
+    text, other = format_expression(a), format_expression(b)
+    parse = lambda t: parse_expression(t, S21, ("m", "k"))
     built = [
-        a + b,
-        a - b,
-        a * b,
-        a * scale,
-        scale * a,
-        a.adjoint(),
-        a.substitute_constants({"m": value, "k": value}),
-        partial_derivative(a, Symbol.q(1)),
-        partial_derivative(a, Symbol.p(2)),
-        commutator(a, b),
-        poisson_bracket(a, b),
-        double_bracket(a, b),
-        hybrid_bracket(a, b),
-        mul_ihbar(a),
+        (a + b, summed),
+        (a - b, differenced),
+        (a - a, {}),
+        (a * 0, {}),
+        (0 * a, {}),
+        (a * scale, {key: c * s for key, c in a._terms.items()}),
+        (scale * a, {key: c * s for key, c in a._terms.items()}),
+        (-a, {key: -c for key, c in a._terms.items()}),
+        (a * b, cnum_bracket_sum(((a, b),), _unit_product)._terms),
+        (hybrid_bracket(a, b), cnum_bracket_sum(((a, b),), _monomial_bracket)._terms),
+        (hybrid_bracket(a, a), {}),
+        (poisson_bracket(a, b), cnum_bracket_sum(((a, b),), _poisson_unit)._terms),
+        *((partial_derivative(a, x), cnum_mapped(a, lambda cl, w: _derivative(cl, w, x))._terms)
+          for x in (Symbol.q(1), Symbol.p(2))),
+        (a.adjoint(), adjoint),
+        (a.substitute_constants({"m": value, "k": value}), substituted),
+        (S21.scalar(0), {}),
+        (S21.scalar(scale), {(0, (), (), ()): s}),
+        (parse(f"({text}) - ({text})"), {}),
+        (parse(f"0*({text}) + 0*Q1 + Q1*P1 - P1*Q1 - i*hbar"), {}),
+        (parse(f"{text} + q1 - ({other}) - q1 + ({other})"), a._terms),
     ]
-    for expr in built:
-        assert all(c for _, c in expr.terms()), expr
-    for vanishing in (a - a, a * 0, hybrid_bracket(a, a)):
-        assert vanishing.is_zero and vanishing.terms() == []
+    if scale:
+        built.append((a / scale, {key: c * s.inverse() for key, c in a._terms.items()}))
+    for got, want in built:
+        assert all(got._terms.values()), got
+        assert got._terms == {key: c for key, c in want.items() if c}, got
+    for expr in (commutator(a, b), double_bracket(a, b), mul_ihbar(a)):
+        assert all(expr._terms.values()), expr
+
+
+def test_expression_constructor_stores_its_terms_as_given():
+    # canonical form is each builder's postcondition: the constructor makes
+    # no pass over its terms, and no zero filter is left for a builder
+    import halfq.algebra as algebra
+    import halfq.grammar as grammar
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(HybridExpression.__init__)))
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls == ["object.__setattr__"] * 2
+    assert not hasattr(algebra, "_nonzero") and not hasattr(grammar, "_nonzero")
+
+
+def test_unit_brackets_merge_their_classical_product_once(monkeypatch):
+    # _monomial_bracket hands the product it merged to _classical_bracket
+    import halfq.algebra as algebra
+
+    merges = []
+    merge = algebra._merge_pows
+    monkeypatch.setattr(algebra, "_merge_pows", lambda x, y: merges.append((x, y)) or merge(x, y))
+    q1, p1 = Symbol.q(1), Symbol.p(1)
+    cl1, cl2, w1, w2 = ((q1, 2), (p1, 1)), ((q1, 1), (p1, 3)), (Symbol.Q(1),), (Symbol.P(1),)
+    for unit in (_monomial_bracket, _poisson_unit):
+        merges.clear()
+        got = unit.__wrapped__(cl1, w1, cl2, w2)
+        assert merges == [(cl1, cl2)]
+        assert got == unit(cl1, w1, cl2, w2) and got
 
 
 # --------------------------------------------------------------------------

@@ -282,6 +282,10 @@ def test_print_parse_round_trip(expr):
         ("q1)", "unexpected ')'", 2),
         ("q1^-1", "cannot divide by dynamical symbols", 0),
         ("2*(q1+p1)^-1", "divisor/negative power must be a single scalar factor", 2),
+        # a divisor word of two or more letters is normal-ordered first
+        ("1/Q1^2", "cannot divide by dynamical symbols", 2),
+        ("1/(Q1*P1)", "cannot divide by dynamical symbols", 2),
+        ("q1/(Q1*P1)^2", "divisor/negative power must be a single scalar factor", 3),
     ],
 )
 def test_malformed_factor_keeps_its_message_and_position(text, message, position):

@@ -634,6 +634,23 @@ def test_chebyshev_interval_encloses_the_spectrum(text, quantum, npoints):
     assert lo <= w[0] and w[-1] <= hi, (lo, w[0], w[-1], hi)
 
 
+@pytest.mark.parametrize("fourier", [(), (0,)])
+@pytest.mark.parametrize(
+    "text", ["Q1*P1 + P1*Q1", "P1^2/2 + Q1*P1/3 + i*(Q1^2*P1 - P1*Q1^2)/5"]
+)
+def test_chebyshev_interval_encloses_terms_that_are_not_pure_powers(text, fourier):
+    # a complex scalar or a mixed Q^q P^p factor takes the norm bound, which
+    # must still enclose the spectrum of the matrix's Hermitian part
+    from halfq.hilbert import _chebyshev_interval
+
+    expr = parse_expression(text, System(0, 1))
+    h_op = compile_expression(expr, {}, (Grid(16, -4.0, 4.0),), HBAR, fourier)
+    lo, hi = _chebyshev_interval(h_op)
+    dense = h_op.dense()
+    w = np.linalg.eigvalsh((dense + dense.conj().T) / 2)
+    assert lo <= w[0] and w[-1] <= hi, (lo, w[0], w[-1], hi)
+
+
 def test_chebyshev_terms_of_the_example():
     # the interval reads the exact range of the terms diagonal together:
     # P2^2/2 and k*Q1*P2 are one array in the mixed basis, not two ranges
