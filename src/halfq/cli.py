@@ -156,8 +156,8 @@ def cmd_bounds(args) -> int:
     sols = hybrid_solutions(cfg)
     failed = [L for L, cert in certificates(cfg, sols).items() if not cert.passed]
     rows = [
-        point.row_dict(pb)
-        for point in sandwich_sweep(cfg, sols, cfg.levels)
+        pb.to_json_dict() | point.key()
+        for point, _, _ in sandwich_sweep(cfg, sols, cfg.levels)
         for pb in point.rows
     ]
     header = ["observable", "t", "L", "p", "width_multiplier", "lower", "upper"]
@@ -249,56 +249,54 @@ def build_parser() -> argparse.ArgumentParser:
         "classicality certification, and verified probability bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several commands share, each defined once
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="print one line of JSON with sorted keys")
+    config = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    config.add_argument("--config", default=None, help="config JSON (default: example)")
+    constants = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    constants.add_argument("--constants", type=_constants_arg, default="",
+                           help="comma-separated constant names")
 
-    p = sub.add_parser("parse", help="echo the canonical form of an expression")
+    p = sub.add_parser("parse", parents=[constants],
+                       help="echo the canonical form of an expression")
     p.add_argument("expression")
     p.add_argument("--system", type=_system_arg, default=System(1, 1),
                    help="M,N DOF counts (default 1,1)")
-    p.add_argument("--constants", type=_constants_arg, default="",
-                   help="comma-separated constant names")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("halfquantize", help="half-quantize a classical observable")
+    p = sub.add_parser("halfquantize", parents=[constants],
+                       help="half-quantize a classical observable")
     p.add_argument("expression", help="classical expression over M+N DOFs")
     p.add_argument("--split", type=_system_arg, required=True,
                    help="M,N: first M DOFs stay classical")
-    p.add_argument("--constants", type=_constants_arg, default="",
-                   help="comma-separated constant names")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_halfquantize)
 
-    p = sub.add_parser("evolve", help="hybrid-bracket series solutions O(t)")
-    p.add_argument("--config", default=None, help="config JSON (default: example)")
+    p = sub.add_parser("evolve", parents=[config], help="hybrid-bracket series solutions O(t)")
     p.add_argument("--observable", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("certify", help="classicality certificate of the classical factor")
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("certify", parents=[config],
+                       help="classicality certificate of the classical factor")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bounds", help="half-quantum prediction bounds (no oracle)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("bounds", parents=[config],
+                       help="half-quantum prediction bounds (no oracle)")
     p.add_argument("--csv", action="store_true", help="CSV rows on stdout")
     p.add_argument("--out", default=None,
                    help="write the observable, t, L, p, width_multiplier, lower, upper "
                    "table as CSV")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("constants", help="worst-case error constants")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("constants", parents=[json_flag], help="worst-case error constants")
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("jacobi-demo", help="print a nonzero jacobiator witness")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("jacobi-demo", parents=[json_flag],
+                       help="print a nonzero jacobiator witness")
     p.set_defaults(func=cmd_jacobi_demo)
 
-    p = sub.add_parser("verify", help="full-quantum verification experiment")
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("verify", parents=[config], help="full-quantum verification experiment")
     p.add_argument("--csv", action="store_true", help="sweep rows as CSV on stdout")
     p.add_argument("--out", default=None,
                    help="write the observable, L, p, width_multiplier, t, lower, oracle, "

@@ -63,7 +63,6 @@ from .algebra import (
 )
 from .bounds import (
     BoundConfig,
-    PredictionBound,
     delta_L_margin,
     leakage_sectors,
     power_weights,
@@ -632,33 +631,31 @@ class SandwichPoint:
     """The half-quantum prediction at one sweep (observable, t).
 
     ``expr`` is the exact sector expression B of the fundamental observable
-    ``observable`` (a Symbol) at time ``t``, classical symbols free, and ``decomp``
-    its spectrum; ``amplitudes`` are phi^Q's projections on B's eigenbasis, taken once,
-    whose squared moduli are the spectral measure every row reads; its
-    first moment ``a0 = <phi^Q|B|phi^Q>`` centers every interval;
+    ``observable`` (a Symbol) at time ``t``, classical symbols free;
     ``margins`` maps each order L to its margin; ``rows`` holds one
-    :class:`PredictionBound` per (L, p, width multiplier).
+    :class:`PredictionBound` per (L, p, width multiplier), each centered on
+    ``a0 = <phi^Q|B|phi^Q>``.
     """
 
     observable: Symbol
     t: Fraction
     expr: HybridExpression
-    decomp: SpectralDecomp
-    amplitudes: np.ndarray
-    a0: float
     margins: dict
     rows: tuple
 
-    def row_dict(self, pb: PredictionBound) -> dict:
-        """One of ``rows`` as a JSON row: its fields with the observable and t."""
-        return pb.to_json_dict() | {"observable": self.observable.name, "t": float(self.t)}
+    def key(self) -> dict:
+        """The observable and t that every row of this point carries."""
+        return {"observable": self.observable.name, "t": float(self.t)}
 
 
 def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
-    """Yield the :class:`SandwichPoint` of every sweep observable and time,
-    observables outer, at each distinct order in ``levels``.  A point whose
-    B equals the previous point's (a conserved observable) is that point
-    under its own observable and t."""
+    """Yield ``(point, decomp, amplitudes)`` for every sweep observable and
+    time, observables outer, at each distinct order in ``levels``: the
+    :class:`SandwichPoint`, B's spectrum, and phi^Q's projections on B's
+    eigenbasis, taken once, whose squared moduli are the spectral measure
+    every row reads.  A point whose B equals the previous point's (a
+    conserved observable) reuses its spectrum, projections, margins and
+    rows, with no second ``eigh``, under its own observable and t."""
     phi_q = cfg.quantum_factor()
     centers = cfg.classical_data.centers()
     subs = _substitutions(cfg)
@@ -669,7 +666,7 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
             expr = sols[sym].substitute_constants(subs | {"t": t_exact})
             if point is not None and expr == point.expr:
                 point = replace(point, observable=sym, t=t_exact)
-                yield point
+                yield point, decomp, amplitudes
                 continue
             b = compile_expression(expr, centers, cfg.quantum_grids, cfg.hbar)
             decomp = spectral_decompose(b.dense())
@@ -685,8 +682,8 @@ def sandwich_sweep(cfg: SystemConfig, sols: Mapping, levels: Sequence[int]):
                 for p in cfg.probabilities
                 for mult in cfg.sweep.width_multipliers
             )
-            point = SandwichPoint(sym, t_exact, expr, decomp, amplitudes, a0, margins, rows)
-            yield point
+            point = SandwichPoint(sym, t_exact, expr, margins, rows)
+            yield point, decomp, amplitudes
 
 
 # --------------------------------------------------------------------------
@@ -735,17 +732,20 @@ def run_verification(
     levels = [L for L, cert in certs.items() if cert.passed]
     rows, leak_rows, disc_rows, ehrenfest = [], [], [], None
     if levels:
-        points = list(sandwich_sweep(cfg, sols, levels))
         # a deep run also evolves the two leakage sectors of each row with
-        # I_B > 0, binned against its point's B, as factors after phi_q
-        leaky = [[pb for pb in point.rows if deep and pb.I_B > 0] for point in points]
-        factors = np.column_stack([cfg.quantum_factor().amplitudes] + [
-            leakage_sectors(point.decomp, point.amplitudes, pb.I_B, pb.Imax, pb.Imin)
-            for point, bounds in zip(points, leaky) for pb in bounds
-        ])
+        # I_B > 0, binned against its point's B as the sweep yields it, as
+        # factors after phi_q; no point keeps its eigenbasis
+        points, sectors = [], [cfg.quantum_factor().amplitudes]
+        for point, decomp, amplitudes in sandwich_sweep(cfg, sols, levels):
+            bounds = [pb for pb in point.rows if deep and pb.I_B > 0]
+            sectors += [
+                leakage_sectors(decomp, amplitudes, pb.I_B, pb.Imax, pb.Imin) for pb in bounds
+            ]
+            points.append((point, bounds))
+        factors = np.column_stack(sectors)
         oracle = Oracle(cfg, cfg.full_hamiltonian_expr(), factors, progress)
         ehrenfest, start = 0.0, 1
-        for point, bounds in zip(points, leaky):
+        for point, bounds in points:
             note(f"observable {point.observable.name}, t={float(point.t)}")
             columns = [0, *range(start, start + 2 * len(bounds))]
             start += 2 * len(bounds)
@@ -975,9 +975,8 @@ def sandwich_rows(point: SandwichPoint, values: np.ndarray, masses: np.ndarray) 
         oracle_p = float(interval_mass(values, masses, pb.I0)[0])
         slack = TOLERANCES["bound_slack" if pb.Delta_L > 0 else "degenerate_slack"]
         ok = pb.lower - slack <= oracle_p <= pb.upper + slack
-        rows.append(
-            point.row_dict(pb) | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail")
-        )
+        row = pb.to_json_dict() | point.key()
+        rows.append(row | dict(D=pb.D, oracle_P=oracle_p, verdict="pass" if ok else "fail"))
     return rows
 
 
@@ -992,9 +991,8 @@ def leakage_rows(point: SandwichPoint, bounds: Sequence, values: np.ndarray, mas
         for which, mass in (("X1", inside[0]), ("X2", total[1] - inside[1])):
             measured = float(mass)
             ok = measured <= pb.leakage + TOLERANCES["leak_slack"]
-            rows.append(dict(
-                observable=point.observable.name, t=float(point.t), L=pb.L, p=pb.p,
-                width_multiplier=pb.width_multiplier, which=which,
+            rows.append(point.key() | dict(
+                L=pb.L, p=pb.p, width_multiplier=pb.width_multiplier, which=which,
                 measured=measured, bound=pb.leakage, verdict="pass" if ok else "fail",
             ))
     return rows
@@ -1007,10 +1005,7 @@ def discrepancy_rows(point: SandwichPoint, weights: Mapping) -> list:
     for L, margin in point.margins.items():
         lhs, rhs = weights[L], margin.with_second_order
         ok = lhs <= rhs * (1 + TOLERANCES["discrepancy_slack"])
-        rows.append(dict(
-            observable=point.observable.name, t=float(point.t), L=L, lhs=lhs, rhs=rhs,
-            verdict="pass" if ok else "fail",
-        ))
+        rows.append(point.key() | dict(L=L, lhs=lhs, rhs=rhs, verdict="pass" if ok else "fail"))
     return rows
 
 

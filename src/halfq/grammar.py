@@ -334,8 +334,8 @@ class _Parser:
 
     def identifier(self, name: str, index: int):
         """The factor of a constant, or of a symbol name the table does not
-        hold yet (which this enters), read at token ``index``; fails on any
-        other token."""
+        hold yet (which this enters once its index is in range), read at
+        token ``index``; fails on any other token."""
         if name in self.constants:
             return _ONE, 0, ((name, 1),), (), ()
         if name[:1] not in _IDENT_START:
@@ -347,10 +347,10 @@ class _Parser:
             if not _SYMBOL_RE.match(name):
                 self.fail(f"unknown identifier {name!r}", index)
             self.out_of_range(name, index)  # a zero index
-        factor = (_ONE, 0, (), ((sym, 1),), ()) if sym.is_classical else (_ONE, 0, (), (), (sym,))
-        _NAMED[name] = factor, sym
         if sym.index > self.limits[sym.is_classical]:
             self.out_of_range(name, index)
+        factor = (_ONE, 0, (), ((sym, 1),), ()) if sym.is_classical else (_ONE, 0, (), (), (sym,))
+        _NAMED[name] = factor, sym
         return factor
 
     def out_of_range(self, name: str, index: int) -> NoReturn:

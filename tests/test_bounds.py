@@ -414,7 +414,8 @@ def test_operator_discrepancy_runs_one_chain_for_all_orders():
 
     cfg = build_example(npoints=32, extent=8.0, times=(0.8,))
     point = next(
-        p for p in sandwich_sweep(cfg, hybrid_solutions(cfg), (1,)) if p.observable.name == "Q1"
+        p for p, _, _ in sandwich_sweep(cfg, hybrid_solutions(cfg), (1,))
+        if p.observable.name == "Q1"
     )
     h = cfg.full_hamiltonian_expr()
     series = heisenberg_series(h.system.Q(2), h).substitute_constants({"t": point.t})

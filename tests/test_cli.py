@@ -210,6 +210,25 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_shared_options_are_defined_once():
+    # --json, --config and --constants each carry one help text in every
+    # command that takes them
+    import argparse
+
+    from halfq.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in set(action.option_strings) & {"--json", "--config", "--constants"}:
+                helps.setdefault(flag, {})[command] = action.help
+    assert sorted(helps["--json"]) == sorted(sub.choices)
+    assert sorted(helps["--config"]) == ["bounds", "certify", "evolve", "verify"]
+    assert sorted(helps["--constants"]) == ["halfquantize", "parse"]
+    assert all(len(set(by.values())) == 1 and None not in by.values() for by in helps.values())
+
+
 def test_malformed_system_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["parse", "q1", "--system", "1"])

@@ -457,6 +457,37 @@ def test_deep_verification_forms_no_oracle_dimension_matrix(monkeypatch):
     assert peak < full * full * 16
 
 
+@pytest.mark.parametrize("deep", [True, False])
+def test_no_sector_eigenbasis_outlives_its_leakage_sectors(monkeypatch, deep):
+    # each point's B spectrum is binned into leakage sectors as the sweep
+    # yields it: when the oracle is built, at most one sector-sized
+    # SpectralDecomp made by the run (the loop's last) is alive, not one per
+    # distinct point
+    import gc
+
+    import halfq.experiment
+
+    cfg = small_example()
+    sector = cfg.quantum_grids[0].npoints
+
+    def alive():
+        gc.collect()
+        return sum(
+            1 for obj in gc.get_objects() if type(obj) is SpectralDecomp and obj.dim == sector
+        )
+
+    before, counts = alive(), []
+    init = halfq.experiment.Oracle.__init__
+
+    def counted(self, *args, **kwargs):
+        counts.append(alive() - before)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(halfq.experiment.Oracle, "__init__", counted)
+    assert run_verification(cfg, deep=deep).status == "pass"
+    assert len(counts) == 1 and counts[0] <= 1, counts
+
+
 def test_an_explicit_interval_width_runs_end_to_end():
     # every other run takes I_B = null (each row's Delta_L); an explicit
     # I_B = 0.5 sets every row's window width and so gives every row its two
@@ -532,16 +563,18 @@ def test_deep_verification_realizes_each_operator_once(monkeypatch):
 
 
 def test_sweep_a0_is_the_expectation_of_B():
-    # a0 is the first moment of phi^Q's spectral masses on B's eigenbasis
+    # a0, on every row, is the first moment of phi^Q's spectral masses on
+    # B's eigenbasis
     cfg = build_example()
     phi = cfg.quantum_factor().amplitudes
     centers = cfg.classical_data.centers()
-    points = list(sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels))
+    points = [point for point, _, _ in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels)]
     assert len(points) == 16
     for point in points:
         b = compile_expression(point.expr, centers, cfg.quantum_grids, cfg.hbar)
         want = np.vdot(phi, b.apply(phi)).real
-        assert abs(point.a0 - want) < 1e-12, (point.observable, point.t)
+        for pb in point.rows:
+            assert abs(pb.a0 - want) < 1e-12, (point.observable, point.t)
 
 
 def test_sweep_margins_take_each_derivative_once(monkeypatch):
@@ -567,14 +600,14 @@ def test_sweep_margins_take_each_derivative_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    points = list(sandwich_sweep(cfg, sols, (1, 2)))
+    points = [point for point, _, _ in sandwich_sweep(cfg, sols, (1, 2))]
     # 16 points, 13 distinct: P1's B repeats at every t and its point is
     # reused; 30 compiles are 17 derivatives and each distinct point's B
     assert calls == {"partial_derivative": 60, "compile_expression": 30}
     monkeypatch.undo()
     for L in (1, 2):
         alone = sandwich_sweep(cfg, sols, (L,))
-        assert all(a.margins[L] == b.margins[L] for a, b in zip(alone, points))
+        assert all(a.margins[L] == b.margins[L] for (a, _, _), b in zip(alone, points))
 
 
 def test_verification_propagates_once(monkeypatch):

@@ -125,6 +125,22 @@ def test_index_out_of_range():
         parse_expression("q0", S11)
 
 
+def test_refused_symbol_names_stay_out_of_the_name_table():
+    # a name out of the system's range fails with its message and position,
+    # and leaves no entry in the module-wide table of symbol names
+    from halfq import grammar
+
+    system = System(0, 1)
+    parse_expression("P1", system)
+    before = len(grammar._NAMED)
+    for n in range(1000, 1005):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(f"P1 + Q{n}", system)
+        want = f"symbol Q{n} out of range for system (classical 1..0, quantum 1..1)"
+        assert str(exc.value) == f"{want} (at position 5)" and exc.value.position == 5
+    assert len(grammar._NAMED) == before
+
+
 def test_division_by_symbols_rejected():
     with pytest.raises(ExpressionSyntaxError, match="divide"):
         parse_expression("1/q1", S11)

@@ -268,7 +268,7 @@ def test_sweep_rows_are_prediction_bounds():
 
     cfg = build_example(npoints=32, extent=8.0, times=(0.0, 0.8))
     rows, branches = 0, set()
-    for point in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels):
+    for point, _, _ in sandwich_sweep(cfg, hybrid_solutions(cfg), cfg.levels):
         keys = [(pb.L, pb.p, pb.width_multiplier) for pb in point.rows]
         assert keys == [
             (L, p, mult)
@@ -278,7 +278,7 @@ def test_sweep_rows_are_prediction_bounds():
         ]
         for pb in point.rows:
             assert type(pb) is PredictionBound
-            assert pb.a0 == point.a0
+            assert pb.a0 == point.rows[0].a0
             width = pb.width_multiplier
             assert pb.D == (width * pb.Delta_L if pb.Delta_L > 0 else width)
             assert pb.I0 == (pb.a0 - pb.D, pb.a0 + pb.D)
@@ -286,6 +286,40 @@ def test_sweep_rows_are_prediction_bounds():
             rows += 1
     # both branches of the width rule are exercised (P1 carries no margin)
     assert rows == 96 and branches == {True, False}
+
+
+def test_sweep_points_hold_only_what_their_judges_read(tmp_path, monkeypatch, capsys):
+    # a point keeps the five fields its readers use; B's spectrum and
+    # phi^Q's projections travel beside it out of the sweep, and no module
+    # reads them, or a0, off a point
+    import dataclasses
+
+    from halfq.cli import main
+    from halfq.experiment import SandwichPoint, build_example, run_verification
+
+    fields = [field.name for field in dataclasses.fields(SandwichPoint)]
+    assert fields == ["observable", "t", "expr", "margins", "rows"]
+    reads = [
+        f"{path.name}:{node.lineno} reads point.{node.attr}"
+        for path in sorted((ROOT / "src" / "halfq").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in {"decomp", "amplitudes", "a0"}
+        and isinstance(node.value, ast.Name) and node.value.id == "point"
+    ]
+    assert reads == []
+    # SandwichPoint.key is the one builder of a row's (observable, t): every
+    # row of the three judges and of cmd_bounds carries what it returns
+    monkeypatch.setattr(SandwichPoint, "key", lambda point: {"observable": "key", "t": -1.0})
+    cfg = build_example(npoints=32, extent=8.0, times=(0.0, 0.8))
+    report = run_verification(cfg, deep=True)
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    assert main(["bounds", "--json", "--config", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)["rows"]
+    judged = [report.rows, report.leakage_rows, report.discrepancy_rows, printed]
+    assert all(rows for rows in judged)
+    keys = {(row["observable"], row["t"]) for rows in judged for row in rows}
+    assert keys == {("key", -1.0)}
 
 
 def test_grids_travel_in_dof_order():
